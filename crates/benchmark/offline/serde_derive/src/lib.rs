@@ -1,0 +1,15 @@
+//! Offline stand-in for `serde_derive`: the derives accept `#[serde(...)]`
+//! attributes and expand to nothing — the `serde` stub's blanket impls
+//! already cover every type.
+
+use proc_macro::TokenStream;
+
+#[proc_macro_derive(Serialize, attributes(serde))]
+pub fn derive_serialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
+
+#[proc_macro_derive(Deserialize, attributes(serde))]
+pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
