@@ -6,13 +6,15 @@
 //! count. The JSON is written by hand so the binary has no serializer
 //! dependency in its hot loop.
 //!
-//! Flags: `--quick` shrinks the scale for smoke/CI runs; `--full` raises it
-//! to the large-domain scale (n0 = 32, 10 steps — the committed
+//! Flags: `--quick` shrinks the scale for smoke/CI runs and reports the best
+//! wall and the best of each phase over five repeats of the optimized run
+//! (`repeats` in the output; a single quick sample is mostly noise); `--full`
+//! raises it to the large-domain scale (n0 = 32, 10 steps — the committed
 //! `results/BENCH_hotpath_full.json` baseline); `--out PATH` overrides the
 //! output file (the verify gate uses this to avoid clobbering the committed
-//! baselines); `--trace-out PATH` records telemetry during the optimized
-//! runs and writes the last preset's Chrome trace JSON (load in
-//! chrome://tracing or https://ui.perfetto.dev — recording is
+//! baselines); `--trace-out PATH` records telemetry during the first
+//! optimized run of each preset and writes the last preset's Chrome trace
+//! JSON (load in chrome://tracing or https://ui.perfetto.dev — recording is
 //! bit-identical, so the data-path check still holds).
 
 use bench::{lan_system, wan_system, Scale};
@@ -102,6 +104,7 @@ fn main() {
         Scale::pick(quick)
     };
     let n = if quick { 1 } else { 2 };
+    let repeats = if quick { 5 } else { 1 };
 
     let mut entries = Vec::new();
     let mut all_identical = true;
@@ -114,7 +117,33 @@ fn main() {
         } else {
             telemetry::Telemetry::null()
         };
-        let (opt, opt_wall) = timed_run(system_for(app, n), app, scale, false, tel);
+        let (mut opt, mut opt_wall) = timed_run(system_for(app, n), app, scale, false, tel);
+        // a quick-scale run lasts tens of milliseconds and one sample
+        // spreads 2-3x on a busy host: keep the best wall and the best of
+        // each phase over a few repeats, so the verify gate can compare
+        // phase by phase against the committed baseline
+        for _ in 1..repeats {
+            let (again, wall) = timed_run(
+                system_for(app, n),
+                app,
+                scale,
+                false,
+                telemetry::Telemetry::null(),
+            );
+            assert_eq!(
+                fingerprint(&again),
+                fingerprint(&opt),
+                "{name}: repeat diverged"
+            );
+            opt_wall = opt_wall.min(wall);
+            opt.wall = metrics::PhaseWall {
+                solve: opt.wall.solve.min(again.wall.solve),
+                ghost: opt.wall.ghost.min(again.wall.ghost),
+                regrid: opt.wall.regrid.min(again.wall.regrid),
+                restrict: opt.wall.restrict.min(again.wall.restrict),
+                decision: opt.wall.decision.min(again.wall.decision),
+            };
+        }
         let (refr, ref_wall) = timed_run(
             system_for(app, n),
             app,
@@ -161,6 +190,7 @@ fn main() {
             "      \"n0\": {}, \"max_levels\": {}, \"steps\": {}, \"procs_per_site\": {n},",
             scale.n0, scale.max_levels, scale.steps
         );
+        let _ = writeln!(e, "      \"repeats\": {repeats},");
         let _ = writeln!(e, "      \"cell_updates\": {},", opt.cell_updates);
         let _ = writeln!(e, "      \"peak_patches\": {},", opt.peak_patches);
         let _ = writeln!(e, "      \"final_patches\": {},", opt.final_patches);

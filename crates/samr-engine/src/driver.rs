@@ -18,7 +18,7 @@ use rayon::prelude::*;
 use samr_mesh::checkpoint::HierarchySnapshot;
 use samr_mesh::cluster::{berger_rigoutsos, ClusterParams};
 use samr_mesh::field::Field3;
-use samr_mesh::hierarchy::GridHierarchy;
+use samr_mesh::hierarchy::{BoxIndex, FillSource, GridHierarchy};
 use samr_mesh::interp::{prolong_constant, restrict_average};
 use samr_mesh::patch::PatchId;
 use samr_mesh::region::Region;
@@ -865,17 +865,19 @@ impl Driver {
     /// Data really moves, and each inter-owner window is charged as a
     /// message.
     ///
-    /// This is the direct zero-copy path: no staging buffer is allocated at
-    /// all. Parent prolongation reads the coarser level's fields in place
-    /// (that level is untouched by a fine-level exchange) and sibling
-    /// windows are copied source→destination through a pair borrow. It is
-    /// bit-identical to [`Driver::exchange_ghosts_reference`] because every
+    /// This is the direct zero-copy path, driven by the level's cached
+    /// [`LevelTopology`](samr_mesh::LevelTopology) plan: per destination the
+    /// sibling windows and the parent-filled `coarse_fill` boxes partition
+    /// the ghost shell, so every ghost cell is written exactly once and
+    /// nothing is staged. It is bit-identical to
+    /// [`Driver::exchange_ghosts_reference`], which writes the whole shell
+    /// three times (zero-gradient, parent, siblings) and keeps the last:
+    /// the last writer of a cell is its sibling window if one covers it,
+    /// else the parent (whose storage covers the whole shell of a properly
+    /// nested patch), else — only at level 0 — the zero-gradient fill. Every
     /// read comes from data the exchange never writes: sibling windows lie
-    /// inside source *interiors* (all three phases write only ghost cells)
-    /// and parent fields live on the untouched coarser level, so dropping
-    /// the reference path's staging clones changes no value, and applying
-    /// the overlaps in topology order preserves the per-destination write
-    /// order wherever two windows overlap.
+    /// inside source *interiors* and parent fields live on the untouched
+    /// coarser level.
     fn exchange_ghosts(&mut self, level: usize) {
         if self.cfg.reference_datapath {
             let t0 = std::time::Instant::now();
@@ -884,8 +886,7 @@ impl Driver {
             self.wall.ghost += t0.elapsed().as_secs_f64();
             return;
         }
-        let ids: Vec<PatchId> = self.hier.level_ids(level).to_vec();
-        if ids.is_empty() {
+        if self.hier.level_ids(level).is_empty() {
             return;
         }
         let t0 = std::time::Instant::now();
@@ -893,79 +894,37 @@ impl Driver {
         let nf = self.hier.nfields();
         let r = self.hier.refine_factor();
         let topo = self.hier.exchange_topology(level);
+        let batch = self.ghost_messages(&topo);
+        self.ghost_clone_cells_avoided += topo.clone_cells_avoided as u64 * nf as u64;
 
-        let mut dst_ix: std::collections::BTreeMap<PatchId, usize> = Default::default();
-        for (i, &id) in ids.iter().enumerate() {
-            dst_ix.insert(id, i);
-        }
-        let parent_of: Vec<Option<PatchId>> =
-            ids.iter().map(|&id| self.hier.patch(id).parent).collect();
-
-        // message accounting, same entries and values as the reference path
-        let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
-        if level > 0 {
-            for (i, &id) in ids.iter().enumerate() {
-                let p = self.hier.patch(id);
-                let parent_owner = self
-                    .hier
-                    .patch(p.parent.expect("fine patch has parent"))
-                    .owner;
-                let shell_cells: i64 = topo.shells[i].boxes.iter().map(|b| b.cells()).sum();
-                if parent_owner != p.owner {
-                    *batch.entry((parent_owner, p.owner)).or_default() +=
-                        (shell_cells as u64) * 8 * nf as u64;
-                }
-            }
-        }
-        for o in &topo.overlaps {
-            let src_owner = self.hier.patch(o.src).owner;
-            let dst_owner = self.hier.patch(o.dst).owner;
-            if src_owner != dst_owner {
-                *batch.entry((src_owner, dst_owner)).or_default() +=
-                    (o.cells as u64) * 8 * nf as u64;
-            }
-        }
-
-        // bookkeeping: what the clone-based reference path would have
-        // copied and the direct path reads in place instead
-        if level > 0 {
-            for &id in &ids {
-                let parent_id = self.hier.patch(id).parent.expect("fine patch has parent");
-                let parent = self.hier.patch(parent_id);
-                self.ghost_clone_cells_avoided +=
-                    (parent.fields[0].storage_region().cells() as u64) * nf as u64;
-            }
-        }
-        let mut seen: std::collections::BTreeSet<PatchId> = Default::default();
-        for o in &topo.overlaps {
-            if seen.insert(o.src) {
-                let sp = self.hier.patch(o.src);
-                self.ghost_clone_cells_avoided +=
-                    (sp.fields[0].storage_region().cells() as u64) * nf as u64;
-            }
-        }
-
-        // phase 1: per destination — zero-gradient default, then parent
-        // prolongation straight from the parent's fields. Parallel across
-        // destinations: each writes only its own ghost cells, and the
-        // parents live on the coarser level, which stays in the hierarchy
-        // (only `level`'s fields are taken out) and is never written here.
-        let mut work: Vec<(PatchId, Vec<Field3>)> = ids
+        // phase 1: per destination, the ghost cells no sibling fills — by
+        // prolongation straight from the parent's fields, or at level 0
+        // (where only cells outside the domain are left) by zero-gradient
+        // over the whole shell, which phase 2 then overwrites where siblings
+        // exist. Parallel across destinations: each writes only its own
+        // ghost cells, and the parents live on the coarser level, which
+        // stays in the hierarchy (only `level`'s fields are taken out) and
+        // is never written here.
+        let mut work: Vec<Vec<Field3>> = topo
+            .shells
             .iter()
-            .map(|&id| (id, std::mem::take(&mut self.hier.patch_mut(id).fields)))
+            .map(|s| std::mem::take(&mut self.hier.patch_mut(s.id).fields))
             .collect();
         let hier = &self.hier;
-        let topo_ref = &topo;
-        let parent_ref = &parent_of;
-        for_each_task_parallel(&mut work, |i, (_, fields)| {
-            for f in fields.iter_mut() {
-                f.fill_ghosts_zero_gradient();
-            }
-            if level > 0 {
-                let parent = hier.patch(parent_ref[i].expect("fine patch has parent"));
-                for b in &topo_ref.shells[i].boxes {
-                    for (k, pf) in parent.fields.iter().enumerate() {
-                        prolong_constant(pf, &mut fields[k], b, r);
+        let shells = &topo.shells;
+        for_each_task_parallel(&mut work, |i, fields| {
+            let shell = &shells[i];
+            match shell.parent {
+                None if shell.coarse_fill.is_empty() => {}
+                None => fields
+                    .iter_mut()
+                    .for_each(Field3::fill_ghosts_zero_gradient),
+                Some(parent) => {
+                    let parent = hier.patch(parent);
+                    for b in &shell.coarse_fill {
+                        for (pf, f) in parent.fields.iter().zip(fields.iter_mut()) {
+                            prolong_constant(pf, f, b, r);
+                        }
                     }
                 }
             }
@@ -973,31 +932,62 @@ impl Driver {
 
         // phase 2: sibling windows, source→destination directly via a pair
         // borrow. Sources are authoritative interiors, which no phase
-        // writes, so the values match the reference path's staged clones;
-        // topology order preserves its per-destination overwrite order.
-        for o in &topo.overlaps {
-            let si = dst_ix[&o.src];
-            let di = dst_ix[&o.dst];
+        // writes, so the values match the reference path's staged clones.
+        for (o, &(si, di)) in topo.overlaps.iter().zip(&topo.overlap_slots) {
+            let (si, di) = (si as usize, di as usize);
             debug_assert_ne!(si, di, "self-overlap in sibling topology");
             let (src, dst) = if si < di {
                 let (a, b) = work.split_at_mut(di);
-                (&a[si].1, &mut b[0].1)
+                (&a[si], &mut b[0])
             } else {
                 let (a, b) = work.split_at_mut(si);
-                (&b[0].1, &mut a[di].1)
+                (&b[0], &mut a[di])
             };
-            for (k, sf) in src.iter().enumerate() {
-                dst[k].copy_from(sf, &o.window);
+            for (sf, df) in src.iter().zip(dst.iter_mut()) {
+                df.copy_from(sf, &o.window);
             }
         }
-        for (id, fields) in work {
-            self.hier.patch_mut(id).fields = fields;
+        for (shell, fields) in topo.shells.iter().zip(work) {
+            self.hier.patch_mut(shell.id).fields = fields;
         }
 
         for ((src, dst), bytes) in batch {
             self.send_batch(src, dst, bytes);
         }
         self.wall.ghost += t0.elapsed().as_secs_f64();
+    }
+
+    /// Bytes each owner pair exchanges in one ghost fill of the level `topo`
+    /// plans: the whole shell from the parent's owner, every sibling window
+    /// from its source's owner — the reference path's entries and values.
+    /// Owners move without a structural change, so this is per exchange.
+    fn ghost_messages(
+        &self,
+        topo: &samr_mesh::LevelTopology,
+    ) -> std::collections::BTreeMap<(usize, usize), u64> {
+        let cell_bytes = 8 * self.hier.nfields() as u64;
+        let owners: Vec<usize> = topo
+            .shells
+            .iter()
+            .map(|s| self.hier.patch(s.id).owner)
+            .collect();
+        let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
+        for (shell, &owner) in topo.shells.iter().zip(&owners) {
+            if let Some(parent) = shell.parent {
+                let parent_owner = self.hier.patch(parent).owner;
+                if parent_owner != owner {
+                    *batch.entry((parent_owner, owner)).or_default() +=
+                        shell.shell_cells as u64 * cell_bytes;
+                }
+            }
+        }
+        for (o, &(si, di)) in topo.overlaps.iter().zip(&topo.overlap_slots) {
+            let (src_owner, dst_owner) = (owners[si as usize], owners[di as usize]);
+            if src_owner != dst_owner {
+                *batch.entry((src_owner, dst_owner)).or_default() += o.cells as u64 * cell_bytes;
+            }
+        }
+        batch
     }
 
     /// Clone-based reference ghost exchange: the original sequential
@@ -1103,8 +1093,11 @@ impl Driver {
     }
 
     /// Rebuild `level + 1` from the flags of `level`'s grids: flag, buffer,
-    /// cluster (Berger–Rigoutsos), place via the DLB scheme, prolong from
-    /// parents, then copy surviving data from the retired fine grids.
+    /// cluster (Berger–Rigoutsos), place via the DLB scheme, then fill each
+    /// new grid's interior from its final sources — surviving data of the
+    /// retired fine grids where they overlapped, parent prolongation
+    /// elsewhere. Ghost shells are left to the next `exchange_ghosts(level +
+    /// 1)`, which runs before anything reads the new level.
     fn regrid(&mut self, level: usize) {
         let t0 = std::time::Instant::now();
         let _span = telemetry::span!(self.cfg.telemetry, "regrid", level);
@@ -1152,37 +1145,36 @@ impl Driver {
         let r = self.hier.refine_factor();
         let ids: Vec<PatchId> = self.hier.level_ids(level).to_vec();
 
-        // flag + cluster per parent grid
+        // flag + buffer + cluster, parallel across parent grids; the boxes
+        // are then read off in level-id order
         let cluster = ClusterParams {
             min_efficiency: 0.7,
             min_box_cells: 4,
             max_depth: 64,
             max_box_cells: self.cfg.max_box_cells,
         };
+        let mut clustered: Vec<Vec<Region>> = vec![Vec::new(); ids.len()];
+        let (hier, app, flag_buffer) = (&self.hier, &self.app, self.cfg.flag_buffer);
+        for_each_task_parallel(&mut clustered, |i, boxes| {
+            let mut flags = app.flag_patch(hier.patch(ids[i]), hier.pool());
+            flags.buffer(flag_buffer);
+            *boxes = berger_rigoutsos(&flags, &cluster);
+        });
         let mut parents: Vec<usize> = Vec::new();
         let mut parent_ids: Vec<PatchId> = Vec::new();
         let mut regions: Vec<Region> = Vec::new();
-        let mut flag_cost_cells = 0i64;
-        for &id in &ids {
+        // charge flag/cluster work to the owners (part of adaptation)
+        let cost = self.cost_per_cell() * 0.15;
+        for (&id, boxes) in ids.iter().zip(&clustered) {
             let p = self.hier.patch(id);
-            let owner = p.owner;
-            flag_cost_cells += p.cells();
-            let mut flags = self.app.flag_patch(p, self.hier.pool());
-            flags.buffer(self.cfg.flag_buffer);
-            for coarse_box in berger_rigoutsos(&flags, &cluster) {
-                parents.push(owner);
+            for coarse_box in boxes {
+                parents.push(p.owner);
                 parent_ids.push(id);
                 regions.push(coarse_box.refine(r));
             }
-        }
-        // charge flag/cluster work to the owners (part of adaptation)
-        let cost = self.cost_per_cell() * 0.15;
-        for &id in &ids {
-            let p = self.hier.patch(id);
             let secs = p.cells() as f64 * cost / self.proc_weights[p.owner];
             self.sim.compute(ProcId(p.owner), secs);
         }
-        let _ = flag_cost_cells;
 
         // stash the data of every level being cleared; the patches are about
         // to be dropped, so take their fields instead of cloning. The stash
@@ -1219,39 +1211,68 @@ impl Driver {
             self.scheme
                 .place_new_patches(&self.hier, self.sim.system(), level + 1, &parents, &sizes);
 
-        // create patches: prolong from parent, then copy overlapping old data
+        // plan: each new patch's final sources — the retired fine grids it
+        // overlaps (everything else comes from its parent) — and the
+        // messages that moving those costs
         let nf = self.hier.nfields();
+        let ghost = self.hier.ghost();
+        let old = &self.old_data[level + 1];
+        let mut old_index = BoxIndex::new(
+            self.hier.domain_at_level(level + 1),
+            old.iter().map(|op| op.region),
+        );
         let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
-        for ((region, parent_id), (&owner, &parent_owner)) in regions
+        let mut sources: Vec<Vec<FillSource<'_>>> = Vec::with_capacity(regions.len());
+        for (region, &owner) in regions.iter().zip(&owners) {
+            let mut from_old = Vec::new();
+            for &oi in old_index.candidates(region) {
+                let op = &old[oi as usize];
+                let window = op.region.intersect(region);
+                if window.is_empty() {
+                    continue;
+                }
+                if op.owner != owner {
+                    *batch.entry((op.owner, owner)).or_default() +=
+                        (window.cells() as u64) * 8 * nf as u64;
+                }
+                from_old.push(FillSource {
+                    fields: &op.fields,
+                    window,
+                });
+            }
+            sources.push(from_old);
+        }
+
+        // buffers come off this thread's pool shelves, where the cleared
+        // levels just put theirs; the data then moves in parallel across new
+        // patches, and they are inserted in clustering order so ids match a
+        // serial regrid's
+        let mut built: Vec<Vec<Field3>> = regions
+            .iter()
+            .map(|&region| {
+                (0..nf)
+                    .map(|_| Field3::unfilled_in(&pool, region, ghost))
+                    .collect()
+            })
+            .collect();
+        let hier = &self.hier;
+        for_each_task_parallel(&mut built, |i, fields| {
+            hier.fill_refined_fields(fields, parent_ids[i], &sources[i]);
+        });
+        for ((((region, parent_id), &owner), &parent_owner), fields) in regions
             .into_iter()
             .zip(parent_ids)
-            .zip(owners.iter().zip(parents.iter()))
+            .zip(&owners)
+            .zip(&parents)
+            .zip(built)
         {
-            // creation and prolongation fused: the child's pooled buffers
-            // are filled directly by parent -> child prolongation over the
-            // full storage volume, with no intermediate zero fill
-            let id = self.hier.insert_refined_patch(level + 1, region, parent_id, owner);
+            let id =
+                self.hier
+                    .insert_patch_with_fields(level + 1, region, parent_id, owner, fields);
             if parent_owner != owner {
                 *batch.entry((parent_owner, owner)).or_default() +=
                     self.hier.patch(id).payload_bytes();
             }
-            // copy from retired fine grids where they overlapped
-            let old = std::mem::take(&mut self.old_data[level + 1]);
-            for op in &old {
-                let w = op.region.intersect(&region);
-                if w.is_empty() {
-                    continue;
-                }
-                let patch = self.hier.patch_mut(id);
-                for (k, f) in op.fields.iter().enumerate() {
-                    patch.fields[k].copy_from(f, &w);
-                }
-                if op.owner != owner {
-                    *batch.entry((op.owner, owner)).or_default() +=
-                        (w.cells() as u64) * 8 * nf as u64;
-                }
-            }
-            self.old_data[level + 1] = old;
         }
         for ((src, dst), bytes) in batch {
             self.send_batch(src, dst, bytes);
@@ -1361,6 +1382,147 @@ impl Driver {
         }
         for ((src, dst), bytes) in batch {
             self.send_batch(src, dst, bytes);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AppKind, Scheme};
+
+    /// A 3-level ShockPool3D run one step in: refined grids touch the
+    /// domain corner the shock starts in, and the DLB has placed them.
+    fn driver() -> Driver {
+        let mut cfg = RunConfig::new(AppKind::ShockPool3D, 16, 3, Scheme::distributed_default());
+        cfg.max_levels = 3;
+        let mut d = Driver::new(topology::presets::anl_ncsa_wan(2, 2, 11), cfg);
+        d.step_once();
+        d
+    }
+
+    /// Every second grid of `level` moves to the owner after its parent's,
+    /// so parent and child owners differ within and across groups.
+    fn scatter_owners(d: &mut Driver, level: usize) {
+        let nprocs = d.sim.system().nprocs();
+        for (i, id) in d.hier.level_ids(level).to_vec().into_iter().enumerate() {
+            if i % 2 == 0 {
+                let parent = d.hier.patch(id).parent.expect("fine patch has parent");
+                let owner = (d.hier.patch(parent).owner + 1 + i / 2) % nprocs;
+                d.hier.set_owner(id, owner);
+            }
+        }
+    }
+
+    fn poison_ghosts(d: &mut Driver, level: usize) {
+        for id in d.hier.level_ids(level).to_vec() {
+            for f in d.hier.patch_mut(id).fields.iter_mut() {
+                let (interior, storage) = (f.interior(), f.storage_region());
+                for c in storage.iter_cells().filter(|&c| !interior.contains(c)) {
+                    f.set(c, f64::NAN);
+                }
+            }
+        }
+    }
+
+    fn level_bits(d: &Driver, level: usize) -> Vec<Vec<Vec<u64>>> {
+        d.hier
+            .level_ids(level)
+            .iter()
+            .map(|&id| {
+                let fields = &d.hier.patch(id).fields;
+                fields
+                    .iter()
+                    .map(|f| f.data().iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The reference path's message accounting, from its definition: the
+    /// whole shell from the parent's owner, every sibling window from its
+    /// source's owner (all-pairs scan, no plan).
+    fn brute_force_messages(
+        d: &Driver,
+        level: usize,
+    ) -> std::collections::BTreeMap<(usize, usize), u64> {
+        let cell_bytes = 8 * d.hier.nfields() as u64;
+        let ghost = d.hier.ghost();
+        let ids = d.hier.level_ids(level);
+        let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
+        for &dst in ids {
+            let dp = d.hier.patch(dst);
+            let shell = dp.region.grow(ghost);
+            if let Some(parent) = dp.parent {
+                let parent_owner = d.hier.patch(parent).owner;
+                if parent_owner != dp.owner {
+                    *batch.entry((parent_owner, dp.owner)).or_default() +=
+                        (shell.cells() - dp.region.cells()) as u64 * cell_bytes;
+                }
+            }
+            for &src in ids.iter().filter(|&&src| src != dst) {
+                let sp = d.hier.patch(src);
+                let cells = shell.intersect(&sp.region).cells() as u64;
+                if cells > 0 && sp.owner != dp.owner {
+                    *batch.entry((sp.owner, dp.owner)).or_default() += cells * cell_bytes;
+                }
+            }
+        }
+        batch
+    }
+
+    /// Ghost cells are dead between a regrid and the next exchange: poison
+    /// every one of a freshly regridded level (and of the levels above it),
+    /// and the planned exchange still rewrites them all, to the reference
+    /// exchange's bits, charging the same bytes — on grids at the domain
+    /// boundary and on grids whose parent lives on another owner.
+    #[test]
+    fn exchange_rewrites_every_poisoned_ghost_like_the_reference() {
+        let (mut plan, mut reference) = (driver(), driver());
+        for regridded in [0, 1] {
+            let fresh = regridded + 1;
+            for d in [&mut plan, &mut reference] {
+                d.regrid(regridded);
+                scatter_owners(d, fresh);
+            }
+            let boundary = plan.hier.level_ids(fresh).iter().any(|&id| {
+                let shell = plan.hier.patch(id).region.grow(plan.hier.ghost());
+                !plan.hier.domain_at_level(fresh).contains_region(&shell)
+            });
+            let remote_parent = plan.hier.level_ids(fresh).iter().any(|&id| {
+                let p = plan.hier.patch(id);
+                plan.hier
+                    .patch(p.parent.expect("fine patch has parent"))
+                    .owner
+                    != p.owner
+            });
+            assert!(boundary && remote_parent, "level {fresh} misses a case");
+            for level in 0..=fresh {
+                poison_ghosts(&mut plan, level);
+                poison_ghosts(&mut reference, level);
+                let topo = plan.hier.exchange_topology(level);
+                assert_eq!(
+                    plan.ghost_messages(&topo),
+                    brute_force_messages(&reference, level),
+                    "level {level}: charged bytes per owner pair"
+                );
+                plan.exchange_ghosts(level);
+                reference.exchange_ghosts_reference(level);
+                let bits = level_bits(&plan, level);
+                assert!(
+                    bits.iter()
+                        .flatten()
+                        .flatten()
+                        .all(|&b| !f64::from_bits(b).is_nan()),
+                    "level {level}: a ghost cell kept its poison"
+                );
+                assert_eq!(
+                    bits,
+                    level_bits(&reference, level),
+                    "level {level} diverged"
+                );
+            }
+            assert_eq!(plan.sim.stats().msgs, reference.sim.stats().msgs);
         }
     }
 }

@@ -57,39 +57,22 @@ impl Field3 {
         }
     }
 
-    /// A pooled field whose entire storage (ghosts included) is filled by
-    /// piecewise-constant prolongation from `coarse` — bit-identical to
-    /// [`Field3::new_in`] followed by [`crate::interp::prolong_constant`]
-    /// over the full storage window, without the intermediate zero fill.
-    ///
-    /// Skipping the zero fill is only sound because prolongation covers
-    /// every cell, which requires the outer-coarsened storage to lie inside
-    /// `coarse`'s storage; asserted here.
-    pub fn from_coarse_in<P: crate::pool::FieldAlloc>(
-        pool: &P,
-        interior: Region,
-        ghost: i64,
-        coarse: &Field3,
-        r: i64,
-    ) -> Self {
+    /// A pooled field whose contents are unspecified (a reused buffer keeps
+    /// whatever its previous life left behind) — for callers that give every
+    /// cell a writer before its first read, as
+    /// [`GridHierarchy::fill_refined_fields`](crate::hierarchy::GridHierarchy::fill_refined_fields)
+    /// does for interiors and the ghost exchange does for shells.
+    pub fn unfilled_in<P: crate::pool::FieldAlloc>(pool: &P, interior: Region, ghost: i64) -> Self {
         assert!(ghost >= 0);
         assert!(!interior.is_empty(), "field over empty region");
         let storage = interior.grow(ghost);
-        assert!(
-            coarse.storage_region().contains_region(&storage.coarsen(r)),
-            "prolongation source {:?} does not cover fine storage {:?}",
-            coarse.storage_region(),
-            storage
-        );
         let data = pool.acquire_unfilled(storage.cells() as usize);
-        let mut f = Field3 {
+        Field3 {
             interior,
             ghost,
             storage,
             data,
-        };
-        crate::interp::prolong_constant(coarse, &mut f, &storage, r);
-        f
+        }
     }
 
     /// Pooled deep copy: same shape and bitwise-identical contents, with the

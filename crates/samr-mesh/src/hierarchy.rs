@@ -31,10 +31,11 @@ pub struct GridHierarchy {
     levels: Vec<Vec<PatchId>>,
     /// Next fresh id.
     next_id: u64,
-    /// Structural generation: bumped whenever the patch set or any patch
-    /// region changes, invalidating [`GridHierarchy::exchange_topology`]
-    /// caches. Field *data* writes do not bump it.
-    topo_gen: u64,
+    /// Structural generation per level: bumped whenever that level's patch
+    /// set, a patch region or a parent link changes, invalidating the
+    /// level's [`GridHierarchy::exchange_topology`] cache and no other
+    /// level's. Field *data* and owner writes do not bump it.
+    topo_gen: Vec<u64>,
     /// Per-level cached exchange topology tagged with the generation that
     /// built it. `Arc` so callers can hold the topology while mutating
     /// patch data, and so cloning the hierarchy stays cheap.
@@ -60,7 +61,7 @@ impl GridHierarchy {
             patches: BTreeMap::new(),
             levels: vec![Vec::new()],
             next_id: 0,
-            topo_gen: 0,
+            topo_gen: Vec::new(),
             topo_cache: Vec::new(),
             pool: crate::pool::FieldPool::new(),
         }
@@ -73,9 +74,14 @@ impl GridHierarchy {
         &self.pool
     }
 
-    /// Record a structural mutation: invalidate every cached level topology.
-    fn bump_topology(&mut self) {
-        self.topo_gen = self.topo_gen.wrapping_add(1);
+    /// Record a structural mutation at `level`: invalidate that level's
+    /// cached topology. Generations only grow, so an entry cached before a
+    /// level was cleared never matches the level rebuilt in its place.
+    fn bump_topology(&mut self, level: usize) {
+        if self.topo_gen.len() <= level {
+            self.topo_gen.resize(level + 1, 0);
+        }
+        self.topo_gen[level] += 1;
     }
 
     /// Refinement factor between levels.
@@ -199,33 +205,74 @@ impl GridHierarchy {
         id
     }
 
-    /// Insert a new refined patch whose field data is piecewise-constant
-    /// prolongation from its parent's fields — the regrid fast path.
-    /// Bit-identical to [`GridHierarchy::insert_patch`] followed by
-    /// full-storage `prolong_constant` from each parent field, but the
-    /// pooled buffers skip the intermediate zero fill (prolongation provably
-    /// overwrites every cell; see [`Field3::from_coarse_in`]).
-    pub fn insert_refined_patch(
+    /// Fill the interiors of `fields` — the fields of a patch about to be
+    /// inserted one level below `parent` — from their final sources, the
+    /// regrid data path in which every interior cell has exactly one writer:
+    /// each `sources` window (the part of a retired patch of that level
+    /// inside the new region) is copied, and piecewise-constant prolongation
+    /// from `parent` runs only over `region \ ⋃ windows`. Whatever `fields`
+    /// held, the interiors end up equal to full-storage prolongation followed
+    /// by `copy_from` of every window, bit for bit.
+    ///
+    /// Ghost cells are not touched: the level's next ghost exchange writes
+    /// every one of them (see [`LevelTopology`]) before anything reads one,
+    /// so [`Field3::unfilled_in`] buffers will do. Takes `&self`, so patches
+    /// can be filled concurrently and then inserted in order with
+    /// [`GridHierarchy::insert_patch_with_fields`].
+    pub fn fill_refined_fields(
+        &self,
+        fields: &mut [Field3],
+        parent: PatchId,
+        sources: &[FillSource<'_>],
+    ) {
+        let r = self.refine_factor;
+        let pp = self.patch(parent);
+        let region = fields[0].interior();
+        assert!(
+            pp.region.contains_region(&region.coarsen(r)),
+            "{region:?} not inside parent {parent:?} ({:?})",
+            pp.region
+        );
+        let from_parent = region.subtract_all(sources.iter().map(|s| &s.window));
+        for (k, f) in fields.iter_mut().enumerate() {
+            for s in sources {
+                f.copy_from(&s.fields[k], &s.window);
+            }
+            for b in &from_parent {
+                crate::interp::prolong_constant(&pp.fields[k], f, b, r);
+            }
+        }
+    }
+
+    /// Insert a new patch at `level` that adopts `fields` (built over
+    /// `region` with this hierarchy's field count and ghost width, filled
+    /// e.g. by [`GridHierarchy::fill_refined_fields`]). Same validity rules
+    /// and id allocation as [`GridHierarchy::insert_patch`].
+    pub fn insert_patch_with_fields(
         &mut self,
         level: usize,
         region: Region,
         parent: PatchId,
         owner: OwnerProc,
+        fields: Vec<Field3>,
     ) -> PatchId {
-        assert!(!region.is_empty(), "inserting empty patch region");
         assert!(level < self.max_levels, "level {level} exceeds max_levels");
         assert!(
             self.domain_at_level(level).contains_region(&region),
             "patch region {region:?} outside level-{level} domain"
         );
-        let r = self.refine_factor;
-        let pp = self.patch(parent);
-        assert_eq!(pp.level + 1, level, "parent must be one level up");
-        let fields: Vec<Field3> = pp
-            .fields
-            .iter()
-            .map(|pf| Field3::from_coarse_in(&self.pool, region, self.ghost, pf, r))
-            .collect();
+        assert_eq!(
+            self.patch(parent).level + 1,
+            level,
+            "parent must be one level up"
+        );
+        assert_eq!(fields.len(), self.nfields, "wrong field count");
+        assert!(
+            fields
+                .iter()
+                .all(|f| f.interior() == region && f.ghost() == self.ghost),
+            "fields not shaped for {region:?}"
+        );
         let id = self.fresh_id();
         let patch = GridPatch {
             id,
@@ -246,7 +293,7 @@ impl GridHierarchy {
         }
         self.levels[level].push(id);
         self.patches.insert(id, patch);
-        self.bump_topology();
+        self.bump_topology(level);
     }
 
     /// Remove a patch (and no others — callers remove descendants first).
@@ -255,9 +302,9 @@ impl GridHierarchy {
         let p = self.patches.remove(&id).expect("removing unknown patch");
         let lvl = &mut self.levels[p.level];
         lvl.retain(|x| *x != id);
+        self.bump_topology(p.level);
         p.recycle(&self.pool);
         self.trim_levels();
-        self.bump_topology();
     }
 
     /// Remove every patch at `level` and deeper. Used when regridding a
@@ -272,9 +319,9 @@ impl GridHierarchy {
                     p.recycle(&self.pool);
                 }
             }
+            self.bump_topology(l);
         }
         self.trim_levels();
-        self.bump_topology();
     }
 
     fn trim_levels(&mut self) {
@@ -316,7 +363,7 @@ impl GridHierarchy {
         self.levels[level].push(id);
         self.patches.insert(id, patch);
         self.next_id = self.next_id.max(id.0 + 1);
-        self.bump_topology();
+        self.bump_topology(level);
     }
 
     /// Run `f` with two *distinct* patches borrowed at once, `dst` mutably —
@@ -383,9 +430,13 @@ impl GridHierarchy {
                 }
             });
         }
-        // reattach (splitting straddlers at the refined cut plane)
+        // reattach (splitting straddlers at the refined cut plane); the
+        // child level's cached plan names parents, so it is stale now
         let r = self.refine_factor;
         let fine_cut = cut * r;
+        if !children.is_empty() {
+            self.bump_topology(level + 1);
+        }
         for c in children {
             let creg = self.patch(c).region;
             if creg.hi[axis] <= fine_cut {
@@ -407,66 +458,33 @@ impl GridHierarchy {
     /// ghost shell of `dst` overlaps `src`'s interior, the overlap window and
     /// its cell count.
     pub fn sibling_overlaps(&self, level: usize) -> Vec<SiblingOverlap> {
+        self.sibling_overlaps_with_slots(level).0
+    }
+
+    /// [`GridHierarchy::sibling_overlaps`] plus, per overlap, the
+    /// `(src, dst)` positions of the two patches in `level_ids(level)`.
+    fn sibling_overlaps_with_slots(&self, level: usize) -> (Vec<SiblingOverlap>, Vec<(u32, u32)>) {
         let ids = self.level_ids(level);
-        if ids.len() < 2 {
-            return Vec::new();
-        }
-        // Uniform bucket grid over the level domain: each patch registers in
-        // every bucket its region touches, each destination queries the
-        // buckets its ghost shell touches. Any overlapping (shell, region)
-        // pair shares the bucket of a cell of the overlap (the overlap lies
-        // inside the domain, and out-of-domain shell coordinates clamp to
-        // the boundary buckets), so candidates are a superset of the true
-        // overlaps and the exact intersection test below decides.
-        const SHIFT: i64 = 5; // 32-cell buckets ~ the largest movable boxes
-        let dom = self.domain_at_level(level);
-        let nb = |lo: i64, hi: i64| ((hi - lo - 1) >> SHIFT) as usize + 1;
-        let (bx, by, bz) = (
-            nb(dom.lo.x, dom.hi.x),
-            nb(dom.lo.y, dom.hi.y),
-            nb(dom.lo.z, dom.hi.z),
-        );
-        let range = |lo: i64, hi: i64, dlo: i64, n: usize| {
-            let a = ((lo - dlo) >> SHIFT).clamp(0, n as i64 - 1) as usize;
-            let b = ((hi - 1 - dlo) >> SHIFT).clamp(0, n as i64 - 1) as usize;
-            a..=b
-        };
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); bx * by * bz];
-        for (i, &id) in ids.iter().enumerate() {
-            let r = self.patch(id).region;
-            for x in range(r.lo.x, r.hi.x, dom.lo.x, bx) {
-                for y in range(r.lo.y, r.hi.y, dom.lo.y, by) {
-                    for z in range(r.lo.z, r.hi.z, dom.lo.z, bz) {
-                        buckets[(x * by + y) * bz + z].push(i as u32);
-                    }
-                }
-            }
-        }
         let mut out = Vec::new();
-        let mut seen = vec![u32::MAX; ids.len()];
-        let mut cand: Vec<u32> = Vec::new();
+        let mut slots = Vec::new();
+        if ids.len() < 2 {
+            return (out, slots);
+        }
+        let mut index = BoxIndex::new(
+            self.domain_at_level(level),
+            ids.iter().map(|&id| self.patch(id).region),
+        );
         for (di, &dst) in ids.iter().enumerate() {
             let dp = self.patch(dst);
             let shell = dp.region.grow(self.ghost);
-            cand.clear();
-            for x in range(shell.lo.x, shell.hi.x, dom.lo.x, bx) {
-                for y in range(shell.lo.y, shell.hi.y, dom.lo.y, by) {
-                    for z in range(shell.lo.z, shell.hi.z, dom.lo.z, bz) {
-                        for &si in &buckets[(x * by + y) * bz + z] {
-                            if si != di as u32 && seen[si as usize] != di as u32 {
-                                seen[si as usize] = di as u32;
-                                cand.push(si);
-                            }
-                        }
-                    }
+            // candidates come back in level_ids order, exactly as an
+            // all-pairs scan would emit them
+            for &si in index.candidates(&shell) {
+                if si as usize == di {
+                    continue;
                 }
-            }
-            // level_ids order, exactly as the all-pairs scan emitted
-            cand.sort_unstable();
-            for &si in &cand {
                 let src = ids[si as usize];
-                let sp = self.patch(src);
-                let w = shell.intersect(&sp.region);
+                let w = shell.intersect(&self.patch(src).region);
                 if !w.is_empty() && !dp.region.contains_region(&w) {
                     out.push(SiblingOverlap {
                         dst,
@@ -474,50 +492,83 @@ impl GridHierarchy {
                         window: w,
                         cells: w.cells(),
                     });
+                    slots.push((si, di as u32));
                 }
             }
         }
-        out
+        (out, slots)
     }
 
-    /// The cached ghost-exchange topology of `level`: sibling overlap windows
-    /// plus each patch's parent ghost-shell boxes, rebuilt only when the grid
-    /// structure changed since the last call (regrid, split, insert, remove).
-    /// Field-data writes leave the cache valid.
+    /// The cached ghost-exchange plan of `level`: sibling overlap windows
+    /// plus, per patch, the part of its ghost shell no sibling fills. Built
+    /// once per structural generation of *this* level (regrid, split,
+    /// insert, remove, re-parenting); field-data writes, owner changes and
+    /// mutations of other levels leave it valid.
     ///
-    /// Returned as an [`Arc`] so the driver can hold the topology while
+    /// Returned as an [`Arc`] so the driver can hold the plan while
     /// mutating patch data, and so repeated calls between regrids are
     /// allocation-free.
     pub fn exchange_topology(&mut self, level: usize) -> Arc<LevelTopology> {
         if self.topo_cache.len() <= level {
             self.topo_cache.resize(level + 1, None);
         }
-        if let Some((gen, topo)) = &self.topo_cache[level] {
-            if *gen == self.topo_gen {
+        let gen = self.topo_gen.get(level).copied().unwrap_or(0);
+        if let Some((built, topo)) = &self.topo_cache[level] {
+            if *built == gen {
                 return Arc::clone(topo);
             }
         }
         let topo = Arc::new(self.build_topology(level));
-        self.topo_cache[level] = Some((self.topo_gen, Arc::clone(&topo)));
+        self.topo_cache[level] = Some((gen, Arc::clone(&topo)));
         topo
     }
 
-    /// Uncached topology construction (the reference the cache must agree
-    /// with; also used directly by tests).
+    /// Uncached plan construction.
     fn build_topology(&self, level: usize) -> LevelTopology {
-        let overlaps = self.sibling_overlaps(level);
-        let shells = self
-            .level_ids(level)
-            .iter()
-            .map(|&id| {
-                let region = self.patch(id).region;
-                PatchShell {
-                    id,
-                    boxes: region.grow(self.ghost).subtract(&region),
-                }
-            })
-            .collect();
-        LevelTopology { overlaps, shells }
+        let (overlaps, overlap_slots) = self.sibling_overlaps_with_slots(level);
+        let ids = self.level_ids(level);
+        let mut is_source = vec![false; ids.len()];
+        for &(si, _) in &overlap_slots {
+            is_source[si as usize] = true;
+        }
+        let mut clone_cells_avoided = 0i64;
+        let mut shells = Vec::with_capacity(ids.len());
+        // overlaps are destination-major, so each patch's windows are one
+        // contiguous run of the list
+        let mut next = 0;
+        for (i, &id) in ids.iter().enumerate() {
+            let p = self.patch(id);
+            let storage = p.region.grow(self.ghost);
+            let first = next;
+            while next < overlaps.len() && overlaps[next].dst == id {
+                next += 1;
+            }
+            let windows = overlaps[first..next].iter().map(|o| &o.window);
+            let coarse_fill = storage.subtract_all(std::iter::once(&p.region).chain(windows));
+            if let Some(parent) = p.parent {
+                let parent_storage = self.patch(parent).region.grow(self.ghost);
+                debug_assert!(
+                    parent_storage.contains_region(&storage.coarsen(self.refine_factor)),
+                    "{id:?} shell not covered by parent {parent:?}"
+                );
+                clone_cells_avoided += parent_storage.cells();
+            }
+            if is_source[i] {
+                clone_cells_avoided += storage.cells();
+            }
+            shells.push(PatchShell {
+                id,
+                parent: p.parent,
+                shell_cells: storage.cells() - p.region.cells(),
+                coarse_fill,
+            });
+        }
+        LevelTopology {
+            overlaps,
+            overlap_slots,
+            shells,
+            clone_cells_avoided,
+        }
     }
 
     /// Total cells owned by `owner` at `level`.
@@ -607,24 +658,125 @@ pub struct SiblingOverlap {
     pub cells: i64,
 }
 
-/// The ghost-shell boxes of one patch: up to six disjoint boxes (its own
-/// level's coordinates) covering `region.grow(ghost) \ region`, i.e. the
-/// cells the parent must prolong into before siblings overwrite their share.
+/// The ghost-fill plan of one destination patch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PatchShell {
     pub id: PatchId,
-    pub boxes: Vec<Region>,
+    /// The patch's parent (`None` at level 0), whose fields fill
+    /// `coarse_fill`.
+    pub parent: Option<PatchId>,
+    /// Cells of the whole shell `region.grow(ghost) \ region` — what the
+    /// parent's owner is charged for shipping, sibling-covered or not.
+    pub shell_cells: i64,
+    /// Disjoint boxes (this level's coordinates) exactly covering the shell
+    /// minus every sibling window of this destination: the ghost cells whose
+    /// one writer is the parent (level > 0, prolongation) or the physical
+    /// boundary (level 0, zero-gradient).
+    pub coarse_fill: Vec<Region>,
 }
 
-/// Ghost-exchange topology of one level, cached inside [`GridHierarchy`]
-/// between structural mutations (see [`GridHierarchy::exchange_topology`]).
+/// Ghost-exchange plan of one level, cached inside [`GridHierarchy`] between
+/// structural mutations of that level (see
+/// [`GridHierarchy::exchange_topology`]). Per destination, `coarse_fill`
+/// and the sibling windows partition the ghost shell, so an exchange writes
+/// every ghost cell exactly once and only moves data.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LevelTopology {
     /// Sibling overlap windows at this level, destination-major in level id
     /// order (the deterministic exchange order).
     pub overlaps: Vec<SiblingOverlap>,
-    /// Parent ghost-shell boxes per patch, in level id order.
+    /// Per overlap, the `(src, dst)` positions of its patches in level id
+    /// order — the slots of `shells`.
+    pub overlap_slots: Vec<(u32, u32)>,
+    /// Per-patch fill plan, in level id order.
     pub shells: Vec<PatchShell>,
+    /// Cells per field a clone-based exchange would copy for the same
+    /// fills: every destination's parent storage plus every distinct
+    /// sibling source's storage.
+    pub clone_cells_avoided: i64,
+}
+
+/// One already-final source of a new fine patch's data: a retired patch's
+/// fields and the window of the new patch they cover
+/// (see [`GridHierarchy::fill_refined_fields`]).
+#[derive(Clone, Copy, Debug)]
+pub struct FillSource<'a> {
+    pub fields: &'a [Field3],
+    pub window: Region,
+}
+
+/// Uniform bucket grid over a set of boxes inside `dom`: each box registers
+/// in every 32-cell bucket it touches, and a query visits the buckets it
+/// touches. Two overlapping boxes share the bucket of a cell of the overlap
+/// (out-of-domain query coordinates clamp to the boundary buckets), so the
+/// candidates are a superset of the true overlaps and the caller's exact
+/// intersection test decides.
+pub struct BoxIndex {
+    dom: Region,
+    n: [usize; 3],
+    buckets: Vec<Vec<u32>>,
+    /// Last query that saw each box: dedups boxes registered in several
+    /// buckets.
+    seen: Vec<u32>,
+    query: u32,
+    hits: Vec<u32>,
+}
+
+impl BoxIndex {
+    const SHIFT: i64 = 5; // 32-cell buckets ~ the largest movable boxes
+
+    /// Index `boxes` (all inside `dom`); a box is known by its position in
+    /// the iteration order.
+    pub fn new(dom: Region, boxes: impl IntoIterator<Item = Region>) -> Self {
+        let n = [0, 1, 2].map(|k| ((dom.hi[k] - dom.lo[k] - 1) >> Self::SHIFT) as usize + 1);
+        let mut index = BoxIndex {
+            dom,
+            n,
+            buckets: vec![Vec::new(); n[0] * n[1] * n[2]],
+            seen: Vec::new(),
+            query: 0,
+            hits: Vec::new(),
+        };
+        for (i, b) in boxes.into_iter().enumerate() {
+            for k in index.bucket_ids(&b) {
+                index.buckets[k].push(i as u32);
+            }
+            index.seen.push(0);
+        }
+        index
+    }
+
+    /// Linear ids of the buckets `b` touches.
+    fn bucket_ids(&self, b: &Region) -> impl Iterator<Item = usize> {
+        let (ny, nz) = (self.n[1], self.n[2]);
+        let [rx, ry, rz] = [0, 1, 2].map(|k| {
+            let top = self.n[k] as i64 - 1;
+            let lo = ((b.lo[k] - self.dom.lo[k]) >> Self::SHIFT).clamp(0, top);
+            let hi = ((b.hi[k] - 1 - self.dom.lo[k]) >> Self::SHIFT).clamp(0, top);
+            lo as usize..=hi as usize
+        });
+        rx.flat_map(move |x| {
+            let rz = rz.clone();
+            ry.clone()
+                .flat_map(move |y| rz.clone().map(move |z| (x * ny + y) * nz + z))
+        })
+    }
+
+    /// Positions, ascending, of the boxes that may overlap `q`.
+    pub fn candidates(&mut self, q: &Region) -> &[u32] {
+        self.query += 1;
+        self.hits.clear();
+        for k in self.bucket_ids(q) {
+            for &i in &self.buckets[k] {
+                if self.seen[i as usize] != self.query {
+                    self.seen[i as usize] = self.query;
+                    self.hits.push(i);
+                }
+            }
+        }
+        self.hits.sort_unstable();
+        &self.hits
+    }
 }
 
 /// Convenience: map a cell position from level-`l` coordinates to the
@@ -792,53 +944,136 @@ mod tests {
         assert_eq!(h.sibling_overlaps(1), brute);
     }
 
-    /// `insert_refined_patch` on a deliberately dirtied pool must produce
-    /// exactly the fields of `insert_patch` + full-storage prolongation —
-    /// i.e. skipping the zero fill is invisible.
-    #[test]
-    fn refined_insert_matches_zeroed_insert_plus_prolong() {
-        let mk = || {
-            let mut h = GridHierarchy::new(Region::cube(8), 2, 3, 2, 1);
-            let root = h.insert_patch(0, Region::cube(8), None, 0);
-            for k in 0..2 {
-                let f = &mut h.patch_mut(root).fields[k];
-                for p in f.storage_region().iter_cells() {
-                    f.set(p, (p.x * 61 + p.y * 17 + p.z * 5 + k as i64 * 911) as f64 * 0.37);
+    /// Uneven disjoint tiling of `[0, cuts.last())^3` with roughly one box
+    /// in `drop_one_in` missing, so the mesh has holes.
+    fn holey_tiling(cuts: &[i64], seed: u64, drop_one_in: u64) -> Vec<Region> {
+        let mut rng = seed;
+        let mut out = Vec::new();
+        let n = cuts.len() - 1;
+        for ix in 0..n {
+            for iy in 0..n {
+                for iz in 0..n {
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    if (rng >> 33).is_multiple_of(drop_one_in) {
+                        continue;
+                    }
+                    out.push(region(
+                        ivec3(cuts[ix], cuts[iy], cuts[iz]),
+                        ivec3(cuts[ix + 1], cuts[iy + 1], cuts[iz + 1]),
+                    ));
                 }
             }
-            // dirty the pool: shelve poisoned buffers big enough to serve
-            // the child fields
-            for _ in 0..4 {
-                let mut b = h.pool().acquire(1000);
-                b.fill(f64::NAN);
-                h.pool().release(b);
-            }
-            (h, root)
-        };
-        let child_region = region(ivec3(3, 2, 5), ivec3(11, 12, 13));
-
-        let (mut ha, root_a) = mk();
-        let a = ha.insert_refined_patch(1, child_region, root_a, 1);
-
-        let (mut hb, root_b) = mk();
-        let b = hb.insert_patch(1, child_region, Some(root_b), 1);
-        {
-            let r = hb.refine_factor();
-            let (hb2, id) = (&mut hb, b);
-            let parent_fields: Vec<Field3> = hb2.patch(root_b).fields.to_vec();
-            let child = hb2.patch_mut(id);
-            let window = child.fields[0].storage_region();
-            for (k, pf) in parent_fields.iter().enumerate() {
-                crate::interp::prolong_constant(pf, &mut child.fields[k], &window, r);
-            }
         }
-        for k in 0..2 {
-            let fa = &ha.patch(a).fields[k];
-            let fb = &hb.patch(b).fields[k];
-            assert_eq!(fa.interior(), fb.interior());
-            let bits = |f: &Field3| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(fa), bits(fb), "field {k} diverged");
+        out
+    }
+
+    fn scramble(f: &mut Field3, seed: u64) {
+        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
+        for v in f.data_mut() {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *v = ((s >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0;
         }
+    }
+
+    /// The single-writer regrid fill must equal the sequence it replaced —
+    /// zeroed fields, full-storage prolongation from the parent, then
+    /// `copy_from` of every retired patch — on every interior cell, with new
+    /// boxes that old data covers fully, partially (several sources), not at
+    /// all, and that merely abut old boxes; the pool is dirtied with NaNs so
+    /// an interior cell without a writer would show.
+    #[test]
+    fn regrid_fill_matches_prolong_then_copy_on_interiors() {
+        let (nf, ghost, r) = (2usize, 2i64, 2i64);
+        let mut h = GridHierarchy::new(Region::cube(48), r, 3, nf, ghost);
+        let root = h.insert_patch(0, Region::cube(48), None, 0);
+        for k in 0..nf {
+            scramble(&mut h.patch_mut(root).fields[k], 7 + k as u64);
+        }
+        // retired generation: boxes with their own data, and holes — the
+        // central box is always one
+        let old: Vec<(Region, Vec<Field3>)> = holey_tiling(&[0, 31, 33, 65, 96], 0x9e37, 4)
+            .into_iter()
+            .filter(|b| b.lo != ivec3(33, 33, 33))
+            .enumerate()
+            .map(|(i, reg)| {
+                let fields = (0..nf)
+                    .map(|k| {
+                        let mut f = Field3::zeros(reg, ghost);
+                        scramble(&mut f, 1000 + (i * nf + k) as u64);
+                        f
+                    })
+                    .collect();
+                (reg, fields)
+            })
+            .collect();
+        // new generation on different cuts (33 is shared: boxes abut there),
+        // plus boxes no old box was split along
+        let mut new = holey_tiling(&[0, 20, 33, 50, 64, 96], 0x51ed, 5);
+        new.retain(|b| b.lo.x < 64 && b.lo != ivec3(33, 33, 33));
+        new.push(region(ivec3(33, 33, 33), ivec3(50, 50, 50)));
+        new.push(region(ivec3(64, 0, 0), ivec3(96, 31, 31)));
+        new.push(region(ivec3(64, 31, 0), ivec3(96, 96, 96)));
+        for _ in 0..64 {
+            let mut b = h.pool().acquire(40 * 40 * 40);
+            b.fill(f64::NAN);
+            h.pool().release(b);
+        }
+        let (mut absent, mut partial, mut full, mut abutting) = (0, 0, 0, 0);
+        for reg in new {
+            let touching: Vec<&(Region, Vec<Field3>)> =
+                old.iter().filter(|(o, _)| o.overlaps(&reg)).collect();
+            let sources: Vec<FillSource<'_>> = touching
+                .iter()
+                .map(|(o, fields)| FillSource {
+                    fields,
+                    window: o.intersect(&reg),
+                })
+                .collect();
+            let covered: i64 = sources.iter().map(|s| s.window.cells()).sum();
+            absent += (covered == 0) as usize;
+            partial += (covered > 0 && covered < reg.cells() && sources.len() > 1) as usize;
+            full += (covered == reg.cells()) as usize;
+            abutting += old
+                .iter()
+                .any(|(o, _)| !o.overlaps(&reg) && o.grow(1).overlaps(&reg))
+                as usize;
+
+            let mut built: Vec<Field3> = (0..nf)
+                .map(|_| Field3::unfilled_in(h.pool(), reg, ghost))
+                .collect();
+            h.fill_refined_fields(&mut built, root, &sources);
+            for k in 0..nf {
+                let mut want = Field3::zeros(reg, ghost);
+                let storage = want.storage_region();
+                crate::interp::reference::prolong_constant(
+                    &h.patch(root).fields[k],
+                    &mut want,
+                    &storage,
+                    r,
+                );
+                for (o, fields) in &old {
+                    want.copy_from(&fields[k], &o.intersect(&reg));
+                }
+                for c in reg.iter_cells() {
+                    assert_eq!(
+                        built[k].get(c).to_bits(),
+                        want.get(c).to_bits(),
+                        "field {k} of {reg:?} diverged at {c:?}"
+                    );
+                }
+            }
+            let id = h.insert_patch_with_fields(1, reg, root, 1, built);
+            assert_eq!(h.patch(id).parent, Some(root));
+        }
+        assert!(
+            absent > 0 && partial > 0 && full > 0 && abutting > 0,
+            "mesh misses a case: absent {absent} partial {partial} full {full} abutting {abutting}"
+        );
+        assert!(h.check_invariants().is_ok());
     }
 
     #[test]
@@ -879,12 +1114,65 @@ mod tests {
         assert_eq!(topo.shells.len(), 2);
         for s in &topo.shells {
             let reg = h.patch(s.id).region;
-            let shell_cells: i64 = s.boxes.iter().map(|b| b.cells()).sum();
-            assert_eq!(shell_cells, reg.grow(1).cells() - reg.cells());
-            for b in &s.boxes {
-                assert!(!b.overlaps(&reg));
-            }
+            assert_eq!(s.parent, Some(root));
+            assert_eq!(s.shell_cells, reg.grow(1).cells() - reg.cells());
+            // each takes one 8x8 slab from the other, the rest from the parent
+            assert_eq!(
+                crate::region::total_cells(&s.coarse_fill),
+                s.shell_cells - 64
+            );
         }
+        // both patches are sources; both have the 8^3 root as parent
+        assert_eq!(
+            topo.clone_cells_avoided,
+            2 * 10 * 10 * 10 + 2 * 10 * 10 * 10
+        );
+    }
+
+    /// Per destination, the parent-filled boxes and the sibling windows
+    /// partition the ghost shell — every ghost cell has exactly one writer —
+    /// and the slot indices name the overlaps' patches.
+    #[test]
+    fn exchange_plan_partitions_every_shell() {
+        let mut h = GridHierarchy::new(Region::cube(48), 2, 2, 1, 2);
+        let root = h.insert_patch(0, Region::cube(48), None, 0);
+        for reg in holey_tiling(&[0, 31, 33, 65, 96], 0x9e37, 6) {
+            h.insert_patch(1, reg, Some(root), 0);
+        }
+        let ids = h.level_ids(1).to_vec();
+        let topo = h.exchange_topology(1);
+        assert_eq!(topo.shells.len(), ids.len());
+        assert_eq!(topo.overlap_slots.len(), topo.overlaps.len());
+        for (o, &(si, di)) in topo.overlaps.iter().zip(&topo.overlap_slots) {
+            assert_eq!((ids[si as usize], ids[di as usize]), (o.src, o.dst));
+        }
+        let mut parent_filled = 0;
+        for (s, &id) in topo.shells.iter().zip(&ids) {
+            assert_eq!(s.id, id);
+            let reg = h.patch(id).region;
+            let storage = reg.grow(h.ghost());
+            let mut writers: Vec<Region> = s.coarse_fill.clone();
+            writers.extend(
+                topo.overlaps
+                    .iter()
+                    .filter(|o| o.dst == id)
+                    .map(|o| o.window),
+            );
+            for (i, a) in writers.iter().enumerate() {
+                assert!(
+                    storage.contains_region(a) && !a.overlaps(&reg),
+                    "{a:?} not in shell"
+                );
+                assert!(
+                    writers[i + 1..].iter().all(|b| !a.overlaps(b)),
+                    "two writers"
+                );
+            }
+            assert_eq!(crate::region::total_cells(&writers), s.shell_cells);
+            assert_eq!(s.shell_cells, storage.cells() - reg.cells());
+            parent_filled += s.coarse_fill.len();
+        }
+        assert!(parent_filled > 0 && topo.overlaps.len() > 100);
     }
 
     #[test]
@@ -908,6 +1196,30 @@ mod tests {
         // removal invalidates too
         h.remove_patch(b);
         assert!(h.exchange_topology(1).overlaps.is_empty());
+
+        // generations are per level: inserting, removing and clearing at
+        // level 2 leaves the plans of levels 0 and 1 in place
+        let (l0, l1) = (h.exchange_topology(0), h.exchange_topology(1));
+        let fine = h.insert_patch(2, region(ivec3(0, 0, 0), ivec3(8, 8, 8)), Some(a), 0);
+        let l2 = h.exchange_topology(2);
+        assert!(Arc::ptr_eq(&l0, &h.exchange_topology(0)));
+        assert!(Arc::ptr_eq(&l1, &h.exchange_topology(1)));
+        h.remove_patch(fine);
+        h.insert_patch(2, region(ivec3(0, 0, 0), ivec3(8, 8, 8)), Some(a), 0);
+        assert!(!Arc::ptr_eq(&l2, &h.exchange_topology(2)));
+        h.clear_levels_from(2);
+        assert!(Arc::ptr_eq(&l0, &h.exchange_topology(0)));
+        assert!(Arc::ptr_eq(&l1, &h.exchange_topology(1)));
+        // a level rebuilt after being cleared never sees the stale plan
+        h.insert_patch(2, region(ivec3(8, 8, 8), ivec3(16, 16, 16)), Some(a), 0);
+        assert_eq!(h.exchange_topology(2).shells[0].id, h.level_ids(2)[0]);
+        // splitting the root re-parents its child: level 1's plan names
+        // parents, so it is rebuilt, along with level 0's
+        let (lo, _hi) = h.split_patch_at(root, 0, 4);
+        assert!(!Arc::ptr_eq(&l0, &h.exchange_topology(0)));
+        let l1_after = h.exchange_topology(1);
+        assert!(!Arc::ptr_eq(&l1, &l1_after));
+        assert_eq!(l1_after.shells[0].parent, Some(lo));
     }
 
     #[test]

@@ -11,43 +11,47 @@ use crate::region::Region;
 /// Conservative for cell-averaged quantities and monotone, which is what a
 /// newly created refined grid needs before its first fine step.
 ///
-/// Row-sliced: each fine z-row is filled in runs of `r` equal values read
-/// from the matching coarse row, with all index math hoisted out of the
-/// per-cell loop. Bit-identical to [`reference::prolong_constant`].
+/// Row-sliced: the `r × r` fine z-rows under one coarse `(x, y)` column are
+/// identical, so the first is built from the coarse row in runs of `r` equal
+/// values and the others are copies of it. Cells whose containing coarse
+/// cell lies outside `coarse`'s storage are left untouched. Bit-identical to
+/// [`reference::prolong_constant`].
 pub fn prolong_constant(coarse: &Field3, fine: &mut Field3, fine_window: &Region, r: i64) {
-    let w = fine_window.intersect(&fine.storage_region());
+    let cs = coarse.storage_region();
+    let fs = fine.storage_region();
+    // fine cells whose containing coarse cell lies inside coarse storage:
+    // floor(z / r) ∈ [cs.lo.z, cs.hi.z) ⇔ z ∈ [cs.lo.z·r, cs.hi.z·r)
+    let w = fine_window.intersect(&fs).intersect(&cs.refine(r));
     if w.is_empty() {
         return;
     }
-    let cs = coarse.storage_region();
-    let fs = fine.storage_region();
-    // fine z cells whose containing coarse cell lies inside coarse storage:
-    // floor(z / r) ∈ [cs.lo.z, cs.hi.z) ⇔ z ∈ [cs.lo.z·r, cs.hi.z·r)
-    let z0 = w.lo.z.max(cs.lo.z * r);
-    let z1 = w.hi.z.min(cs.hi.z * r);
-    if z0 >= z1 {
-        return;
-    }
-    for x in w.lo.x..w.hi.x {
-        let cx = x.div_euclid(r);
-        if cx < cs.lo.x || cx >= cs.hi.x {
-            continue;
-        }
-        for y in w.lo.y..w.hi.y {
-            let cy = y.div_euclid(r);
-            if cy < cs.lo.y || cy >= cs.hi.y {
-                continue;
+    let run = r as usize;
+    for cx in w.lo.x.div_euclid(r)..=(w.hi.x - 1).div_euclid(r) {
+        let xs = w.lo.x.max(cx * r)..w.hi.x.min((cx + 1) * r);
+        for cy in w.lo.y.div_euclid(r)..=(w.hi.y - 1).div_euclid(r) {
+            let ys = w.lo.y.max(cy * r)..w.hi.y.min((cy + 1) * r);
+            let cz0 = w.lo.z.div_euclid(r);
+            let crow = &coarse.data()[cs.row_range(cx, cy, cz0, (w.hi.z - 1).div_euclid(r) + 1)];
+            let first = fs.row_range(xs.start, ys.start, w.lo.z, w.hi.z);
+            // a leading partial run, whole runs, then what is left
+            let frow = &mut fine.data_mut()[first.clone()];
+            let head = (((cz0 + 1) * r).min(w.hi.z) - w.lo.z) as usize;
+            frow[..head].fill(crow[0]);
+            let mut runs = frow[head..].chunks_exact_mut(run);
+            let mut values = crow[1..].iter();
+            for (cells, &v) in (&mut runs).zip(&mut values) {
+                cells.fill(v);
             }
-            let crow = &coarse.data()[cs.row_range(cx, cy, cs.lo.z, cs.hi.z)];
-            let frange = fs.row_range(x, y, z0, z1);
-            let frow = &mut fine.data_mut()[frange];
-            let mut z = z0;
-            while z < z1 {
-                let cz = z.div_euclid(r);
-                let seg_end = ((cz + 1) * r).min(z1);
-                let v = crow[(cz - cs.lo.z) as usize];
-                frow[(z - z0) as usize..(seg_end - z0) as usize].fill(v);
-                z = seg_end;
+            if let Some(&v) = values.next() {
+                runs.into_remainder().fill(v);
+            }
+            for x in xs.clone() {
+                for y in ys.clone() {
+                    if (x, y) != (xs.start, ys.start) {
+                        let dst = fs.linear_index(ivec3(x, y, w.lo.z));
+                        fine.data_mut().copy_within(first.clone(), dst);
+                    }
+                }
             }
         }
     }

@@ -41,7 +41,9 @@ pub use composite::{composite_level0, finest_value_at, refined_fraction};
 pub use field::Field3;
 pub use flag::{flag_cells, FlagField, RefineCriterion};
 pub use flux::FluxRegister;
-pub use hierarchy::{GridHierarchy, LevelTopology, PatchShell, SiblingOverlap};
+pub use hierarchy::{
+    BoxIndex, FillSource, GridHierarchy, LevelTopology, PatchShell, SiblingOverlap,
+};
 pub use index::{ivec3, IVec3};
 pub use patch::{GridPatch, OwnerProc, PatchId};
 pub use pool::{FieldPool, PoolDetail, PoolStats};

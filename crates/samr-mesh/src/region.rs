@@ -208,6 +208,19 @@ impl Region {
         out
     }
 
+    /// Subtract every box of `others`, returning disjoint boxes that exactly
+    /// cover `self \ ⋃ others` — the cells of `self` no other box writes.
+    pub fn subtract_all<'a>(&self, others: impl IntoIterator<Item = &'a Region>) -> Vec<Region> {
+        let mut rem = if self.is_empty() { vec![] } else { vec![*self] };
+        for o in others {
+            if rem.is_empty() {
+                break;
+            }
+            rem = rem.iter().flat_map(|b| b.subtract(o)).collect();
+        }
+        rem
+    }
+
     /// Iterate over all cells in deterministic (z-inner) order.
     pub fn iter_cells(self) -> impl Iterator<Item = IVec3> {
         let r = self;
@@ -361,6 +374,32 @@ mod tests {
         assert_eq!(a.subtract(&r((9, 9, 9), (10, 10, 10))), vec![a]);
         // full cover case
         assert!(a.subtract(&a).is_empty());
+    }
+
+    #[test]
+    fn subtract_all_leaves_exactly_the_uncovered_cells() {
+        let a = r((0, 0, 0), (8, 6, 5));
+        // overlapping each other, poking outside, abutting, and disjoint
+        let others = [
+            r((-2, -2, -2), (3, 3, 3)),
+            r((2, 2, 2), (5, 7, 4)),
+            r((8, 0, 0), (9, 6, 5)),
+            r((6, 5, 4), (8, 6, 5)),
+            r((20, 20, 20), (21, 21, 21)),
+        ];
+        let parts = a.subtract_all(&others);
+        for (i, p) in parts.iter().enumerate() {
+            assert!(a.contains_region(p) && !p.is_empty());
+            assert!(others.iter().all(|o| !p.overlaps(o)));
+            assert!(parts[i + 1..].iter().all(|q| !p.overlaps(q)));
+        }
+        let uncovered = a
+            .iter_cells()
+            .filter(|&c| others.iter().all(|o| !o.contains(c)))
+            .count() as i64;
+        assert_eq!(total_cells(&parts), uncovered);
+        assert_eq!(a.subtract_all(&[]), vec![a]);
+        assert!(a.subtract_all(&[a.grow(1)]).is_empty());
     }
 
     #[test]
