@@ -7,9 +7,9 @@
 //! the decision structure scales. Each G runs twice: the hierarchical
 //! tree-reduction decision path (default) and the flat all-pairs reference
 //! (`flat_reference = true`). Writes `results/BENCH_scale.json` with, per
-//! run: host decision-phase wall per level-0 step, decision messages per
-//! global check, link-estimator pairs allocated, and the final
-//! power-normalized imbalance.
+//! run: host decision-phase wall per level-0 step and its split into local
+//! balancing / deciding / migrating, decision messages per global check,
+//! link-estimator pairs allocated, and the final power-normalized imbalance.
 //!
 //! The claims this sweep backs: flat decision cost grows superlinearly
 //! (O(G²) probes + estimator pairs), hierarchical stays near-flat in G
@@ -87,6 +87,15 @@ fn entry_json(e: &Entry) -> String {
         "      \"decision_secs_per_step\": {},",
         num(e.res.wall.decision / steps)
     );
+    // where the decision wall went: balancing inside the groups, deciding
+    // (loads, upsweep, probes, gate), migrating what the gate accepted
+    for (key, secs) in [
+        ("local_dlb", e.res.dlb_wall.local_dlb),
+        ("decide", e.res.dlb_wall.decide),
+        ("migrate", e.res.dlb_wall.migrate),
+    ] {
+        let _ = writeln!(s, "      \"{key}_secs_per_step\": {},", num(secs / steps));
+    }
     let _ = writeln!(
         s,
         "      \"msgs_per_decision\": {},",
@@ -127,20 +136,35 @@ fn main() {
 
     let mut entries = Vec::new();
     println!(
-        "{:>7} {:>5} {:>14} {:>18} {:>16} {:>16} {:>10}",
-        "groups", "ppg", "mode", "decision s/step", "msgs/decision", "estimator_pairs", "imbalance"
+        "{:>7} {:>5} {:>14} {:>18} {:>28} {:>16} {:>16} {:>10}",
+        "groups",
+        "ppg",
+        "mode",
+        "decision s/step",
+        "local / decide / migrate",
+        "msgs/decision",
+        "estimator_pairs",
+        "imbalance"
     );
     for &g in gs {
         let ppg = total_procs / g;
         for flat in [false, true] {
             let e = run_one(g, ppg, quick, flat);
+            let steps = e.steps.max(1) as f64;
+            let w = e.res.dlb_wall;
             println!(
-                "{:>7} {:>5} {:>14} {:>18.6} {:>16.1} {:>16} {:>10.4}",
+                "{:>7} {:>5} {:>14} {:>18.6} {:>28} {:>16.1} {:>16} {:>10.4}",
                 e.groups,
                 e.procs_per_group,
                 e.mode,
-                e.res.wall.decision / e.steps.max(1) as f64,
-                e.res.decision_msgs as f64 / e.steps.max(1) as f64,
+                e.res.wall.decision / steps,
+                format!(
+                    "{:.4} / {:.4} / {:.4}",
+                    w.local_dlb / steps,
+                    w.decide / steps,
+                    w.migrate / steps
+                ),
+                e.res.decision_msgs as f64 / steps,
                 e.res.estimator_pairs,
                 e.res.final_imbalance,
             );

@@ -49,6 +49,35 @@ pub struct BalanceOutcome {
     pub failed_moves: usize,
 }
 
+/// One level's grids bucketed by owner: per processor index, `(id, cells)`
+/// of the grids it owns, in level order. Levels list grids in creation
+/// order, which is ascending id — the order [`balance_bucketed`] keeps the
+/// lists in as grids move and split.
+pub(crate) type OwnerBuckets = Vec<Vec<(PatchId, i64)>>;
+
+/// Bucket the grids of `level` by owner in one scan; at least `nprocs`
+/// buckets (more if some owner lies beyond).
+pub(crate) fn bucket_level_by_owner(
+    hier: &GridHierarchy,
+    level: usize,
+    nprocs: usize,
+) -> OwnerBuckets {
+    let ids = hier.level_ids(level);
+    debug_assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "level order is not ascending id"
+    );
+    let mut owned: OwnerBuckets = vec![Vec::new(); nprocs];
+    for &id in ids {
+        let p = hier.patch(id);
+        if owned.len() <= p.owner {
+            owned.resize(p.owner + 1, Vec::new());
+        }
+        owned[p.owner].push((id, p.cells()));
+    }
+    owned
+}
+
 /// Balance the grids of `level` among `procs` (weights parallel to `procs`),
 /// leaving grids owned by processors outside the set untouched.
 ///
@@ -64,6 +93,25 @@ pub fn balance_level_within(
     weights: &[f64],
     params: &BalanceParams,
 ) -> BalanceOutcome {
+    let nprocs = procs.iter().map(|p| p.0 + 1).max().unwrap_or(0);
+    let mut owned = bucket_level_by_owner(hier, level, nprocs);
+    balance_bucketed(hier, sim, &mut owned, procs, weights, params)
+}
+
+/// [`balance_level_within`] over a level already bucketed by owner
+/// (`owned`, from [`bucket_level_by_owner`], covering every processor of
+/// `procs`). The buckets are kept current move by move and split by split,
+/// so one scan of the level serves any number of passes over disjoint
+/// processor sets, and a pass costs O(moves · (procs + grids of the donor))
+/// however large the level is.
+pub(crate) fn balance_bucketed(
+    hier: &mut GridHierarchy,
+    sim: &mut SimView,
+    owned: &mut [Vec<(PatchId, i64)>],
+    procs: &[ProcId],
+    weights: &[f64],
+    params: &BalanceParams,
+) -> BalanceOutcome {
     assert_eq!(procs.len(), weights.len());
     let mut out = BalanceOutcome::default();
     if procs.len() < 2 {
@@ -72,28 +120,22 @@ pub fn balance_level_within(
     let wsum: f64 = weights.iter().sum();
     assert!(wsum > 0.0);
 
-    let in_set = |owner: usize| procs.iter().position(|p| p.0 == owner);
+    // Loads of the set's processors at this level. Moves stay inside the
+    // set and splits conserve cells, so the total and the targets are fixed.
+    let mut loads: Vec<i64> = procs
+        .iter()
+        .map(|p| owned[p.0].iter().map(|&(_, c)| c).sum::<i64>())
+        .collect();
+    let total: i64 = loads.iter().sum();
+    if total == 0 {
+        return out;
+    }
+    let target: Vec<f64> = weights
+        .iter()
+        .map(|w| total as f64 * w / wsum)
+        .collect();
 
     for _ in 0..params.max_moves {
-        // Current loads of the set's processors at this level.
-        let mut loads = vec![0i64; procs.len()];
-        let mut owned: Vec<Vec<PatchId>> = vec![Vec::new(); procs.len()];
-        for &id in hier.level_ids(level) {
-            let p = hier.patch(id);
-            if let Some(ix) = in_set(p.owner) {
-                loads[ix] += p.cells();
-                owned[ix].push(id);
-            }
-        }
-        let total: i64 = loads.iter().sum();
-        if total == 0 {
-            break;
-        }
-        let target: Vec<f64> = weights
-            .iter()
-            .map(|w| total as f64 * w / wsum)
-            .collect();
-
         // Most overloaded / most underloaded (deterministic tie-break by
         // index).
         let (mut over, mut under) = (0usize, 0usize);
@@ -121,23 +163,24 @@ pub fn balance_level_within(
         }
 
         // Choose the grid to move: the largest one not exceeding ~the gap,
-        // else consider splitting the smallest one that is too large.
-        let mut best: Option<(PatchId, i64)> = None; // fits under cap
-        let mut smallest: Option<(PatchId, i64)> = None;
-        for &id in &owned[over] {
-            let c = hier.patch(id).cells();
-            if c as f64 <= gap as f64 * 1.25
-                && best.is_none_or(|(_, bc)| c > bc) {
-                    best = Some((id, c));
-                }
+        // else consider splitting the smallest one that is too large. Both
+        // as positions in the donor's list; the first in level order wins
+        // a tie.
+        let donor = &mut owned[procs[over].0];
+        let mut best: Option<(usize, i64)> = None; // fits under cap
+        let mut smallest: Option<(usize, i64)> = None;
+        for (ix, &(_, c)) in donor.iter().enumerate() {
+            if c as f64 <= gap as f64 * 1.25 && best.is_none_or(|(_, bc)| c > bc) {
+                best = Some((ix, c));
+            }
             if smallest.is_none_or(|(_, sc)| c < sc) {
-                smallest = Some((id, c));
+                smallest = Some((ix, c));
             }
         }
 
-        let move_id = match (best, smallest) {
-            (Some((id, _)), _) => Some(id),
-            (None, Some((id, c))) => {
+        let move_ix = match (best, smallest) {
+            (Some((ix, _)), _) => Some(ix),
+            (None, Some((ix, c))) => {
                 // Every grid overshoots the gap. Split if worthwhile,
                 // otherwise move the smallest whole grid only if that still
                 // improves balance.
@@ -145,11 +188,15 @@ pub fn balance_level_within(
                     && c >= params.min_split_cells * 2
                     && gap >= params.min_split_cells
                 {
-                    let (a, _b) = hier.split_patch(id, gap, axis_of(hier, id));
+                    let (id, _) = donor.remove(ix);
+                    let (a, b) = hier.split_patch(id, gap, axis_of(hier, id));
                     out.splits += 1;
-                    Some(a)
+                    // the halves are the level's newest grids
+                    donor.push((a, hier.patch(a).cells()));
+                    donor.push((b, hier.patch(b).cells()));
+                    Some(donor.len() - 2)
                 } else if (c as f64) < 2.0 * gap as f64 {
-                    Some(id)
+                    Some(ix)
                 } else {
                     None
                 }
@@ -157,8 +204,8 @@ pub fn balance_level_within(
             (None, None) => None,
         };
 
-        let Some(id) = move_id else { break };
-        let cells = hier.patch(id).cells();
+        let Some(ix) = move_ix else { break };
+        let (id, cells) = donor[ix];
         let bytes = hier.patch(id).payload_bytes();
         let src = ProcId(hier.patch(id).owner);
         let dst = procs[under];
@@ -170,6 +217,12 @@ pub fn balance_level_within(
             break;
         }
         hier.set_owner(id, dst.0);
+        donor.remove(ix);
+        let receiver = &mut owned[dst.0];
+        let at = receiver.partition_point(|&(other, _)| other < id);
+        receiver.insert(at, (id, cells));
+        loads[over] -= cells;
+        loads[under] += cells;
         out.moves += 1;
         out.moved_cells += cells;
         out.moved_bytes += bytes;
@@ -217,6 +270,211 @@ mod tests {
     use samr_mesh::{ivec3, region};
     use topology::link::Link;
     use topology::{SimTime, SystemBuilder};
+
+    /// The loop [`balance_bucketed`] replaced, kept as its oracle: rescan
+    /// the whole level and rebuild loads and per-processor lists before
+    /// every move.
+    fn balance_level_within_rescan(
+        hier: &mut GridHierarchy,
+        sim: &mut SimView,
+        level: usize,
+        procs: &[ProcId],
+        weights: &[f64],
+        params: &BalanceParams,
+    ) -> BalanceOutcome {
+        assert_eq!(procs.len(), weights.len());
+        let mut out = BalanceOutcome::default();
+        if procs.len() < 2 {
+            return out;
+        }
+        let wsum: f64 = weights.iter().sum();
+        assert!(wsum > 0.0);
+        let in_set = |owner: usize| procs.iter().position(|p| p.0 == owner);
+        for _ in 0..params.max_moves {
+            let mut loads = vec![0i64; procs.len()];
+            let mut owned: Vec<Vec<PatchId>> = vec![Vec::new(); procs.len()];
+            for &id in hier.level_ids(level) {
+                let p = hier.patch(id);
+                if let Some(ix) = in_set(p.owner) {
+                    loads[ix] += p.cells();
+                    owned[ix].push(id);
+                }
+            }
+            let total: i64 = loads.iter().sum();
+            if total == 0 {
+                break;
+            }
+            let target: Vec<f64> = weights
+                .iter()
+                .map(|w| total as f64 * w / wsum)
+                .collect();
+            let (mut over, mut under) = (0usize, 0usize);
+            let mut max_sur = f64::MIN;
+            let mut max_def = f64::MIN;
+            for i in 0..procs.len() {
+                let sur = loads[i] as f64 - target[i];
+                if sur > max_sur {
+                    max_sur = sur;
+                    over = i;
+                }
+                if -sur > max_def {
+                    max_def = -sur;
+                    under = i;
+                }
+            }
+            let within = |i: usize| loads[i] as f64 <= target[i] * params.tolerance + 1.0;
+            if within(over) || over == under {
+                break;
+            }
+            let gap = max_sur.min(max_def).max(0.0) as i64;
+            if gap <= 0 {
+                break;
+            }
+            let mut best: Option<(PatchId, i64)> = None;
+            let mut smallest: Option<(PatchId, i64)> = None;
+            for &id in &owned[over] {
+                let c = hier.patch(id).cells();
+                if c as f64 <= gap as f64 * 1.25 && best.is_none_or(|(_, bc)| c > bc) {
+                    best = Some((id, c));
+                }
+                if smallest.is_none_or(|(_, sc)| c < sc) {
+                    smallest = Some((id, c));
+                }
+            }
+            let move_id = match (best, smallest) {
+                (Some((id, _)), _) => Some(id),
+                (None, Some((id, c))) => {
+                    if params.allow_split
+                        && c >= params.min_split_cells * 2
+                        && gap >= params.min_split_cells
+                    {
+                        let (a, _b) = hier.split_patch(id, gap, axis_of(hier, id));
+                        out.splits += 1;
+                        Some(a)
+                    } else if (c as f64) < 2.0 * gap as f64 {
+                        Some(id)
+                    } else {
+                        None
+                    }
+                }
+                (None, None) => None,
+            };
+            let Some(id) = move_id else { break };
+            let cells = hier.patch(id).cells();
+            let bytes = hier.patch(id).payload_bytes();
+            let src = ProcId(hier.patch(id).owner);
+            let dst = procs[under];
+            if sim.send(src, dst, bytes, Activity::LoadBalance).is_err() {
+                out.failed_moves += 1;
+                break;
+            }
+            hier.set_owner(id, dst.0);
+            out.moves += 1;
+            out.moved_cells += cells;
+            out.moved_bytes += bytes;
+        }
+        out
+    }
+
+    /// Six processors in two groups of three over a slow link, so where a
+    /// grid travels shows in the simulated clocks.
+    fn sim6() -> SimView {
+        let intra = Link::dedicated("intra", SimTime::from_micros(10), 1e9);
+        let wan = Link::dedicated("wan", SimTime::from_millis(5), 2e7);
+        let sys = SystemBuilder::new()
+            .group("A", 3, 1.0, intra.clone())
+            .group("B", 3, 2.0, intra)
+            .connect(0, 1, wan)
+            .build();
+        SimView::new(sys)
+    }
+
+    /// Level-0 slabs of the given widths (x extent; 8x8 across) with the
+    /// given owners; every third slab wide enough carries a level-1 child
+    /// across its middle, so a split has something to recurse into.
+    fn slabs(widths: &[i64], owners: &[usize]) -> GridHierarchy {
+        let len: i64 = widths.iter().sum();
+        let mut h = GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(len, 8, 8)), 2, 3, 1, 1);
+        let mut x = 0;
+        let mut roots = Vec::new();
+        for (&w, &o) in widths.iter().zip(owners) {
+            roots.push((h.insert_patch(0, region(ivec3(x, 0, 0), ivec3(x + w, 8, 8)), None, o), x, w));
+            x += w;
+        }
+        for (i, &(id, x, w)) in roots.iter().enumerate() {
+            if i % 3 == 0 && w >= 4 {
+                let owner = h.patch(id).owner;
+                h.insert_patch(
+                    1,
+                    region(ivec3(2 * x + 2, 0, 0), ivec3(2 * (x + w) - 2, 8, 8)),
+                    Some(id),
+                    owner,
+                );
+            }
+        }
+        h
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bucketed loop is the rescanning loop: same outcome, same
+        /// hierarchy, same simulated traffic — for any level, owner
+        /// scattering (owners outside the set included), weights, set
+        /// order and parameters, and for several passes over disjoint sets
+        /// sharing one bucketing, as the local phase runs them.
+        #[test]
+        fn bucketed_balance_matches_the_rescanning_loop(
+            grids in prop::collection::vec((1i64..12, 0usize..6), 1..40),
+            weights in prop::collection::vec(0.1f64..10.0, 6),
+            in_first in prop::collection::vec(any::<bool>(), 6),
+            reversed in any::<bool>(),
+            tolerance in 1.0f64..1.3,
+            max_moves in 0usize..48,
+            min_split_cells in prop_oneof![Just(1i64), Just(32), Just(128)],
+            allow_split in any::<bool>(),
+        ) {
+            let (widths, owners): (Vec<i64>, Vec<usize>) = grids.into_iter().unzip();
+            let params = BalanceParams { tolerance, max_moves, min_split_cells, allow_split };
+            // two disjoint sets; a processor in neither keeps its grids
+            let mut sets = vec![Vec::new(), Vec::new()];
+            for p in 0..5 {
+                sets[usize::from(!in_first[p])].push(ProcId(p));
+            }
+            if reversed {
+                sets[0].reverse();
+            }
+            let (mut h_new, mut h_old) = (slabs(&widths, &owners), slabs(&widths, &owners));
+            let (mut sim_new, mut sim_old) = (sim6(), sim6());
+            let mut owned = bucket_level_by_owner(&h_new, 0, 6);
+            for set in &sets {
+                let w: Vec<f64> = set.iter().map(|p| weights[p.0]).collect();
+                let new = balance_bucketed(&mut h_new, &mut sim_new, &mut owned, set, &w, &params);
+                let old = balance_level_within_rescan(&mut h_old, &mut sim_old, 0, set, &w, &params);
+                prop_assert_eq!(new, old);
+                prop_assert_eq!(&owned, &bucket_level_by_owner(&h_new, 0, 6), "buckets went stale");
+            }
+            for level in 0..2 {
+                prop_assert_eq!(h_new.level_ids(level), h_old.level_ids(level));
+                for &id in h_new.level_ids(level) {
+                    let (a, b) = (h_new.patch(id), h_old.patch(id));
+                    prop_assert_eq!((a.region, a.owner, a.parent), (b.region, b.owner, b.parent));
+                }
+            }
+            prop_assert!(h_new.check_invariants().is_ok());
+            prop_assert_eq!(sim_new.elapsed(), sim_old.elapsed());
+            prop_assert_eq!(format!("{:?}", sim_new.stats()), format!("{:?}", sim_old.stats()));
+            // the public wrapper is the same loop behind one scan
+            let (mut h_pub, mut sim_pub) = (slabs(&widths, &owners), sim6());
+            for set in &sets {
+                let w: Vec<f64> = set.iter().map(|p| weights[p.0]).collect();
+                balance_level_within(&mut h_pub, &mut sim_pub, 0, set, &w, &params);
+            }
+            prop_assert_eq!(format!("{:?}", sim_pub.stats()), format!("{:?}", sim_new.stats()));
+        }
+    }
 
     fn sim4() -> SimView {
         let intra = Link::dedicated("intra", SimTime::from_micros(10), 1e9);

@@ -31,10 +31,11 @@
 //! group whose inter-link keeps failing is *quarantined* out of the global
 //! phase (its local phase continues — children stay with parents), a
 //! redistribution whose migration traffic dies mid-flight is rolled back
-//! from a snapshot and the wasted work recorded as abort overhead, and
+//! through the hierarchy's undo log and the wasted work recorded as abort
+//! overhead, and
 //! quarantined groups are re-admitted once a probation probe succeeds.
 
-use crate::balance::{balance_level_within, place_batch, BalanceParams};
+use crate::balance::{balance_bucketed, bucket_level_by_owner, place_batch, BalanceParams};
 use crate::cost::{
     evaluate_cost, evaluate_cost_forecast, should_redistribute_confident, CostEstimate,
 };
@@ -48,7 +49,6 @@ use crate::partition::{
     global_redistribute_elastic, group_level0_cells, RedistributionReport, SelectionPolicy,
 };
 use crate::scheme::{proc_total_cells, LbContext, LoadBalancer};
-use samr_mesh::checkpoint;
 use samr_mesh::hierarchy::GridHierarchy;
 use simnet::{Activity, SimError, SimResult, SimView};
 use telemetry::{
@@ -58,6 +58,7 @@ use telemetry::{
 };
 use topology::{DistributedSystem, GroupId, LinkEstimator, ProcId, SimTime};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Tuning of the distributed scheme.
 #[derive(Clone, Debug)]
@@ -192,6 +193,21 @@ pub struct ForecastSummary {
     pub proactive_invocations: u64,
 }
 
+/// Host wall-clock seconds the scheme's `after_level_step` spent, by what
+/// it was doing; the three sum to the time inside `after_level_step`.
+/// Real seconds on the machine running the simulation — scheduling noise
+/// and all — so never part of a fingerprint.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct DlbWall {
+    /// The local phase: per-group load exchange and within-group balancing.
+    pub local_dlb: f64,
+    /// Deciding: load bookkeeping, upsweep, probes, pricing, the γ-gate.
+    pub decide: f64,
+    /// Accepted redistributions: repartition, migration, commit or
+    /// rollback, δ accounting.
+    pub migrate: f64,
+}
+
 /// The paper's two-phase distributed DLB.
 #[derive(Clone, Debug)]
 pub struct DistributedDlb {
@@ -214,6 +230,7 @@ pub struct DistributedDlb {
     /// network: collective legs, probe messages, and the reduction tree's
     /// summary/delegation traffic.
     decision_msgs: u64,
+    wall: DlbWall,
 }
 
 impl DistributedDlb {
@@ -227,6 +244,7 @@ impl DistributedDlb {
             fault_events_forwarded: 0,
             alive: Vec::new(),
             decision_msgs: 0,
+            wall: DlbWall::default(),
         }
     }
 
@@ -262,6 +280,11 @@ impl DistributedDlb {
     /// reduction tree's summary/delegation messages).
     pub fn decision_msgs(&self) -> u64 {
         self.decision_msgs
+    }
+
+    /// Host seconds spent in `after_level_step` so far, by activity.
+    pub fn wall(&self) -> DlbWall {
+        self.wall
     }
 
     /// Chronological fault-event log.
@@ -513,6 +536,11 @@ impl DistributedDlb {
         }
         self.roster.ensure_len(sys.ngroups());
         let step = ctx.history.steps();
+        let site = DecisionSite {
+            step,
+            level,
+            proactive,
+        };
         let fault = self.cfg.fault;
         let tel = ctx.sim.telemetry().clone();
         // every pushed GlobalDecision gets exactly one matching gate event,
@@ -528,8 +556,7 @@ impl DistributedDlb {
                           verdict: GateVerdict,
                           reason: &'static str| {
             emit_gate_event(
-                tel, sim, step, level, proactive, gain, cost, alpha, beta, move_bytes, gamma,
-                verdict, reason,
+                tel, sim, site, gain, cost, alpha, beta, move_bytes, gamma, verdict, reason,
             );
         };
 
@@ -560,7 +587,7 @@ impl DistributedDlb {
         // arity the tree would be a single node over the individual
         // groups — exactly the flat compare — so flat runs verbatim.
         if !self.cfg.flat_reference && healthy.len() > TREE_ARITY {
-            self.global_phase_hierarchical(ctx, &sys, forecast_gain, level, &healthy, &powers, step);
+            self.global_phase_hierarchical(ctx, &sys, forecast_gain, site, &healthy, &powers);
             return;
         }
 
@@ -810,121 +837,154 @@ impl DistributedDlb {
             "gate",
         );
 
+        if !invoked {
+            self.decisions.push(GlobalDecision {
+                step,
+                gain,
+                cost: Some(cost),
+                invoked: false,
+                aborted: false,
+                abort_delta_secs: 0.0,
+                report: None,
+                proactive,
+            });
+            return;
+        }
+        self.redistribute_accepted(ctx, &sys, site, gain, cost, &eligible, &powers, None);
+    }
+
+    /// An accepted redistribution, flat or per subtree: migrate among the
+    /// `eligible` groups, charge the computational overhead δ to
+    /// `charged` (`None`: every processor; a subtree-local redistribution
+    /// keeps its repartition/rebuild overhead inside the subtree's groups)
+    /// and push the decision. Migration traffic may die mid-flight; the
+    /// redistribution is a hierarchy transaction and comes back rolled
+    /// back, and the wasted work is charged and recorded instead.
+    #[allow(clippy::too_many_arguments)]
+    fn redistribute_accepted(
+        &mut self,
+        ctx: &mut LbContext<'_>,
+        sys: &DistributedSystem,
+        site: DecisionSite,
+        gain: GainEstimate,
+        cost: CostEstimate,
+        eligible: &[bool],
+        powers: &[f64],
+        charged: Option<&[usize]>,
+    ) {
+        let t0 = Instant::now();
+        let DecisionSite {
+            step,
+            level,
+            proactive,
+        } = site;
+        let fault = self.cfg.fault;
+        let tel = ctx.sim.telemetry().clone();
+        let charge = |sim: &mut SimView, secs: f64| match charged {
+            None => charge_all(sim, secs),
+            Some(groups) => charge_groups(sim, sys, groups, secs),
+        };
+        let redistribute_event = |sim: &SimView,
+                                  rep: &RedistributionReport,
+                                  aborted: bool,
+                                  delta_secs: f64| {
+            if tel.is_enabled() {
+                tel.event(
+                    sim.elapsed().as_secs_f64(),
+                    TelEventKind::Redistribute(TelRedistributeEvent {
+                        step,
+                        level,
+                        moved_cells: rep.moved_cells,
+                        moves: rep.moves,
+                        aborted,
+                        delta_secs,
+                    }),
+                );
+            }
+        };
+        let deadline = fault
+            .transfer_deadline_slack
+            .map(|slack| ctx.sim.elapsed() + SimTime::from_secs_f64(slack));
+        let alive = self.alive_mask(sys.nprocs());
         let mut aborted = false;
         let mut abort_delta_secs = 0.0;
-        let report = if invoked {
-            // Checkpoint first: migration traffic may die mid-flight, and a
-            // half-moved hierarchy must be rolled back exactly.
-            let snap = checkpoint::snapshot(ctx.hier);
-            let deadline = fault
-                .transfer_deadline_slack
-                .map(|slack| ctx.sim.elapsed() + SimTime::from_secs_f64(slack));
-            let alive = self.alive_mask(sys.nprocs());
-            match global_redistribute_elastic(
-                ctx.hier,
-                ctx.sim,
-                &gain.group_loads,
-                &eligible,
-                &self.cfg.balance,
-                self.cfg.selection,
-                deadline,
-                &powers,
-                &alive,
-            ) {
-                Ok(rep) => {
-                    // Computational overhead of the redistribution:
-                    // repartitioning the top-level grids, rebuilding internal
-                    // data structures, and updating boundary conditions
-                    // (§4.2). Charged to every processor and recorded as the
-                    // next δ. A redistribution that found nothing movable
-                    // costs (and records) nothing.
-                    let mut delta = 0.0;
-                    if rep.moves > 0 {
-                        let level0: i64 = ctx.hier.level_cells(0);
-                        delta = level0 as f64 * self.cfg.repartition_secs_per_cell
-                            + rep.moved_cells as f64 * self.cfg.rebuild_secs_per_moved_cell;
-                        charge_all(ctx.sim, delta);
-                        ctx.history.record_redistribution_overhead(delta);
-                    }
-                    if tel.is_enabled() {
-                        tel.event(
-                            ctx.sim.elapsed().as_secs_f64(),
-                            TelEventKind::Redistribute(TelRedistributeEvent {
-                                step,
-                                level,
-                                moved_cells: rep.moved_cells,
-                                moves: rep.moves,
-                                aborted: false,
-                                delta_secs: delta,
-                            }),
-                        );
-                    }
-                    Some(rep)
-                }
-                Err(ab) => {
-                    *ctx.hier = checkpoint::restore(&snap);
-                    aborted = true;
-                    // Wasted work: the repartition scan plus rebuilding the
-                    // partially-moved cells twice (out and back). The driver
-                    // records this as the next δ.
+        let report = match global_redistribute_elastic(
+            ctx.hier,
+            ctx.sim,
+            &gain.group_loads,
+            eligible,
+            &self.cfg.balance,
+            self.cfg.selection,
+            deadline,
+            powers,
+            &alive,
+        ) {
+            Ok(rep) => {
+                // Computational overhead of the redistribution:
+                // repartitioning the top-level grids, rebuilding internal
+                // data structures, and updating boundary conditions
+                // (§4.2). Recorded as the next δ. A redistribution that
+                // found nothing movable costs (and records) nothing.
+                let mut delta = 0.0;
+                if rep.moves > 0 {
                     let level0: i64 = ctx.hier.level_cells(0);
-                    abort_delta_secs = level0 as f64 * self.cfg.repartition_secs_per_cell
-                        + 2.0 * ab.partial.moved_cells as f64
-                            * self.cfg.rebuild_secs_per_moved_cell;
-                    charge_all(ctx.sim, abort_delta_secs);
-                    self.roster.stats.aborts += 1;
-                    self.roster.events.push(FaultEvent::RedistributionAborted {
-                        step,
-                        error: ab.error,
-                    });
-                    self.roster.record_pair_failure(
-                        ab.src_group,
-                        ab.dst_group,
-                        step,
-                        ab.error.at(),
-                        fault.quarantine_after,
-                    );
-                    if tel.is_enabled() {
-                        // the redistribute record first, then its rollback —
-                        // the causality the audit tests check
-                        let t_sim = ctx.sim.elapsed().as_secs_f64();
-                        tel.event(
-                            t_sim,
-                            TelEventKind::Redistribute(TelRedistributeEvent {
-                                step,
-                                level,
-                                moved_cells: ab.partial.moved_cells,
-                                moves: ab.partial.moves,
-                                aborted: true,
-                                delta_secs: abort_delta_secs,
-                            }),
-                        );
-                        tel.event(
-                            t_sim,
-                            TelEventKind::Fault(TelFaultEvent {
-                                step,
-                                kind: TelFaultKind::Rollback {
-                                    wasted_secs: abort_delta_secs,
-                                },
-                            }),
-                        );
-                    }
-                    Some(ab.partial)
+                    delta = level0 as f64 * self.cfg.repartition_secs_per_cell
+                        + rep.moved_cells as f64 * self.cfg.rebuild_secs_per_moved_cell;
+                    charge(ctx.sim, delta);
+                    ctx.history.record_redistribution_overhead(delta);
                 }
+                redistribute_event(ctx.sim, &rep, false, delta);
+                rep
             }
-        } else {
-            None
+            Err(ab) => {
+                aborted = true;
+                // Wasted work: the repartition scan plus rebuilding the
+                // partially-moved cells twice (out and back). The driver
+                // records this as the next δ.
+                let level0: i64 = ctx.hier.level_cells(0);
+                abort_delta_secs = level0 as f64 * self.cfg.repartition_secs_per_cell
+                    + 2.0 * ab.partial.moved_cells as f64 * self.cfg.rebuild_secs_per_moved_cell;
+                charge(ctx.sim, abort_delta_secs);
+                self.roster.stats.aborts += 1;
+                self.roster.events.push(FaultEvent::RedistributionAborted {
+                    step,
+                    error: ab.error,
+                });
+                self.roster.record_pair_failure(
+                    ab.src_group,
+                    ab.dst_group,
+                    step,
+                    ab.error.at(),
+                    fault.quarantine_after,
+                );
+                // the redistribute record first, then its rollback — the
+                // causality the audit tests check
+                redistribute_event(ctx.sim, &ab.partial, true, abort_delta_secs);
+                if tel.is_enabled() {
+                    tel.event(
+                        ctx.sim.elapsed().as_secs_f64(),
+                        TelEventKind::Fault(TelFaultEvent {
+                            step,
+                            kind: TelFaultKind::Rollback {
+                                wasted_secs: abort_delta_secs,
+                            },
+                        }),
+                    );
+                }
+                ab.partial
+            }
         };
         self.decisions.push(GlobalDecision {
             step,
             gain,
             cost: Some(cost),
-            invoked,
+            invoked: true,
             aborted,
             abort_delta_secs,
-            report,
+            report: Some(report),
             proactive,
         });
+        self.wall.migrate += t0.elapsed().as_secs_f64();
     }
 
     /// Federation-scale global phase: a balanced [`TREE_ARITY`]-ary
@@ -937,18 +997,15 @@ impl DistributedDlb {
     /// pairs, instead of O(G²) of both. Only entered above the arity; at
     /// or below it the flat compare *is* the single-node tree, so the
     /// flat code runs verbatim (the small-G equivalence the tests pin).
-    #[allow(clippy::too_many_arguments)]
     fn global_phase_hierarchical(
         &mut self,
         ctx: &mut LbContext<'_>,
         sys: &DistributedSystem,
         forecast_gain: Option<GainEstimate>,
-        level: usize,
+        site: DecisionSite,
         healthy: &[usize],
         powers: &[f64],
-        step: u64,
     ) {
-        let proactive = forecast_gain.is_some();
         // Per-group loads: predicted (proactive trigger) or from the
         // synchronized history snapshot. Local arithmetic on data every
         // group leader already holds — the communication the phase
@@ -963,16 +1020,14 @@ impl DistributedDlb {
             healthy,
             group_loads: &group_loads,
             powers,
-            step,
-            level,
-            proactive,
+            site,
         };
         if let Err((a, b, e)) = self.hier_upsweep(ctx, &inp, &root) {
             // no aggregated load picture this step: defer the decision
             // entirely, exactly like a failed flat collective
             self.roster.stats.comm_failures += 1;
             self.roster
-                .record_pair_failure(a, b, step, e.at(), self.cfg.fault.quarantine_after);
+                .record_pair_failure(a, b, site.step, e.at(), self.cfg.fault.quarantine_after);
             let gain = GainEstimate {
                 gain_secs: 0.0,
                 group_loads: Vec::new(),
@@ -1060,7 +1115,7 @@ impl DistributedDlb {
         let rep = inp.healthy[node.lo];
         for child in node.children.iter().skip(1) {
             let crep = inp.healthy[child.lo];
-            self.leader_send(ctx, inp.sys, crep, rep, SUMMARY_MSG_BYTES, inp.step)
+            self.leader_send(ctx, inp.sys, crep, rep, SUMMARY_MSG_BYTES, inp.site.step)
                 .map_err(|e| (crep, rep, e))?;
         }
         Ok(())
@@ -1080,9 +1135,7 @@ impl DistributedDlb {
         emit_gate_event(
             &tel,
             ctx.sim,
-            inp.step,
-            inp.level,
-            inp.proactive,
+            inp.site,
             &gain,
             None,
             0.0,
@@ -1093,14 +1146,14 @@ impl DistributedDlb {
             reason,
         );
         self.decisions.push(GlobalDecision {
-            step: inp.step,
+            step: inp.site.step,
             gain,
             cost: None,
             invoked: false,
             aborted: false,
             abort_delta_secs: 0.0,
             report: None,
-            proactive: inp.proactive,
+            proactive: inp.site.proactive,
         });
     }
 
@@ -1118,13 +1171,13 @@ impl DistributedDlb {
             let crep = inp.healthy[child.lo];
             if crep != rep {
                 if let Err(e) =
-                    self.leader_send(ctx, inp.sys, rep, crep, DELEGATE_MSG_BYTES, inp.step)
+                    self.leader_send(ctx, inp.sys, rep, crep, DELEGATE_MSG_BYTES, inp.site.step)
                 {
                     self.roster.stats.comm_failures += 1;
                     self.roster.record_pair_failure(
                         rep,
                         crep,
-                        inp.step,
+                        inp.site.step,
                         e.at(),
                         self.cfg.fault.quarantine_after,
                     );
@@ -1243,7 +1296,7 @@ impl DistributedDlb {
                             self.roster.stats.retries += retries as u64;
                             self.roster
                                 .events
-                                .push(FaultEvent::RetrySucceeded { step: inp.step, retries });
+                                .push(FaultEvent::RetrySucceeded { step: inp.site.step, retries });
                         }
                         self.roster.record_pair_success(a, b);
                         alpha = alpha.max(s.alpha);
@@ -1262,14 +1315,14 @@ impl DistributedDlb {
                         self.decision_msgs += 2 * u64::from(retry.max_attempts.max(1));
                         self.roster.stats.probe_failures += 1;
                         self.roster.events.push(FaultEvent::ProbeFailure {
-                            step: inp.step,
+                            step: inp.site.step,
                             group_a: a,
                             group_b: b,
                         });
                         self.roster.record_pair_failure(
                             a,
                             b,
-                            inp.step,
+                            inp.site.step,
                             e.at(),
                             fault.quarantine_after,
                         );
@@ -1297,9 +1350,7 @@ impl DistributedDlb {
         emit_gate_event(
             &tel,
             ctx.sim,
-            inp.step,
-            inp.level,
-            inp.proactive,
+            inp.site,
             &gain,
             Some(&cost),
             alpha,
@@ -1315,14 +1366,14 @@ impl DistributedDlb {
         );
         if !invoked {
             self.decisions.push(GlobalDecision {
-                step: inp.step,
+                step: inp.site.step,
                 gain,
                 cost: Some(cost),
                 invoked: false,
                 aborted: false,
                 abort_delta_secs: 0.0,
                 report: None,
-                proactive: inp.proactive,
+                proactive: inp.site.proactive,
             });
             // too expensive at this tier (e.g. a congested WAN between
             // the child representatives) — the children may still fix
@@ -1334,106 +1385,17 @@ impl DistributedDlb {
         // Accepted: redistribute among exactly this subtree's groups and
         // stop descending — the elastic repartition balances everything
         // under the node in one pass.
-        let snap = checkpoint::snapshot(ctx.hier);
-        let deadline = fault
-            .transfer_deadline_slack
-            .map(|slack| ctx.sim.elapsed() + SimTime::from_secs_f64(slack));
-        let alive = self.alive_mask(inp.sys.nprocs());
-        let mut aborted = false;
-        let mut abort_delta_secs = 0.0;
         let subtree = &inp.healthy[node.lo..node.hi];
-        let report = match global_redistribute_elastic(
-            ctx.hier,
-            ctx.sim,
-            inp.group_loads,
-            &eligible,
-            &self.cfg.balance,
-            self.cfg.selection,
-            deadline,
-            inp.powers,
-            &alive,
-        ) {
-            Ok(rep) => {
-                // overhead charged to the subtree only: repartitioning and
-                // rebuilding stay inside the groups whose grids moved
-                let mut delta = 0.0;
-                if rep.moves > 0 {
-                    let level0: i64 = ctx.hier.level_cells(0);
-                    delta = level0 as f64 * self.cfg.repartition_secs_per_cell
-                        + rep.moved_cells as f64 * self.cfg.rebuild_secs_per_moved_cell;
-                    charge_groups(ctx.sim, inp.sys, subtree, delta);
-                    ctx.history.record_redistribution_overhead(delta);
-                }
-                if tel.is_enabled() {
-                    tel.event(
-                        ctx.sim.elapsed().as_secs_f64(),
-                        TelEventKind::Redistribute(TelRedistributeEvent {
-                            step: inp.step,
-                            level: inp.level,
-                            moved_cells: rep.moved_cells,
-                            moves: rep.moves,
-                            aborted: false,
-                            delta_secs: delta,
-                        }),
-                    );
-                }
-                Some(rep)
-            }
-            Err(ab) => {
-                *ctx.hier = checkpoint::restore(&snap);
-                aborted = true;
-                let level0: i64 = ctx.hier.level_cells(0);
-                abort_delta_secs = level0 as f64 * self.cfg.repartition_secs_per_cell
-                    + 2.0 * ab.partial.moved_cells as f64 * self.cfg.rebuild_secs_per_moved_cell;
-                charge_groups(ctx.sim, inp.sys, subtree, abort_delta_secs);
-                self.roster.stats.aborts += 1;
-                self.roster.events.push(FaultEvent::RedistributionAborted {
-                    step: inp.step,
-                    error: ab.error,
-                });
-                self.roster.record_pair_failure(
-                    ab.src_group,
-                    ab.dst_group,
-                    inp.step,
-                    ab.error.at(),
-                    fault.quarantine_after,
-                );
-                if tel.is_enabled() {
-                    let t_sim = ctx.sim.elapsed().as_secs_f64();
-                    tel.event(
-                        t_sim,
-                        TelEventKind::Redistribute(TelRedistributeEvent {
-                            step: inp.step,
-                            level: inp.level,
-                            moved_cells: ab.partial.moved_cells,
-                            moves: ab.partial.moves,
-                            aborted: true,
-                            delta_secs: abort_delta_secs,
-                        }),
-                    );
-                    tel.event(
-                        t_sim,
-                        TelEventKind::Fault(TelFaultEvent {
-                            step: inp.step,
-                            kind: TelFaultKind::Rollback {
-                                wasted_secs: abort_delta_secs,
-                            },
-                        }),
-                    );
-                }
-                Some(ab.partial)
-            }
-        };
-        self.decisions.push(GlobalDecision {
-            step: inp.step,
+        self.redistribute_accepted(
+            ctx,
+            inp.sys,
+            inp.site,
             gain,
-            cost: Some(cost),
-            invoked: true,
-            aborted,
-            abort_delta_secs,
-            report,
-            proactive: inp.proactive,
-        });
+            cost,
+            &eligible,
+            inp.powers,
+            Some(subtree),
+        );
     }
 
     /// Mirror newly-appended roster fault events into the telemetry sink.
@@ -1485,8 +1447,12 @@ impl DistributedDlb {
     /// every group — quarantined ones included: intra-group links are
     /// unaffected by an inter-link failure, and children stay with parents.
     fn local_phase(&mut self, ctx: &mut LbContext<'_>, level: usize) {
+        let t0 = Instant::now();
         let sys = ctx.sim.system().clone();
         let alive = self.alive_mask(sys.nprocs());
+        // one scan of the level for all groups; each group's pass keeps
+        // its own processors' lists current
+        let mut owned = bucket_level_by_owner(ctx.hier, level, sys.nprocs());
         for g in sys.groups() {
             // balance only among the group's alive procs: a crashed proc
             // neither donates (it was evacuated) nor receives
@@ -1504,15 +1470,16 @@ impl DistributedDlb {
                 continue;
             }
             let weights: Vec<f64> = procs.iter().map(|p| sys.proc(*p).weight).collect();
-            balance_level_within(
+            balance_bucketed(
                 ctx.hier,
                 ctx.sim,
-                level,
+                &mut owned,
                 &procs,
                 &weights,
                 &self.cfg.balance,
             );
         }
+        self.wall.local_dlb += t0.elapsed().as_secs_f64();
     }
 }
 
@@ -1600,8 +1567,18 @@ struct HierInputs<'a> {
     group_loads: &'a [f64],
     /// Alive compute power indexed by group id (full length).
     powers: &'a [f64],
+    site: DecisionSite,
+}
+
+/// When and why a global check runs: what every gate event, redistribute
+/// record and [`GlobalDecision`] of that check is stamped with.
+#[derive(Clone, Copy, Debug)]
+struct DecisionSite {
+    /// Level-0 step index.
     step: u64,
+    /// Level whose step triggered the check.
     level: usize,
+    /// Triggered by the load forecast rather than a level-0 step.
     proactive: bool,
 }
 
@@ -1612,9 +1589,7 @@ struct HierInputs<'a> {
 fn emit_gate_event(
     tel: &Telemetry,
     sim: &SimView,
-    step: u64,
-    level: usize,
-    proactive: bool,
+    site: DecisionSite,
     gain: &GainEstimate,
     cost: Option<&CostEstimate>,
     alpha: f64,
@@ -1632,9 +1607,9 @@ fn emit_gate_event(
     tel.event(
         t,
         TelEventKind::GammaGate(GammaGateEvent {
-            step,
-            level,
-            proactive,
+            step: site.step,
+            level: site.level,
+            proactive: site.proactive,
             gain_secs: gain.gain_secs,
             cost_alpha_beta_w_secs: cost.map_or(0.0, |c| c.comm_secs),
             delta_secs: cost.map_or(0.0, |c| c.delta_secs),
@@ -1662,6 +1637,8 @@ impl LoadBalancer for DistributedDlb {
     }
 
     fn after_level_step(&mut self, mut ctx: LbContext<'_>, level: usize) -> SimResult<()> {
+        let t0 = Instant::now();
+        let other = self.wall.local_dlb + self.wall.migrate;
         // Keep the per-group load series current at every level: the
         // history snapshot only refreshes after level-0 steps, but the
         // proactive trigger wants to see what refinement just did.
@@ -1683,6 +1660,9 @@ impl LoadBalancer for DistributedDlb {
             self.maybe_proactive_check(&mut ctx, level);
         }
         self.forward_fault_events(&mut ctx);
+        // whatever was neither balancing locally nor migrating was deciding
+        let elsewhere = self.wall.local_dlb + self.wall.migrate - other;
+        self.wall.decide += t0.elapsed().as_secs_f64() - elsewhere;
         Ok(())
     }
 
@@ -2361,5 +2341,130 @@ mod fault_tests {
             .fault_events()
             .iter()
             .any(|e| matches!(e, FaultEvent::RedistributionAborted { .. })));
+    }
+
+    /// `federation(16, 4, seed)` — two 8-group sites on one metro link —
+    /// with that inter-site link cutting every transfer above 4 KiB.
+    fn federation_with_lossy_metro(seed: u64) -> DistributedSystem {
+        let fed = topology::presets::federation(16, 4, seed);
+        let mut b = SystemBuilder::new();
+        for g in fed.groups() {
+            b = b.group(&g.name, g.nprocs(), fed.proc(g.procs[0]).weight, g.intra.clone());
+        }
+        let mut tiers = fed.tiers().expect("federation presets are tiered").clone();
+        for link in tiers.region_links.values_mut() {
+            *link = link.clone().with_faults(FaultSchedule::none().with_window(
+                SimTime::ZERO,
+                SimTime::from_secs(3600),
+                FaultKind::DropLarge {
+                    threshold_bytes: 4 << 10,
+                },
+            ));
+        }
+        b.tiers(tiers).build()
+    }
+
+    /// The tree path's abort: 16 groups is beyond the arity, so the root
+    /// of the reduction tree resolves the imbalance in `hier_resolve`. The
+    /// first migration stays inside site 0 and lands; the second needs a
+    /// split and crosses the lossy inter-site link, which kills it
+    /// mid-flight. The decision is recorded aborted, its rollback follows
+    /// its redistribute record, and owners, structure and data are the
+    /// pre-decision ones.
+    #[test]
+    fn tree_path_abort_inside_hier_resolve_rolls_back() {
+        let sys = federation_with_lossy_metro(20011110);
+        assert_eq!(sys.inter_link(GroupId(0), GroupId(8)).name, "Metro MAN");
+        let (tel, sink) = Telemetry::recording_shared();
+        let mut sim = SimView::new(sys.clone());
+        sim.set_telemetry(tel);
+
+        // 8x8-cross-section slabs along x, all on their group's first
+        // proc: group 0 holds a 96- and a 64-long one (20 grids' worth),
+        // group 1 nothing, and of the 8-long grids the rest of site 0 holds
+        // five per group, group 8 three and the rest of site 1 four — so
+        // group 1 is the neediest receiver and site 1 comes next.
+        let lead = |g: usize| sys.procs_in(GroupId(g))[0].0;
+        let mut slabs = vec![(96, lead(0)), (64, lead(0))];
+        for g in 2..16 {
+            let n = match g {
+                2..=7 => 5,
+                8 => 3,
+                _ => 4,
+            };
+            slabs.extend(vec![(8, lead(g)); n]);
+        }
+        let len: i64 = slabs.iter().map(|s| s.0).sum();
+        let mut hier = GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(len, 8, 8)), 2, 3, 1, 1);
+        let mut x = 0;
+        for &(w, owner) in &slabs {
+            let id = hier.insert_patch(0, region(ivec3(x, 0, 0), ivec3(x + w, 8, 8)), None, owner);
+            hier.patch_mut(id).fields[0].map_interior(|p, _| (p.x * 64 + p.y * 8 + p.z) as f64);
+            x += w;
+        }
+        // a thin refined grid along the middle of the 64-long slab: light
+        // enough that the 96-long slab is still the first pick, and in the
+        // way of the cut the 64-long one then needs
+        let parent = hier.level_ids(0)[1];
+        hier.insert_patch(
+            1,
+            region(ivec3(2 * (96 + 16), 0, 0), ivec3(2 * (96 + 48), 4, 2)),
+            Some(parent),
+            lead(0),
+        );
+        let before = samr_mesh::checkpoint::snapshot(&hier);
+        let pool = hier.pool().clone();
+
+        let mut history = WorkloadHistory::new(sys.nprocs());
+        history.record_snapshot(
+            (0..2).map(|l| hier.level_load_by_owner(l, sys.nprocs())).collect(),
+            vec![1, 2],
+        );
+        history.record_step_time(600.0);
+        let mut dlb = DistributedDlb::new(DistributedDlbConfig {
+            gamma: 0.0,
+            // probes that squeeze under the drop threshold
+            probe_small_bytes: 256,
+            probe_large_bytes: 2048,
+            ..Default::default()
+        });
+        dlb.global_phase(
+            &mut LbContext {
+                hier: &mut hier,
+                sim: &mut sim,
+                history: &mut history,
+            },
+            None,
+            0,
+        );
+
+        // the tree ran (representative pairs only), and its root aborted
+        assert!(dlb.estimator_pairs() <= 28, "{} pairs", dlb.estimator_pairs());
+        let d = dlb.decisions.last().expect("a decision was pushed");
+        assert!(d.invoked && d.aborted, "{d:?}");
+        assert!(d.abort_delta_secs > 0.0);
+        let partial = d.report.as_ref().expect("partial motion is reported");
+        assert!(partial.moves >= 1 && partial.splits >= 1, "not mid-migration: {partial:?}");
+        assert_eq!(dlb.fault_stats().aborts, 1);
+
+        // rollback right after its aborted redistribute
+        let events = sink.lock().unwrap().events();
+        let at = events
+            .iter()
+            .position(|e| matches!(&e.kind, TelEventKind::Redistribute(r) if r.aborted))
+            .expect("aborted redistribute record");
+        assert!(
+            matches!(
+                &events[at + 1].kind,
+                TelEventKind::Fault(f) if matches!(f.kind, TelFaultKind::Rollback { .. })
+            ),
+            "{:?}",
+            events[at + 1]
+        );
+
+        // pre-decision owners, structure and data; same pool
+        assert!(hier.check_invariants().is_ok());
+        crate::partition::assert_matches_snapshot(&hier, &before);
+        assert!(hier.pool().ptr_eq(&pool));
     }
 }

@@ -34,7 +34,9 @@ pub use cost::{
     evaluate_cost, evaluate_cost_forecast, should_redistribute, should_redistribute_confident,
     CostEstimate,
 };
-pub use distributed::{DistributedDlb, DistributedDlbConfig, ForecastSummary, GlobalDecision};
+pub use distributed::{
+    DistributedDlb, DistributedDlbConfig, DlbWall, ForecastSummary, GlobalDecision,
+};
 pub use fault::{
     FaultEvent, FaultStats, FaultTolerancePolicy, GroupHealth, ProcHealth, ProcTransitions,
     QuarantineRoster,

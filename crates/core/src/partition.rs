@@ -38,9 +38,10 @@ pub struct RedistributionReport {
 
 /// A global redistribution that died mid-flight: the migration transfer
 /// between `src_group` and `dst_group` failed with `error` after the moves
-/// in `partial` had already been issued. The hierarchy has been partially
-/// mutated (owners changed, possibly grids split) — the caller is expected
-/// to roll it back from a pre-redistribution snapshot.
+/// in `partial` had already been issued. The fault-aware entry points have
+/// rolled the hierarchy back by the time they return this — owners, splits,
+/// ids and field data are as before the call; `partial` is the wasted
+/// motion.
 #[derive(Clone, Debug)]
 pub struct RedistributionAbort {
     /// The communication failure that killed the redistribution.
@@ -80,8 +81,8 @@ pub fn global_redistribute(
 ///
 /// Infallible legacy entry point: every group is eligible, transfers have
 /// no deadline, and a mid-flight failure simply truncates the result to the
-/// moves that completed (adequate on fault-free links, where failures
-/// cannot occur; fault-aware callers use
+/// moves that completed — they stay applied (adequate on fault-free links,
+/// where failures cannot occur; fault-aware callers use
 /// [`global_redistribute_guarded`]).
 pub fn global_redistribute_with(
     hier: &mut GridHierarchy,
@@ -91,7 +92,11 @@ pub fn global_redistribute_with(
     policy: SelectionPolicy,
 ) -> RedistributionReport {
     let eligible = vec![true; sim.system().ngroups()];
-    match global_redistribute_guarded(hier, sim, group_loads, &eligible, params, policy, None) {
+    let powers = crate::gain::static_powers(sim.system());
+    let alive = vec![true; sim.system().nprocs()];
+    match redistribute_moves(
+        hier, sim, group_loads, &eligible, params, policy, None, &powers, &alive,
+    ) {
         Ok(rep) => rep,
         Err(abort) => abort.partial,
     }
@@ -103,9 +108,9 @@ pub fn global_redistribute_with(
 /// transfer failure aborts the redistribution with a
 /// [`RedistributionAbort`] instead of pressing on over a dead link.
 ///
-/// Ownership is only committed after the transfer succeeds, but earlier
-/// moves (and any grid splits) remain applied on `Err` — roll back from a
-/// [`samr_mesh::checkpoint`] snapshot taken before the call.
+/// Ownership is only committed after the transfer succeeds, and on `Err`
+/// the earlier moves and any grid splits have been undone — see
+/// [`global_redistribute_elastic`].
 pub fn global_redistribute_guarded(
     hier: &mut GridHierarchy,
     sim: &mut SimView,
@@ -128,8 +133,39 @@ pub fn global_redistribute_guarded(
 /// migration destinations are restricted to procs with `alive[p] == true`.
 /// A group whose power is zero but which still holds load becomes a pure
 /// donor; a group with no alive procs can never receive.
+///
+/// The redistribution is one [`GridHierarchy`] transaction: `Ok` commits
+/// it, `Err` rolls it back, so an abort leaves the hierarchy exactly as it
+/// was — at a cost proportional to the grids that were touched, with no
+/// copy of the mesh taken up front. (Simulated time already spent on the
+/// failed and the undone transfers stays spent.)
 #[allow(clippy::too_many_arguments)]
 pub fn global_redistribute_elastic(
+    hier: &mut GridHierarchy,
+    sim: &mut SimView,
+    group_loads: &[f64],
+    eligible: &[bool],
+    params: &BalanceParams,
+    policy: SelectionPolicy,
+    deadline: Option<SimTime>,
+    powers: &[f64],
+    alive: &[bool],
+) -> Result<RedistributionReport, RedistributionAbort> {
+    hier.begin_transaction();
+    let result = redistribute_moves(
+        hier, sim, group_loads, eligible, params, policy, deadline, powers, alive,
+    );
+    match result {
+        Ok(_) => hier.commit(),
+        Err(_) => hier.rollback(),
+    }
+    result
+}
+
+/// The moves and splits of [`global_redistribute_elastic`], applied
+/// directly; on `Err` the ones already made stay.
+#[allow(clippy::too_many_arguments)]
+fn redistribute_moves(
     hier: &mut GridHierarchy,
     sim: &mut SimView,
     group_loads: &[f64],
@@ -724,6 +760,31 @@ fn bisect_shares(domain: Region, idx: &[usize], shares: &[f64], out: &mut Vec<(R
     bisect_shares(b, ri, shares, out);
 }
 
+/// `hier` holds exactly what `snap` recorded: the same ids in the same level
+/// order with the same regions, parents, owners and field data.
+#[cfg(test)]
+pub(crate) fn assert_matches_snapshot(
+    hier: &GridHierarchy,
+    snap: &samr_mesh::checkpoint::HierarchySnapshot,
+) {
+    assert_eq!(hier.num_patches(), snap.patches.len());
+    for l in 0..hier.num_levels() {
+        // snapshots list patches by ascending id, which is level order
+        let want: Vec<PatchId> = snap.patches.iter().filter(|p| p.level == l).map(|p| p.id).collect();
+        assert_eq!(hier.level_ids(l), want, "level {l}");
+    }
+    for want in &snap.patches {
+        let got = hier.patch(want.id);
+        assert_eq!(
+            (got.region, got.parent, got.owner),
+            (want.region, want.parent, want.owner),
+            "{:?}",
+            want.id
+        );
+        assert_eq!(got.fields, want.fields, "{:?}", want.id);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1036,5 +1097,34 @@ mod tests {
         let sys = sim.system().clone();
         assert_eq!(group_level0_cells(&hier, &sys, 0), 3072);
         assert_eq!(sim.stats().msgs.failed_msgs, 1);
+
+        // One chunky grid per group: the donor's has to be split before
+        // anything can move, and then the transfer fails. The abort hands
+        // back the hierarchy it was given — the caller took no snapshot.
+        let mut hier = GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(64, 8, 8)), 2, 3, 1, 1);
+        let a = hier.insert_patch(0, region(ivec3(0, 0, 0), ivec3(32, 8, 8)), None, 0);
+        let b = hier.insert_patch(0, region(ivec3(32, 0, 0), ivec3(64, 8, 8)), None, 2);
+        let child = hier.insert_patch(1, region(ivec3(24, 0, 0), ivec3(40, 16, 16)), Some(a), 1);
+        for id in [a, b, child] {
+            hier.patch_mut(id).fields[0].map_interior(|p, _| (p.x * 31 + p.y * 7 + p.z) as f64 + 0.5);
+        }
+        let before = samr_mesh::checkpoint::snapshot(&hier);
+        let pool = hier.pool().clone();
+        let abort = global_redistribute_guarded(
+            &mut hier,
+            &mut sim,
+            &[3000.0, 1000.0],
+            &[true, true],
+            &BalanceParams::default(),
+            SelectionPolicy::SubtreeWorkload,
+            None,
+        )
+        .unwrap_err();
+        assert!(abort.partial.splits >= 1, "{abort:?}");
+        assert_matches_snapshot(&hier, &before);
+        assert!(hier.check_invariants().is_ok());
+        assert!(hier.pool().ptr_eq(&pool));
+        // ids the rolled-back splits used are free again
+        assert_eq!(hier.insert_patch(1, region(ivec3(0, 0, 0), ivec3(8, 8, 8)), Some(a), 0).0, 3);
     }
 }

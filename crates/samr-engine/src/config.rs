@@ -120,6 +120,12 @@ pub struct RunResult {
     pub peak_patches: usize,
     /// Host wall-clock seconds per driver phase (real time, excludes setup).
     pub wall: PhaseWall,
+    /// Host seconds of `wall.decision` by what the distributed scheme was
+    /// doing — local balancing, deciding, migrating; they sum to
+    /// `wall.decision` less the driver's span bookkeeping. Host time, so
+    /// outside the serialized contract and every fingerprint.
+    #[serde(skip)]
+    pub dlb_wall: dlb::DlbWall,
     /// Total cell updates executed (workload size; equal across schemes for
     /// the same app/seed when adaptation follows the same physics).
     pub cell_updates: u64,

@@ -704,6 +704,7 @@ impl Driver {
             final_patches: self.hier.num_patches(),
             peak_patches: self.peak_patches.max(self.hier.num_patches()),
             wall: self.wall,
+            dlb_wall: self.scheme.dlb_wall(),
             cell_updates: self.cell_updates,
             global_checks: decisions.len(),
             global_redistributions: decisions.iter().filter(|d| d.invoked).count(),

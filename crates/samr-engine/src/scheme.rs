@@ -140,6 +140,16 @@ impl SchemeInstance {
         }
     }
 
+    /// Host seconds the scheme's `after_level_step` spent balancing
+    /// locally, deciding and migrating (zeroes for schemes that do not
+    /// keep the split).
+    pub fn dlb_wall(&self) -> dlb::DlbWall {
+        match self {
+            SchemeInstance::Distributed(d) => d.wall(),
+            _ => dlb::DlbWall::default(),
+        }
+    }
+
     /// Chronological fault-event log (empty for schemes without one).
     pub fn fault_events(&self) -> &[dlb::FaultEvent] {
         match self {

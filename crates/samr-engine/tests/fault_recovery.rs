@@ -71,8 +71,34 @@ fn midflight_link_failure_rolls_back_quarantines_and_readmits() {
         },
     );
     let mut d = Driver::new(wan_pair(sched), cfg());
-    for _ in 0..STEPS {
+    // An abort undoes the redistribution in place: the hierarchy keeps its
+    // field pool — warm shelves, steady mark, counters — through every
+    // rollback, so the counters only ever grow.
+    let pool = d.hierarchy().pool().clone();
+    let mut last = pool.stats();
+    for step in 0..STEPS {
+        if step == 1 {
+            // stepping by hand skips `run`'s warm-up bookkeeping
+            pool.mark_steady();
+        }
         d.step_once();
+        assert!(
+            d.hierarchy().pool().ptr_eq(&pool),
+            "step {step} swapped the hierarchy's field pool"
+        );
+        assert!(
+            step == 0 || d.hierarchy().pool().is_steady(),
+            "steady mark lost at step {step}"
+        );
+        let now = pool.stats();
+        assert!(
+            now.hits >= last.hits
+                && now.misses >= last.misses
+                && now.bytes_recycled >= last.bytes_recycled
+                && now.steady_misses >= last.steady_misses,
+            "pool counters went backwards at step {step}: {last:?} -> {now:?}"
+        );
+        last = now;
     }
     // Rollback must leave a structurally valid hierarchy behind.
     d.hierarchy()

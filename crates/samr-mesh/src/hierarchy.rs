@@ -44,6 +44,31 @@ pub struct GridHierarchy {
     /// removals shelve into it, so steady-state regrids stop allocating.
     /// Cloning the hierarchy shares the pool (it is an `Arc` handle).
     pool: crate::pool::FieldPool,
+    /// Undo log of the open transaction, if any
+    /// (see [`GridHierarchy::begin_transaction`]).
+    undo: Option<UndoLog>,
+}
+
+/// What [`GridHierarchy::rollback`] replays in reverse. Each record holds
+/// exactly what its mutator overwrote, so undoing the records newest-first
+/// walks the hierarchy back through every intermediate state to the one at
+/// `begin_transaction`.
+#[derive(Clone, Debug)]
+struct UndoLog {
+    /// Fresh-id counter at `begin_transaction`.
+    next_id: u64,
+    records: Vec<Undo>,
+}
+
+#[derive(Clone, Debug)]
+enum Undo {
+    Owner { id: PatchId, old: OwnerProc },
+    Parent { id: PatchId, old: Option<PatchId> },
+    /// `id` was appended to its level's list.
+    Inserted { id: PatchId },
+    /// The removed patch itself — fields and all, parked here instead of
+    /// going back to the pool — and its position in its level's list.
+    Removed { patch: GridPatch, index: usize },
 }
 
 impl GridHierarchy {
@@ -64,6 +89,7 @@ impl GridHierarchy {
             topo_gen: Vec::new(),
             topo_cache: Vec::new(),
             pool: crate::pool::FieldPool::new(),
+            undo: None,
         }
     }
 
@@ -294,16 +320,27 @@ impl GridHierarchy {
         self.levels[level].push(id);
         self.patches.insert(id, patch);
         self.bump_topology(level);
+        if let Some(log) = &mut self.undo {
+            log.records.push(Undo::Inserted { id });
+        }
     }
 
     /// Remove a patch (and no others — callers remove descendants first).
-    /// Its field backing stores are shelved in the pool for reuse.
+    /// Its field backing stores are shelved in the pool for reuse — at
+    /// [`GridHierarchy::commit`] when a transaction is open.
     pub fn remove_patch(&mut self, id: PatchId) {
         let p = self.patches.remove(&id).expect("removing unknown patch");
         let lvl = &mut self.levels[p.level];
-        lvl.retain(|x| *x != id);
+        let index = lvl
+            .iter()
+            .position(|x| *x == id)
+            .expect("patch missing from its level list");
+        lvl.remove(index);
         self.bump_topology(p.level);
-        p.recycle(&self.pool);
+        match &mut self.undo {
+            Some(log) => log.records.push(Undo::Removed { patch: p, index }),
+            None => p.recycle(&self.pool),
+        }
         self.trim_levels();
     }
 
@@ -313,6 +350,10 @@ impl GridHierarchy {
         if level == 0 {
             panic!("cannot clear level 0: the root grid must always exist");
         }
+        assert!(
+            self.undo.is_none(),
+            "clear_levels_from is not recorded by a transaction"
+        );
         for l in level..self.levels.len() {
             for id in std::mem::take(&mut self.levels[l]) {
                 if let Some(p) = self.patches.remove(&id) {
@@ -332,7 +373,86 @@ impl GridHierarchy {
 
     /// Change the owner of a patch.
     pub fn set_owner(&mut self, id: PatchId, owner: OwnerProc) {
-        self.patch_mut(id).owner = owner;
+        let old = std::mem::replace(&mut self.patch_mut(id).owner, owner);
+        if let Some(log) = &mut self.undo {
+            log.records.push(Undo::Owner { id, old });
+        }
+    }
+
+    /// Re-parent a patch. The level's cached plan names parents, so it is
+    /// stale afterwards.
+    fn set_parent(&mut self, id: PatchId, parent: Option<PatchId>) {
+        let p = self.patch_mut(id);
+        let level = p.level;
+        let old = std::mem::replace(&mut p.parent, parent);
+        self.bump_topology(level);
+        if let Some(log) = &mut self.undo {
+            log.records.push(Undo::Parent { id, old });
+        }
+    }
+
+    /// Open a transaction. Until [`GridHierarchy::commit`] or
+    /// [`GridHierarchy::rollback`] closes it, the structural mutators —
+    /// [`GridHierarchy::set_owner`], the inserts,
+    /// [`GridHierarchy::remove_patch`] and the splits built from them —
+    /// record what they overwrite, and a removed patch is parked in the log
+    /// with its fields instead of being recycled. Nothing is copied: the
+    /// cost of a transaction is proportional to what it changes, not to the
+    /// mesh. Writes through [`GridHierarchy::patch_mut`] are not recorded.
+    pub fn begin_transaction(&mut self) {
+        assert!(self.undo.is_none(), "a transaction is already open");
+        self.undo = Some(UndoLog {
+            next_id: self.next_id,
+            records: Vec::new(),
+        });
+    }
+
+    /// Close the open transaction, keeping its changes: the patches it
+    /// removed go back to the pool.
+    pub fn commit(&mut self) {
+        let log = self.undo.take().expect("no open transaction");
+        for r in log.records {
+            if let Undo::Removed { patch, .. } = r {
+                patch.recycle(&self.pool);
+            }
+        }
+    }
+
+    /// Close the open transaction, undoing its changes newest-first:
+    /// structure, ids, level order, owners, parents, the field data of every
+    /// patch that existed at [`GridHierarchy::begin_transaction`] (parked
+    /// patches come back as they left) and the fresh-id counter end up as
+    /// they were. Patches the transaction created go to the pool, which
+    /// itself — shelves, steady mark, counters — is untouched. Every level
+    /// that was touched gets a new topology generation, so no plan cached
+    /// mid-transaction survives.
+    pub fn rollback(&mut self) {
+        // the log is closed first, so the mutators below record nothing
+        let log = self.undo.take().expect("no open transaction");
+        for r in log.records.into_iter().rev() {
+            match r {
+                Undo::Owner { id, old } => self.set_owner(id, old),
+                Undo::Parent { id, old } => self.set_parent(id, old),
+                Undo::Inserted { id } => {
+                    debug_assert_eq!(
+                        self.levels[self.patch(id).level].last(),
+                        Some(&id),
+                        "undo replay out of order"
+                    );
+                    self.remove_patch(id);
+                }
+                Undo::Removed { patch, index } => {
+                    let level = patch.level;
+                    while self.levels.len() <= level {
+                        self.levels.push(Vec::new());
+                    }
+                    self.levels[level].insert(index, patch.id);
+                    self.patches.insert(patch.id, patch);
+                    self.bump_topology(level);
+                }
+            }
+        }
+        self.next_id = log.next_id;
     }
 
     /// Insert a patch under a caller-chosen id (checkpoint restore support).
@@ -357,13 +477,8 @@ impl GridHierarchy {
         assert_eq!(level == 0, parent.is_none(), "non-root patches need a parent");
         let patch =
             GridPatch::new_in(&self.pool, id, level, region, parent, owner, self.nfields, self.ghost);
-        while self.levels.len() <= level {
-            self.levels.push(Vec::new());
-        }
-        self.levels[level].push(id);
-        self.patches.insert(id, patch);
+        self.insert_prepared(level, patch);
         self.next_id = self.next_id.max(id.0 + 1);
-        self.bump_topology(level);
     }
 
     /// Run `f` with two *distinct* patches borrowed at once, `dst` mutably —
@@ -430,23 +545,18 @@ impl GridHierarchy {
                 }
             });
         }
-        // reattach (splitting straddlers at the refined cut plane); the
-        // child level's cached plan names parents, so it is stale now
-        let r = self.refine_factor;
-        let fine_cut = cut * r;
-        if !children.is_empty() {
-            self.bump_topology(level + 1);
-        }
+        // reattach (splitting straddlers at the refined cut plane)
+        let fine_cut = cut * self.refine_factor;
         for c in children {
             let creg = self.patch(c).region;
             if creg.hi[axis] <= fine_cut {
-                self.patch_mut(c).parent = Some(a);
+                self.set_parent(c, Some(a));
             } else if creg.lo[axis] >= fine_cut {
-                self.patch_mut(c).parent = Some(b);
+                self.set_parent(c, Some(b));
             } else {
                 let (ca, cb) = self.split_patch_at(c, axis, fine_cut);
-                self.patch_mut(ca).parent = Some(a);
-                self.patch_mut(cb).parent = Some(b);
+                self.set_parent(ca, Some(a));
+                self.set_parent(cb, Some(b));
             }
         }
         self.remove_patch(id);
@@ -1238,6 +1348,132 @@ mod tests {
         assert_eq!(h.patch(child).fields[0].get(ivec3(0, 0, 0)), 2.5);
         assert_eq!(h.num_patches(), 2);
         assert!(h.check_invariants().is_ok());
+    }
+
+    /// Three levels under two root grids: the children and grandchildren of
+    /// the first root sit left of, right of and across the planes a cut of
+    /// that root at x = 4 refines to, so the split recurses two levels down
+    /// and re-parents on both. Every field is scrambled.
+    fn nested_for_split() -> (GridHierarchy, PatchId) {
+        let mut h = GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(16, 8, 8)), 2, 3, 2, 1);
+        let box_x = |lo: i64, hi: i64, n: i64| region(ivec3(lo, 0, 0), ivec3(hi, n, n));
+        let root = h.insert_patch(0, box_x(0, 8, 8), None, 0);
+        let other = h.insert_patch(0, box_x(8, 16, 8), None, 1);
+        h.insert_patch(1, box_x(0, 6, 16), Some(root), 0);
+        let across = h.insert_patch(1, box_x(6, 12, 16), Some(root), 2);
+        h.insert_patch(1, box_x(12, 16, 16), Some(root), 3);
+        h.insert_patch(1, box_x(16, 24, 16), Some(other), 1);
+        h.insert_patch(2, box_x(12, 15, 32), Some(across), 2);
+        h.insert_patch(2, box_x(15, 20, 32), Some(across), 0);
+        h.insert_patch(2, box_x(20, 24, 32), Some(across), 3);
+        let ids: Vec<PatchId> = h.iter().map(|p| p.id).collect();
+        for id in ids {
+            for k in 0..2 {
+                scramble(&mut h.patch_mut(id).fields[k], id.0 * 2 + k as u64);
+            }
+        }
+        assert!(h.check_invariants().is_ok());
+        (h, root)
+    }
+
+    /// `h` holds exactly what `snap` and `levels` recorded: ids, level
+    /// order, regions, parents, owners and every field bit.
+    fn assert_matches_snapshot(
+        h: &GridHierarchy,
+        snap: &crate::checkpoint::HierarchySnapshot,
+        levels: &[Vec<PatchId>],
+    ) {
+        assert_eq!(h.levels, levels);
+        assert_eq!(h.num_patches(), snap.patches.len());
+        for want in &snap.patches {
+            let got = h.patch(want.id);
+            assert_eq!(
+                (got.level, got.region, got.parent, got.owner),
+                (want.level, want.region, want.parent, want.owner),
+                "{:?}",
+                want.id
+            );
+            for (g, w) in got.fields.iter().zip(&want.fields) {
+                assert_eq!(g.storage_region(), w.storage_region());
+                assert!(
+                    g.data().iter().zip(w.data()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "field bits of {:?} changed",
+                    want.id
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rollback_restores_what_a_snapshot_would() {
+        let (mut h, root) = nested_for_split();
+        let snap = crate::checkpoint::snapshot(&h);
+        let levels = h.levels.clone();
+        let next_id = h.next_id;
+        let pool = h.pool().clone();
+        let plans: Vec<_> = (0..3).map(|l| h.exchange_topology(l)).collect();
+
+        h.begin_transaction();
+        let other = h.level_ids(0)[1];
+        h.set_owner(other, 3);
+        h.set_owner(root, 2);
+        let (lo, hi) = h.split_patch_at(root, 0, 4);
+        // the cut went through a child and, below it, a grandchild
+        assert_eq!((h.level_ids(1).len(), h.level_ids(2).len()), (5, 4));
+        assert!(h.check_invariants().is_ok());
+        h.set_owner(hi, 1);
+        let (_lo_a, lo_b) = h.split_patch_at(lo, 1, 3);
+        h.set_owner(lo_b, 0);
+        // a plan cached mid-transaction must not outlive the rollback
+        let mid: Vec<_> = (0..3).map(|l| h.exchange_topology(l)).collect();
+        assert!(!Arc::ptr_eq(&mid[1], &plans[1]));
+        let stats_mid = pool.stats();
+        h.rollback();
+
+        assert_matches_snapshot(&h, &snap, &levels);
+        assert_eq!(h.next_id, next_id);
+        assert!(h.check_invariants().is_ok());
+        assert!(h.pool().ptr_eq(&pool), "the pool survives a rollback");
+        assert_eq!(pool.stats(), stats_mid, "undoing acquires nothing");
+        for l in 0..3 {
+            let plan = h.exchange_topology(l);
+            assert_eq!(*plan, h.build_topology(l), "level {l}");
+            assert_eq!(*plan, *plans[l], "level {l}");
+        }
+        // the next patch gets the id it would have got without the detour
+        let fresh = h.insert_patch(1, region(ivec3(24, 0, 0), ivec3(32, 8, 8)), Some(other), 0);
+        assert_eq!(fresh.0, next_id);
+    }
+
+    #[test]
+    fn commit_keeps_the_changes_and_recycles_every_parked_buffer() {
+        let (mut h, root) = nested_for_split();
+        let mut plain = h.clone();
+        plain.pool = crate::pool::FieldPool::new();
+        let idle = h.pool().idle_buffers();
+        h.begin_transaction();
+        let (lo, hi) = h.split_patch_at(root, 0, 4);
+        // root, the straddling child and the straddling grandchild are
+        // parked, not shelved
+        assert_eq!(h.pool().idle_buffers(), idle);
+        h.set_owner(hi, 3);
+        h.commit();
+        assert_eq!(h.pool().idle_buffers(), idle + 3 * h.nfields());
+        // same result as the untransacted operations
+        assert_eq!(plain.split_patch_at(root, 0, 4), (lo, hi));
+        plain.set_owner(hi, 3);
+        assert_matches_snapshot(&h, &crate::checkpoint::snapshot(&plain), &plain.levels);
+        // and the log is closed: mutations recycle directly again
+        h.remove_patch(h.level_ids(2)[0]);
+        assert_eq!(h.pool().idle_buffers(), idle + 4 * h.nfields());
+    }
+
+    #[test]
+    #[should_panic(expected = "already open")]
+    fn transactions_do_not_nest() {
+        let mut h = basic();
+        h.begin_transaction();
+        h.begin_transaction();
     }
 
     #[test]

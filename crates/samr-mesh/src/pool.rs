@@ -422,6 +422,12 @@ impl FieldPool {
         }
     }
 
+    /// Whether `other` is a handle to this very pool (shelves, steady mark
+    /// and counters shared), not merely an equal-looking one.
+    pub fn ptr_eq(&self, other: &FieldPool) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// Whether [`mark_steady`](Self::mark_steady) has been called.
     pub fn is_steady(&self) -> bool {
         self.inner.steady.load(Ordering::Relaxed)

@@ -272,8 +272,11 @@ EOF
 # itself exits nonzero if the hierarchical path ends a run >10% worse
 # balanced than the flat reference), then check the schema and the scaling
 # claims: hierarchical decision bookkeeping must stay O(G) while the flat
-# reference touches all O(G²) pairs, small G must be flat-equivalent, and
-# the hierarchical decision wall must stay sublinear in group count.
+# reference touches all O(G²) pairs, small G must be flat-equivalent, the
+# decision wall must be accounted for by its three parts (local balancing,
+# deciding, migrating: within 5 %), and the hierarchical *deciding* wall —
+# upsweep, probes, gate; not the migrations the tree accepts and the flat
+# path never makes — must stay sublinear in group count.
 cargo run --release -p bench --bin scale -- --quick --out results/BENCH_scale_quick.json
 python3 - <<'EOF'
 import json, sys
@@ -282,7 +285,8 @@ s = json.load(open("results/BENCH_scale_quick.json"))
 rows = s["sweep"]
 for r in rows:
     for key in ("groups", "procs", "mode", "decision_secs_per_step",
-                "msgs_per_decision", "estimator_pairs", "final_imbalance",
+                "local_dlb_secs_per_step", "decide_secs_per_step",
+                "migrate_secs_per_step", "msgs_per_decision", "estimator_pairs", "final_imbalance",
                 "global_checks", "redistributions", "wall_secs"):
         if key not in r:
             sys.exit(f"scale: sweep row missing {key}: {r}")
@@ -315,10 +319,17 @@ for g, r in hier.items():
         sys.exit(f"scale: G={g} hierarchical final imbalance "
                  f"{r['final_imbalance']:.4f} is >10% worse than flat "
                  f"{flat[g]['final_imbalance']:.4f}")
-w8 = hier[8]["decision_secs_per_step"]
-w64 = hier[64]["decision_secs_per_step"]
+for r in rows:
+    whole = r["decision_secs_per_step"]
+    parts = (r["local_dlb_secs_per_step"] + r["decide_secs_per_step"]
+             + r["migrate_secs_per_step"])
+    if abs(whole - parts) > 0.05 * whole:
+        sys.exit(f"scale: G={r['groups']} {r['mode']} decision wall "
+                 f"{whole:.4f}s/step but its parts sum to {parts:.4f}")
+w8 = hier[8]["decide_secs_per_step"]
+w64 = hier[64]["decide_secs_per_step"]
 if w64 > 4 * max(w8, 0.02):
-    sys.exit(f"scale: G=64 decision wall {w64:.4f}s/step is not sublinear "
+    sys.exit(f"scale: G=64 deciding wall {w64:.4f}s/step is not sublinear "
              f"vs G=8 {w8:.4f}s/step")
 print(f"scale gate: ok (hier G=64: {hier[64]['msgs_per_decision']:.0f} "
       f"msgs/step, {hier[64]['estimator_pairs']} pairs vs flat "
