@@ -2,7 +2,8 @@
 //! presets through the optimized zero-clone data path and the clone-based
 //! reference path, checks the two are bit-identical, and writes
 //! `results/BENCH_hotpath.json` with cell-updates/sec, host wall-clock
-//! seconds per phase (solve / ghost / regrid / restrict), and the peak patch
+//! seconds per phase (solve / ghost / regrid / restrict), the ghost phase
+//! by part (plan / coarse_fill / sibling / messages), and the peak patch
 //! count. The JSON is written by hand so the binary has no serializer
 //! dependency in its hot loop.
 //!
@@ -77,6 +78,16 @@ fn phases_json(w: &metrics::PhaseWall) -> String {
     )
 }
 
+fn ghost_phases_json(g: &metrics::GhostWall) -> String {
+    format!(
+        "{{\"plan\": {}, \"coarse_fill\": {}, \"sibling\": {}, \"messages\": {}}}",
+        num(g.plan),
+        num(g.coarse_fill),
+        num(g.sibling),
+        num(g.messages)
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -136,6 +147,11 @@ fn main() {
                 "{name}: repeat diverged"
             );
             opt_wall = opt_wall.min(wall);
+            // the ghost split comes whole from the repeat with the best
+            // ghost phase, so that its parts still sum to it
+            if again.wall.ghost < opt.wall.ghost {
+                opt.ghost_wall = again.ghost_wall;
+            }
             opt.wall = metrics::PhaseWall {
                 solve: opt.wall.solve.min(again.wall.solve),
                 ghost: opt.wall.ghost.min(again.wall.ghost),
@@ -197,6 +213,11 @@ fn main() {
         let _ = writeln!(e, "      \"wall_secs\": {},", num(opt_wall));
         let _ = writeln!(e, "      \"cell_updates_per_sec\": {},", num(cups));
         let _ = writeln!(e, "      \"phases\": {},", phases_json(&opt.wall));
+        let _ = writeln!(
+            e,
+            "      \"ghost_phases\": {},",
+            ghost_phases_json(&opt.ghost_wall)
+        );
         let _ = writeln!(e, "      \"reference_wall_secs\": {},", num(ref_wall));
         let _ = writeln!(e, "      \"reference_phases\": {},", phases_json(&refr.wall));
         let _ = writeln!(e, "      \"speedup_vs_reference\": {},", num(ref_wall / opt_wall));

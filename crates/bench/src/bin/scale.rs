@@ -96,6 +96,18 @@ fn entry_json(e: &Entry) -> String {
     ] {
         let _ = writeln!(s, "      \"{key}_secs_per_step\": {},", num(secs / steps));
     }
+    // and the ghost-exchange wall by part: plan fetch or rebuild, parent /
+    // boundary fill, sibling copy, messages
+    let (g, ghost) = (e.res.ghost_wall, e.res.wall.ghost);
+    for (key, secs) in [
+        ("ghost", ghost),
+        ("ghost_plan", g.plan),
+        ("ghost_coarse_fill", g.coarse_fill),
+        ("ghost_sibling", g.sibling),
+        ("ghost_messages", g.messages),
+    ] {
+        let _ = writeln!(s, "      \"{key}_secs_per_step\": {},", num(secs / steps));
+    }
     let _ = writeln!(
         s,
         "      \"msgs_per_decision\": {},",

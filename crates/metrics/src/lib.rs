@@ -10,6 +10,6 @@ pub mod stats;
 pub use efficiency::{efficiency, improvement_percent, speedup};
 pub use stats::{geometric_mean, percentile_exact, slope, summarize, Summary};
 pub use report::{
-    ConfigRow, FaultCounters, ForecastStats, PhaseWall, RecoveryStats, RunBreakdown, Table,
-    TenantStats,
+    ConfigRow, FaultCounters, ForecastStats, GhostWall, PhaseWall, RecoveryStats, RunBreakdown,
+    Table, TenantStats,
 };

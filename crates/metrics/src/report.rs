@@ -53,6 +53,25 @@ impl PhaseWall {
     }
 }
 
+/// Host wall-clock seconds of [`PhaseWall::ghost`] by part of the planned
+/// exchange; the four sum to it (the clone-based reference exchange is not
+/// split and leaves them zero). Real
+/// seconds on the machine running the simulation, so never part of a
+/// fingerprint.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct GhostWall {
+    /// Fetching the level's exchange plan: a cache hit, or the rebuild
+    /// after a structural change of the level.
+    pub plan: f64,
+    /// Ghost cells no sibling fills: parent prolongation, or zero-gradient
+    /// at the domain boundary of level 0.
+    pub coarse_fill: f64,
+    /// Sibling windows copied source to destination.
+    pub sibling: f64,
+    /// Per-owner-pair byte totals and their simulated sends.
+    pub messages: f64,
+}
+
 /// Fault-protocol counters of one run: how often the degradation policy
 /// (retry, quarantine, rollback) had to act, and how long recoveries took.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]

@@ -120,6 +120,11 @@ pub struct RunResult {
     pub peak_patches: usize,
     /// Host wall-clock seconds per driver phase (real time, excludes setup).
     pub wall: PhaseWall,
+    /// Host seconds of `wall.ghost` by part of the planned exchange — plan
+    /// fetch or rebuild, parent/boundary fill, sibling copy, messages. Host
+    /// time, so outside the serialized contract and every fingerprint.
+    #[serde(skip)]
+    pub ghost_wall: metrics::GhostWall,
     /// Host seconds of `wall.decision` by what the distributed scheme was
     /// doing — local balancing, deciding, migrating; they sum to
     /// `wall.decision` less the driver's span bookkeeping. Host time, so

@@ -62,12 +62,12 @@ pub struct Driver {
     proc_weights: Vec<f64>,
     /// Host wall-clock seconds per phase (reset when `run` starts measuring).
     wall: metrics::PhaseWall,
+    /// Host seconds of `wall.ghost` by part of the planned exchange.
+    ghost_wall: metrics::GhostWall,
     /// Most grids alive at any point of the run.
     peak_patches: usize,
-    /// Cells allocated as window-sized ghost-exchange buffers.
-    ghost_buffer_cells: u64,
     /// Cells the clone-based reference exchange would have copied for the
-    /// same fills — the allocation the buffered path avoids.
+    /// same fills — the allocation the planned path avoids.
     ghost_clone_cells_avoided: u64,
     /// Liveness edge detector for crash-stop proc faults.
     proc_health: ProcHealth,
@@ -137,8 +137,8 @@ impl Driver {
             faults_seen: StepFaults::default(),
             proc_weights: shares,
             wall: metrics::PhaseWall::default(),
+            ghost_wall: metrics::GhostWall::default(),
             peak_patches: 0,
-            ghost_buffer_cells: 0,
             ghost_clone_cells_avoided: 0,
             proc_health: ProcHealth::new(nprocs),
             crashed_at: Default::default(),
@@ -231,14 +231,8 @@ impl Driver {
         self.peak_patches.max(self.hier.num_patches())
     }
 
-    /// Cells allocated as window-sized ghost-exchange buffers so far
-    /// (zero on the reference data path, which clones instead).
-    pub fn ghost_buffer_cells(&self) -> u64 {
-        self.ghost_buffer_cells
-    }
-
     /// Cells the clone-based reference exchange would have copied for the
-    /// same fills — what the buffered path avoids allocating.
+    /// same fills — what the planned path avoids allocating.
     pub fn ghost_clone_cells_avoided(&self) -> u64 {
         self.ghost_clone_cells_avoided
     }
@@ -274,8 +268,8 @@ impl Driver {
             faults_seen: StepFaults::default(),
             proc_weights,
             wall: metrics::PhaseWall::default(),
+            ghost_wall: metrics::GhostWall::default(),
             peak_patches: 0,
-            ghost_buffer_cells: 0,
             ghost_clone_cells_avoided: 0,
             proc_health: ProcHealth::new(nprocs),
             crashed_at: Default::default(),
@@ -302,6 +296,7 @@ impl Driver {
         self.sim.reset();
         // wall timers restart with simulated time: both exclude setup
         self.wall = metrics::PhaseWall::default();
+        self.ghost_wall = metrics::GhostWall::default();
         let total_cells =
             |h: &GridHierarchy| (0..h.num_levels()).map(|l| h.level_cells(l)).sum::<i64>();
         let cells_at_start = total_cells(&self.hier);
@@ -704,6 +699,7 @@ impl Driver {
             final_patches: self.hier.num_patches(),
             peak_patches: self.peak_patches.max(self.hier.num_patches()),
             wall: self.wall,
+            ghost_wall: self.ghost_wall,
             dlb_wall: self.scheme.dlb_wall(),
             cell_updates: self.cell_updates,
             global_checks: decisions.len(),
@@ -871,7 +867,7 @@ impl Driver {
     /// sibling windows and the parent-filled `coarse_fill` boxes partition
     /// the ghost shell, so every ghost cell is written exactly once and
     /// nothing is staged. It is bit-identical to
-    /// [`Driver::exchange_ghosts_reference`], which writes the whole shell
+    /// `exchange_ghosts_reference`, which writes the whole shell
     /// three times (zero-gradient, parent, siblings) and keeps the last:
     /// the last writer of a cell is its sibling window if one covers it,
     /// else the parent (whose storage covers the whole shell of a properly
@@ -879,7 +875,10 @@ impl Driver {
     /// read comes from data the exchange never writes: sibling windows lie
     /// inside source *interiors* and parent fields live on the untouched
     /// coarser level.
-    fn exchange_ghosts(&mut self, level: usize) {
+    ///
+    /// Public so that tests and tools can run one exchange by itself; a run
+    /// calls it from `advance_level`.
+    pub fn exchange_ghosts(&mut self, level: usize) {
         if self.cfg.reference_datapath {
             let t0 = std::time::Instant::now();
             let _span = telemetry::span!(self.cfg.telemetry, "ghost_exchange", level);
@@ -895,8 +894,8 @@ impl Driver {
         let nf = self.hier.nfields();
         let r = self.hier.refine_factor();
         let topo = self.hier.exchange_topology(level);
-        let batch = self.ghost_messages(&topo);
         self.ghost_clone_cells_avoided += topo.clone_cells_avoided as u64 * nf as u64;
+        let t_plan = std::time::Instant::now();
 
         // phase 1: per destination, the ghost cells no sibling fills — by
         // prolongation straight from the parent's fields, or at level 0
@@ -930,64 +929,119 @@ impl Driver {
                 }
             }
         });
+        let t_coarse = std::time::Instant::now();
 
-        // phase 2: sibling windows, source→destination directly via a pair
-        // borrow. Sources are authoritative interiors, which no phase
-        // writes, so the values match the reference path's staged clones.
-        for (o, &(si, di)) in topo.overlaps.iter().zip(&topo.overlap_slots) {
-            let (si, di) = (si as usize, di as usize);
-            debug_assert_ne!(si, di, "self-overlap in sibling topology");
-            let (src, dst) = if si < di {
-                let (a, b) = work.split_at_mut(di);
-                (&a[si], &mut b[0])
-            } else {
-                let (a, b) = work.split_at_mut(si);
-                (&b[0], &mut a[di])
+        // phase 2: sibling windows, source→destination directly, one round
+        // of the plan at a time. The field sets of a round's blocks of
+        // destinations are taken out of `work` and written concurrently,
+        // one task per block; a source is either in the task's own block
+        // (a pair borrow inside it) or in no block of the round, so it
+        // stayed in `work` and is read through the shared borrow. Every
+        // ghost cell has one writer, and every read is of an interior,
+        // which no phase writes: neither the order of the rounds nor the
+        // order inside one can change a value, and the result is the
+        // reference path's staged clones'. A round of a single block is not
+        // worth waking the pool for and runs the same take / copy / put
+        // back on this thread.
+        let mut taken: Vec<(usize, Vec<Vec<Field3>>)> = Vec::new();
+        for round in &topo.rounds {
+            taken.extend(round.iter().map(|&b| {
+                let slots = topo.block_slots(b);
+                let fields = work[slots.clone()].iter_mut().map(std::mem::take).collect();
+                (slots.start, fields)
+            }));
+            let outside = &work;
+            let copy_block = |(first, block): &mut (usize, Vec<Vec<Field3>>)| {
+                for i in 0..block.len() {
+                    let d = *first + i;
+                    let run = topo.first_overlap[d] as usize..topo.first_overlap[d + 1] as usize;
+                    for (o, &(si, _)) in topo.overlaps[run.clone()]
+                        .iter()
+                        .zip(&topo.overlap_slots[run])
+                    {
+                        let si = si as usize;
+                        let (src, dst) = if si < *first || si >= *first + block.len() {
+                            (&outside[si], &mut block[i])
+                        } else if si < d {
+                            let (a, b) = block.split_at_mut(i);
+                            (&a[si - *first], &mut b[0])
+                        } else {
+                            let (a, b) = block.split_at_mut(si - *first);
+                            (&b[0], &mut a[i])
+                        };
+                        // a taken (empty) source would silently copy nothing
+                        assert_eq!(src.len(), dst.len(), "source taken by another block");
+                        for (sf, df) in src.iter().zip(dst.iter_mut()) {
+                            df.copy_from(sf, &o.window);
+                        }
+                    }
+                }
             };
-            for (sf, df) in src.iter().zip(dst.iter_mut()) {
-                df.copy_from(sf, &o.window);
+            if round.len() < 2 {
+                taken.iter_mut().for_each(copy_block);
+            } else {
+                for_each_task_parallel(&mut taken, |_, t| copy_block(t));
+            }
+            for (first, block) in taken.drain(..) {
+                for (i, fields) in block.into_iter().enumerate() {
+                    work[first + i] = fields;
+                }
             }
         }
         for (shell, fields) in topo.shells.iter().zip(work) {
             self.hier.patch_mut(shell.id).fields = fields;
         }
+        let t_sibling = std::time::Instant::now();
 
-        for ((src, dst), bytes) in batch {
+        for ((src, dst), bytes) in self.ghost_messages(&topo) {
             self.send_batch(src, dst, bytes);
         }
-        self.wall.ghost += t0.elapsed().as_secs_f64();
+        let t_end = std::time::Instant::now();
+        let secs = |a: std::time::Instant, b: std::time::Instant| (b - a).as_secs_f64();
+        self.ghost_wall.plan += secs(t0, t_plan);
+        self.ghost_wall.coarse_fill += secs(t_plan, t_coarse);
+        self.ghost_wall.sibling += secs(t_coarse, t_sibling);
+        self.ghost_wall.messages += secs(t_sibling, t_end);
+        self.wall.ghost += secs(t0, t_end);
     }
 
     /// Bytes each owner pair exchanges in one ghost fill of the level `topo`
-    /// plans: the whole shell from the parent's owner, every sibling window
-    /// from its source's owner — the reference path's entries and values.
-    /// Owners move without a structural change, so this is per exchange.
-    fn ghost_messages(
-        &self,
-        topo: &samr_mesh::LevelTopology,
-    ) -> std::collections::BTreeMap<(usize, usize), u64> {
+    /// plans, in `(src, dst)` order: the whole shell from the parent's
+    /// owner, every sibling window from its source's owner — the reference
+    /// path's entries, values and send order. Owners move without a
+    /// structural change, so this is per exchange.
+    fn ghost_messages(&self, topo: &samr_mesh::LevelTopology) -> Vec<((usize, usize), u64)> {
         let cell_bytes = 8 * self.hier.nfields() as u64;
         let owners: Vec<usize> = topo
             .shells
             .iter()
             .map(|s| self.hier.patch(s.id).owner)
             .collect();
-        let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
+        let mut batch: Vec<((usize, usize), u64)> = Vec::new();
         for (shell, &owner) in topo.shells.iter().zip(&owners) {
             if let Some(parent) = shell.parent {
                 let parent_owner = self.hier.patch(parent).owner;
                 if parent_owner != owner {
-                    *batch.entry((parent_owner, owner)).or_default() +=
-                        shell.shell_cells as u64 * cell_bytes;
+                    batch.push(((parent_owner, owner), shell.shell_cells as u64 * cell_bytes));
                 }
             }
         }
         for (o, &(si, di)) in topo.overlaps.iter().zip(&topo.overlap_slots) {
             let (src_owner, dst_owner) = (owners[si as usize], owners[di as usize]);
             if src_owner != dst_owner {
-                *batch.entry((src_owner, dst_owner)).or_default() += o.cells as u64 * cell_bytes;
+                batch.push(((src_owner, dst_owner), o.cells as u64 * cell_bytes));
             }
         }
+        // one entry per owner pair, ascending: what a `BTreeMap` keyed by
+        // the pair would iterate, without a tree lookup per window
+        batch.sort_unstable_by_key(|&(pair, _)| pair);
+        batch.dedup_by(|later, first| {
+            let same = later.0 == first.0;
+            if same {
+                first.1 += later.1;
+            }
+            same
+        });
         batch
     }
 
@@ -1218,20 +1272,16 @@ impl Driver {
         let nf = self.hier.nfields();
         let ghost = self.hier.ghost();
         let old = &self.old_data[level + 1];
-        let mut old_index = BoxIndex::new(
-            self.hier.domain_at_level(level + 1),
-            old.iter().map(|op| op.region),
-        );
+        let old_index = BoxIndex::new(old.iter().map(|op| op.region));
+        let mut hits = Vec::new();
         let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
         let mut sources: Vec<Vec<FillSource<'_>>> = Vec::with_capacity(regions.len());
         for (region, &owner) in regions.iter().zip(&owners) {
             let mut from_old = Vec::new();
-            for &oi in old_index.candidates(region) {
+            old_index.overlapping(region, &mut hits);
+            for &oi in &hits {
                 let op = &old[oi as usize];
                 let window = op.region.intersect(region);
-                if window.is_empty() {
-                    continue;
-                }
                 if op.owner != owner {
                     *batch.entry((op.owner, owner)).or_default() +=
                         (window.cells() as u64) * 8 * nf as u64;
@@ -1479,8 +1529,62 @@ mod tests {
     /// boundary and on grids whose parent lives on another owner.
     #[test]
     fn exchange_rewrites_every_poisoned_ghost_like_the_reference() {
+        poisoned_exchange_matches_reference(driver, &[0, 1], true);
+        // and where the sibling copy runs rounds of concurrent blocks
+        let many = many_small_patches();
+        let topo = many.hier.clone().exchange_topology(1);
+        assert!(
+            topo.rounds.iter().filter(|r| r.len() >= 2).count() >= 2,
+            "{} patches, rounds {:?}",
+            topo.shells.len(),
+            topo.rounds
+        );
+        // (its refined region sits inside the domain: no boundary case)
+        poisoned_exchange_matches_reference(many_small_patches, &[0], false);
+    }
+
+    /// The cached plan — bucket index, covered-shell shortcut, concurrent
+    /// block tasks — is element for element what the all-pairs oracle builds
+    /// from the definition, on every level of the presets' meshes.
+    #[test]
+    fn exchange_plan_is_the_all_pairs_oracles_on_the_presets() {
+        let amr64 = || {
+            let mut cfg = RunConfig::new(AppKind::Amr64, 16, 3, Scheme::distributed_default());
+            cfg.max_levels = 3;
+            let mut d = Driver::new(topology::presets::anl_lan_pair(2, 2, 11), cfg);
+            d.step_once();
+            d
+        };
+        for mut d in [driver(), amr64(), many_small_patches()] {
+            for level in 0..d.hier.num_levels() {
+                let oracle = samr_mesh::hierarchy::reference::exchange_topology(&d.hier, level);
+                let plan = d.hier.exchange_topology(level);
+                assert_eq!(plan.overlaps, oracle.overlaps, "level {level}");
+                assert_eq!(plan.overlap_slots, oracle.overlap_slots, "level {level}");
+                assert_eq!(plan.shells, oracle.shells, "level {level}");
+                assert_eq!(*plan, oracle, "level {level}");
+            }
+        }
+    }
+
+    /// A 2-level Amr64 run one step in on a 128-processor federation: both
+    /// levels hold several blocks of destinations.
+    fn many_small_patches() -> Driver {
+        let mut cfg = RunConfig::new(AppKind::Amr64, 32, 2, Scheme::distributed_default());
+        cfg.max_levels = 2;
+        cfg.max_box_cells = 512;
+        let mut d = Driver::new(topology::presets::federation(8, 16, 7), cfg);
+        d.step_once();
+        d
+    }
+
+    fn poisoned_exchange_matches_reference(
+        driver: fn() -> Driver,
+        regrid_levels: &[usize],
+        at_boundary: bool,
+    ) {
         let (mut plan, mut reference) = (driver(), driver());
-        for regridded in [0, 1] {
+        for &regridded in regrid_levels {
             let fresh = regridded + 1;
             for d in [&mut plan, &mut reference] {
                 d.regrid(regridded);
@@ -1497,14 +1601,17 @@ mod tests {
                     .owner
                     != p.owner
             });
-            assert!(boundary && remote_parent, "level {fresh} misses a case");
+            assert!(
+                boundary == at_boundary && remote_parent,
+                "level {fresh} misses a case"
+            );
             for level in 0..=fresh {
                 poison_ghosts(&mut plan, level);
                 poison_ghosts(&mut reference, level);
                 let topo = plan.hier.exchange_topology(level);
                 assert_eq!(
                     plan.ghost_messages(&topo),
-                    brute_force_messages(&reference, level),
+                    Vec::from_iter(brute_force_messages(&reference, level)),
                     "level {level}: charged bytes per owner pair"
                 );
                 plan.exchange_ghosts(level);

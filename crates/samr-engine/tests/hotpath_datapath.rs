@@ -1,7 +1,7 @@
 //! The direct ghost exchange must not stage any buffer at all: parent
 //! prolongation reads the coarser level in place and sibling windows are
-//! copied source→destination through a pair borrow, while the clone-based
-//! reference path still copies full patch payloads.
+//! copied source→destination with only the destination's fields taken out;
+//! the clone-based reference path still copies full patch payloads.
 
 use samr_engine::{AppKind, Driver, RunConfig, Scheme};
 use topology::presets;
@@ -19,10 +19,17 @@ fn ghost_exchange_stages_no_buffers_and_avoids_reference_clones() {
     for _ in 0..3 {
         d.step_once();
     }
+    // nothing is staged: an exchange by itself draws no buffer from the
+    // field pool (window slabs, were they to come back, would)
+    let before = d.hierarchy().pool().stats();
+    for level in 0..d.hierarchy().num_levels() {
+        d.exchange_ghosts(level);
+    }
+    let after = d.hierarchy().pool().stats();
     assert_eq!(
-        d.ghost_buffer_cells(),
-        0,
-        "direct exchange must not allocate staging buffers"
+        (after.hits, after.misses),
+        (before.hits, before.misses),
+        "direct exchange must not acquire staging buffers"
     );
     let avoided = d.ghost_clone_cells_avoided();
     assert!(
@@ -37,6 +44,5 @@ fn reference_datapath_allocates_no_exchange_buffers() {
     for _ in 0..3 {
         d.step_once();
     }
-    assert_eq!(d.ghost_buffer_cells(), 0);
     assert_eq!(d.ghost_clone_cells_avoided(), 0);
 }

@@ -10,15 +10,19 @@ use topology::presets;
 type Fingerprint = (u64, u64, u64, usize, usize, usize);
 
 fn run_with_threads(app: AppKind, threads: usize) -> Fingerprint {
+    fingerprint_with_threads(threads, || {
+        let mut cfg = RunConfig::new(app, 16, 3, Scheme::distributed_default());
+        cfg.max_levels = 3;
+        Driver::new(presets::anl_ncsa_wan(2, 2, 11), cfg)
+    })
+}
+
+fn fingerprint_with_threads(threads: usize, driver: impl FnOnce() -> Driver + Send) -> Fingerprint {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("thread pool");
-    let r = pool.install(|| {
-        let mut cfg = RunConfig::new(app, 16, 3, Scheme::distributed_default());
-        cfg.max_levels = 3;
-        Driver::new(presets::anl_ncsa_wan(2, 2, 11), cfg).run()
-    });
+    let r = pool.install(|| driver().run());
     (
         r.total_secs.to_bits(),
         r.cell_updates,
@@ -49,6 +53,39 @@ fn amr64_fingerprint_identical_under_1_2_8_threads() {
     for threads in [2, 8] {
         assert_eq!(
             run_with_threads(AppKind::Amr64, threads),
+            one,
+            "threads={threads}"
+        );
+    }
+}
+
+/// Many small patches on a federation: levels of several blocks of
+/// destinations, so the exchange plan is built by concurrent tasks and the
+/// sibling copy runs rounds of concurrent blocks — the paths the 4-processor
+/// presets above are too small to reach.
+fn many_small_patches() -> Driver {
+    let mut cfg = RunConfig::new(AppKind::Amr64, 32, 2, Scheme::distributed_default());
+    cfg.max_levels = 2;
+    cfg.max_box_cells = 512;
+    Driver::new(presets::federation(8, 16, 7), cfg)
+}
+
+#[test]
+fn many_small_patches_fingerprint_identical_under_1_2_8_threads() {
+    let d = many_small_patches();
+    for level in 0..2 {
+        let plan = samr_mesh::hierarchy::reference::exchange_topology(d.hierarchy(), level);
+        assert!(
+            plan.rounds.iter().filter(|r| r.len() >= 2).count() >= 2,
+            "level {level}: {} patches in rounds {:?} never run two blocks at once",
+            plan.shells.len(),
+            plan.rounds
+        );
+    }
+    let one = fingerprint_with_threads(1, many_small_patches);
+    for threads in [2, 8] {
+        assert_eq!(
+            fingerprint_with_threads(threads, many_small_patches),
             one,
             "threads={threads}"
         );

@@ -568,45 +568,47 @@ impl GridHierarchy {
     /// ghost shell of `dst` overlaps `src`'s interior, the overlap window and
     /// its cell count.
     pub fn sibling_overlaps(&self, level: usize) -> Vec<SiblingOverlap> {
-        self.sibling_overlaps_with_slots(level).0
+        let ids = self.level_ids(level);
+        let index = self.level_index(level);
+        let mut hits = Vec::new();
+        let mut out = Vec::new();
+        for di in 0..ids.len() {
+            self.dst_windows(ids, &index, di, &mut hits, |_, o| out.push(o));
+        }
+        out
     }
 
-    /// [`GridHierarchy::sibling_overlaps`] plus, per overlap, the
-    /// `(src, dst)` positions of the two patches in `level_ids(level)`.
-    fn sibling_overlaps_with_slots(&self, level: usize) -> (Vec<SiblingOverlap>, Vec<(u32, u32)>) {
-        let ids = self.level_ids(level);
-        let mut out = Vec::new();
-        let mut slots = Vec::new();
-        if ids.len() < 2 {
-            return (out, slots);
-        }
-        let mut index = BoxIndex::new(
-            self.domain_at_level(level),
-            ids.iter().map(|&id| self.patch(id).region),
-        );
-        for (di, &dst) in ids.iter().enumerate() {
-            let dp = self.patch(dst);
-            let shell = dp.region.grow(self.ghost);
-            // candidates come back in level_ids order, exactly as an
-            // all-pairs scan would emit them
-            for &si in index.candidates(&shell) {
-                if si as usize == di {
-                    continue;
-                }
-                let src = ids[si as usize];
-                let w = shell.intersect(&self.patch(src).region);
-                if !w.is_empty() && !dp.region.contains_region(&w) {
-                    out.push(SiblingOverlap {
-                        dst,
-                        src,
-                        window: w,
-                        cells: w.cells(),
-                    });
-                    slots.push((si, di as u32));
-                }
+    /// Bucket index over the regions of `level`'s patches, in level id order.
+    fn level_index(&self, level: usize) -> BoxIndex {
+        BoxIndex::new(self.level_ids(level).iter().map(|&id| self.patch(id).region))
+    }
+
+    /// Emit the sibling windows of the destination in slot `di`, each with
+    /// its source's slot, sources ascending — the order an all-pairs scan
+    /// over the level's id list finds them in. `hits` is scratch.
+    fn dst_windows(
+        &self,
+        ids: &[PatchId],
+        index: &BoxIndex,
+        di: usize,
+        hits: &mut Vec<u32>,
+        mut emit: impl FnMut(u32, SiblingOverlap),
+    ) {
+        let region = index.boxes[di];
+        let shell = region.grow(self.ghost);
+        index.overlapping(&shell, hits);
+        for &si in hits.iter().filter(|&&si| si as usize != di) {
+            let window = shell.intersect(&index.boxes[si as usize]);
+            if !region.contains_region(&window) {
+                let overlap = SiblingOverlap {
+                    dst: ids[di],
+                    src: ids[si as usize],
+                    window,
+                    cells: window.cells(),
+                };
+                emit(si, overlap);
             }
         }
-        (out, slots)
     }
 
     /// The cached ghost-exchange plan of `level`: sibling overlap windows
@@ -628,33 +630,109 @@ impl GridHierarchy {
                 return Arc::clone(topo);
             }
         }
-        let topo = Arc::new(self.build_topology(level));
+        // The plan being replaced hands its two big vectors to its
+        // successor when nobody else still holds it: a level that changes
+        // every step (a redistribution splits level 0 each time) would
+        // otherwise allocate, and first-touch, megabytes per step.
+        let retired = self.topo_cache[level]
+            .take()
+            .and_then(|(_, plan)| Arc::try_unwrap(plan).ok())
+            .unwrap_or_default();
+        // a block's share of a build is tens of microseconds: below a few
+        // hundred destinations the pool costs more to wake than it saves
+        let parallel = self.level_ids(level).len() >= LevelTopology::BLOCK * LevelTopology::BLOCK;
+        let topo = Arc::new(self.build_topology(level, parallel, retired));
         self.topo_cache[level] = Some((gen, Arc::clone(&topo)));
         topo
     }
 
-    /// Uncached plan construction.
-    fn build_topology(&self, level: usize) -> LevelTopology {
-        let (overlaps, overlap_slots) = self.sibling_overlaps_with_slots(level);
+    /// Plan construction, one task per block of destinations: a
+    /// destination's sources come from the bucket index (O(neighbours), not
+    /// O(level)), its parent-filled boxes from subtracting its windows from
+    /// the shell. The tasks share nothing but the read-only index and are
+    /// concatenated in level id order, so the plan does not depend on
+    /// `parallel`; nor on `retired`, of which only the capacity is used.
+    fn build_topology(
+        &self,
+        level: usize,
+        parallel: bool,
+        retired: LevelTopology,
+    ) -> LevelTopology {
+        #[derive(Default)]
+        struct BlockPlan {
+            overlaps: Vec<SiblingOverlap>,
+            slots: Vec<(u32, u32)>,
+            /// Per destination, where its windows start in `overlaps`.
+            first: Vec<u32>,
+            coarse_fill: Vec<Vec<Region>>,
+        }
         let ids = self.level_ids(level);
+        let index = self.level_index(level);
+        let plan_block = |b: usize, plan: &mut BlockPlan| {
+            let mut hits = Vec::new();
+            for di in LevelTopology::block_of(b, ids.len()) {
+                let first = plan.overlaps.len();
+                plan.first.push(first as u32);
+                self.dst_windows(ids, &index, di, &mut hits, |si, o| {
+                    plan.overlaps.push(o);
+                    plan.slots.push((si, di as u32));
+                });
+                // Siblings are pairwise disjoint (`check_invariants`), so
+                // the windows are disjoint pieces of the shell: when their
+                // cells add up to the shell's they cover it and nothing is
+                // left to fill.
+                let region = index.boxes[di];
+                let storage = region.grow(self.ghost);
+                let windows = &plan.overlaps[first..];
+                let covered: i64 = windows.iter().map(|o| o.cells).sum();
+                let uncovered = || {
+                    let holes = std::iter::once(&region).chain(windows.iter().map(|o| &o.window));
+                    storage.subtract_all(holes)
+                };
+                plan.coarse_fill.push(if covered == storage.cells() - region.cells() {
+                    debug_assert!(uncovered().is_empty(), "{:?} shell not covered", ids[di]);
+                    Vec::new()
+                } else {
+                    uncovered()
+                });
+            }
+        };
+        let mut plans: Vec<BlockPlan> = Vec::new();
+        plans.resize_with(ids.len().div_ceil(LevelTopology::BLOCK), BlockPlan::default);
+        if parallel {
+            crate::par::for_each_task_parallel(&mut plans, plan_block);
+        } else {
+            plans
+                .iter_mut()
+                .enumerate()
+                .for_each(|(b, plan)| plan_block(b, plan));
+        }
+
+        let total: usize = plans.iter().map(|p| p.overlaps.len()).sum();
+        let (mut overlaps, mut overlap_slots) = (retired.overlaps, retired.overlap_slots);
+        overlaps.clear();
+        overlap_slots.clear();
+        overlaps.reserve(total);
+        overlap_slots.reserve(total);
+        let mut first_overlap = Vec::with_capacity(ids.len() + 1);
+        let mut fills = Vec::with_capacity(ids.len());
+        for plan in plans {
+            first_overlap.extend(plan.first.iter().map(|&f| f + overlaps.len() as u32));
+            overlaps.extend_from_slice(&plan.overlaps);
+            overlap_slots.extend_from_slice(&plan.slots);
+            fills.extend(plan.coarse_fill);
+        }
+        first_overlap.push(overlaps.len() as u32);
+
         let mut is_source = vec![false; ids.len()];
         for &(si, _) in &overlap_slots {
             is_source[si as usize] = true;
         }
         let mut clone_cells_avoided = 0i64;
         let mut shells = Vec::with_capacity(ids.len());
-        // overlaps are destination-major, so each patch's windows are one
-        // contiguous run of the list
-        let mut next = 0;
-        for (i, &id) in ids.iter().enumerate() {
+        for ((&id, coarse_fill), &source) in ids.iter().zip(fills).zip(&is_source) {
             let p = self.patch(id);
             let storage = p.region.grow(self.ghost);
-            let first = next;
-            while next < overlaps.len() && overlaps[next].dst == id {
-                next += 1;
-            }
-            let windows = overlaps[first..next].iter().map(|o| &o.window);
-            let coarse_fill = storage.subtract_all(std::iter::once(&p.region).chain(windows));
             if let Some(parent) = p.parent {
                 let parent_storage = self.patch(parent).region.grow(self.ghost);
                 debug_assert!(
@@ -663,7 +741,7 @@ impl GridHierarchy {
                 );
                 clone_cells_avoided += parent_storage.cells();
             }
-            if is_source[i] {
+            if source {
                 clone_cells_avoided += storage.cells();
             }
             shells.push(PatchShell {
@@ -673,9 +751,12 @@ impl GridHierarchy {
                 coarse_fill,
             });
         }
+        let rounds = colour_rounds(&first_overlap, &overlap_slots);
         LevelTopology {
             overlaps,
             overlap_slots,
+            first_overlap,
+            rounds,
             shells,
             clone_cells_avoided,
         }
@@ -798,6 +879,18 @@ pub struct LevelTopology {
     /// Per overlap, the `(src, dst)` positions of its patches in level id
     /// order — the slots of `shells`.
     pub overlap_slots: Vec<(u32, u32)>,
+    /// `overlaps[first_overlap[d]..first_overlap[d + 1]]` are the windows
+    /// of the destination in slot `d` (one entry more than `shells`).
+    pub first_overlap: Vec<u32>,
+    /// The blocks of [`LevelTopology::BLOCK`] consecutive destinations
+    /// (by number, see [`LevelTopology::block_slots`]) that have windows,
+    /// partitioned so that no destination of a block has a source in
+    /// another block of its round: the field sets of a round's blocks can
+    /// be taken out and written concurrently, one task per block, while
+    /// every source outside the task's own block stays in place to be read.
+    /// Each round lists blocks in ascending order; a block joins the
+    /// lowest-numbered round it fits (greedy, in level id order).
+    pub rounds: Vec<Vec<u32>>,
     /// Per-patch fill plan, in level id order.
     pub shells: Vec<PatchShell>,
     /// Cells per field a clone-based exchange would copy for the same
@@ -815,45 +908,137 @@ pub struct FillSource<'a> {
     pub window: Region,
 }
 
-/// Uniform bucket grid over a set of boxes inside `dom`: each box registers
-/// in every 32-cell bucket it touches, and a query visits the buckets it
+/// Greedy round assignment of [`LevelTopology::rounds`]: blocks in slot
+/// order, each into the lowest-numbered round holding no block with a
+/// source of one of its destinations. Sibling adjacency is symmetric —
+/// `a.grow(g)` meets `b` exactly when `b.grow(g)` meets `a` — so such a
+/// round holds no destination that reads from this block either.
+fn colour_rounds(first_overlap: &[u32], overlap_slots: &[(u32, u32)]) -> Vec<Vec<u32>> {
+    const NONE: u32 = u32::MAX;
+    let n = first_overlap.len().saturating_sub(1);
+    let blocks = n.div_ceil(LevelTopology::BLOCK);
+    let mut round_of = vec![NONE; blocks];
+    let mut rounds: Vec<Vec<u32>> = Vec::new();
+    // holds_source[r] == b: round r holds a block that block b reads from
+    let mut holds_source: Vec<u32> = Vec::new();
+    for b in 0..blocks {
+        let slots = LevelTopology::block_of(b, n);
+        let windows =
+            &overlap_slots[first_overlap[slots.start] as usize..first_overlap[slots.end] as usize];
+        if windows.is_empty() {
+            continue;
+        }
+        for &(si, _) in windows {
+            let sb = si as usize / LevelTopology::BLOCK;
+            if sb != b && round_of[sb] != NONE {
+                holds_source[round_of[sb] as usize] = b as u32;
+            }
+        }
+        let r = holds_source
+            .iter()
+            .position(|&t| t != b as u32)
+            .unwrap_or(rounds.len());
+        if r == rounds.len() {
+            rounds.push(Vec::new());
+            holds_source.push(NONE);
+        }
+        rounds[r].push(b as u32);
+        round_of[b] = r as u32;
+    }
+    rounds
+}
+
+impl LevelTopology {
+    /// Destinations per block: the unit of work of the plan build and of
+    /// [`LevelTopology::rounds`]. Waking the worker pool costs microseconds
+    /// whatever the work is, so the units must be worth that — a round that
+    /// is a single block, and the build of a level below `BLOCK²`
+    /// destinations, run on the calling thread — and consecutive
+    /// destinations are mostly neighbours, so a block visits sources its
+    /// previous destination just pulled into cache. One constant,
+    /// deliberately not a configuration field.
+    pub const BLOCK: usize = 16;
+
+    /// The slots of `shells` block `b` covers.
+    pub fn block_slots(&self, b: u32) -> std::ops::Range<usize> {
+        Self::block_of(b as usize, self.shells.len())
+    }
+
+    fn block_of(b: usize, n: usize) -> std::ops::Range<usize> {
+        b * Self::BLOCK..n.min((b + 1) * Self::BLOCK)
+    }
+}
+
+/// Uniform bucket grid over the bounding box of a set of boxes: each box
+/// registers in every bucket it touches, and a query visits the buckets it
 /// touches. Two overlapping boxes share the bucket of a cell of the overlap
-/// (out-of-domain query coordinates clamp to the boundary buckets), so the
-/// candidates are a superset of the true overlaps and the caller's exact
-/// intersection test decides.
+/// (query coordinates outside the bounding box clamp to the boundary
+/// buckets), so the buckets a query reads hold every box it overlaps, and
+/// an exact test on each entry keeps just those.
+///
+/// The bucket edge follows the boxes: the smallest power of two that is at
+/// least their mean longest edge, between 4 and 32 cells. A box then
+/// registers in a handful of buckets and a box-sized query reads a handful,
+/// whatever the level holds — with a fixed 32-cell edge a level of 8-cell
+/// boxes put 64 of them in every bucket a query read. The grid spans the
+/// boxes, not the level's domain: a few clustered fine boxes get a few
+/// buckets, not the 32³ an 8-cell edge makes of a 256³ domain.
 pub struct BoxIndex {
-    dom: Region,
+    /// Bounding box of `boxes`.
+    hull: Region,
+    boxes: Vec<Region>,
+    /// log2 of the bucket edge.
+    shift: u32,
     n: [usize; 3],
-    buckets: Vec<Vec<u32>>,
-    /// Last query that saw each box: dedups boxes registered in several
-    /// buckets.
-    seen: Vec<u32>,
-    query: u32,
-    hits: Vec<u32>,
+    /// `items[starts[k]..starts[k + 1]]` are the boxes registered in bucket
+    /// `k`, ascending.
+    starts: Vec<u32>,
+    items: Vec<u32>,
 }
 
 impl BoxIndex {
-    const SHIFT: i64 = 5; // 32-cell buckets ~ the largest movable boxes
-
-    /// Index `boxes` (all inside `dom`); a box is known by its position in
-    /// the iteration order.
-    pub fn new(dom: Region, boxes: impl IntoIterator<Item = Region>) -> Self {
-        let n = [0, 1, 2].map(|k| ((dom.hi[k] - dom.lo[k] - 1) >> Self::SHIFT) as usize + 1);
+    /// Index `boxes`; a box is known by its position in the iteration
+    /// order.
+    pub fn new(boxes: impl IntoIterator<Item = Region>) -> Self {
+        let boxes: Vec<Region> = boxes.into_iter().collect();
+        let hull = boxes.iter().fold(Region::EMPTY, |h, b| h.hull(b));
+        let longest: i64 = boxes.iter().map(|b| b.size()[b.size().longest_axis()]).sum();
+        let mean = (longest.max(1) as u64).div_ceil(boxes.len().max(1) as u64);
+        let shift = mean.next_power_of_two().clamp(4, 32).trailing_zeros();
+        let n = [0, 1, 2].map(|k| (((hull.hi[k] - hull.lo[k] - 1) >> shift) + 1).max(1) as usize);
         let mut index = BoxIndex {
-            dom,
+            hull,
+            boxes: Vec::new(),
+            shift,
             n,
-            buckets: vec![Vec::new(); n[0] * n[1] * n[2]],
-            seen: Vec::new(),
-            query: 0,
-            hits: Vec::new(),
+            starts: vec![0; n[0] * n[1] * n[2] + 1],
+            items: Vec::new(),
         };
-        for (i, b) in boxes.into_iter().enumerate() {
-            for k in index.bucket_ids(&b) {
-                index.buckets[k].push(i as u32);
+        // counting sort by bucket: sizes, then offsets, then the entries in
+        // box order, which leaves every bucket ascending
+        for b in &boxes {
+            for k in index.bucket_ids(b) {
+                index.starts[k + 1] += 1;
             }
-            index.seen.push(0);
         }
+        for k in 1..index.starts.len() {
+            index.starts[k] += index.starts[k - 1];
+        }
+        let mut next = index.starts.clone();
+        index.items = vec![0; next[next.len() - 1] as usize];
+        for (i, b) in boxes.iter().enumerate() {
+            for k in index.bucket_ids(b) {
+                index.items[next[k] as usize] = i as u32;
+                next[k] += 1;
+            }
+        }
+        index.boxes = boxes;
         index
+    }
+
+    /// Cells along one bucket edge.
+    pub fn bucket_edge(&self) -> i64 {
+        1 << self.shift
     }
 
     /// Linear ids of the buckets `b` touches.
@@ -861,8 +1046,8 @@ impl BoxIndex {
         let (ny, nz) = (self.n[1], self.n[2]);
         let [rx, ry, rz] = [0, 1, 2].map(|k| {
             let top = self.n[k] as i64 - 1;
-            let lo = ((b.lo[k] - self.dom.lo[k]) >> Self::SHIFT).clamp(0, top);
-            let hi = ((b.hi[k] - 1 - self.dom.lo[k]) >> Self::SHIFT).clamp(0, top);
+            let lo = ((b.lo[k] - self.hull.lo[k]) >> self.shift).clamp(0, top);
+            let hi = ((b.hi[k] - 1 - self.hull.lo[k]) >> self.shift).clamp(0, top);
             lo as usize..=hi as usize
         });
         rx.flat_map(move |x| {
@@ -872,20 +1057,73 @@ impl BoxIndex {
         })
     }
 
-    /// Positions, ascending, of the boxes that may overlap `q`.
-    pub fn candidates(&mut self, q: &Region) -> &[u32] {
-        self.query += 1;
-        self.hits.clear();
+    /// Fill `hits` with the positions, ascending, of the boxes that share a
+    /// cell with `q`. The index itself is not written, so concurrent
+    /// queries (each with its own `hits`) can share it.
+    pub fn overlapping(&self, q: &Region, hits: &mut Vec<u32>) {
+        hits.clear();
         for k in self.bucket_ids(q) {
-            for &i in &self.buckets[k] {
-                if self.seen[i as usize] != self.query {
-                    self.seen[i as usize] = self.query;
-                    self.hits.push(i);
+            let bucket = &self.items[self.starts[k] as usize..self.starts[k + 1] as usize];
+            hits.extend(
+                bucket
+                    .iter()
+                    .filter(|&&i| self.boxes[i as usize].overlaps(q)),
+            );
+        }
+        // a box that shares several of the buckets was found in each
+        hits.sort_unstable();
+        hits.dedup();
+    }
+}
+
+/// All-pairs construction of the exchange plan, straight from its
+/// definition: every ordered pair of the level's patches is intersected,
+/// and every shell has its windows subtracted. Quadratic in the level and
+/// serial; retained (and exported, so cross-crate tests can reach it) purely
+/// as the oracle [`GridHierarchy::exchange_topology`] is compared against.
+pub mod reference {
+    use super::*;
+
+    /// Reference for [`GridHierarchy::exchange_topology`].
+    pub fn exchange_topology(h: &GridHierarchy, level: usize) -> LevelTopology {
+        let ids = h.level_ids(level);
+        let mut topo = LevelTopology::default();
+        let mut is_source = vec![false; ids.len()];
+        for (di, &dst) in ids.iter().enumerate() {
+            let dp = h.patch(dst);
+            let storage = dp.region.grow(h.ghost);
+            topo.first_overlap.push(topo.overlaps.len() as u32);
+            let first = topo.overlaps.len();
+            for (si, &src) in ids.iter().enumerate() {
+                let w = storage.intersect(&h.patch(src).region);
+                if si != di && !w.is_empty() && !dp.region.contains_region(&w) {
+                    topo.overlaps.push(SiblingOverlap {
+                        dst,
+                        src,
+                        window: w,
+                        cells: w.cells(),
+                    });
+                    topo.overlap_slots.push((si as u32, di as u32));
+                    is_source[si] = true;
                 }
             }
+            let windows = topo.overlaps[first..].iter().map(|o| &o.window);
+            topo.shells.push(PatchShell {
+                id: dst,
+                parent: dp.parent,
+                shell_cells: storage.cells() - dp.region.cells(),
+                coarse_fill: storage.subtract_all(std::iter::once(&dp.region).chain(windows)),
+            });
+            if let Some(parent) = dp.parent {
+                topo.clone_cells_avoided += h.patch(parent).region.grow(h.ghost).cells();
+            }
         }
-        self.hits.sort_unstable();
-        &self.hits
+        topo.first_overlap.push(topo.overlaps.len() as u32);
+        for (&id, _) in ids.iter().zip(&is_source).filter(|(_, &s)| s) {
+            topo.clone_cells_avoided += h.patch(id).region.grow(h.ghost).cells();
+        }
+        topo.rounds = colour_rounds(&topo.first_overlap, &topo.overlap_slots);
+        topo
     }
 }
 
@@ -1005,53 +1243,77 @@ mod tests {
         assert!(h.sibling_overlaps(1).is_empty());
     }
 
-    /// The bucket-indexed `sibling_overlaps` must reproduce the all-pairs
-    /// scan exactly — same overlaps, same (dst, src) emission order — on a
-    /// randomized disjoint tiling with patches straddling bucket borders.
-    #[test]
-    fn bucketed_overlaps_match_all_pairs_scan() {
-        let mut h = GridHierarchy::new(Region::cube(48), 2, 2, 1, 1);
-        let root = h.insert_patch(0, Region::cube(48), None, 0);
-        // tile level 1 (96^3) into uneven disjoint boxes, dropping some so
-        // the mesh has holes; splits at 31/33/65 straddle 32-cell buckets
-        let cuts = [0i64, 31, 33, 65, 96];
-        let mut rng = 0x9e37u64;
-        for ix in 0..4 {
-            for iy in 0..4 {
-                for iz in 0..4 {
-                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    if rng >> 60 == 0 {
-                        continue;
-                    }
-                    h.insert_patch(
-                        1,
-                        region(
-                            ivec3(cuts[ix], cuts[iy], cuts[iz]),
-                            ivec3(cuts[ix + 1], cuts[iy + 1], cuts[iz + 1]),
-                        ),
-                        Some(root),
-                        0,
-                    );
-                }
-            }
+    /// A 2-level hierarchy over `[0, n)^3` whose level 1 is `boxes`.
+    fn level1_of(n: i64, ghost: i64, boxes: impl IntoIterator<Item = Region>) -> GridHierarchy {
+        assert_eq!(n % 2, 0);
+        let mut h = GridHierarchy::new(Region::cube(n / 2), 2, 2, 1, ghost);
+        let root = h.insert_patch(0, Region::cube(n / 2), None, 0);
+        for reg in boxes {
+            h.insert_patch(1, reg, Some(root), 0);
         }
         assert!(h.check_invariants().is_ok());
-        let ids = h.level_ids(1).to_vec();
-        let mut brute = Vec::new();
-        for &dst in &ids {
-            let shell = h.patch(dst).region.grow(h.ghost());
-            for &src in &ids {
-                if src == dst {
-                    continue;
-                }
-                let w = shell.intersect(&h.patch(src).region);
-                if !w.is_empty() && !h.patch(dst).region.contains_region(&w) {
-                    brute.push(SiblingOverlap { dst, src, window: w, cells: w.cells() });
-                }
-            }
+        h
+    }
+
+    /// The bucket-indexed `sibling_overlaps` must reproduce the all-pairs
+    /// scan exactly — same overlaps, same (dst, src) emission order — on
+    /// randomized disjoint tilings with holes, for box sizes that select
+    /// every bucket edge (cuts straddling the bucket borders each time) and
+    /// with one box that spans many buckets of a fine grid.
+    #[test]
+    fn bucketed_overlaps_match_all_pairs_scan() {
+        let mixes: [(&[i64], i64); 5] = [
+            (&[0, 31, 33, 65, 96], 32),
+            (&[0, 15, 17, 32, 47, 49, 64], 16),
+            (&[0, 7, 9, 16, 23, 25, 32, 40], 8),
+            (&[0, 3, 5, 8, 11, 13, 16, 20, 24], 4),
+            // unit boxes: the edge stops at 4
+            (&[0, 1, 2, 3, 4, 5, 6], 4),
+        ];
+        for (cuts, edge) in mixes {
+            let n = *cuts.last().unwrap();
+            let h = level1_of(n, 1, holey_tiling(cuts, 0x9e37, 16));
+            let index = h.level_index(1);
+            assert_eq!(index.bucket_edge(), edge, "cuts {cuts:?}");
+            let brute = reference::exchange_topology(&h, 1).overlaps;
+            assert!(brute.len() > 100, "tiling {cuts:?} too sparse to exercise the index");
+            assert_eq!(h.sibling_overlaps(1), brute, "cuts {cuts:?}");
         }
-        assert!(brute.len() > 100, "tiling too sparse to exercise the index");
+        // 3-cell boxes beside a 3 x 3 x 64 beam that lies across 16 of their
+        // buckets: every box along it must find it, and it all of them
+        let cuts: Vec<i64> = (0..=10).map(|i| 3 * i).collect();
+        let mut boxes = holey_tiling(&cuts, 0x51ed, 16);
+        boxes.push(region(ivec3(30, 12, 0), ivec3(33, 15, 64)));
+        let h = level1_of(64, 2, boxes);
+        assert_eq!(h.level_index(1).bucket_edge(), 4);
+        let brute = reference::exchange_topology(&h, 1).overlaps;
+        let beam = *h.level_ids(1).last().unwrap();
+        assert!(brute.iter().filter(|o| o.dst == beam).count() >= 8);
         assert_eq!(h.sibling_overlaps(1), brute);
+    }
+
+    /// The grid spans the boxes only: queries beside, across and far from
+    /// them — and an index of nothing — still answer exactly.
+    #[test]
+    fn box_index_answers_queries_outside_its_hull() {
+        let boxes = [
+            region(ivec3(40, 40, 40), ivec3(48, 44, 44)),
+            region(ivec3(48, 40, 40), ivec3(52, 50, 44)),
+        ];
+        let index = BoxIndex::new(boxes);
+        let mut hits = vec![7];
+        for (q, want) in [
+            (region(ivec3(0, 0, 0), ivec3(8, 8, 8)), vec![]),
+            (region(ivec3(60, 40, 40), ivec3(70, 44, 44)), vec![]),
+            (region(ivec3(0, 0, 0), ivec3(41, 41, 41)), vec![0]),
+            (region(ivec3(51, 49, 43), ivec3(90, 90, 90)), vec![1]),
+            (Region::cube(100), vec![0, 1]),
+        ] {
+            index.overlapping(&q, &mut hits);
+            assert_eq!(hits, want, "query {q:?}");
+        }
+        BoxIndex::new([]).overlapping(&Region::cube(4), &mut hits);
+        assert!(hits.is_empty());
     }
 
     /// Uneven disjoint tiling of `[0, cuts.last())^3` with roughly one box
@@ -1283,6 +1545,87 @@ mod tests {
             parent_filled += s.coarse_fill.len();
         }
         assert!(parent_filled > 0 && topo.overlaps.len() > 100);
+        assert_eq!(*topo, reference::exchange_topology(&h, 1));
+
+        assert_eq!(check_rounds(&topo), Ok(()));
+        assert!(topo.rounds.len() > 1 && topo.rounds.iter().any(|r| r.len() > 1));
+        // a block sits in a later round only because an earlier one holds a
+        // source of its destinations: merging the first two must break
+        let mut merged = (*topo).clone();
+        let second = merged.rounds.remove(1);
+        merged.rounds[0].extend(second);
+        merged.rounds[0].sort_unstable();
+        assert!(check_rounds(&merged).unwrap_err().contains("reads from block"));
+    }
+
+    /// What the driver's concurrent sibling copy relies on: the rounds hold
+    /// each block that has windows exactly once, ascending, and no
+    /// destination has a source in another block of its own round.
+    fn check_rounds(topo: &LevelTopology) -> Result<(), String> {
+        let blocks = topo.shells.len().div_ceil(LevelTopology::BLOCK);
+        let mut round_of = vec![None; blocks];
+        for (r, round) in topo.rounds.iter().enumerate() {
+            if round.is_empty() || !round.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("round {r} is empty or not ascending: {round:?}"));
+            }
+            for &b in round {
+                if round_of[b as usize].replace(r).is_some() {
+                    return Err(format!("block {b} is in two rounds"));
+                }
+            }
+        }
+        for b in 0..blocks {
+            let slots = topo.block_slots(b as u32);
+            let windows = topo.first_overlap[slots.start]..topo.first_overlap[slots.end];
+            if windows.is_empty() != round_of[b].is_none() {
+                let round = round_of[b];
+                return Err(format!("block {b}: {} windows, round {round:?}", windows.len()));
+            }
+        }
+        for &(si, di) in &topo.overlap_slots {
+            let (sb, db) = (si as usize / LevelTopology::BLOCK, di as usize / LevelTopology::BLOCK);
+            if sb != db && round_of[sb] == round_of[db] {
+                return Err(format!("slot {di} reads from block {sb} of its own round"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// On random holey tilings the planned build — parallel or serial,
+        /// with its covered-shell shortcut — is the all-pairs oracle's plan,
+        /// which subtracts every shell's windows; and its rounds are safe.
+        #[test]
+        fn plan_build_matches_the_all_pairs_oracle(
+            steps in proptest::collection::vec(1i64..12, 2..7),
+            seed in proptest::prelude::any::<u64>(),
+            drop_one_in in 2u64..40,
+            ghost in 1i64..4,
+        ) {
+            let mut cuts = vec![0i64];
+            for s in &steps {
+                cuts.push(cuts.last().unwrap() + s);
+            }
+            if cuts.last().unwrap() % 2 == 1 {
+                *cuts.last_mut().unwrap() += 1;
+            }
+            let n = *cuts.last().unwrap();
+            let h = level1_of(n, ghost, holey_tiling(&cuts, seed, drop_one_in));
+            let oracle = reference::exchange_topology(&h, 1);
+            // every shell the shortcut skips is one the oracle found empty
+            for s in &oracle.shells {
+                let windows = oracle.overlaps.iter().filter(|o| o.dst == s.id);
+                let covered: i64 = windows.map(|o| o.cells).sum();
+                proptest::prop_assert_eq!(covered == s.shell_cells, s.coarse_fill.is_empty());
+            }
+            for parallel in [true, false] {
+                let plan = h.build_topology(1, parallel, LevelTopology::default());
+                proptest::prop_assert_eq!(&plan, &oracle);
+                proptest::prop_assert_eq!(check_rounds(&plan), Ok(()));
+            }
+        }
     }
 
     #[test]
@@ -1437,7 +1780,7 @@ mod tests {
         assert_eq!(pool.stats(), stats_mid, "undoing acquires nothing");
         for l in 0..3 {
             let plan = h.exchange_topology(l);
-            assert_eq!(*plan, h.build_topology(l), "level {l}");
+            assert_eq!(*plan, reference::exchange_topology(&h, l), "level {l}");
             assert_eq!(*plan, *plans[l], "level {l}");
         }
         // the next patch gets the id it would have got without the detour

@@ -182,14 +182,20 @@ impl Region {
     /// Subtract `other`, returning up to 6 disjoint boxes that exactly cover
     /// `self \ other`.
     pub fn subtract(&self, other: &Region) -> Vec<Region> {
+        let mut out = Vec::with_capacity(6);
+        self.subtract_into(other, &mut out);
+        out
+    }
+
+    /// [`Region::subtract`], appending the boxes to `out`.
+    fn subtract_into(&self, other: &Region, out: &mut Vec<Region>) {
         let inter = self.intersect(other);
         if inter.is_empty() {
-            return if self.is_empty() { vec![] } else { vec![*self] };
+            if !self.is_empty() {
+                out.push(*self);
+            }
+            return;
         }
-        if inter == *self {
-            return vec![];
-        }
-        let mut out = Vec::with_capacity(6);
         let mut rem = *self;
         // Peel slabs on each axis around the intersection.
         for axis in 0..3 {
@@ -205,18 +211,22 @@ impl Region {
             }
         }
         debug_assert_eq!(rem, inter);
-        out
     }
 
     /// Subtract every box of `others`, returning disjoint boxes that exactly
     /// cover `self \ ⋃ others` — the cells of `self` no other box writes.
     pub fn subtract_all<'a>(&self, others: impl IntoIterator<Item = &'a Region>) -> Vec<Region> {
         let mut rem = if self.is_empty() { vec![] } else { vec![*self] };
+        let mut next = Vec::new();
         for o in others {
             if rem.is_empty() {
                 break;
             }
-            rem = rem.iter().flat_map(|b| b.subtract(o)).collect();
+            next.clear();
+            for b in &rem {
+                b.subtract_into(o, &mut next);
+            }
+            std::mem::swap(&mut rem, &mut next);
         }
         rem
     }

@@ -4,6 +4,7 @@
 
 use rayon::prelude::*;
 use samr_mesh::field::Field3;
+pub use samr_mesh::par::for_each_task_parallel;
 use samr_mesh::pool::{FieldPool, PoolHandle};
 
 /// Apply `kernel` to every field set concurrently.
@@ -12,22 +13,6 @@ where
     K: Fn(&mut Vec<Field3>) + Sync,
 {
     fieldsets.par_iter_mut().for_each(|fs| kernel(fs));
-}
-
-/// Apply `kernel` to every item concurrently, passing each item's index so
-/// the kernel can look up per-item task data (ghost-fill plans, restriction
-/// groups) from a shared slice. Items must be independent — writes go only
-/// through `&mut T` — which makes parallel execution bit-identical to
-/// sequential.
-pub fn for_each_task_parallel<T, K>(items: &mut [T], kernel: K)
-where
-    T: Send,
-    K: Fn(usize, &mut T) + Sync,
-{
-    items
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(i, t)| kernel(i, t));
 }
 
 /// Like [`for_each_task_parallel`], but hands each kernel invocation a

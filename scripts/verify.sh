@@ -26,8 +26,10 @@ cargo test -q -p bench --test harness forecast_ablation_adaptive_regrets_no_more
 # throughput did not regress >30% against the committed quick-scale
 # baseline, and that no single phase (regrid, ghost, restrict, solve) got
 # slower than its own baseline — a phase that slows inside a faster total
-# is a regression too. Quick-scale phases last milliseconds, so the binary
-# reports the best of five repeats per phase. Those spread ±10% from run to
+# is a regression too; the ghost phase must also be the sum of its four
+# parts (within 5 %), and its exchange-plan build obeys the phase rule.
+# Quick-scale phases last milliseconds, so the binary reports the best of
+# five repeats per phase. Those spread ±10% from run to
 # run on a steady host, and up to 1.95x (solve) on the 2-vCPU box the
 # baseline was taken on, whose second core disappears for minutes at a
 # time; so a phase fails beyond 2x its baseline plus 1 ms. Re-baseline (on
@@ -45,7 +47,7 @@ if sorted(names) != ["amr64", "shockpool3d"]:
     sys.exit(f"hotpath: unexpected presets {names}")
 for p in cur["presets"]:
     for key in ("cell_updates", "peak_patches", "cell_updates_per_sec",
-                "wall_secs", "phases", "bit_identical",
+                "wall_secs", "phases", "ghost_phases", "bit_identical",
                 "pool_hits", "pool_misses", "pool_bytes_recycled",
                 "steady_state_field_allocs", "speedup_vs_reference",
                 "pool_detail"):
@@ -92,6 +94,23 @@ for p in cur["presets"]:
                 f"(total throughput {p['cell_updates_per_sec']:.3e} vs "
                 f"{b['cell_updates_per_sec']:.3e})"
             )
+    # the ghost phase is accounted for by its four parts (plan fetch or
+    # rebuild, parent/boundary fill, sibling copy, messages), and the plan
+    # build obeys the same rule as the phases
+    ghost, parts = p["phases"]["ghost"], p["ghost_phases"]
+    if sorted(parts) != ["coarse_fill", "messages", "plan", "sibling"]:
+        sys.exit(f"hotpath: {p['name']} ghost_phases has keys {sorted(parts)}")
+    if abs(ghost - sum(parts.values())) > 0.05 * ghost:
+        sys.exit(
+            f"hotpath: {p['name']} ghost phase {ghost * 1e3:.2f} ms but its "
+            f"parts sum to {sum(parts.values()) * 1e3:.2f} ms"
+        )
+    if parts["plan"] > 2.0 * b["ghost_phases"]["plan"] + 0.001:
+        sys.exit(
+            f"hotpath: {p['name']} exchange-plan build {parts['plan'] * 1e3:.2f} ms "
+            f"is slower than 2x its committed baseline "
+            f"{b['ghost_phases']['plan'] * 1e3:.2f} ms + 1 ms"
+        )
 print("hotpath smoke: ok")
 EOF
 
@@ -274,7 +293,8 @@ EOF
 # claims: hierarchical decision bookkeeping must stay O(G) while the flat
 # reference touches all O(G²) pairs, small G must be flat-equivalent, the
 # decision wall must be accounted for by its three parts (local balancing,
-# deciding, migrating: within 5 %), and the hierarchical *deciding* wall —
+# deciding, migrating: within 5 %) and the ghost wall by its four (plan,
+# parent fill, sibling copy, messages), and the hierarchical *deciding* wall —
 # upsweep, probes, gate; not the migrations the tree accepts and the flat
 # path never makes — must stay sublinear in group count.
 cargo run --release -p bench --bin scale -- --quick --out results/BENCH_scale_quick.json
@@ -286,7 +306,10 @@ rows = s["sweep"]
 for r in rows:
     for key in ("groups", "procs", "mode", "decision_secs_per_step",
                 "local_dlb_secs_per_step", "decide_secs_per_step",
-                "migrate_secs_per_step", "msgs_per_decision", "estimator_pairs", "final_imbalance",
+                "migrate_secs_per_step", "ghost_secs_per_step",
+                "ghost_plan_secs_per_step", "ghost_coarse_fill_secs_per_step",
+                "ghost_sibling_secs_per_step", "ghost_messages_secs_per_step",
+                "msgs_per_decision", "estimator_pairs", "final_imbalance",
                 "global_checks", "redistributions", "wall_secs"):
         if key not in r:
             sys.exit(f"scale: sweep row missing {key}: {r}")
@@ -325,6 +348,12 @@ for r in rows:
              + r["migrate_secs_per_step"])
     if abs(whole - parts) > 0.05 * whole:
         sys.exit(f"scale: G={r['groups']} {r['mode']} decision wall "
+                 f"{whole:.4f}s/step but its parts sum to {parts:.4f}")
+    whole = r["ghost_secs_per_step"]
+    parts = sum(r[f"ghost_{k}_secs_per_step"]
+                for k in ("plan", "coarse_fill", "sibling", "messages"))
+    if abs(whole - parts) > 0.05 * whole:
+        sys.exit(f"scale: G={r['groups']} {r['mode']} ghost wall "
                  f"{whole:.4f}s/step but its parts sum to {parts:.4f}")
 w8 = hier[8]["decide_secs_per_step"]
 w64 = hier[64]["decide_secs_per_step"]
