@@ -4,17 +4,19 @@
 //! Sweeps G = 2 → 512 groups (quick tier: → 64) over the seeded
 //! [`presets::federation`] site→region→federation topology, holding the
 //! *total* processor count fixed so the numerics stay comparable while only
-//! the decision structure scales. Each G runs twice: the hierarchical
-//! tree-reduction decision path (default) and the flat all-pairs reference
-//! (`flat_reference = true`). Writes `results/BENCH_scale.json` with, per
+//! the decision structure scales. The global phase is one routine over a
+//! reduction tree; each G runs it twice: on the default arity-8 tree
+//! ("hierarchical": one node up to G = 8, deeper beyond) and with the tree
+//! pinned to one node over all groups ("flat": `flat_reference = true`, the
+//! all-pairs compare). Writes `results/BENCH_scale.json` with, per
 //! run: host decision-phase wall per level-0 step and its split into local
 //! balancing / deciding / migrating, decision messages per global check,
 //! link-estimator pairs allocated, and the final power-normalized imbalance.
 //!
-//! The claims this sweep backs: flat decision cost grows superlinearly
-//! (O(G²) probes + estimator pairs), hierarchical stays near-flat in G
-//! (O(G) messages, O(log G) depth), and both paths end runs at equivalent
-//! imbalance.
+//! The claims this sweep backs: the one-node tree's decision cost grows
+//! superlinearly (O(G²) probes + estimator pairs), the arity-8 tree's stays
+//! near-flat in G (O(G) messages, O(log G) depth), the two are the same
+//! rows up to G = 8, and the deeper tree never ends a run worse balanced.
 //!
 //! Flags: `--quick` (G ≤ 64, smaller domain — the CI tier), `--out PATH`.
 

@@ -7,7 +7,7 @@
 //!
 //! When α/β come from a *forecast* rather than a raw probe, the estimate
 //! also carries a pessimistic upper bound widened by the forecast error
-//! ([`evaluate_cost_forecast`]), and the γ-gate can demand
+//! ([`evaluate_cost_forecast`]), and the γ-gate demands
 //! `Gain > γ · Cost_upper` so an unstable link must clear a higher bar.
 
 use crate::history::WorkloadHistory;
@@ -82,16 +82,11 @@ pub fn evaluate_cost_forecast(
 }
 
 /// The γ-gate of §4.4: redistribution is invoked only when
-/// `Gain > γ · Cost`. `gamma`'s paper default is 2.0.
+/// `Gain > γ · Cost`. `gamma`'s paper default is 2.0. The cost is the
+/// *pessimistic* one: for a reactive (probe-direct) estimate that is the
+/// point estimate, the paper's gate exactly; under forecast error the bar
+/// rises with the error bars.
 pub fn should_redistribute(gain_secs: f64, cost: &CostEstimate, gamma: f64) -> bool {
-    gain_secs > gamma * cost.total_secs()
-}
-
-/// Confidence-aware γ-gate: the gain must beat γ times the *pessimistic*
-/// cost. Identical to [`should_redistribute`] for reactive estimates
-/// (where the upper bound equals the point estimate); under high forecast
-/// error the bar rises with the error bars.
-pub fn should_redistribute_confident(gain_secs: f64, cost: &CostEstimate, gamma: f64) -> bool {
     gain_secs > gamma * cost.upper_total_secs()
 }
 
@@ -159,11 +154,11 @@ mod tests {
         let alpha = ForecastValue::exact(0.0);
         let beta = ForecastValue { value: 1e-6, error: 1e-6 };
         let c = evaluate_cost_forecast(alpha, beta, 1_000_000, &h, 1.0);
-        // point cost 1 s, upper 2 s: a gain of 3 s passes the plain gate
-        // but not the confident one at γ = 2
-        assert!(should_redistribute(3.0, &c, 2.0));
-        assert!(!should_redistribute_confident(3.0, &c, 2.0));
-        assert!(should_redistribute_confident(4.5, &c, 2.0));
+        // point cost 1 s, upper 2 s: a gain of 3 s would pass a gate on
+        // the point cost at γ = 2, but not the gate
+        assert!(3.0 > 2.0 * c.total_secs());
+        assert!(!should_redistribute(3.0, &c, 2.0));
+        assert!(should_redistribute(4.5, &c, 2.0));
     }
 
     #[test]

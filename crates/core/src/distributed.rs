@@ -7,7 +7,10 @@
 //!   estimate the computational gain (Eq. 4) of removing it and, via the
 //!   two-message α/β probe plus the recorded overhead `δ`, the cost (Eq. 1)
 //!   of moving the required level-0 grids; redistribute only when
-//!   `Gain > γ·Cost`, proportionally to each group's compute power.
+//!   `Gain > γ·Cost`, proportionally to each group's compute power. One
+//!   routine runs this at every scale, on the nodes of a reduction tree
+//!   over the groups: a single node at the paper's scale, a
+//!   site→region→federation tree beyond [`TREE_ARITY`] groups.
 //! * **Local load balancing** — after each timestep at the finer levels:
 //!   run the parallel-DLB within each group only, so children grids always
 //!   live in the same group as their parents and no parent↔child remote
@@ -36,13 +39,9 @@
 //! quarantined groups are re-admitted once a probation probe succeeds.
 
 use crate::balance::{balance_bucketed, bucket_level_by_owner, place_batch, BalanceParams};
-use crate::cost::{
-    evaluate_cost, evaluate_cost_forecast, should_redistribute_confident, CostEstimate,
-};
+use crate::cost::{evaluate_cost, evaluate_cost_forecast, should_redistribute, CostEstimate};
 use crate::fault::{FaultEvent, FaultStats, FaultTolerancePolicy, GroupHealth, QuarantineRoster};
-use crate::gain::{
-    evaluate_gain_among_with_powers, evaluate_gain_forecast_with_powers, GainEstimate,
-};
+use crate::gain::{gain_from_loads, history_group_loads, GainEstimate};
 use forecast::{derive_seed, ForecastValue, PredictorKind, SeriesForecaster};
 use crate::parallel::LOAD_MSG_BYTES;
 use crate::partition::{
@@ -51,10 +50,10 @@ use crate::partition::{
 use crate::scheme::{proc_total_cells, LbContext, LoadBalancer};
 use samr_mesh::hierarchy::GridHierarchy;
 use simnet::{Activity, SimError, SimResult, SimView};
+use telemetry::GateVerdict::{self, Accept, Deferred, Reject};
 use telemetry::{
     EventKind as TelEventKind, FaultEvent as TelFaultEvent, FaultKind as TelFaultKind,
-    GammaGateEvent, GateVerdict, PredictorSwitchEvent, RedistributeEvent as TelRedistributeEvent,
-    Telemetry,
+    GammaGateEvent, PredictorSwitchEvent, RedistributeEvent as TelRedistributeEvent,
 };
 use topology::{DistributedSystem, GroupId, LinkEstimator, ProcId, SimTime};
 use std::collections::BTreeMap;
@@ -106,11 +105,11 @@ pub struct DistributedDlbConfig {
     /// fine-level step triggers a proactive global check. `None` restricts
     /// global checks to level-0 steps (the paper's protocol).
     pub proactive_threshold: Option<f64>,
-    /// Force the flat all-groups global compare even beyond
-    /// [`TREE_ARITY`] groups — the reference decision datapath the
-    /// hierarchical tree reduction is checked against (mirrors the
-    /// driver's `reference_datapath` flag). At or below the arity the two
-    /// paths are the same code, so this only matters at federation scale.
+    /// Keep the global phase's reduction tree one node over all healthy
+    /// groups at any group count (arity = G instead of [`TREE_ARITY`]):
+    /// the all-groups compare a federation's tree is measured against by
+    /// `bench --bin scale`. No effect with at most [`TREE_ARITY`] groups,
+    /// where the tree is that one node anyway.
     pub flat_reference: bool,
 }
 
@@ -269,8 +268,8 @@ impl DistributedDlb {
 
     /// Link-estimator pairs allocated so far. Estimators are created
     /// lazily on the first probe of a pair, so this measures decision-
-    /// phase bookkeeping directly: the flat compare touches all O(G²)
-    /// pairs, the hierarchical tree only its representative pairs — O(G).
+    /// phase bookkeeping directly: a one-node tree touches all O(G²)
+    /// pairs, a deeper one only its representative pairs — O(G).
     pub fn estimator_pairs(&self) -> usize {
         self.estimators.len()
     }
@@ -404,6 +403,24 @@ impl DistributedDlb {
         }
     }
 
+    /// Alive compute power per group, and the groups the global phase runs
+    /// over: healthy ones with capacity left. A group that lost procs
+    /// participates at reduced power; a group with *no* alive proc drops
+    /// out entirely (its work was already evacuated, so it carries no load
+    /// to misprice).
+    fn participants(&self, ctx: &LbContext<'_>, sys: &DistributedSystem) -> (Vec<f64>, Vec<usize>) {
+        let powers: Vec<f64> = (0..sys.ngroups())
+            .map(|g| ctx.sim.alive_group_power(GroupId(g)))
+            .collect();
+        let healthy = self
+            .roster
+            .healthy_groups()
+            .into_iter()
+            .filter(|&g| powers[g] > 0.0)
+            .collect();
+        (powers, healthy)
+    }
+
     /// After a fine-level step: predict the near-term inter-group balance
     /// and, if the predicted power-normalized imbalance crosses the
     /// configured threshold, run a full (gain/cost-gated) global check now
@@ -417,15 +434,7 @@ impl DistributedDlb {
             return;
         }
         self.roster.ensure_len(sys.ngroups());
-        let powers: Vec<f64> = (0..sys.ngroups())
-            .map(|g| ctx.sim.alive_group_power(GroupId(g)))
-            .collect();
-        let healthy: Vec<usize> = self
-            .roster
-            .healthy_groups()
-            .into_iter()
-            .filter(|&g| powers[g] > 0.0)
-            .collect();
+        let (powers, healthy) = self.participants(ctx, &sys);
         if healthy.len() < 2 {
             return;
         }
@@ -436,15 +445,11 @@ impl DistributedDlb {
             .zip(&observed)
             .map(|(lf, &obs)| lf.forecast().unwrap_or(obs))
             .collect();
-        let gain = evaluate_gain_forecast_with_powers(
-            predicted,
-            ctx.history.last_step_secs(),
-            &sys,
-            &healthy,
-            &powers,
-        );
+        let gain = gain_from_loads(predicted, ctx.history.last_step_secs(), &healthy, &powers);
         if gain.imbalance_ratio > threshold && gain.gain_secs > 0.0 {
-            self.global_phase(ctx, Some(gain), level);
+            // the check scores Eq. 4 itself, over the groups that are
+            // healthy once probation has run
+            self.global_phase(ctx, Some(gain.group_loads), level);
         }
     }
 
@@ -519,255 +524,365 @@ impl DistributedDlb {
         }
     }
 
-    /// The global load-balancing phase. Runs after level-0 steps
-    /// (`forecast_gain = None`: gain from the history snapshot) and, when
-    /// the proactive trigger fires, after fine-level steps
-    /// (`forecast_gain = Some(..)`: gain from predicted loads).
+    /// The global load-balancing phase (§4), one routine at every scale.
+    /// Runs after level-0 steps (`predicted_loads = None`: loads from the
+    /// history snapshot) and, when the proactive trigger fires, after
+    /// fine-level steps (`Some(..)`: the forecast per-group loads).
+    ///
+    /// A balanced [`TREE_ARITY`]-ary reduction tree is laid over the
+    /// healthy groups, their (load, capacity) summaries are gathered, and
+    /// [`Self::resolve_node`] runs from the root. With at most
+    /// `TREE_ARITY` groups — every preset of the paper — the tree is one
+    /// node over the individual groups and that is the paper's phase word
+    /// for word; a federation's tree is deeper, so decision traffic is
+    /// O(G) messages and the estimator set holds representative pairs
+    /// only, instead of O(G²) of both.
     fn global_phase(
         &mut self,
         ctx: &mut LbContext<'_>,
-        forecast_gain: Option<GainEstimate>,
+        predicted_loads: Option<Vec<f64>>,
         level: usize,
     ) {
-        let proactive = forecast_gain.is_some();
         let sys = ctx.sim.system().clone();
         if sys.ngroups() < 2 {
             return;
         }
         self.roster.ensure_len(sys.ngroups());
         let step = ctx.history.steps();
-        let site = DecisionSite {
+        let proactive = predicted_loads.is_some();
+        // Quarantined groups get their probation probe first, so a
+        // recovered link rejoins in the same step that notices it.
+        self.probation(ctx, &sys, step);
+        let (powers, healthy) = self.participants(ctx, &sys);
+        if healthy.len() < 2 {
+            return; // nobody to exchange work with; local phases continue
+        }
+        // Local arithmetic on data every group leader already holds — the
+        // communication the phase charges is the gather below.
+        let group_loads = predicted_loads.unwrap_or_else(|| history_group_loads(ctx.history, &sys));
+        let arity = if self.cfg.flat_reference {
+            healthy.len()
+        } else {
+            TREE_ARITY
+        };
+        let root = build_reduction_tree(0, healthy.len(), arity);
+        let inp = PhaseInputs {
+            sys: &sys,
+            healthy: &healthy,
+            group_loads: &group_loads,
+            powers: &powers,
             step,
             level,
             proactive,
         };
-        let fault = self.cfg.fault;
-        let tel = ctx.sim.telemetry().clone();
-        // every pushed GlobalDecision gets exactly one matching gate event,
-        // so the audit log's gamma_gate count equals the run's global_checks
-        let gate_event = |tel: &Telemetry,
-                          sim: &SimView,
-                          gain: &GainEstimate,
-                          cost: Option<&CostEstimate>,
-                          alpha: f64,
-                          beta: f64,
-                          move_bytes: u64,
-                          gamma: f64,
-                          verdict: GateVerdict,
-                          reason: &'static str| {
-            emit_gate_event(
-                tel, sim, site, gain, cost, alpha, beta, move_bytes, gamma, verdict, reason,
-            );
-        };
-
-        // Quarantined groups get their probation probe first, so a
-        // recovered link rejoins in the same step that notices it.
-        self.probation(ctx, &sys, step);
-
-        // Capacity as the crash-stop schedule leaves it right now: a group
-        // that lost procs participates at reduced power; a group with *no*
-        // alive proc drops out of the phase entirely (its work was already
-        // evacuated, so it carries no load to misprice).
-        let powers: Vec<f64> = (0..sys.ngroups())
-            .map(|g| ctx.sim.alive_group_power(GroupId(g)))
-            .collect();
-        let healthy: Vec<usize> = self
-            .roster
-            .healthy_groups()
-            .into_iter()
-            .filter(|&g| powers[g] > 0.0)
-            .collect();
-        if healthy.len() < 2 {
-            return; // nobody to exchange work with; local phases continue
+        match self.gather(ctx, &inp, &root) {
+            Ok(()) => self.resolve_node(ctx, &inp, &root),
+            // no load picture this step: defer the decision entirely
+            Err(failed) => self.exchange_failed(ctx, &inp, failed, "collective_failed"),
         }
+    }
 
-        // Federation scale: beyond the tree arity the flat all-pairs
-        // compare below is replaced by the hierarchical tree reduction
-        // (unless pinned to the flat reference datapath). At or below the
-        // arity the tree would be a single node over the individual
-        // groups — exactly the flat compare — so flat runs verbatim.
-        if !self.cfg.flat_reference && healthy.len() > TREE_ARITY {
-            self.global_phase_hierarchical(ctx, &sys, forecast_gain, site, &healthy, &powers);
-            return;
-        }
-
-        // Evaluate the load distribution among the *healthy* groups: one
-        // small collective in degraded mode, retried with backoff like any
-        // other inter-group exchange.
-        let gids: Vec<GroupId> = healthy.iter().map(|&g| GroupId(g)).collect();
+    /// One inter-group exchange — collective, probe or leader message —
+    /// under the fault policy: `op` is attempted up to `retry.max_attempts`
+    /// times, `waiters` idling through the exponential backoff in between.
+    /// Every attempt charges `msgs_per_attempt` decision messages (each is
+    /// real traffic on the actual link); a success after retries is
+    /// recorded, a failure returns the last error.
+    fn retried<T>(
+        &mut self,
+        ctx: &mut LbContext<'_>,
+        waiters: &[ProcId],
+        step: u64,
+        msgs_per_attempt: u64,
+        mut op: impl FnMut(&mut Self, &mut LbContext<'_>) -> SimResult<T>,
+    ) -> SimResult<T> {
+        let retry = self.cfg.fault.retry;
         let mut attempt = 0u32;
-        let collective = loop {
-            match ctx
-                .sim
-                .allreduce_groups(&gids, LOAD_MSG_BYTES, Activity::LoadBalance)
-            {
-                Ok(t) => break Ok((t, attempt)),
+        loop {
+            self.decision_msgs += msgs_per_attempt;
+            match op(self, ctx) {
+                Ok(v) => {
+                    if attempt > 0 {
+                        self.roster.stats.retries += u64::from(attempt);
+                        self.roster.events.push(FaultEvent::RetrySucceeded {
+                            step,
+                            retries: attempt,
+                        });
+                    }
+                    return Ok(v);
+                }
                 Err(e) => {
                     attempt += 1;
-                    if attempt >= fault.retry.max_attempts.max(1) {
-                        break Err(e);
+                    if attempt >= retry.max_attempts.max(1) {
+                        return Err(e);
                     }
-                    let backoff = fault.retry.backoff_secs(attempt - 1);
-                    for &gid in &gids {
-                        for &p in sys.procs_in(gid) {
-                            ctx.sim.busy(p, backoff, Activity::Wait);
-                        }
+                    let backoff = retry.backoff_secs(attempt - 1);
+                    for &p in waiters {
+                        ctx.sim.busy(p, backoff, Activity::Wait);
                     }
                 }
-            }
-        };
-        match collective {
-            Ok((_, retries)) => {
-                // reduce-exchange-broadcast: two messages per group pair
-                self.decision_msgs += (healthy.len() * (healthy.len() - 1)) as u64;
-                if retries > 0 {
-                    self.roster.stats.retries += retries as u64;
-                    self.roster
-                        .events
-                        .push(FaultEvent::RetrySucceeded { step, retries });
-                }
-            }
-            Err(e) => {
-                self.roster.stats.comm_failures += 1;
-                if let SimError::CollectiveFailed {
-                    at,
-                    group_a,
-                    group_b,
-                } = e
-                {
-                    self.roster
-                        .record_pair_failure(group_a, group_b, step, at, fault.quarantine_after);
-                }
-                // no load information this step: defer the decision entirely
-                let gain = GainEstimate {
-                    gain_secs: 0.0,
-                    group_loads: Vec::new(),
-                    imbalance_ratio: 1.0,
-                };
-                gate_event(
-                    &tel,
-                    ctx.sim,
-                    &gain,
-                    None,
-                    0.0,
-                    0.0,
-                    0,
-                    self.cfg.gamma,
-                    GateVerdict::Deferred,
-                    "collective_failed",
-                );
-                self.decisions.push(GlobalDecision {
-                    step,
-                    gain,
-                    cost: None,
-                    invoked: false,
-                    aborted: false,
-                    abort_delta_secs: 0.0,
-                    report: None,
-                    proactive,
-                });
-                return;
             }
         }
-        let gain = match forecast_gain {
-            Some(g) => g,
-            None => evaluate_gain_among_with_powers(ctx.history, &sys, &healthy, &powers),
-        };
+    }
 
+    /// An exchange that stayed failed through its retries: one
+    /// communication failure, a strike against the pair whose link dropped
+    /// it (the quarantine protocol decides who sits out next), and whatever
+    /// needed the exchange — the whole check, or one subtree — is deferred
+    /// unscored.
+    fn exchange_failed(
+        &mut self,
+        ctx: &LbContext<'_>,
+        inp: &PhaseInputs<'_>,
+        (pair, e): ExchangeError,
+        reason: &'static str,
+    ) {
+        self.roster.stats.comm_failures += 1;
+        if let Some((a, b)) = pair {
+            let after = self.cfg.fault.quarantine_after;
+            self.roster
+                .record_pair_failure(a, b, inp.step, e.at(), after);
+        }
+        let unscored = GainEstimate {
+            gain_secs: 0.0,
+            group_loads: Vec::new(),
+            imbalance_ratio: 1.0,
+        };
+        self.push_uninvoked(ctx, inp, unscored, &Pricing::default(), Deferred, reason);
+    }
+
+    /// First alive processor of a group — the subtree-representative
+    /// endpoint of summary/delegation messages (nameplate leader as a
+    /// fallback; the phase only runs over groups with alive power).
+    fn leader(ctx: &LbContext<'_>, sys: &DistributedSystem, g: usize) -> ProcId {
+        ctx.sim
+            .alive_procs_in(GroupId(g))
+            .first()
+            .copied()
+            .unwrap_or_else(|| sys.procs_in(GroupId(g))[0])
+    }
+
+    /// One charged control message between two group leaders — a subtree
+    /// summary going up or a delegation going down, the size class of the
+    /// collective's per-leg payload — on the pair's actual inter-group link.
+    fn leader_send(
+        &mut self,
+        ctx: &mut LbContext<'_>,
+        inp: &PhaseInputs<'_>,
+        from: usize,
+        to: usize,
+    ) -> Result<(), ExchangeError> {
+        let pa = Self::leader(ctx, inp.sys, from);
+        let pb = Self::leader(ctx, inp.sys, to);
+        self.retried(ctx, &[pa, pb], inp.step, 1, |_, ctx| {
+            ctx.sim.send(pa, pb, LOAD_MSG_BYTES, Activity::LoadBalance)
+        })
+        .map(drop)
+        .map_err(|e| (Some((from, to)), e))
+    }
+
+    /// Bring every node's child (load, capacity) summaries to its
+    /// representative. *How* is the one thing the tree's shape selects: a
+    /// tree that is a single node over the individual groups is §4.1's
+    /// load exchange, one small collective among them (two legs per group
+    /// pair); a deeper tree sends leader-to-leader summaries up, G − 1
+    /// messages in all.
+    fn gather(
+        &mut self,
+        ctx: &mut LbContext<'_>,
+        inp: &PhaseInputs<'_>,
+        root: &TreeNode,
+    ) -> Result<(), ExchangeError> {
+        if !root.is_single_node() {
+            return self.upsweep(ctx, inp, root);
+        }
+        let gids: Vec<GroupId> = inp.healthy.iter().map(|&g| GroupId(g)).collect();
+        let waiters: Vec<ProcId> = gids
+            .iter()
+            .flat_map(|&g| inp.sys.procs_in(g).iter().copied())
+            .collect();
+        // the legs count once the exchange completes, not per attempt
+        self.retried(ctx, &waiters, inp.step, 0, |_, ctx| {
+            ctx.sim
+                .allreduce_groups(&gids, LOAD_MSG_BYTES, Activity::LoadBalance)
+        })
+        .map_err(|e| match e {
+            SimError::CollectiveFailed {
+                group_a, group_b, ..
+            } => (Some((group_a, group_b)), e),
+            _ => (None, e),
+        })?;
+        self.decision_msgs += (gids.len() * (gids.len() - 1)) as u64;
+        Ok(())
+    }
+
+    /// Upward pass: post-order over the tree, each child representative
+    /// shipping its subtree's summary to the node representative. The
+    /// first child shares the node's representative (both are the
+    /// subtree's lowest group), so it sends nothing.
+    fn upsweep(
+        &mut self,
+        ctx: &mut LbContext<'_>,
+        inp: &PhaseInputs<'_>,
+        node: &TreeNode,
+    ) -> Result<(), ExchangeError> {
+        for child in &node.children {
+            self.upsweep(ctx, inp, child)?;
+        }
+        let rep = inp.healthy[node.lo];
+        for child in node.children.iter().skip(1) {
+            let crep = inp.healthy[child.lo];
+            self.leader_send(ctx, inp, crep, rep)?;
+        }
+        Ok(())
+    }
+
+    /// Delegate resolution to each multi-group child: a small control
+    /// message from the node representative hands the child's subtree to
+    /// its representative, which then resolves it. A failed delegation
+    /// defers that subtree only; its siblings proceed. Over single-group
+    /// children there is nothing to delegate — a single group balances in
+    /// its local phase.
+    fn descend(&mut self, ctx: &mut LbContext<'_>, inp: &PhaseInputs<'_>, node: &TreeNode) {
+        let rep = inp.healthy[node.lo];
+        for child in node.children.iter().filter(|c| c.len() >= 2) {
+            let crep = inp.healthy[child.lo];
+            if crep != rep {
+                if let Err(failed) = self.leader_send(ctx, inp, rep, crep) {
+                    self.exchange_failed(ctx, inp, failed, "delegate_failed");
+                    continue;
+                }
+            }
+            self.resolve_node(ctx, inp, child);
+        }
+    }
+
+    /// The paper's global phase at one tree node: score Eq. 4 over the
+    /// children's aggregated (load, capacity) summaries; when imbalanced,
+    /// probe the child-representative links, price Eq. 1, γ-gate, and
+    /// redistribute among exactly this node's groups; when balanced or too
+    /// expensive at this tier (say, a congested WAN between the
+    /// representatives), descend — a child subtree may still fix itself
+    /// over its cheaper links. Over single-group children the summaries
+    /// are the groups' own loads and the representatives the groups
+    /// themselves.
+    fn resolve_node(&mut self, ctx: &mut LbContext<'_>, inp: &PhaseInputs<'_>, node: &TreeNode) {
+        // each child subtree is scored as one pseudo-group
+        let summed = |of: &[f64]| -> Vec<f64> {
+            let sum = |c: &TreeNode| inp.healthy[c.lo..c.hi].iter().map(|&g| of[g]).sum();
+            node.children.iter().map(sum).collect()
+        };
+        let among: Vec<usize> = (0..node.children.len()).collect();
+        let scored = gain_from_loads(
+            summed(inp.group_loads),
+            ctx.history.last_step_secs(),
+            &among,
+            &summed(inp.powers),
+        );
+        // the decision records the full per-group load vector (what a
+        // redistribution acts on) under the node's own verdict
+        let gain = GainEstimate {
+            group_loads: inp.group_loads.to_vec(),
+            ..scored
+        };
         // NaN-safe: a NaN ratio reads as balanced
         let imbalanced = gain.imbalance_ratio > self.cfg.imbalance_tolerance;
         if !imbalanced || gain.gain_secs <= 0.0 {
-            gate_event(
-                &tel,
-                ctx.sim,
-                &gain,
-                None,
-                0.0,
-                0.0,
-                0,
-                self.cfg.gamma,
-                GateVerdict::Reject,
-                "balanced",
-            );
-            self.decisions.push(GlobalDecision {
-                step,
-                gain,
-                cost: None,
-                invoked: false,
-                aborted: false,
-                abort_delta_secs: 0.0,
-                report: None,
-                proactive,
-            });
+            // no imbalance, so no probe is paid for
+            self.push_uninvoked(ctx, inp, gain, &Pricing::default(), Reject, "balanced");
+            self.descend(ctx, inp, node);
             return;
         }
 
-        // Imbalance exists: price the redistribution. Probe the healthy
-        // inter-group links (two messages each — §4.2, retried with backoff
-        // on failure) and take the slowest path.
-        let eligible: Vec<bool> = (0..sys.ngroups()).map(|g| healthy.contains(&g)).collect();
+        // Imbalance exists: price a redistribution over this node's groups.
+        let mut eligible = vec![false; inp.sys.ngroups()];
+        for &g in &inp.healthy[node.lo..node.hi] {
+            eligible[g] = true;
+        }
         let move_cells =
-            Self::planned_move_cells(ctx.hier, &sys, &gain.group_loads, &eligible, &powers);
+            Self::planned_move_cells(ctx.hier, inp.sys, inp.group_loads, &eligible, inp.powers);
         let cell_bytes = (ctx.hier.nfields() as u64) * 8;
-        let move_bytes = move_cells.max(0) as u64 * cell_bytes;
-        let mut alpha = 0.0f64;
-        let mut beta = 0.0f64;
-        // Forecast path: worst (slowest) forecast value and worst error bar
-        // over the healthy pairs — conservative, like the reactive max.
-        let mut alpha_fv = ForecastValue::exact(0.0);
-        let mut beta_fv = ForecastValue::exact(0.0);
-        let mut probe_failed = false;
-        'pairs: for (i, &a) in healthy.iter().enumerate() {
-            for &b in &healthy[i + 1..] {
-                let pa = sys.procs_in(GroupId(a))[0];
-                let pb = sys.procs_in(GroupId(b))[0];
-                let retry = fault.retry;
-                let est = self.estimator(a, b);
-                let mut attempt = 0u32;
-                let outcome = loop {
-                    if attempt > 0 {
-                        // backoff is idle waiting on both leaders
-                        let backoff = retry.backoff_secs(attempt - 1);
-                        ctx.sim.busy(pa, backoff, Activity::Wait);
-                        ctx.sim.busy(pb, backoff, Activity::Wait);
-                    }
+        let mut pricing = Pricing {
+            move_bytes: move_cells.max(0) as u64 * cell_bytes,
+            ..Default::default()
+        };
+        // only the child-representative links are probed: the sampled
+        // worst path, at most arity² probes per node
+        let reps: Vec<usize> = node.children.iter().map(|c| inp.healthy[c.lo]).collect();
+        if !self.probe_pairs(ctx, inp, &reps, &mut pricing) {
+            // α/β for some path is unknown (and that link is suspect):
+            // defer this node, and don't descend through it
+            self.push_uninvoked(ctx, inp, gain, &pricing, Deferred, "probe_failed");
+            return;
+        }
+        // Reactive mode prices the move from the freshest probe samples (no
+        // error bar, the paper's behaviour); predictive mode prices it from
+        // the forecasts, widened by `horizon · widening · MAE`, and the gate
+        // must clear the upper bound.
+        let cost = if self.cfg.predictor.is_none() {
+            evaluate_cost(pricing.alpha, pricing.beta, pricing.move_bytes, ctx.history)
+        } else {
+            let widen = self.cfg.confidence_widening * f64::from(self.cfg.forecast_horizon.max(1));
+            evaluate_cost_forecast(
+                pricing.alpha_fv,
+                pricing.beta_fv,
+                pricing.move_bytes,
+                ctx.history,
+                widen,
+            )
+        };
+        pricing.cost = Some(cost);
+        if !should_redistribute(gain.gain_secs, &cost, self.cfg.gamma) {
+            self.push_uninvoked(ctx, inp, gain, &pricing, Reject, "gate");
+            self.descend(ctx, inp, node);
+            return;
+        }
+        // Accepted: redistribute among exactly this node's groups and stop
+        // descending — the elastic repartition balances everything under
+        // the node in one pass.
+        self.gate_event(ctx, inp, &gain, &pricing, Accept, "gate");
+        self.redistribute_accepted(ctx, inp, gain, cost, &eligible);
+    }
+
+    /// Probe the inter-group link of every pair of `reps` (two messages
+    /// each — §4.2) and fold the answers into `pricing`'s worst path.
+    /// Stops at the first pair that stays dead through its retries and
+    /// returns `false`; `pricing` then holds what had been measured.
+    fn probe_pairs(
+        &mut self,
+        ctx: &mut LbContext<'_>,
+        inp: &PhaseInputs<'_>,
+        reps: &[usize],
+        pricing: &mut Pricing,
+    ) -> bool {
+        let fault = self.cfg.fault;
+        let step = inp.step;
+        for (i, &a) in reps.iter().enumerate() {
+            for &b in &reps[i + 1..] {
+                // backoff is idle waiting on both leaders
+                let pa = inp.sys.procs_in(GroupId(a))[0];
+                let pb = inp.sys.procs_in(GroupId(b))[0];
+                let probed = self.retried(ctx, &[pa, pb], step, 2, |this, ctx| {
                     let t0 = ctx.sim.now(pa).max(ctx.sim.now(pb));
                     let dl = t0 + SimTime::from_secs_f64(fault.probe_timeout_secs);
-                    match ctx.sim.probe_inter(GroupId(a), GroupId(b), est, Some(dl)) {
-                        Ok(s) => break Ok((s, attempt)),
-                        Err(e) => {
-                            attempt += 1;
-                            if attempt >= retry.max_attempts.max(1) {
-                                break Err(e);
-                            }
-                        }
-                    }
-                };
-                match outcome {
-                    Ok((s, retries)) => {
-                        // two messages per probe attempt (§4.2)
-                        self.decision_msgs += 2 * (u64::from(retries) + 1);
-                        if retries > 0 {
-                            self.roster.stats.retries += retries as u64;
-                            self.roster
-                                .events
-                                .push(FaultEvent::RetrySucceeded { step, retries });
-                        }
+                    let est = this.estimator(a, b);
+                    ctx.sim.probe_inter(GroupId(a), GroupId(b), est, Some(dl))
+                });
+                match probed {
+                    Ok(s) => {
                         self.roster.record_pair_success(a, b);
-                        alpha = alpha.max(s.alpha);
-                        beta = beta.max(s.beta);
-                        if let (Some(af), Some(bf)) = {
-                            let est = self.estimator(a, b);
-                            (est.alpha_forecast(), est.beta_forecast())
-                        } {
-                            alpha_fv.value = alpha_fv.value.max(af.value);
-                            alpha_fv.error = alpha_fv.error.max(af.error);
-                            beta_fv.value = beta_fv.value.max(bf.value);
-                            beta_fv.error = beta_fv.error.max(bf.error);
+                        pricing.alpha = pricing.alpha.max(s.alpha);
+                        pricing.beta = pricing.beta.max(s.beta);
+                        let est = self.estimator(a, b);
+                        if let (Some(af), Some(bf)) = (est.alpha_forecast(), est.beta_forecast()) {
+                            let (wa, wb) = (&mut pricing.alpha_fv, &mut pricing.beta_fv);
+                            wa.value = wa.value.max(af.value);
+                            wa.error = wa.error.max(af.error);
+                            wb.value = wb.value.max(bf.value);
+                            wb.error = wb.error.max(bf.error);
                         }
                     }
                     Err(e) => {
-                        self.decision_msgs += 2 * u64::from(retry.max_attempts.max(1));
                         self.roster.stats.probe_failures += 1;
                         self.roster.events.push(FaultEvent::ProbeFailure {
                             step,
@@ -776,113 +891,109 @@ impl DistributedDlb {
                         });
                         self.roster
                             .record_pair_failure(a, b, step, e.at(), fault.quarantine_after);
-                        probe_failed = true;
-                        break 'pairs;
+                        return false;
                     }
                 }
             }
         }
-        if probe_failed {
-            // α/β for some path is unknown (and that link is suspect):
-            // defer — the quarantine protocol decides who sits out next step
-            gate_event(
-                &tel,
-                ctx.sim,
-                &gain,
-                None,
-                alpha,
-                beta,
-                move_bytes,
-                self.cfg.gamma,
-                GateVerdict::Deferred,
-                "probe_failed",
-            );
-            self.decisions.push(GlobalDecision {
-                step,
-                gain,
-                cost: None,
-                invoked: false,
-                aborted: false,
-                abort_delta_secs: 0.0,
-                report: None,
-                proactive,
-            });
-            return;
-        }
-        // Reactive mode prices the move from the freshest probe samples (no
-        // error bar, the paper's behaviour); predictive mode prices it from
-        // the forecasts, widened by `horizon · widening · MAE`, and the gate
-        // must clear the upper bound.
-        let cost = if self.cfg.predictor.is_none() {
-            evaluate_cost(alpha, beta, move_bytes, ctx.history)
-        } else {
-            let widen = self.cfg.confidence_widening * f64::from(self.cfg.forecast_horizon.max(1));
-            evaluate_cost_forecast(alpha_fv, beta_fv, move_bytes, ctx.history, widen)
-        };
-        let invoked = should_redistribute_confident(gain.gain_secs, &cost, self.cfg.gamma);
-        gate_event(
-            &tel,
-            ctx.sim,
-            &gain,
-            Some(&cost),
-            alpha,
-            beta,
-            move_bytes,
-            self.cfg.gamma,
-            if invoked {
-                GateVerdict::Accept
-            } else {
-                GateVerdict::Reject
-            },
-            "gate",
-        );
-
-        if !invoked {
-            self.decisions.push(GlobalDecision {
-                step,
-                gain,
-                cost: Some(cost),
-                invoked: false,
-                aborted: false,
-                abort_delta_secs: 0.0,
-                report: None,
-                proactive,
-            });
-            return;
-        }
-        self.redistribute_accepted(ctx, &sys, site, gain, cost, &eligible, &powers, None);
+        true
     }
 
-    /// An accepted redistribution, flat or per subtree: migrate among the
-    /// `eligible` groups, charge the computational overhead δ to
-    /// `charged` (`None`: every processor; a subtree-local redistribution
-    /// keeps its repartition/rebuild overhead inside the subtree's groups)
-    /// and push the decision. Migration traffic may die mid-flight; the
-    /// redistribution is a hierarchy transaction and comes back rolled
-    /// back, and the wasted work is charged and recorded instead.
-    #[allow(clippy::too_many_arguments)]
+    /// The one gate event every pushed [`GlobalDecision`] gets — the audit
+    /// log's gamma_gate count equals the run's global_checks because every
+    /// decision funnels through here exactly once.
+    fn gate_event(
+        &self,
+        ctx: &LbContext<'_>,
+        inp: &PhaseInputs<'_>,
+        gain: &GainEstimate,
+        pricing: &Pricing,
+        verdict: GateVerdict,
+        reason: &'static str,
+    ) {
+        let tel = ctx.sim.telemetry();
+        if !tel.is_enabled() {
+            return;
+        }
+        let t = ctx.sim.elapsed().as_secs_f64();
+        let cost = pricing.cost.as_ref();
+        tel.metric(t, "gate_imbalance_ratio", gain.imbalance_ratio);
+        tel.event(
+            t,
+            TelEventKind::GammaGate(GammaGateEvent {
+                step: inp.step,
+                level: inp.level,
+                proactive: inp.proactive,
+                gain_secs: gain.gain_secs,
+                cost_alpha_beta_w_secs: cost.map_or(0.0, |c| c.comm_secs),
+                delta_secs: cost.map_or(0.0, |c| c.delta_secs),
+                cost_upper_secs: cost.map_or(0.0, CostEstimate::upper_total_secs),
+                alpha_secs: pricing.alpha,
+                beta_secs_per_byte: pricing.beta,
+                move_bytes: pricing.move_bytes,
+                gamma: self.cfg.gamma,
+                mae_widening_secs: cost.map_or(0.0, |c| c.comm_upper_secs - c.comm_secs),
+                verdict,
+                reason,
+            }),
+        );
+    }
+
+    /// Gate event and decision record of a node that did not invoke
+    /// redistribution: balanced, rejected by the gate, or deferred.
+    fn push_uninvoked(
+        &mut self,
+        ctx: &LbContext<'_>,
+        inp: &PhaseInputs<'_>,
+        gain: GainEstimate,
+        pricing: &Pricing,
+        verdict: GateVerdict,
+        reason: &'static str,
+    ) {
+        self.gate_event(ctx, inp, &gain, pricing, verdict, reason);
+        self.decisions.push(GlobalDecision {
+            step: inp.step,
+            gain,
+            cost: pricing.cost,
+            invoked: false,
+            aborted: false,
+            abort_delta_secs: 0.0,
+            report: None,
+            proactive: inp.proactive,
+        });
+    }
+
+    /// An accepted redistribution: migrate among the `eligible` groups —
+    /// the accepting node's — charge the computational overhead δ to the
+    /// processors of those groups (the repartition/rebuild work stays with
+    /// the groups that repartition) and push the decision. Migration
+    /// traffic may die mid-flight; the redistribution is a hierarchy
+    /// transaction and comes back rolled back, and the wasted work is
+    /// charged and recorded instead.
     fn redistribute_accepted(
         &mut self,
         ctx: &mut LbContext<'_>,
-        sys: &DistributedSystem,
-        site: DecisionSite,
+        inp: &PhaseInputs<'_>,
         gain: GainEstimate,
         cost: CostEstimate,
         eligible: &[bool],
-        powers: &[f64],
-        charged: Option<&[usize]>,
     ) {
         let t0 = Instant::now();
-        let DecisionSite {
+        let &PhaseInputs {
+            sys,
             step,
             level,
             proactive,
-        } = site;
+            ..
+        } = inp;
         let fault = self.cfg.fault;
         let tel = ctx.sim.telemetry().clone();
-        let charge = |sim: &mut SimView, secs: f64| match charged {
-            None => charge_all(sim, secs),
-            Some(groups) => charge_groups(sim, sys, groups, secs),
+        let charge = |sim: &mut SimView, secs: f64| {
+            for g in (0..sys.ngroups()).filter(|&g| eligible[g]) {
+                for &p in sys.procs_in(GroupId(g)) {
+                    sim.busy(p, secs, Activity::LoadBalance);
+                }
+            }
         };
         let redistribute_event = |sim: &SimView,
                                   rep: &RedistributionReport,
@@ -916,7 +1027,7 @@ impl DistributedDlb {
             &self.cfg.balance,
             self.cfg.selection,
             deadline,
-            powers,
+            inp.powers,
             &alive,
         ) {
             Ok(rep) => {
@@ -985,417 +1096,6 @@ impl DistributedDlb {
             proactive,
         });
         self.wall.migrate += t0.elapsed().as_secs_f64();
-    }
-
-    /// Federation-scale global phase: a balanced [`TREE_ARITY`]-ary
-    /// reduction tree over the healthy groups replaces the flat all-pairs
-    /// compare. (load, capacity) summaries flow up the tree as real
-    /// messages over the actual inter-group links, imbalance is γ-gated
-    /// per subtree top-down, and an accepted subtree redistributes among
-    /// exactly its own groups — so decision traffic is O(G) messages and
-    /// the probe/estimator set only ever holds the tree's representative
-    /// pairs, instead of O(G²) of both. Only entered above the arity; at
-    /// or below it the flat compare *is* the single-node tree, so the
-    /// flat code runs verbatim (the small-G equivalence the tests pin).
-    fn global_phase_hierarchical(
-        &mut self,
-        ctx: &mut LbContext<'_>,
-        sys: &DistributedSystem,
-        forecast_gain: Option<GainEstimate>,
-        site: DecisionSite,
-        healthy: &[usize],
-        powers: &[f64],
-    ) {
-        // Per-group loads: predicted (proactive trigger) or from the
-        // synchronized history snapshot. Local arithmetic on data every
-        // group leader already holds — the communication the phase
-        // charges is the tree's summary/delegation traffic below.
-        let group_loads = match forecast_gain {
-            Some(g) => g.group_loads,
-            None => evaluate_gain_among_with_powers(ctx.history, sys, healthy, powers).group_loads,
-        };
-        let root = build_reduction_tree(0, healthy.len());
-        let inp = HierInputs {
-            sys,
-            healthy,
-            group_loads: &group_loads,
-            powers,
-            site,
-        };
-        if let Err((a, b, e)) = self.hier_upsweep(ctx, &inp, &root) {
-            // no aggregated load picture this step: defer the decision
-            // entirely, exactly like a failed flat collective
-            self.roster.stats.comm_failures += 1;
-            self.roster
-                .record_pair_failure(a, b, site.step, e.at(), self.cfg.fault.quarantine_after);
-            let gain = GainEstimate {
-                gain_secs: 0.0,
-                group_loads: Vec::new(),
-                imbalance_ratio: 1.0,
-            };
-            self.push_rejected_decision(
-                ctx,
-                &inp,
-                gain,
-                GateVerdict::Deferred,
-                "collective_failed",
-            );
-            return;
-        }
-        self.hier_resolve(ctx, &inp, &root);
-    }
-
-    /// First alive processor of a group — the subtree-representative
-    /// endpoint of summary/delegation messages (nameplate leader as a
-    /// fallback; the phase only runs over groups with alive power).
-    fn leader(ctx: &LbContext<'_>, sys: &DistributedSystem, g: usize) -> ProcId {
-        ctx.sim
-            .alive_procs_in(GroupId(g))
-            .first()
-            .copied()
-            .unwrap_or_else(|| sys.procs_in(GroupId(g))[0])
-    }
-
-    /// One charged control/summary message between two group leaders,
-    /// retried with idle backoff per the fault policy. Every attempt is a
-    /// real message on the pair's actual inter-group link.
-    fn leader_send(
-        &mut self,
-        ctx: &mut LbContext<'_>,
-        sys: &DistributedSystem,
-        from: usize,
-        to: usize,
-        bytes: u64,
-        step: u64,
-    ) -> Result<(), SimError> {
-        let retry = self.cfg.fault.retry;
-        let pa = Self::leader(ctx, sys, from);
-        let pb = Self::leader(ctx, sys, to);
-        let mut attempt = 0u32;
-        loop {
-            self.decision_msgs += 1;
-            match ctx.sim.send(pa, pb, bytes, Activity::LoadBalance) {
-                Ok(_) => {
-                    if attempt > 0 {
-                        self.roster.stats.retries += attempt as u64;
-                        self.roster.events.push(FaultEvent::RetrySucceeded {
-                            step,
-                            retries: attempt,
-                        });
-                    }
-                    return Ok(());
-                }
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= retry.max_attempts.max(1) {
-                        return Err(e);
-                    }
-                    let backoff = retry.backoff_secs(attempt - 1);
-                    ctx.sim.busy(pa, backoff, Activity::Wait);
-                    ctx.sim.busy(pb, backoff, Activity::Wait);
-                }
-            }
-        }
-    }
-
-    /// Upward pass: post-order over the tree, each child representative
-    /// shipping its subtree's (load, capacity) summary to the node
-    /// representative. The first child shares the node's representative
-    /// (both are the subtree's lowest group), so it sends nothing. On
-    /// failure returns the leader pair whose link dropped the summary.
-    fn hier_upsweep(
-        &mut self,
-        ctx: &mut LbContext<'_>,
-        inp: &HierInputs<'_>,
-        node: &TreeNode,
-    ) -> Result<(), (usize, usize, SimError)> {
-        for child in &node.children {
-            self.hier_upsweep(ctx, inp, child)?;
-        }
-        let rep = inp.healthy[node.lo];
-        for child in node.children.iter().skip(1) {
-            let crep = inp.healthy[child.lo];
-            self.leader_send(ctx, inp.sys, crep, rep, SUMMARY_MSG_BYTES, inp.site.step)
-                .map_err(|e| (crep, rep, e))?;
-        }
-        Ok(())
-    }
-
-    /// Emit the gate event + decision record of a node that did not
-    /// invoke redistribution (balanced / deferred / delegate failure).
-    fn push_rejected_decision(
-        &mut self,
-        ctx: &LbContext<'_>,
-        inp: &HierInputs<'_>,
-        gain: GainEstimate,
-        verdict: GateVerdict,
-        reason: &'static str,
-    ) {
-        let tel = ctx.sim.telemetry().clone();
-        emit_gate_event(
-            &tel,
-            ctx.sim,
-            inp.site,
-            &gain,
-            None,
-            0.0,
-            0.0,
-            0,
-            self.cfg.gamma,
-            verdict,
-            reason,
-        );
-        self.decisions.push(GlobalDecision {
-            step: inp.site.step,
-            gain,
-            cost: None,
-            invoked: false,
-            aborted: false,
-            abort_delta_secs: 0.0,
-            report: None,
-            proactive: inp.site.proactive,
-        });
-    }
-
-    /// Delegate resolution to each multi-group child: a small control
-    /// message from the node representative hands the child's subtree to
-    /// its representative, which then resolves it. A failed delegation
-    /// defers that subtree only (the pair-failure bookkeeping decides who
-    /// sits out next step); its siblings proceed.
-    fn hier_descend(&mut self, ctx: &mut LbContext<'_>, inp: &HierInputs<'_>, node: &TreeNode) {
-        let rep = inp.healthy[node.lo];
-        for child in &node.children {
-            if child.len() < 2 {
-                continue; // a single group balances in its local phase
-            }
-            let crep = inp.healthy[child.lo];
-            if crep != rep {
-                if let Err(e) =
-                    self.leader_send(ctx, inp.sys, rep, crep, DELEGATE_MSG_BYTES, inp.site.step)
-                {
-                    self.roster.stats.comm_failures += 1;
-                    self.roster.record_pair_failure(
-                        rep,
-                        crep,
-                        inp.site.step,
-                        e.at(),
-                        self.cfg.fault.quarantine_after,
-                    );
-                    let gain = GainEstimate {
-                        gain_secs: 0.0,
-                        group_loads: Vec::new(),
-                        imbalance_ratio: 1.0,
-                    };
-                    self.push_rejected_decision(
-                        ctx,
-                        inp,
-                        gain,
-                        GateVerdict::Deferred,
-                        "delegate_failed",
-                    );
-                    continue;
-                }
-            }
-            self.hier_resolve(ctx, inp, child);
-        }
-    }
-
-    /// Top-down resolution of one internal tree node: score the subtree's
-    /// imbalance over its children's aggregated (load, capacity)
-    /// summaries; when imbalanced, probe only the child-representative
-    /// pairs, γ-gate, and redistribute among exactly this subtree's
-    /// groups; when the gate rejects (or the node is balanced), descend —
-    /// a child subtree may still fix itself over its cheaper links.
-    fn hier_resolve(&mut self, ctx: &mut LbContext<'_>, inp: &HierInputs<'_>, node: &TreeNode) {
-        let fault = self.cfg.fault;
-        let tel = ctx.sim.telemetry().clone();
-        // each child subtree is scored as one pseudo-group
-        let nch = node.children.len();
-        let mut child_loads = Vec::with_capacity(nch);
-        let mut child_powers = Vec::with_capacity(nch);
-        for c in &node.children {
-            child_loads.push(
-                inp.healthy[c.lo..c.hi]
-                    .iter()
-                    .map(|&g| inp.group_loads[g])
-                    .sum::<f64>(),
-            );
-            child_powers.push(
-                inp.healthy[c.lo..c.hi]
-                    .iter()
-                    .map(|&g| inp.powers[g])
-                    .sum::<f64>(),
-            );
-        }
-        let among: Vec<usize> = (0..nch).collect();
-        let node_gain = crate::gain::gain_from_loads(
-            child_loads,
-            ctx.history.last_step_secs(),
-            &among,
-            &child_powers,
-        );
-        // the decision records the full per-group load vector (what a
-        // redistribution acts on) under the node's own verdict
-        let gain = GainEstimate {
-            gain_secs: node_gain.gain_secs,
-            group_loads: inp.group_loads.to_vec(),
-            imbalance_ratio: node_gain.imbalance_ratio,
-        };
-        let imbalanced = gain.imbalance_ratio > self.cfg.imbalance_tolerance;
-        if !imbalanced || gain.gain_secs <= 0.0 {
-            self.push_rejected_decision(ctx, inp, gain, GateVerdict::Reject, "balanced");
-            self.hier_descend(ctx, inp, node);
-            return;
-        }
-
-        // Imbalance within this subtree: price a redistribution over its
-        // groups. Only the child-representative links are probed — the
-        // sampled worst path of at most arity² probes per node.
-        let mut eligible = vec![false; inp.sys.ngroups()];
-        for &g in &inp.healthy[node.lo..node.hi] {
-            eligible[g] = true;
-        }
-        let move_cells =
-            Self::planned_move_cells(ctx.hier, inp.sys, inp.group_loads, &eligible, inp.powers);
-        let cell_bytes = (ctx.hier.nfields() as u64) * 8;
-        let move_bytes = move_cells.max(0) as u64 * cell_bytes;
-        let reps: Vec<usize> = node.children.iter().map(|c| inp.healthy[c.lo]).collect();
-        let mut alpha = 0.0f64;
-        let mut beta = 0.0f64;
-        let mut alpha_fv = ForecastValue::exact(0.0);
-        let mut beta_fv = ForecastValue::exact(0.0);
-        for (i, &a) in reps.iter().enumerate() {
-            for &b in &reps[i + 1..] {
-                let pa = inp.sys.procs_in(GroupId(a))[0];
-                let pb = inp.sys.procs_in(GroupId(b))[0];
-                let retry = fault.retry;
-                let est = self.estimator(a, b);
-                let mut attempt = 0u32;
-                let outcome = loop {
-                    if attempt > 0 {
-                        let backoff = retry.backoff_secs(attempt - 1);
-                        ctx.sim.busy(pa, backoff, Activity::Wait);
-                        ctx.sim.busy(pb, backoff, Activity::Wait);
-                    }
-                    let t0 = ctx.sim.now(pa).max(ctx.sim.now(pb));
-                    let dl = t0 + SimTime::from_secs_f64(fault.probe_timeout_secs);
-                    match ctx.sim.probe_inter(GroupId(a), GroupId(b), est, Some(dl)) {
-                        Ok(s) => break Ok((s, attempt)),
-                        Err(e) => {
-                            attempt += 1;
-                            if attempt >= retry.max_attempts.max(1) {
-                                break Err(e);
-                            }
-                        }
-                    }
-                };
-                match outcome {
-                    Ok((s, retries)) => {
-                        self.decision_msgs += 2 * (u64::from(retries) + 1);
-                        if retries > 0 {
-                            self.roster.stats.retries += retries as u64;
-                            self.roster
-                                .events
-                                .push(FaultEvent::RetrySucceeded { step: inp.site.step, retries });
-                        }
-                        self.roster.record_pair_success(a, b);
-                        alpha = alpha.max(s.alpha);
-                        beta = beta.max(s.beta);
-                        if let (Some(af), Some(bf)) = {
-                            let est = self.estimator(a, b);
-                            (est.alpha_forecast(), est.beta_forecast())
-                        } {
-                            alpha_fv.value = alpha_fv.value.max(af.value);
-                            alpha_fv.error = alpha_fv.error.max(af.error);
-                            beta_fv.value = beta_fv.value.max(bf.value);
-                            beta_fv.error = beta_fv.error.max(bf.error);
-                        }
-                    }
-                    Err(e) => {
-                        self.decision_msgs += 2 * u64::from(retry.max_attempts.max(1));
-                        self.roster.stats.probe_failures += 1;
-                        self.roster.events.push(FaultEvent::ProbeFailure {
-                            step: inp.site.step,
-                            group_a: a,
-                            group_b: b,
-                        });
-                        self.roster.record_pair_failure(
-                            a,
-                            b,
-                            inp.site.step,
-                            e.at(),
-                            fault.quarantine_after,
-                        );
-                        // a representative link is suspect: defer this
-                        // whole subtree, don't descend through it
-                        self.push_rejected_decision(
-                            ctx,
-                            inp,
-                            gain,
-                            GateVerdict::Deferred,
-                            "probe_failed",
-                        );
-                        return;
-                    }
-                }
-            }
-        }
-        let cost = if self.cfg.predictor.is_none() {
-            evaluate_cost(alpha, beta, move_bytes, ctx.history)
-        } else {
-            let widen = self.cfg.confidence_widening * f64::from(self.cfg.forecast_horizon.max(1));
-            evaluate_cost_forecast(alpha_fv, beta_fv, move_bytes, ctx.history, widen)
-        };
-        let invoked = should_redistribute_confident(gain.gain_secs, &cost, self.cfg.gamma);
-        emit_gate_event(
-            &tel,
-            ctx.sim,
-            inp.site,
-            &gain,
-            Some(&cost),
-            alpha,
-            beta,
-            move_bytes,
-            self.cfg.gamma,
-            if invoked {
-                GateVerdict::Accept
-            } else {
-                GateVerdict::Reject
-            },
-            "gate",
-        );
-        if !invoked {
-            self.decisions.push(GlobalDecision {
-                step: inp.site.step,
-                gain,
-                cost: Some(cost),
-                invoked: false,
-                aborted: false,
-                abort_delta_secs: 0.0,
-                report: None,
-                proactive: inp.site.proactive,
-            });
-            // too expensive at this tier (e.g. a congested WAN between
-            // the child representatives) — the children may still fix
-            // their internal imbalance over cheaper links
-            self.hier_descend(ctx, inp, node);
-            return;
-        }
-
-        // Accepted: redistribute among exactly this subtree's groups and
-        // stop descending — the elastic repartition balances everything
-        // under the node in one pass.
-        let subtree = &inp.healthy[node.lo..node.hi];
-        self.redistribute_accepted(
-            ctx,
-            inp.sys,
-            inp.site,
-            gain,
-            cost,
-            &eligible,
-            inp.powers,
-            Some(subtree),
-        );
     }
 
     /// Mirror newly-appended roster fault events into the telemetry sink.
@@ -1483,42 +1183,18 @@ impl DistributedDlb {
     }
 }
 
-fn charge_all(sim: &mut SimView, secs: f64) {
-    for p in 0..sim.system().nprocs() {
-        sim.busy(ProcId(p), secs, Activity::LoadBalance);
-    }
-}
-
-/// [`charge_all`] restricted to the listed groups — a subtree-local
-/// redistribution's repartition/rebuild overhead stays inside the subtree.
-fn charge_groups(sim: &mut SimView, sys: &DistributedSystem, groups: &[usize], secs: f64) {
-    for &g in groups {
-        for &p in sys.procs_in(GroupId(g)) {
-            sim.busy(p, secs, Activity::LoadBalance);
-        }
-    }
-}
-
-/// Fan-out of the reduction tree. Doubles as the flat/hierarchical cutover:
-/// at or below this many healthy groups the tree would be one node over the
-/// individual groups — exactly the flat compare — so the flat path runs.
-/// Matches `topology::presets::FEDERATION_FANOUT`, so one tree tier maps to
-/// one site and the next to one region of the federation presets.
+/// Fan-out of the reduction tree the global phase runs over. Matches
+/// `topology::presets::FEDERATION_FANOUT`, so one tree tier maps to one site
+/// and the next to one region of the federation presets; up to this many
+/// healthy groups the tree is a single node over the individual groups.
 pub const TREE_ARITY: usize = 8;
-
-/// Bytes of one upward (load, capacity) subtree summary — same size class
-/// as the flat collective's per-leg payload ([`LOAD_MSG_BYTES`]).
-const SUMMARY_MSG_BYTES: u64 = LOAD_MSG_BYTES;
-
-/// Bytes of one downward delegation message.
-const DELEGATE_MSG_BYTES: u64 = LOAD_MSG_BYTES;
 
 /// One node of the balanced reduction tree: the contiguous index range
 /// `lo..hi` into the sorted healthy-group list (children partition it).
 /// Contiguity is what makes subtrees cheap: group ids are assigned
 /// site-major by the federation presets, so a subtree is a site, a region,
 /// or a run of regions — and its internal links are the cheap ones.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct TreeNode {
     lo: usize,
     hi: usize,
@@ -1529,13 +1205,20 @@ impl TreeNode {
     fn len(&self) -> usize {
         self.hi - self.lo
     }
+
+    /// Whether every child is an individual group: the whole tree is this
+    /// one node.
+    fn is_single_node(&self) -> bool {
+        self.children.iter().all(|c| c.len() == 1)
+    }
 }
 
-/// Balanced [`TREE_ARITY`]-ary tree over `lo..hi`: split into up to arity
+/// Balanced `arity`-ary tree over `lo..hi`: split into up to `arity`
 /// near-equal contiguous chunks, recurse into every multi-element chunk.
-/// Depth is ⌈log₈ n⌉, so summaries and delegations are O(n) messages total
-/// with an O(log n) critical path.
-fn build_reduction_tree(lo: usize, hi: usize) -> TreeNode {
+/// Depth is ⌈log_arity n⌉, so summaries and delegations are O(n) messages
+/// total with an O(log n) critical path; `arity ≥ n` yields one node over
+/// `n` single-element children.
+fn build_reduction_tree(lo: usize, hi: usize, arity: usize) -> TreeNode {
     let n = hi - lo;
     if n <= 1 {
         return TreeNode {
@@ -1544,22 +1227,24 @@ fn build_reduction_tree(lo: usize, hi: usize) -> TreeNode {
             children: Vec::new(),
         };
     }
-    let nchunks = n.min(TREE_ARITY);
+    let nchunks = n.min(arity);
     let base = n / nchunks;
     let extra = n % nchunks;
     let mut children = Vec::with_capacity(nchunks);
     let mut start = lo;
     for i in 0..nchunks {
         let size = base + usize::from(i < extra);
-        children.push(build_reduction_tree(start, start + size));
+        children.push(build_reduction_tree(start, start + size, arity));
         start += size;
     }
     debug_assert_eq!(start, hi);
     TreeNode { lo, hi, children }
 }
 
-/// Per-step immutable inputs threaded through the tree walk.
-struct HierInputs<'a> {
+/// Per-check immutable inputs threaded through the tree walk. The last
+/// three say when and why the check runs: every gate event, redistribute
+/// record and [`GlobalDecision`] of the check is stamped with them.
+struct PhaseInputs<'a> {
     sys: &'a DistributedSystem,
     /// Sorted healthy group ids — the tree's index space.
     healthy: &'a [usize],
@@ -1567,13 +1252,6 @@ struct HierInputs<'a> {
     group_loads: &'a [f64],
     /// Alive compute power indexed by group id (full length).
     powers: &'a [f64],
-    site: DecisionSite,
-}
-
-/// When and why a global check runs: what every gate event, redistribute
-/// record and [`GlobalDecision`] of that check is stamped with.
-#[derive(Clone, Copy, Debug)]
-struct DecisionSite {
     /// Level-0 step index.
     step: u64,
     /// Level whose step triggered the check.
@@ -1582,48 +1260,24 @@ struct DecisionSite {
     proactive: bool,
 }
 
-/// The one gate event every pushed [`GlobalDecision`] gets, flat or
-/// hierarchical — the audit log's gamma_gate count equals the run's
-/// global_checks because every decision funnels through here exactly once.
-#[allow(clippy::too_many_arguments)]
-fn emit_gate_event(
-    tel: &Telemetry,
-    sim: &SimView,
-    site: DecisionSite,
-    gain: &GainEstimate,
-    cost: Option<&CostEstimate>,
+/// Eq. 1 as far as a node got with it: the planned transfer; the worst
+/// (slowest) link parameters over the pairs that answered — freshest probe
+/// samples and, for the forecast path, worst forecast value and worst error
+/// bar, conservative like the reactive max — and, once every pair has
+/// answered, the price. The default is a node that has not probed.
+#[derive(Default)]
+struct Pricing {
+    move_bytes: u64,
     alpha: f64,
     beta: f64,
-    move_bytes: u64,
-    gamma: f64,
-    verdict: GateVerdict,
-    reason: &'static str,
-) {
-    if !tel.is_enabled() {
-        return;
-    }
-    let t = sim.elapsed().as_secs_f64();
-    tel.metric(t, "gate_imbalance_ratio", gain.imbalance_ratio);
-    tel.event(
-        t,
-        TelEventKind::GammaGate(GammaGateEvent {
-            step: site.step,
-            level: site.level,
-            proactive: site.proactive,
-            gain_secs: gain.gain_secs,
-            cost_alpha_beta_w_secs: cost.map_or(0.0, |c| c.comm_secs),
-            delta_secs: cost.map_or(0.0, |c| c.delta_secs),
-            cost_upper_secs: cost.map_or(0.0, CostEstimate::upper_total_secs),
-            alpha_secs: alpha,
-            beta_secs_per_byte: beta,
-            move_bytes,
-            gamma,
-            mae_widening_secs: cost.map_or(0.0, |c| c.comm_upper_secs - c.comm_secs),
-            verdict,
-            reason,
-        }),
-    );
+    alpha_fv: ForecastValue,
+    beta_fv: ForecastValue,
+    cost: Option<CostEstimate>,
 }
+
+/// An inter-group exchange that stayed failed, with the group pair whose
+/// link dropped it.
+type ExchangeError = (Option<(usize, usize)>, SimError);
 
 impl Default for DistributedDlb {
     fn default() -> Self {
@@ -2066,6 +1720,246 @@ mod tests {
 }
 
 #[cfg(test)]
+mod shape_tests {
+    //! What the tree's shape decides — pinned on hand-built quiet systems
+    //! and hand-built hierarchies, no RNG anywhere.
+
+    use super::*;
+    use crate::history::WorkloadHistory;
+    use samr_mesh::{ivec3, region};
+    use telemetry::Telemetry;
+    use topology::faults::{FaultKind, FaultSchedule};
+    use topology::link::Link;
+    use topology::{SimTime, SystemBuilder};
+
+    /// `n` one-processor groups (processor id = group id), every pair on
+    /// its own quiet dedicated link — `faulty` pairs with that schedule.
+    fn quiet_groups(
+        n: usize,
+        faulty: &[(usize, usize)],
+        sched: &FaultSchedule,
+    ) -> DistributedSystem {
+        let intra = Link::dedicated("intra", SimTime::from_micros(10), 1e9);
+        let wan = Link::dedicated("wan", SimTime::from_millis(5), 2e7);
+        let mut b = SystemBuilder::new();
+        for g in 0..n {
+            b = b.group(&format!("g{g}"), 1, 1.0, intra.clone());
+        }
+        for a in 0..n {
+            for c in a + 1..n {
+                let link = match faulty.contains(&(a, c)) {
+                    true => wan.clone().with_faults(sched.clone()),
+                    false => wan.clone(),
+                };
+                b = b.connect(a, c, link);
+            }
+        }
+        b.build()
+    }
+
+    /// 8x8x8 level-0 grids in a row, `counts[g]` of them owned by group g.
+    fn hier_with(counts: &[i64]) -> GridHierarchy {
+        let total: i64 = counts.iter().sum();
+        let mut h = GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(8 * total, 8, 8)), 2, 4, 1, 1);
+        let mut x = 0;
+        for (g, &n) in counts.iter().enumerate() {
+            for _ in 0..n {
+                h.insert_patch(0, region(ivec3(x, 0, 0), ivec3(x + 8, 8, 8)), None, g);
+                x += 8;
+            }
+        }
+        h
+    }
+
+    /// One level-0 check over 16 groups loaded 1,3,1,3,… in the first
+    /// eight and 2,6,2,6,… in the rest — every tree node imbalanced — with
+    /// a gate that never accepts, so every node is visited.
+    fn one_check_at_g16(flat_reference: bool) -> DistributedDlb {
+        let sys = quiet_groups(16, &[], &FaultSchedule::none());
+        let (dlb, _) = one_check_over(sys, flat_reference);
+        assert_eq!(dlb.fault_stats(), FaultStats::default());
+        dlb
+    }
+
+    /// [`one_check_at_g16`] over `sys`, with the telemetry it recorded.
+    fn one_check_over(
+        sys: DistributedSystem,
+        flat_reference: bool,
+    ) -> (DistributedDlb, Vec<telemetry::EventRecord>) {
+        let counts: Vec<i64> = (0..16).map(|g| (1 + 2 * (g % 2)) * (1 + g / 8)).collect();
+        let mut hier = hier_with(&counts);
+        let (tel, sink) = Telemetry::recording_shared();
+        let mut sim = SimView::new(sys);
+        sim.set_telemetry(tel);
+        let mut history = WorkloadHistory::new(16);
+        history.record_snapshot(vec![hier.level_load_by_owner(0, 16)], vec![1]);
+        history.record_step_time(60.0);
+        let mut dlb = DistributedDlb::new(DistributedDlbConfig {
+            gamma: 1e9,
+            flat_reference,
+            ..Default::default()
+        });
+        dlb.after_level_step(
+            LbContext {
+                hier: &mut hier,
+                sim: &mut sim,
+                history: &mut history,
+            },
+            0,
+        )
+        .unwrap();
+        let events = sink.lock().unwrap().events();
+        (dlb, events)
+    }
+
+    /// "The flat compare is the one-node tree" — by construction.
+    #[test]
+    fn arity_at_least_n_is_one_node_over_n_leaves() {
+        for n in 2..=8 {
+            let tree = build_reduction_tree(0, n, TREE_ARITY);
+            assert_eq!(tree, build_reduction_tree(0, n, n), "n = {n}");
+            assert!(tree.is_single_node());
+            assert_eq!((tree.lo, tree.hi, tree.children.len()), (0, n, n));
+            for (i, leaf) in tree.children.iter().enumerate() {
+                assert_eq!((leaf.lo, leaf.hi), (i, i + 1));
+                assert!(leaf.children.is_empty());
+            }
+        }
+        // `flat_reference`: arity = n at any n
+        let flat = build_reduction_tree(0, 64, 64);
+        assert!(flat.is_single_node() && flat.children.len() == 64);
+        // one group more than the arity is already two tiers
+        assert!(!build_reduction_tree(0, TREE_ARITY + 1, TREE_ARITY).is_single_node());
+    }
+
+    #[test]
+    fn g16_tree_gathers_with_g_minus_1_summaries_and_probes_representatives() {
+        let dlb = one_check_at_g16(false);
+        // the root over eight two-group children, then each child: nine
+        // resolved nodes, each priced and rejected
+        assert_eq!(dlb.decisions.len(), 9);
+        assert!(dlb.decisions.iter().all(|d| d.cost.is_some() && !d.invoked));
+        // the eight child representatives among themselves, and each
+        // child's own pair
+        let mut want: Vec<(usize, usize)> = Vec::new();
+        for a in (0..16).step_by(2) {
+            want.extend((a + 2..16).step_by(2).map(|b| (a, b)));
+            want.push((a, a + 1));
+        }
+        want.sort_unstable();
+        assert_eq!(dlb.estimators.keys().copied().collect::<Vec<_>>(), want);
+        assert_eq!(dlb.estimator_pairs(), 28 + 8);
+        // 15 summaries up (every non-first child of every node sends one,
+        // no collective legs), 2 messages per probed pair, 7 delegations
+        // down (the first child shares the root's representative)
+        assert_eq!(dlb.decision_msgs(), 15 + 2 * 36 + 7);
+    }
+
+    #[test]
+    fn g16_flat_reference_is_one_node_over_all_pairs() {
+        let dlb = one_check_at_g16(true);
+        assert_eq!(dlb.decisions.len(), 1, "one decision per check");
+        assert!(dlb.decisions[0].cost.is_some() && !dlb.decisions[0].invoked);
+        assert_eq!(dlb.estimator_pairs(), 16 * 15 / 2);
+        // G·(G−1) collective legs, then 2 messages per pair
+        assert_eq!(dlb.decision_msgs(), 16 * 15 + 2 * (16 * 15 / 2));
+    }
+
+    /// The link of a child's representative pair (2, 3) carries the
+    /// summary (sent within the first 6 ms) and is dead by the time the
+    /// child probes it, after the root's 28 probes: that subtree is
+    /// deferred with what it had measured, its siblings resolve, and the
+    /// audit log still holds one gate event per pushed decision.
+    #[test]
+    fn dead_representative_link_defers_its_subtree_only() {
+        let dies = FaultSchedule::none().with_window(
+            SimTime::from_millis(10),
+            SimTime::from_secs(3600),
+            FaultKind::Outage,
+        );
+        let (dlb, events) = one_check_over(quiet_groups(16, &[(2, 3)], &dies), false);
+        let stats = dlb.fault_stats();
+        assert_eq!(stats.probe_failures + stats.comm_failures, 1, "{stats:?}");
+        assert_eq!(stats.probe_failures, 1);
+        assert_eq!(dlb.decisions.len(), 9, "the root and all eight children");
+        let gates: Vec<&GammaGateEvent> = events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                TelEventKind::GammaGate(g) => Some(g),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(gates.len(), dlb.decisions.len());
+        let deferred: Vec<usize> = (0..gates.len())
+            .filter(|&i| gates[i].verdict == Deferred)
+            .collect();
+        // root, child (0, 1), then child (2, 3)
+        assert_eq!(deferred, vec![2]);
+        let g = gates[2];
+        assert_eq!(g.reason, "probe_failed");
+        assert!(g.move_bytes > 0, "{g:?}");
+        assert!(dlb.decisions[2].cost.is_none());
+        // every other node was priced and gated
+        for (i, g) in gates.iter().enumerate().filter(|(i, _)| *i != 2) {
+            assert_eq!((g.verdict, g.reason), (Reject, "gate"), "node {i}");
+            assert!(g.move_bytes > 0 && g.alpha_secs > 0.0, "node {i}: {g:?}");
+            assert!(dlb.decisions[i].cost.is_some());
+        }
+    }
+
+    /// δ is the repartition/rebuild work of the groups that repartition: a
+    /// group sitting the phase out is not billed for it.
+    #[test]
+    fn delta_is_charged_to_the_groups_that_repartition() {
+        let intra = Link::dedicated("intra", SimTime::from_micros(10), 1e9);
+        let wan = Link::dedicated("wan", SimTime::from_millis(5), 2e7);
+        // C has one processor, so its local phase charges it nothing either
+        let sys = SystemBuilder::new()
+            .group("A", 2, 1.0, intra.clone())
+            .group("B", 2, 1.0, intra.clone())
+            .group("C", 1, 1.0, intra)
+            .connect(0, 1, wan.clone())
+            .connect(0, 2, wan.clone())
+            .connect(1, 2, wan)
+            .build();
+        let mut sim = SimView::new(sys);
+        // A's first proc holds 6 grids, B's 2, C's 1
+        let mut hier = GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(72, 8, 8)), 2, 4, 1, 1);
+        for (i, owner) in [0, 0, 0, 0, 0, 0, 2, 2, 4].into_iter().enumerate() {
+            let x = 8 * i as i64;
+            hier.insert_patch(0, region(ivec3(x, 0, 0), ivec3(x + 8, 8, 8)), None, owner);
+        }
+        let mut history = WorkloadHistory::new(5);
+        history.record_snapshot(vec![hier.level_load_by_owner(0, 5)], vec![1]);
+        history.record_step_time(60.0);
+        let mut dlb = DistributedDlb::default();
+        // C was quarantined this very step: no probation probe is due yet
+        dlb.roster.ensure_len(3);
+        dlb.roster
+            .record_pair_failure(0, 2, history.steps(), SimTime::ZERO, 1);
+        assert!(!dlb.roster.is_healthy(2));
+        dlb.after_level_step(
+            LbContext {
+                hier: &mut hier,
+                sim: &mut sim,
+                history: &mut history,
+            },
+            0,
+        )
+        .unwrap();
+        let d = &dlb.decisions[0];
+        assert!(d.invoked && !d.aborted, "{d:?}");
+        let flow = &d.report.as_ref().unwrap().group_flow;
+        assert!(flow[0] > 0 && flow[1] < 0 && flow[2] == 0, "{flow:?}");
+        let delta = SimTime::from_secs_f64(history.delta());
+        assert!(delta > SimTime::ZERO);
+        let lb: Vec<SimTime> = sim.stats().procs.iter().map(|p| p.load_balance).collect();
+        assert_eq!(lb[4], SimTime::ZERO, "the quarantined group took no part");
+        assert!(lb[..4].iter().all(|&t| t >= delta), "{lb:?} vs δ {delta:?}");
+    }
+}
+
+#[cfg(test)]
 mod congestion_tests {
     use super::*;
     use crate::history::WorkloadHistory;
@@ -2163,6 +2057,7 @@ mod fault_tests {
     use super::*;
     use crate::history::WorkloadHistory;
     use samr_mesh::{ivec3, region};
+    use telemetry::Telemetry;
     use topology::faults::{FaultKind, FaultSchedule};
     use topology::link::Link;
     use topology::{SimTime, SystemBuilder};
@@ -2364,8 +2259,9 @@ mod fault_tests {
         b.tiers(tiers).build()
     }
 
-    /// The tree path's abort: 16 groups is beyond the arity, so the root
-    /// of the reduction tree resolves the imbalance in `hier_resolve`. The
+    /// An abort in a two-tier tree: 16 groups is beyond the arity, so the
+    /// root resolves the imbalance over its eight two-group children
+    /// (`resolve_node`, which the test's name knows as `hier_resolve`). The
     /// first migration stays inside site 0 and lands; the second needs a
     /// split and crosses the lossy inter-site link, which kills it
     /// mid-flight. The decision is recorded aborted, its rollback follows

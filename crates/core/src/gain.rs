@@ -20,44 +20,26 @@ pub struct GainEstimate {
 /// `Gain = T(t) · (max_g W_g − min_g W_g) / (NumGroups · max_g W_g)` — a
 /// deliberately conservative estimate of the per-step time saved by removing
 /// the inter-group imbalance, scaled from the measured last step time `T(t)`.
+/// Every group is compared, at its nameplate power.
 pub fn evaluate_gain(history: &WorkloadHistory, sys: &DistributedSystem) -> GainEstimate {
     let all: Vec<usize> = (0..sys.ngroups()).collect();
-    evaluate_gain_among(history, sys, &all)
+    gain_from_loads(
+        history_group_loads(history, sys),
+        history.last_step_secs(),
+        &all,
+        &static_powers(sys),
+    )
 }
 
-/// [`evaluate_gain`] restricted to the listed (healthy) groups: the max/min
-/// and imbalance ratio consider only `among`, so a quarantined group's
-/// unreachable load can neither trigger nor suppress a redistribution among
-/// the groups that can actually exchange work. `group_loads` in the result
-/// still covers every group (entries outside `among` are reported but not
-/// compared).
-pub fn evaluate_gain_among(
-    history: &WorkloadHistory,
-    sys: &DistributedSystem,
-    among: &[usize],
-) -> GainEstimate {
-    let powers = static_powers(sys);
-    evaluate_gain_among_with_powers(history, sys, among, &powers)
-}
-
-/// [`evaluate_gain_among`] with explicit per-group compute powers —
-/// the crash-stop path, where a group that lost procs has less capacity
-/// than its nameplate `group_power` and imbalance must be judged against
-/// what is *actually* alive. `powers` is indexed by group id (full
-/// length, entries outside `among` ignored).
-pub fn evaluate_gain_among_with_powers(
-    history: &WorkloadHistory,
-    sys: &DistributedSystem,
-    among: &[usize],
-    powers: &[f64],
-) -> GainEstimate {
-    let ngroups = sys.ngroups();
-    let mut group_loads = Vec::with_capacity(ngroups);
-    for g in 0..ngroups {
-        let procs: Vec<usize> = sys.procs_in(GroupId(g)).iter().map(|p| p.0).collect();
-        group_loads.push(history.group_total_load(&procs));
-    }
-    gain_from_loads(group_loads, history.last_step_secs(), among, powers)
+/// Iteration-weighted workload per group, `W_group(t)` (Eq. 3), from the
+/// last recorded snapshot.
+pub fn history_group_loads(history: &WorkloadHistory, sys: &DistributedSystem) -> Vec<f64> {
+    (0..sys.ngroups())
+        .map(|g| {
+            let procs: Vec<usize> = sys.procs_in(GroupId(g)).iter().map(|p| p.0).collect();
+            history.group_total_load(&procs)
+        })
+        .collect()
 }
 
 /// Nameplate per-group powers (every proc assumed alive).
@@ -67,38 +49,18 @@ pub fn static_powers(sys: &DistributedSystem) -> Vec<f64> {
         .collect()
 }
 
-/// Evaluate the same Eq.-4 heuristic on *predicted* per-group loads — the
-/// proactive-trigger path, where the loads come from the forecast crate's
-/// per-group series instead of the last recorded snapshot.
-pub fn evaluate_gain_forecast(
-    predicted_loads: Vec<f64>,
-    last_step_secs: f64,
-    sys: &DistributedSystem,
-    among: &[usize],
-) -> GainEstimate {
-    let powers = static_powers(sys);
-    evaluate_gain_forecast_with_powers(predicted_loads, last_step_secs, sys, among, &powers)
-}
-
-/// [`evaluate_gain_forecast`] with explicit per-group powers (see
-/// [`evaluate_gain_among_with_powers`]).
-pub fn evaluate_gain_forecast_with_powers(
-    predicted_loads: Vec<f64>,
-    last_step_secs: f64,
-    sys: &DistributedSystem,
-    among: &[usize],
-    powers: &[f64],
-) -> GainEstimate {
-    assert_eq!(predicted_loads.len(), sys.ngroups());
-    gain_from_loads(predicted_loads, last_step_secs, among, powers)
-}
-
-/// Eq. 4 straight from an explicit load vector: the primitive behind every
-/// `evaluate_gain_*` entry point, public so the hierarchical decision tree
-/// can score a subtree from its children's aggregated (load, capacity)
-/// summaries — `group_loads`/`powers` indexed by whatever granularity
-/// `among` enumerates (groups for the flat path, child subtrees for a tree
-/// node).
+/// Eq. 4 straight from an explicit load vector — recorded or predicted,
+/// per group or per subtree: `group_loads`/`powers` are indexed by whatever
+/// granularity `among` enumerates (the global phase scores a tree node over
+/// its children's aggregated (load, capacity) summaries).
+///
+/// The max/min and the imbalance ratio consider only `among`, so a
+/// quarantined group's unreachable load can neither trigger nor suppress a
+/// redistribution among the groups that can actually exchange work, and
+/// `powers` is what is *actually* alive: a group that lost procs to
+/// crash-stop failures has less capacity than its nameplate power.
+/// `group_loads` comes back in the result whole (entries outside `among`
+/// are reported but not compared).
 pub fn gain_from_loads(
     group_loads: Vec<f64>,
     last_step_secs: f64,
@@ -184,6 +146,17 @@ mod tests {
         h
     }
 
+    /// Eq. 4 on the history's loads, compared among `among` at `powers`.
+    fn gain_among(
+        h: &WorkloadHistory,
+        sys: &DistributedSystem,
+        among: &[usize],
+        powers: &[f64],
+    ) -> GainEstimate {
+        let loads = history_group_loads(h, sys);
+        gain_from_loads(loads, h.last_step_secs(), among, powers)
+    }
+
     #[test]
     fn balanced_system_zero_gain() {
         let h = history(1000, 1000, 10.0);
@@ -241,10 +214,10 @@ mod tests {
         // with B quarantined the healthy subset {A} is trivially balanced.
         let h = history(1000, 0, 10.0);
         let sys = sys(2, 2, 1.0);
-        let full = evaluate_gain_among(&h, &sys, &[0, 1]);
+        let full = gain_among(&h, &sys, &[0, 1], &static_powers(&sys));
         assert!(full.gain_secs > 0.0);
         assert!(full.imbalance_ratio.is_infinite());
-        let only_a = evaluate_gain_among(&h, &sys, &[0]);
+        let only_a = gain_among(&h, &sys, &[0], &static_powers(&sys));
         assert_eq!(only_a.gain_secs, 0.0);
         assert!((only_a.imbalance_ratio - 1.0).abs() < 1e-12);
         // group_loads still reports every group
@@ -262,14 +235,14 @@ mod tests {
         assert!((nameplate.imbalance_ratio - 1.0).abs() < 1e-12);
         // ...but with one of B's two procs dead, B is carrying double its
         // surviving capacity's fair share
-        let shrunk = evaluate_gain_among_with_powers(&h, &sys, &[0, 1], &[2.0, 1.0]);
+        let shrunk = gain_among(&h, &sys, &[0, 1], &[2.0, 1.0]);
         assert!((shrunk.imbalance_ratio - 2.0).abs() < 1e-12);
         // a zero-capacity group with load pending is infinitely imbalanced
-        let dead = evaluate_gain_among_with_powers(&h, &sys, &[0, 1], &[2.0, 0.0]);
+        let dead = gain_among(&h, &sys, &[0, 1], &[2.0, 0.0]);
         assert!(dead.imbalance_ratio.is_infinite());
         // static_powers reproduces the nameplate evaluation
         assert_eq!(
-            evaluate_gain_among_with_powers(&h, &sys, &[0, 1], &static_powers(&sys)),
+            gain_among(&h, &sys, &[0, 1], &static_powers(&sys)),
             nameplate
         );
     }
@@ -279,15 +252,16 @@ mod tests {
         let h = history(1400, 200, 10.0);
         let sys = sys(2, 2, 1.0);
         let from_history = evaluate_gain(&h, &sys);
-        let from_forecast = evaluate_gain_forecast(
+        let powers = static_powers(&sys);
+        let from_forecast = gain_from_loads(
             from_history.group_loads.clone(),
             h.last_step_secs(),
-            &sys,
             &[0, 1],
+            &powers,
         );
         assert_eq!(from_forecast, from_history);
         // and a predicted shift changes the verdict before history catches up
-        let shifted = evaluate_gain_forecast(vec![200.0, 1400.0], 10.0, &sys, &[0, 1]);
+        let shifted = gain_from_loads(vec![200.0, 1400.0], 10.0, &[0, 1], &powers);
         assert!((shifted.imbalance_ratio - 7.0).abs() < 1e-12);
     }
 }

@@ -30,10 +30,7 @@ pub mod partition;
 pub mod scheme;
 
 pub use balance::{balance_level_within, place_batch, BalanceOutcome, BalanceParams};
-pub use cost::{
-    evaluate_cost, evaluate_cost_forecast, should_redistribute, should_redistribute_confident,
-    CostEstimate,
-};
+pub use cost::{evaluate_cost, evaluate_cost_forecast, should_redistribute, CostEstimate};
 pub use distributed::{
     DistributedDlb, DistributedDlbConfig, DlbWall, ForecastSummary, GlobalDecision,
 };
@@ -43,14 +40,12 @@ pub use fault::{
 };
 pub use forecast::{ForecastValue, PredictorKind};
 pub use gain::{
-    evaluate_gain, evaluate_gain_among, evaluate_gain_among_with_powers, evaluate_gain_forecast,
-    evaluate_gain_forecast_with_powers, gain_from_loads, static_powers, GainEstimate,
+    evaluate_gain, gain_from_loads, history_group_loads, static_powers, GainEstimate,
 };
 pub use history::WorkloadHistory;
 pub use parallel::ParallelDlb;
 pub use partition::{
     decompose_domain, evacuate_proc, global_redistribute, global_redistribute_elastic,
-    global_redistribute_guarded, global_redistribute_with, EvacuationMove, EvacuationReport,
-    RedistributionAbort, RedistributionReport, SelectionPolicy,
+    EvacuationMove, EvacuationReport, RedistributionAbort, RedistributionReport, SelectionPolicy,
 };
 pub use scheme::{proc_total_cells, LbContext, LoadBalancer};

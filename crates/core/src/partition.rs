@@ -38,8 +38,8 @@ pub struct RedistributionReport {
 
 /// A global redistribution that died mid-flight: the migration transfer
 /// between `src_group` and `dst_group` failed with `error` after the moves
-/// in `partial` had already been issued. The fault-aware entry points have
-/// rolled the hierarchy back by the time they return this — owners, splits,
+/// in `partial` had already been issued. [`global_redistribute_elastic`] has
+/// rolled the hierarchy back by the time it returns this — owners, splits,
 /// ids and field data are as before the call; `partial` is the wasted
 /// motion.
 #[derive(Clone, Debug)]
@@ -62,38 +62,21 @@ pub struct RedistributionAbort {
 /// their (possibly relocated) parents at the next regrid — exactly the
 /// paper's policy. For two homogeneous groups the moved amount reduces to
 /// Fig. 6's `(W_A − W_B)/(2·W_A) · W⁰_A`.
+///
+/// Infallible entry point for fault-free links: every group is eligible at
+/// its nameplate power, transfers have no deadline, and a mid-flight
+/// failure simply truncates the result to the moves that completed — they
+/// stay applied. Fault-aware callers use [`global_redistribute_elastic`].
 pub fn global_redistribute(
     hier: &mut GridHierarchy,
     sim: &mut SimView,
     group_loads: &[f64],
     params: &BalanceParams,
 ) -> RedistributionReport {
-    global_redistribute_with(
-        hier,
-        sim,
-        group_loads,
-        params,
-        SelectionPolicy::SubtreeWorkload,
-    )
-}
-
-/// [`global_redistribute`] with an explicit donor-selection policy.
-///
-/// Infallible legacy entry point: every group is eligible, transfers have
-/// no deadline, and a mid-flight failure simply truncates the result to the
-/// moves that completed — they stay applied (adequate on fault-free links,
-/// where failures cannot occur; fault-aware callers use
-/// [`global_redistribute_guarded`]).
-pub fn global_redistribute_with(
-    hier: &mut GridHierarchy,
-    sim: &mut SimView,
-    group_loads: &[f64],
-    params: &BalanceParams,
-    policy: SelectionPolicy,
-) -> RedistributionReport {
     let eligible = vec![true; sim.system().ngroups()];
     let powers = crate::gain::static_powers(sim.system());
     let alive = vec![true; sim.system().nprocs()];
+    let policy = SelectionPolicy::SubtreeWorkload;
     match redistribute_moves(
         hier, sim, group_loads, &eligible, params, policy, None, &powers, &alive,
     ) {
@@ -102,37 +85,17 @@ pub fn global_redistribute_with(
     }
 }
 
-/// Fault-aware [`global_redistribute_with`]: only groups with
+/// Fault- and capacity-aware [`global_redistribute`]: only groups with
 /// `eligible[g] == true` donate or receive (quarantined groups keep their
 /// grids), every migration transfer carries the absolute `deadline`, and a
 /// transfer failure aborts the redistribution with a
-/// [`RedistributionAbort`] instead of pressing on over a dead link.
-///
-/// Ownership is only committed after the transfer succeeds, and on `Err`
-/// the earlier moves and any grid splits have been undone — see
-/// [`global_redistribute_elastic`].
-pub fn global_redistribute_guarded(
-    hier: &mut GridHierarchy,
-    sim: &mut SimView,
-    group_loads: &[f64],
-    eligible: &[bool],
-    params: &BalanceParams,
-    policy: SelectionPolicy,
-    deadline: Option<SimTime>,
-) -> Result<RedistributionReport, RedistributionAbort> {
-    let powers = crate::gain::static_powers(sim.system());
-    let alive = vec![true; sim.system().nprocs()];
-    global_redistribute_elastic(
-        hier, sim, group_loads, eligible, params, policy, deadline, &powers, &alive,
-    )
-}
-
-/// Capacity-aware [`global_redistribute_guarded`]: group targets are
-/// proportional to the supplied `powers` (per group id — pass the *alive*
-/// capacity of a group that lost procs to crash-stop failures), and
-/// migration destinations are restricted to procs with `alive[p] == true`.
-/// A group whose power is zero but which still holds load becomes a pure
-/// donor; a group with no alive procs can never receive.
+/// [`RedistributionAbort`] instead of pressing on over a dead link. Group
+/// targets are proportional to the supplied `powers` (per group id — pass
+/// the *alive* capacity of a group that lost procs to crash-stop failures),
+/// and migration destinations are restricted to procs with
+/// `alive[p] == true`. A group whose power is zero but which still holds
+/// load becomes a pure donor; a group with no alive procs can never
+/// receive. Ownership is only committed after a transfer succeeds.
 ///
 /// The redistribution is one [`GridHierarchy`] transaction: `Ok` commits
 /// it, `Err` rolls it back, so an abort leaves the hierarchy exactly as it
@@ -818,6 +781,28 @@ mod tests {
         h
     }
 
+    /// The fault-aware call at nameplate powers with every proc alive.
+    fn redistribute_eligible(
+        hier: &mut GridHierarchy,
+        sim: &mut SimView,
+        group_loads: &[f64],
+        eligible: &[bool],
+    ) -> Result<RedistributionReport, RedistributionAbort> {
+        let powers = crate::gain::static_powers(sim.system());
+        let alive = vec![true; sim.system().nprocs()];
+        global_redistribute_elastic(
+            hier,
+            sim,
+            group_loads,
+            eligible,
+            &BalanceParams::default(),
+            SelectionPolicy::SubtreeWorkload,
+            None,
+            &powers,
+            &alive,
+        )
+    }
+
     #[test]
     fn fig6_two_group_amount() {
         // Group A holds 6 grids (3072 cells of workload), B holds 2 (1024).
@@ -957,15 +942,7 @@ mod tests {
             .build();
         let mut sim = SimView::new(sys);
         let mut hier = hier_split(0, 2, 6); // A: 6 grids, B: 2, C: 0
-        let rep = global_redistribute_guarded(
-            &mut hier,
-            &mut sim,
-            &[3072.0, 1024.0, 0.0],
-            &[true, true, false],
-            &BalanceParams::default(),
-            SelectionPolicy::SubtreeWorkload,
-            None,
-        )
+        let rep = redistribute_eligible(&mut hier, &mut sim, &[3072.0, 1024.0, 0.0], &[true, true, false])
         .unwrap();
         assert!(rep.moved_cells > 0);
         assert_eq!(rep.group_flow[2], 0, "quarantined group untouched: {rep:?}");
@@ -1046,18 +1023,10 @@ mod tests {
         for &id in hier.level_ids(0) {
             assert_ne!(hier.patch(id).owner, 3);
         }
-        // guarded (all alive, nameplate powers) still sees this as balanced
+        // all alive at nameplate powers, the same loads are balanced
         let mut sim2 = SimView::new(wan_sys(2, 2, 1.0));
         let mut hier2 = hier_split(0, 2, 4);
-        let rep2 = global_redistribute_guarded(
-            &mut hier2,
-            &mut sim2,
-            &[2048.0, 2048.0],
-            &[true, true],
-            &BalanceParams::default(),
-            SelectionPolicy::SubtreeWorkload,
-            None,
-        )
+        let rep2 = redistribute_eligible(&mut hier2, &mut sim2, &[2048.0, 2048.0], &[true, true])
         .unwrap();
         assert_eq!(rep2.moved_cells, 0);
     }
@@ -1080,15 +1049,7 @@ mod tests {
             .build();
         let mut sim = SimView::new(sys);
         let mut hier = hier_split(0, 2, 6);
-        let abort = global_redistribute_guarded(
-            &mut hier,
-            &mut sim,
-            &[3072.0, 1024.0],
-            &[true, true],
-            &BalanceParams::default(),
-            SelectionPolicy::SubtreeWorkload,
-            None,
-        )
+        let abort = redistribute_eligible(&mut hier, &mut sim, &[3072.0, 1024.0], &[true, true])
         .unwrap_err();
         assert!(matches!(abort.error, SimError::LinkDown { .. }));
         assert_eq!((abort.src_group, abort.dst_group), (0, 1));
@@ -1110,15 +1071,7 @@ mod tests {
         }
         let before = samr_mesh::checkpoint::snapshot(&hier);
         let pool = hier.pool().clone();
-        let abort = global_redistribute_guarded(
-            &mut hier,
-            &mut sim,
-            &[3000.0, 1000.0],
-            &[true, true],
-            &BalanceParams::default(),
-            SelectionPolicy::SubtreeWorkload,
-            None,
-        )
+        let abort = redistribute_eligible(&mut hier, &mut sim, &[3000.0, 1000.0], &[true, true])
         .unwrap_err();
         assert!(abort.partial.splits >= 1, "{abort:?}");
         assert_matches_snapshot(&hier, &before);

@@ -19,8 +19,8 @@ pub trait Predictor {
 
 /// A forecast with a symmetric error bar derived from the predictor's
 /// running mean absolute error — the "confidence interval" the γ-gate
-/// widens the Eq.-1 cost by.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// widens the Eq.-1 cost by. The default is an exact zero.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ForecastValue {
     /// Point forecast of the next observation.
     pub value: f64,

@@ -1,7 +1,8 @@
-//! Federation-scale decision phase: the hierarchical tree reduction must
-//! collapse onto the flat all-groups compare at small G (it *is* the flat
-//! compare — a single tree node over the individual groups), and stay
-//! bit-deterministic at federation scale, recording telemetry or not.
+//! Federation-scale decision phase: the global phase is one routine over a
+//! reduction tree, so at small G — where the tree is a single node over the
+//! individual groups, the paper's all-groups compare — pinning the tree to
+//! one node (`flat_reference`) must change nothing, and at federation scale
+//! the run must stay bit-deterministic, recording telemetry or not.
 
 use dlb::DistributedDlbConfig;
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
@@ -44,9 +45,11 @@ fn run(sys: DistributedSystem, flat_reference: bool, tel: telemetry::Telemetry) 
     Driver::new(sys, cfg).run()
 }
 
-/// At G ≤ [`dlb::distributed::TREE_ARITY`] the hierarchical dispatch never
-/// fires, so `flat_reference` must change *nothing*: same decisions, same
-/// traffic, same outcome, bit for bit.
+/// At G ≤ [`dlb::distributed::TREE_ARITY`] both sides build the same
+/// one-node tree (arity 8 and arity G split G ≤ 8 groups into G leaves), so
+/// `flat_reference` must change *nothing*: same decisions, same traffic,
+/// same outcome, bit for bit. The end-to-end guard of what
+/// `arity_at_least_n_is_one_node_over_n_leaves` states on the tree itself.
 #[test]
 fn small_g_hierarchical_equals_flat() {
     type MkSystem = fn() -> DistributedSystem;
@@ -61,7 +64,7 @@ fn small_g_hierarchical_equals_flat() {
         assert_eq!(
             fingerprint(&hier),
             fingerprint(&flat),
-            "{name}: hierarchical dispatch must be inert at small G"
+            "{name}: `flat_reference` must be inert at small G"
         );
         assert_eq!(hier.decisions.len(), flat.decisions.len(), "{name}");
         for (a, b) in hier.decisions.iter().zip(&flat.decisions) {
@@ -103,8 +106,8 @@ fn federation_g64_is_deterministic() {
     );
     assert!(sink.lock().unwrap().summary().is_some());
 
-    // O(G) decision bookkeeping: the flat compare would allocate
-    // G·(G−1)/2 = 2016 estimator pairs; the tree only touches
+    // O(G) decision bookkeeping: a one-node tree would allocate
+    // G·(G−1)/2 = 2016 estimator pairs; the two-tier tree only touches
     // representative pairs.
     assert!(
         a.estimator_pairs <= 8 * 64,

@@ -288,10 +288,13 @@ print(f"tenants gate: ok (congested p99: aware {aware['worst_p99_step_secs']:.4f
 EOF
 
 # scale gate: federation-scale decision sweep at quick scale (the binary
-# itself exits nonzero if the hierarchical path ends a run >10% worse
-# balanced than the flat reference), then check the schema and the scaling
-# claims: hierarchical decision bookkeeping must stay O(G) while the flat
-# reference touches all O(G²) pairs, small G must be flat-equivalent, the
+# itself exits nonzero if the arity-8 tree ends a run >10% worse balanced
+# than the flat reference, the same routine with the tree pinned to one
+# node), then check the schema and the scaling claims: the tree's decision
+# bookkeeping must stay O(G) while the flat reference touches all O(G²)
+# pairs; up to the arity both rows are the same one-node tree, so every
+# simulated column must agree, simulated time included; beyond it a flat
+# row is still one node — one decision per check; the
 # decision wall must be accounted for by its three parts (local balancing,
 # deciding, migrating: within 5 %) and the ghost wall by its four (plan,
 # parent fill, sibling copy, messages), and the hierarchical *deciding* wall —
@@ -309,22 +312,31 @@ for r in rows:
                 "migrate_secs_per_step", "ghost_secs_per_step",
                 "ghost_plan_secs_per_step", "ghost_coarse_fill_secs_per_step",
                 "ghost_sibling_secs_per_step", "ghost_messages_secs_per_step",
-                "msgs_per_decision", "estimator_pairs", "final_imbalance",
-                "global_checks", "redistributions", "wall_secs"):
+                "msgs_per_decision", "decision_msgs", "estimator_pairs",
+                "final_imbalance", "global_checks", "redistributions",
+                "total_secs", "wall_secs"):
         if key not in r:
             sys.exit(f"scale: sweep row missing {key}: {r}")
 hier = {r["groups"]: r for r in rows if r["mode"] == "hierarchical"}
 flat = {r["groups"]: r for r in rows if r["mode"] == "flat"}
 if sorted(hier) != [2, 4, 8, 16, 32, 64] or sorted(flat) != sorted(hier):
     sys.exit(f"scale: unexpected sweep points {sorted(hier)}")
-# at or below the tree arity the hierarchical dispatch is inert: the two
-# modes must report identical decision traffic and outcomes
+# at or below the tree arity both modes build the same one-node tree: they
+# must report identical decision traffic, outcomes and simulated time
 for g in (2, 4, 8):
-    for key in ("msgs_per_decision", "estimator_pairs", "final_imbalance",
-                "redistributions"):
+    for key in ("msgs_per_decision", "decision_msgs", "estimator_pairs",
+                "final_imbalance", "global_checks", "redistributions",
+                "total_secs"):
         if hier[g][key] != flat[g][key]:
             sys.exit(f"scale: G={g} hierarchical {key} {hier[g][key]} != "
                      f"flat {flat[g][key]} (small-G equivalence broken)")
+# "one node" observed: beyond the arity a flat row still resolves exactly
+# one node per check, i.e. one decision per level-0 step
+for g, r in flat.items():
+    steps = r["decision_msgs"] / r["msgs_per_decision"]
+    if g > 8 and r["global_checks"] != steps:
+        sys.exit(f"scale: flat G={g} made {r['global_checks']} decisions in "
+                 f"{steps:.0f} checks (the flat reference is not one node)")
 for g, r in hier.items():
     if r["estimator_pairs"] > 8 * g:
         sys.exit(f"scale: G={g} hierarchical estimator pairs "
