@@ -149,7 +149,7 @@ impl DistributedDlb {
             return;
         }
         self.roster.ensure_len(sys.ngroups());
-        let (powers, healthy) = self.participants(ctx, &sys);
+        let (powers, healthy) = self.participants(ctx);
         if healthy.len() < 2 {
             return;
         }

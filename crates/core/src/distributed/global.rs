@@ -28,8 +28,8 @@ impl DistributedDlb {
     /// participates at reduced power; a group with *no* alive proc drops
     /// out entirely (its work was already evacuated, so it carries no load
     /// to misprice).
-    pub(super) fn participants(&self, ctx: &LbContext<'_>, sys: &DistributedSystem) -> (Vec<f64>, Vec<usize>) {
-        let powers: Vec<f64> = (0..sys.ngroups())
+    pub(super) fn participants(&self, ctx: &LbContext<'_>) -> (Vec<f64>, Vec<usize>) {
+        let powers: Vec<f64> = (0..ctx.sim.system().ngroups())
             .map(|g| ctx.sim.alive_group_power(GroupId(g)))
             .collect();
         let healthy = self
@@ -43,13 +43,8 @@ impl DistributedDlb {
 
     /// Predicted level-0 cells each overloaded *eligible* group would
     /// export — the `W` whose transfer cost Eq. 1 prices.
-    fn planned_move_cells(
-        hier: &GridHierarchy,
-        sys: &DistributedSystem,
-        group_loads: &[f64],
-        eligible: &[bool],
-        powers: &[f64],
-    ) -> i64 {
+    fn planned_move_cells(hier: &GridHierarchy, inp: &PhaseInputs<'_>, eligible: &[bool]) -> i64 {
+        let (sys, group_loads, powers) = (inp.sys, inp.group_loads, inp.powers);
         let total: f64 = group_loads
             .iter()
             .enumerate()
@@ -141,7 +136,7 @@ impl DistributedDlb {
         // Quarantined groups get their probation probe first, so a
         // recovered link rejoins in the same step that notices it.
         self.probation(ctx, &sys, step);
-        let (powers, healthy) = self.participants(ctx, &sys);
+        let (powers, healthy) = self.participants(ctx);
         if healthy.len() < 2 {
             return; // nobody to exchange work with; local phases continue
         }
@@ -387,8 +382,7 @@ impl DistributedDlb {
         for &g in &inp.healthy[node.lo..node.hi] {
             eligible[g] = true;
         }
-        let move_cells =
-            Self::planned_move_cells(ctx.hier, inp.sys, inp.group_loads, &eligible, inp.powers);
+        let move_cells = Self::planned_move_cells(ctx.hier, inp, &eligible);
         let cell_bytes = (ctx.hier.nfields() as u64) * 8;
         let mut pricing = Pricing {
             move_bytes: move_cells.max(0) as u64 * cell_bytes,
@@ -567,13 +561,7 @@ impl DistributedDlb {
         eligible: &[bool],
     ) {
         let t0 = Instant::now();
-        let &PhaseInputs {
-            sys,
-            step,
-            level,
-            proactive,
-            ..
-        } = inp;
+        let (sys, step) = (inp.sys, inp.step);
         let fault = self.cfg.fault;
         let tel = ctx.sim.telemetry().clone();
         let charge = |sim: &mut SimView, secs: f64| {
@@ -592,7 +580,7 @@ impl DistributedDlb {
                     sim.elapsed().as_secs_f64(),
                     TelEventKind::Redistribute(TelRedistributeEvent {
                         step,
-                        level,
+                        level: inp.level,
                         moved_cells: rep.moved_cells,
                         moves: rep.moves,
                         aborted,
@@ -681,7 +669,7 @@ impl DistributedDlb {
             aborted,
             abort_delta_secs,
             report: Some(report),
-            proactive,
+            proactive: inp.proactive,
         });
         self.wall.migrate += t0.elapsed().as_secs_f64();
     }
@@ -943,7 +931,7 @@ mod shape_tests {
     }
 
     /// 8x8x8 level-0 grids in a row, `counts[g]` of them owned by group g.
-    fn hier_with(counts: &[i64]) -> GridHierarchy {
+    fn row_of_grids(counts: &[i64]) -> GridHierarchy {
         let total: i64 = counts.iter().sum();
         let mut h = GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(8 * total, 8, 8)), 2, 4, 1, 1);
         let mut x = 0;
@@ -972,7 +960,7 @@ mod shape_tests {
         flat_reference: bool,
     ) -> (DistributedDlb, Vec<telemetry::EventRecord>) {
         let counts: Vec<i64> = (0..16).map(|g| (1 + 2 * (g % 2)) * (1 + g / 8)).collect();
-        let mut hier = hier_with(&counts);
+        let mut hier = row_of_grids(&counts);
         let (tel, sink) = Telemetry::recording_shared();
         let mut sim = SimView::new(sys);
         sim.set_telemetry(tel);

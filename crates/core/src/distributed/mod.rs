@@ -35,8 +35,8 @@
 //! phase (its local phase continues — children stay with parents), a
 //! redistribution whose migration traffic dies mid-flight is rolled back
 //! through the hierarchy's undo log and the wasted work recorded as abort
-//! overhead, and
-//! quarantined groups are re-admitted once a probation probe succeeds.
+//! overhead, and quarantined groups are re-admitted once a probation probe
+//! succeeds.
 
 mod forecast;
 mod global;
@@ -190,7 +190,7 @@ pub struct DlbWall {
 }
 
 /// The paper's two-phase distributed DLB.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DistributedDlb {
     cfg: DistributedDlbConfig,
     estimators: BTreeMap<(usize, usize), LinkEstimator>,
@@ -218,14 +218,7 @@ impl DistributedDlb {
     pub fn new(cfg: DistributedDlbConfig) -> Self {
         DistributedDlb {
             cfg,
-            estimators: BTreeMap::new(),
-            load_forecasts: Vec::new(),
-            roster: QuarantineRoster::default(),
-            decisions: Vec::new(),
-            fault_events_forwarded: 0,
-            alive: Vec::new(),
-            decision_msgs: 0,
-            wall: DlbWall::default(),
+            ..Default::default()
         }
     }
 
@@ -360,12 +353,6 @@ impl DistributedDlb {
             );
         }
         self.wall.local_dlb += t0.elapsed().as_secs_f64();
-    }
-}
-
-impl Default for DistributedDlb {
-    fn default() -> Self {
-        Self::new(DistributedDlbConfig::default())
     }
 }
 

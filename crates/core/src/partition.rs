@@ -942,7 +942,12 @@ mod tests {
             .build();
         let mut sim = SimView::new(sys);
         let mut hier = hier_split(0, 2, 6); // A: 6 grids, B: 2, C: 0
-        let rep = redistribute_eligible(&mut hier, &mut sim, &[3072.0, 1024.0, 0.0], &[true, true, false])
+        let rep = redistribute_eligible(
+            &mut hier,
+            &mut sim,
+            &[3072.0, 1024.0, 0.0],
+            &[true, true, false],
+        )
         .unwrap();
         assert!(rep.moved_cells > 0);
         assert_eq!(rep.group_flow[2], 0, "quarantined group untouched: {rep:?}");
@@ -1026,8 +1031,8 @@ mod tests {
         // all alive at nameplate powers, the same loads are balanced
         let mut sim2 = SimView::new(wan_sys(2, 2, 1.0));
         let mut hier2 = hier_split(0, 2, 4);
-        let rep2 = redistribute_eligible(&mut hier2, &mut sim2, &[2048.0, 2048.0], &[true, true])
-        .unwrap();
+        let rep2 =
+            redistribute_eligible(&mut hier2, &mut sim2, &[2048.0, 2048.0], &[true, true]).unwrap();
         assert_eq!(rep2.moved_cells, 0);
     }
 
@@ -1050,7 +1055,7 @@ mod tests {
         let mut sim = SimView::new(sys);
         let mut hier = hier_split(0, 2, 6);
         let abort = redistribute_eligible(&mut hier, &mut sim, &[3072.0, 1024.0], &[true, true])
-        .unwrap_err();
+            .unwrap_err();
         assert!(matches!(abort.error, SimError::LinkDown { .. }));
         assert_eq!((abort.src_group, abort.dst_group), (0, 1));
         assert_eq!(abort.partial.moves, 0, "first transfer already failed");
@@ -1072,7 +1077,7 @@ mod tests {
         let before = samr_mesh::checkpoint::snapshot(&hier);
         let pool = hier.pool().clone();
         let abort = redistribute_eligible(&mut hier, &mut sim, &[3000.0, 1000.0], &[true, true])
-        .unwrap_err();
+            .unwrap_err();
         assert!(abort.partial.splits >= 1, "{abort:?}");
         assert_matches_snapshot(&hier, &before);
         assert!(hier.check_invariants().is_ok());
