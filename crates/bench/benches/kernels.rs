@@ -9,20 +9,20 @@ use samr_mesh::field::Field3;
 use samr_mesh::flag::FlagField;
 use samr_mesh::hierarchy::GridHierarchy;
 use samr_mesh::region::Region;
-use samr_mesh::{ivec3, region};
+use samr_mesh::{ivec3, region, IVec3};
 use samr_solvers::{advection, euler, muscl, poisson};
 use simnet::SimView;
 use std::hint::black_box;
 use topology::{presets, LinkEstimator, ProcId, SimTime};
 
-fn euler_fieldset(n: i64) -> Vec<Field3> {
+fn euler_fieldset(size: IVec3) -> Vec<Field3> {
     let mut fs: Vec<Field3> = (0..euler::NFIELDS)
-        .map(|_| Field3::zeros(Region::cube(n), 1))
+        .map(|_| Field3::zeros(Region::at(IVec3::ZERO, size), 1))
         .collect();
     euler::set_ambient(&mut fs, 1.0, [0.1, 0.0, 0.0], 1.0, 1.4);
     // a jump so fluxes are non-trivial
     for p in fs[0].storage_region().iter_cells() {
-        if p.x < n / 3 {
+        if p.x < size.x / 3 {
             fs[euler::fields::RHO].set(p, 4.0);
             fs[euler::fields::E].set(p, 10.0);
         }
@@ -31,15 +31,27 @@ fn euler_fieldset(n: i64) -> Vec<Field3> {
 }
 
 fn bench_kernels(c: &mut Criterion) {
-    c.bench_function("euler_step_16cubed", |b| {
-        let mut fs = euler_fieldset(16);
-        b.iter(|| {
-            euler::euler_step(black_box(&mut fs), 0.05, 1.4);
-        })
-    });
+    // 16³, then the shapes the benchmark workloads' meshes are made of:
+    // slabs two cells thick along the walked (x) and along the lane (z)
+    // axis — half of `amr64_lan`'s and `shock_wan`'s patches mid-run — the
+    // 8³ fine-level box, and `shock_wan`'s heaviest shape
+    for (name, size) in [
+        ("euler_step_16cubed", IVec3::splat(16)),
+        ("euler_step_2x16x16", ivec3(2, 16, 16)),
+        ("euler_step_16x16x2", ivec3(16, 16, 2)),
+        ("euler_step_8cubed", IVec3::splat(8)),
+        ("euler_step_18x48x28", ivec3(18, 48, 28)),
+    ] {
+        c.bench_function(name, |b| {
+            let mut fs = euler_fieldset(size);
+            b.iter(|| {
+                euler::euler_step(black_box(&mut fs), 0.05, 1.4);
+            })
+        });
+    }
 
     c.bench_function("euler_step_16cubed_reference", |b| {
-        let mut fs = euler_fieldset(16);
+        let mut fs = euler_fieldset(IVec3::splat(16));
         b.iter(|| {
             euler::reference::euler_step(black_box(&mut fs), 0.05, 1.4);
         })
@@ -79,6 +91,17 @@ fn bench_kernels(c: &mut Criterion) {
         rhs.map_interior(|p, _| if p.x == 8 { -1.0 } else { 0.0 });
         b.iter(|| {
             poisson::rbgs_sweep(black_box(&mut phi), &rhs, 1.0);
+        })
+    });
+
+    // Amr64's elliptic part: the relaxation reading its source out of ρ
+    c.bench_function("rbgs_sweep_shifted_8cubed", |b| {
+        let mut phi = Field3::zeros(Region::cube(8), 1);
+        let mut rho = Field3::zeros(Region::cube(8), 1);
+        phi.map_interior(|p, _| (p.x + p.y + p.z) as f64 * 0.05);
+        rho.map_interior(|p, _| 1.0 + (p.x % 3) as f64 * 0.25);
+        b.iter(|| {
+            poisson::rbgs_sweep_shifted(black_box(&mut phi), &rho, 1.0, 1.0);
         })
     });
 

@@ -248,7 +248,8 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"hotpath\",\n  \"quick\": {quick},\n  \"full\": {full},\n  \
-         \"presets\": [\n{}\n  ]\n}}\n",
+         \"repeats\": {repeats},\n  \"euler_lanes\": \"{}\",\n  \"presets\": [\n{}\n  ]\n}}\n",
+        samr_solvers::euler::lanes_in_use(),
         entries.join(",\n")
     );
     let _ = std::fs::create_dir_all("results");

@@ -7,6 +7,8 @@
 //! `quick = true` shrinks domain/steps for CI-speed smoke runs; `false`
 //! uses the full experiment scale recorded in EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use metrics::{efficiency, improvement_percent, ConfigRow, Table};
 use rayon::prelude::*;
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};

@@ -15,6 +15,8 @@
 //! * [`fault`] — the retry / timeout / quarantine degradation policy that
 //!   keeps the distributed scheme making progress over failing WAN links.
 
+#![forbid(unsafe_code)]
+
 // Fixed-axis (0..3) loops indexing several parallel arrays read more
 // clearly as index loops.
 #![allow(clippy::needless_range_loop)]

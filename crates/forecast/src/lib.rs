@@ -19,6 +19,8 @@
 //! tie-breaking and seed derivation), so the same seed and the same
 //! observation stream reproduce bit-identical forecasts on any host.
 
+#![forbid(unsafe_code)]
+
 pub mod kind;
 pub mod predictor;
 pub mod predictors;

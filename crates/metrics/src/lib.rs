@@ -3,6 +3,8 @@
 //! Implements the paper's §5 metrics (efficiency `E(1)/(E·P)`, relative
 //! improvement) and the row/table formatting used by the figure harnesses.
 
+#![forbid(unsafe_code)]
+
 pub mod efficiency;
 pub mod report;
 pub mod stats;

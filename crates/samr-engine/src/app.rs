@@ -222,10 +222,11 @@ impl AppState {
 
     /// One solver step on a patch at `level` with Courant ratio
     /// `dt_over_dx` (same at every level by construction). Ghosts must have
-    /// been exchanged already. Scratch fields (solver double buffers, the
-    /// Poisson right-hand side) are drawn from `pool` — generic over the
-    /// allocator so the driver can pass each rayon worker its own
-    /// shard-bound [`samr_mesh::pool::PoolHandle`].
+    /// been exchanged already. Only `AdvectBlob`'s double buffer is drawn
+    /// from `pool` (the Euler sweeps run in place and the Poisson relaxation
+    /// reads its right-hand side out of ρ) — generic over the allocator so
+    /// the driver can pass each rayon worker its own shard-bound
+    /// [`samr_mesh::pool::PoolHandle`].
     pub fn step_patch<P: FieldAlloc>(&self, fields: &mut [Field3], dt_over_dx: f64, pool: &P) {
         match self.kind {
             AppKind::ShockPool3D => {
@@ -238,14 +239,9 @@ impl AppState {
                 // necessary for the workload dynamics, matching how cosmology
                 // codes carry the potential forward between steps)
                 let (head, tail) = fields.split_at_mut(euler::NFIELDS);
-                let rho = &head[F::RHO];
-                let phi = &mut tail[0];
-                let mut rhs = rho.clone_in(pool);
-                rhs.map_interior(|_, v| v - 1.0);
                 for _ in 0..2 {
-                    poisson::rbgs_sweep(phi, &rhs, 1.0);
+                    poisson::rbgs_sweep_shifted(&mut tail[0], &head[F::RHO], 1.0, 1.0);
                 }
-                rhs.recycle(pool);
             }
             AppKind::AdvectBlob => {
                 let c = dt_over_dx;
@@ -417,6 +413,17 @@ mod tests {
         }
         let after = p.fields[F::RHO].get(probe);
         assert!(after > before * 1.02, "shock reached probe: {before} -> {after}");
+    }
+
+    #[test]
+    fn amr64_step_patch_leaves_the_pool_alone() {
+        let pool = FieldPool::new();
+        let app = AppState::new(AppKind::Amr64, 8, 7);
+        let mut p = patch_for(&app);
+        app.init_patch(&mut p);
+        let before = pool.stats();
+        app.step_patch(&mut p.fields, app.dt_over_dx0(), &pool);
+        assert_eq!(pool.stats(), before, "the Amr64 step takes no scratch field");
     }
 
     #[test]

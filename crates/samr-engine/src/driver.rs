@@ -19,7 +19,7 @@ use samr_mesh::checkpoint::HierarchySnapshot;
 use samr_mesh::cluster::{berger_rigoutsos, ClusterParams};
 use samr_mesh::field::Field3;
 use samr_mesh::hierarchy::{BoxIndex, FillSource, GridHierarchy};
-use samr_mesh::interp::{prolong_constant, restrict_average};
+use samr_mesh::interp::{prolong_constant, prolong_constant_fields, restrict_average};
 use samr_mesh::patch::PatchId;
 use samr_mesh::region::Region;
 use samr_solvers::par::for_each_task_parallel;
@@ -922,9 +922,7 @@ impl Driver {
                 Some(parent) => {
                     let parent = hier.patch(parent);
                     for b in &shell.coarse_fill {
-                        for (pf, f) in parent.fields.iter().zip(fields.iter_mut()) {
-                            prolong_constant(pf, f, b, r);
-                        }
+                        prolong_constant_fields(&parent.fields, fields, b, r);
                     }
                 }
             }
@@ -1531,8 +1529,8 @@ mod tests {
     fn exchange_rewrites_every_poisoned_ghost_like_the_reference() {
         poisoned_exchange_matches_reference(driver, &[0, 1], true);
         // and where the sibling copy runs rounds of concurrent blocks
-        let many = many_small_patches();
-        let topo = many.hier.clone().exchange_topology(1);
+        let mut many = many_small_patches();
+        let topo = many.hier.exchange_topology(1);
         assert!(
             topo.rounds.iter().filter(|r| r.len() >= 2).count() >= 2,
             "{} patches, rounds {:?}",

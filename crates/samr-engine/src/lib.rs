@@ -7,6 +7,8 @@
 //! system, workload accounting for the DLB heuristics, and the two
 //! evaluation workloads (`ShockPool3D`, `AMR64`).
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod checkpoint;
 pub mod config;

@@ -9,16 +9,43 @@ use crate::region::Region;
 /// (fine-level coordinates) by injecting the containing coarse cell's value.
 ///
 /// Conservative for cell-averaged quantities and monotone, which is what a
-/// newly created refined grid needs before its first fine step.
+/// newly created refined grid needs before its first fine step. Cells whose
+/// containing coarse cell lies outside `coarse`'s storage are left
+/// untouched. Bit-identical to [`reference::prolong_constant`].
+pub fn prolong_constant(coarse: &Field3, fine: &mut Field3, fine_window: &Region, r: i64) {
+    prolong_constant_fields(
+        std::slice::from_ref(coarse),
+        std::slice::from_mut(fine),
+        fine_window,
+        r,
+    );
+}
+
+/// [`prolong_constant`] of every field of a coarse patch into the matching
+/// field of a fine one. The fields of a patch share one storage region, so
+/// the window and each column's index ranges are worked out once and
+/// applied per field.
 ///
 /// Row-sliced: the `r × r` fine z-rows under one coarse `(x, y)` column are
 /// identical, so the first is built from the coarse row in runs of `r` equal
-/// values and the others are copies of it. Cells whose containing coarse
-/// cell lies outside `coarse`'s storage are left untouched. Bit-identical to
-/// [`reference::prolong_constant`].
-pub fn prolong_constant(coarse: &Field3, fine: &mut Field3, fine_window: &Region, r: i64) {
-    let cs = coarse.storage_region();
-    let fs = fine.storage_region();
+/// values and the others are copies of it.
+pub fn prolong_constant_fields(
+    coarse: &[Field3],
+    fine: &mut [Field3],
+    fine_window: &Region,
+    r: i64,
+) {
+    assert_eq!(coarse.len(), fine.len(), "one coarse field per fine field");
+    let (Some(c0), Some(f0)) = (coarse.first(), fine.first()) else {
+        return;
+    };
+    let cs = c0.storage_region();
+    let fs = f0.storage_region();
+    assert!(
+        coarse.iter().all(|c| c.storage_region() == cs)
+            && fine.iter().all(|f| f.storage_region() == fs),
+        "the fields of a patch share one storage region"
+    );
     // fine cells whose containing coarse cell lies inside coarse storage:
     // floor(z / r) ∈ [cs.lo.z, cs.hi.z) ⇔ z ∈ [cs.lo.z·r, cs.hi.z·r)
     let w = fine_window.intersect(&fs).intersect(&cs.refine(r));
@@ -26,30 +53,36 @@ pub fn prolong_constant(coarse: &Field3, fine: &mut Field3, fine_window: &Region
         return;
     }
     let run = r as usize;
+    let row = (fs.hi.z - fs.lo.z) as usize;
+    let plane = (fs.hi.y - fs.lo.y) as usize * row;
+    let cz0 = w.lo.z.div_euclid(r);
+    let cz1 = (w.hi.z - 1).div_euclid(r) + 1;
+    // a leading partial run, whole runs, then what is left
+    let head = (((cz0 + 1) * r).min(w.hi.z) - w.lo.z) as usize;
     for cx in w.lo.x.div_euclid(r)..=(w.hi.x - 1).div_euclid(r) {
-        let xs = w.lo.x.max(cx * r)..w.hi.x.min((cx + 1) * r);
+        let (x0, x1) = (w.lo.x.max(cx * r), w.hi.x.min((cx + 1) * r));
         for cy in w.lo.y.div_euclid(r)..=(w.hi.y - 1).div_euclid(r) {
-            let ys = w.lo.y.max(cy * r)..w.hi.y.min((cy + 1) * r);
-            let cz0 = w.lo.z.div_euclid(r);
-            let crow = &coarse.data()[cs.row_range(cx, cy, cz0, (w.hi.z - 1).div_euclid(r) + 1)];
-            let first = fs.row_range(xs.start, ys.start, w.lo.z, w.hi.z);
-            // a leading partial run, whole runs, then what is left
-            let frow = &mut fine.data_mut()[first.clone()];
-            let head = (((cz0 + 1) * r).min(w.hi.z) - w.lo.z) as usize;
-            frow[..head].fill(crow[0]);
-            let mut runs = frow[head..].chunks_exact_mut(run);
-            let mut values = crow[1..].iter();
-            for (cells, &v) in (&mut runs).zip(&mut values) {
-                cells.fill(v);
-            }
-            if let Some(&v) = values.next() {
-                runs.into_remainder().fill(v);
-            }
-            for x in xs.clone() {
-                for y in ys.clone() {
-                    if (x, y) != (xs.start, ys.start) {
-                        let dst = fs.linear_index(ivec3(x, y, w.lo.z));
-                        fine.data_mut().copy_within(first.clone(), dst);
+            let (y0, y1) = (w.lo.y.max(cy * r), w.hi.y.min((cy + 1) * r));
+            let crange = cs.row_range(cx, cy, cz0, cz1);
+            let first = fs.row_range(x0, y0, w.lo.z, w.hi.z);
+            for (c, f) in coarse.iter().zip(fine.iter_mut()) {
+                let crow = &c.data()[crange.clone()];
+                let data = f.data_mut();
+                let frow = &mut data[first.clone()];
+                frow[..head].fill(crow[0]);
+                let mut runs = frow[head..].chunks_exact_mut(run);
+                let mut values = crow[1..].iter();
+                for (cells, &v) in (&mut runs).zip(&mut values) {
+                    cells.fill(v);
+                }
+                if let Some(&v) = values.next() {
+                    runs.into_remainder().fill(v);
+                }
+                for dx in 0..(x1 - x0) as usize {
+                    for dy in 0..(y1 - y0) as usize {
+                        if (dx, dy) != (0, 0) {
+                            data.copy_within(first.clone(), first.start + dx * plane + dy * row);
+                        }
                     }
                 }
             }
@@ -279,6 +312,20 @@ mod tests {
                 prolong_constant(&coarse, &mut a, &w, r);
                 reference::prolong_constant(&coarse, &mut b, &w, r);
                 assert_eq!(a, b, "r={r} ghost={ghost} window={w:?}");
+
+                // a patch's six fields in one walk: each its own reference's
+                let coarse: Vec<Field3> = (0..6)
+                    .map(|k| scrambled(coarse.interior(), ghost, seed + 10 * k))
+                    .collect();
+                let mut a: Vec<Field3> = (0..6)
+                    .map(|k| scrambled(fine_region, ghost, seed + 100 + k))
+                    .collect();
+                let mut b = a.clone();
+                prolong_constant_fields(&coarse, &mut a, &w, r);
+                for (c, f) in coarse.iter().zip(b.iter_mut()) {
+                    reference::prolong_constant(c, f, &w, r);
+                }
+                assert_eq!(a, b, "six fields, r={r} ghost={ghost} window={w:?}");
             }
         }
     }

@@ -16,6 +16,8 @@
 //! `l` region maps to level `l+1` via [`Region::refine`] and back via
 //! [`Region::coarsen`].
 
+#![forbid(unsafe_code)]
+
 // Fixed-axis (0..3) loops indexing several parallel arrays read more
 // clearly as index loops.
 #![allow(clippy::needless_range_loop)]

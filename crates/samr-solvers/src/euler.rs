@@ -5,12 +5,23 @@
 //! `ShockPool3D` solves "a purely hyperbolic equation" (a tilted planar shock
 //! sweeping the domain) and `AMR64` uses the fluid equations alongside
 //! Poisson's equation and particle ODEs.
+//!
+//! The per-cell arithmetic — primitives, the HLL flux, the flux-difference
+//! update, the floors — is written once over a lane type ([`Lanes`]). Its
+//! `f64` instantiation is the scalar API ([`hll_flux`], [`store`], the
+//! MUSCL solver, [`mod@reference`]); its `Pack` instantiations are [`sweep`],
+//! which carries several independent sweep lines at once through
+//! `sweep_column`. Every lane performs the scalar's IEEE operations in
+//! the scalar's order, so all instantiations produce the same bits.
+//! [`euler_step`] is three such sweeps and one zero-gradient ghost fill:
+//! the y sweep takes its line ends from the end rows themselves (`Ends`),
+//! which is what a fill before it would have put in the ghosts.
 
 use crate::checked_capacity;
 use samr_mesh::field::Field3;
 use samr_mesh::index::{ivec3, IVec3};
-use samr_mesh::pool::FieldAlloc;
 use samr_mesh::region::Region;
+use std::ops::{Add, Div, Mul, Range, Sub};
 
 /// Number of conserved fields: ρ, mx, my, mz, E.
 pub const NFIELDS: usize = 5;
@@ -29,12 +40,144 @@ pub mod fields {
 pub const RHO_FLOOR: f64 = 1e-10;
 pub const P_FLOOR: f64 = 1e-12;
 
-/// A conserved state vector at one cell.
+/// The arithmetic the kernel is written in, applied lane by lane: IEEE
+/// `+ − × ÷`, `max`/`min` with [`f64::max`]'s NaN rule (the non-NaN operand
+/// wins), `sqrt`, and the three compare-selects the scheme branches on.
+/// Implemented by `f64` (one lane) and `Pack` (`W` lanes).
+pub trait Lanes:
+    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
+{
+    fn splat(x: f64) -> Self;
+    fn max(self, o: Self) -> Self;
+    fn min(self, o: Self) -> Self;
+    fn sqrt(self) -> Self;
+    /// `if self < t { a } else { b }` (a NaN lane takes `b`).
+    fn if_lt(self, t: Self, a: Self, b: Self) -> Self;
+    /// `if self >= t { a } else { b }` (a NaN lane takes `b`).
+    fn if_ge(self, t: Self, a: Self, b: Self) -> Self;
+    /// `if self <= t { a } else { b }` (a NaN lane takes `b`).
+    fn if_le(self, t: Self, a: Self, b: Self) -> Self;
+}
+
+/// `W` independent lanes of `f64`. Every operation is a fixed-trip loop
+/// over the lanes, which the compiler turns into packed instructions of
+/// whatever width the enclosing function's target features allow.
+#[derive(Clone, Copy)]
+pub(crate) struct Pack<const W: usize>([f64; W]);
+
+/// Each `name(s, args…) => body` is one [`Lanes`] method: `body` on the
+/// operands themselves for `f64`, on every lane of them for [`Pack`].
+macro_rules! lanes_impl {
+    ($($name:ident($s:ident $(, $arg:ident)*) => $body:expr;)*) => {
+        impl Lanes for f64 {
+            #[inline(always)]
+            fn splat(x: f64) -> Self {
+                x
+            }
+            $(#[inline(always)]
+            fn $name(self $(, $arg: Self)*) -> Self {
+                let $s = self;
+                $body
+            })*
+        }
+        impl<const W: usize> Lanes for Pack<W> {
+            #[inline(always)]
+            fn splat(x: f64) -> Self {
+                Pack([x; W])
+            }
+            $(#[inline(always)]
+            fn $name(self $(, $arg: Self)*) -> Self {
+                let mut r = self;
+                for l in 0..W {
+                    let ($s, $($arg,)*) = (self.0[l], $($arg.0[l],)*);
+                    r.0[l] = $body;
+                }
+                r
+            })*
+        }
+    };
+}
+lanes_impl! {
+    max(s, o) => f64::max(s, o);
+    min(s, o) => f64::min(s, o);
+    sqrt(s) => f64::sqrt(s);
+    if_lt(s, t, a, b) => if s < t { a } else { b };
+    if_ge(s, t, a, b) => if s >= t { a } else { b };
+    if_le(s, t, a, b) => if s <= t { a } else { b };
+}
+
+macro_rules! pack_op {
+    ($($tr:ident $f:ident $op:tt;)*) => {$(
+        impl<const W: usize> $tr for Pack<W> {
+            type Output = Self;
+            #[inline(always)]
+            fn $f(mut self, o: Self) -> Self {
+                for l in 0..W {
+                    self.0[l] $op o.0[l];
+                }
+                self
+            }
+        }
+    )*};
+}
+pack_op! { Add add +=; Sub sub -=; Mul mul *=; Div div /=; }
+
+impl<const W: usize> Pack<W> {
+    /// Lane `l` reads `data[at + l * stride]`. Only the lanes in `live` are
+    /// cells this pack updates; the others are padding, loaded so that every
+    /// lane computes on a real state and never stored. Padding below
+    /// `live.start` is cells of the row that earlier packs have already
+    /// updated (`live.end == W`: every lane is addressable); padding from
+    /// `live.end` up would run off a row shorter than the pack, so it
+    /// repeats the last live lane.
+    #[inline(always)]
+    fn load(data: &[f64], at: usize, stride: usize, live: &Range<usize>) -> Self {
+        if stride == 1 && live.end == W {
+            return Pack(data[at..at + W].try_into().expect("W lanes"));
+        }
+        let mut r = [0.0; W];
+        for l in 0..W {
+            r[l] = data[at + l.min(live.end - 1) * stride];
+        }
+        Pack(r)
+    }
+
+    /// Write the `live` lanes back.
+    #[inline(always)]
+    fn store(self, data: &mut [f64], at: usize, stride: usize, live: &Range<usize>) {
+        if stride == 1 && *live == (0..W) {
+            data[at..at + W].copy_from_slice(&self.0);
+            return;
+        }
+        for l in live.clone() {
+            data[at + l * stride] = self.0[l];
+        }
+    }
+}
+
+/// A conserved state vector at one cell (`L = f64`) or at one cell of each
+/// of `W` sweep lines (`L = Pack<W>`).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Cons {
-    pub rho: f64,
-    pub m: [f64; 3],
-    pub e: f64,
+pub struct Cons<L = f64> {
+    pub rho: L,
+    pub m: [L; 3],
+    pub e: L,
+}
+
+impl<L: Copy> Cons<L> {
+    #[inline(always)]
+    pub(crate) fn to_array(self) -> [L; NFIELDS] {
+        [self.rho, self.m[0], self.m[1], self.m[2], self.e]
+    }
+
+    #[inline(always)]
+    pub(crate) fn from_array(v: [L; NFIELDS]) -> Self {
+        Cons {
+            rho: v[0],
+            m: [v[1], v[2], v[3]],
+            e: v[4],
+        }
+    }
 }
 
 impl Cons {
@@ -86,18 +229,16 @@ pub fn load(fieldset: &[Field3], p: IVec3) -> Cons {
 }
 
 /// Clamp a conserved state to the density and pressure floors — the exact
-/// per-cell post-update fix both the in-place and reference paths share.
-#[inline]
-pub fn apply_floors(mut u: Cons, gamma: f64) -> Cons {
-    if u.rho < RHO_FLOOR {
-        u.rho = RHO_FLOOR;
-    }
+/// per-cell post-update fix every sweep applies.
+#[inline(always)]
+pub fn apply_floors<L: Lanes>(mut u: Cons<L>, gamma: f64) -> Cons<L> {
+    let rho_floor = L::splat(RHO_FLOOR);
+    u.rho = u.rho.if_lt(rho_floor, rho_floor, u.rho);
     // enforce pressure floor by re-deriving energy when necessary
-    let ke = 0.5 * (u.m[0] * u.m[0] + u.m[1] * u.m[1] + u.m[2] * u.m[2]) / u.rho;
-    let p_now = (gamma - 1.0) * (u.e - ke);
-    if p_now < P_FLOOR {
-        u.e = ke + P_FLOOR / (gamma - 1.0);
-    }
+    let ke = L::splat(0.5) * (u.m[0] * u.m[0] + u.m[1] * u.m[1] + u.m[2] * u.m[2]) / u.rho;
+    let p_now = L::splat(gamma - 1.0) * (u.e - ke);
+    let e_floor = ke + L::splat(P_FLOOR / (gamma - 1.0));
+    u.e = p_now.if_lt(L::splat(P_FLOOR), e_floor, u.e);
     u
 }
 
@@ -113,73 +254,62 @@ pub fn store(fieldset: &mut [Field3], p: IVec3, u: Cons, gamma: f64) {
 }
 
 /// The per-cell quantities an HLL interface needs from each side, computed
-/// once per cell by the line kernel and reused by both of the cell's
+/// once per cell by the column kernel and reused by both of the cell's
 /// interfaces. `v`, `a` and `f` are exactly [`Cons::vel`],
 /// [`Cons::sound_speed`] and [`Cons::flux`] of `u` — pure functions of the
 /// state — so an HLL flux assembled from two `AxisPrim`s is bit-identical
-/// to [`hll_flux`] on the raw states (which now delegates here).
+/// to one computed from the raw states.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct AxisPrim {
-    pub u: Cons,
-    pub v: f64,
-    pub a: f64,
-    pub f: [f64; NFIELDS],
+pub(crate) struct AxisPrim<L = f64> {
+    pub u: Cons<L>,
+    pub v: L,
+    pub a: L,
+    pub f: [L; NFIELDS],
 }
 
-impl AxisPrim {
+impl<L: Lanes> AxisPrim<L> {
     /// Shared-subexpression form of calling [`Cons::vel`],
     /// [`Cons::sound_speed`] and [`Cons::flux`] separately: the floored
     /// density, kinetic energy, pressure and velocity are each the same
     /// expression on the same inputs as in those methods, computed once and
     /// reused — so the bits match the three separate calls while performing
     /// three divisions instead of six.
-    #[inline]
-    pub(crate) fn new(u: Cons, axis: usize, gamma: f64) -> Self {
-        let rho = u.rho.max(RHO_FLOOR);
-        let ke = 0.5 * (u.m[0] * u.m[0] + u.m[1] * u.m[1] + u.m[2] * u.m[2]) / rho;
-        let p = ((gamma - 1.0) * (u.e - ke)).max(P_FLOOR);
+    #[inline(always)]
+    pub(crate) fn new(u: Cons<L>, axis: usize, gamma: f64) -> Self {
+        let rho = u.rho.max(L::splat(RHO_FLOOR));
+        let ke = L::splat(0.5) * (u.m[0] * u.m[0] + u.m[1] * u.m[1] + u.m[2] * u.m[2]) / rho;
+        let p = (L::splat(gamma - 1.0) * (u.e - ke)).max(L::splat(P_FLOOR));
         let v = u.m[axis] / rho;
-        let a = (gamma * p / rho).sqrt();
-        let mut f = [
-            u.rho * v,
-            u.m[0] * v,
-            u.m[1] * v,
-            u.m[2] * v,
-            (u.e + p) * v,
-        ];
-        f[1 + axis] += p;
+        let a = (L::splat(gamma) * p / rho).sqrt();
+        let mut f = [u.rho * v, u.m[0] * v, u.m[1] * v, u.m[2] * v, (u.e + p) * v];
+        f[1 + axis] = f[1 + axis] + p;
         AxisPrim { u, v, a, f }
     }
 }
 
-/// HLL flux from precomputed per-side primitives — the single shared
-/// implementation behind [`hll_flux`] and the row kernels.
+/// HLL flux from precomputed per-side primitives — the single
+/// implementation behind [`hll_flux`] and the column kernel.
 ///
-/// Written branch-free (compute the mid-state flux unconditionally, then
-/// *select* per component) so the row kernels' per-interface loops
-/// if-convert and vectorize. The selected values are exactly those of the
+/// Branch-free: the mid-state flux is computed unconditionally, then each
+/// component is *selected*. The selected values are exactly those of the
 /// early-return form: when `sl >= 0` the left flux is chosen regardless of
 /// what the mid expression evaluated to (it may be inf/NaN when
 /// `sr == sl`; IEEE arithmetic on it has no side effects and the value is
-/// discarded), and symmetrically for `sr <= 0`.
-#[inline]
-pub(crate) fn hll_from_prims(l: &AxisPrim, r: &AxisPrim) -> [f64; NFIELDS] {
+/// discarded), and symmetrically for `sr <= 0`. Both compares read `+0`
+/// and `−0` alike, so which zero a packed `min`/`max` returns for
+/// `min(+0, −0)` never reaches a flux.
+#[inline(always)]
+pub(crate) fn hll_from_prims<L: Lanes>(l: &AxisPrim<L>, r: &AxisPrim<L>) -> [L; NFIELDS] {
     let sl = (l.v - l.a).min(r.v - r.a);
     let sr = (l.v + l.a).max(r.v + r.a);
-    let ul = [l.u.rho, l.u.m[0], l.u.m[1], l.u.m[2], l.u.e];
-    let ur = [r.u.rho, r.u.m[0], r.u.m[1], r.u.m[2], r.u.e];
-    let mut f = [0.0; NFIELDS];
-    let inv = 1.0 / (sr - sl);
+    let (ul, ur) = (l.u.to_array(), r.u.to_array());
+    let zero = L::splat(0.0);
+    let mut f = [zero; NFIELDS];
+    let inv = L::splat(1.0) / (sr - sl);
     let slsr = sl * sr;
     for k in 0..NFIELDS {
         let mid = (sr * l.f[k] - sl * r.f[k] + slsr * (ur[k] - ul[k])) * inv;
-        f[k] = if sl >= 0.0 {
-            l.f[k]
-        } else if sr <= 0.0 {
-            r.f[k]
-        } else {
-            mid
-        };
+        f[k] = sl.if_ge(zero, l.f[k], sr.if_le(zero, r.f[k], mid));
     }
     f
 }
@@ -202,25 +332,19 @@ pub(crate) fn axis_dir(axis: usize) -> IVec3 {
     }
 }
 
-/// The Godunov flux-difference update at one cell, before floors. Shared
-/// verbatim by the optimized line kernels and the reference sweeps, so the
-/// two stay bit-identical by construction.
-#[inline]
-pub(crate) fn flux_difference_update(
-    u0: &Cons,
-    f_lo: &[f64; NFIELDS],
-    f_hi: &[f64; NFIELDS],
+/// The Godunov flux-difference update at one cell, before floors.
+#[inline(always)]
+pub(crate) fn flux_difference_update<L: Lanes>(
+    u0: &Cons<L>,
+    f_lo: &[L; NFIELDS],
+    f_hi: &[L; NFIELDS],
     dt_over_dx: f64,
-) -> Cons {
-    let mut v = [u0.rho, u0.m[0], u0.m[1], u0.m[2], u0.e];
+) -> Cons<L> {
+    let mut v = u0.to_array();
     for k in 0..NFIELDS {
-        v[k] -= dt_over_dx * (f_hi[k] - f_lo[k]);
+        v[k] = v[k] - L::splat(dt_over_dx) * (f_hi[k] - f_lo[k]);
     }
-    Cons {
-        rho: v[0],
-        m: [v[1], v[2], v[3]],
-        e: v[4],
-    }
+    Cons::from_array(v)
 }
 
 /// Geometry of one sweep line: the run of cells along the sweep axis at
@@ -308,371 +432,242 @@ fn assert_sweep_shapes(fieldset: &[Field3]) {
     }
 }
 
-/// Acquire `nfields` pooled ghost-0 scratch fields over `interior` — the
-/// write side of the MUSCL solver's double buffer.
-pub(crate) fn acquire_scratch<P: FieldAlloc>(
-    pool: &P,
-    interior: Region,
-    nfields: usize,
-) -> Vec<Field3> {
-    (0..nfields)
-        .map(|_| Field3::new_in(pool, interior, 0))
-        .collect()
+/// Where a sweep line finds the states beyond its two ends.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Ends {
+    /// In the ghost rows, as stored.
+    Ghosts,
+    /// In the end rows themselves. A zero-gradient ghost fill stores
+    /// bit-copies of the end rows there, so this gives the bits
+    /// [`Field3::fill_ghosts_zero_gradient`] followed by `Ghosts` gives,
+    /// and neither reads nor writes a ghost cell.
+    ZeroGradient,
 }
 
-/// Copy the scratch interiors back over `fieldset` and shelve the scratch
-/// buffers. Row-sliced copies preserve bits exactly, so this is equivalent
-/// to the reference path's deferred tuple application.
-pub(crate) fn commit_scratch<P: FieldAlloc>(fieldset: &mut [Field3], scratch: Vec<Field3>, pool: &P) {
-    for (dst, src) in fieldset.iter_mut().zip(scratch.iter()) {
-        let interior = src.interior();
-        dst.copy_from(src, &interior);
-    }
-    for s in scratch {
-        s.recycle(pool);
-    }
+/// What stays fixed while one patch is swept along one axis.
+#[derive(Clone, Copy)]
+struct Walk {
+    /// Index distance between the lanes of a pack.
+    lane_stride: usize,
+    /// Index distance between the rows a column walks.
+    walk_stride: usize,
+    /// Interior cells on each sweep line.
+    rows: usize,
+    ends: Ends,
+    dt_over_dx: f64,
+    gamma: f64,
 }
 
-/// SoA rows of per-cell sweep primitives for one stride-1 run of cells:
-/// element `i` holds exactly [`AxisPrim::new`] of cell `i` — the conserved
-/// state `u`, `v`, `a` and the physical flux — so an interface flux
-/// assembled from two rows (or two shifted views of one row) is
-/// [`hll_from_prims`] elementwise.
-#[derive(Default)]
-struct PrimRow {
-    u: [Vec<f64>; NFIELDS],
-    v: Vec<f64>,
-    a: Vec<f64>,
-    f: [Vec<f64>; NFIELDS],
-}
-
-/// Reusable per-thread sweep scratch: three primitive rows rolling along
-/// the sweep axis plus two interface-flux rows. A few KiB per thread,
-/// grown once to the longest row seen and reused for every patch after —
-/// steady-state sweeps allocate nothing.
-#[derive(Default)]
-struct SweepScratch {
-    prims: [PrimRow; 3],
-    flux: [[Vec<f64>; NFIELDS]; 2],
-}
-
-impl SweepScratch {
-    fn ensure(&mut self, len: usize) {
-        let grow = |v: &mut Vec<f64>| {
-            if v.len() < len {
-                v.resize(len, 0.0);
-            }
-        };
-        for p in &mut self.prims {
-            p.u.iter_mut().for_each(&grow);
-            grow(&mut p.v);
-            grow(&mut p.a);
-            p.f.iter_mut().for_each(&grow);
-        }
-        for f in &mut self.flux {
-            f.iter_mut().for_each(&grow);
-        }
-    }
-}
-
-thread_local! {
-    static SWEEP_SCRATCH: std::cell::RefCell<SweepScratch> =
-        std::cell::RefCell::new(SweepScratch::default());
-}
-
-/// Fill `out[0..len]` with the primitives of the `len` cells starting at
-/// linear index `start` — one stride-1 pass calling [`AxisPrim::new`] per
-/// element, so the loop body is branch-free straight-line arithmetic the
-/// compiler vectorizes (divisions and the sound-speed square root
-/// included). `AXIS` is const so the flux component picking up the
-/// pressure term is a static index.
+/// Primitives of the pack of cells at `at` (see [`Pack::load`]).
 #[inline(always)]
-fn fill_prim_row<const AXIS: usize>(
+fn load_prim<const AXIS: usize, const W: usize>(
     data: &[&mut [f64]; NFIELDS],
-    start: usize,
-    len: usize,
-    gamma: f64,
-    out: &mut PrimRow,
-) {
-    let rho = &data[fields::RHO][start..start + len];
-    let mx = &data[fields::MX][start..start + len];
-    let my = &data[fields::MY][start..start + len];
-    let mz = &data[fields::MZ][start..start + len];
-    let en = &data[fields::E][start..start + len];
-    let [u0, u1, u2, u3, u4] = &mut out.u;
-    let (u0, u1, u2, u3, u4) = (
-        &mut u0[..len],
-        &mut u1[..len],
-        &mut u2[..len],
-        &mut u3[..len],
-        &mut u4[..len],
-    );
-    let ov = &mut out.v[..len];
-    let oa = &mut out.a[..len];
-    let [f0, f1, f2, f3, f4] = &mut out.f;
-    let (f0, f1, f2, f3, f4) = (
-        &mut f0[..len],
-        &mut f1[..len],
-        &mut f2[..len],
-        &mut f3[..len],
-        &mut f4[..len],
-    );
-    for i in 0..len {
-        let u = Cons {
-            rho: rho[i],
-            m: [mx[i], my[i], mz[i]],
-            e: en[i],
-        };
-        let p = AxisPrim::new(u, AXIS, gamma);
-        u0[i] = u.rho;
-        u1[i] = u.m[0];
-        u2[i] = u.m[1];
-        u3[i] = u.m[2];
-        u4[i] = u.e;
-        ov[i] = p.v;
-        oa[i] = p.a;
-        f0[i] = p.f[0];
-        f1[i] = p.f[1];
-        f2[i] = p.f[2];
-        f3[i] = p.f[3];
-        f4[i] = p.f[4];
+    at: usize,
+    live: &Range<usize>,
+    w: &Walk,
+) -> AxisPrim<Pack<W>> {
+    let mut u = [Pack::splat(0.0); NFIELDS];
+    for k in 0..NFIELDS {
+        u[k] = Pack::load(data[k], at, w.lane_stride, live);
     }
+    AxisPrim::new(Cons::from_array(u), AXIS, w.gamma)
 }
 
-/// Reassemble the `i`-th primitive of a row view starting at `off`.
+/// Sweep `W` adjacent lines in place, one lane each, storing the `live`
+/// lanes. `start` indexes lane 0 of the ghost row below the first interior
+/// one. Each step loads the next row, forms its primitives and the
+/// interface flux they share with the current row (`f_hi` of row `i` *is*
+/// `f_lo` of row `i + 1`), and stores the current row's update — so a row
+/// is read before the store that overwrites it, its lower neighbour's old
+/// state lives on in `f_lo`, and nothing but the five conserved fields
+/// touches memory. Under [`Ends::ZeroGradient`] the row below the first is
+/// the first and the row above the last is the last.
 #[inline(always)]
-fn prim_at(p: &PrimRow, off: usize, i: usize) -> AxisPrim {
-    let j = off + i;
-    AxisPrim {
-        u: Cons {
-            rho: p.u[0][j],
-            m: [p.u[1][j], p.u[2][j], p.u[3][j]],
-            e: p.u[4][j],
-        },
-        v: p.v[j],
-        a: p.a[j],
-        f: [p.f[0][j], p.f[1][j], p.f[2][j], p.f[3][j], p.f[4][j]],
-    }
-}
-
-/// `out[k][0..len] =` [`hll_from_prims`] of rows `l` (from `lo`) and `r`
-/// (from `ro`), elementwise. `hll_from_prims` is branch-free, so this is a
-/// vectorizable select-and-blend loop. `l` and `r` may be the same row at
-/// shifted offsets (the z sweep).
-#[inline(always)]
-fn hll_row(
-    l: &PrimRow,
-    lo: usize,
-    r: &PrimRow,
-    ro: usize,
-    len: usize,
-    out: &mut [Vec<f64>; NFIELDS],
-) {
-    let [o0, o1, o2, o3, o4] = out;
-    let (o0, o1, o2, o3, o4) = (
-        &mut o0[..len],
-        &mut o1[..len],
-        &mut o2[..len],
-        &mut o3[..len],
-        &mut o4[..len],
-    );
-    for i in 0..len {
-        let f = hll_from_prims(&prim_at(l, lo, i), &prim_at(r, ro, i));
-        o0[i] = f[0];
-        o1[i] = f[1];
-        o2[i] = f[2];
-        o3[i] = f[3];
-        o4[i] = f[4];
-    }
-}
-
-/// Write the updated row of `len` cells at linear index `start`:
-/// [`flux_difference_update`] + [`apply_floors`] elementwise, reading the
-/// pre-update states from `prim` (captured before any write touched them)
-/// and the interface fluxes from `fl`/`fh` — which may be the same flux row
-/// at shifted offsets (the z sweep).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn update_row(
+fn sweep_column<const AXIS: usize, const W: usize>(
     data: &mut [&mut [f64]; NFIELDS],
     start: usize,
-    len: usize,
-    prim: &PrimRow,
-    po: usize,
-    fl: &[Vec<f64>; NFIELDS],
-    flo: usize,
-    fh: &[Vec<f64>; NFIELDS],
-    fho: usize,
-    dt_over_dx: f64,
-    gamma: f64,
+    live: Range<usize>,
+    w: Walk,
 ) {
-    let [d0, d1, d2, d3, d4] = data;
-    let (d0, d1, d2, d3, d4) = (
-        &mut d0[start..start + len],
-        &mut d1[start..start + len],
-        &mut d2[start..start + len],
-        &mut d3[start..start + len],
-        &mut d4[start..start + len],
-    );
-    for i in 0..len {
-        let u0 = Cons {
-            rho: prim.u[0][po + i],
-            m: [prim.u[1][po + i], prim.u[2][po + i], prim.u[3][po + i]],
-            e: prim.u[4][po + i],
-        };
-        let f_lo = [
-            fl[0][flo + i],
-            fl[1][flo + i],
-            fl[2][flo + i],
-            fl[3][flo + i],
-            fl[4][flo + i],
-        ];
-        let f_hi = [
-            fh[0][fho + i],
-            fh[1][fho + i],
-            fh[2][fho + i],
-            fh[3][fho + i],
-            fh[4][fho + i],
-        ];
-        let u = apply_floors(flux_difference_update(&u0, &f_lo, &f_hi, dt_over_dx), gamma);
-        d0[i] = u.rho;
-        d1[i] = u.m[0];
-        d2[i] = u.m[1];
-        d3[i] = u.m[2];
-        d4[i] = u.e;
-    }
-}
-
-/// The strided (x or y) sweep: for each transverse line bundle, primitive
-/// rows roll along the sweep axis — `pp` is filled for the next source row
-/// while `p0` still holds the row being updated as it was *before* any
-/// write (the in-place hazard), and the shared interface satisfies
-/// `f_lo(i+1) = f_hi(i)` by a buffer swap, never a recompute.
-fn sweep_strided<const AXIS: usize>(
-    data: &mut [&mut [f64]; NFIELDS],
-    interior: Region,
-    storage: Region,
-    s: &mut SweepScratch,
-    dt_over_dx: f64,
-    gamma: f64,
-) {
-    let nz = (interior.hi.z - interior.lo.z) as usize;
-    let sz = (storage.hi.z - storage.lo.z) as usize;
-    let sxy = (storage.hi.y - storage.lo.y) as usize * sz;
-    let (stride, n_sweep, outer_n) = if AXIS == 0 {
-        (sxy, interior.hi.x - interior.lo.x, interior.hi.y - interior.lo.y)
-    } else {
-        (sz, interior.hi.y - interior.lo.y, interior.hi.x - interior.lo.x)
+    let mut at = start + w.walk_stride;
+    let mut p0 = load_prim::<AXIS, W>(data, at, &live, &w);
+    let below = match w.ends {
+        Ends::Ghosts => load_prim::<AXIS, W>(data, start, &live, &w),
+        Ends::ZeroGradient => p0,
     };
-    let lo = interior.lo;
-    let [pm, p0, pp] = &mut s.prims;
-    let [f_lo, f_hi] = &mut s.flux;
-    for j in 0..outer_n {
-        let first = if AXIS == 0 {
-            storage.linear_index(ivec3(lo.x - 1, lo.y + j, lo.z))
+    let mut f_lo = hll_from_prims(&below, &p0);
+    for row in 1..=w.rows {
+        let pp = if row == w.rows && w.ends == Ends::ZeroGradient {
+            p0
         } else {
-            storage.linear_index(ivec3(lo.x + j, lo.y - 1, lo.z))
+            load_prim::<AXIS, W>(data, at + w.walk_stride, &live, &w)
         };
-        fill_prim_row::<AXIS>(data, first, nz, gamma, pm);
-        fill_prim_row::<AXIS>(data, first + stride, nz, gamma, p0);
-        hll_row(pm, 0, p0, 0, nz, f_lo);
-        let mut cur = first + stride;
-        for _ in 0..n_sweep {
-            fill_prim_row::<AXIS>(data, cur + stride, nz, gamma, pp);
-            hll_row(p0, 0, pp, 0, nz, f_hi);
-            update_row(data, cur, nz, p0, 0, f_lo, 0, f_hi, 0, dt_over_dx, gamma);
-            std::mem::swap(pm, p0);
-            std::mem::swap(p0, pp);
-            std::mem::swap(f_lo, f_hi);
-            cur += stride;
+        let f_hi = hll_from_prims(&p0, &pp);
+        let u = flux_difference_update(&p0.u, &f_lo, &f_hi, w.dt_over_dx);
+        for (field, v) in data.iter_mut().zip(apply_floors(u, w.gamma).to_array()) {
+            v.store(field, at, w.lane_stride, &live);
+        }
+        (p0, f_lo) = (pp, f_hi);
+        at += w.walk_stride;
+    }
+}
+
+/// Sweep lanes `lanes` of a bundle of `nl` lines whose lane 0 starts at
+/// `first`, in packs of `W`. A last pack that would overhang the bundle is
+/// moved back to end on its last lane — the lanes it shares with the pack
+/// before are padding (see [`Pack::load`]) — unless the whole bundle is
+/// narrower than one pack.
+#[inline(always)]
+fn sweep_bundle<const AXIS: usize, const W: usize>(
+    data: &mut [&mut [f64]; NFIELDS],
+    first: usize,
+    lanes: Range<usize>,
+    nl: usize,
+    w: Walk,
+) {
+    for l0 in lanes.step_by(W) {
+        let live = (nl - l0).min(W);
+        let pad = if nl >= W { W - live } else { 0 };
+        let start = first + (l0 - pad) * w.lane_stride;
+        sweep_column::<AXIS, W>(data, start, pad..pad + live, w);
+    }
+}
+
+/// [`sweep`] at a fixed lane count.
+#[inline(always)]
+pub(crate) fn sweep_lanes<const W: usize>(
+    fieldset: &mut [Field3],
+    axis: usize,
+    ends: Ends,
+    dt_over_dx: f64,
+    gamma: f64,
+) {
+    assert_sweep_shapes(fieldset);
+    match axis {
+        0 => sweep_axis::<0, W>(fieldset, ends, dt_over_dx, gamma),
+        1 => sweep_axis::<1, W>(fieldset, ends, dt_over_dx, gamma),
+        _ => sweep_axis::<2, W>(fieldset, ends, dt_over_dx, gamma),
+    }
+}
+
+/// The x and y sweeps take their lanes along z (contiguous packs) and the
+/// z sweep along y, so all three are [`sweep_column`] with different
+/// strides. Above four lanes, what is left of a bundle after its full
+/// packs goes in packs of four.
+#[inline(always)]
+fn sweep_axis<const AXIS: usize, const W: usize>(
+    fieldset: &mut [Field3],
+    ends: Ends,
+    dt_over_dx: f64,
+    gamma: f64,
+) {
+    let (interior, storage) = (fieldset[0].interior(), fieldset[0].storage_region());
+    let [rho, mx, my, mz, e, ..] = fieldset else {
+        unreachable!("assert_sweep_shapes checked the field count")
+    };
+    let data = &mut [rho, mx, my, mz, e].map(Field3::data_mut);
+    let (n, s) = (interior.size(), storage.size());
+    let stride = [(s.y * s.z) as usize, s.z as usize, 1];
+    let (lane, outer) = match AXIS {
+        0 => (2, 1),
+        1 => (2, 0),
+        _ => (1, 0),
+    };
+    let w = Walk {
+        lane_stride: stride[lane],
+        walk_stride: stride[AXIS],
+        rows: n[AXIS] as usize,
+        ends,
+        dt_over_dx,
+        gamma,
+    };
+    let nl = n[lane] as usize;
+    let origin = storage.linear_index(interior.lo) - stride[AXIS];
+    for j in 0..n[outer] as usize {
+        let first = origin + j * stride[outer];
+        if W > 4 {
+            let full = nl - nl % W;
+            sweep_bundle::<AXIS, W>(data, first, 0..full, nl, w);
+            sweep_bundle::<AXIS, 4>(data, first, full..nl, nl, w);
+        } else {
+            sweep_bundle::<AXIS, W>(data, first, 0..nl, nl, w);
         }
     }
 }
 
-/// The z sweep: every line is one contiguous run, so a single primitive
-/// row over `nz + 2` cells feeds all `nz + 1` interfaces as two shifted
-/// views of itself, and the update reads the same flux row at offsets 0
-/// and 1.
-fn sweep_z(
-    data: &mut [&mut [f64]; NFIELDS],
-    interior: Region,
-    storage: Region,
-    s: &mut SweepScratch,
-    dt_over_dx: f64,
-    gamma: f64,
-) {
-    let nz = (interior.hi.z - interior.lo.z) as usize;
-    let [p0, _, _] = &mut s.prims;
-    let [f_all, _] = &mut s.flux;
-    let lo = interior.lo;
-    for x in lo.x..interior.hi.x {
-        for y in lo.y..interior.hi.y {
-            let first = storage.linear_index(ivec3(x, y, lo.z - 1));
-            fill_prim_row::<2>(data, first, nz + 2, gamma, p0);
-            hll_row(p0, 0, p0, 1, nz + 1, f_all);
-            update_row(data, first + 1, nz, p0, 1, f_all, 0, f_all, 1, dt_over_dx, gamma);
-        }
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Which instantiation [`sweep`] runs on this host — a host-time number
+/// should name it.
+pub fn lanes_in_use() -> &'static str {
+    if avx2() {
+        "avx2 x8"
+    } else {
+        "baseline x4"
     }
+}
+
+/// [`sweep_lanes`] compiled with 256-bit registers. Not `fma`: a fused
+/// multiply-add rounds once where the reference rounds twice.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2(fieldset: &mut [Field3], axis: usize, ends: Ends, dt_over_dx: f64, gamma: f64) {
+    sweep_lanes::<8>(fieldset, axis, ends, dt_over_dx, gamma)
 }
 
 /// One dimensionally-split first-order Godunov sweep along `axis` over the
 /// interior of the patch. Ghost zones must have been filled beforehand.
 ///
-/// Runs **in place** over the fields (no field-sized scratch) as stride-1
-/// row passes: every inner loop — primitive extraction ([`AxisPrim::new`]
-/// per element into SoA rows), interface fluxes (branch-free
-/// [`hll_from_prims`] elementwise) and the flux-difference update — walks
-/// contiguous memory with no data-dependent branches, so the compiler
-/// autovectorizes the divisions and sound-speed square roots that dominate
-/// the kernel. Primitives are computed once per cell and serve both
-/// interfaces (`f_hi` of row `i` *is* `f_lo` of row `i+1` — a buffer swap
-/// of the same pure evaluation), quartering primitive evaluations and
-/// halving Riemann solves versus the per-cell form. In-place safety is the
-/// rolling-row discipline: a row's primitives are captured in scratch
-/// before any write can touch it, exactly reproducing the reference path's
-/// double buffering bit for bit (golden tests and the kernel proptests pin
-/// it). Scratch is a few KiB of thread-local rows reused across calls.
+/// Runs **in place** and allocates nothing: `sweep_column` carries `W`
+/// sweep lines at a time through primitives → HLL → update in registers,
+/// computing each cell's primitives once and each interface flux once. It
+/// is instantiated at `W = 4` for every host and at `W = 8` with `avx2`
+/// enabled for hosts that report it — two compilations of one source, and
+/// since each lane performs the scalar's operations in the scalar's order
+/// both give [`reference::sweep`]'s bits (golden tests and the kernel
+/// proptests pin it).
 pub fn sweep(fieldset: &mut [Field3], axis: usize, dt_over_dx: f64, gamma: f64) {
-    assert_sweep_shapes(fieldset);
-    let interior = fieldset[0].interior();
-    let storage = fieldset[0].storage_region();
-    let mut slices: Vec<&mut [f64]> = fieldset
-        .iter_mut()
-        .take(NFIELDS)
-        .map(|f| f.data_mut())
-        .collect();
-    // fixed-size view: field selection compiles to plain offsets
-    let data: &mut [&mut [f64]; NFIELDS] =
-        (&mut slices[..]).try_into().expect("NFIELDS field slices");
-    let nz = (interior.hi.z - interior.lo.z) as usize;
-    SWEEP_SCRATCH.with(|s| {
-        let s = &mut *s.borrow_mut();
-        s.ensure(nz + 2);
-        match axis {
-            0 => sweep_strided::<0>(data, interior, storage, s, dt_over_dx, gamma),
-            1 => sweep_strided::<1>(data, interior, storage, s, dt_over_dx, gamma),
-            _ => sweep_z(data, interior, storage, s, dt_over_dx, gamma),
-        }
-    });
+    sweep_ends(fieldset, axis, Ends::Ghosts, dt_over_dx, gamma)
 }
 
-/// Full XYZ dimensionally-split step.
-///
-/// Ghost zones are refilled with zero-gradient extrapolation *before each
-/// sweep* so the stencil never reads values stale from the previous sweep
-/// (which would break conservation). Callers that have sibling/parent ghost
-/// data should fill ghosts once before calling (the first sweep then uses
-/// it) or drive [`sweep`] directly with their own exchange between sweeps.
-/// Fully in place — the hyperbolic step performs zero heap allocations.
-pub fn euler_step(fieldset: &mut [Field3], dt_over_dx: f64, gamma: f64) {
-    for axis in 0..3 {
-        if axis > 0 {
-            for f in fieldset.iter_mut().take(NFIELDS) {
-                f.fill_ghosts_zero_gradient();
-            }
-        }
-        sweep(fieldset, axis, dt_over_dx, gamma);
+/// [`sweep`] with the line ends of `ends`, on the widest lanes the host has.
+fn sweep_ends(fieldset: &mut [Field3], axis: usize, ends: Ends, dt_over_dx: f64, gamma: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `sweep_avx2` needs the `avx2` feature, checked on the line above.
+        #[allow(unsafe_code)]
+        unsafe {
+            sweep_avx2(fieldset, axis, ends, dt_over_dx, gamma)
+        };
+        return;
     }
+    sweep_lanes::<4>(fieldset, axis, ends, dt_over_dx, gamma)
+}
+
+/// Full XYZ dimensionally-split step: every sweep after the first sees
+/// zero-gradient ghosts of the state the sweep before it left, so the
+/// stencil never reads values stale from an earlier sweep (which would
+/// break conservation).
+///
+/// The x sweep reads the ghosts the caller exchanged. The y sweep takes its
+/// line ends from the end rows ([`Ends::ZeroGradient`]) — the only ghost
+/// cells it would read, and bit-copies of those rows after a refill. One
+/// refill then precedes the z sweep, and it is the ghost state the step
+/// leaves behind: zero-gradient of the post-y state, [`reference::euler_step`]'s
+/// to the bit (refinement criteria difference across ghost faces after the
+/// solve). Fully in place — the step performs zero heap allocations.
+pub fn euler_step(fieldset: &mut [Field3], dt_over_dx: f64, gamma: f64) {
+    sweep(fieldset, 0, dt_over_dx, gamma);
+    sweep_ends(fieldset, 1, Ends::ZeroGradient, dt_over_dx, gamma);
+    for f in fieldset.iter_mut().take(NFIELDS) {
+        f.fill_ghosts_zero_gradient();
+    }
+    sweep(fieldset, 2, dt_over_dx, gamma);
 }
 
 /// Maximum signal speed (|v|+a over all axes) over the interior — the CFL
@@ -764,16 +759,18 @@ pub fn set_ambient(fieldset: &mut [Field3], rho: f64, v: [f64; 3], p: f64, gamma
 mod tests {
     use super::*;
 
+    fn zeros(r: Region, ghost: i64) -> Vec<Field3> {
+        (0..NFIELDS).map(|_| Field3::zeros(r, ghost)).collect()
+    }
+
     fn uniform_set(n: i64, ghost: i64) -> Vec<Field3> {
-        (0..NFIELDS)
-            .map(|_| Field3::zeros(Region::cube(n), ghost))
-            .collect()
+        zeros(Region::cube(n), ghost)
     }
 
     /// Deterministic pseudo-random, physically plausible state (LCG fill)
     /// for golden comparisons without a rand dependency.
-    fn scrambled_state(n: i64, ghost: i64, seed: u64) -> Vec<Field3> {
-        let mut fs = uniform_set(n, ghost);
+    fn scrambled(r: Region, ghost: i64, seed: u64) -> Vec<Field3> {
+        let mut fs = zeros(r, ghost);
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15);
         for (k, f) in fs.iter_mut().enumerate() {
             for v in f.data_mut() {
@@ -795,10 +792,50 @@ mod tests {
             .collect()
     }
 
+    const GAMMA: f64 = 1.4;
+
+    type Sweep = fn(&mut [Field3], usize, Ends, f64, f64);
+
+    /// Every instantiation of the column kernel, and the dispatched entry
+    /// (on an AVX2 host, the one compiled with 256-bit registers).
+    const KERNELS: [(&str, Sweep); 5] = [
+        ("x1", sweep_lanes::<1>),
+        ("x2", sweep_lanes::<2>),
+        ("x4", sweep_lanes::<4>),
+        ("x8", sweep_lanes::<8>),
+        ("dispatched", sweep_ends),
+    ];
+
+    /// Sweep `fs` along `axis` with the reference and with every kernel:
+    /// all must agree bit for bit over the full storage — ghosts included,
+    /// a lane must never store outside the interior. With zero-gradient
+    /// ends every kernel must give the interior the reference gives after a
+    /// ghost refill, and leave the ghosts it was handed. Returns the
+    /// `Ghosts` result.
+    fn swept_by_all(fs: &[Field3], axis: usize, dt_over_dx: f64, what: &str) -> Vec<Field3> {
+        let mut want = fs.to_vec();
+        reference::sweep(&mut want, axis, dt_over_dx, GAMMA);
+        let mut refilled = fs.to_vec();
+        refilled.iter_mut().for_each(Field3::fill_ghosts_zero_gradient);
+        reference::sweep(&mut refilled, axis, dt_over_dx, GAMMA);
+        let mut want_zg = fs.to_vec();
+        for (w, r) in want_zg.iter_mut().zip(&refilled) {
+            w.copy_from(r, &r.interior());
+        }
+        for (name, kernel) in KERNELS {
+            for (ends, want) in [(Ends::Ghosts, &want), (Ends::ZeroGradient, &want_zg)] {
+                let mut got = fs.to_vec();
+                kernel(&mut got, axis, ends, dt_over_dx, GAMMA);
+                assert_eq!(bits(&got), bits(want), "{what}: {name}, axis {axis}, {ends:?}");
+            }
+        }
+        want
+    }
+
     #[test]
     fn in_place_sweep_matches_reference_bitwise() {
         for seed in [1u64, 2, 3] {
-            let mut a = scrambled_state(9, 1, seed);
+            let mut a = scrambled(Region::cube(9), 1, seed);
             let mut b = a.clone();
             for axis in 0..3 {
                 sweep(&mut a, axis, 0.21, 1.4);
@@ -809,6 +846,181 @@ mod tests {
             reference::euler_step(&mut b, 0.17, 1.4);
             assert_eq!(bits(&a), bits(&b), "seed {seed} full step");
         }
+    }
+
+    /// Lanes run along z for the x and y sweeps and along y for the z
+    /// sweep: extents `(1 + m % 3, m, 18 - m)` put every count 1..=17 — up
+    /// to two 8-lane packs and a one-lane tail, so 1, 2, 3, `W − 1`, `W`,
+    /// `W + 1` and `2W + 1` for every `W` — on both lane axes and 1, 2 and 3
+    /// cells on every walked axis, off-origin, non-cubic.
+    fn thin_shapes() -> impl Iterator<Item = (Region, i64)> {
+        (1..=17).map(|m| {
+            let r = Region::at(ivec3(-2, 3, 5), ivec3(1 + m % 3, m, 18 - m));
+            (r, 1 + m % 2)
+        })
+    }
+
+    #[test]
+    fn every_kernel_matches_reference_on_every_tail() {
+        for (r, ghost) in thin_shapes() {
+            let fs = scrambled(r, ghost, r.cells() as u64);
+            for axis in 0..3 {
+                swept_by_all(&fs, axis, 0.21, &format!("{r:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn euler_step_leaves_the_reference_interior_and_ghosts() {
+        // scrambled ghosts are no zero-gradient fill of anything: the x sweep
+        // must read them, the y sweep must not miss them, and the ghost bits
+        // afterwards are the surviving refill's
+        for (r, ghost) in thin_shapes() {
+            let mut a = scrambled(r, ghost, 3 * r.cells() as u64);
+            let mut b = a.clone();
+            euler_step(&mut a, 0.17, GAMMA);
+            reference::euler_step(&mut b, 0.17, GAMMA);
+            assert_eq!(bits(&a), bits(&b), "{r:?} ghost {ghost}");
+        }
+    }
+
+    /// Set cell `p` from primitives, bypassing [`store`]'s floors.
+    fn set_prim(fs: &mut [Field3], p: IVec3, rho: f64, v: [f64; 3], pr: f64) {
+        let e = pr / (GAMMA - 1.0) + 0.5 * rho * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
+        for (k, val) in [rho, rho * v[0], rho * v[1], rho * v[2], e]
+            .into_iter()
+            .enumerate()
+        {
+            fs[k].set(p, val);
+        }
+    }
+
+    /// Quiescent gas holding a block moving at Mach 5 towards +x+y+z in the
+    /// low corner (the first pack of every bundle), one towards −x−y−z in
+    /// the high corner (the last, partial one), and a cell whose energy is
+    /// below its kinetic energy.
+    fn hand_built() -> Vec<Field3> {
+        let r = Region::at(ivec3(1, -4, 2), ivec3(6, 9, 11));
+        let mut fs = zeros(r, 1);
+        set_ambient(&mut fs, 1.0, [0.0; 3], 1.0, GAMMA);
+        for p in Region::at(r.lo, IVec3::splat(2)).iter_cells() {
+            set_prim(&mut fs, p, 1.0, [6.0; 3], 1.0);
+        }
+        for p in Region::at(r.hi - IVec3::splat(2), IVec3::splat(2)).iter_cells() {
+            set_prim(&mut fs, p, 1.0, [-6.0; 3], 1.0);
+        }
+        set_prim(&mut fs, ivec3(5, 3, 4), 1.0, [1.5; 3], -100.0);
+        fs
+    }
+
+    #[test]
+    fn every_kernel_matches_reference_on_every_select_arm_and_floor() {
+        let fs = hand_built();
+        let dt_over_dx = 0.3; // past the moving blocks' CFL limit: drains their upwind cells
+        for axis in 0..3 {
+            // census with the scalar API: the state must reach what it was built to reach
+            let dir = axis_dir(axis);
+            let (mut left, mut right, mut mid, mut rho_floored, mut p_floored) = (0, 0, 0, 0, 0);
+            for p in fs[0].interior().iter_cells() {
+                let (um, u0, up) = (load(&fs, p - dir), load(&fs, p), load(&fs, p + dir));
+                let sl = (um.vel(axis) - um.sound_speed(GAMMA))
+                    .min(u0.vel(axis) - u0.sound_speed(GAMMA));
+                let sr = (um.vel(axis) + um.sound_speed(GAMMA))
+                    .max(u0.vel(axis) + u0.sound_speed(GAMMA));
+                match (sl >= 0.0, sr <= 0.0) {
+                    (true, _) => left += 1,
+                    (_, true) => right += 1,
+                    _ => mid += 1,
+                }
+                let (f_lo, f_hi) = (
+                    hll_flux(&um, &u0, axis, GAMMA),
+                    hll_flux(&u0, &up, axis, GAMMA),
+                );
+                let raw = flux_difference_update(&u0, &f_lo, &f_hi, dt_over_dx);
+                let ke = 0.5 * raw.m.iter().map(|m| m * m).sum::<f64>() / raw.rho;
+                if raw.rho < RHO_FLOOR {
+                    rho_floored += 1;
+                } else if (GAMMA - 1.0) * (raw.e - ke) < P_FLOOR {
+                    p_floored += 1;
+                }
+            }
+            assert!(
+                left > 0 && right > 0 && mid > 0 && rho_floored > 0 && p_floored > 0,
+                "axis {axis}: {left} left / {right} right / {mid} mid fluxes, \
+                 {rho_floored} density / {p_floored} pressure floors"
+            );
+            let out = swept_by_all(&fs, axis, dt_over_dx, "hand-built");
+            let floored = fs[0]
+                .interior()
+                .iter_cells()
+                .filter(|&p| out[fields::RHO].get(p) == RHO_FLOOR);
+            assert_eq!(floored.count(), rho_floored, "axis {axis}");
+        }
+    }
+
+    #[test]
+    fn nan_cell_reaches_its_neighbours_and_no_further() {
+        let clean = scrambled(Region::at(ivec3(0, 0, 0), ivec3(5, 9, 10)), 1, 7);
+        let at = ivec3(2, 6, 3);
+        let mut dirty = clean.clone();
+        for f in dirty.iter_mut() {
+            f.set(at, f64::NAN);
+        }
+        for axis in 0..3 {
+            let want = swept_by_all(&clean, axis, 0.21, "clean");
+            let got = swept_by_all(&dirty, axis, 0.21, "NaN cell");
+            for p in clean[0].storage_region().iter_cells() {
+                let d = p - at;
+                let near = d[axis].abs() <= 1 && (0..3).all(|a| a == axis || d[a] == 0);
+                for k in 0..NFIELDS {
+                    let (g, w) = (got[k].get(p), want[k].get(p));
+                    assert!(
+                        if near {
+                            g.is_nan()
+                        } else {
+                            g.to_bits() == w.to_bits()
+                        },
+                        "axis {axis} field {k} at {p:?}: {g} vs {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hll_selects_each_arm() {
+        let state = |v: f64, rho: f64, p: f64| {
+            let m = [rho * v, rho * 0.3, rho * -0.2];
+            let ke = 0.5 * (m[0] * m[0] + m[1] * m[1] + m[2] * m[2]) / rho;
+            Cons {
+                rho,
+                m,
+                e: p / (GAMMA - 1.0) + ke,
+            }
+        };
+        let same =
+            |a: [f64; NFIELDS], b: [f64; NFIELDS]| a.map(f64::to_bits) == b.map(f64::to_bits);
+        // both states outrun their sound speed rightwards: the left flux, exactly
+        let (l, r) = (state(6.0, 1.0, 1.0), state(5.0, 0.8, 1.2));
+        assert!(same(hll_flux(&l, &r, 0, GAMMA), l.flux(0, GAMMA)));
+        // leftwards: the right flux
+        let (l, r) = (state(-5.0, 0.8, 1.2), state(-6.0, 1.0, 1.0));
+        assert!(same(hll_flux(&l, &r, 0, GAMMA), r.flux(0, GAMMA)));
+        // Sod's tube: the textbook mid-state flux, neither side's own
+        let (l, r) = (state(0.0, 1.0, 1.0), state(0.0, 0.125, 0.1));
+        let (sl, sr) = (-l.sound_speed(GAMMA), l.sound_speed(GAMMA));
+        assert!(sl < (-r.sound_speed(GAMMA)) && sr > r.sound_speed(GAMMA));
+        let (fl, fr, ul, ur) = (
+            l.flux(0, GAMMA),
+            r.flux(0, GAMMA),
+            l.to_array(),
+            r.to_array(),
+        );
+        let mid: [f64; NFIELDS] = std::array::from_fn(|k| {
+            (sr * fl[k] - sl * fr[k] + sl * sr * (ur[k] - ul[k])) * (1.0 / (sr - sl))
+        });
+        let f = hll_flux(&l, &r, 0, GAMMA);
+        assert!(same(f, mid) && !same(f, fl) && !same(f, fr));
     }
 
     #[test]

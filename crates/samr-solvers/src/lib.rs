@@ -18,6 +18,8 @@
 //! charged separately by the driver, so real parallelism only shortens
 //! wall-clock time, never changes results.
 
+#![deny(unsafe_code)]
+
 // Fixed-axis (0..3) loops indexing several parallel arrays read more
 // clearly as index loops.
 #![allow(clippy::needless_range_loop)]

@@ -14,18 +14,7 @@ use crate::euler::{
 use samr_mesh::field::Field3;
 use samr_mesh::index::IVec3;
 use samr_mesh::pool::FieldAlloc;
-
-fn as_array(u: &Cons) -> [f64; NFIELDS] {
-    [u.rho, u.m[0], u.m[1], u.m[2], u.e]
-}
-
-fn from_array(v: [f64; NFIELDS]) -> Cons {
-    Cons {
-        rho: v[0],
-        m: [v[1], v[2], v[3]],
-        e: v[4],
-    }
-}
+use samr_mesh::region::Region;
 
 /// The per-cell MUSCL–Hancock reconstruction: minmod-limited edge states of
 /// the cell with state `u0` (neighbours `um`/`up` along the sweep axis),
@@ -41,9 +30,9 @@ pub(crate) fn edge_states(
     dt_over_dx: f64,
     gamma: f64,
 ) -> (Cons, Cons) {
-    let um = as_array(um);
-    let u = as_array(u0);
-    let up = as_array(up);
+    let um = um.to_array();
+    let u = u0.to_array();
+    let up = up.to_array();
     let mut ul = [0.0; NFIELDS]; // low-side edge
     let mut uh = [0.0; NFIELDS]; // high-side edge
     for k in 0..NFIELDS {
@@ -52,14 +41,14 @@ pub(crate) fn edge_states(
         uh[k] = u[k] + 0.5 * s;
     }
     // half-step predictor: u_edge += dt/2dx (F(ul) − F(uh))
-    let fl = from_array(ul).flux(axis, gamma);
-    let fh = from_array(uh).flux(axis, gamma);
+    let fl = Cons::from_array(ul).flux(axis, gamma);
+    let fh = Cons::from_array(uh).flux(axis, gamma);
     for k in 0..NFIELDS {
         let corr = 0.5 * dt_over_dx * (fl[k] - fh[k]);
         ul[k] += corr;
         uh[k] += corr;
     }
-    (from_array(ul), from_array(uh))
+    (Cons::from_array(ul), Cons::from_array(uh))
 }
 
 /// The per-cell MUSCL–Hancock flux-difference update: the evolved conserved
@@ -109,10 +98,34 @@ fn assert_muscl_ghosts(fieldset: &[Field3]) {
     }
 }
 
+/// Acquire `nfields` pooled ghost-0 scratch fields over `interior` — the
+/// write side of the sweep's double buffer.
+fn acquire_scratch<P: FieldAlloc>(
+    pool: &P,
+    interior: Region,
+    nfields: usize,
+) -> Vec<Field3> {
+    (0..nfields)
+        .map(|_| Field3::new_in(pool, interior, 0))
+        .collect()
+}
+
+/// Copy the scratch interiors back over `fieldset` and shelve the scratch
+/// buffers. Row-sliced copies preserve bits exactly, so this is equivalent
+/// to the reference path's deferred tuple application.
+fn commit_scratch<P: FieldAlloc>(fieldset: &mut [Field3], scratch: Vec<Field3>, pool: &P) {
+    for (dst, src) in fieldset.iter_mut().zip(scratch.iter()) {
+        let interior = src.interior();
+        dst.copy_from(src, &interior);
+    }
+    for s in scratch {
+        s.recycle(pool);
+    }
+}
+
 /// One MUSCL–Hancock sweep along `axis`. Ghosts (width ≥ 2) must be filled.
 ///
-/// Double-buffered through `pool` like [`crate::euler::sweep`], and
-/// line-based the same way: a rolling window of four cell states and two
+/// Double-buffered through `pool` and line-based: a rolling window of four cell states and two
 /// reconstructed edge-state pairs turns the per-cell form's four
 /// reconstructions and two Riemann solves into one of each per cell (the
 /// reused values are the same pure functions on the same inputs, so the
@@ -128,7 +141,7 @@ pub fn sweep_muscl<P: FieldAlloc>(
     assert_muscl_ghosts(fieldset);
     let interior = fieldset[0].interior();
     let storage = fieldset[0].storage_region();
-    let mut scratch = crate::euler::acquire_scratch(pool, interior, NFIELDS);
+    let mut scratch = acquire_scratch(pool, interior, NFIELDS);
     {
         let (rho, rest) = fieldset.split_first().unwrap();
         let src: [&[f64]; NFIELDS] = [
@@ -176,7 +189,7 @@ pub fn sweep_muscl<P: FieldAlloc>(
             }
         });
     }
-    crate::euler::commit_scratch(fieldset, scratch, pool);
+    commit_scratch(fieldset, scratch, pool);
 }
 
 /// Full dimensionally-split MUSCL–Hancock step (zero-gradient ghost refill

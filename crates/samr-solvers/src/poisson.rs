@@ -1,12 +1,22 @@
-//! Poisson solver: weighted-Jacobi / red-black Gauss–Seidel relaxation of
-//! `∇²φ = rhs` on a patch, with Dirichlet values supplied through ghost
-//! zones. The elliptic half of the `AMR64` dataset's physics.
+//! Poisson solver: red-black Gauss–Seidel relaxation of `∇²φ = rhs` on a
+//! patch, with Dirichlet values supplied through ghost zones. The elliptic
+//! half of the `AMR64` dataset's physics, whose right-hand side `ρ − ρ̄` is
+//! read straight out of the density field ([`rbgs_sweep_shifted`]).
 
 use samr_mesh::field::Field3;
 use samr_mesh::index::{ivec3, IVec3, FACE_NEIGHBORS};
 
 /// One red-black Gauss–Seidel sweep (both colors) of `∇²φ = rhs` with unit
 /// cell spacing scaled by `h` (so the stencil divides by `h²`).
+pub fn rbgs_sweep(phi: &mut Field3, rhs: &Field3, h: f64) {
+    // `x − 0.0` is `x` bit for bit (`−0.0` included)
+    rbgs_sweep_shifted(phi, rhs, 0.0, h)
+}
+
+/// [`rbgs_sweep`] of `∇²φ = src − shift`, reading the right-hand side out
+/// of `src` as it relaxes: no field holding `src − shift` is ever built.
+/// The subtraction is the one a materialised right-hand side would have
+/// stored, so the bits are those of [`rbgs_sweep`] on that field.
 ///
 /// Row-strided form: per (x,y) z-row the six neighbour offsets are fixed
 /// strides into the storage slice, the color parity picks the starting z,
@@ -15,15 +25,15 @@ use samr_mesh::index::{ivec3, IVec3, FACE_NEIGHBORS};
 /// the same `FACE_NEIGHBORS` order as [`reference::rbgs_sweep`] and the
 /// cells of each color are visited in the same storage order, so the sweep
 /// is bit-identical to the per-cell form (golden test pins it).
-pub fn rbgs_sweep(phi: &mut Field3, rhs: &Field3, h: f64) {
+pub fn rbgs_sweep_shifted(phi: &mut Field3, src: &Field3, shift: f64, h: f64) {
     let interior = phi.interior();
     let sto = phi.storage_region();
-    let rsto = rhs.storage_region();
+    let rsto = src.storage_region();
     let h2 = h * h;
     let dz = (sto.hi.z - sto.lo.z) as usize;
     let dy = dz;
     let dx = (sto.hi.y - sto.lo.y) as usize * dz;
-    let rd = rhs.data();
+    let rd = src.data();
     let pd = phi.data_mut();
     for color in 0..2i64 {
         for x in interior.lo.x..interior.hi.x {
@@ -49,7 +59,7 @@ pub fn rbgs_sweep(phi: &mut Field3, rhs: &Field3, h: f64) {
                     s += pd[i + dy];
                     s += pd[i - 1];
                     s += pd[i + 1];
-                    pd[i] = (s - h2 * rd[ri]) / 6.0;
+                    pd[i] = (s - h2 * (rd[ri] - shift)) / 6.0;
                     i += 2;
                     ri += 2;
                 }
@@ -142,6 +152,20 @@ mod tests {
         }
     }
 
+    /// Fill the full storage of `fields`, one after the other, with `g` of
+    /// an LCG stream on `[0, 1)`.
+    fn lcg_fill(seed: u64, fields: [&mut Field3; 2], g: impl Fn(f64) -> f64) {
+        let mut s = seed;
+        for v in fields.into_iter().flat_map(|f| f.data_mut().iter_mut()) {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            *v = g((s >> 11) as f64 / (1u64 << 53) as f64);
+        }
+    }
+
+    fn bits(f: &Field3) -> Vec<u64> {
+        f.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn zero_rhs_harmonic_linear_solution_is_fixed_point() {
         // φ = x is harmonic; with exact Dirichlet ghosts a sweep keeps it.
@@ -164,18 +188,33 @@ mod tests {
         for ghost in [1i64, 2] {
             let mut a = Field3::zeros(r, ghost);
             let mut rhs = Field3::zeros(r, 0);
-            let mut s = 7u64 + ghost as u64;
-            for v in a.data_mut().iter_mut().chain(rhs.data_mut().iter_mut()) {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                *v = ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
-            }
+            lcg_fill(7 + ghost as u64, [&mut a, &mut rhs], |u| u * 2.0 - 1.0);
             let mut b = a.clone();
             for _ in 0..3 {
                 rbgs_sweep(&mut a, &rhs, 0.5);
                 reference::rbgs_sweep(&mut b, &rhs, 0.5);
             }
-            let bits = |f: &Field3| -> Vec<u64> { f.data().iter().map(|v| v.to_bits()).collect() };
             assert_eq!(bits(&a), bits(&b), "ghost={ghost}");
+        }
+    }
+
+    #[test]
+    fn shifted_sweep_matches_reference_on_materialised_rhs() {
+        // thin, odd and even rows; values where `v − 1` rounds (so hoisting
+        // the shift out of the product would move bits)
+        for size in [ivec3(8, 8, 8), ivec3(2, 9, 7), ivec3(6, 10, 1), ivec3(1, 1, 2)] {
+            let r = Region::at(ivec3(-3, 2, 1), size);
+            let mut a = Field3::zeros(r, 1);
+            let mut rho = Field3::zeros(r, 1);
+            lcg_fill(11 + r.cells() as u64, [&mut a, &mut rho], |u| u * 3.0);
+            let mut rhs = rho.clone();
+            rhs.map_interior(|_, v| v - 1.0);
+            let mut b = a.clone();
+            for _ in 0..2 {
+                rbgs_sweep_shifted(&mut a, &rho, 1.0, 0.7);
+                reference::rbgs_sweep(&mut b, &rhs, 0.7);
+            }
+            assert_eq!(bits(&a), bits(&b), "{size:?}");
         }
     }
 

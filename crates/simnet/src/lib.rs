@@ -13,6 +13,8 @@
 //! the simulated detection time. [`retry`] layers exponential backoff on
 //! top for the DLB's control traffic.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod retry;
 pub mod shared;

@@ -26,6 +26,8 @@
 //! [`Telemetry::null`] performs no allocation, no locking, and no clock
 //! reads. Sinks are pluggable through the [`TelemetrySink`] trait.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod hist;
 pub mod json;

@@ -22,6 +22,8 @@
 //! splitmix64, stepping order is a pure function of simulated clocks, and
 //! recording telemetry never perturbs simulated state.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod rng;
 pub mod service;

@@ -5,6 +5,8 @@
 //! intra-networks, shared inter-group links with the `T = α + β·L` timing
 //! model, deterministic dynamic background traffic, and NWS-lite α/β probes.
 
+#![forbid(unsafe_code)]
+
 pub mod faults;
 pub mod link;
 pub mod presets;

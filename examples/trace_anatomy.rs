@@ -24,7 +24,11 @@ fn main() {
     // fault spans sized to the simulated run length so the degradation
     // protocol (retries, quarantine, rollback) actually shows up in traces
     let sys = presets::faulty_anl_ncsa_wan(n, n, 9, SimTime::from_secs(3600));
-    println!("system: {}\n", sys.describe());
+    println!("system: {}", sys.describe());
+    println!(
+        "euler lanes: {}\n",
+        samr_dlb::solvers::euler::lanes_in_use()
+    );
 
     let (tel, sink) = Telemetry::recording_shared();
     let mut cfg = RunConfig::new(

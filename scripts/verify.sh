@@ -5,6 +5,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# production code keeps exactly one `unsafe`: the AVX2 dispatch of
+# samr_solvers::euler::sweep. Every other crate root forbids it
+# (`crates/benchmark` carries its own offline stand-ins and is not counted).
+unsafe_uses=$(grep -rnw unsafe --include='*.rs' src crates/*/src | grep -vc '^crates/benchmark/' || true)
+if [ "$unsafe_uses" != 1 ]; then
+  echo "verify: expected exactly one \`unsafe\` outside crates/benchmark, found $unsafe_uses"; exit 1
+fi
 cargo clippy --all-targets -- -D warnings
 cargo clippy -p forecast --all-targets -- -D warnings
 # the pooled data path must not reintroduce hidden full-field copies, and

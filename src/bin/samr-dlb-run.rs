@@ -8,6 +8,8 @@
 //!
 //! Prints the run summary (and the full result as JSON with `--json`).
 
+#![forbid(unsafe_code)]
+
 use samr_dlb::prelude::*;
 use samr_engine::Scheme;
 

@@ -25,6 +25,8 @@
 //! println!("{}", result.summary());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use dlb;
 pub use forecast;
 pub use metrics;
