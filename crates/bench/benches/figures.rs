@@ -1,52 +1,39 @@
-//! Criterion benches — one per measured figure/experiment of the paper.
+//! `cargo bench --bench figures` — one case per measured figure/experiment
+//! of the paper.
 //!
-//! Each bench times the quick-scale harness for its figure. The full-scale
+//! Each case times the quick-scale harness for its figure. The full-scale
 //! tables for EXPERIMENTS.md (and the `results/*.json` files) come from the
-//! `fig3`/`fig7`/`fig8`/`ablations` binaries; Criterion's reported time here
-//! is the wall-clock cost of simulating one whole quick experiment.
+//! `fig3`/`fig7`/`fig8`/`ablations` binaries; the time reported here is the
+//! wall-clock cost of simulating one whole quick experiment.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::report_case;
 use samr_engine::AppKind;
-use std::time::Duration;
 
-fn bench_figures(c: &mut Criterion) {
-    let mut g = c.benchmark_group("figures");
-    g.sample_size(10)
-        .measurement_time(Duration::from_secs(8))
-        .warm_up_time(Duration::from_secs(1));
+const SAMPLES: usize = 10;
 
-    g.bench_function("fig3_parallel_vs_distributed", |b| {
-        b.iter(|| std::hint::black_box(bench::fig3(true)))
+fn main() {
+    report_case("figures/fig3_parallel_vs_distributed", SAMPLES, || {
+        bench::fig3(true)
     });
-    g.bench_function("fig7a_amr64_lan", |b| {
-        b.iter(|| std::hint::black_box(bench::fig7(AppKind::Amr64, true)))
+    report_case("figures/fig7a_amr64_lan", SAMPLES, || {
+        bench::fig7(AppKind::Amr64, true)
     });
-    g.bench_function("fig7b_shockpool3d_wan", |b| {
-        b.iter(|| std::hint::black_box(bench::fig7(AppKind::ShockPool3D, true)))
+    report_case("figures/fig7b_shockpool3d_wan", SAMPLES, || {
+        bench::fig7(AppKind::ShockPool3D, true)
     });
-    g.bench_function("fig8a_amr64_efficiency", |b| {
-        b.iter(|| std::hint::black_box(bench::fig8(AppKind::Amr64, true)))
+    report_case("figures/fig8a_amr64_efficiency", SAMPLES, || {
+        bench::fig8(AppKind::Amr64, true)
     });
-    g.bench_function("fig8b_shockpool3d_efficiency", |b| {
-        b.iter(|| std::hint::black_box(bench::fig8(AppKind::ShockPool3D, true)))
+    report_case("figures/fig8b_shockpool3d_efficiency", SAMPLES, || {
+        bench::fig8(AppKind::ShockPool3D, true)
     });
-    g.finish();
-
-    let mut g = c.benchmark_group("ablations");
-    g.sample_size(10)
-        .measurement_time(Duration::from_secs(8))
-        .warm_up_time(Duration::from_secs(1));
-    g.bench_function("gamma_sensitivity", |b| {
-        b.iter(|| std::hint::black_box(bench::ablation_gamma(AppKind::ShockPool3D, true)))
+    report_case("ablations/gamma_sensitivity", SAMPLES, || {
+        bench::ablation_gamma(AppKind::ShockPool3D, true)
     });
-    g.bench_function("heterogeneous_processors", |b| {
-        b.iter(|| std::hint::black_box(bench::ablation_hetero(true)))
+    report_case("ablations/heterogeneous_processors", SAMPLES, || {
+        bench::ablation_hetero(true)
     });
-    g.bench_function("traffic_adaptation", |b| {
-        b.iter(|| std::hint::black_box(bench::ablation_traffic(true)))
+    report_case("ablations/traffic_adaptation", SAMPLES, || {
+        bench::ablation_traffic(true)
     });
-    g.finish();
 }
-
-criterion_group!(figures, bench_figures);
-criterion_main!(figures);

@@ -1,8 +1,8 @@
-//! Criterion micro-benches of the hot kernels underneath the experiments:
+//! `cargo bench --bench kernels` — micro-benches of the hot kernels underneath the experiments:
 //! the Euler sweep, Berger–Rigoutsos clustering, the balancing primitive,
 //! link timing, the probe, and the gain evaluator.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::report_case;
 use dlb::{balance_level_within, evaluate_gain, BalanceParams, WorkloadHistory};
 use samr_mesh::cluster::{berger_rigoutsos, ClusterParams};
 use samr_mesh::field::Field3;
@@ -30,7 +30,9 @@ fn euler_fieldset(size: IVec3) -> Vec<Field3> {
     fs
 }
 
-fn bench_kernels(c: &mut Criterion) {
+const SAMPLES: usize = 20;
+
+fn main() {
     // 16³, then the shapes the benchmark workloads' meshes are made of:
     // slabs two cells thick along the walked (x) and along the lane (z)
     // axis — half of `amr64_lan`'s and `shock_wan`'s patches mid-run — the
@@ -42,22 +44,20 @@ fn bench_kernels(c: &mut Criterion) {
         ("euler_step_8cubed", IVec3::splat(8)),
         ("euler_step_18x48x28", ivec3(18, 48, 28)),
     ] {
-        c.bench_function(name, |b| {
-            let mut fs = euler_fieldset(size);
-            b.iter(|| {
-                euler::euler_step(black_box(&mut fs), 0.05, 1.4);
-            })
+        let mut fs = euler_fieldset(size);
+        report_case(name, SAMPLES, || {
+            euler::euler_step(black_box(&mut fs), 0.05, 1.4);
         });
     }
 
-    c.bench_function("euler_step_16cubed_reference", |b| {
+    {
         let mut fs = euler_fieldset(IVec3::splat(16));
-        b.iter(|| {
+        report_case("euler_step_16cubed_reference", SAMPLES, || {
             euler::reference::euler_step(black_box(&mut fs), 0.05, 1.4);
-        })
-    });
+        });
+    }
 
-    c.bench_function("muscl_step_16cubed", |b| {
+    {
         let mut fs: Vec<Field3> = (0..euler::NFIELDS)
             .map(|_| Field3::zeros(Region::cube(16), 2))
             .collect();
@@ -69,51 +69,51 @@ fn bench_kernels(c: &mut Criterion) {
             }
         }
         let pool = samr_mesh::pool::FieldPool::new();
-        b.iter(|| {
+        report_case("muscl_step_16cubed", SAMPLES, || {
             muscl::muscl_step(black_box(&mut fs), 0.05, 1.4, &pool);
-        })
-    });
+        });
+    }
 
-    c.bench_function("advect_step_16cubed_limited", |b| {
+    {
         let mut f = Field3::zeros(Region::cube(16), 2);
         f.map_interior(|p, _| ((p.x * 7 + p.y * 3 + p.z) % 11) as f64 * 0.1);
         f.fill_ghosts_zero_gradient();
         let pool = samr_mesh::pool::FieldPool::new();
-        b.iter(|| {
+        report_case("advect_step_16cubed_limited", SAMPLES, || {
             advection::advect_step(black_box(&mut f), [0.4, -0.3, 0.2], true, &pool);
-        })
-    });
+        });
+    }
 
-    c.bench_function("rbgs_sweep_16cubed", |b| {
+    {
         let mut phi = Field3::zeros(Region::cube(16), 1);
         let mut rhs = Field3::zeros(Region::cube(16), 0);
         phi.map_interior(|p, _| (p.x + p.y + p.z) as f64 * 0.05);
         rhs.map_interior(|p, _| if p.x == 8 { -1.0 } else { 0.0 });
-        b.iter(|| {
+        report_case("rbgs_sweep_16cubed", SAMPLES, || {
             poisson::rbgs_sweep(black_box(&mut phi), &rhs, 1.0);
-        })
-    });
+        });
+    }
 
     // Amr64's elliptic part: the relaxation reading its source out of ρ
-    c.bench_function("rbgs_sweep_shifted_8cubed", |b| {
+    {
         let mut phi = Field3::zeros(Region::cube(8), 1);
         let mut rho = Field3::zeros(Region::cube(8), 1);
         phi.map_interior(|p, _| (p.x + p.y + p.z) as f64 * 0.05);
         rho.map_interior(|p, _| 1.0 + (p.x % 3) as f64 * 0.25);
-        b.iter(|| {
+        report_case("rbgs_sweep_shifted_8cubed", SAMPLES, || {
             poisson::rbgs_sweep_shifted(black_box(&mut phi), &rho, 1.0, 1.0);
-        })
-    });
+        });
+    }
 
-    c.bench_function("fill_ghosts_zero_gradient_16cubed_g2", |b| {
+    {
         let mut f = Field3::zeros(Region::cube(16), 2);
         f.map_interior(|p, _| (p.x * p.y + p.z) as f64);
-        b.iter(|| {
+        report_case("fill_ghosts_zero_gradient_16cubed_g2", SAMPLES, || {
             black_box(&mut f).fill_ghosts_zero_gradient();
-        })
-    });
+        });
+    }
 
-    c.bench_function("berger_rigoutsos_tilted_plane_32", |b| {
+    {
         let mut flags = FlagField::new(Region::cube(32));
         for p in Region::cube(32).iter_cells() {
             if (2 * p.x + p.y - 32).abs() <= 1 {
@@ -121,17 +121,18 @@ fn bench_kernels(c: &mut Criterion) {
             }
         }
         let params = ClusterParams::default();
-        b.iter(|| black_box(berger_rigoutsos(&flags, &params)))
-    });
+        report_case("berger_rigoutsos_tilted_plane_32", SAMPLES, || {
+            black_box(berger_rigoutsos(&flags, &params))
+        });
+    }
 
-    c.bench_function("balance_level_within_64_grids", |b| {
+    {
         // setup (hierarchy build + fresh view) is inside the timed closure:
         // balancing mutates both, and the build is cheap next to the
         // balance pass itself
         let procs: Vec<ProcId> = (0..8).map(ProcId).collect();
-        b.iter(|| {
-            let mut h =
-                GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(8 * 64, 8, 8)), 2, 2, 1, 1);
+        report_case("balance_level_within_64_grids", SAMPLES, || {
+            let mut h = GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(8 * 64, 8, 8)), 2, 2, 1, 1);
             for i in 0..64 {
                 h.insert_patch(
                     0,
@@ -149,29 +150,29 @@ fn bench_kernels(c: &mut Criterion) {
                 &[1.0; 8],
                 &BalanceParams::default(),
             ))
-        })
-    });
+        });
+    }
 
-    c.bench_function("wan_transfer_time_1MB", |b| {
+    {
         let link = presets::mren_oc3_wan(7);
         let mut t = 0u64;
-        b.iter(|| {
+        report_case("wan_transfer_time_1MB", SAMPLES, || {
             t = t.wrapping_add(1);
             black_box(link.transfer_time(SimTime(t * 1_000_000), 1 << 20))
-        })
-    });
+        });
+    }
 
-    c.bench_function("probe_and_estimate", |b| {
+    {
         let link = presets::mren_oc3_wan(7);
         let mut est = LinkEstimator::paper_default();
         let mut i = 0u64;
-        b.iter(|| {
+        report_case("probe_and_estimate", SAMPLES, || {
             i += 1;
             black_box(est.refresh(&link, SimTime::from_secs(i)))
-        })
-    });
+        });
+    }
 
-    c.bench_function("gain_evaluation_8_procs", |b| {
+    {
         let sys = presets::anl_ncsa_wan(4, 4, 7);
         let mut h = WorkloadHistory::new(8);
         h.record_snapshot(
@@ -179,9 +180,8 @@ fn bench_kernels(c: &mut Criterion) {
             vec![1, 2],
         );
         h.record_step_time(12.0);
-        b.iter(|| black_box(evaluate_gain(&h, &sys)))
-    });
+        report_case("gain_evaluation_8_procs", SAMPLES, || {
+            black_box(evaluate_gain(&h, &sys))
+        });
+    }
 }
-
-criterion_group!(kernels, bench_kernels);
-criterion_main!(kernels);

@@ -25,8 +25,8 @@
 //! exports it (telemetry JSONL when PATH ends in `.jsonl`, Chrome trace
 //! JSON otherwise — the JSONL feeds `report run`).
 
+use base::json::num;
 use bench::{Scale, TRAFFIC_SEED};
-use rayon::prelude::*;
 use samr_engine::{AppKind, Driver, RunConfig, Scheme};
 use telemetry::{EventKind, Telemetry};
 use topology::faults::{FaultSchedule, ProcFaultSchedule};
@@ -226,14 +226,6 @@ fn events_crashes(events: &[telemetry::EventRecord]) -> u64 {
         .count() as u64
 }
 
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -265,15 +257,12 @@ fn main() {
     // evacuation recompute adds a fraction of one more
     let mttr_bound = 4.0 * b / scale.steps as f64;
 
-    let outcomes: Vec<SeedOutcome> = (1..=nseeds)
-        .collect::<Vec<u64>>()
-        .into_par_iter()
-        .map(|seed| {
-            sweep_seed(
-                seed, n, scale, horizon, mean_up, mean_down, base.mass, mttr_bound,
-            )
-        })
-        .collect();
+    let seeds: Vec<u64> = (1..=nseeds).collect();
+    let outcomes: Vec<SeedOutcome> = par::map(&seeds, |&seed| {
+        sweep_seed(
+            seed, n, scale, horizon, mean_up, mean_down, base.mass, mttr_bound,
+        )
+    });
 
     let total_crashes: u64 = outcomes.iter().map(|o| o.crashes).sum();
     let total_evacs: u64 = outcomes.iter().map(|o| o.evacuations).sum();

@@ -18,6 +18,7 @@
 //! JSON (load in chrome://tracing or https://ui.perfetto.dev — recording is
 //! bit-identical, so the data-path check still holds).
 
+use base::json::num;
 use bench::{lan_system, wan_system, Scale};
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use std::fmt::Write as _;
@@ -57,14 +58,6 @@ fn fingerprint(r: &RunResult) -> (u64, u64, u64, usize, usize, usize) {
         r.peak_patches,
         r.global_redistributions,
     )
-}
-
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0.0".to_string()
-    }
 }
 
 fn phases_json(w: &metrics::PhaseWall) -> String {

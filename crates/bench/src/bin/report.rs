@@ -18,10 +18,10 @@
 //!   no output and exit 0, so the diff can sit in CI pipelines silently.
 //!
 //! Like the exporters themselves this bin is serializer-free: it parses
-//! with [`telemetry::json`].
+//! with [`base::json`].
 
+use base::json::{self, Json};
 use std::collections::BTreeMap;
-use telemetry::json::{self, Json};
 
 const USAGE: &str = "usage:\n  report run FILE.jsonl\n  report diff A B [--tol FRACTION]";
 

@@ -20,6 +20,7 @@
 //!
 //! Flags: `--quick` (G ≤ 64, smaller domain — the CI tier), `--out PATH`.
 
+use base::json::num;
 use bench::TRAFFIC_SEED;
 use dlb::DistributedDlbConfig;
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
@@ -61,14 +62,6 @@ fn run_one(groups: usize, procs_per_group: usize, quick: bool, flat: bool) -> En
         res,
         wall_secs: t0.elapsed().as_secs_f64(),
         steps,
-    }
-}
-
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0.0".to_string()
     }
 }
 

@@ -27,6 +27,7 @@
 //! (telemetry JSONL when PATH ends in `.jsonl`, Chrome trace JSON
 //! otherwise — the JSONL feeds `report run`).
 
+use base::json::num;
 use bench::TRAFFIC_SEED;
 use samr_engine::AppKind;
 use telemetry::Telemetry;
@@ -49,7 +50,7 @@ fn substrate(procs: usize, congested: bool, seed: u64) -> DistributedSystem {
                     low: 0.40,
                     high: 0.90,
                     p_on: 0.60,
-                    slot: SimTime::from_secs(4).into(),
+                    slot: SimTime::from_secs(4),
                     seed: s,
                 },
             )
@@ -63,7 +64,7 @@ fn substrate(procs: usize, congested: bool, seed: u64) -> DistributedSystem {
                     low: 0.05,
                     high: 0.20,
                     p_on: 0.20,
-                    slot: SimTime::from_secs(2).into(),
+                    slot: SimTime::from_secs(2),
                     seed: s,
                 },
             )
@@ -112,14 +113,6 @@ fn run_cell(
         ..TenantServiceConfig::default()
     };
     TenantService::new(substrate(procs, congested, TRAFFIC_SEED), tenant_mix(quick), cfg).run()
-}
-
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0.0".to_string()
-    }
 }
 
 fn mode_json(mode: &str, r: &ServiceResult) -> String {

@@ -2,7 +2,7 @@
 //!
 //! Each `fig*`/`ablation_*` function reproduces one figure's data as a
 //! [`metrics::Table`]; the `src/bin/*` binaries print them (and write JSON
-//! under `results/`), and `benches/figures.rs` wires them into Criterion.
+//! under `results/`), and `benches/figures.rs` times them with [`report_case`].
 //!
 //! `quick = true` shrinks domain/steps for CI-speed smoke runs; `false`
 //! uses the full experiment scale recorded in EXPERIMENTS.md.
@@ -10,7 +10,6 @@
 #![forbid(unsafe_code)]
 
 use metrics::{efficiency, improvement_percent, ConfigRow, Table};
-use rayon::prelude::*;
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use topology::{presets, DistributedSystem};
 
@@ -27,21 +26,18 @@ pub struct SchemePair {
 /// parallelism).
 pub fn run_pairs(app: AppKind, quick: bool) -> Vec<SchemePair> {
     let scale = Scale::pick(quick);
-    configs(quick)
-        .par_iter()
-        .map(|&n| {
-            let sys = system_for(app, n);
-            let (parallel, distributed) = rayon::join(
-                || run_once(sys.clone(), app, Scheme::Parallel, scale),
-                || run_once(sys.clone(), app, Scheme::distributed_default(), scale),
-            );
-            SchemePair {
-                n,
-                parallel,
-                distributed,
-            }
-        })
-        .collect()
+    par::map(configs(quick), |&n| {
+        let sys = system_for(app, n);
+        let (parallel, distributed) = par::join(
+            || run_once(sys.clone(), app, Scheme::Parallel, scale),
+            || run_once(sys.clone(), app, Scheme::distributed_default(), scale),
+        );
+        SchemePair {
+            n,
+            parallel,
+            distributed,
+        }
+    })
 }
 
 /// The five processor configurations of the paper's §3/§5 (per site).
@@ -113,28 +109,25 @@ pub fn parallel_system(n: usize) -> DistributedSystem {
 /// and communication times. Returns one table with four series.
 pub fn fig3(quick: bool) -> Table {
     let scale = Scale::pick(quick);
-    let rows: Vec<ConfigRow> = configs(quick)
-        .par_iter()
-        .map(|&n| {
-            let (par, dist) = rayon::join(
-                || {
-                    run_once(
-                        parallel_system(2 * n),
-                        AppKind::ShockPool3D,
-                        Scheme::Parallel,
-                        scale,
-                    )
-                },
-                || run_once(wan_system(n), AppKind::ShockPool3D, Scheme::Parallel, scale),
-            );
-            let mut row = ConfigRow::new(format!("{n}+{n}"));
-            row.push("parallel computation", par.breakdown.compute);
-            row.push("parallel communication", par.breakdown.comm);
-            row.push("distributed computation", dist.breakdown.compute);
-            row.push("distributed communication", dist.breakdown.comm);
-            row
-        })
-        .collect();
+    let rows: Vec<ConfigRow> = par::map(configs(quick), |&n| {
+        let (par, dist) = par::join(
+            || {
+                run_once(
+                    parallel_system(2 * n),
+                    AppKind::ShockPool3D,
+                    Scheme::Parallel,
+                    scale,
+                )
+            },
+            || run_once(wan_system(n), AppKind::ShockPool3D, Scheme::Parallel, scale),
+        );
+        let mut row = ConfigRow::new(format!("{n}+{n}"));
+        row.push("parallel computation", par.breakdown.compute);
+        row.push("parallel communication", par.breakdown.comm);
+        row.push("distributed computation", dist.breakdown.compute);
+        row.push("distributed communication", dist.breakdown.comm);
+        row
+    });
     let mut t = Table::new(
         "Fig. 3 — parallel vs distributed execution of ShockPool3D (parallel DLB on both)",
     );
@@ -217,41 +210,30 @@ pub fn ablation_gamma(app: AppKind, quick: bool) -> Table {
         ("quiet", TrafficModel::Quiet),
         ("congested", TrafficModel::Constant { load: 0.97 }),
     ];
-    let rows: Vec<ConfigRow> = gammas
-        .par_iter()
-        .map(|&gamma| {
-            let label = if gamma.is_infinite() {
-                "inf".to_string()
-            } else {
-                format!("{gamma}")
+    let rows: Vec<ConfigRow> = par::map(&gammas, |&gamma| {
+        let label = if gamma.is_infinite() {
+            "inf".to_string()
+        } else {
+            format!("{gamma}")
+        };
+        let mut row = ConfigRow::new(format!("γ={label}"));
+        for (name, traffic) in &regimes {
+            let wan = Link::shared("WAN", SimTime::from_millis(6), 19.375e6, traffic.clone());
+            let sys = SystemBuilder::new()
+                .group("ANL", n, 1.0, presets::origin2000_intra())
+                .group("NCSA", n, 1.0, presets::origin2000_intra())
+                .connect(0, 1, wan)
+                .build();
+            let cfg = dlb::DistributedDlbConfig {
+                gamma,
+                ..Default::default()
             };
-            let mut row = ConfigRow::new(format!("γ={label}"));
-            for (name, traffic) in &regimes {
-                let wan = Link::shared(
-                    "WAN",
-                    SimTime::from_millis(6),
-                    19.375e6,
-                    traffic.clone(),
-                );
-                let sys = SystemBuilder::new()
-                    .group("ANL", n, 1.0, presets::origin2000_intra())
-                    .group("NCSA", n, 1.0, presets::origin2000_intra())
-                    .connect(0, 1, wan)
-                    .build();
-                let cfg = dlb::DistributedDlbConfig {
-                    gamma,
-                    ..Default::default()
-                };
-                let res = run_once(sys, app, Scheme::Distributed(cfg), scale);
-                row.push(format!("{name} total"), res.total_secs);
-                row.push(
-                    format!("{name} redist"),
-                    res.global_redistributions as f64,
-                );
-            }
-            row
-        })
-        .collect();
+            let res = run_once(sys, app, Scheme::Distributed(cfg), scale);
+            row.push(format!("{name} total"), res.total_secs);
+            row.push(format!("{name} redist"), res.global_redistributions as f64);
+        }
+        row
+    });
     for row in rows {
         t.push(row);
     }
@@ -302,7 +284,7 @@ pub fn ablation_traffic(quick: bool) -> Table {
             TrafficModel::Diurnal {
                 base: 0.45,
                 amp: 0.4,
-                period: SimTime::from_secs(120).into(),
+                period: SimTime::from_secs(120),
             },
         ),
         (
@@ -311,7 +293,7 @@ pub fn ablation_traffic(quick: bool) -> Table {
                 low: 0.2,
                 high: 0.85,
                 p_on: 0.5,
-                slot: SimTime::from_secs(5).into(),
+                slot: SimTime::from_secs(5),
                 seed: TRAFFIC_SEED,
             },
         ),
@@ -351,26 +333,23 @@ pub fn ablation_tolerance(quick: bool) -> Table {
     let mut t = Table::new(format!(
         "Ablation — imbalance tolerance (ShockPool3D, {n}+{n} WAN)"
     ));
-    let rows: Vec<ConfigRow> = [1.0f64, 1.05, 1.1, 1.25, 1.5, 2.0]
-        .par_iter()
-        .map(|&tol| {
-            let cfg = dlb::DistributedDlbConfig {
-                imbalance_tolerance: tol,
-                ..Default::default()
-            };
-            let res = run_once(
-                wan_system(n),
-                AppKind::ShockPool3D,
-                Scheme::Distributed(cfg),
-                scale,
-            );
-            let mut row = ConfigRow::new(format!("tol={tol}"));
-            row.push("total time", res.total_secs);
-            row.push("redistributions", res.global_redistributions as f64);
-            row.push("checks", res.global_checks as f64);
-            row
-        })
-        .collect();
+    let rows: Vec<ConfigRow> = par::map(&[1.0f64, 1.05, 1.1, 1.25, 1.5, 2.0], |&tol| {
+        let cfg = dlb::DistributedDlbConfig {
+            imbalance_tolerance: tol,
+            ..Default::default()
+        };
+        let res = run_once(
+            wan_system(n),
+            AppKind::ShockPool3D,
+            Scheme::Distributed(cfg),
+            scale,
+        );
+        let mut row = ConfigRow::new(format!("tol={tol}"));
+        row.push("total time", res.total_secs);
+        row.push("redistributions", res.global_redistributions as f64);
+        row.push("checks", res.global_checks as f64);
+        row
+    });
     for row in rows {
         t.push(row);
     }
@@ -389,27 +368,24 @@ pub fn ablation_lambda(quick: bool) -> Table {
     let mut t = Table::new(format!(
         "Ablation — probe smoothing λ (ShockPool3D, {n}+{n} bursty WAN)"
     ));
-    let rows: Vec<ConfigRow> = [0.25f64, 0.5, 1.0]
-        .par_iter()
-        .map(|&lambda| {
-            let cfg = dlb::DistributedDlbConfig {
-                estimator_lambda: lambda,
-                predictor: Some(forecast::PredictorKind::Ewma { gain: lambda }),
-                forecast_seed: TRAFFIC_SEED,
-                ..Default::default()
-            };
-            let res = run_once(
-                wan_system(n),
-                AppKind::ShockPool3D,
-                Scheme::Distributed(cfg),
-                scale,
-            );
-            let mut row = ConfigRow::new(format!("λ={lambda}"));
-            row.push("total time", res.total_secs);
-            row.push("redistributions", res.global_redistributions as f64);
-            row
-        })
-        .collect();
+    let rows: Vec<ConfigRow> = par::map(&[0.25f64, 0.5, 1.0], |&lambda| {
+        let cfg = dlb::DistributedDlbConfig {
+            estimator_lambda: lambda,
+            predictor: Some(forecast::PredictorKind::Ewma { gain: lambda }),
+            forecast_seed: TRAFFIC_SEED,
+            ..Default::default()
+        };
+        let res = run_once(
+            wan_system(n),
+            AppKind::ShockPool3D,
+            Scheme::Distributed(cfg),
+            scale,
+        );
+        let mut row = ConfigRow::new(format!("λ={lambda}"));
+        row.push("total time", res.total_secs);
+        row.push("redistributions", res.global_redistributions as f64);
+        row
+    });
     for row in rows {
         t.push(row);
     }
@@ -425,29 +401,29 @@ pub fn ablation_selection(quick: bool) -> Table {
     let mut t = Table::new(format!(
         "Ablation — donor selection policy (ShockPool3D, {n}+{n} WAN)"
     ));
-    let rows: Vec<ConfigRow> = [
-        ("subtree-workload", dlb::SelectionPolicy::SubtreeWorkload),
-        ("cells (naive)", dlb::SelectionPolicy::Cells),
-    ]
-    .par_iter()
-    .map(|&(name, selection)| {
-        let cfg = dlb::DistributedDlbConfig {
-            selection,
-            ..Default::default()
-        };
-        let res = run_once(
-            wan_system(n),
-            AppKind::ShockPool3D,
-            Scheme::Distributed(cfg),
-            scale,
-        );
-        let mut row = ConfigRow::new(name);
-        row.push("total time", res.total_secs);
-        row.push("redistributions", res.global_redistributions as f64);
-        row.push("remote MB", res.breakdown.remote_bytes as f64 / 1e6);
-        row
-    })
-    .collect();
+    let rows: Vec<ConfigRow> = par::map(
+        &[
+            ("subtree-workload", dlb::SelectionPolicy::SubtreeWorkload),
+            ("cells (naive)", dlb::SelectionPolicy::Cells),
+        ],
+        |&(name, selection)| {
+            let cfg = dlb::DistributedDlbConfig {
+                selection,
+                ..Default::default()
+            };
+            let res = run_once(
+                wan_system(n),
+                AppKind::ShockPool3D,
+                Scheme::Distributed(cfg),
+                scale,
+            );
+            let mut row = ConfigRow::new(name);
+            row.push("total time", res.total_secs);
+            row.push("redistributions", res.global_redistributions as f64);
+            row.push("remote MB", res.breakdown.remote_bytes as f64 / 1e6);
+            row
+        },
+    );
     for row in rows {
         t.push(row);
     }
@@ -474,32 +450,34 @@ pub fn ablation_faults(quick: bool) -> Table {
     let cases: Vec<(String, Option<u64>)> = std::iter::once(("fault-free".to_string(), None))
         .chain([1u64, 2, 3].into_iter().map(|s| (format!("faults seed {s}"), Some(s))))
         .collect();
-    let rows: Vec<ConfigRow> = cases
-        .par_iter()
-        .map(|(name, seed)| {
-            let sys = match seed {
-                None => wan_system(n),
-                Some(s) => {
-                    let wan = presets::mren_oc3_wan(TRAFFIC_SEED)
-                        .with_faults(FaultSchedule::generate(*s, horizon, mean_up, mean_down));
-                    SystemBuilder::new()
-                        .group("ANL", n, 1.0, presets::origin2000_intra())
-                        .group("NCSA", n, 1.0, presets::origin2000_intra())
-                        .connect(0, 1, wan)
-                        .build()
-                }
-            };
-            let res = run_once(sys, AppKind::ShockPool3D, Scheme::distributed_default(), scale);
-            let mut row = ConfigRow::new(name.clone());
-            row.push("total time", res.total_secs);
-            row.push("retries", res.faults.retries as f64);
-            row.push("aborts", res.faults.aborts as f64);
-            row.push("quarantines", res.faults.quarantines as f64);
-            row.push("readmissions", res.faults.readmissions as f64);
-            row.push("recovery secs", res.faults.recovery_secs);
-            row
-        })
-        .collect();
+    let rows: Vec<ConfigRow> = par::map(&cases, |(name, seed)| {
+        let sys = match seed {
+            None => wan_system(n),
+            Some(s) => {
+                let wan = presets::mren_oc3_wan(TRAFFIC_SEED)
+                    .with_faults(FaultSchedule::generate(*s, horizon, mean_up, mean_down));
+                SystemBuilder::new()
+                    .group("ANL", n, 1.0, presets::origin2000_intra())
+                    .group("NCSA", n, 1.0, presets::origin2000_intra())
+                    .connect(0, 1, wan)
+                    .build()
+            }
+        };
+        let res = run_once(
+            sys,
+            AppKind::ShockPool3D,
+            Scheme::distributed_default(),
+            scale,
+        );
+        let mut row = ConfigRow::new(name.clone());
+        row.push("total time", res.total_secs);
+        row.push("retries", res.faults.retries as f64);
+        row.push("aborts", res.faults.aborts as f64);
+        row.push("quarantines", res.faults.quarantines as f64);
+        row.push("readmissions", res.faults.readmissions as f64);
+        row.push("recovery secs", res.faults.recovery_secs);
+        row
+    });
     for row in rows {
         t.push(row);
     }
@@ -551,7 +529,7 @@ pub fn ablation_forecast(quick: bool) -> Table {
                 TrafficModel::Diurnal {
                     base: 0.6,
                     amp: 0.35,
-                    period: SimTime::from_secs(8).into(),
+                    period: SimTime::from_secs(8),
                 },
             ),
             _ => presets::mren_oc3_wan(TRAFFIC_SEED).with_faults(FaultSchedule::generate(
@@ -570,36 +548,33 @@ pub fn ablation_forecast(quick: bool) -> Table {
     let mut t = Table::new(format!(
         "Ablation — network-weather prediction (ShockPool3D, {n}+{n} WAN)"
     ));
-    let rows: Vec<ConfigRow> = predictors
-        .par_iter()
-        .map(|&(name, predictor)| {
-            let mut row = ConfigRow::new(name);
-            for regime in regimes {
-                let cfg = dlb::DistributedDlbConfig {
-                    predictor,
-                    forecast_seed: TRAFFIC_SEED,
-                    ..Default::default()
-                };
-                let res = run_once(
-                    build(regime),
-                    AppKind::ShockPool3D,
-                    Scheme::Distributed(cfg),
-                    scale,
-                );
-                row.push(format!("{regime} total"), res.total_secs);
-                row.push(
-                    format!("{regime} admitted"),
-                    res.global_redistributions as f64,
-                );
-                row.push(format!("{regime} aborted"), res.faults.aborts as f64);
-                // β is ~5e-8 s/byte; report its MAE in ns/byte so the
-                // 3-decimal table rendering doesn't flatten it to zero
-                row.push(format!("{regime} β MAE ns/B"), res.forecast.beta_mae * 1e9);
-                row.push(format!("{regime} load MAE"), res.forecast.load_mae);
-            }
-            row
-        })
-        .collect();
+    let rows: Vec<ConfigRow> = par::map(&predictors, |&(name, predictor)| {
+        let mut row = ConfigRow::new(name);
+        for regime in regimes {
+            let cfg = dlb::DistributedDlbConfig {
+                predictor,
+                forecast_seed: TRAFFIC_SEED,
+                ..Default::default()
+            };
+            let res = run_once(
+                build(regime),
+                AppKind::ShockPool3D,
+                Scheme::Distributed(cfg),
+                scale,
+            );
+            row.push(format!("{regime} total"), res.total_secs);
+            row.push(
+                format!("{regime} admitted"),
+                res.global_redistributions as f64,
+            );
+            row.push(format!("{regime} aborted"), res.faults.aborts as f64);
+            // β is ~5e-8 s/byte; report its MAE in ns/byte so the
+            // 3-decimal table rendering doesn't flatten it to zero
+            row.push(format!("{regime} β MAE ns/B"), res.forecast.beta_mae * 1e9);
+            row.push(format!("{regime} load MAE"), res.forecast.load_mae);
+        }
+        row
+    });
     for row in rows {
         t.push(row);
     }
@@ -627,4 +602,49 @@ pub fn emit(table: &Table, name: &str) -> String {
     let _ = std::fs::create_dir_all("results");
     let _ = std::fs::write(format!("results/{name}.json"), table.to_json());
     table.render()
+}
+
+/// `cargo bench` without a framework: time `f` and print one line,
+/// `name  median [q1 … q3]` seconds per call. One warm-up second also sizes
+/// a batch of calls to at least 20 ms, so nanosecond kernels are not timed
+/// one clock read apiece; `samples` batches are timed. A first
+/// non-flag command-line argument (`cargo bench -- euler`) keeps only the
+/// cases whose name contains it. No file is written and nothing is gated —
+/// the gated kernel numbers are `crates/benchmark`'s replay.
+pub fn report_case<R>(name: &str, samples: usize, mut f: impl FnMut() -> R) {
+    use std::hint::black_box;
+    use std::time::{Duration, Instant};
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    if filter.is_some_and(|want| !name.contains(&want)) {
+        return;
+    }
+    let warm_up = Instant::now();
+    let mut calls = 0u32;
+    while warm_up.elapsed() < Duration::from_secs(1) {
+        black_box(f());
+        calls += 1;
+    }
+    let per_call = warm_up.elapsed().as_secs_f64() / f64::from(calls);
+    let batch = (0.02 / per_call).ceil().max(1.0) as u32;
+    let secs: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..batch {
+                black_box(f());
+            }
+            t.elapsed().as_secs_f64() / f64::from(batch)
+        })
+        .collect();
+    let [q1, median, q3] = quartiles(&secs).map(|s| match s {
+        s if s < 1e-6 => format!("{:.1} ns", s * 1e9),
+        s if s < 1e-3 => format!("{:.2} µs", s * 1e6),
+        s if s < 1.0 => format!("{:.2} ms", s * 1e3),
+        s => format!("{s:.3} s"),
+    });
+    println!("{name:<40} {median:>11}  [{q1} … {q3}]  {samples} x {batch} calls");
+}
+
+/// `[q1, median, q3]` of `samples`.
+pub fn quartiles(samples: &[f64]) -> [f64; 3] {
+    [0.25, 0.5, 0.75].map(|q| telemetry::percentile_exact(samples, q))
 }

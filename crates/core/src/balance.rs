@@ -415,65 +415,79 @@ mod tests {
         h
     }
 
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The bucketed loop is the rescanning loop: same outcome, same
-        /// hierarchy, same simulated traffic — for any level, owner
-        /// scattering (owners outside the set included), weights, set
-        /// order and parameters, and for several passes over disjoint sets
-        /// sharing one bucketing, as the local phase runs them.
-        #[test]
-        fn bucketed_balance_matches_the_rescanning_loop(
-            grids in prop::collection::vec((1i64..12, 0usize..6), 1..40),
-            weights in prop::collection::vec(0.1f64..10.0, 6),
-            in_first in prop::collection::vec(any::<bool>(), 6),
-            reversed in any::<bool>(),
-            tolerance in 1.0f64..1.3,
-            max_moves in 0usize..48,
-            min_split_cells in prop_oneof![Just(1i64), Just(32), Just(128)],
-            allow_split in any::<bool>(),
-        ) {
-            let (widths, owners): (Vec<i64>, Vec<usize>) = grids.into_iter().unzip();
-            let params = BalanceParams { tolerance, max_moves, min_split_cells, allow_split };
-            // two disjoint sets; a processor in neither keeps its grids
-            let mut sets = vec![Vec::new(), Vec::new()];
-            for p in 0..5 {
-                sets[usize::from(!in_first[p])].push(ProcId(p));
-            }
-            if reversed {
-                sets[0].reverse();
-            }
-            let (mut h_new, mut h_old) = (slabs(&widths, &owners), slabs(&widths, &owners));
-            let (mut sim_new, mut sim_old) = (sim6(), sim6());
-            let mut owned = bucket_level_by_owner(&h_new, 0, 6);
-            for set in &sets {
-                let w: Vec<f64> = set.iter().map(|p| weights[p.0]).collect();
-                let new = balance_bucketed(&mut h_new, &mut sim_new, &mut owned, set, &w, &params);
-                let old = balance_level_within_rescan(&mut h_old, &mut sim_old, 0, set, &w, &params);
-                prop_assert_eq!(new, old);
-                prop_assert_eq!(&owned, &bucket_level_by_owner(&h_new, 0, 6), "buckets went stale");
-            }
-            for level in 0..2 {
-                prop_assert_eq!(h_new.level_ids(level), h_old.level_ids(level));
-                for &id in h_new.level_ids(level) {
-                    let (a, b) = (h_new.patch(id), h_old.patch(id));
-                    prop_assert_eq!((a.region, a.owner, a.parent), (b.region, b.owner, b.parent));
+    /// The bucketed loop is the rescanning loop: same outcome, same
+    /// hierarchy, same simulated traffic — for any level, owner
+    /// scattering (owners outside the set included), weights, set
+    /// order and parameters, and for several passes over disjoint sets
+    /// sharing one bucketing, as the local phase runs them.
+    #[test]
+    fn bucketed_balance_matches_the_rescanning_loop() {
+        base::prop::check(
+            base::prop::CASES,
+            |g| {
+                let grids = g.vec(1..40, |g| (g.i64(1..12), g.usize(0..6)));
+                let weights = g.vec(6..7, |g| g.f64(0.1..10.0));
+                let in_first = g.vec(6..7, |g| g.bool());
+                let reversed = g.bool();
+                let params = BalanceParams {
+                    tolerance: g.f64(1.0..1.3),
+                    max_moves: g.usize(0..48),
+                    min_split_cells: g.pick(&[1i64, 32, 128]),
+                    allow_split: g.bool(),
+                };
+                (grids, weights, in_first, reversed, params)
+            },
+            |(grids, weights, in_first, reversed, params)| {
+                let (widths, owners): (Vec<i64>, Vec<usize>) = grids.into_iter().unzip();
+                // two disjoint sets; a processor in neither keeps its grids
+                let mut sets = vec![Vec::new(), Vec::new()];
+                for p in 0..5 {
+                    sets[usize::from(!in_first[p])].push(ProcId(p));
                 }
-            }
-            prop_assert!(h_new.check_invariants().is_ok());
-            prop_assert_eq!(sim_new.elapsed(), sim_old.elapsed());
-            prop_assert_eq!(format!("{:?}", sim_new.stats()), format!("{:?}", sim_old.stats()));
-            // the public wrapper is the same loop behind one scan
-            let (mut h_pub, mut sim_pub) = (slabs(&widths, &owners), sim6());
-            for set in &sets {
-                let w: Vec<f64> = set.iter().map(|p| weights[p.0]).collect();
-                balance_level_within(&mut h_pub, &mut sim_pub, 0, set, &w, &params);
-            }
-            prop_assert_eq!(format!("{:?}", sim_pub.stats()), format!("{:?}", sim_new.stats()));
-        }
+                if reversed {
+                    sets[0].reverse();
+                }
+                let (mut h_new, mut h_old) = (slabs(&widths, &owners), slabs(&widths, &owners));
+                let (mut sim_new, mut sim_old) = (sim6(), sim6());
+                let mut owned = bucket_level_by_owner(&h_new, 0, 6);
+                for set in &sets {
+                    let w: Vec<f64> = set.iter().map(|p| weights[p.0]).collect();
+                    let new =
+                        balance_bucketed(&mut h_new, &mut sim_new, &mut owned, set, &w, &params);
+                    let old =
+                        balance_level_within_rescan(&mut h_old, &mut sim_old, 0, set, &w, &params);
+                    assert_eq!(new, old);
+                    assert_eq!(
+                        &owned,
+                        &bucket_level_by_owner(&h_new, 0, 6),
+                        "buckets went stale"
+                    );
+                }
+                for level in 0..2 {
+                    assert_eq!(h_new.level_ids(level), h_old.level_ids(level));
+                    for &id in h_new.level_ids(level) {
+                        let (a, b) = (h_new.patch(id), h_old.patch(id));
+                        assert_eq!((a.region, a.owner, a.parent), (b.region, b.owner, b.parent));
+                    }
+                }
+                assert!(h_new.check_invariants().is_ok());
+                assert_eq!(sim_new.elapsed(), sim_old.elapsed());
+                assert_eq!(
+                    format!("{:?}", sim_new.stats()),
+                    format!("{:?}", sim_old.stats())
+                );
+                // the public wrapper is the same loop behind one scan
+                let (mut h_pub, mut sim_pub) = (slabs(&widths, &owners), sim6());
+                for set in &sets {
+                    let w: Vec<f64> = set.iter().map(|p| weights[p.0]).collect();
+                    balance_level_within(&mut h_pub, &mut sim_pub, 0, set, &w, &params);
+                }
+                assert_eq!(
+                    format!("{:?}", sim_pub.stats()),
+                    format!("{:?}", sim_new.stats())
+                );
+            },
+        );
     }
 
     fn sim4() -> SimView {

@@ -193,8 +193,8 @@ mod tests {
             TrafficModel::Trace {
                 initial: 0.0,
                 points: vec![
-                    (SimTime::from_secs(50).into(), 0.9),
-                    (SimTime::from_secs(150).into(), 0.0),
+                    (SimTime::from_secs(50), 0.9),
+                    (SimTime::from_secs(150), 0.0),
                 ],
             },
         );

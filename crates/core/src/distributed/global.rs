@@ -1150,7 +1150,7 @@ mod congestion_tests {
             2e7,
             TrafficModel::Trace {
                 initial: 0.0,
-                points: vec![(SimTime::from_secs(100).into(), 0.995)],
+                points: vec![(SimTime::from_secs(100), 0.995)],
             },
         );
         SystemBuilder::new()

@@ -6,11 +6,9 @@
 //! the execution time of one level-0 step (`T(t)`), and the computational
 //! overhead `δ` of the previous global redistribution.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-interval performance record, filled by the driver and read by the
 /// distributed DLB's decision heuristics.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct WorkloadHistory {
     /// `w[level][proc]`: cells owned by `proc` at `level` (latest snapshot).
     w: Vec<Vec<i64>>,
@@ -25,6 +23,8 @@ pub struct WorkloadHistory {
     /// Number of level-0 steps completed so far.
     steps: u64,
 }
+
+base::json_struct!(WorkloadHistory: w, n_iter, last_step_secs, delta, steps);
 
 impl WorkloadHistory {
     /// Fresh, empty history for `nprocs` processors.

@@ -33,15 +33,7 @@ pub use predictors::{AdaptiveEwma, Ewma, LastValue, Model, SlidingMean, SlidingM
 pub use selector::AdaptiveSelector;
 pub use series::{LinkForecast, SeriesForecaster};
 
-/// SplitMix64 — the same tiny deterministic mixer the fault scheduler uses;
-/// here it only breaks MAE ties and derives per-series seeds.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use base::rng::splitmix64;
 
 /// Derive a decorrelated child seed from a base seed and a salt (link id,
 /// group id, series index, …). Deterministic; distinct salts give distinct

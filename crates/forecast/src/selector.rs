@@ -3,7 +3,7 @@
 
 use crate::predictor::{MaeTracker, Predictor};
 use crate::predictors::Model;
-use crate::splitmix64;
+use base::rng::splitmix64;
 
 /// Runs a panel of candidate models in lockstep over one observation stream
 /// and forecasts with whichever has the lowest mean absolute error so far.

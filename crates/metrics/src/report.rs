@@ -1,10 +1,11 @@
 //! Experiment rows and table rendering used by the figure harnesses.
 
-use serde::{Deserialize, Serialize};
+use base::json::{self, ToJson};
+use base::json_struct;
 use std::fmt::Write as _;
 
 /// Time breakdown of one run (seconds of simulated time).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunBreakdown {
     /// Total (wall) execution time.
     pub total: f64,
@@ -24,11 +25,15 @@ pub struct RunBreakdown {
     pub remote_bytes: u64,
 }
 
+json_struct!(RunBreakdown:
+    total, compute, comm, comm_local, comm_remote, lb, remote_msgs, remote_bytes,
+);
+
 /// Host wall-clock seconds per driver phase. Unlike [`RunBreakdown`] these
 /// are *real* seconds spent executing the numerics on the machine running
 /// the simulation — the hot-path throughput measure the `hotpath` benchmark
 /// reports — not simulated testbed time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseWall {
     /// Solver kernels (all levels).
     pub solve: f64,
@@ -42,9 +47,11 @@ pub struct PhaseWall {
     /// Load-balancing decision phase: the scheme's `after_level_step`
     /// (global γ-gated checks plus local balancing) — the host-side cost
     /// the hierarchical tree reduction keeps sublinear in group count.
-    #[serde(default)]
     pub decision: f64,
 }
+
+// `decision` joined later: documents written before it read as 0
+json_struct!(PhaseWall: solve, ghost, regrid, restrict, decision or 0.0);
 
 impl PhaseWall {
     /// Sum over the phases.
@@ -74,7 +81,7 @@ pub struct GhostWall {
 
 /// Fault-protocol counters of one run: how often the degradation policy
 /// (retry, quarantine, rollback) had to act, and how long recoveries took.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultCounters {
     /// Inter-group probes that failed after exhausting retries.
     pub probe_failures: u64,
@@ -92,9 +99,13 @@ pub struct FaultCounters {
     pub recovery_secs: f64,
 }
 
+json_struct!(FaultCounters:
+    probe_failures, retries, aborts, quarantines, readmissions, comm_failures, recovery_secs,
+);
+
 /// Crash-stop recovery counters of one run: crashes detected, patches
 /// evacuated, and how quickly the system absorbed each failure.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RecoveryStats {
     /// Crash-stop process failures detected.
     pub crashes: u64,
@@ -113,10 +124,14 @@ pub struct RecoveryStats {
     pub recompute_secs: f64,
 }
 
+json_struct!(RecoveryStats:
+    crashes, rejoins, evacuations, evacuated_cells, mttr_mean_secs, mttr_max_secs, recompute_secs,
+);
+
 /// Forecast-quality counters of one run: how well the network-weather
 /// predictors tracked reality, and how often the load forecast triggered a
 /// proactive global check.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ForecastStats {
     /// Mean α forecast MAE over the scored link series (seconds).
     pub alpha_mae: f64,
@@ -132,9 +147,13 @@ pub struct ForecastStats {
     pub proactive_invocations: u64,
 }
 
+json_struct!(ForecastStats:
+    alpha_mae, beta_mae, load_mae, scored_probes, proactive_checks, proactive_invocations,
+);
+
 /// Per-tenant outcome of one multi-tenant service run on a shared
 /// substrate clock.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TenantStats {
     /// Tenant index within the service.
     pub tenant: usize,
@@ -168,13 +187,15 @@ impl TenantStats {
 }
 
 /// One configuration row of a figure (e.g. "4 + 4").
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ConfigRow {
     /// Label like "4+4" or "8".
     pub config: String,
     /// Named measurements, insertion-ordered (e.g. scheme → seconds).
     pub values: Vec<(String, f64)>,
 }
+
+json_struct!(ConfigRow: config, values);
 
 impl ConfigRow {
     pub fn new(config: impl Into<String>) -> Self {
@@ -199,11 +220,13 @@ impl ConfigRow {
 }
 
 /// A whole figure/table: rows of configurations × named series.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Table {
     pub title: String,
     pub rows: Vec<ConfigRow>,
 }
+
+json_struct!(Table: title, rows);
 
 impl Table {
     pub fn new(title: impl Into<String>) -> Self {
@@ -274,9 +297,14 @@ impl Table {
         out
     }
 
-    /// JSON serialization for machine consumption.
+    /// The table as a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("table serializes")
+        ToJson::to_json(self).to_pretty()
+    }
+
+    /// Read back what [`Table::to_json`] wrote.
+    pub fn from_json(text: &str) -> Result<Table, json::Error> {
+        json::from_str(text)
     }
 }
 
@@ -319,8 +347,78 @@ mod tests {
     fn json_roundtrip() {
         let t = sample();
         let j = t.to_json();
-        let back: Table = serde_json::from_str(&j).unwrap();
+        let back = Table::from_json(&j).unwrap();
         assert_eq!(back.rows.len(), 2);
         assert_eq!(back.rows[0].get("parallel DLB"), Some(100.0));
+        assert_eq!(back.to_json(), j);
+    }
+
+    /// Every figure and ablation table committed under `results/` (written
+    /// by the seed's serde_json) reads back, and its numbers survive this
+    /// writer exactly.
+    #[test]
+    fn committed_result_tables_parse_and_survive_the_writer() {
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut tables = 0;
+        for entry in std::fs::read_dir(results).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            if !(name.starts_with("fig") || name.starts_with("ablation_"))
+                || !name.ends_with(".json")
+            {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let table = Table::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!table.rows.is_empty(), "{name}");
+            let rewritten = table.to_json();
+            assert_eq!(
+                json::parse(&rewritten).unwrap(),
+                json::parse(&text).unwrap(),
+                "{name} changed value through Table::to_json"
+            );
+            tables += 1;
+        }
+        assert!(tables >= 10, "only {tables} tables under {results}");
+    }
+
+    #[test]
+    fn a_damaged_table_is_an_error_with_a_path() {
+        let good = sample().to_json();
+        let err = |text: &str| Table::from_json(text).unwrap_err().to_string();
+        assert!(err(&good[..good.len() - 20]).starts_with("expected a JSON document, found"));
+        assert_eq!(
+            err(&good.replace("70", "\"seventy\"")),
+            "rows[1].values[0][1]: expected number, found string"
+        );
+        assert_eq!(
+            err(&good.replace("\"title\"", "\"name\"")),
+            "title: expected a value, found nothing"
+        );
+    }
+
+    /// `decision` joined `PhaseWall` after results had been written: a
+    /// document without it reads as 0, any other absent phase is an error.
+    #[test]
+    fn phase_wall_reads_an_absent_decision_as_zero() {
+        let wall = PhaseWall {
+            solve: 1.5,
+            ghost: 0.5,
+            regrid: 0.25,
+            restrict: 0.125,
+            decision: 2.0,
+        };
+        let text = ToJson::to_json(&wall).to_compact();
+        assert_eq!(json::from_str::<PhaseWall>(&text), Ok(wall));
+        let old = text.replace(",\"decision\":2", "");
+        assert_eq!(
+            json::from_str::<PhaseWall>(&old),
+            Ok(PhaseWall {
+                decision: 0.0,
+                ..wall
+            })
+        );
+        let e = json::from_str::<PhaseWall>(&old.replace("\"ghost\":0.5,", "")).unwrap_err();
+        assert_eq!(e.to_string(), "ghost: expected a value, found nothing");
     }
 }

@@ -11,8 +11,7 @@
 //! edges of the computational domain, so more and more grids are created
 //! along the moving shock wave plane."*
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use base::rng::ChaCha8;
 use samr_mesh::field::Field3;
 use samr_mesh::flag::{flag_cells, FlagField, RefineCriterion};
 use samr_mesh::patch::GridPatch;
@@ -23,7 +22,7 @@ use samr_solvers::poisson;
 use samr_solvers::{advection, Particle, ParticleSet};
 
 /// Which workload to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AppKind {
     /// Tilted planar shock driven by the 3-D Euler solver.
     ShockPool3D,
@@ -34,7 +33,12 @@ pub enum AppKind {
     AdvectBlob,
 }
 
-use serde::{Deserialize, Serialize};
+/// The variant's name, as a string.
+impl base::json::ToJson for AppKind {
+    fn to_json(&self) -> base::json::Json {
+        base::json::Json::Str(format!("{self:?}"))
+    }
+}
 
 /// Per-application state and physics dispatch.
 #[derive(Clone, Debug)]
@@ -129,15 +133,15 @@ impl AppState {
     }
 
     fn build_amr64_ic(&mut self) {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let mut rng = ChaCha8::seed_from_u64(self.seed);
         let n = self.n0 as f64;
         // a handful of overdense seeds scattered across the whole domain
         let nwells = 6;
         for _ in 0..nwells {
             self.wells.push([
-                rng.gen_range(0.15 * n..0.85 * n),
-                rng.gen_range(0.15 * n..0.85 * n),
-                rng.gen_range(0.15 * n..0.85 * n),
+                rng.range_f64(0.15 * n, 0.85 * n),
+                rng.range_f64(0.15 * n, 0.85 * n),
+                rng.range_f64(0.15 * n, 0.85 * n),
             ]);
         }
         // particles sampled around the wells with small infall velocities
@@ -146,15 +150,14 @@ impl AppState {
             for _ in 0..200 {
                 let mut pos = [0.0; 3];
                 for k in 0..3 {
-                    pos[k] = (w[k] + rng.gen_range(-0.12 * n..0.12 * n))
-                        .rem_euclid(n);
+                    pos[k] = (w[k] + rng.range_f64(-0.12 * n, 0.12 * n)).rem_euclid(n);
                 }
                 particles.push(Particle {
                     pos,
                     vel: [
-                        rng.gen_range(-0.02..0.02),
-                        rng.gen_range(-0.02..0.02),
-                        rng.gen_range(-0.02..0.02),
+                        rng.range_f64(-0.02, 0.02),
+                        rng.range_f64(-0.02, 0.02),
+                        rng.range_f64(-0.02, 0.02),
                     ],
                     mass: 1.0,
                 });
@@ -225,7 +228,7 @@ impl AppState {
     /// been exchanged already. Only `AdvectBlob`'s double buffer is drawn
     /// from `pool` (the Euler sweeps run in place and the Poisson relaxation
     /// reads its right-hand side out of ρ) — generic over the allocator so
-    /// the driver can pass each rayon worker its own shard-bound
+    /// the driver can pass each pool worker its own shard-bound
     /// [`samr_mesh::pool::PoolHandle`].
     pub fn step_patch<P: FieldAlloc>(&self, fields: &mut [Field3], dt_over_dx: f64, pool: &P) {
         match self.kind {
@@ -332,6 +335,27 @@ impl AppState {
 mod tests {
     use super::*;
     use samr_mesh::patch::PatchId;
+
+    /// The initial conditions are a function of the seed through
+    /// `base::rng::ChaCha8`; the hashes are those of the `rand` /
+    /// `rand_chacha` stand-ins every committed result was produced with.
+    #[test]
+    fn amr64_initial_particles_are_pinned() {
+        for (n0, seed, pinned) in [
+            (32, 42, 0xd6c58fd426f94a2c_u64),
+            (64, 20011110, 0x6dfcd258f7a1157c),
+        ] {
+            let app = AppState::new(AppKind::Amr64, n0, seed);
+            assert_eq!(app.particles.len(), 1200);
+            let hash = app
+                .particles
+                .particles
+                .iter()
+                .flat_map(|p| p.pos.into_iter().chain(p.vel))
+                .fold(0, |h, x| base::rng::splitmix64(h ^ x.to_bits()));
+            assert_eq!(hash, pinned, "n0 {n0}, seed {seed}: {hash:#018x}");
+        }
+    }
 
     fn patch_for(app: &AppState) -> GridPatch {
         GridPatch::new(

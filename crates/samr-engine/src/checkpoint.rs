@@ -8,13 +8,13 @@
 use crate::app::AppState;
 use crate::config::RunConfig;
 use crate::driver::Driver;
+use base::json::{self, ToJson};
 use dlb::WorkloadHistory;
 use samr_mesh::checkpoint::HierarchySnapshot;
 use samr_solvers::ParticleSet;
-use serde::{Deserialize, Serialize};
 
 /// A serializable snapshot of a run's physics state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Checkpoint {
     /// Grid hierarchy: structure, ownership, and solution data.
     pub hierarchy: HierarchySnapshot,
@@ -28,15 +28,24 @@ pub struct Checkpoint {
     pub cell_updates: u64,
 }
 
+base::json_struct!(Checkpoint: hierarchy, particles, history, step_count, cell_updates);
+
 impl Checkpoint {
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoint serializes")
+    /// The checkpoint as one line of JSON. A state holding a NaN or an
+    /// infinity is refused (the error names where): restarting from a
+    /// document that stored it as some other number would silently compute
+    /// something else.
+    pub fn to_json(&self) -> Result<String, json::Error> {
+        let doc = ToJson::to_json(self);
+        doc.require_finite()?;
+        Ok(doc.to_compact())
     }
 
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<Checkpoint, serde_json::Error> {
-        serde_json::from_str(s)
+    /// Read back what [`Checkpoint::to_json`] wrote. The text comes from
+    /// outside the program: anything but a complete, well-typed checkpoint
+    /// is an error naming the offending value.
+    pub fn from_json(s: &str) -> Result<Checkpoint, json::Error> {
+        json::from_str(s)
     }
 }
 

@@ -2,8 +2,8 @@
 
 use crate::app::AppKind;
 use crate::scheme::Scheme;
+use base::json::{Json, ToJson};
 use metrics::{FaultCounters, ForecastStats, PhaseWall, RecoveryStats, RunBreakdown};
-use serde::Serialize;
 use simnet::RetryPolicy;
 use topology::ProcFaultSchedule;
 
@@ -98,7 +98,7 @@ impl RunConfig {
 }
 
 /// Outcome of one run (all times are simulated seconds).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RunResult {
     /// Scheme name ("parallel DLB", "distributed DLB", "static").
     pub scheme: String,
@@ -123,13 +123,11 @@ pub struct RunResult {
     /// Host seconds of `wall.ghost` by part of the planned exchange — plan
     /// fetch or rebuild, parent/boundary fill, sibling copy, messages. Host
     /// time, so outside the serialized contract and every fingerprint.
-    #[serde(skip)]
     pub ghost_wall: metrics::GhostWall,
     /// Host seconds of `wall.decision` by what the distributed scheme was
     /// doing — local balancing, deciding, migrating; they sum to
     /// `wall.decision` less the driver's span bookkeeping. Host time, so
     /// outside the serialized contract and every fingerprint.
-    #[serde(skip)]
     pub dlb_wall: dlb::DlbWall,
     /// Total cell updates executed (workload size; equal across schemes for
     /// the same app/seed when adaptation follows the same physics).
@@ -156,9 +154,8 @@ pub struct RunResult {
     /// Serving-tier breakdown of the pool's hits (home shard vs global
     /// spill vs steal sweep, upward class borrows, per-shard service
     /// counts). Scheduling-dependent diagnostics: excluded from the
-    /// serialized contract (`skip`) and from fingerprints — the hotpath
+    /// serialized contract and from fingerprints — the hotpath
     /// bench and the `field_pool` stat block surface it instead.
-    #[serde(skip)]
     pub pool_detail: samr_mesh::pool::PoolDetail,
     /// Final power-normalized group imbalance: `(max_g W_g/P_g) /
     /// (mean_g W_g/P_g)` over groups with surviving power, from the
@@ -179,8 +176,22 @@ pub struct RunResult {
     pub telemetry_summary: Option<String>,
 }
 
+/// The serialized contract: every field but the three host-time and
+/// scheduling-dependent side blocks (`ghost_wall`, `dlb_wall`,
+/// `pool_detail`).
+impl ToJson for RunResult {
+    fn to_json(&self) -> Json {
+        base::json_fields!(self;
+            scheme, system, app, total_secs, breakdown, steps, levels, final_patches,
+            peak_patches, wall, cell_updates, global_checks, global_redistributions, faults,
+            forecast, recovery, pool, final_imbalance, estimator_pairs, decision_msgs,
+            decisions, telemetry_summary,
+        )
+    }
+}
+
 /// Serializable summary of one global-phase decision.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct DecisionSummary {
     pub step: u64,
     /// Eq.-4 gain estimate, seconds.
@@ -196,6 +207,14 @@ pub struct DecisionSummary {
     pub moved_cells: i64,
     /// Iteration-weighted workload per group at decision time.
     pub group_loads: Vec<f64>,
+}
+
+impl ToJson for DecisionSummary {
+    fn to_json(&self) -> Json {
+        base::json_fields!(self;
+            step, gain_secs, cost_secs, imbalance, invoked, aborted, moved_cells, group_loads,
+        )
+    }
 }
 
 impl RunResult {

@@ -14,7 +14,7 @@ use crate::config::{RunConfig, RunResult};
 use crate::scheme::SchemeInstance;
 use crate::trace::{RunTrace, StepFaults, StepForecast, StepRecord, StepRecovery};
 use dlb::{decompose_domain, LbContext, ProcHealth, WorkloadHistory};
-use rayon::prelude::*;
+use par::for_each_task_parallel;
 use samr_mesh::checkpoint::HierarchySnapshot;
 use samr_mesh::cluster::{berger_rigoutsos, ClusterParams};
 use samr_mesh::field::Field3;
@@ -22,7 +22,6 @@ use samr_mesh::hierarchy::{BoxIndex, FillSource, GridHierarchy};
 use samr_mesh::interp::{prolong_constant, prolong_constant_fields, restrict_average};
 use samr_mesh::patch::PatchId;
 use samr_mesh::region::Region;
-use samr_solvers::par::for_each_task_parallel;
 use simnet::{send_with_retry, Activity, SimView};
 use topology::{DistributedSystem, ProcId, SimTime};
 
@@ -814,8 +813,8 @@ impl Driver {
         self.history.record_snapshot(loads, n_iter);
     }
 
-    /// Solve every grid at `level` once. Real numerics run with rayon
-    /// across patches; simulated compute time is charged to each owner.
+    /// Solve every grid at `level` once. Real numerics run on the worker
+    /// pool across patches; simulated compute time is charged to each owner.
     fn solve_level(&mut self, level: usize) {
         let ids: Vec<PatchId> = self.hier.level_ids(level).to_vec();
         if ids.is_empty() {
@@ -831,10 +830,10 @@ impl Driver {
             .collect();
         let app = &self.app;
         let reference = self.cfg.reference_datapath;
-        // each rayon worker acquires/recycles solver scratch through a
+        // each pool worker acquires/recycles solver scratch through a
         // handle bound to its own pool shard — no shared lock on the hot path
         let pool = self.hier.pool().clone();
-        work.par_iter_mut().for_each(|(_, fields)| {
+        for_each_task_parallel(&mut work, |_, (_, fields)| {
             let handle = pool.worker_handle();
             if reference {
                 app.step_patch_reference(fields, dt_over_dx, &handle);

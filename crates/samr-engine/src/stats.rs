@@ -3,10 +3,9 @@
 //! state.
 
 use samr_mesh::hierarchy::GridHierarchy;
-use serde::Serialize;
 
 /// Summary of one refinement level.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LevelStats {
     pub level: usize,
     /// Number of grids.
@@ -22,7 +21,7 @@ pub struct LevelStats {
 }
 
 /// Summary of a whole hierarchy.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct HierarchyStats {
     pub levels: Vec<LevelStats>,
     pub total_grids: usize,

@@ -1,10 +1,8 @@
 //! Per-step trace records: what the run looked like after every level-0
 //! step, for analysis, plotting, and regression baselines.
 
-use serde::Serialize;
-
 /// Fault-protocol activity during one level-0 step (deltas, not totals).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StepFaults {
     /// Retries (probe or collective) that eventually succeeded.
     pub retries: u64,
@@ -33,7 +31,7 @@ impl StepFaults {
 
 /// Crash-stop recovery activity during one level-0 step (deltas, not
 /// totals).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StepRecovery {
     /// Crash-stop process failures detected this step.
     pub crashes: u64,
@@ -59,7 +57,7 @@ impl StepRecovery {
 /// Forecast quality as of the end of one level-0 step (cumulative MAE of
 /// the scheme's network-weather series — MAE is a running mean, so per-step
 /// deltas would not be meaningful).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StepForecast {
     /// Mean α forecast MAE across scored link series (seconds).
     pub alpha_mae: f64,
@@ -70,7 +68,7 @@ pub struct StepForecast {
 }
 
 /// Snapshot taken after each level-0 step.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct StepRecord {
     /// Level-0 step index (0-based).
     pub step: u64,
@@ -95,7 +93,7 @@ pub struct StepRecord {
 }
 
 /// A whole run's trace plus CSV export.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunTrace {
     pub records: Vec<StepRecord>,
 }

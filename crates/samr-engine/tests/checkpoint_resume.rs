@@ -1,5 +1,6 @@
 //! Checkpoint/resume: the physics must continue exactly across a restart.
 
+use base::json::{FromJson, Json};
 use samr_engine::{AppKind, Checkpoint, Driver, RunConfig, Scheme};
 use topology::presets;
 
@@ -39,7 +40,7 @@ fn resume_continues_exactly() {
     first.step_once();
     first.step_once();
     let ckpt = first.checkpoint();
-    let json = ckpt.to_json();
+    let json = ckpt.to_json().unwrap();
     let restored = Checkpoint::from_json(&json).unwrap();
     let mut second = Driver::resume(sys, cfg(4), &restored);
     second.step_once();
@@ -83,11 +84,105 @@ fn checkpoint_roundtrips_through_json() {
     let mut d = Driver::new(sys, c);
     d.step_once();
     let ckpt = d.checkpoint();
-    let back = Checkpoint::from_json(&ckpt.to_json()).unwrap();
+    let back = Checkpoint::from_json(&ckpt.to_json().unwrap()).unwrap();
     assert_eq!(back.particles.len(), ckpt.particles.len());
     assert_eq!(back.step_count, ckpt.step_count);
     assert_eq!(back.cell_updates, ckpt.cell_updates);
     assert_eq!(back.hierarchy.patches.len(), ckpt.hierarchy.patches.len());
+}
+
+/// The value at `path` (object keys and array indices) of `doc`.
+fn at<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Json {
+    path.iter().fold(doc, |v, step| match v {
+        Json::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == step).unwrap().1,
+        Json::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+        other => panic!("no {step} in {other:?}"),
+    })
+}
+
+/// A checkpoint file comes from outside the program: whatever is wrong
+/// with it is reported as a typed error naming the offending value, never a
+/// panic and never a silently substituted default.
+#[test]
+fn damaged_checkpoint_documents_are_errors_with_a_path() {
+    let mut d = Driver::new(presets::single_origin2000(2), cfg(2));
+    d.step_once();
+    let ckpt = d.checkpoint();
+    let json = ckpt.to_json().unwrap();
+    assert!(
+        ckpt.hierarchy.patches.len() > 3,
+        "the paths below name patch 3"
+    );
+
+    let truncated = Checkpoint::from_json(&json[..json.len() / 2]).unwrap_err();
+    assert_eq!(
+        (truncated.path.as_str(), truncated.expected.as_str()),
+        ("", "a JSON document")
+    );
+
+    let doc = base::json::parse(&json).unwrap();
+    let read = |doc: &Json| {
+        <Checkpoint as FromJson>::from_json(doc)
+            .unwrap_err()
+            .to_string()
+    };
+    let damaged = |path: &[&str], value: Json| {
+        let mut doc = doc.clone();
+        *at(&mut doc, path) = value;
+        read(&doc)
+    };
+    let data_17 = ["hierarchy", "patches", "3", "fields", "0", "data", "17"];
+    assert_eq!(
+        damaged(&data_17, Json::Null),
+        "hierarchy.patches[3].fields[0].data[17]: expected number, found null"
+    );
+    assert_eq!(
+        damaged(
+            &["hierarchy", "patches", "0", "owner"],
+            Json::Str("zero".into())
+        ),
+        "hierarchy.patches[0].owner: expected usize, found string"
+    );
+    assert_eq!(
+        damaged(&["step_count", "0"], Json::Num(1.5)),
+        "step_count[0]: expected u64, found number 1.5"
+    );
+    assert_eq!(
+        damaged(&["hierarchy", "patches", "0", "level"], Json::Num(-1.0)),
+        "hierarchy.patches[0].level: expected usize, found number -1"
+    );
+    // 2^53 + 1 is not an f64: a reader that accepted it would have rounded
+    let rounded = json.replace(
+        &format!("\"cell_updates\":{}", ckpt.cell_updates),
+        "\"cell_updates\":9007199254740993",
+    );
+    assert_eq!(
+        Checkpoint::from_json(&rounded).unwrap_err().to_string(),
+        "cell_updates: expected u64, found number 9007199254740992"
+    );
+    // a field whose data does not fill its box
+    let short = damaged(&data_17[..6], Json::Arr(vec![Json::Num(0.0); 17]));
+    assert!(
+        short.starts_with("hierarchy.patches[3].fields[0].data: expected one value per cell of")
+            && short.ends_with("found 17 values"),
+        "{short}"
+    );
+    let Json::Obj(mut members) = doc.clone() else {
+        panic!("a checkpoint is an object")
+    };
+    members.retain(|(k, _)| k != "history");
+    assert_eq!(
+        read(&Json::Obj(members)),
+        "history: expected a value, found nothing"
+    );
+
+    // and the writer refuses a state it could only store as some other number
+    let mut poisoned = ckpt;
+    poisoned.hierarchy.patches[3].fields[0].data_mut()[17] = f64::NAN;
+    assert_eq!(
+        poisoned.to_json().unwrap_err().to_string(),
+        "hierarchy.patches[3].fields[0].data[17]: expected a finite number, found NaN"
+    );
 }
 
 #[test]

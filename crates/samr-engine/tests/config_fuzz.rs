@@ -1,43 +1,46 @@
 //! Configuration fuzzing: any sane combination of app, scheme, system shape
 //! and seed must run to completion with invariants intact.
 
-use proptest::prelude::*;
+use base::prop;
 use samr_engine::{AppKind, Driver, RunConfig, Scheme};
 use topology::presets;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn any_sane_config_runs(
-        app_ix in 0usize..3,
-        scheme_ix in 0usize..3,
-        na in 1usize..3,
-        nb in 1usize..3,
-        seed in 0u64..1000,
-        gamma in 0.0f64..8.0,
-        steps in 1usize..3,
-    ) {
-        let app = [AppKind::ShockPool3D, AppKind::Amr64, AppKind::AdvectBlob][app_ix];
-        let scheme = match scheme_ix {
-            0 => Scheme::Static,
-            1 => Scheme::Parallel,
-            _ => Scheme::Distributed(dlb::DistributedDlbConfig {
-                gamma,
-                ..Default::default()
-            }),
-        };
-        let sys = presets::anl_ncsa_wan(na, nb, seed);
-        let mut cfg = RunConfig::new(app, 8, steps, scheme);
-        cfg.max_levels = 2;
-        cfg.seed = seed;
-        let mut d = Driver::new(sys, cfg);
-        for _ in 0..steps {
-            d.step_once();
-            prop_assert!(d.hierarchy().check_invariants().is_ok());
-        }
-        let r = d.finish();
-        prop_assert!(r.total_secs.is_finite() && r.total_secs > 0.0);
-        prop_assert!(r.cell_updates > 0);
-    }
+#[test]
+fn any_sane_config_runs() {
+    prop::check(
+        12,
+        |g| {
+            (
+                g.pick(&[AppKind::ShockPool3D, AppKind::Amr64, AppKind::AdvectBlob]),
+                g.usize(0..3),
+                g.usize(1..3),
+                g.usize(1..3),
+                g.u64(0..1000),
+                g.f64(0.0..8.0),
+                g.usize(1..3),
+            )
+        },
+        |(app, scheme_ix, na, nb, seed, gamma, steps)| {
+            let scheme = match scheme_ix {
+                0 => Scheme::Static,
+                1 => Scheme::Parallel,
+                _ => Scheme::Distributed(dlb::DistributedDlbConfig {
+                    gamma,
+                    ..Default::default()
+                }),
+            };
+            let sys = presets::anl_ncsa_wan(na, nb, seed);
+            let mut cfg = RunConfig::new(app, 8, steps, scheme);
+            cfg.max_levels = 2;
+            cfg.seed = seed;
+            let mut d = Driver::new(sys, cfg);
+            for _ in 0..steps {
+                d.step_once();
+                assert!(d.hierarchy().check_invariants().is_ok());
+            }
+            let r = d.finish();
+            assert!(r.total_secs.is_finite() && r.total_secs > 0.0);
+            assert!(r.cell_updates > 0);
+        },
+    );
 }

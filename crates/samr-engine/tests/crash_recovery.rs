@@ -258,7 +258,8 @@ fn post_evacuation_checkpoint_roundtrips_through_json() {
     }
     assert!(d.trace().recovery_totals().crashes >= 1);
     let ck = d.checkpoint();
-    let back = samr_engine::Checkpoint::from_json(&ck.to_json()).expect("checkpoint parses");
+    let back =
+        samr_engine::Checkpoint::from_json(&ck.to_json().unwrap()).expect("checkpoint parses");
     assert_eq!(back.hierarchy.patches.len(), ck.hierarchy.patches.len());
     for (a, s) in back.hierarchy.patches.iter().zip(&ck.hierarchy.patches) {
         assert_eq!(a.id, s.id);

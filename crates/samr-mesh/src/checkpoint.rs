@@ -4,10 +4,9 @@
 use crate::hierarchy::GridHierarchy;
 use crate::patch::GridPatch;
 use crate::region::Region;
-use serde::{Deserialize, Serialize};
 
 /// A serializable snapshot of a [`GridHierarchy`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HierarchySnapshot {
     pub refine_factor: i64,
     pub max_levels: usize,
@@ -17,6 +16,8 @@ pub struct HierarchySnapshot {
     /// Patches in id order (ids are preserved across restore).
     pub patches: Vec<GridPatch>,
 }
+
+base::json_struct!(HierarchySnapshot: refine_factor, max_levels, ghost, nfields, domain, patches);
 
 /// Capture the full state of `hier`.
 pub fn snapshot(hier: &GridHierarchy) -> HierarchySnapshot {
@@ -130,8 +131,8 @@ mod tests {
     fn json_roundtrip() {
         let h = sample();
         let snap = snapshot(&h);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: HierarchySnapshot = serde_json::from_str(&json).unwrap();
+        let json = base::json::ToJson::to_json(&snap).to_compact();
+        let back: HierarchySnapshot = base::json::from_str(&json).unwrap();
         let restored = restore(&back);
         assert_eq!(restored.num_patches(), h.num_patches());
         assert_eq!(

@@ -6,15 +6,62 @@
 
 use crate::index::IVec3;
 use crate::region::Region;
-use serde::{Deserialize, Serialize};
+use base::json::{Error, FromJson, Json, ToJson};
 
 /// A 3-D scalar field over `interior.grow(ghost)` cells.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Field3 {
     interior: Region,
     ghost: i64,
     storage: Region,
     data: Vec<f64>,
+}
+
+impl ToJson for Field3 {
+    fn to_json(&self) -> Json {
+        base::json_fields!(self; interior, ghost, storage, data)
+    }
+}
+
+impl FromJson for Field3 {
+    /// Parts that disagree — ghost width, storage box, data length — are
+    /// rejected where the document enters rather than by a kernel's index
+    /// check later.
+    fn from_json(v: &Json) -> Result<Field3, Error> {
+        let f = Field3 {
+            interior: v.field("interior")?,
+            ghost: v.field("ghost")?,
+            storage: v.field("storage")?,
+            data: v.field("data")?,
+        };
+        if f.ghost < 0 {
+            return Err(Error::new("a ghost width >= 0", f.ghost.to_string()).under("ghost"));
+        }
+        if f.interior.is_empty() {
+            return Err(Error::new("a non-empty box", f.interior.to_string()).under("interior"));
+        }
+        let grown = f.interior.grow(f.ghost);
+        if f.storage != grown {
+            return Err(
+                Error::new(format!("the grown interior {grown}"), f.storage.to_string())
+                    .under("storage"),
+            );
+        }
+        let size = f.storage.size();
+        let cells = [size.x, size.y, size.z]
+            .iter()
+            .try_fold(1usize, |n, &edge| {
+                n.checked_mul(usize::try_from(edge).ok()?)
+            });
+        if cells != Some(f.data.len()) {
+            return Err(Error::new(
+                format!("one value per cell of {}", f.storage),
+                format!("{} values", f.data.len()),
+            )
+            .under("data"));
+        }
+        Ok(f)
+    }
 }
 
 impl Field3 {
@@ -384,6 +431,55 @@ mod tests {
         assert_eq!(f.storage_region(), r.grow(2));
         assert_eq!(f.data().len(), 8 * 8 * 8);
         assert!(f.data().iter().all(|&v| v == 0.0));
+    }
+
+    /// A field document whose parts disagree is rejected where it enters,
+    /// each with the member at fault; the derive this replaced accepted all
+    /// four and left the mismatch to a kernel's index check.
+    #[test]
+    fn from_json_rejects_parts_that_disagree() {
+        let f = Field3::zeros(region(ivec3(2, 0, 0), ivec3(6, 4, 4)), 1);
+        let doc = f.to_json();
+        assert_eq!(Field3::from_json(&doc), Ok(f.clone()));
+        let with = |key: &str, value: Json| {
+            let Json::Obj(mut members) = doc.clone() else {
+                panic!("a field is an object")
+            };
+            members.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+            Field3::from_json(&Json::Obj(members))
+                .unwrap_err()
+                .to_string()
+        };
+        let storage = f.storage_region();
+        assert_eq!(
+            with("ghost", Json::Num(2.0)),
+            format!(
+                "storage: expected the grown interior {}, found {storage}",
+                storage.grow(1)
+            )
+        );
+        assert_eq!(
+            with("storage", f.interior().to_json()),
+            format!(
+                "storage: expected the grown interior {storage}, found {}",
+                f.interior()
+            )
+        );
+        assert_eq!(
+            with("ghost", Json::Num(-1.0)),
+            "ghost: expected a ghost width >= 0, found -1"
+        );
+        assert_eq!(
+            with("interior", region(ivec3(6, 0, 0), ivec3(2, 4, 4)).to_json()),
+            format!(
+                "interior: expected a non-empty box, found {}",
+                region(ivec3(6, 0, 0), ivec3(2, 4, 4))
+            )
+        );
+        assert_eq!(
+            with("data", vec![0.0; 5].to_json()),
+            format!("data: expected one value per cell of {storage}, found 5 values")
+        );
     }
 
     #[test]

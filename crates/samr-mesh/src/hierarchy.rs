@@ -700,7 +700,7 @@ impl GridHierarchy {
         let mut plans: Vec<BlockPlan> = Vec::new();
         plans.resize_with(ids.len().div_ceil(LevelTopology::BLOCK), BlockPlan::default);
         if parallel {
-            crate::par::for_each_task_parallel(&mut plans, plan_block);
+            par::for_each_task_parallel(&mut plans, plan_block);
         } else {
             plans
                 .iter_mut()
@@ -1591,41 +1591,41 @@ mod tests {
         Ok(())
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        /// On random holey tilings the planned build — parallel or serial,
-        /// with its covered-shell shortcut — is the all-pairs oracle's plan,
-        /// which subtracts every shell's windows; and its rounds are safe.
-        #[test]
-        fn plan_build_matches_the_all_pairs_oracle(
-            steps in proptest::collection::vec(1i64..12, 2..7),
-            seed in proptest::prelude::any::<u64>(),
-            drop_one_in in 2u64..40,
-            ghost in 1i64..4,
-        ) {
-            let mut cuts = vec![0i64];
-            for s in &steps {
-                cuts.push(cuts.last().unwrap() + s);
-            }
-            if cuts.last().unwrap() % 2 == 1 {
-                *cuts.last_mut().unwrap() += 1;
-            }
-            let n = *cuts.last().unwrap();
-            let h = level1_of(n, ghost, holey_tiling(&cuts, seed, drop_one_in));
-            let oracle = reference::exchange_topology(&h, 1);
-            // every shell the shortcut skips is one the oracle found empty
-            for s in &oracle.shells {
-                let windows = oracle.overlaps.iter().filter(|o| o.dst == s.id);
-                let covered: i64 = windows.map(|o| o.cells).sum();
-                proptest::prop_assert_eq!(covered == s.shell_cells, s.coarse_fill.is_empty());
-            }
-            for parallel in [true, false] {
-                let plan = h.build_topology(1, parallel, LevelTopology::default());
-                proptest::prop_assert_eq!(&plan, &oracle);
-                proptest::prop_assert_eq!(check_rounds(&plan), Ok(()));
-            }
-        }
+    /// On random holey tilings the planned build — parallel or serial,
+    /// with its covered-shell shortcut — is the all-pairs oracle's plan,
+    /// which subtracts every shell's windows; and its rounds are safe.
+    #[test]
+    fn plan_build_matches_the_all_pairs_oracle() {
+        base::prop::check(
+            48,
+            |g| {
+                let steps = g.vec(2..7, |g| g.i64(1..12));
+                (steps, g.any_u64(), g.u64(2..40), g.i64(1..4))
+            },
+            |(steps, seed, drop_one_in, ghost)| {
+                let mut cuts = vec![0i64];
+                for s in &steps {
+                    cuts.push(cuts.last().unwrap() + s);
+                }
+                if cuts.last().unwrap() % 2 == 1 {
+                    *cuts.last_mut().unwrap() += 1;
+                }
+                let n = *cuts.last().unwrap();
+                let h = level1_of(n, ghost, holey_tiling(&cuts, seed, drop_one_in));
+                let oracle = reference::exchange_topology(&h, 1);
+                // every shell the shortcut skips is one the oracle found empty
+                for s in &oracle.shells {
+                    let windows = oracle.overlaps.iter().filter(|o| o.dst == s.id);
+                    let covered: i64 = windows.map(|o| o.cells).sum();
+                    assert_eq!(covered == s.shell_cells, s.coarse_fill.is_empty());
+                }
+                for parallel in [true, false] {
+                    let plan = h.build_topology(1, parallel, LevelTopology::default());
+                    assert_eq!(&plan, &oracle);
+                    assert_eq!(check_rounds(&plan), Ok(()));
+                }
+            },
+        );
     }
 
     #[test]

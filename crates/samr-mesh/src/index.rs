@@ -5,17 +5,18 @@
 //! factor. Keeping indices integral makes region algebra exact and makes the
 //! whole simulation deterministic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 /// A 3-component integer vector used for cell indices and extents.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct IVec3 {
     pub x: i64,
     pub y: i64,
     pub z: i64,
 }
+
+base::json_struct!(IVec3: x, y, z);
 
 impl fmt::Debug for IVec3 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

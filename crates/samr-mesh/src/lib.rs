@@ -32,7 +32,6 @@ pub mod flux;
 pub mod hierarchy;
 pub mod index;
 pub mod interp;
-pub mod par;
 pub mod patch;
 pub mod pool;
 pub mod region;

@@ -2,12 +2,25 @@
 
 use crate::field::Field3;
 use crate::region::Region;
-use serde::{Deserialize, Serialize};
+use base::json::{Error, FromJson, Json, ToJson};
 use std::fmt;
 
 /// Identifier of a grid patch, unique within a [`crate::hierarchy::GridHierarchy`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PatchId(pub u64);
+
+/// A bare number, not an object.
+impl ToJson for PatchId {
+    fn to_json(&self) -> Json {
+        self.0.to_json()
+    }
+}
+
+impl FromJson for PatchId {
+    fn from_json(v: &Json) -> Result<PatchId, Error> {
+        u64::from_json(v).map(PatchId)
+    }
+}
 
 impl fmt::Debug for PatchId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -23,7 +36,7 @@ pub type OwnerProc = usize;
 ///
 /// `region` is expressed in the patch's *own level's* cell coordinates; the
 /// physical span of one cell at level `l` is `h0 / r^l`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GridPatch {
     /// Unique id within the hierarchy.
     pub id: PatchId,
@@ -39,6 +52,8 @@ pub struct GridPatch {
     /// patches of a hierarchy).
     pub fields: Vec<Field3>,
 }
+
+base::json_struct!(GridPatch: id, level, region, parent, owner, fields);
 
 impl GridPatch {
     /// Create a patch with `nfields` zero-initialized fields of ghost width

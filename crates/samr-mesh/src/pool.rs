@@ -57,7 +57,6 @@
 //! [`mark_steady_with_headroom`]: FieldPool::mark_steady_with_headroom
 //! [`Field3::zeros`]: crate::field::Field3::zeros
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -73,7 +72,7 @@ const NUM_CLASSES: usize = usize::BITS as usize;
 const BORROW_CLASSES: usize = 3;
 
 /// Monotone counters describing pool behaviour over a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Acquisitions served from a free-list (no heap allocation).
     pub hits: u64,
@@ -86,11 +85,13 @@ pub struct PoolStats {
     pub steady_misses: u64,
 }
 
+base::json_struct!(PoolStats: hits, misses, bytes_recycled, steady_misses);
+
 /// Breakdown of *where* hits were served from — the sharded fast path
 /// versus the spill/steal fallback tiers — plus upward class borrowing.
 /// Diagnostics only: which tier serves a given request depends on worker
 /// scheduling, so unlike [`PoolStats`] these are not part of any
-/// serialized result contract (deliberately no serde derives).
+/// serialized result contract (deliberately no JSON form).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolDetail {
     /// Hits served by the caller's own home shard (the uncontended path).

@@ -5,18 +5,19 @@
 //! given level's resolution. All operations are exact integer arithmetic.
 
 use crate::index::{ivec3, IVec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open axis-aligned box of cells: `lo` inclusive, `hi` exclusive.
 ///
 /// An *empty* region has `hi[k] <= lo[k]` on some axis; empty regions compare
 /// equal in spirit (all represent "no cells") but retain their coordinates.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Region {
     pub lo: IVec3,
     pub hi: IVec3,
 }
+
+base::json_struct!(Region: lo, hi);
 
 impl fmt::Debug for Region {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -1,126 +1,151 @@
 //! Property-based tests for fields and inter-level transfer operators.
 
-use proptest::prelude::*;
+use base::prop::{self, Gen};
 use samr_mesh::field::Field3;
 use samr_mesh::interp::{prolong_constant, prolong_linear, restrict_average};
 use samr_mesh::region::Region;
 use samr_mesh::{ivec3, IVec3};
 
-fn arb_cell(n: i64) -> impl Strategy<Value = IVec3> {
-    (0..n, 0..n, 0..n).prop_map(|(x, y, z)| ivec3(x, y, z))
+fn arb_cell(g: &mut Gen, n: i64) -> IVec3 {
+    ivec3(g.i64(0..n), g.i64(0..n), g.i64(0..n))
 }
 
-proptest! {
-    #[test]
-    fn set_then_get_roundtrips(
-        cells in prop::collection::vec((arb_cell(6), -1e6f64..1e6), 1..50),
-    ) {
-        let mut f = Field3::zeros(Region::cube(6), 1);
-        let mut last = std::collections::BTreeMap::new();
-        for (c, v) in &cells {
-            f.set(*c, *v);
-            last.insert((c.x, c.y, c.z), *v);
-        }
-        for ((x, y, z), v) in last {
-            prop_assert_eq!(f.get(ivec3(x, y, z)), v);
-        }
-    }
-
-    #[test]
-    fn zero_gradient_ghosts_only_touch_ghosts(
-        cells in prop::collection::vec((arb_cell(4), -10f64..10.0), 1..30),
-    ) {
-        let mut f = Field3::zeros(Region::cube(4), 2);
-        for (c, v) in &cells {
-            f.set(*c, *v);
-        }
-        let before: Vec<f64> = Region::cube(4).iter_cells().map(|p| f.get(p)).collect();
-        f.fill_ghosts_zero_gradient();
-        let after: Vec<f64> = Region::cube(4).iter_cells().map(|p| f.get(p)).collect();
-        prop_assert_eq!(before, after);
-        // every ghost equals its clamped interior cell
-        for p in f.storage_region().iter_cells() {
-            if Region::cube(4).contains(p) {
-                continue;
+#[test]
+fn set_then_get_roundtrips() {
+    prop::check(
+        prop::CASES,
+        |g| g.vec(1..50, |g| (arb_cell(g, 6), g.f64(-1e6..1e6))),
+        |cells| {
+            let mut f = Field3::zeros(Region::cube(6), 1);
+            let mut last = std::collections::BTreeMap::new();
+            for (c, v) in &cells {
+                f.set(*c, *v);
+                last.insert((c.x, c.y, c.z), *v);
             }
-            let clamped = p.max(IVec3::ZERO).min(IVec3::splat(3));
-            prop_assert_eq!(f.get(p), f.get(clamped));
-        }
-    }
-
-    #[test]
-    fn restrict_conserves_mass(
-        cells in prop::collection::vec((arb_cell(8), 0f64..10.0), 1..80),
-    ) {
-        let mut fine = Field3::zeros(Region::cube(8), 0);
-        for (c, v) in &cells {
-            fine.set(*c, *v);
-        }
-        let mut coarse = Field3::zeros(Region::cube(4), 0);
-        restrict_average(&fine, &mut coarse, &Region::cube(4), 2);
-        // coarse total x 8 = fine total (cell-volume weighting)
-        prop_assert!((coarse.interior_sum() * 8.0 - fine.interior_sum()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn prolong_then_restrict_is_identity(
-        cells in prop::collection::vec((arb_cell(4), -5f64..5.0), 1..30),
-    ) {
-        // piecewise-constant prolongation followed by averaging restores the
-        // coarse data exactly
-        let mut coarse = Field3::zeros(Region::cube(4), 0);
-        for (c, v) in &cells {
-            coarse.set(*c, *v);
-        }
-        let mut fine = Field3::zeros(Region::cube(8), 0);
-        prolong_constant(&coarse, &mut fine, &Region::cube(8), 2);
-        let mut back = Field3::zeros(Region::cube(4), 0);
-        restrict_average(&fine, &mut back, &Region::cube(4), 2);
-        for p in Region::cube(4).iter_cells() {
-            prop_assert!((back.get(p) - coarse.get(p)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn linear_prolongation_bounded_by_coarse_extremes(
-        cells in prop::collection::vec((arb_cell(6), -5f64..5.0), 1..40),
-    ) {
-        // trilinear interpolation cannot overshoot the coarse min/max
-        let mut coarse = Field3::zeros(Region::cube(6), 1);
-        for (c, v) in &cells {
-            coarse.set(*c, *v);
-        }
-        coarse.fill_ghosts_zero_gradient();
-        let (mut lo, mut hi) = (f64::MAX, f64::MIN);
-        for p in coarse.storage_region().iter_cells() {
-            lo = lo.min(coarse.get(p));
-            hi = hi.max(coarse.get(p));
-        }
-        let mut fine = Field3::zeros(Region::cube(12), 0);
-        prolong_linear(&coarse, &mut fine, &Region::cube(12), 2);
-        for p in Region::cube(12).iter_cells() {
-            let v = fine.get(p);
-            prop_assert!(v >= lo - 1e-12 && v <= hi + 1e-12, "{v} not in [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn copy_from_is_exact_on_window(
-        vals in prop::collection::vec(-9f64..9.0, 27),
-    ) {
-        let mut src = Field3::zeros(Region::cube(3), 0);
-        for (i, p) in Region::cube(3).iter_cells().enumerate() {
-            src.set(p, vals[i]);
-        }
-        let mut dst = Field3::constant(Region::cube(3), 0, 99.0);
-        let window = Region::cube(2); // partial window
-        dst.copy_from(&src, &window);
-        for p in Region::cube(3).iter_cells() {
-            if window.contains(p) {
-                prop_assert_eq!(dst.get(p), src.get(p));
-            } else {
-                prop_assert_eq!(dst.get(p), 99.0);
+            for ((x, y, z), v) in last {
+                assert_eq!(f.get(ivec3(x, y, z)), v);
             }
-        }
-    }
+        },
+    );
+}
+
+#[test]
+fn zero_gradient_ghosts_only_touch_ghosts() {
+    prop::check(
+        prop::CASES,
+        |g| g.vec(1..30, |g| (arb_cell(g, 4), g.f64(-10.0..10.0))),
+        |cells| {
+            let mut f = Field3::zeros(Region::cube(4), 2);
+            for (c, v) in &cells {
+                f.set(*c, *v);
+            }
+            let before: Vec<f64> = Region::cube(4).iter_cells().map(|p| f.get(p)).collect();
+            f.fill_ghosts_zero_gradient();
+            let after: Vec<f64> = Region::cube(4).iter_cells().map(|p| f.get(p)).collect();
+            assert_eq!(before, after);
+            // every ghost equals its clamped interior cell
+            for p in f.storage_region().iter_cells() {
+                if Region::cube(4).contains(p) {
+                    continue;
+                }
+                let clamped = p.max(IVec3::ZERO).min(IVec3::splat(3));
+                assert_eq!(f.get(p), f.get(clamped));
+            }
+        },
+    );
+}
+
+#[test]
+fn restrict_conserves_mass() {
+    prop::check(
+        prop::CASES,
+        |g| g.vec(1..80, |g| (arb_cell(g, 8), g.f64(0.0..10.0))),
+        |cells| {
+            let mut fine = Field3::zeros(Region::cube(8), 0);
+            for (c, v) in &cells {
+                fine.set(*c, *v);
+            }
+            let mut coarse = Field3::zeros(Region::cube(4), 0);
+            restrict_average(&fine, &mut coarse, &Region::cube(4), 2);
+            // coarse total x 8 = fine total (cell-volume weighting)
+            assert!((coarse.interior_sum() * 8.0 - fine.interior_sum()).abs() < 1e-9);
+        },
+    );
+}
+
+#[test]
+fn prolong_then_restrict_is_identity() {
+    prop::check(
+        prop::CASES,
+        |g| g.vec(1..30, |g| (arb_cell(g, 4), g.f64(-5.0..5.0))),
+        |cells| {
+            // piecewise-constant prolongation followed by averaging restores the
+            // coarse data exactly
+            let mut coarse = Field3::zeros(Region::cube(4), 0);
+            for (c, v) in &cells {
+                coarse.set(*c, *v);
+            }
+            let mut fine = Field3::zeros(Region::cube(8), 0);
+            prolong_constant(&coarse, &mut fine, &Region::cube(8), 2);
+            let mut back = Field3::zeros(Region::cube(4), 0);
+            restrict_average(&fine, &mut back, &Region::cube(4), 2);
+            for p in Region::cube(4).iter_cells() {
+                assert!((back.get(p) - coarse.get(p)).abs() < 1e-12);
+            }
+        },
+    );
+}
+
+#[test]
+fn linear_prolongation_bounded_by_coarse_extremes() {
+    prop::check(
+        prop::CASES,
+        |g| g.vec(1..40, |g| (arb_cell(g, 6), g.f64(-5.0..5.0))),
+        |cells| {
+            // trilinear interpolation cannot overshoot the coarse min/max
+            let mut coarse = Field3::zeros(Region::cube(6), 1);
+            for (c, v) in &cells {
+                coarse.set(*c, *v);
+            }
+            coarse.fill_ghosts_zero_gradient();
+            let (mut lo, mut hi) = (f64::MAX, f64::MIN);
+            for p in coarse.storage_region().iter_cells() {
+                lo = lo.min(coarse.get(p));
+                hi = hi.max(coarse.get(p));
+            }
+            let mut fine = Field3::zeros(Region::cube(12), 0);
+            prolong_linear(&coarse, &mut fine, &Region::cube(12), 2);
+            for p in Region::cube(12).iter_cells() {
+                let v = fine.get(p);
+                assert!(
+                    v >= lo - 1e-12 && v <= hi + 1e-12,
+                    "{v} not in [{lo}, {hi}]"
+                );
+            }
+        },
+    );
+}
+
+#[test]
+fn copy_from_is_exact_on_window() {
+    prop::check(
+        prop::CASES,
+        |g| g.vec(27..28, |g| g.f64(-9.0..9.0)),
+        |vals| {
+            let mut src = Field3::zeros(Region::cube(3), 0);
+            for (i, p) in Region::cube(3).iter_cells().enumerate() {
+                src.set(p, vals[i]);
+            }
+            let mut dst = Field3::constant(Region::cube(3), 0, 99.0);
+            let window = Region::cube(2); // partial window
+            dst.copy_from(&src, &window);
+            for p in Region::cube(3).iter_cells() {
+                if window.contains(p) {
+                    assert_eq!(dst.get(p), src.get(p));
+                } else {
+                    assert_eq!(dst.get(p), 99.0);
+                }
+            }
+        },
+    );
 }

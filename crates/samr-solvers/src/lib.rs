@@ -14,7 +14,7 @@
 //! * [`particles`] — leapfrog particle trajectories with NGP deposition,
 //!   `AMR64`'s ODE component.
 //!
-//! [`par`] runs a solver over many patches with rayon; simulated timing is
+//! [`par`] runs a solver over many patches on the worker pool; simulated timing is
 //! charged separately by the driver, so real parallelism only shortens
 //! wall-clock time, never changes results.
 

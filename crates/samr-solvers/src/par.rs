@@ -1,10 +1,9 @@
-//! Rayon helpers: apply a solver kernel to many patches' field sets in
-//! parallel. Results are independent per patch, so parallel execution is
+//! Apply a solver kernel to many patches' field sets on the worker pool.
+//! Results are independent per patch, so parallel execution is
 //! bit-identical to sequential.
 
-use rayon::prelude::*;
+use par::for_each_task_parallel;
 use samr_mesh::field::Field3;
-pub use samr_mesh::par::for_each_task_parallel;
 use samr_mesh::pool::{FieldPool, PoolHandle};
 
 /// Apply `kernel` to every field set concurrently.
@@ -12,11 +11,11 @@ pub fn for_each_patch_parallel<K>(fieldsets: &mut [&mut Vec<Field3>], kernel: K)
 where
     K: Fn(&mut Vec<Field3>) + Sync,
 {
-    fieldsets.par_iter_mut().for_each(|fs| kernel(fs));
+    for_each_task_parallel(fieldsets, |_, fs| kernel(fs));
 }
 
 /// Like [`for_each_task_parallel`], but hands each kernel invocation a
-/// [`PoolHandle`] bound to the executing rayon worker's home shard, so
+/// [`PoolHandle`] bound to the executing pool worker's home shard, so
 /// solver scratch acquire/recycle on the hot path stays on per-thread free
 /// lists instead of rendezvousing on one shared lock. The handle is
 /// constructed lazily per invocation (it is two words: an `Arc` clone and
@@ -28,7 +27,7 @@ where
     T: Send,
     K: Fn(usize, &mut T, &PoolHandle) + Sync,
 {
-    items.par_iter_mut().enumerate().for_each(|(i, t)| {
+    for_each_task_parallel(items, |i, t| {
         let handle = pool.worker_handle();
         kernel(i, t, &handle);
     });

@@ -5,22 +5,25 @@
 use samr_mesh::field::Field3;
 use samr_mesh::index::ivec3;
 use samr_mesh::region::Region;
-use serde::{Deserialize, Serialize};
 
 /// One tracer/mass particle. Positions are continuous level-0 cell
 /// coordinates (cell `i` spans `[i, i+1)`).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Particle {
     pub pos: [f64; 3],
     pub vel: [f64; 3],
     pub mass: f64,
 }
 
+base::json_struct!(Particle: pos, vel, mass);
+
 /// A set of particles living on the level-0 domain.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ParticleSet {
     pub particles: Vec<Particle>,
 }
+
+base::json_struct!(ParticleSet: particles);
 
 impl ParticleSet {
     pub fn new(particles: Vec<Particle>) -> Self {

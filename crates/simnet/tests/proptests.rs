@@ -1,7 +1,7 @@
 //! Property-based tests for the virtual-time simulator: clocks never run
 //! backwards, accounting is complete, messages respect link physics.
 
-use proptest::prelude::*;
+use base::prop::{self, Gen};
 use simnet::{Activity, NetSim};
 use topology::link::Link;
 use topology::{ProcId, SimTime, SystemBuilder, TrafficModel};
@@ -15,14 +15,14 @@ enum Op {
     AllReduce,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..4, 1u16..5000).prop_map(|(p, ms)| Op::Compute(p, ms)),
-        (0u8..4, 0u8..4, 0u32..5_000_000).prop_map(|(a, b, n)| Op::Send(a, b, n)),
-        Just(Op::Barrier),
-        any::<bool>().prop_map(Op::GroupReduce),
-        Just(Op::AllReduce),
-    ]
+fn arb_op(g: &mut Gen) -> Op {
+    match g.usize(0..5) {
+        0 => Op::Compute(g.u32(0..4) as u8, g.u32(1..5000) as u16),
+        1 => Op::Send(g.u32(0..4) as u8, g.u32(0..4) as u8, g.u32(0..5_000_000)),
+        2 => Op::Barrier,
+        3 => Op::GroupReduce(g.bool()),
+        _ => Op::AllReduce,
+    }
 }
 
 fn sys() -> topology::DistributedSystem {
@@ -35,7 +35,7 @@ fn sys() -> topology::DistributedSystem {
             low: 0.1,
             high: 0.8,
             p_on: 0.5,
-            slot: SimTime::from_secs(1).into(),
+            slot: SimTime::from_secs(1),
             seed: 99,
         },
     );
@@ -67,81 +67,120 @@ fn apply(sim: &mut NetSim, op: &Op) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+const CASES: u32 = 128;
 
-    #[test]
-    fn clocks_never_go_backwards(ops in prop::collection::vec(arb_op(), 0..40)) {
-        let mut sim = NetSim::new(sys());
-        let mut prev = [SimTime::ZERO; 4];
-        for op in &ops {
-            apply(&mut sim, op);
-            for (p, prev_t) in prev.iter_mut().enumerate() {
-                let now = sim.now(ProcId(p));
-                prop_assert!(now >= *prev_t, "clock {} went backwards", p);
-                *prev_t = now;
-            }
-        }
-    }
-
-    #[test]
-    fn accounting_is_complete(ops in prop::collection::vec(arb_op(), 0..40)) {
-        // every nanosecond of every clock is attributed to exactly one bucket
-        let mut sim = NetSim::new(sys());
-        for op in &ops {
-            apply(&mut sim, op);
-        }
-        for p in 0..4 {
-            let total = sim.stats().procs[p].total();
-            prop_assert_eq!(total, sim.now(ProcId(p)), "proc {}", p);
-        }
-    }
-
-    #[test]
-    fn replay_is_deterministic(ops in prop::collection::vec(arb_op(), 0..30)) {
-        let run = |ops: &[Op]| {
+#[test]
+fn clocks_never_go_backwards() {
+    prop::check(
+        CASES,
+        |g| g.vec(0..40, arb_op),
+        |ops| {
             let mut sim = NetSim::new(sys());
-            for op in ops {
+            let mut prev = [SimTime::ZERO; 4];
+            for op in &ops {
+                apply(&mut sim, op);
+                for (p, prev_t) in prev.iter_mut().enumerate() {
+                    let now = sim.now(ProcId(p));
+                    assert!(now >= *prev_t, "clock {p} went backwards");
+                    *prev_t = now;
+                }
+            }
+        },
+    );
+}
+
+#[test]
+fn accounting_is_complete() {
+    prop::check(
+        CASES,
+        |g| g.vec(0..40, arb_op),
+        |ops| {
+            // every nanosecond of every clock is attributed to exactly one bucket
+            let mut sim = NetSim::new(sys());
+            for op in &ops {
                 apply(&mut sim, op);
             }
-            (sim.elapsed(), sim.stats().msgs)
-        };
-        prop_assert_eq!(run(&ops), run(&ops));
-    }
+            for p in 0..4 {
+                let total = sim.stats().procs[p].total();
+                assert_eq!(total, sim.now(ProcId(p)), "proc {p}");
+            }
+        },
+    );
+}
 
-    #[test]
-    fn elapsed_is_max_clock(ops in prop::collection::vec(arb_op(), 0..30)) {
-        let mut sim = NetSim::new(sys());
-        for op in &ops {
-            apply(&mut sim, op);
-        }
-        let max = (0..4).map(|p| sim.now(ProcId(p))).max().unwrap();
-        prop_assert_eq!(sim.elapsed(), max);
-    }
+#[test]
+fn replay_is_deterministic() {
+    prop::check(
+        CASES,
+        |g| g.vec(0..30, arb_op),
+        |ops| {
+            let run = |ops: &[Op]| {
+                let mut sim = NetSim::new(sys());
+                for op in ops {
+                    apply(&mut sim, op);
+                }
+                (sim.elapsed(), sim.stats().msgs)
+            };
+            assert_eq!(run(&ops), run(&ops));
+        },
+    );
+}
 
-    #[test]
-    fn send_pays_at_least_latency_and_size(
-        bytes in 0u64..50_000_000,
-        from_a in any::<bool>(),
-    ) {
-        let mut sim = NetSim::new(sys());
-        let (src, dst) = if from_a { (ProcId(0), ProcId(2)) } else { (ProcId(3), ProcId(1)) };
-        sim.send_auto(src, dst, bytes).unwrap();
-        let t = sim.now(dst);
-        // latency 5ms; best-case bandwidth 2e7 B/s
-        let floor = 0.005 + bytes as f64 / 2e7;
-        prop_assert!(t.as_secs_f64() >= floor - 1e-9, "{} < {}", t.as_secs_f64(), floor);
-        prop_assert_eq!(sim.stats().msgs.remote_bytes, bytes);
-    }
+#[test]
+fn elapsed_is_max_clock() {
+    prop::check(
+        CASES,
+        |g| g.vec(0..30, arb_op),
+        |ops| {
+            let mut sim = NetSim::new(sys());
+            for op in &ops {
+                apply(&mut sim, op);
+            }
+            let max = (0..4).map(|p| sim.now(ProcId(p))).max().unwrap();
+            assert_eq!(sim.elapsed(), max);
+        },
+    );
+}
 
-    #[test]
-    fn barrier_idempotent(ops in prop::collection::vec(arb_op(), 0..20)) {
-        let mut sim = NetSim::new(sys());
-        for op in &ops {
-            apply(&mut sim, op);
-        }
-        let t1 = sim.barrier_all();
-        let t2 = sim.barrier_all();
-        prop_assert_eq!(t1, t2, "second barrier is free");
-    }
+#[test]
+fn send_pays_at_least_latency_and_size() {
+    prop::check(
+        CASES,
+        |g| (g.u64(0..50_000_000), g.bool()),
+        |(bytes, from_a)| {
+            let mut sim = NetSim::new(sys());
+            let (src, dst) = if from_a {
+                (ProcId(0), ProcId(2))
+            } else {
+                (ProcId(3), ProcId(1))
+            };
+            sim.send_auto(src, dst, bytes).unwrap();
+            let t = sim.now(dst);
+            // latency 5ms; best-case bandwidth 2e7 B/s
+            let floor = 0.005 + bytes as f64 / 2e7;
+            assert!(
+                t.as_secs_f64() >= floor - 1e-9,
+                "{} < {floor}",
+                t.as_secs_f64()
+            );
+            assert_eq!(sim.stats().msgs.remote_bytes, bytes);
+        },
+    );
+}
+
+#[test]
+fn barrier_idempotent() {
+    prop::check(
+        CASES,
+        |g| g.vec(0..20, arb_op),
+        |ops| {
+            let mut sim = NetSim::new(sys());
+            for op in &ops {
+                apply(&mut sim, op);
+            }
+            let t1 = sim.barrier_all();
+            let t2 = sim.barrier_all();
+            assert_eq!(t1, t2, "second barrier is free");
+        },
+    );
 }

@@ -1,45 +1,18 @@
 //! Exporters: JSONL, Chrome trace-event JSON, and the text summary. All
-//! JSON is written by hand (this crate is dependency-free); well-formedness
-//! is enforced by round-tripping through [`crate::json`] in tests and in
-//! the verify gate.
+//! JSON is streamed into the output buffer with `base::json`'s number and
+//! escape formatting — no value tree per event; well-formedness is enforced
+//! by parsing the result back with [`crate::json`] in tests and in the
+//! verify gate.
 
 use crate::event::{EventKind, EventRecord};
 use crate::hist::LogHistogram;
 use crate::sink::{RecordingSink, SpanRecord};
+use base::json::{escape, num};
 use std::fmt::Write as _;
-
-/// Escape a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format a float as a valid JSON number (JSON has no NaN/inf — both map
-/// to 0.0, like the bench emitters do).
-pub fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0.0".to_string()
-    }
-}
 
 fn opt_num(x: Option<f64>) -> String {
     match x {
-        Some(v) => json_num(v),
+        Some(v) => num(v),
         None => "null".to_string(),
     }
 }
@@ -49,7 +22,7 @@ pub fn event_json(rec: &EventRecord) -> String {
     let head = format!(
         "{{\"seq\": {}, \"t_sim\": {}, \"type\": \"{}\"",
         rec.seq,
-        json_num(rec.t_sim_secs),
+        num(rec.t_sim_secs),
         rec.kind.type_name()
     );
     let body = match &rec.kind {
@@ -61,17 +34,17 @@ pub fn event_json(rec: &EventRecord) -> String {
             g.step,
             g.level,
             g.proactive,
-            json_num(g.gain_secs),
-            json_num(g.cost_alpha_beta_w_secs),
-            json_num(g.delta_secs),
-            json_num(g.cost_upper_secs),
-            json_num(g.alpha_secs),
-            json_num(g.beta_secs_per_byte),
+            num(g.gain_secs),
+            num(g.cost_alpha_beta_w_secs),
+            num(g.delta_secs),
+            num(g.cost_upper_secs),
+            num(g.alpha_secs),
+            num(g.beta_secs_per_byte),
             g.move_bytes,
-            json_num(g.gamma),
-            json_num(g.mae_widening_secs),
+            num(g.gamma),
+            num(g.mae_widening_secs),
             g.verdict.as_str(),
-            json_escape(g.reason),
+            escape(g.reason),
         ),
         EventKind::Redistribute(r) => format!(
             ", \"step\": {}, \"level\": {}, \"moved_cells\": {}, \"moves\": {}, \
@@ -81,7 +54,7 @@ pub fn event_json(rec: &EventRecord) -> String {
             r.moved_cells,
             r.moves,
             r.aborted,
-            json_num(r.delta_secs),
+            num(r.delta_secs),
         ),
         EventKind::Fault(f) => {
             use crate::event::FaultKind::*;
@@ -99,21 +72,20 @@ pub fn event_json(rec: &EventRecord) -> String {
                     "readmit",
                     format!(
                         "\"group\": {group}, \"recovery_secs\": {}",
-                        json_num(recovery_secs)
+                        num(recovery_secs)
                     ),
                 ),
-                Rollback { wasted_secs } => (
-                    "rollback",
-                    format!("\"wasted_secs\": {}", json_num(wasted_secs)),
-                ),
+                Rollback { wasted_secs } => {
+                    ("rollback", format!("\"wasted_secs\": {}", num(wasted_secs)))
+                }
             };
             format!(", \"step\": {}, \"kind\": \"{kind}\", {detail}", f.step)
         }
         EventKind::PredictorSwitch(p) => format!(
             ", \"series\": \"{}\", \"from\": \"{}\", \"to\": \"{}\"",
-            json_escape(&p.series),
-            json_escape(&p.from),
-            json_escape(&p.to),
+            escape(&p.series),
+            escape(&p.from),
+            escape(&p.to),
         ),
         EventKind::Probe(p) => format!(
             ", \"group_a\": {}, \"group_b\": {}, \"alpha_secs\": {}, \
@@ -121,11 +93,11 @@ pub fn event_json(rec: &EventRecord) -> String {
              \"predicted_beta_secs_per_byte\": {}, \"elapsed_secs\": {}",
             p.group_a,
             p.group_b,
-            json_num(p.alpha_secs),
-            json_num(p.beta_secs_per_byte),
+            num(p.alpha_secs),
+            num(p.beta_secs_per_byte),
             opt_num(p.predicted_alpha_secs),
             opt_num(p.predicted_beta_secs_per_byte),
-            json_num(p.elapsed_secs),
+            num(p.elapsed_secs),
         ),
         EventKind::Transfer(t) => format!(
             ", \"src\": {}, \"dst\": {}, \"bytes\": {}, \"queue_secs\": {}, \
@@ -133,8 +105,8 @@ pub fn event_json(rec: &EventRecord) -> String {
             t.src,
             t.dst,
             t.bytes,
-            json_num(t.queue_secs),
-            json_num(t.transfer_secs),
+            num(t.queue_secs),
+            num(t.transfer_secs),
             t.remote,
             t.failed,
         ),
@@ -152,14 +124,14 @@ pub fn event_json(rec: &EventRecord) -> String {
             r.step,
             r.proc,
             r.group,
-            json_num(r.downtime_secs),
+            num(r.downtime_secs),
         ),
         EventKind::TenantAdmit(t) => {
             let groups: Vec<String> = t.groups.iter().map(|g| g.to_string()).collect();
             format!(
                 ", \"tenant\": {}, \"priority\": {}, \"groups\": [{}]",
                 t.tenant,
-                json_num(t.priority),
+                num(t.priority),
                 groups.join(", "),
             )
         }
@@ -170,23 +142,23 @@ pub fn event_json(rec: &EventRecord) -> String {
             t.from_group,
             t.to_group,
             t.bytes,
-            json_num(t.cost_secs),
-            json_num(t.gain_secs),
+            num(t.cost_secs),
+            num(t.gain_secs),
         ),
         EventKind::TenantStep(t) => format!(
             ", \"tenant\": {}, \"step\": {}, \"secs\": {}",
             t.tenant,
             t.step,
-            json_num(t.secs),
+            num(t.secs),
         ),
         EventKind::Anomaly(a) => format!(
             ", \"kind\": \"{}\", \"value\": {}, \"threshold\": {}, \"streak\": {}, \
              \"detail\": \"{}\"",
             a.kind.as_str(),
-            json_num(a.value),
-            json_num(a.threshold),
+            num(a.value),
+            num(a.threshold),
             a.streak,
-            json_escape(&a.detail),
+            escape(&a.detail),
         ),
     };
     format!("{head}{body}}}")
@@ -228,9 +200,13 @@ pub fn to_jsonl(sink: &RecordingSink) -> String {
         sink.spans_dropped(),
     );
     for (name, entries) in sink.stat_blocks() {
-        let _ = write!(out, "{{\"type\": \"stat_block\", \"name\": \"{}\"", json_escape(name));
+        let _ = write!(
+            out,
+            "{{\"type\": \"stat_block\", \"name\": \"{}\"",
+            escape(name)
+        );
         for (k, v) in entries {
-            let _ = write!(out, ", \"{}\": {v}", json_escape(k));
+            let _ = write!(out, ", \"{}\": {v}", escape(k));
         }
         out.push_str("}\n");
     }
@@ -245,13 +221,13 @@ pub fn to_jsonl(sink: &RecordingSink) -> String {
             "{{\"type\": \"phase\", \"name\": \"{}\", \"level\": {level}, \"count\": {}, \
              \"total_secs\": {}, \"p50_secs\": {}, \"p95_secs\": {}, \"p99_secs\": {}, \
              \"max_secs\": {}}}",
-            json_escape(name),
+            escape(name),
             h.count(),
-            json_num(h.sum()),
-            json_num(p50),
-            json_num(p95),
-            json_num(p99),
-            json_num(max),
+            num(h.sum()),
+            num(p50),
+            num(p95),
+            num(p99),
+            num(max),
         );
     }
     for (name, m) in sink.metrics() {
@@ -260,21 +236,21 @@ pub fn to_jsonl(sink: &RecordingSink) -> String {
             "{{\"type\": \"metric\", \"name\": \"{}\", \"samples\": {}, \"kept\": {}, \
              \"downsamples\": {}, \"stride\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \
              \"last\": {}, \"points\": [",
-            json_escape(name),
+            escape(name),
             m.observed(),
             m.points().len(),
             m.downsamples(),
             m.stride(),
-            json_num(m.min()),
-            json_num(m.max()),
-            json_num(m.mean()),
-            json_num(m.last().1),
+            num(m.min()),
+            num(m.max()),
+            num(m.mean()),
+            num(m.last().1),
         );
         for (i, (t, v)) in m.points().iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "[{}, {}]", json_num(*t), json_num(*v));
+            let _ = write!(out, "[{}, {}]", num(*t), num(*v));
         }
         out.push_str("]}\n");
     }
@@ -335,7 +311,7 @@ pub fn to_chrome_trace(sink: &RecordingSink) -> String {
             format!(
                 "{{\"name\": \"{what}\", \"ph\": \"M\", \"pid\": {pid}{field}, \
                  \"args\": {{\"name\": \"{}\"}}}}",
-                json_escape(name)
+                escape(name)
             ),
         )
     };
@@ -361,9 +337,9 @@ pub fn to_chrome_trace(sink: &RecordingSink) -> String {
             format!(
                 "{{\"name\": \"{}\", \"cat\": \"phase\", \"ph\": \"X\", \"ts\": {}, \
                  \"dur\": {}, \"pid\": {HOST_PID}, \"tid\": {tid}}}",
-                json_escape(s.name),
-                json_num(ts),
-                json_num(dur),
+                escape(s.name),
+                num(ts),
+                num(dur),
             ),
         ));
     }
@@ -385,7 +361,7 @@ pub fn to_chrome_trace(sink: &RecordingSink) -> String {
                 "{{\"name\": \"{}\", \"cat\": \"decision\", \"ph\": \"i\", \"s\": \"t\", \
                  \"ts\": {}, \"pid\": {SIM_PID}, \"tid\": {tid}, \"args\": {{\"event\": {payload}}}}}",
                 ev.kind.type_name(),
-                json_num(ts),
+                num(ts),
             ),
         ));
     }
@@ -403,9 +379,9 @@ pub fn to_chrome_trace(sink: &RecordingSink) -> String {
                 format!(
                     "{{\"name\": \"{}\", \"cat\": \"metric\", \"ph\": \"C\", \"ts\": {}, \
                      \"pid\": {SIM_PID}, \"tid\": 0, \"args\": {{\"value\": {}}}}}",
-                    json_escape(name),
-                    json_num(ts),
-                    json_num(v),
+                    escape(name),
+                    num(ts),
+                    num(v),
                 ),
             ));
         }

@@ -1,6 +1,6 @@
 //! # telemetry — structured observability for the DLB pipeline
 //!
-//! Dependency-free (std only, like `metrics`) and deterministic: recording
+//! Std only (plus the workspace's `base::json`) and deterministic: recording
 //! telemetry never touches simulated state, so a run with a
 //! [`RecordingSink`] is bit-identical to one with the default [`NullSink`]
 //! (the determinism tests enforce this).
@@ -30,12 +30,15 @@
 
 pub mod event;
 pub mod hist;
-pub mod json;
 pub mod metrics;
 pub mod ring;
 pub mod sink;
 
 mod export;
+
+/// The workspace's JSON value and parser, under the name this crate's
+/// clients have always used.
+pub use base::json;
 
 pub use event::{
     AnomalyEvent, AnomalyKind, CrashEvent, EvacuateEvent, EventKind, EventRecord, FaultEvent,

@@ -11,8 +11,8 @@
 //! tenants take consecutive group windows in submission order, which is
 //! what a per-job scheduler with no service-level view would do.
 
-use crate::rng::SplitMix64;
 use crate::spec::TenantSpec;
+use base::rng::SplitMix64;
 use topology::GroupId;
 
 /// Result of admitting a batch of tenants onto `ngroups` substrate groups.

@@ -18,14 +18,13 @@
 //!   groups through the same `Gain > γ·Cost` gate the intra-tenant DLB
 //!   uses, with α/β probed on the live substrate.
 //!
-//! Everything is deterministic per seed: the admission RNG is a local
-//! splitmix64, stepping order is a pure function of simulated clocks, and
+//! Everything is deterministic per seed: the admission RNG is
+//! `base::rng::SplitMix64`, stepping order is a pure function of simulated clocks, and
 //! recording telemetry never perturbs simulated state.
 
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod rng;
 pub mod service;
 pub mod spec;
 

@@ -441,7 +441,7 @@ mod tests {
                     low: 0.1,
                     high: 0.5,
                     p_on: 0.4,
-                    slot: topology::SimTime::from_secs(2).into(),
+                    slot: topology::SimTime::from_secs(2),
                     seed: s,
                 },
             )

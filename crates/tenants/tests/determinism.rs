@@ -19,7 +19,7 @@ fn substrate() -> DistributedSystem {
                 low: 0.1,
                 high: 0.6,
                 p_on: 0.4,
-                slot: topology::SimTime::from_secs(2).into(),
+                slot: topology::SimTime::from_secs(2),
                 seed: s,
             },
         )

@@ -10,11 +10,10 @@
 //! so simulations stay reproducible regardless of query order.
 
 use crate::time::SimTime;
-use crate::traffic::{splitmix64, SimTimeSerde};
-use serde::{Deserialize, Serialize};
+use base::rng::splitmix64;
 
 /// What a link does wrong during a fault window.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultKind {
     /// Link is down: sends fail fast (the sender detects the dead peer
     /// after a round-trip's worth of waiting).
@@ -30,22 +29,22 @@ pub enum FaultKind {
 }
 
 /// One fault window `[start, end)` on a link's timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultWindow {
-    pub start: SimTimeSerde,
-    pub end: SimTimeSerde,
+    pub start: SimTime,
+    pub end: SimTime,
     pub kind: FaultKind,
 }
 
 impl FaultWindow {
     /// Does this window cover time `t`?
     pub fn contains(&self, t: SimTime) -> bool {
-        SimTime::from(self.start) <= t && t < SimTime::from(self.end)
+        self.start <= t && t < self.end
     }
 
     /// Does this window overlap the half-open span `[t0, t1)`?
     pub fn overlaps(&self, t0: SimTime, t1: SimTime) -> bool {
-        SimTime::from(self.start) < t1 && t0 < SimTime::from(self.end)
+        self.start < t1 && t0 < self.end
     }
 }
 
@@ -73,7 +72,7 @@ impl LinkHealth {
 
 /// A link's fault timeline. The default schedule is empty (a fault-free
 /// link), so existing configurations deserialize unchanged.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultSchedule {
     pub windows: Vec<FaultWindow>,
 }
@@ -92,11 +91,7 @@ impl FaultSchedule {
     /// Builder: add one window `[start, end)`.
     pub fn with_window(mut self, start: SimTime, end: SimTime, kind: FaultKind) -> FaultSchedule {
         assert!(start < end, "fault window must have positive length");
-        self.windows.push(FaultWindow {
-            start: start.into(),
-            end: end.into(),
-            kind,
-        });
+        self.windows.push(FaultWindow { start, end, kind });
         self
     }
 
@@ -169,7 +164,7 @@ impl FaultSchedule {
                 FaultKind::DropLarge { threshold_bytes } => bytes > threshold_bytes,
                 FaultKind::Slowdown { .. } => false,
             })
-            .map(|w| (SimTime::from(w.start).max(t0), w.kind))
+            .map(|w| (w.start.max(t0), w.kind))
             .min_by_key(|(t, _)| *t)
     }
 
@@ -224,17 +219,17 @@ impl FaultSchedule {
 /// One crash window `[start, end)` on a processor's timeline: the proc is
 /// dead (crash-stop) for the whole window and rejoins, empty-handed, at
 /// `end`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProcFaultWindow {
-    pub start: SimTimeSerde,
-    pub end: SimTimeSerde,
+    pub start: SimTime,
+    pub end: SimTime,
 }
 
 impl ProcFaultWindow {
     /// Is the proc dead at time `t`? Half-open like [`FaultWindow`]:
     /// dead at `start`, alive again at `end`.
     pub fn contains(&self, t: SimTime) -> bool {
-        SimTime::from(self.start) <= t && t < SimTime::from(self.end)
+        self.start <= t && t < self.end
     }
 }
 
@@ -244,7 +239,7 @@ impl ProcFaultWindow {
 /// detection is reproducible regardless of query order. Windows of one
 /// proc never overlap (alternating up/down spans by construction;
 /// [`ProcFaultSchedule::with_crash`] asserts it for hand-built schedules).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProcFaultSchedule {
     pub windows: Vec<Vec<ProcFaultWindow>>,
 }
@@ -276,14 +271,11 @@ impl ProcFaultSchedule {
         }
         for w in &self.windows[p] {
             assert!(
-                end <= SimTime::from(w.start) || SimTime::from(w.end) <= start,
+                end <= w.start || w.end <= start,
                 "crash windows of one proc must not overlap"
             );
         }
-        self.windows[p].push(ProcFaultWindow {
-            start: start.into(),
-            end: end.into(),
-        });
+        self.windows[p].push(ProcFaultWindow { start, end });
         self
     }
 
@@ -303,7 +295,7 @@ impl ProcFaultSchedule {
             .get(p)?
             .iter()
             .find(|w| w.contains(t))
-            .map(|w| SimTime::from(w.start))
+            .map(|w| w.start)
     }
 
     /// Generate a seeded, deterministic schedule over `[0, horizon)` for
@@ -466,8 +458,8 @@ mod tests {
         assert_eq!(a, b);
         assert!(!a.is_quiet(), "1000 s horizon with 60 s MTBF should fault");
         for w in &a.windows {
-            assert!(SimTime::from(w.start) < SimTime::from(w.end));
-            assert!(SimTime::from(w.end) <= secs(1000));
+            assert!(w.start < w.end);
+            assert!(w.end <= secs(1000));
         }
         let c = FaultSchedule::generate(8, secs(1000), secs(60), secs(10));
         assert_ne!(a, c, "different seeds should differ");
@@ -531,8 +523,8 @@ mod tests {
         assert!(a.windows[0].is_empty() && a.windows[4].is_empty(), "protected");
         for ws in &a.windows {
             for w in ws {
-                assert!(SimTime::from(w.start) < SimTime::from(w.end));
-                assert!(SimTime::from(w.end) <= secs(1000));
+                assert!(w.start < w.end);
+                assert!(w.end <= secs(1000));
             }
         }
         let c = ProcFaultSchedule::generate(43, 8, &prot, secs(1000), secs(60), secs(10));

@@ -4,7 +4,6 @@
 use crate::faults::{FaultSchedule, LinkHealth};
 use crate::time::SimTime;
 use crate::traffic::TrafficModel;
-use serde::{Deserialize, Serialize};
 
 /// A (possibly shared) network link.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// // 6 ms latency + 1 MB over the remaining 40% of 19.375 MB/s
 /// assert!((t.as_secs_f64() - (0.006 + 1e6 / (19.375e6 * 0.4))).abs() < 1e-9);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Link {
     /// Human-readable name for reports ("MREN OC-3", "GigE", …).
     pub name: String,
@@ -36,13 +35,11 @@ pub struct Link {
     pub bandwidth: f64,
     /// Background traffic on the link (Quiet for dedicated links).
     pub traffic: TrafficModel,
-    /// Fault timeline (empty for a fault-free link; `#[serde(default)]`
-    /// keeps pre-fault configurations loadable).
-    #[serde(default)]
+    /// Fault timeline (empty for a fault-free link).
     pub faults: FaultSchedule,
 }
 
-/// Serde-friendly nanosecond count for latencies.
+/// Nanosecond count for latencies.
 pub type SimTimeNanos = u64;
 
 impl Link {
@@ -146,7 +143,7 @@ mod tests {
             1e8,
             TrafficModel::Trace {
                 initial: 0.0,
-                points: vec![(SimTime::from_secs(10).into(), 0.9)],
+                points: vec![(SimTime::from_secs(10), 0.9)],
             },
         );
         assert!(l.beta(SimTime::from_secs(0)) < l.beta(SimTime::from_secs(10)));

@@ -12,6 +12,7 @@ use crate::link::Link;
 use crate::system::{DistributedSystem, SystemBuilder, TierTopology};
 use crate::time::SimTime;
 use crate::traffic::TrafficModel;
+use base::rng::splitmix64;
 use std::collections::BTreeMap;
 
 /// Origin2000 intra-machine interconnect (CrayLink-class): a dedicated,
@@ -30,7 +31,7 @@ pub fn gige_lan(seed: u64) -> Link {
             low: 0.10,
             high: 0.55,
             p_on: 0.35,
-            slot: SimTime::from_secs(2).into(),
+            slot: SimTime::from_secs(2),
             seed,
         },
     )
@@ -46,7 +47,7 @@ pub fn mren_oc3_wan(seed: u64) -> Link {
             low: 0.25,
             high: 0.75,
             p_on: 0.45,
-            slot: SimTime::from_secs(5).into(),
+            slot: SimTime::from_secs(5),
             seed,
         },
     )
@@ -92,7 +93,7 @@ pub fn three_site_wan(na: usize, nb: usize, nc: usize, seed: u64) -> Distributed
                 low: 0.3,
                 high: 0.8,
                 p_on: 0.5,
-                slot: SimTime::from_secs(4).into(),
+                slot: SimTime::from_secs(4),
                 seed,
             },
         )
@@ -136,14 +137,6 @@ pub fn faulty_anl_ncsa_wan(
 /// (or a region) and subtree traffic stays on the cheap low tiers.
 pub const FEDERATION_FANOUT: usize = 8;
 
-/// SplitMix64 — the deterministic per-entity seed/weight mixer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Metro-area network joining the sites of one region: an order of
 /// magnitude slower than the site LAN, an order faster than the WAN.
 fn metro_man(seed: u64) -> Link {
@@ -155,7 +148,7 @@ fn metro_man(seed: u64) -> Link {
             low: 0.15,
             high: 0.60,
             p_on: 0.40,
-            slot: SimTime::from_secs(3).into(),
+            slot: SimTime::from_secs(3),
             seed,
         },
     )
@@ -182,13 +175,13 @@ pub fn federation(ngroups: usize, procs_per_group: usize, seed: u64) -> Distribu
         let region = site_global / FEDERATION_FANOUT;
         let site = site_global % FEDERATION_FANOUT;
         coords.push((region, site));
-        site_links
-            .entry((region, site))
-            .or_insert_with(|| gige_lan(mix(seed ^ 0x5349_5445).wrapping_add(site_global as u64)));
-        region_links
-            .entry(region)
-            .or_insert_with(|| metro_man(mix(seed ^ 0x5245_4749).wrapping_add(region as u64)));
-        let weight = 0.75 + 0.5 * (mix(seed.wrapping_add(g as u64)) % 1000) as f64 / 1000.0;
+        site_links.entry((region, site)).or_insert_with(|| {
+            gige_lan(splitmix64(seed ^ 0x5349_5445).wrapping_add(site_global as u64))
+        });
+        region_links.entry(region).or_insert_with(|| {
+            metro_man(splitmix64(seed ^ 0x5245_4749).wrapping_add(region as u64))
+        });
+        let weight = 0.75 + 0.5 * (splitmix64(seed.wrapping_add(g as u64)) % 1000) as f64 / 1000.0;
         b = b.group(
             &format!("R{region}S{site}G{g}"),
             procs_per_group,
@@ -201,7 +194,7 @@ pub fn federation(ngroups: usize, procs_per_group: usize, seed: u64) -> Distribu
         for rb in (ra + 1)..nregions {
             wan_links.insert(
                 (ra, rb),
-                mren_oc3_wan(mix(seed ^ 0x5741_4E00).wrapping_add((ra * 1024 + rb) as u64)),
+                mren_oc3_wan(splitmix64(seed ^ 0x5741_4E00).wrapping_add((ra * 1024 + rb) as u64)),
             );
         }
     }

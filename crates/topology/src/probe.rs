@@ -455,7 +455,7 @@ mod tests {
             1e7,
             TrafficModel::Trace {
                 initial: 0.0,
-                points: vec![(SimTime::from_secs(10).into(), 0.9)],
+                points: vec![(SimTime::from_secs(10), 0.9)],
             },
         );
         est.refresh(&link, SimTime::ZERO).unwrap();
@@ -478,7 +478,7 @@ mod tests {
             1e7,
             TrafficModel::Trace {
                 initial: 0.0,
-                points: vec![(SimTime::from_secs(10).into(), 0.9)],
+                points: vec![(SimTime::from_secs(10), 0.9)],
             },
         );
         est.refresh(&link, SimTime::ZERO).unwrap();
@@ -563,7 +563,7 @@ mod tests {
             1e7,
             TrafficModel::Trace {
                 initial: 0.0,
-                points: vec![(SimTime::from_secs(60).into(), 0.9)],
+                points: vec![(SimTime::from_secs(60), 0.9)],
             },
         );
         let mut est = LinkEstimator::paper_default()
@@ -590,7 +590,7 @@ mod tests {
             1e7,
             TrafficModel::Trace {
                 initial: 0.0,
-                points: vec![(SimTime::from_secs(10).into(), 0.9)],
+                points: vec![(SimTime::from_secs(10), 0.9)],
             },
         );
         let lambda = 0.5;

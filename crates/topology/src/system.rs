@@ -10,19 +10,18 @@
 
 use crate::link::Link;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Global processor index (dense, `0..nprocs`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ProcId(pub usize);
 
 /// Group index (dense, `0..ngroups`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct GroupId(pub usize);
 
 /// One processor of the distributed system.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Processor {
     pub id: ProcId,
     pub group: GroupId,
@@ -33,7 +32,7 @@ pub struct Processor {
 }
 
 /// A homogeneous set of processors sharing a dedicated intra-network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Group {
     pub id: GroupId,
     pub name: String,
@@ -57,7 +56,7 @@ impl Group {
 /// traffic is a pure function of time and seed), so sharing one [`Link`]
 /// across every pair it serves is sound; the simulator still contends
 /// traffic per group pair.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TierTopology {
     /// `(region, site)` coordinate per group, indexed by group id.
     pub coords: Vec<(usize, usize)>,
@@ -93,7 +92,7 @@ impl TierTopology {
 }
 
 /// A distributed system: groups of processors plus inter-group links.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DistributedSystem {
     groups: Vec<Group>,
     procs: Vec<Processor>,
@@ -101,7 +100,6 @@ pub struct DistributedSystem {
     inter: BTreeMap<(usize, usize), Link>,
     /// Tiered connectivity backing the pairs `inter` does not list
     /// (federation-scale systems; absent for the explicit-map presets).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     tiers: Option<TierTopology>,
 }
 

@@ -11,10 +11,10 @@
 //! reproducible regardless of query order.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
+use base::rng::splitmix64;
 
 /// Deterministic background-utilization model of a shared link.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TrafficModel {
     /// Dedicated link: no background traffic ever.
     Quiet,
@@ -25,7 +25,7 @@ pub enum TrafficModel {
     Diurnal {
         base: f64,
         amp: f64,
-        period: SimTimeSerde,
+        period: SimTime,
     },
     /// Markov-style bursty traffic: time is divided into `slot` buckets; each
     /// bucket is "on" (utilization `high`) with probability `p_on`, otherwise
@@ -35,40 +35,15 @@ pub enum TrafficModel {
         low: f64,
         high: f64,
         p_on: f64,
-        slot: SimTimeSerde,
+        slot: SimTime,
         seed: u64,
     },
     /// Piecewise-constant trace: `(start_time, load)` pairs sorted by time;
     /// load before the first point is `initial`.
     Trace {
         initial: f64,
-        points: Vec<(SimTimeSerde, f64)>,
+        points: Vec<(SimTime, f64)>,
     },
-}
-
-/// Serde-friendly nanosecond wrapper (SimTime stored as u64 nanos).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SimTimeSerde(pub u64);
-
-impl From<SimTime> for SimTimeSerde {
-    fn from(t: SimTime) -> Self {
-        SimTimeSerde(t.as_nanos())
-    }
-}
-
-impl From<SimTimeSerde> for SimTime {
-    fn from(t: SimTimeSerde) -> Self {
-        SimTime(t.0)
-    }
-}
-
-/// SplitMix64 — tiny, high-quality hash for bucket randomization (also
-/// the RNG behind [`crate::faults::FaultSchedule::generate`]).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 fn unit_hash(seed: u64, bucket: u64) -> f64 {
@@ -85,7 +60,7 @@ impl TrafficModel {
             TrafficModel::Quiet => 0.0,
             TrafficModel::Constant { load } => *load,
             TrafficModel::Diurnal { base, amp, period } => {
-                let p: SimTime = (*period).into();
+                let p = *period;
                 let phase = if p.as_nanos() == 0 {
                     0.0
                 } else {
@@ -100,7 +75,7 @@ impl TrafficModel {
                 slot,
                 seed,
             } => {
-                let s: SimTime = (*slot).into();
+                let s = *slot;
                 let bucket = if s.as_nanos() == 0 {
                     0
                 } else {
@@ -115,7 +90,7 @@ impl TrafficModel {
             TrafficModel::Trace { initial, points } => {
                 let mut load = *initial;
                 for (pt, l) in points {
-                    if SimTime::from(*pt) <= t {
+                    if *pt <= t {
                         load = *l;
                     } else {
                         break;
@@ -168,7 +143,7 @@ mod tests {
         let m = TrafficModel::Diurnal {
             base: 0.4,
             amp: 0.3,
-            period: SimTime::from_secs(100).into(),
+            period: SimTime::from_secs(100),
         };
         let quarter = m.utilization(SimTime::from_secs(25));
         assert!((quarter - 0.7).abs() < 1e-9);
@@ -187,7 +162,7 @@ mod tests {
             low: 0.1,
             high: 0.8,
             p_on: 0.5,
-            slot: SimTime::from_secs(1).into(),
+            slot: SimTime::from_secs(1),
             seed: 42,
         };
         for s in 0..50 {
@@ -207,7 +182,7 @@ mod tests {
             low: 0.0,
             high: 0.9,
             p_on: 0.5,
-            slot: SimTime::from_secs(10).into(),
+            slot: SimTime::from_secs(10),
             seed: 7,
         };
         let a = m.utilization(SimTime::from_secs(20));
@@ -219,10 +194,7 @@ mod tests {
     fn trace_steps() {
         let m = TrafficModel::Trace {
             initial: 0.1,
-            points: vec![
-                (SimTime::from_secs(10).into(), 0.7),
-                (SimTime::from_secs(20).into(), 0.2),
-            ],
+            points: vec![(SimTime::from_secs(10), 0.7), (SimTime::from_secs(20), 0.2)],
         };
         assert_eq!(m.utilization(SimTime::from_secs(5)), 0.1);
         assert_eq!(m.utilization(SimTime::from_secs(10)), 0.7);
@@ -236,7 +208,7 @@ mod tests {
             low: 0.0,
             high: 0.9,
             p_on: 0.5,
-            slot: SimTime::from_secs(1).into(),
+            slot: SimTime::from_secs(1),
             seed,
         };
         let a = mk(1);

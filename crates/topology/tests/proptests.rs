@@ -1,118 +1,152 @@
 //! Property-based tests for links, traffic models, probes and systems.
 
-use proptest::prelude::*;
+use base::prop::{self, Gen};
 use topology::link::Link;
 use topology::probe::probe_link;
 use topology::traffic::TrafficModel;
 use topology::{SimTime, SystemBuilder};
 
-fn arb_traffic() -> impl Strategy<Value = TrafficModel> {
-    prop_oneof![
-        Just(TrafficModel::Quiet),
-        (0.0f64..0.99).prop_map(|load| TrafficModel::Constant { load }),
-        (0.1f64..0.6, 0.0f64..0.35, 1u64..600).prop_map(|(base, amp, p)| {
-            TrafficModel::Diurnal {
-                base,
-                amp,
-                period: SimTime::from_secs(p).into(),
-            }
-        }),
-        (0.0f64..0.4, 0.4f64..0.95, 0.0f64..1.0, 1u64..60, any::<u64>()).prop_map(
-            |(low, high, p_on, slot, seed)| TrafficModel::Bursty {
-                low,
-                high,
-                p_on,
-                slot: SimTime::from_secs(slot).into(),
-                seed,
-            }
-        ),
-    ]
+fn arb_traffic(g: &mut Gen) -> TrafficModel {
+    match g.usize(0..4) {
+        0 => TrafficModel::Quiet,
+        1 => TrafficModel::Constant {
+            load: g.f64(0.0..0.99),
+        },
+        2 => TrafficModel::Diurnal {
+            base: g.f64(0.1..0.6),
+            amp: g.f64(0.0..0.35),
+            period: SimTime::from_secs(g.u64(1..600)),
+        },
+        _ => TrafficModel::Bursty {
+            low: g.f64(0.0..0.4),
+            high: g.f64(0.4..0.95),
+            p_on: g.f64(0.0..1.0),
+            slot: SimTime::from_secs(g.u64(1..60)),
+            seed: g.any_u64(),
+        },
+    }
 }
 
-proptest! {
-    #[test]
-    fn utilization_always_in_unit_range(m in arb_traffic(), t in 0u64..100_000) {
-        let u = m.utilization(SimTime::from_millis(t));
-        prop_assert!((0.0..=0.99).contains(&u), "u = {}", u);
-    }
+#[test]
+fn utilization_always_in_unit_range() {
+    prop::check(
+        prop::CASES,
+        |g| (arb_traffic(g), g.u64(0..100_000)),
+        |(m, t)| {
+            let u = m.utilization(SimTime::from_millis(t));
+            assert!((0.0..=0.99).contains(&u), "u = {u}");
+        },
+    );
+}
 
-    #[test]
-    fn utilization_is_pure(m in arb_traffic(), t in 0u64..100_000) {
-        let time = SimTime::from_millis(t);
-        prop_assert_eq!(m.utilization(time), m.utilization(time));
-    }
+#[test]
+fn utilization_is_pure() {
+    prop::check(
+        prop::CASES,
+        |g| (arb_traffic(g), g.u64(0..100_000)),
+        |(m, t)| {
+            let time = SimTime::from_millis(t);
+            assert_eq!(m.utilization(time), m.utilization(time));
+        },
+    );
+}
 
-    #[test]
-    fn transfer_time_monotone_in_bytes(
-        m in arb_traffic(),
-        lat_us in 0u64..20_000,
-        bw in 1e6f64..1e9,
-        bytes in 0u64..100_000_000,
-        extra in 1u64..1_000_000,
-        t in 0u64..10_000,
-    ) {
-        let link = Link::shared("x", SimTime::from_micros(lat_us), bw, m);
-        let time = SimTime::from_millis(t);
-        let small = link.transfer_time(time, bytes);
-        let large = link.transfer_time(time, bytes + extra);
-        prop_assert!(large >= small);
-        // never faster than latency alone
-        prop_assert!(small >= SimTime::from_micros(lat_us));
-    }
+#[test]
+fn transfer_time_monotone_in_bytes() {
+    prop::check(
+        prop::CASES,
+        |g| {
+            (
+                arb_traffic(g),
+                g.u64(0..20_000),
+                g.f64(1e6..1e9),
+                g.u64(0..100_000_000),
+                g.u64(1..1_000_000),
+                g.u64(0..10_000),
+            )
+        },
+        |(m, lat_us, bw, bytes, extra, t)| {
+            let link = Link::shared("x", SimTime::from_micros(lat_us), bw, m);
+            let time = SimTime::from_millis(t);
+            let small = link.transfer_time(time, bytes);
+            let large = link.transfer_time(time, bytes + extra);
+            assert!(large >= small);
+            // never faster than latency alone
+            assert!(small >= SimTime::from_micros(lat_us));
+        },
+    );
+}
 
-    #[test]
-    fn probe_recovers_params_within_tolerance(
-        lat_us in 1u64..20_000,
-        bw in 1e6f64..1e9,
-        load in 0.0f64..0.9,
-    ) {
-        // constant background: the two probe messages see the same link
-        // state, so the estimate must match the true α and effective β
-        let link = Link::shared(
-            "x",
-            SimTime::from_micros(lat_us),
-            bw,
-            TrafficModel::Constant { load },
-        );
-        let s = probe_link(&link, SimTime::ZERO, 1 << 10, 1 << 17)
-            .expect("fault-free link probes must succeed");
-        let true_alpha = lat_us as f64 * 1e-6;
-        let true_beta = 1.0 / (bw * (1.0 - load));
-        prop_assert!((s.alpha - true_alpha).abs() <= true_alpha * 0.01 + 1e-9,
-            "alpha {} vs {}", s.alpha, true_alpha);
-        prop_assert!((s.beta - true_beta).abs() <= true_beta * 0.01 + 1e-15,
-            "beta {} vs {}", s.beta, true_beta);
-    }
+#[test]
+fn probe_recovers_params_within_tolerance() {
+    prop::check(
+        prop::CASES,
+        |g| (g.u64(1..20_000), g.f64(1e6..1e9), g.f64(0.0..0.9)),
+        |(lat_us, bw, load)| {
+            // constant background: the two probe messages see the same link
+            // state, so the estimate must match the true α and effective β
+            let link = Link::shared(
+                "x",
+                SimTime::from_micros(lat_us),
+                bw,
+                TrafficModel::Constant { load },
+            );
+            let s = probe_link(&link, SimTime::ZERO, 1 << 10, 1 << 17)
+                .expect("fault-free link probes must succeed");
+            let true_alpha = lat_us as f64 * 1e-6;
+            let true_beta = 1.0 / (bw * (1.0 - load));
+            assert!(
+                (s.alpha - true_alpha).abs() <= true_alpha * 0.01 + 1e-9,
+                "alpha {} vs {true_alpha}",
+                s.alpha
+            );
+            assert!(
+                (s.beta - true_beta).abs() <= true_beta * 0.01 + 1e-15,
+                "beta {} vs {true_beta}",
+                s.beta
+            );
+        },
+    );
+}
 
-    #[test]
-    fn group_powers_sum_to_total(
-        na in 1usize..9,
-        nb in 1usize..9,
-        wa in 0.25f64..4.0,
-        wb in 0.25f64..4.0,
-    ) {
-        let intra = Link::dedicated("intra", SimTime::ZERO, 1e9);
-        let wan = Link::dedicated("wan", SimTime::from_millis(1), 1e7);
-        let sys = SystemBuilder::new()
-            .group("A", na, wa, intra.clone())
-            .group("B", nb, wb, intra)
-            .connect(0, 1, wan)
-            .build();
-        let total: f64 = (0..sys.ngroups())
-            .map(|g| sys.group_power(topology::GroupId(g)))
-            .sum();
-        prop_assert!((total - sys.total_power()).abs() < 1e-9);
-        prop_assert_eq!(sys.nprocs(), na + nb);
-        // every processor belongs to exactly one group's roster
-        for p in sys.procs() {
-            let g = sys.group(p.group);
-            prop_assert!(g.procs.contains(&p.id));
-        }
-    }
+#[test]
+fn group_powers_sum_to_total() {
+    prop::check(
+        prop::CASES,
+        |g| {
+            (
+                g.usize(1..9),
+                g.usize(1..9),
+                g.f64(0.25..4.0),
+                g.f64(0.25..4.0),
+            )
+        },
+        |(na, nb, wa, wb)| {
+            let intra = Link::dedicated("intra", SimTime::ZERO, 1e9);
+            let wan = Link::dedicated("wan", SimTime::from_millis(1), 1e7);
+            let sys = SystemBuilder::new()
+                .group("A", na, wa, intra.clone())
+                .group("B", nb, wb, intra)
+                .connect(0, 1, wan)
+                .build();
+            let total: f64 = (0..sys.ngroups())
+                .map(|g| sys.group_power(topology::GroupId(g)))
+                .sum();
+            assert!((total - sys.total_power()).abs() < 1e-9);
+            assert_eq!(sys.nprocs(), na + nb);
+            // every processor belongs to exactly one group's roster
+            for p in sys.procs() {
+                let g = sys.group(p.group);
+                assert!(g.procs.contains(&p.id));
+            }
+        },
+    );
+}
 
-    #[test]
-    fn mean_utilization_within_extremes(m in arb_traffic()) {
+#[test]
+fn mean_utilization_within_extremes() {
+    prop::check(prop::CASES, arb_traffic, |m| {
         let mean = m.mean_utilization(SimTime::ZERO, SimTime::from_secs(1000), 200);
-        prop_assert!((0.0..=0.99).contains(&mean));
-    }
+        assert!((0.0..=0.99).contains(&mean));
+    });
 }

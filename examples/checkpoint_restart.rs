@@ -28,7 +28,7 @@ fn main() {
     driver.step_once();
     driver.step_once();
     let ckpt = driver.checkpoint();
-    let json = ckpt.to_json();
+    let json = ckpt.to_json().expect("the solution is finite");
     std::fs::create_dir_all("results").ok();
     std::fs::write("results/checkpoint.json", &json).expect("write checkpoint");
     println!(
@@ -37,8 +37,9 @@ fn main() {
         json.len() / 1024
     );
 
-    // phase 2: resume on a three-site system
-    let loaded = Checkpoint::from_json(&json).expect("parse checkpoint");
+    // phase 2: resume from the file, on a three-site system
+    let text = std::fs::read_to_string("results/checkpoint.json").expect("read checkpoint");
+    let loaded = Checkpoint::from_json(&text).expect("parse checkpoint");
     let sys2 = presets::three_site_wan(2, 2, 2, 7);
     println!("\nphase 2 on {}", sys2.describe());
     let mut resumed = Driver::resume(sys2, cfg(), &loaded);

@@ -125,10 +125,7 @@ fn main() {
     let result = Driver::new(sys, cfg).run();
 
     if a.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&result).expect("result serializes")
-        );
+        println!("{}", base::json::ToJson::to_json(&result).to_pretty());
     } else {
         println!("{}", result.summary());
         println!(

@@ -1,5 +1,5 @@
 //! Every run must be a pure function of (app, system, scheme, seed) —
-//! including across host thread counts, since rayon only parallelizes
+//! including across host thread counts, since the worker pool only parallelizes
 //! independent per-patch numerics.
 
 use samr_dlb::prelude::*;
@@ -159,17 +159,11 @@ fn metric_series_and_anomalies_replay_bit_for_bit() {
 
 #[test]
 fn thread_count_does_not_change_results() {
-    let one = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap()
-        .install(run_result);
-    let four = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap()
-        .install(run_result);
-    assert_eq!(fingerprint(&one), fingerprint(&four));
+    let one = fingerprint(&par::with_threads(1, run_result));
+    for threads in [2, 4, 8] {
+        let many = par::with_threads(threads, run_result);
+        assert_eq!(fingerprint(&many), one, "threads={threads}");
+    }
 }
 
 #[test]
