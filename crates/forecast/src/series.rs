@@ -6,18 +6,17 @@ use crate::predictor::{ForecastValue, MaeTracker, Predictor};
 use crate::predictors::Model;
 use crate::{derive_seed, AdaptiveSelector};
 
-/// One scalar observation stream with a model, out-of-sample MAE tracking,
-/// and the latest raw observation kept alongside the forecast.
+/// One scalar observation stream with a model and out-of-sample MAE
+/// tracking.
 #[derive(Clone, Debug)]
 pub struct SeriesForecaster {
     model: Model,
     mae: MaeTracker,
-    last: Option<(f64, f64)>,
 }
 
 impl SeriesForecaster {
     pub fn new(kind: PredictorKind, seed: u64) -> Self {
-        SeriesForecaster { model: kind.build(seed), mae: MaeTracker::default(), last: None }
+        SeriesForecaster { model: kind.build(seed), mae: MaeTracker::default() }
     }
 
     /// Fold in an observation at time `t` (seconds). The pre-observation
@@ -31,7 +30,6 @@ impl SeriesForecaster {
             self.mae.record(f, value);
         }
         self.model.observe(t, value);
-        self.last = Some((t, value));
     }
 
     /// Point forecast of the next observation (`None` before data).
@@ -52,11 +50,6 @@ impl SeriesForecaster {
     /// Number of scored (forecast, observation) pairs.
     pub fn scored_samples(&self) -> u64 {
         self.mae.samples()
-    }
-
-    /// The latest raw `(t, value)` observation.
-    pub fn last_observation(&self) -> Option<(f64, f64)> {
-        self.last
     }
 
     /// Name of the configured model (`"adaptive"` for a selector).

@@ -61,10 +61,8 @@ impl PhaseWall {
 }
 
 /// Host wall-clock seconds of [`PhaseWall::ghost`] by part of the planned
-/// exchange; the four sum to it (the clone-based reference exchange is not
-/// split and leaves them zero). Real
-/// seconds on the machine running the simulation, so never part of a
-/// fingerprint.
+/// exchange; the four sum to it. Real seconds on the machine running the
+/// simulation, so never part of a fingerprint.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GhostWall {
     /// Fetching the level's exchange plan: a cache hit, or the rebuild

@@ -253,42 +253,6 @@ impl AppState {
         }
     }
 
-    /// The reference-datapath counterpart of [`AppState::step_patch`]: the
-    /// same physics through the retained per-cell `reference` solver modules
-    /// (update-list sweeps, two Riemann solves per cell, per-cell index
-    /// math). The golden tests and kernel proptests pin these bit-identical
-    /// to the optimized kernels, so a `reference_datapath` run measures
-    /// exactly what the optimized solve/ghost/restrict paths buy while
-    /// producing the same trace.
-    pub fn step_patch_reference<P: FieldAlloc>(
-        &self,
-        fields: &mut [Field3],
-        dt_over_dx: f64,
-        pool: &P,
-    ) {
-        match self.kind {
-            AppKind::ShockPool3D => {
-                euler::reference::euler_step(fields, dt_over_dx, self.gamma);
-            }
-            AppKind::Amr64 => {
-                euler::reference::euler_step(&mut fields[..euler::NFIELDS], dt_over_dx, self.gamma);
-                let (head, tail) = fields.split_at_mut(euler::NFIELDS);
-                let rho = &head[F::RHO];
-                let phi = &mut tail[0];
-                let mut rhs = rho.clone_in(pool);
-                samr_mesh::field::reference::map_interior(&mut rhs, |_, v| v - 1.0);
-                for _ in 0..2 {
-                    poisson::reference::rbgs_sweep(phi, &rhs, 1.0);
-                }
-                rhs.recycle(pool);
-            }
-            AppKind::AdvectBlob => {
-                let c = dt_over_dx;
-                advection::reference::advect_step(&mut fields[0], [c, 0.6 * c, 0.0], true);
-            }
-        }
-    }
-
     /// Advance global (non-grid) state once per level-0 step: AMR64's
     /// particle trajectories.
     pub fn post_level0_step(&mut self, dt0: f64, domain: Region) {
@@ -335,6 +299,94 @@ impl AppState {
 mod tests {
     use super::*;
     use samr_mesh::patch::PatchId;
+
+    impl AppState {
+        /// [`AppState::step_patch`] through the retained per-cell
+        /// `reference` solver modules (update-list sweeps, two Riemann
+        /// solves per cell, a materialised ρ − ρ̄ right-hand side): the
+        /// oracle `step_patch` is compared against.
+        fn step_patch_reference<P: FieldAlloc>(
+            &self,
+            fields: &mut [Field3],
+            dt_over_dx: f64,
+            pool: &P,
+        ) {
+            match self.kind {
+                AppKind::ShockPool3D => {
+                    euler::reference::euler_step(fields, dt_over_dx, self.gamma);
+                }
+                AppKind::Amr64 => {
+                    euler::reference::euler_step(
+                        &mut fields[..euler::NFIELDS],
+                        dt_over_dx,
+                        self.gamma,
+                    );
+                    let (head, tail) = fields.split_at_mut(euler::NFIELDS);
+                    let rho = &head[F::RHO];
+                    let phi = &mut tail[0];
+                    let mut rhs = rho.clone_in(pool);
+                    samr_mesh::field::reference::map_interior(&mut rhs, |_, v| v - 1.0);
+                    for _ in 0..2 {
+                        poisson::reference::rbgs_sweep(phi, &rhs, 1.0);
+                    }
+                    rhs.recycle(pool);
+                }
+                AppKind::AdvectBlob => {
+                    let c = dt_over_dx;
+                    advection::reference::advect_step(&mut fields[0], [c, 0.6 * c, 0.0], true);
+                }
+            }
+        }
+    }
+
+    /// Every arm of `step_patch` lands on the reference modules' bits, on
+    /// a box of uneven extents and on the two-cell-thick sliver most
+    /// mid-run patches are, ghosts filled with data of their own.
+    #[test]
+    fn step_patch_matches_the_reference_modules_for_every_app() {
+        use samr_mesh::{ivec3, region};
+        let pool = FieldPool::new();
+        let boxes = [
+            region(ivec3(-2, 3, 1), ivec3(5, 8, 14)),
+            region(ivec3(4, 0, -3), ivec3(6, 9, 8)),
+        ];
+        let bits = |fs: &[Field3]| -> Vec<Vec<u64>> {
+            fs.iter()
+                .map(|f| f.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for kind in [AppKind::ShockPool3D, AppKind::Amr64, AppKind::AdvectBlob] {
+            let app = AppState::new(kind, 16, 7);
+            for (i, &interior) in boxes.iter().enumerate() {
+                let mut rng = base::rng::SplitMix64::new(0x5eed + i as u64);
+                // subsonic states of positive pressure; φ and the scalar
+                // take the density's range
+                let mut fields: Vec<Field3> = (0..app.nfields())
+                    .map(|k| {
+                        let mut f = Field3::zeros(interior, app.ghost());
+                        for v in f.data_mut() {
+                            *v = match k {
+                                F::MX | F::MY | F::MZ => 0.6 * rng.next_f64() - 0.3,
+                                F::E => 1.0 + 2.0 * rng.next_f64(),
+                                _ => 0.5 + rng.next_f64(),
+                            };
+                        }
+                        f
+                    })
+                    .collect();
+                let before = bits(&fields);
+                let mut oracle = fields.clone();
+                app.step_patch(&mut fields, app.dt_over_dx0(), &pool);
+                app.step_patch_reference(&mut oracle, app.dt_over_dx0(), &pool);
+                assert_ne!(
+                    bits(&fields),
+                    before,
+                    "{kind:?} {interior:?}: nothing stepped"
+                );
+                assert_eq!(bits(&fields), bits(&oracle), "{kind:?} {interior:?}");
+            }
+        }
+    }
 
     /// The initial conditions are a function of the seed through
     /// `base::rng::ChaCha8`; the hashes are those of the `rand` /

@@ -87,7 +87,7 @@ impl Driver {
         let hier = samr_mesh::checkpoint::restore(&ckpt.hierarchy);
         assert_eq!(hier.nfields(), app.nfields(), "checkpoint app mismatch");
         Driver::from_parts(
-            sys,
+            simnet::SimView::new(sys),
             cfg,
             app,
             hier,

@@ -41,13 +41,6 @@ pub struct RunConfig {
     /// receiver advances with stale ghost data) and counted in
     /// [`RunResult::faults`].
     pub comm_retry: RetryPolicy,
-    /// Run solve, ghost exchange and restriction through the retained
-    /// per-cell reference implementations (clone-based exchange, update-list
-    /// sweeps) instead of the optimized kernels. Both produce bit-identical
-    /// fields and traces (enforced by the determinism tests and golden
-    /// kernel pins); the reference path exists to prove that and to measure
-    /// the speedup the optimized path buys.
-    pub reference_datapath: bool,
     /// Seeded crash/rejoin windows per processor. A proc inside a crash
     /// window is dead: its sends fail fast, its group runs the global phase
     /// at reduced capacity, and the driver evacuates its patches at the
@@ -89,7 +82,6 @@ impl RunConfig {
             max_box_cells: (n0 * n0 * n0 / 8).max(512),
             cost_per_cell: None,
             comm_retry: RetryPolicy::default(),
-            reference_datapath: false,
             proc_faults: ProcFaultSchedule::default(),
             pool_warmup_steps: 2,
             telemetry: telemetry::Telemetry::null(),

@@ -19,7 +19,7 @@ use samr_mesh::checkpoint::HierarchySnapshot;
 use samr_mesh::cluster::{berger_rigoutsos, ClusterParams};
 use samr_mesh::field::Field3;
 use samr_mesh::hierarchy::{BoxIndex, FillSource, GridHierarchy};
-use samr_mesh::interp::{prolong_constant, prolong_constant_fields, restrict_average};
+use samr_mesh::interp::{prolong_constant_fields, restrict_average};
 use samr_mesh::patch::PatchId;
 use samr_mesh::region::Region;
 use simnet::{send_with_retry, Activity, SimView};
@@ -65,9 +65,6 @@ pub struct Driver {
     ghost_wall: metrics::GhostWall,
     /// Most grids alive at any point of the run.
     peak_patches: usize,
-    /// Cells the clone-based reference exchange would have copied for the
-    /// same fills — the allocation the planned path avoids.
-    ghost_clone_cells_avoided: u64,
     /// Liveness edge detector for crash-stop proc faults.
     proc_health: ProcHealth,
     /// Simulated time each currently-dead proc's crash was detected at.
@@ -119,43 +116,8 @@ impl Driver {
             let id = hier.insert_patch(0, region, None, proc_ix);
             app.init_patch(hier.patch_mut(id));
         }
-        let nprocs = sim.system().nprocs();
-        let mut d = Driver {
-            cfg,
-            app,
-            sim,
-            hier,
-            history: WorkloadHistory::new(nprocs),
-            scheme: SchemeInstance::Static, // replaced in run()
-            step_count: Vec::new(),
-            old_data: Vec::new(),
-            cell_updates: 0,
-            trace: RunTrace::default(),
-            failed_transfers: 0,
-            transfer_retries: 0,
-            faults_seen: StepFaults::default(),
-            proc_weights: shares,
-            wall: metrics::PhaseWall::default(),
-            ghost_wall: metrics::GhostWall::default(),
-            peak_patches: 0,
-            ghost_clone_cells_avoided: 0,
-            proc_health: ProcHealth::new(nprocs),
-            crashed_at: Default::default(),
-            recovery_snapshot: None,
-            recovery_pending: StepRecovery::default(),
-            mttrs: Vec::new(),
-            evacuations: 0,
-            pool_class_baseline: Default::default(),
-        };
-        d.scheme = d.cfg.scheme.instantiate();
-        // the sim owns the run's telemetry handle: the scheme reaches it via
-        // LbContext, and sim.reset() clears setup-time records
-        d.sim.set_telemetry(d.cfg.telemetry.clone());
-        if !d.cfg.proc_faults.is_quiet() {
-            d.sim.set_proc_faults(d.cfg.proc_faults.clone());
-        }
-        d.step_count = vec![0; d.cfg.max_levels];
-        d.old_data = vec![Vec::new(); d.cfg.max_levels];
+        let history = WorkloadHistory::new(sim.system().nprocs());
+        let mut d = Driver::from_parts(sim, cfg, app, hier, history, Vec::new(), 0);
         // build the initial hierarchy: regrid cascade, no timing charged
         // (setup happens before the measured run on all schemes equally)
         for l in 0..d.cfg.max_levels - 1 {
@@ -225,23 +187,11 @@ impl Driver {
         self.wall
     }
 
-    /// Most grids alive at any point so far.
-    pub fn peak_patch_count(&self) -> usize {
-        self.peak_patches.max(self.hier.num_patches())
-    }
-
-    /// Cells the clone-based reference exchange would have copied for the
-    /// same fills — what the planned path avoids allocating.
-    pub fn ghost_clone_cells_avoided(&self) -> u64 {
-        self.ghost_clone_cells_avoided
-    }
-
-    /// Assemble a driver from restored parts (checkpoint resume). The
-    /// hierarchy is taken as-is — no initial decomposition or regrid cascade
-    /// runs, and simulated time starts at zero.
-    #[allow(clippy::too_many_arguments)]
+    /// Assemble a driver around a hierarchy taken as-is — a restored one
+    /// (checkpoint resume) or [`Driver::new_on`]'s level-0 decomposition.
+    /// No regrid cascade runs, and simulated time starts at zero.
     pub(crate) fn from_parts(
-        sys: DistributedSystem,
+        sim: SimView,
         cfg: RunConfig,
         app: AppState,
         hier: GridHierarchy,
@@ -249,13 +199,13 @@ impl Driver {
         step_count: Vec<u64>,
         cell_updates: u64,
     ) -> Driver {
-        let proc_weights: Vec<f64> = sys.procs().iter().map(|p| p.weight).collect();
-        let nprocs = sys.nprocs();
+        let proc_weights: Vec<f64> = sim.system().procs().iter().map(|p| p.weight).collect();
+        let nprocs = sim.system().nprocs();
         let mut d = Driver {
             scheme: cfg.scheme.instantiate(),
             cfg,
             app,
-            sim: SimView::new(sys),
+            sim,
             hier,
             history,
             step_count,
@@ -269,7 +219,6 @@ impl Driver {
             wall: metrics::PhaseWall::default(),
             ghost_wall: metrics::GhostWall::default(),
             peak_patches: 0,
-            ghost_clone_cells_avoided: 0,
             proc_health: ProcHealth::new(nprocs),
             crashed_at: Default::default(),
             recovery_snapshot: None,
@@ -278,6 +227,8 @@ impl Driver {
             evacuations: 0,
             pool_class_baseline: Default::default(),
         };
+        // the sim owns the run's telemetry handle: the scheme reaches it via
+        // LbContext, and sim.reset() clears setup-time records
         d.sim.set_telemetry(d.cfg.telemetry.clone());
         if !d.cfg.proc_faults.is_quiet() {
             d.sim.set_proc_faults(d.cfg.proc_faults.clone());
@@ -829,17 +780,11 @@ impl Driver {
             .map(|&id| (id, std::mem::take(&mut self.hier.patch_mut(id).fields)))
             .collect();
         let app = &self.app;
-        let reference = self.cfg.reference_datapath;
         // each pool worker acquires/recycles solver scratch through a
         // handle bound to its own pool shard — no shared lock on the hot path
         let pool = self.hier.pool().clone();
         for_each_task_parallel(&mut work, |_, (_, fields)| {
-            let handle = pool.worker_handle();
-            if reference {
-                app.step_patch_reference(fields, dt_over_dx, &handle);
-            } else {
-                app.step_patch(fields, dt_over_dx, &handle);
-            }
+            app.step_patch(fields, dt_over_dx, &pool.worker_handle());
         });
         for (id, fields) in work {
             self.hier.patch_mut(id).fields = fields;
@@ -865,7 +810,7 @@ impl Driver {
     /// [`LevelTopology`](samr_mesh::LevelTopology) plan: per destination the
     /// sibling windows and the parent-filled `coarse_fill` boxes partition
     /// the ghost shell, so every ghost cell is written exactly once and
-    /// nothing is staged. It is bit-identical to
+    /// nothing is staged. It is bit-identical to the test module's oracle
     /// `exchange_ghosts_reference`, which writes the whole shell
     /// three times (zero-gradient, parent, siblings) and keeps the last:
     /// the last writer of a cell is its sibling window if one covers it,
@@ -878,22 +823,13 @@ impl Driver {
     /// Public so that tests and tools can run one exchange by itself; a run
     /// calls it from `advance_level`.
     pub fn exchange_ghosts(&mut self, level: usize) {
-        if self.cfg.reference_datapath {
-            let t0 = std::time::Instant::now();
-            let _span = telemetry::span!(self.cfg.telemetry, "ghost_exchange", level);
-            self.exchange_ghosts_reference(level);
-            self.wall.ghost += t0.elapsed().as_secs_f64();
-            return;
-        }
         if self.hier.level_ids(level).is_empty() {
             return;
         }
         let t0 = std::time::Instant::now();
         let _span = telemetry::span!(self.cfg.telemetry, "ghost_exchange", level);
-        let nf = self.hier.nfields();
         let r = self.hier.refine_factor();
         let topo = self.hier.exchange_topology(level);
-        self.ghost_clone_cells_avoided += topo.clone_cells_avoided as u64 * nf as u64;
         let t_plan = std::time::Instant::now();
 
         // phase 1: per destination, the ghost cells no sibling fills — by
@@ -937,7 +873,7 @@ impl Driver {
         // ghost cell has one writer, and every read is of an interior,
         // which no phase writes: neither the order of the rounds nor the
         // order inside one can change a value, and the result is the
-        // reference path's staged clones'. A round of a single block is not
+        // reference exchange's staged clones'. A round of a single block is not
         // worth waking the pool for and runs the same take / copy / put
         // back on this thread.
         let mut taken: Vec<(usize, Vec<Vec<Field3>>)> = Vec::new();
@@ -1005,7 +941,7 @@ impl Driver {
     /// Bytes each owner pair exchanges in one ghost fill of the level `topo`
     /// plans, in `(src, dst)` order: the whole shell from the parent's
     /// owner, every sibling window from its source's owner — the reference
-    /// path's entries, values and send order. Owners move without a
+    /// exchange's entries, values and send order. Owners move without a
     /// structural change, so this is per exchange.
     fn ghost_messages(&self, topo: &samr_mesh::LevelTopology) -> Vec<((usize, usize), u64)> {
         let cell_bytes = 8 * self.hier.nfields() as u64;
@@ -1040,108 +976,6 @@ impl Driver {
             same
         });
         batch
-    }
-
-    /// Clone-based reference ghost exchange: the original sequential
-    /// three-phase data path, kept verbatim so the zero-clone path above can
-    /// be proven bit-identical against it (`cfg.reference_datapath`).
-    fn exchange_ghosts_reference(&mut self, level: usize) {
-        let ids: Vec<PatchId> = self.hier.level_ids(level).to_vec();
-        if ids.is_empty() {
-            return;
-        }
-        let nf = self.hier.nfields();
-        let ghost = self.hier.ghost();
-
-        // 1) physical-boundary default
-        for &id in &ids {
-            for f in self.hier.patch_mut(id).fields.iter_mut() {
-                f.fill_ghosts_zero_gradient();
-            }
-        }
-
-        // 2) parent fill (level > 0): prolong the parent's data into the
-        // ghost shell (sibling windows are overwritten afterwards, which is
-        // the standard fill order).
-        let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
-        if level > 0 {
-            let r = self.hier.refine_factor();
-            for &id in &ids {
-                let (parent_id, region, owner) = {
-                    let p = self.hier.patch(id);
-                    (p.parent.expect("fine patch has parent"), p.region, p.owner)
-                };
-                let pool = self.hier.pool().clone();
-                let parent = self.hier.patch(parent_id);
-                let parent_owner = parent.owner;
-                let parent_fields: Vec<Field3> =
-                    parent.fields.iter().map(|f| f.clone_in(&pool)).collect();
-                let shell_boxes = region.grow(ghost).subtract(&region);
-                let mut shell_cells = 0i64;
-                {
-                    let patch = self.hier.patch_mut(id);
-                    for (k, pf) in parent_fields.iter().enumerate() {
-                        for b in &shell_boxes {
-                            prolong_constant(pf, &mut patch.fields[k], b, r);
-                        }
-                    }
-                }
-                for f in parent_fields {
-                    f.recycle(&pool);
-                }
-                for b in &shell_boxes {
-                    shell_cells += b.cells();
-                }
-                if parent_owner != owner {
-                    *batch.entry((parent_owner, owner)).or_default() +=
-                        (shell_cells as u64) * 8 * nf as u64;
-                }
-            }
-        }
-
-        // 3) sibling windows (authoritative where available)
-        let overlaps = self.hier.sibling_overlaps(level);
-        if !overlaps.is_empty() {
-            // snapshot source fields once per source patch (pooled copies,
-            // returned to the pool once every window is applied)
-            let pool = self.hier.pool().clone();
-            let mut srcs: std::collections::BTreeMap<PatchId, Vec<Field3>> = Default::default();
-            for o in &overlaps {
-                srcs.entry(o.src).or_insert_with(|| {
-                    self.hier
-                        .patch(o.src)
-                        .fields
-                        .iter()
-                        .map(|f| f.clone_in(&pool))
-                        .collect()
-                });
-            }
-            for o in &overlaps {
-                let src_owner = self.hier.patch(o.src).owner;
-                let dst_owner = self.hier.patch(o.dst).owner;
-                let sf = &srcs[&o.src];
-                let patch = self.hier.patch_mut(o.dst);
-                for (k, f) in sf.iter().enumerate() {
-                    patch.fields[k].copy_from(f, &o.window);
-                }
-                if src_owner != dst_owner {
-                    *batch.entry((src_owner, dst_owner)).or_default() +=
-                        (o.cells as u64) * 8 * nf as u64;
-                }
-            }
-            for (_, fields) in srcs {
-                for f in fields {
-                    f.recycle(&pool);
-                }
-            }
-        }
-
-        // One aggregated message per communicating owner pair — matching how
-        // MPI SAMR codes pack all boundary windows for a neighbour rank into
-        // a single send per phase.
-        for ((src, dst), bytes) in batch {
-            self.send_batch(src, dst, bytes);
-        }
     }
 
     /// Rebuild `level + 1` from the flags of `level`'s grids: flag, buffer,
@@ -1338,13 +1172,6 @@ impl Driver {
     /// keep level-id order, so the result is bit-identical to the sequential
     /// reference.
     fn restrict_level(&mut self, fine_level: usize) {
-        if self.cfg.reference_datapath {
-            let t0 = std::time::Instant::now();
-            let _span = telemetry::span!(self.cfg.telemetry, "restrict", fine_level);
-            self.restrict_level_reference(fine_level);
-            self.wall.restrict += t0.elapsed().as_secs_f64();
-            return;
-        }
         let t0 = std::time::Instant::now();
         let _span = telemetry::span!(self.cfg.telemetry, "restrict", fine_level);
         let ids: Vec<PatchId> = self.hier.level_ids(fine_level).to_vec();
@@ -1393,51 +1220,160 @@ impl Driver {
         }
         self.wall.restrict += t0.elapsed().as_secs_f64();
     }
-
-    /// Clone-based reference restriction (the original sequential data
-    /// path), kept for the bit-identity proof (`cfg.reference_datapath`).
-    fn restrict_level_reference(&mut self, fine_level: usize) {
-        let ids: Vec<PatchId> = self.hier.level_ids(fine_level).to_vec();
-        let r = self.hier.refine_factor();
-        let nf = self.hier.nfields();
-        let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
-        let pool = self.hier.pool().clone();
-        for &id in &ids {
-            let (parent_id, region, owner) = {
-                let p = self.hier.patch(id);
-                (p.parent.expect("fine patch has parent"), p.region, p.owner)
-            };
-            let child_fields: Vec<Field3> = self
-                .hier
-                .patch(id)
-                .fields
-                .iter()
-                .map(|f| f.clone_in(&pool))
-                .collect();
-            let coarse_window = region.coarsen(r);
-            let parent = self.hier.patch_mut(parent_id);
-            let parent_owner = parent.owner;
-            for (k, cf) in child_fields.iter().enumerate() {
-                restrict_average(cf, &mut parent.fields[k], &coarse_window, r);
-            }
-            for f in child_fields {
-                f.recycle(&pool);
-            }
-            if parent_owner != owner {
-                *batch.entry((owner, parent_owner)).or_default() +=
-                    (coarse_window.cells() as u64) * 8 * nf as u64;
-            }
-        }
-        for ((src, dst), bytes) in batch {
-            self.send_batch(src, dst, bytes);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{AppKind, Scheme};
+    use samr_mesh::interp::prolong_constant;
+
+    impl Driver {
+        /// Clone-based reference ghost exchange: the original sequential
+        /// three-phase data path (zero-gradient, parent, siblings — the whole
+        /// shell written three times, the last writer kept), verbatim but for
+        /// reading its windows off the all-pairs plan oracle. The oracle
+        /// [`Driver::exchange_ghosts`] is compared against.
+        fn exchange_ghosts_reference(&mut self, level: usize) {
+            let ids: Vec<PatchId> = self.hier.level_ids(level).to_vec();
+            if ids.is_empty() {
+                return;
+            }
+            let nf = self.hier.nfields();
+            let ghost = self.hier.ghost();
+
+            // 1) physical-boundary default
+            for &id in &ids {
+                for f in self.hier.patch_mut(id).fields.iter_mut() {
+                    f.fill_ghosts_zero_gradient();
+                }
+            }
+
+            // 2) parent fill (level > 0): prolong the parent's data into the
+            // ghost shell (sibling windows are overwritten afterwards, which is
+            // the standard fill order).
+            let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
+            if level > 0 {
+                let r = self.hier.refine_factor();
+                for &id in &ids {
+                    let (parent_id, region, owner) = {
+                        let p = self.hier.patch(id);
+                        (p.parent.expect("fine patch has parent"), p.region, p.owner)
+                    };
+                    let pool = self.hier.pool().clone();
+                    let parent = self.hier.patch(parent_id);
+                    let parent_owner = parent.owner;
+                    let parent_fields: Vec<Field3> =
+                        parent.fields.iter().map(|f| f.clone_in(&pool)).collect();
+                    let shell_boxes = region.grow(ghost).subtract(&region);
+                    let mut shell_cells = 0i64;
+                    {
+                        let patch = self.hier.patch_mut(id);
+                        for (k, pf) in parent_fields.iter().enumerate() {
+                            for b in &shell_boxes {
+                                prolong_constant(pf, &mut patch.fields[k], b, r);
+                            }
+                        }
+                    }
+                    for f in parent_fields {
+                        f.recycle(&pool);
+                    }
+                    for b in &shell_boxes {
+                        shell_cells += b.cells();
+                    }
+                    if parent_owner != owner {
+                        *batch.entry((parent_owner, owner)).or_default() +=
+                            (shell_cells as u64) * 8 * nf as u64;
+                    }
+                }
+            }
+
+            // 3) sibling windows (authoritative where available)
+            let overlaps =
+                samr_mesh::hierarchy::reference::exchange_topology(&self.hier, level).overlaps;
+            if !overlaps.is_empty() {
+                // snapshot source fields once per source patch (pooled copies,
+                // returned to the pool once every window is applied)
+                let pool = self.hier.pool().clone();
+                let mut srcs: std::collections::BTreeMap<PatchId, Vec<Field3>> = Default::default();
+                for o in &overlaps {
+                    srcs.entry(o.src).or_insert_with(|| {
+                        self.hier
+                            .patch(o.src)
+                            .fields
+                            .iter()
+                            .map(|f| f.clone_in(&pool))
+                            .collect()
+                    });
+                }
+                for o in &overlaps {
+                    let src_owner = self.hier.patch(o.src).owner;
+                    let dst_owner = self.hier.patch(o.dst).owner;
+                    let sf = &srcs[&o.src];
+                    let patch = self.hier.patch_mut(o.dst);
+                    for (k, f) in sf.iter().enumerate() {
+                        patch.fields[k].copy_from(f, &o.window);
+                    }
+                    if src_owner != dst_owner {
+                        *batch.entry((src_owner, dst_owner)).or_default() +=
+                            (o.cells as u64) * 8 * nf as u64;
+                    }
+                }
+                for (_, fields) in srcs {
+                    for f in fields {
+                        f.recycle(&pool);
+                    }
+                }
+            }
+
+            // One aggregated message per communicating owner pair — matching how
+            // MPI SAMR codes pack all boundary windows for a neighbour rank into
+            // a single send per phase.
+            for ((src, dst), bytes) in batch {
+                self.send_batch(src, dst, bytes);
+            }
+        }
+
+        /// Clone-based reference restriction: the original sequential data
+        /// path, verbatim. The oracle [`Driver::restrict_level`] is compared
+        /// against.
+        fn restrict_level_reference(&mut self, fine_level: usize) {
+            let ids: Vec<PatchId> = self.hier.level_ids(fine_level).to_vec();
+            let r = self.hier.refine_factor();
+            let nf = self.hier.nfields();
+            let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
+            let pool = self.hier.pool().clone();
+            for &id in &ids {
+                let (parent_id, region, owner) = {
+                    let p = self.hier.patch(id);
+                    (p.parent.expect("fine patch has parent"), p.region, p.owner)
+                };
+                let child_fields: Vec<Field3> = self
+                    .hier
+                    .patch(id)
+                    .fields
+                    .iter()
+                    .map(|f| f.clone_in(&pool))
+                    .collect();
+                let coarse_window = region.coarsen(r);
+                let parent = self.hier.patch_mut(parent_id);
+                let parent_owner = parent.owner;
+                for (k, cf) in child_fields.iter().enumerate() {
+                    restrict_average(cf, &mut parent.fields[k], &coarse_window, r);
+                }
+                for f in child_fields {
+                    f.recycle(&pool);
+                }
+                if parent_owner != owner {
+                    *batch.entry((owner, parent_owner)).or_default() +=
+                        (coarse_window.cells() as u64) * 8 * nf as u64;
+                }
+            }
+            for ((src, dst), bytes) in batch {
+                self.send_batch(src, dst, bytes);
+            }
+        }
+    }
 
     /// A 3-level ShockPool3D run one step in: refined grids touch the
     /// domain corner the shock starts in, and the DLB has placed them.
@@ -1487,7 +1423,7 @@ mod tests {
             .collect()
     }
 
-    /// The reference path's message accounting, from its definition: the
+    /// The reference exchange's message accounting, from its definition: the
     /// whole shell from the parent's owner, every sibling window from its
     /// source's owner (all-pairs scan, no plan).
     fn brute_force_messages(
@@ -1538,6 +1474,46 @@ mod tests {
         );
         // (its refined region sits inside the domain: no boundary case)
         poisoned_exchange_matches_reference(many_small_patches, &[0], false);
+    }
+
+    /// Restriction grouped by parent and run across parents in parallel
+    /// lands on the sequential clone-based reference's bits and charges its
+    /// messages, finest level first as a step does it — with children on
+    /// other owners than their parents, parents of several children, and
+    /// fine data a solve away from what the parents last saw.
+    #[test]
+    fn restriction_matches_the_reference_on_every_fine_level() {
+        for fixture in [driver as fn() -> Driver, many_small_patches] {
+            let (mut grouped, mut reference) = (fixture(), fixture());
+            let levels = grouped.hier.num_levels();
+            assert!(levels >= 2, "fixture has no fine level");
+            for fine in (1..levels).rev() {
+                for d in [&mut grouped, &mut reference] {
+                    scatter_owners(d, fine);
+                    d.exchange_ghosts(fine);
+                    d.solve_level(fine);
+                }
+                let ids = grouped.hier.level_ids(fine);
+                let parents: std::collections::BTreeSet<_> = ids
+                    .iter()
+                    .map(|&id| grouped.hier.patch(id).parent)
+                    .collect();
+                assert!(parents.len() < ids.len(), "level {fine}: no parent of two");
+                let stale = level_bits(&grouped, fine - 1);
+                let sent = grouped.sim.stats().msgs;
+                grouped.restrict_level(fine);
+                reference.restrict_level_reference(fine);
+                let bits = level_bits(&grouped, fine - 1);
+                assert_ne!(bits, stale, "level {fine}: restriction changed nothing");
+                assert_eq!(
+                    bits,
+                    level_bits(&reference, fine - 1),
+                    "level {fine}: parents diverged"
+                );
+                assert_ne!(grouped.sim.stats().msgs, sent, "level {fine}: no message");
+                assert_eq!(grouped.sim.stats().msgs, reference.sim.stats().msgs);
+            }
+        }
     }
 
     /// The cached plan — bucket index, covered-shell shortcut, concurrent

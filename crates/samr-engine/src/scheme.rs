@@ -29,20 +29,6 @@ impl Scheme {
         Scheme::Distributed(DistributedDlbConfig::predictive(seed))
     }
 
-    /// Distributed scheme with an explicit predictor and forecast horizon.
-    pub fn distributed_with_predictor(
-        kind: dlb::PredictorKind,
-        seed: u64,
-        horizon: u32,
-    ) -> Scheme {
-        Scheme::Distributed(DistributedDlbConfig {
-            predictor: Some(kind),
-            forecast_seed: seed,
-            forecast_horizon: horizon,
-            ..Default::default()
-        })
-    }
-
     pub(crate) fn instantiate(&self) -> SchemeInstance {
         match self {
             Scheme::Static => SchemeInstance::Static,

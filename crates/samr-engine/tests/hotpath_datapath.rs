@@ -1,21 +1,15 @@
 //! The direct ghost exchange must not stage any buffer at all: parent
 //! prolongation reads the coarser level in place and sibling windows are
-//! copied source→destination with only the destination's fields taken out;
-//! the clone-based reference path still copies full patch payloads.
+//! copied source→destination with only the destination's fields taken out.
 
 use samr_engine::{AppKind, Driver, RunConfig, Scheme};
 use topology::presets;
 
-fn cfg(reference: bool) -> RunConfig {
+#[test]
+fn ghost_exchange_stages_no_buffers() {
     let mut cfg = RunConfig::new(AppKind::ShockPool3D, 16, 3, Scheme::distributed_default());
     cfg.max_levels = 3;
-    cfg.reference_datapath = reference;
-    cfg
-}
-
-#[test]
-fn ghost_exchange_stages_no_buffers_and_avoids_reference_clones() {
-    let mut d = Driver::new(presets::anl_ncsa_wan(2, 2, 11), cfg(false));
+    let mut d = Driver::new(presets::anl_ncsa_wan(2, 2, 11), cfg);
     for _ in 0..3 {
         d.step_once();
     }
@@ -31,18 +25,4 @@ fn ghost_exchange_stages_no_buffers_and_avoids_reference_clones() {
         (before.hits, before.misses),
         "direct exchange must not acquire staging buffers"
     );
-    let avoided = d.ghost_clone_cells_avoided();
-    assert!(
-        avoided > 0,
-        "the reference path would have cloned full payloads"
-    );
-}
-
-#[test]
-fn reference_datapath_allocates_no_exchange_buffers() {
-    let mut d = Driver::new(presets::anl_ncsa_wan(2, 2, 11), cfg(true));
-    for _ in 0..3 {
-        d.step_once();
-    }
-    assert_eq!(d.ghost_clone_cells_avoided(), 0);
 }

@@ -563,29 +563,16 @@ impl GridHierarchy {
         (a, b)
     }
 
-    /// Overlap descriptors for sibling boundary exchange at `level`: for
-    /// every ordered pair of distinct patches `(dst, src)` at the level whose
-    /// ghost shell of `dst` overlaps `src`'s interior, the overlap window and
-    /// its cell count.
-    pub fn sibling_overlaps(&self, level: usize) -> Vec<SiblingOverlap> {
-        let ids = self.level_ids(level);
-        let index = self.level_index(level);
-        let mut hits = Vec::new();
-        let mut out = Vec::new();
-        for di in 0..ids.len() {
-            self.dst_windows(ids, &index, di, &mut hits, |_, o| out.push(o));
-        }
-        out
-    }
-
     /// Bucket index over the regions of `level`'s patches, in level id order.
     fn level_index(&self, level: usize) -> BoxIndex {
         BoxIndex::new(self.level_ids(level).iter().map(|&id| self.patch(id).region))
     }
 
-    /// Emit the sibling windows of the destination in slot `di`, each with
-    /// its source's slot, sources ascending — the order an all-pairs scan
-    /// over the level's id list finds them in. `hits` is scratch.
+    /// Emit the sibling windows of the destination in slot `di`: one for
+    /// every other patch of the level whose interior its ghost shell
+    /// overlaps, each with its source's slot, sources ascending — the order
+    /// an all-pairs scan over the level's id list finds them in. `hits` is
+    /// scratch.
     fn dst_windows(
         &self,
         ids: &[PatchId],
@@ -724,13 +711,8 @@ impl GridHierarchy {
         }
         first_overlap.push(overlaps.len() as u32);
 
-        let mut is_source = vec![false; ids.len()];
-        for &(si, _) in &overlap_slots {
-            is_source[si as usize] = true;
-        }
-        let mut clone_cells_avoided = 0i64;
         let mut shells = Vec::with_capacity(ids.len());
-        for ((&id, coarse_fill), &source) in ids.iter().zip(fills).zip(&is_source) {
+        for (&id, coarse_fill) in ids.iter().zip(fills) {
             let p = self.patch(id);
             let storage = p.region.grow(self.ghost);
             if let Some(parent) = p.parent {
@@ -739,10 +721,6 @@ impl GridHierarchy {
                     parent_storage.contains_region(&storage.coarsen(self.refine_factor)),
                     "{id:?} shell not covered by parent {parent:?}"
                 );
-                clone_cells_avoided += parent_storage.cells();
-            }
-            if source {
-                clone_cells_avoided += storage.cells();
             }
             shells.push(PatchShell {
                 id,
@@ -758,7 +736,6 @@ impl GridHierarchy {
             first_overlap,
             rounds,
             shells,
-            clone_cells_avoided,
         }
     }
 
@@ -893,10 +870,6 @@ pub struct LevelTopology {
     pub rounds: Vec<Vec<u32>>,
     /// Per-patch fill plan, in level id order.
     pub shells: Vec<PatchShell>,
-    /// Cells per field a clone-based exchange would copy for the same
-    /// fills: every destination's parent storage plus every distinct
-    /// sibling source's storage.
-    pub clone_cells_avoided: i64,
 }
 
 /// One already-final source of a new fine patch's data: a retired patch's
@@ -1088,7 +1061,6 @@ pub mod reference {
     pub fn exchange_topology(h: &GridHierarchy, level: usize) -> LevelTopology {
         let ids = h.level_ids(level);
         let mut topo = LevelTopology::default();
-        let mut is_source = vec![false; ids.len()];
         for (di, &dst) in ids.iter().enumerate() {
             let dp = h.patch(dst);
             let storage = dp.region.grow(h.ghost);
@@ -1104,7 +1076,6 @@ pub mod reference {
                         cells: w.cells(),
                     });
                     topo.overlap_slots.push((si as u32, di as u32));
-                    is_source[si] = true;
                 }
             }
             let windows = topo.overlaps[first..].iter().map(|o| &o.window);
@@ -1114,14 +1085,8 @@ pub mod reference {
                 shell_cells: storage.cells() - dp.region.cells(),
                 coarse_fill: storage.subtract_all(std::iter::once(&dp.region).chain(windows)),
             });
-            if let Some(parent) = dp.parent {
-                topo.clone_cells_avoided += h.patch(parent).region.grow(h.ghost).cells();
-            }
         }
         topo.first_overlap.push(topo.overlaps.len() as u32);
-        for (&id, _) in ids.iter().zip(&is_source).filter(|(_, &s)| s) {
-            topo.clone_cells_avoided += h.patch(id).region.grow(h.ghost).cells();
-        }
         topo.rounds = colour_rounds(&topo.first_overlap, &topo.overlap_slots);
         topo
     }
@@ -1225,7 +1190,7 @@ mod tests {
         // two adjacent children at level 1 sharing the x=8 plane
         let a = h.insert_patch(1, region(ivec3(0, 0, 0), ivec3(8, 8, 8)), Some(root), 0);
         let b = h.insert_patch(1, region(ivec3(8, 0, 0), ivec3(16, 8, 8)), Some(root), 1);
-        let ov = h.sibling_overlaps(1);
+        let ov = h.exchange_topology(1).overlaps.clone();
         // each needs a 1-deep 8x8 slab from the other
         assert_eq!(ov.len(), 2);
         for o in &ov {
@@ -1240,7 +1205,7 @@ mod tests {
         let root = h.insert_patch(0, Region::cube(8), None, 0);
         h.insert_patch(1, region(ivec3(0, 0, 0), ivec3(4, 4, 4)), Some(root), 0);
         h.insert_patch(1, region(ivec3(10, 10, 10), ivec3(14, 14, 14)), Some(root), 0);
-        assert!(h.sibling_overlaps(1).is_empty());
+        assert!(h.exchange_topology(1).overlaps.is_empty());
     }
 
     /// A 2-level hierarchy over `[0, n)^3` whose level 1 is `boxes`.
@@ -1255,7 +1220,7 @@ mod tests {
         h
     }
 
-    /// The bucket-indexed `sibling_overlaps` must reproduce the all-pairs
+    /// The bucket-indexed plan's windows must reproduce the all-pairs
     /// scan exactly — same overlaps, same (dst, src) emission order — on
     /// randomized disjoint tilings with holes, for box sizes that select
     /// every bucket edge (cuts straddling the bucket borders each time) and
@@ -1272,24 +1237,24 @@ mod tests {
         ];
         for (cuts, edge) in mixes {
             let n = *cuts.last().unwrap();
-            let h = level1_of(n, 1, holey_tiling(cuts, 0x9e37, 16));
+            let mut h = level1_of(n, 1, holey_tiling(cuts, 0x9e37, 16));
             let index = h.level_index(1);
             assert_eq!(index.bucket_edge(), edge, "cuts {cuts:?}");
             let brute = reference::exchange_topology(&h, 1).overlaps;
             assert!(brute.len() > 100, "tiling {cuts:?} too sparse to exercise the index");
-            assert_eq!(h.sibling_overlaps(1), brute, "cuts {cuts:?}");
+            assert_eq!(h.exchange_topology(1).overlaps, brute, "cuts {cuts:?}");
         }
         // 3-cell boxes beside a 3 x 3 x 64 beam that lies across 16 of their
         // buckets: every box along it must find it, and it all of them
         let cuts: Vec<i64> = (0..=10).map(|i| 3 * i).collect();
         let mut boxes = holey_tiling(&cuts, 0x51ed, 16);
         boxes.push(region(ivec3(30, 12, 0), ivec3(33, 15, 64)));
-        let h = level1_of(64, 2, boxes);
+        let mut h = level1_of(64, 2, boxes);
         assert_eq!(h.level_index(1).bucket_edge(), 4);
         let brute = reference::exchange_topology(&h, 1).overlaps;
         let beam = *h.level_ids(1).last().unwrap();
         assert!(brute.iter().filter(|o| o.dst == beam).count() >= 8);
-        assert_eq!(h.sibling_overlaps(1), brute);
+        assert_eq!(h.exchange_topology(1).overlaps, brute);
     }
 
     /// The grid spans the boxes only: queries beside, across and far from
@@ -1482,7 +1447,7 @@ mod tests {
         h.insert_patch(1, region(ivec3(0, 0, 0), ivec3(8, 8, 8)), Some(root), 0);
         h.insert_patch(1, region(ivec3(8, 0, 0), ivec3(16, 8, 8)), Some(root), 1);
         let topo = h.exchange_topology(1);
-        assert_eq!(topo.overlaps, h.sibling_overlaps(1));
+        assert_eq!(topo.overlaps, reference::exchange_topology(&h, 1).overlaps);
         assert_eq!(topo.shells.len(), 2);
         for s in &topo.shells {
             let reg = h.patch(s.id).region;
@@ -1494,11 +1459,6 @@ mod tests {
                 s.shell_cells - 64
             );
         }
-        // both patches are sources; both have the 8^3 root as parent
-        assert_eq!(
-            topo.clone_cells_avoided,
-            2 * 10 * 10 * 10 + 2 * 10 * 10 * 10
-        );
     }
 
     /// Per destination, the parent-filled boxes and the sibling windows
@@ -1645,7 +1605,7 @@ mod tests {
         let t3 = h.exchange_topology(1);
         assert!(!Arc::ptr_eq(&t1, &t3));
         assert_eq!(t3.overlaps.len(), 2);
-        assert_eq!(t3.overlaps, h.sibling_overlaps(1));
+        assert_eq!(t3.overlaps, reference::exchange_topology(&h, 1).overlaps);
         // removal invalidates too
         h.remove_patch(b);
         assert!(h.exchange_topology(1).overlaps.is_empty());

@@ -273,11 +273,6 @@ impl LinkEstimator {
         self.series.beta.forecast_value()
     }
 
-    /// Effective-bandwidth (1/β) forecast with its error bar.
-    pub fn bandwidth_forecast(&self) -> Option<ForecastValue> {
-        self.series.bandwidth.forecast_value()
-    }
-
     /// Mean absolute one-step forecast error of the α series (seconds).
     pub fn alpha_mae(&self) -> f64 {
         self.series.alpha.mae()

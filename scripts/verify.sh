@@ -31,6 +31,33 @@ unsafe_uses=$(grep -rcw unsafe --include='*.rs' src crates/*/src | grep -v ':0$'
 if [ "$unsafe_uses" != "crates/par/src/lib.rs:6 crates/samr-solvers/src/euler.rs:1 " ]; then
   echo "verify: \`unsafe\` outside its allowlist (file:count): $unsafe_uses"; exit 1
 fi
+# one datapath: the retained `reference` implementations are oracles that
+# tests compare against, never a path production code can take — outside
+# crates/benchmark, a line that calls one (`reference::`, `_reference(`)
+# sits below its file's first `#[cfg(test)]` or inside a `pub mod reference`
+python3 - <<'EOF'
+import glob, re, sys
+
+bad = []
+for path in sorted(glob.glob("src/**/*.rs", recursive=True)
+                   + glob.glob("crates/*/src/**/*.rs", recursive=True)):
+    if path.startswith("crates/benchmark/"):
+        continue
+    in_reference = False
+    for n, line in enumerate(open(path), 1):
+        code = line.split("//")[0]
+        if code.strip() == "#[cfg(test)]":
+            break
+        if code.startswith("pub mod reference"):
+            in_reference = True
+        elif in_reference and code.startswith("}"):
+            in_reference = False
+        elif not in_reference and re.search(r"reference::|_reference\(", code):
+            bad.append(f"{path}:{n}: {line.strip()}")
+if bad:
+    sys.exit("verify: production code calls a reference implementation:\n"
+             + "\n".join(bad))
+EOF
 cargo clippy --all-targets -- -D warnings
 cargo clippy -p forecast --all-targets -- -D warnings
 # the pooled data path must not reintroduce hidden full-field copies, and
@@ -47,8 +74,8 @@ cargo test -p samr-engine --test crash_recovery
 cargo test -q -p bench --test harness forecast_ablation_adaptive_regrets_no_more_than_reactive
 
 # hotpath smoke: run the throughput benchmark at quick scale (the binary
-# itself exits nonzero if the optimized data path is not bit-identical to
-# the reference path), then check the output is well-formed, that
+# itself panics if a repeat's fingerprint differs from the first run's),
+# then check the output is well-formed, that
 # throughput did not regress >30% against the committed quick-scale
 # baseline, and that no single phase (regrid, ghost, restrict, solve) got
 # slower than its own baseline — a phase that slows inside a faster total
@@ -73,10 +100,9 @@ if sorted(names) != ["amr64", "shockpool3d"]:
     sys.exit(f"hotpath: unexpected presets {names}")
 for p in cur["presets"]:
     for key in ("cell_updates", "peak_patches", "cell_updates_per_sec",
-                "wall_secs", "phases", "ghost_phases", "bit_identical",
+                "wall_secs", "phases", "ghost_phases",
                 "pool_hits", "pool_misses", "pool_bytes_recycled",
-                "steady_state_field_allocs", "speedup_vs_reference",
-                "pool_detail"):
+                "steady_state_field_allocs", "pool_detail"):
         if key not in p:
             sys.exit(f"hotpath: preset {p['name']} missing {key}")
     d = p["pool_detail"]
@@ -88,13 +114,6 @@ for p in cur["presets"]:
         sys.exit(f"hotpath: {p['name']} pool serving tiers do not sum to hits")
     if sum(d["shard_hits"]) != d["home_hits"] + d["steal_hits"]:
         sys.exit(f"hotpath: {p['name']} per-shard hits disagree with tier totals")
-    if not p["bit_identical"]:
-        sys.exit(f"hotpath: {p['name']} diverged from the reference path")
-    if p["speedup_vs_reference"] < 1.0:
-        sys.exit(
-            f"hotpath: {p['name']} optimized path is slower than the scalar "
-            f"reference (speedup {p['speedup_vs_reference']:.3f} < 1.0)"
-        )
     if p["cell_updates_per_sec"] <= 0:
         sys.exit(f"hotpath: {p['name']} reports no throughput")
     if p["pool_hits"] <= 0:
