@@ -2,7 +2,10 @@
 //! presets and writes `results/BENCH_hotpath.json` with cell-updates/sec,
 //! host wall-clock seconds per phase (solve / ghost / regrid / restrict /
 //! decision), the ghost phase by part (plan / coarse_fill / sibling /
-//! messages), the field pool's counters and the peak patch count.
+//! messages), the peak patch count, and the process's peak resident memory
+//! (`VmHWM`) after the first and after the last repeat of each preset — the
+//! presets run one after the other in one process, so a last repeat above
+//! the first means memory grows from run to run.
 //!
 //! Flags: `--quick` shrinks the scale for smoke/CI runs and reports the best
 //! wall and the best of each phase over five repeats, whose fingerprints
@@ -55,6 +58,21 @@ fn fingerprint(r: &RunResult) -> (u64, u64, u64, usize, usize, usize) {
     )
 }
 
+/// Peak resident set of this process so far, MiB (`None` where
+/// `/proc/self/status` has no `VmHWM`).
+fn vm_hwm_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
     Json::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
 }
@@ -75,8 +93,7 @@ fn main() {
     let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_hotpath.json".to_string());
     let trace_out = arg_after("--trace-out");
     let scale = if full {
-        // large-domain scale: deep hierarchies and long steady-state runs,
-        // where the pooled data path earns its keep
+        // large-domain scale: deep hierarchies and long runs
         Scale {
             n0: 32,
             max_levels: 4,
@@ -99,6 +116,7 @@ fn main() {
             telemetry::Telemetry::null()
         };
         let (mut res, mut wall) = timed_run(system_for(app, n), app, scale, tel);
+        let hwm_first = vm_hwm_mb();
         // a quick-scale run lasts tens of milliseconds and one sample
         // spreads 2-3x on a busy host: keep the best wall and the best of
         // each phase over a few repeats, so the verify gate can compare
@@ -125,28 +143,17 @@ fn main() {
                 decision: res.wall.decision.min(again.wall.decision),
             };
         }
+        let hwm_last = vm_hwm_mb();
         let cups = res.cell_updates as f64 / wall;
         println!(
             "{name:>12}: {cups:.3e} cell-updates/sec  wall {wall:.3}s  peak patches {}",
             res.peak_patches,
         );
         println!(
-            "{:>12}  pool: {} hits / {} misses  {:.1} MiB recycled  steady-state field allocs {}",
+            "{:>12}  VmHWM after the first repeat {:.1} MiB, after the last {:.1} MiB",
             "",
-            res.pool.hits,
-            res.pool.misses,
-            res.pool.bytes_recycled as f64 / (1024.0 * 1024.0),
-            res.pool.steady_misses,
-        );
-        let pd = &res.pool_detail;
-        println!(
-            "{:>12}  tiers: {} home / {} spill / {} steal  ({} borrows, {} shards active)",
-            "",
-            pd.home_hits,
-            pd.spill_hits,
-            pd.steal_hits,
-            pd.borrow_hits,
-            pd.shard_hits.iter().filter(|&&h| h > 0).count(),
+            hwm_first.unwrap_or(f64::NAN),
+            hwm_last.unwrap_or(f64::NAN),
         );
         entries.push(obj([
             ("name", Json::Str(name.into())),
@@ -165,16 +172,9 @@ fn main() {
                 "ghost_phases",
                 base::json_fields!(res.ghost_wall; plan, coarse_fill, sibling, messages),
             ),
-            ("pool_hits", res.pool.hits.to_json()),
-            ("pool_misses", res.pool.misses.to_json()),
-            ("pool_bytes_recycled", res.pool.bytes_recycled.to_json()),
             (
-                "steady_state_field_allocs",
-                res.pool.steady_misses.to_json(),
-            ),
-            (
-                "pool_detail",
-                base::json_fields!(pd; home_hits, spill_hits, steal_hits, borrow_hits, shard_hits),
+                "vm_hwm_mb",
+                obj([("first", hwm_first.to_json()), ("last", hwm_last.to_json())]),
             ),
         ]));
     }

@@ -1,8 +1,8 @@
 //! The workspace's one worker pool (std only). A fixed set of worker
 //! threads plus the calling thread claim item indices from a shared
-//! counter, so work really runs in parallel and thread-local state (the
-//! field pool's home shard) persists across calls: the global pool's
-//! workers live as long as the process. There is no work stealing and no
+//! counter, so work really runs in parallel and thread-local state
+//! persists across calls: the global pool's workers live as long as the
+//! process. There is no work stealing and no
 //! nesting: a parallel call made from inside a parallel region runs
 //! sequentially on the calling thread.
 //!

@@ -15,7 +15,7 @@ use base::rng::ChaCha8;
 use samr_mesh::field::Field3;
 use samr_mesh::flag::{flag_cells, FlagField, RefineCriterion};
 use samr_mesh::patch::GridPatch;
-use samr_mesh::pool::{FieldAlloc, FieldPool};
+use samr_mesh::pool::FieldPool;
 use samr_mesh::region::Region;
 use samr_solvers::euler::{self, fields as F};
 use samr_solvers::poisson;
@@ -227,10 +227,8 @@ impl AppState {
     /// `dt_over_dx` (same at every level by construction). Ghosts must have
     /// been exchanged already. Only `AdvectBlob`'s double buffer is drawn
     /// from `pool` (the Euler sweeps run in place and the Poisson relaxation
-    /// reads its right-hand side out of ρ) — generic over the allocator so
-    /// the driver can pass each pool worker its own shard-bound
-    /// [`samr_mesh::pool::PoolHandle`].
-    pub fn step_patch<P: FieldAlloc>(&self, fields: &mut [Field3], dt_over_dx: f64, pool: &P) {
+    /// reads its right-hand side out of ρ).
+    pub fn step_patch(&self, fields: &mut [Field3], dt_over_dx: f64, pool: &FieldPool) {
         match self.kind {
             AppKind::ShockPool3D => {
                 euler::euler_step(fields, dt_over_dx, self.gamma);
@@ -286,9 +284,7 @@ impl AppState {
         if self.kind == AppKind::Amr64 && patch.level == 0 && !self.particles.is_empty() {
             let mut rho = patch.fields[F::RHO].clone_in(pool);
             self.particles.deposit_ngp(&mut rho, 0.05);
-            let flags = flag_cells(std::slice::from_ref(&rho), &self.criteria);
-            rho.recycle(pool);
-            flags
+            flag_cells(std::slice::from_ref(&rho), &self.criteria)
         } else {
             flag_cells(&patch.fields, &self.criteria)
         }
@@ -305,12 +301,7 @@ mod tests {
         /// `reference` solver modules (update-list sweeps, two Riemann
         /// solves per cell, a materialised ρ − ρ̄ right-hand side): the
         /// oracle `step_patch` is compared against.
-        fn step_patch_reference<P: FieldAlloc>(
-            &self,
-            fields: &mut [Field3],
-            dt_over_dx: f64,
-            pool: &P,
-        ) {
+        fn step_patch_reference(&self, fields: &mut [Field3], dt_over_dx: f64, pool: &FieldPool) {
             match self.kind {
                 AppKind::ShockPool3D => {
                     euler::reference::euler_step(fields, dt_over_dx, self.gamma);
@@ -329,7 +320,6 @@ mod tests {
                     for _ in 0..2 {
                         poisson::reference::rbgs_sweep(phi, &rhs, 1.0);
                     }
-                    rhs.recycle(pool);
                 }
                 AppKind::AdvectBlob => {
                     let c = dt_over_dx;

@@ -48,14 +48,6 @@ pub struct RunConfig {
     /// recovery checkpoint and charging the recomputation to the survivors
     /// ([`RunResult::recovery`]). The default schedule is quiet.
     pub proc_faults: ProcFaultSchedule,
-    /// Level-0 steps before the hierarchy's field pool is marked steady.
-    /// The first steps populate the pool's free lists (every acquisition is
-    /// a miss on a cold pool) and let the refinement hierarchy grow to its
-    /// working set — the default of 2 covers the initial mesh build-out;
-    /// after the warm-up, misses are counted as `steady_misses` in
-    /// [`RunResult::pool`] — the hotpath gate asserts that count stays
-    /// zero, i.e. the steady state allocates no field buffers at all.
-    pub pool_warmup_steps: usize,
     /// Observability handle threaded through the simulator, the DLB scheme
     /// and the driver's phase spans. The default null handle records
     /// nothing and costs nothing; pass [`telemetry::Telemetry::recording`]
@@ -83,7 +75,6 @@ impl RunConfig {
             cost_per_cell: None,
             comm_retry: RetryPolicy::default(),
             proc_faults: ProcFaultSchedule::default(),
-            pool_warmup_steps: 2,
             telemetry: telemetry::Telemetry::null(),
         }
     }
@@ -138,17 +129,9 @@ pub struct RunResult {
     /// MTTR, and the recompute overhead charged for checkpoint restores
     /// (all zero when [`RunConfig::proc_faults`] is quiet).
     pub recovery: RecoveryStats,
-    /// Field-buffer pool statistics of the run's hierarchy: hits, misses,
-    /// bytes recycled, and misses after the warm-up window
-    /// ([`RunConfig::pool_warmup_steps`]) — the steady-state allocation
-    /// count the zero-allocation gate asserts on.
+    /// Field buffers the run's hierarchy handed out (`misses`; nothing is
+    /// reused, so the other three counters read 0).
     pub pool: samr_mesh::pool::PoolStats,
-    /// Serving-tier breakdown of the pool's hits (home shard vs global
-    /// spill vs steal sweep, upward class borrows, per-shard service
-    /// counts). Scheduling-dependent diagnostics: excluded from the
-    /// serialized contract and from fingerprints — the hotpath
-    /// bench and the `field_pool` stat block surface it instead.
-    pub pool_detail: samr_mesh::pool::PoolDetail,
     /// Final power-normalized group imbalance: `(max_g W_g/P_g) /
     /// (mean_g W_g/P_g)` over groups with surviving power, from the
     /// hierarchy's end-of-run cell counts (1.0 when degenerate — a single
@@ -168,9 +151,8 @@ pub struct RunResult {
     pub telemetry_summary: Option<String>,
 }
 
-/// The serialized contract: every field but the three host-time and
-/// scheduling-dependent side blocks (`ghost_wall`, `dlb_wall`,
-/// `pool_detail`).
+/// The serialized contract: every field but the two host-time side blocks
+/// (`ghost_wall`, `dlb_wall`).
 impl ToJson for RunResult {
     fn to_json(&self) -> Json {
         base::json_fields!(self;

@@ -43,7 +43,8 @@ pub struct Driver {
     scheme: SchemeInstance,
     /// Steps completed per level (drives regrid cadence).
     step_count: Vec<u64>,
-    /// Stashed data of cleared fine levels, by level.
+    /// Stashed data of cleared fine levels, by level; each is freed once
+    /// the regrid that rebuilds its level has read it.
     old_data: Vec<Vec<OldPatch>>,
     /// Total cell updates executed (the workload measure).
     cell_updates: u64,
@@ -69,7 +70,7 @@ pub struct Driver {
     proc_health: ProcHealth,
     /// Simulated time each currently-dead proc's crash was detected at.
     crashed_at: std::collections::BTreeMap<usize, SimTime>,
-    /// Per-step pooled checkpoint crash recovery restores patch data from
+    /// Per-step checkpoint crash recovery restores patch data from
     /// (only maintained while the run has proc faults).
     recovery_snapshot: Option<HierarchySnapshot>,
     /// Crash-stop activity of the step in flight, drained into its record.
@@ -78,13 +79,6 @@ pub struct Driver {
     mttrs: Vec<f64>,
     /// Evacuations that actually moved patches.
     evacuations: u64,
-    /// Per-capacity-class count of live patch-field buffers at the last
-    /// pool provisioning point (keys are `next_power_of_two` storage
-    /// lengths). After each steady-state regrid the driver compares the
-    /// hierarchy against this baseline and provisions the pool for any
-    /// growth, keeping the zero-alloc steady state through mesh growth no
-    /// warm-up projection could foresee.
-    pool_class_baseline: std::collections::BTreeMap<usize, u64>,
 }
 
 impl Driver {
@@ -225,7 +219,6 @@ impl Driver {
             recovery_pending: StepRecovery::default(),
             mttrs: Vec::new(),
             evacuations: 0,
-            pool_class_baseline: Default::default(),
         };
         // the sim owns the run's telemetry handle: the scheme reaches it via
         // LbContext, and sim.reset() clears setup-time records
@@ -247,28 +240,7 @@ impl Driver {
         // wall timers restart with simulated time: both exclude setup
         self.wall = metrics::PhaseWall::default();
         self.ghost_wall = metrics::GhostWall::default();
-        let total_cells =
-            |h: &GridHierarchy| (0..h.num_levels()).map(|l| h.level_cells(l)).sum::<i64>();
-        let cells_at_start = total_cells(&self.hier);
-        for i in 0..self.cfg.steps {
-            if i == self.cfg.pool_warmup_steps {
-                // Free lists are populated; from here on, every field
-                // acquisition that allocates counts as a steady-state miss.
-                // The mesh keeps growing after warmup (regrid tracks the
-                // advancing features), and pool demand scales with cells —
-                // so extrapolate the growth rate observed during warmup over
-                // the remaining steps and provision that much spare
-                // inventory up front (capacity-only until actually used).
-                let cells_now = total_cells(&self.hier).max(1);
-                let grown = (cells_now as f64 / cells_at_start.max(1) as f64).max(1.0);
-                let per_step = (grown - 1.0) / i.max(1) as f64;
-                let projected = per_step * (self.cfg.steps - i) as f64;
-                // 2× safety margin on the projection: regrid growth is
-                // lumpy, and idle spares cost address space, not RSS
-                let factor = (2.0 * projected).max(0.5);
-                self.hier.pool().mark_steady_with_headroom(factor);
-                self.pool_class_baseline = self.live_field_classes();
-            }
+        for _ in 0..self.cfg.steps {
             self.step_once();
         }
         self.finish()
@@ -361,10 +333,6 @@ impl Driver {
             tel.metric(t, "forecast_alpha_mae", fsum.alpha_mae);
             tel.metric(t, "forecast_beta_mae", fsum.beta_mae);
             tel.metric(t, "forecast_load_mae", fsum.load_mae);
-            let pool = self.hier.pool().stats();
-            tel.metric(t, "pool_hits", pool.hits as f64);
-            tel.metric(t, "pool_misses", pool.misses as f64);
-            tel.metric(t, "pool_steady_misses", pool.steady_misses as f64);
             tel.metric(t, "procs_down", self.crashed_at.len() as f64);
         }
 
@@ -497,17 +465,14 @@ impl Driver {
         }
     }
 
-    /// Re-take the crash-recovery checkpoint at a step boundary, returning
-    /// the replaced snapshot's buffers to the field pool — in steady state
-    /// the recurring snapshot allocates nothing.
+    /// Re-take the crash-recovery checkpoint at a step boundary.
     fn refresh_recovery_snapshot(&mut self) {
-        let pool = self.hier.pool().clone();
-        // recycle first, so the new snapshot's acquisitions can hit the
-        // buffers the old one just gave back
-        if let Some(old) = self.recovery_snapshot.take() {
-            old.recycle(&pool);
-        }
-        self.recovery_snapshot = Some(samr_mesh::checkpoint::snapshot_in(&self.hier, &pool));
+        // free the old one first, so the two never coexist
+        self.recovery_snapshot = None;
+        self.recovery_snapshot = Some(samr_mesh::checkpoint::snapshot_in(
+            &self.hier,
+            self.hier.pool(),
+        ));
     }
 
     /// Fault counters since the start of the run: the scheme's protocol
@@ -591,21 +556,9 @@ impl Driver {
             recompute_secs: rt.recompute_secs,
         };
         let pool = self.hier.pool().stats();
-        let pd = self.hier.pool().detail();
-        self.sim.telemetry().stat_block(
-            "field_pool",
-            &[
-                ("hits", pool.hits),
-                ("misses", pool.misses),
-                ("bytes_recycled", pool.bytes_recycled),
-                ("steady_misses", pool.steady_misses),
-                ("home_hits", pd.home_hits),
-                ("spill_hits", pd.spill_hits),
-                ("steal_hits", pd.steal_hits),
-                ("borrow_hits", pd.borrow_hits),
-                ("shards_used", pd.shard_hits.iter().filter(|&&h| h > 0).count() as u64),
-            ],
-        );
+        self.sim
+            .telemetry()
+            .stat_block("field_pool", &[("allocations", pool.misses)]);
         let (estimator_pairs, decision_msgs) = self.scheme.decision_net();
         self.sim.telemetry().stat_block(
             "decision_phase",
@@ -658,7 +611,6 @@ impl Driver {
             forecast,
             recovery,
             pool,
-            pool_detail: pd,
             final_imbalance,
             estimator_pairs,
             decision_msgs,
@@ -779,12 +731,9 @@ impl Driver {
             .iter()
             .map(|&id| (id, std::mem::take(&mut self.hier.patch_mut(id).fields)))
             .collect();
-        let app = &self.app;
-        // each pool worker acquires/recycles solver scratch through a
-        // handle bound to its own pool shard — no shared lock on the hot path
-        let pool = self.hier.pool().clone();
+        let (app, pool) = (&self.app, self.hier.pool());
         for_each_task_parallel(&mut work, |_, (_, fields)| {
-            app.step_patch(fields, dt_over_dx, &pool.worker_handle());
+            app.step_patch(fields, dt_over_dx, pool);
         });
         for (id, fields) in work {
             self.hier.patch_mut(id).fields = fields;
@@ -988,43 +937,8 @@ impl Driver {
         let t0 = std::time::Instant::now();
         let _span = telemetry::span!(self.cfg.telemetry, "regrid", level);
         self.regrid_inner(level);
-        if self.hier.pool().is_steady() {
-            self.provision_pool_for_growth();
-        }
         self.wall.regrid += t0.elapsed().as_secs_f64();
         self.peak_patches = self.peak_patches.max(self.hier.num_patches());
-    }
-
-    /// Per-capacity-class counts of the hierarchy's live patch-field
-    /// buffers (keyed by `next_power_of_two` storage length).
-    fn live_field_classes(&self) -> std::collections::BTreeMap<usize, u64> {
-        let ghost = self.hier.ghost();
-        let nf = self.hier.nfields() as u64;
-        let mut classes: std::collections::BTreeMap<usize, u64> = Default::default();
-        for p in self.hier.iter() {
-            let len = (p.region.grow(ghost).cells() as usize).max(1).next_power_of_two();
-            *classes.entry(len).or_default() += nf;
-        }
-        classes
-    }
-
-    /// Measurement-driven steady-state headroom: wherever a regrid grew a
-    /// capacity class beyond its provisioning baseline, shelve twice the
-    /// growth as pool spares — the new live buffers' worth plus the same
-    /// again for the regrid stash, which holds the previous generation of
-    /// the level alive until the next regrid retires it. Doubling the
-    /// *delta* (never the whole inventory) keeps the reservation
-    /// proportional to actual growth; spares are capacity-only until used.
-    fn provision_pool_for_growth(&mut self) {
-        let now = self.live_field_classes();
-        let pool = self.hier.pool().clone();
-        for (len, n) in now {
-            let base = self.pool_class_baseline.entry(len).or_insert(0);
-            if n > *base {
-                pool.provision(len, 2 * (n - *base));
-                *base = n;
-            }
-        }
     }
 
     fn regrid_inner(&mut self, level: usize) {
@@ -1063,10 +977,10 @@ impl Driver {
         }
 
         // stash the data of every level being cleared; the patches are about
-        // to be dropped, so take their fields instead of cloning. The stash
-        // this one replaces has outlived its use (it seeded the previous
-        // regrid's grids), so its buffers go back to the pool.
-        let pool = self.hier.pool().clone();
+        // to be dropped, so take their fields instead of cloning. A stash
+        // has one reader, the regrid that rebuilds its level: this one for
+        // level + 1, the next `regrid(l - 1)` for a deeper level l; it is
+        // freed as soon as that regrid has filled the new grids from it.
         for l in (level + 1)..self.hier.num_levels() {
             let lvl_ids: Vec<PatchId> = self.hier.level_ids(l).to_vec();
             let mut stash = Vec::new();
@@ -1078,16 +992,14 @@ impl Driver {
                     fields: std::mem::take(&mut p.fields),
                 });
             }
-            for op in std::mem::replace(&mut self.old_data[l], stash) {
-                for f in op.fields {
-                    f.recycle(&pool);
-                }
-            }
+            self.old_data[l] = stash;
         }
         if self.hier.num_levels() > level + 1 {
             self.hier.clear_levels_from(level + 1);
         }
         if regions.is_empty() {
+            // level + 1 stays empty, so no regrid reads these stashes
+            self.old_data[level + 1..].fill_with(Vec::new);
             return;
         }
 
@@ -1125,22 +1037,23 @@ impl Driver {
             sources.push(from_old);
         }
 
-        // buffers come off this thread's pool shelves, where the cleared
-        // levels just put theirs; the data then moves in parallel across new
-        // patches, and they are inserted in clustering order so ids match a
-        // serial regrid's
+        // the data moves in parallel across new patches, and they are
+        // inserted in clustering order so ids match a serial regrid's
+        let hier = &self.hier;
         let mut built: Vec<Vec<Field3>> = regions
             .iter()
             .map(|&region| {
                 (0..nf)
-                    .map(|_| Field3::unfilled_in(&pool, region, ghost))
+                    .map(|_| Field3::new_in(hier.pool(), region, ghost))
                     .collect()
             })
             .collect();
-        let hier = &self.hier;
         for_each_task_parallel(&mut built, |i, fields| {
             hier.fill_refined_fields(fields, parent_ids[i], &sources[i]);
         });
+        // the stash has served its one reader
+        drop(sources);
+        self.old_data[level + 1] = Vec::new();
         for ((((region, parent_id), &owner), &parent_owner), fields) in regions
             .into_iter()
             .zip(parent_ids)
@@ -1260,11 +1173,9 @@ mod tests {
                         let p = self.hier.patch(id);
                         (p.parent.expect("fine patch has parent"), p.region, p.owner)
                     };
-                    let pool = self.hier.pool().clone();
                     let parent = self.hier.patch(parent_id);
                     let parent_owner = parent.owner;
-                    let parent_fields: Vec<Field3> =
-                        parent.fields.iter().map(|f| f.clone_in(&pool)).collect();
+                    let parent_fields: Vec<Field3> = parent.fields.clone();
                     let shell_boxes = region.grow(ghost).subtract(&region);
                     let mut shell_cells = 0i64;
                     {
@@ -1274,9 +1185,6 @@ mod tests {
                                 prolong_constant(pf, &mut patch.fields[k], b, r);
                             }
                         }
-                    }
-                    for f in parent_fields {
-                        f.recycle(&pool);
                     }
                     for b in &shell_boxes {
                         shell_cells += b.cells();
@@ -1292,19 +1200,11 @@ mod tests {
             let overlaps =
                 samr_mesh::hierarchy::reference::exchange_topology(&self.hier, level).overlaps;
             if !overlaps.is_empty() {
-                // snapshot source fields once per source patch (pooled copies,
-                // returned to the pool once every window is applied)
-                let pool = self.hier.pool().clone();
+                // snapshot source fields once per source patch
                 let mut srcs: std::collections::BTreeMap<PatchId, Vec<Field3>> = Default::default();
                 for o in &overlaps {
-                    srcs.entry(o.src).or_insert_with(|| {
-                        self.hier
-                            .patch(o.src)
-                            .fields
-                            .iter()
-                            .map(|f| f.clone_in(&pool))
-                            .collect()
-                    });
+                    srcs.entry(o.src)
+                        .or_insert_with(|| self.hier.patch(o.src).fields.clone());
                 }
                 for o in &overlaps {
                     let src_owner = self.hier.patch(o.src).owner;
@@ -1317,11 +1217,6 @@ mod tests {
                     if src_owner != dst_owner {
                         *batch.entry((src_owner, dst_owner)).or_default() +=
                             (o.cells as u64) * 8 * nf as u64;
-                    }
-                }
-                for (_, fields) in srcs {
-                    for f in fields {
-                        f.recycle(&pool);
                     }
                 }
             }
@@ -1342,27 +1237,17 @@ mod tests {
             let r = self.hier.refine_factor();
             let nf = self.hier.nfields();
             let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
-            let pool = self.hier.pool().clone();
             for &id in &ids {
                 let (parent_id, region, owner) = {
                     let p = self.hier.patch(id);
                     (p.parent.expect("fine patch has parent"), p.region, p.owner)
                 };
-                let child_fields: Vec<Field3> = self
-                    .hier
-                    .patch(id)
-                    .fields
-                    .iter()
-                    .map(|f| f.clone_in(&pool))
-                    .collect();
+                let child_fields: Vec<Field3> = self.hier.patch(id).fields.clone();
                 let coarse_window = region.coarsen(r);
                 let parent = self.hier.patch_mut(parent_id);
                 let parent_owner = parent.owner;
                 for (k, cf) in child_fields.iter().enumerate() {
                     restrict_average(cf, &mut parent.fields[k], &coarse_window, r);
-                }
-                for f in child_fields {
-                    f.recycle(&pool);
                 }
                 if parent_owner != owner {
                     *batch.entry((owner, parent_owner)).or_default() +=
@@ -1512,6 +1397,28 @@ mod tests {
                 );
                 assert_ne!(grouped.sim.stats().msgs, sent, "level {fine}: no message");
                 assert_eq!(grouped.sim.stats().msgs, reference.sim.stats().msgs);
+            }
+        }
+    }
+
+    /// A regrid stash is freed by the regrid that reads it: between steps
+    /// the driver holds no retired field data, on a deep hierarchy (where a
+    /// deeper level's stash waits for the next level's regrid) and on a
+    /// two-level one.
+    #[test]
+    fn no_regrid_stash_outlives_the_step() {
+        for fixture in [driver as fn() -> Driver, many_small_patches] {
+            let mut d = fixture(); // one step in
+            for step in 1..=3 {
+                if step > 1 {
+                    d.step_once();
+                }
+                assert!(d.hier.num_levels() >= 2, "nothing was refined");
+                let held: Vec<usize> = d.old_data.iter().map(Vec::len).collect();
+                assert!(
+                    held.iter().all(|&n| n == 0),
+                    "after step {step}: stashed patches per level {held:?}"
+                );
             }
         }
     }

@@ -3,7 +3,7 @@
 //! step boundary, the dead proc's patches are evacuated to survivors (data
 //! reconstructed from the per-step recovery checkpoint, recompute charged),
 //! the balancer prices the shrunken proc set, and a recovered proc rejoins
-//! with zero load. Plus the determinism and checkpoint/pool guarantees the
+//! with zero load. Plus the determinism and checkpoint guarantees the
 //! chaos harness builds on.
 
 use samr_engine::{AppKind, Driver, RunConfig, Scheme};
@@ -186,13 +186,10 @@ fn identical_faulty_runs_produce_identical_traces() {
     assert_eq!(total_a, total_b);
 }
 
-/// Satellite: the recurring recovery checkpoint and the crash restores draw
-/// their buffers from the field pool — recovery causes no steady-state
-/// allocation regression. The steady window is the final step and the crash
-/// is detected at its opening barrier, so the whole evacuate + restore +
-/// re-snapshot sequence runs under the zero-alloc assertion.
+/// Satellite: a crash detected at the final step's opening barrier is
+/// evacuated from the recurring recovery checkpoint within that step.
 #[test]
-fn recovery_allocates_nothing_in_steady_state() {
+fn crash_in_the_final_step_is_evacuated() {
     let b = baseline_secs();
     let mut c = cfg();
     // dies mid-penultimate-step, detected at the final step's barrier
@@ -201,15 +198,9 @@ fn recovery_allocates_nothing_in_steady_state() {
         SimTime::from_secs_f64((STEPS as f64 - 1.5) / STEPS as f64 * b),
         SimTime::from_secs_f64(1e6),
     );
-    c.pool_warmup_steps = STEPS - 1;
     let res = Driver::new(wan_pair(FaultSchedule::none()), c).run();
     assert_eq!(res.recovery.crashes, 1, "{:?}", res.recovery);
     assert!(res.recovery.evacuated_cells > 0);
-    assert_eq!(
-        res.pool.steady_misses, 0,
-        "recovery must not allocate field buffers in steady state: {:?}",
-        res.pool
-    );
 }
 
 /// Satellite: checkpointing the post-evacuation hierarchy is exact — the

@@ -1,6 +1,5 @@
-//! Sharded field pools and row kernels must not make results depend on the
-//! number of pool workers or their scheduling: which shard a scratch
-//! buffer comes from never changes its (zero-filled) contents, and every
+//! Row kernels must not make results depend on the number of pool workers
+//! or their scheduling: every scratch buffer arrives zero-filled, and every
 //! parallel loop writes disjoint per-patch state. A run's observable
 //! fingerprint therefore has to be identical under 1, 2, 4 and 8 threads.
 

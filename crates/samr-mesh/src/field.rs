@@ -86,12 +86,9 @@ impl Field3 {
         f
     }
 
-    /// Like [`Field3::zeros`], but the backing store comes from (and is
-    /// zeroed by) `pool` — no heap allocation when the pool has a buffer of
-    /// sufficient capacity. Bit-identical to a fresh `zeros` field. Generic
-    /// over [`FieldAlloc`](crate::pool::FieldAlloc) so callers can pass
-    /// either the pool itself or a shard-resolved worker handle.
-    pub fn new_in<P: crate::pool::FieldAlloc>(pool: &P, interior: Region, ghost: i64) -> Self {
+    /// Like [`Field3::zeros`], but the backing store is drawn from (and
+    /// counted by) `pool`. Bit-identical to a fresh `zeros` field.
+    pub fn new_in(pool: &crate::pool::FieldPool, interior: Region, ghost: i64) -> Self {
         assert!(ghost >= 0);
         assert!(!interior.is_empty(), "field over empty region");
         let storage = interior.grow(ghost);
@@ -104,27 +101,9 @@ impl Field3 {
         }
     }
 
-    /// A pooled field whose contents are unspecified (a reused buffer keeps
-    /// whatever its previous life left behind) — for callers that give every
-    /// cell a writer before its first read, as
-    /// [`GridHierarchy::fill_refined_fields`](crate::hierarchy::GridHierarchy::fill_refined_fields)
-    /// does for interiors and the ghost exchange does for shells.
-    pub fn unfilled_in<P: crate::pool::FieldAlloc>(pool: &P, interior: Region, ghost: i64) -> Self {
-        assert!(ghost >= 0);
-        assert!(!interior.is_empty(), "field over empty region");
-        let storage = interior.grow(ghost);
-        let data = pool.acquire_unfilled(storage.cells() as usize);
-        Field3 {
-            interior,
-            ghost,
-            storage,
-            data,
-        }
-    }
-
-    /// Pooled deep copy: same shape and bitwise-identical contents, with the
-    /// backing store drawn from `pool` instead of a fresh allocation.
-    pub fn clone_in<P: crate::pool::FieldAlloc>(&self, pool: &P) -> Self {
+    /// Deep copy whose backing store is drawn from (and counted by) `pool`:
+    /// same shape and bitwise-identical contents.
+    pub fn clone_in(&self, pool: &crate::pool::FieldPool) -> Self {
         let mut data = pool.acquire(self.data.len());
         data.copy_from_slice(&self.data);
         Field3 {
@@ -133,11 +112,6 @@ impl Field3 {
             storage: self.storage,
             data,
         }
-    }
-
-    /// Consume the field and shelve its backing store in `pool` for reuse.
-    pub fn recycle<P: crate::pool::FieldAlloc>(self, pool: &P) {
-        pool.release(self.data);
     }
 
     /// The interior region this field is defined on.

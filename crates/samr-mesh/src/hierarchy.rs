@@ -40,8 +40,7 @@ pub struct GridHierarchy {
     /// built it. `Arc` so callers can hold the topology while mutating
     /// patch data, and so cloning the hierarchy stays cheap.
     topo_cache: Vec<Option<(u64, Arc<LevelTopology>)>>,
-    /// Recycling pool for field backing stores: inserts draw from it,
-    /// removals shelve into it, so steady-state regrids stop allocating.
+    /// Where inserts draw their field buffers from (and are counted).
     /// Cloning the hierarchy shares the pool (it is an `Arc` handle).
     pool: crate::pool::FieldPool,
     /// Undo log of the open transaction, if any
@@ -67,7 +66,7 @@ enum Undo {
     /// `id` was appended to its level's list.
     Inserted { id: PatchId },
     /// The removed patch itself — fields and all, parked here instead of
-    /// going back to the pool — and its position in its level's list.
+    /// being freed — and its position in its level's list.
     Removed { patch: GridPatch, index: usize },
 }
 
@@ -93,9 +92,9 @@ impl GridHierarchy {
         }
     }
 
-    /// The hierarchy's field-buffer pool. Callers that allocate scratch
-    /// fields on the hot path (solvers, ghost exchange, stashes) should draw
-    /// from it so the steady-state zero-allocation property holds end to end.
+    /// The hierarchy's field-buffer pool: callers that allocate fields for
+    /// it (solver scratch, regrid, snapshots) draw from it, so its count
+    /// covers the run's field buffers.
     pub fn pool(&self) -> &crate::pool::FieldPool {
         &self.pool
     }
@@ -241,10 +240,9 @@ impl GridHierarchy {
     /// by `copy_from` of every window, bit for bit.
     ///
     /// Ghost cells are not touched: the level's next ghost exchange writes
-    /// every one of them (see [`LevelTopology`]) before anything reads one,
-    /// so [`Field3::unfilled_in`] buffers will do. Takes `&self`, so patches
-    /// can be filled concurrently and then inserted in order with
-    /// [`GridHierarchy::insert_patch_with_fields`].
+    /// every one of them (see [`LevelTopology`]) before anything reads one.
+    /// Takes `&self`, so patches can be filled concurrently and then
+    /// inserted in order with [`GridHierarchy::insert_patch_with_fields`].
     pub fn fill_refined_fields(
         &self,
         fields: &mut [Field3],
@@ -326,8 +324,8 @@ impl GridHierarchy {
     }
 
     /// Remove a patch (and no others — callers remove descendants first).
-    /// Its field backing stores are shelved in the pool for reuse — at
-    /// [`GridHierarchy::commit`] when a transaction is open.
+    /// Its field buffers are freed — at [`GridHierarchy::commit`] when a
+    /// transaction is open.
     pub fn remove_patch(&mut self, id: PatchId) {
         let p = self.patches.remove(&id).expect("removing unknown patch");
         let lvl = &mut self.levels[p.level];
@@ -337,9 +335,8 @@ impl GridHierarchy {
             .expect("patch missing from its level list");
         lvl.remove(index);
         self.bump_topology(p.level);
-        match &mut self.undo {
-            Some(log) => log.records.push(Undo::Removed { patch: p, index }),
-            None => p.recycle(&self.pool),
+        if let Some(log) = &mut self.undo {
+            log.records.push(Undo::Removed { patch: p, index });
         }
         self.trim_levels();
     }
@@ -356,9 +353,7 @@ impl GridHierarchy {
         );
         for l in level..self.levels.len() {
             for id in std::mem::take(&mut self.levels[l]) {
-                if let Some(p) = self.patches.remove(&id) {
-                    p.recycle(&self.pool);
-                }
+                self.patches.remove(&id);
             }
             self.bump_topology(l);
         }
@@ -396,7 +391,7 @@ impl GridHierarchy {
     /// [`GridHierarchy::set_owner`], the inserts,
     /// [`GridHierarchy::remove_patch`] and the splits built from them —
     /// record what they overwrite, and a removed patch is parked in the log
-    /// with its fields instead of being recycled. Nothing is copied: the
+    /// with its fields instead of being freed. Nothing is copied: the
     /// cost of a transaction is proportional to what it changes, not to the
     /// mesh. Writes through [`GridHierarchy::patch_mut`] are not recorded.
     pub fn begin_transaction(&mut self) {
@@ -408,22 +403,17 @@ impl GridHierarchy {
     }
 
     /// Close the open transaction, keeping its changes: the patches it
-    /// removed go back to the pool.
+    /// removed are freed.
     pub fn commit(&mut self) {
-        let log = self.undo.take().expect("no open transaction");
-        for r in log.records {
-            if let Undo::Removed { patch, .. } = r {
-                patch.recycle(&self.pool);
-            }
-        }
+        assert!(self.undo.take().is_some(), "no open transaction");
     }
 
     /// Close the open transaction, undoing its changes newest-first:
     /// structure, ids, level order, owners, parents, the field data of every
     /// patch that existed at [`GridHierarchy::begin_transaction`] (parked
     /// patches come back as they left) and the fresh-id counter end up as
-    /// they were. Patches the transaction created go to the pool, which
-    /// itself — shelves, steady mark, counters — is untouched. Every level
+    /// they were. Patches the transaction created are freed, and nothing is
+    /// drawn from the pool. Every level
     /// that was touched gets a new topology generation, so no plan cached
     /// mid-transaction survives.
     pub fn rollback(&mut self) {
@@ -1320,7 +1310,7 @@ mod tests {
     /// zeroed fields, full-storage prolongation from the parent, then
     /// `copy_from` of every retired patch — on every interior cell, with new
     /// boxes that old data covers fully, partially (several sources), not at
-    /// all, and that merely abut old boxes; the pool is dirtied with NaNs so
+    /// all, and that merely abut old boxes; the new fields start as NaNs so
     /// an interior cell without a writer would show.
     #[test]
     fn regrid_fill_matches_prolong_then_copy_on_interiors() {
@@ -1354,11 +1344,6 @@ mod tests {
         new.push(region(ivec3(33, 33, 33), ivec3(50, 50, 50)));
         new.push(region(ivec3(64, 0, 0), ivec3(96, 31, 31)));
         new.push(region(ivec3(64, 31, 0), ivec3(96, 96, 96)));
-        for _ in 0..64 {
-            let mut b = h.pool().acquire(40 * 40 * 40);
-            b.fill(f64::NAN);
-            h.pool().release(b);
-        }
         let (mut absent, mut partial, mut full, mut abutting) = (0, 0, 0, 0);
         for reg in new {
             let touching: Vec<&(Region, Vec<Field3>)> =
@@ -1380,7 +1365,7 @@ mod tests {
                 as usize;
 
             let mut built: Vec<Field3> = (0..nf)
-                .map(|_| Field3::unfilled_in(h.pool(), reg, ghost))
+                .map(|_| Field3::constant(reg, ghost, f64::NAN))
                 .collect();
             h.fill_refined_fields(&mut built, root, &sources);
             for k in 0..nf {
@@ -1713,7 +1698,6 @@ mod tests {
         let snap = crate::checkpoint::snapshot(&h);
         let levels = h.levels.clone();
         let next_id = h.next_id;
-        let pool = h.pool().clone();
         let plans: Vec<_> = (0..3).map(|l| h.exchange_topology(l)).collect();
 
         h.begin_transaction();
@@ -1730,14 +1714,13 @@ mod tests {
         // a plan cached mid-transaction must not outlive the rollback
         let mid: Vec<_> = (0..3).map(|l| h.exchange_topology(l)).collect();
         assert!(!Arc::ptr_eq(&mid[1], &plans[1]));
-        let stats_mid = pool.stats();
+        let stats_mid = h.pool().stats();
         h.rollback();
 
         assert_matches_snapshot(&h, &snap, &levels);
         assert_eq!(h.next_id, next_id);
         assert!(h.check_invariants().is_ok());
-        assert!(h.pool().ptr_eq(&pool), "the pool survives a rollback");
-        assert_eq!(pool.stats(), stats_mid, "undoing acquires nothing");
+        assert_eq!(h.pool().stats(), stats_mid, "undoing acquires nothing");
         for l in 0..3 {
             let plan = h.exchange_topology(l);
             assert_eq!(*plan, reference::exchange_topology(&h, l), "level {l}");
@@ -1749,26 +1732,32 @@ mod tests {
     }
 
     #[test]
-    fn commit_keeps_the_changes_and_recycles_every_parked_buffer() {
+    fn commit_keeps_the_changes_and_empties_the_undo_log() {
         let (mut h, root) = nested_for_split();
         let mut plain = h.clone();
-        plain.pool = crate::pool::FieldPool::new();
-        let idle = h.pool().idle_buffers();
         h.begin_transaction();
         let (lo, hi) = h.split_patch_at(root, 0, 4);
         // root, the straddling child and the straddling grandchild are
-        // parked, not shelved
-        assert_eq!(h.pool().idle_buffers(), idle);
+        // parked in the log
+        let parked = |h: &GridHierarchy| {
+            h.undo.as_ref().map_or(0, |log| {
+                log.records
+                    .iter()
+                    .filter(|r| matches!(r, Undo::Removed { .. }))
+                    .count()
+            })
+        };
+        assert_eq!(parked(&h), 3);
         h.set_owner(hi, 3);
         h.commit();
-        assert_eq!(h.pool().idle_buffers(), idle + 3 * h.nfields());
+        assert!(h.undo.is_none(), "commit leaves an undo log behind");
         // same result as the untransacted operations
         assert_eq!(plain.split_patch_at(root, 0, 4), (lo, hi));
         plain.set_owner(hi, 3);
         assert_matches_snapshot(&h, &crate::checkpoint::snapshot(&plain), &plain.levels);
-        // and the log is closed: mutations recycle directly again
+        // and the log stays closed: a later removal parks nothing
         h.remove_patch(h.level_ids(2)[0]);
-        assert_eq!(h.pool().idle_buffers(), idle + 4 * h.nfields());
+        assert!(h.undo.is_none());
     }
 
     #[test]

@@ -48,5 +48,5 @@ pub use hierarchy::{
 };
 pub use index::{ivec3, IVec3};
 pub use patch::{GridPatch, OwnerProc, PatchId};
-pub use pool::{FieldPool, PoolDetail, PoolStats};
+pub use pool::{FieldPool, PoolStats};
 pub use region::{region, total_cells, Region};

@@ -79,7 +79,7 @@ impl GridPatch {
     }
 
     /// Like [`GridPatch::new`], but every field's backing store is drawn
-    /// from `pool` — bit-identical to fresh zeroed fields.
+    /// from (and counted by) `pool` — bit-identical to fresh zeroed fields.
     #[allow(clippy::too_many_arguments)]
     pub fn new_in(
         pool: &crate::pool::FieldPool,
@@ -101,13 +101,6 @@ impl GridPatch {
             parent,
             owner,
             fields,
-        }
-    }
-
-    /// Consume the patch, shelving every field's backing store in `pool`.
-    pub fn recycle(self, pool: &crate::pool::FieldPool) {
-        for f in self.fields {
-            f.recycle(pool);
         }
     }
 

@@ -277,17 +277,14 @@ pub enum AnomalyKind {
     GateStarvation,
     /// Rolling probe prediction error drifted far past its baseline.
     ProbeDrift,
-    /// Steady-state pool misses after the warm-up window.
-    PoolMissStorm,
 }
 
 impl AnomalyKind {
     /// Every kind, in [`AnomalyKind::index`] order.
-    pub const ALL: [AnomalyKind; 4] = [
+    pub const ALL: [AnomalyKind; 3] = [
         AnomalyKind::ImbalanceStuck,
         AnomalyKind::GateStarvation,
         AnomalyKind::ProbeDrift,
-        AnomalyKind::PoolMissStorm,
     ];
 
     /// Stable lowercase name used in JSON exports.
@@ -296,7 +293,6 @@ impl AnomalyKind {
             AnomalyKind::ImbalanceStuck => "imbalance_stuck",
             AnomalyKind::GateStarvation => "gate_starvation",
             AnomalyKind::ProbeDrift => "probe_drift",
-            AnomalyKind::PoolMissStorm => "pool_miss_storm",
         }
     }
 
@@ -306,7 +302,6 @@ impl AnomalyKind {
             AnomalyKind::ImbalanceStuck => 0,
             AnomalyKind::GateStarvation => 1,
             AnomalyKind::ProbeDrift => 2,
-            AnomalyKind::PoolMissStorm => 3,
         }
     }
 }

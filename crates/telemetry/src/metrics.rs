@@ -11,7 +11,7 @@
 //! sample, retained or not.
 //!
 //! The [`AnomalyMonitor`] sits inside the recording sink and watches the
-//! event stream plus a few well-known series names, emitting
+//! event stream plus the `"imbalance"` series, emitting
 //! [`crate::event::AnomalyEvent`]s into the decision ring:
 //!
 //! * **imbalance stuck** — the `"imbalance"` gauge stayed above threshold
@@ -19,9 +19,7 @@
 //! * **gate starvation** — a streak of priced γ-gate evaluations all
 //!   rejected (imbalance is being detected but never acted on);
 //! * **probe drift** — the rolling probe prediction error grew a large
-//!   factor past the baseline established by the first scored probes;
-//! * **pool miss storm** — the `"pool_steady_misses"` counter rose after
-//!   the warm-up window, i.e. the steady state started allocating.
+//!   factor past the baseline established by the first scored probes.
 //!
 //! Detection is pure observation: the monitor only reads what the sink
 //! already records, so recording with detectors enabled stays bit-identical
@@ -48,12 +46,6 @@ pub const PROBE_DRIFT_FACTOR: f64 = 4.0;
 /// Relative-error floor under which drift is never flagged (quiet links
 /// have near-zero baselines; noise on top of nothing is not drift).
 pub const PROBE_DRIFT_FLOOR: f64 = 1e-3;
-/// Steady-state pool misses in one sampling interval that count as a
-/// storm on their own.
-pub const POOL_STORM_BURST: f64 = 4.0;
-/// Consecutive sampling intervals with fresh steady misses that fire
-/// [`AnomalyKind::PoolMissStorm`].
-pub const POOL_STORM_STREAK: u64 = 3;
 
 /// A bounded gauge series on simulated time with deterministic
 /// stride-doubling downsampling.
@@ -195,8 +187,6 @@ pub struct AnomalyMonitor {
     probe_recent: [f64; PROBE_DRIFT_BASELINE as usize],
     probe_recent_n: u64,
     probe_fired: bool,
-    pool_last: Option<f64>,
-    pool_streak: u64,
     fired: AnomalyTally,
 }
 
@@ -297,79 +287,35 @@ impl AnomalyMonitor {
         }
     }
 
-    /// Observe one metric sample. Only the well-known series names drive
-    /// detectors; everything else passes through untouched.
+    /// Observe one metric sample. Only the `"imbalance"` series drives a
+    /// detector; everything else passes through untouched.
     pub fn on_metric(&mut self, name: &str, value: f64, out: &mut Vec<AnomalyEvent>) {
-        match name {
-            "imbalance" => {
-                if value > IMBALANCE_STUCK_THRESHOLD {
-                    self.imbalance_streak += 1;
-                    self.imbalance_peak = self.imbalance_peak.max(value);
-                    if self.imbalance_streak == IMBALANCE_STUCK_STREAK {
-                        let (streak, peak) = (self.imbalance_streak, self.imbalance_peak);
-                        self.imbalance_streak = 0;
-                        self.imbalance_peak = 0.0;
-                        self.fire(
-                            AnomalyEvent {
-                                kind: AnomalyKind::ImbalanceStuck,
-                                value: peak,
-                                threshold: IMBALANCE_STUCK_THRESHOLD,
-                                streak,
-                                detail: format!(
-                                    "imbalance above {IMBALANCE_STUCK_THRESHOLD} for {streak} samples (peak {peak:.3}) with no redistribution attempted"
-                                ),
-                            },
-                            out,
-                        );
-                    }
-                } else {
-                    self.imbalance_streak = 0;
-                    self.imbalance_peak = 0.0;
-                }
+        if name != "imbalance" {
+            return;
+        }
+        if value > IMBALANCE_STUCK_THRESHOLD {
+            self.imbalance_streak += 1;
+            self.imbalance_peak = self.imbalance_peak.max(value);
+            if self.imbalance_streak == IMBALANCE_STUCK_STREAK {
+                let (streak, peak) = (self.imbalance_streak, self.imbalance_peak);
+                self.imbalance_streak = 0;
+                self.imbalance_peak = 0.0;
+                self.fire(
+                    AnomalyEvent {
+                        kind: AnomalyKind::ImbalanceStuck,
+                        value: peak,
+                        threshold: IMBALANCE_STUCK_THRESHOLD,
+                        streak,
+                        detail: format!(
+                            "imbalance above {IMBALANCE_STUCK_THRESHOLD} for {streak} samples (peak {peak:.3}) with no redistribution attempted"
+                        ),
+                    },
+                    out,
+                );
             }
-            "pool_steady_misses" => {
-                let delta = match self.pool_last {
-                    Some(prev) => value - prev,
-                    None => 0.0,
-                };
-                self.pool_last = Some(value);
-                if delta >= POOL_STORM_BURST {
-                    self.pool_streak = 0;
-                    self.fire(
-                        AnomalyEvent {
-                            kind: AnomalyKind::PoolMissStorm,
-                            value: delta,
-                            threshold: POOL_STORM_BURST,
-                            streak: 1,
-                            detail: format!(
-                                "{delta:.0} steady-state pool misses in one interval (total {value:.0})"
-                            ),
-                        },
-                        out,
-                    );
-                } else if delta > 0.0 {
-                    self.pool_streak += 1;
-                    if self.pool_streak == POOL_STORM_STREAK {
-                        let streak = self.pool_streak;
-                        self.pool_streak = 0;
-                        self.fire(
-                            AnomalyEvent {
-                                kind: AnomalyKind::PoolMissStorm,
-                                value,
-                                threshold: 0.0,
-                                streak,
-                                detail: format!(
-                                    "steady-state pool misses grew for {streak} consecutive intervals (total {value:.0})"
-                                ),
-                            },
-                            out,
-                        );
-                    }
-                } else {
-                    self.pool_streak = 0;
-                }
-            }
-            _ => {}
+        } else {
+            self.imbalance_streak = 0;
+            self.imbalance_peak = 0.0;
         }
     }
 }
@@ -550,22 +496,6 @@ mod tests {
             m.on_event(&probe(0.9), &mut out);
         }
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn pool_storm_fires_on_burst_or_sustained_growth() {
-        let mut m = AnomalyMonitor::new();
-        // flat counter: quiet
-        assert!(drain(&mut m, "pool_steady_misses", &[0.0, 0.0, 0.0]).is_empty());
-        // one big burst
-        let fired = drain(&mut m, "pool_steady_misses", &[POOL_STORM_BURST]);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].kind, AnomalyKind::PoolMissStorm);
-        // slow sustained growth: one miss per interval for a streak
-        let mut m2 = AnomalyMonitor::new();
-        let fired = drain(&mut m2, "pool_steady_misses", &[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].streak, POOL_STORM_STREAK);
     }
 
     #[test]

@@ -794,7 +794,7 @@ mod tests {
         }
         let s = sink.lock().unwrap();
         assert_eq!(s.counts().anomalies, 1);
-        assert_eq!(s.anomaly_tally(), [1, 0, 0, 0]);
+        assert_eq!(s.anomaly_tally(), [1, 0, 0]);
         let evs = s.events();
         assert_eq!(evs.len(), 1);
         match &evs[0].kind {

@@ -124,7 +124,6 @@ pub struct TenantService {
     handle: SimHandle,
     gsys: DistributedSystem,
     drivers: Vec<Driver>,
-    warmup: Vec<u64>,
     steps_done: Vec<u64>,
     /// Per tenant: shared-clock time at its last step completion — the
     /// anchor the next step's service latency is measured from.
@@ -152,7 +151,6 @@ impl TenantService {
         let gsys = handle.system();
         let n = specs.len();
         let mut drivers: Vec<Option<Driver>> = (0..n).map(|_| None).collect();
-        let mut warmup = vec![0u64; n];
         for &t in &placement.order {
             let spec = &specs[t];
             let mut rc = RunConfig::new(
@@ -164,7 +162,6 @@ impl TenantService {
             rc.max_levels = spec.max_levels;
             rc.seed = cfg.seed ^ ((t as u64) << 32) ^ t as u64;
             rc.telemetry = cfg.telemetry.clone();
-            warmup[t] = rc.pool_warmup_steps as u64;
             drivers[t] = Some(Driver::new_on(handle.view(&placement.groups[t]), rc));
         }
         TenantService {
@@ -174,7 +171,6 @@ impl TenantService {
             migrations: vec![0; n],
             estimators: BTreeMap::new(),
             drivers: drivers.into_iter().map(|d| d.expect("driver built")).collect(),
-            warmup,
             cfg,
             specs,
             placement,
@@ -202,9 +198,6 @@ impl TenantService {
             );
         }
         while let Some(t) = self.furthest_behind() {
-            if self.steps_done[t] == self.warmup[t] {
-                self.drivers[t].hierarchy().pool().mark_steady();
-            }
             self.drivers[t].step_once();
             self.steps_done[t] += 1;
             // service-level step latency: shared-clock time since this

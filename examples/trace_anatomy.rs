@@ -40,10 +40,6 @@ fn main() {
     cfg.telemetry = tel;
     let res = Driver::new(sys, cfg).run();
     println!("{}\n", res.summary());
-    println!(
-        "field pool: hits {}  misses {}  bytes recycled {}  steady-state field allocs {}\n",
-        res.pool.hits, res.pool.misses, res.pool.bytes_recycled, res.pool.steady_misses
-    );
 
     let sink = sink.lock().unwrap();
     let _ = std::fs::create_dir_all("results");

@@ -141,8 +141,6 @@ fn recording_telemetry_is_bit_identical_to_null() {
 /// Metric series on simulated time are pure functions of the run: two
 /// recording runs retain bit-identical points, and the online anomaly
 /// detectors (fed by those series and the event stream) fire identically.
-/// Pool occupancy gauges are excluded — which physical buffer serves a
-/// request is host-scheduling-dependent by design.
 #[test]
 fn metric_series_and_anomalies_replay_bit_for_bit() {
     let record = || {
@@ -161,7 +159,6 @@ fn metric_series_and_anomalies_replay_bit_for_bit() {
     let sb = sb.lock().unwrap();
     let deterministic = |m: &std::collections::BTreeMap<String, telemetry::MetricSeries>| {
         m.iter()
-            .filter(|(name, _)| !name.starts_with("pool_"))
             .map(|(name, s)| {
                 let bits: Vec<(u64, u64)> = s
                     .points()
