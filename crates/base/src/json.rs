@@ -55,14 +55,6 @@ impl Json {
         }
     }
 
-    /// The boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The array elements, if this is one.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -755,7 +747,7 @@ mod tests {
         assert_eq!(doc.get("c").and_then(Json::as_str), Some("x"));
         let arr = doc.get("a").and_then(Json::as_arr).unwrap();
         assert_eq!(arr[0].as_f64(), Some(1.0));
-        assert_eq!(arr[1].get("b").and_then(Json::as_bool), Some(false));
+        assert_eq!(arr[1].get("b"), Some(&Json::Bool(false)));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use samr_mesh::flag::FlagField;
 use samr_mesh::hierarchy::GridHierarchy;
 use samr_mesh::region::Region;
 use samr_mesh::{ivec3, region, IVec3};
-use samr_solvers::{advection, euler, muscl, poisson};
+use samr_solvers::{advection, euler, poisson};
 use simnet::SimView;
 use std::hint::black_box;
 use topology::{presets, LinkEstimator, ProcId, SimTime};
@@ -54,23 +54,6 @@ fn main() {
         let mut fs = euler_fieldset(IVec3::splat(16));
         report_case("euler_step_16cubed_reference", SAMPLES, || {
             euler::reference::euler_step(black_box(&mut fs), 0.05, 1.4);
-        });
-    }
-
-    {
-        let mut fs: Vec<Field3> = (0..euler::NFIELDS)
-            .map(|_| Field3::zeros(Region::cube(16), 2))
-            .collect();
-        euler::set_ambient(&mut fs, 1.0, [0.1, 0.0, 0.0], 1.0, 1.4);
-        for p in fs[0].storage_region().iter_cells() {
-            if p.x < 5 {
-                fs[euler::fields::RHO].set(p, 4.0);
-                fs[euler::fields::E].set(p, 10.0);
-            }
-        }
-        let pool = samr_mesh::pool::FieldPool::new();
-        report_case("muscl_step_16cubed", SAMPLES, || {
-            muscl::muscl_step(black_box(&mut fs), 0.05, 1.4, &pool);
         });
     }
 

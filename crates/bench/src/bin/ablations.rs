@@ -1,5 +1,6 @@
-//! Regenerates the three ablation studies (γ sensitivity, processor
-//! heterogeneity, traffic adaptation).
+//! Regenerates the ablation studies A–H: γ sensitivity, processor
+//! heterogeneity, traffic adaptation, imbalance tolerance, estimator λ,
+//! donor selection, link faults and the α/β forecaster.
 use samr_engine::AppKind;
 
 fn main() {
@@ -14,6 +15,8 @@ fn main() {
     println!("{}", bench::emit(&t, "ablation_tolerance"));
     let t = bench::ablation_lambda(quick);
     println!("{}", bench::emit(&t, "ablation_lambda"));
+    let t = bench::ablation_selection(quick);
+    println!("{}", bench::emit(&t, "ablation_selection"));
     let t = bench::ablation_faults(quick);
     println!("{}", bench::emit(&t, "ablation_faults"));
     let t = bench::ablation_forecast(quick);

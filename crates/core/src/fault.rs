@@ -35,7 +35,8 @@ pub struct FaultTolerancePolicy {
     /// Probation probes are attempted every this many level-0 steps.
     pub probation_interval: u64,
     /// Staleness TTL handed to the link estimators: an α/β estimate older
-    /// than this (in simulated seconds) no longer informs the γ-gate.
+    /// than this (in simulated seconds) reads as stale. No decision consults
+    /// staleness yet, so this does not change a run.
     pub estimator_ttl_secs: f64,
 }
 
@@ -260,19 +261,9 @@ impl ProcHealth {
         }
     }
 
-    /// Is `p` alive as of the last observation?
-    pub fn is_alive(&self, p: usize) -> bool {
-        self.alive.get(p).copied().unwrap_or(true)
-    }
-
     /// The full alive mask as of the last observation.
     pub fn alive_mask(&self) -> &[bool] {
         &self.alive
-    }
-
-    /// Number of alive procs as of the last observation.
-    pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
     }
 
     /// Fold in a fresh observation of the alive mask and return the
@@ -367,19 +358,16 @@ mod tests {
     #[test]
     fn proc_health_detects_edges_once() {
         let mut h = ProcHealth::new(4);
-        assert_eq!(h.alive_count(), 4);
+        assert_eq!(h.alive_mask(), &[true; 4]);
         let tr = h.observe(&[true, false, true, false]);
         assert_eq!(tr.crashed, vec![1, 3]);
         assert!(tr.rejoined.is_empty());
         // same mask again: no new events
         assert!(h.observe(&[true, false, true, false]).is_empty());
-        assert_eq!(h.alive_count(), 2);
-        assert!(!h.is_alive(1));
+        assert_eq!(h.alive_mask(), &[true, false, true, false]);
         let tr = h.observe(&[true, true, true, false]);
         assert_eq!(tr.rejoined, vec![1]);
         assert!(tr.crashed.is_empty());
-        // out-of-range queries default to alive
-        assert!(h.is_alive(99));
     }
 
     #[test]

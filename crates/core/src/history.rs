@@ -115,13 +115,6 @@ impl WorkloadHistory {
             .map(|i| self.group_level_load(i, group_procs) as f64 * self.level_iters(i) as f64)
             .sum()
     }
-
-    /// Per-processor iteration-weighted total workload (all levels).
-    pub fn proc_total_load(&self, proc: usize) -> f64 {
-        (0..self.nlevels())
-            .map(|i| self.proc_level_load(i, proc) as f64 * self.level_iters(i) as f64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -158,13 +151,6 @@ mod tests {
         // A: 200·1 + 600·2 = 1400 ; B: 200·1 + 0 = 200
         assert_eq!(h.group_total_load(&[0, 1]), 1400.0);
         assert_eq!(h.group_total_load(&[2, 3]), 200.0);
-    }
-
-    #[test]
-    fn proc_total_load_weighted() {
-        let h = sample();
-        assert_eq!(h.proc_total_load(0), 100.0 + 400.0 * 2.0);
-        assert_eq!(h.proc_total_load(3), 100.0);
     }
 
     #[test]

@@ -24,14 +24,6 @@ pub fn improvement_percent(base: f64, new: f64) -> f64 {
     (base - new) / base * 100.0
 }
 
-/// Relative *increase* of `new` over `base`, in percent — used for the
-/// efficiency comparisons of Fig. 8 ("efficiency is improved by
-/// 9.9%–84.8%").
-pub fn increase_percent(base: f64, new: f64) -> f64 {
-    assert!(base > 0.0);
-    (new - base) / base * 100.0
-}
-
 /// Mean of a slice.
 pub fn mean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty());
@@ -66,11 +58,6 @@ mod tests {
         assert!((improvement_percent(100.0, 54.1) - 45.9).abs() < 1e-9);
         // regression shows as negative improvement
         assert!(improvement_percent(100.0, 110.0) < 0.0);
-    }
-
-    #[test]
-    fn increase_percent_for_efficiency() {
-        assert!((increase_percent(0.27, 0.499) - 84.81481481481484).abs() < 1e-9);
     }
 
     #[test]

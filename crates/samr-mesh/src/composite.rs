@@ -1,6 +1,6 @@
-//! Composite-grid queries: read the hierarchy's solution "as one field",
-//! always answering from the finest grid covering a location. Used by
-//! validation, analysis, and visualization exports.
+//! Composite-grid query: read the hierarchy's solution "as one field",
+//! answering from the finest grid covering a location. Used by the
+//! `visualize` example's slice export.
 
 use crate::hierarchy::GridHierarchy;
 use crate::index::IVec3;
@@ -30,39 +30,6 @@ pub fn finest_value_at(hier: &GridHierarchy, p0: IVec3, field: usize) -> Option<
         p = p * r;
     }
     best
-}
-
-/// Level-0-resolution snapshot of `field`: for every level-0 cell, the value
-/// from the finest covering grid (conservatively averaged data is already
-/// present at level 0 after restriction, so this mainly differs mid-step or
-/// for non-restricted fields). Row-major z-fastest over the domain.
-pub fn composite_level0(hier: &GridHierarchy, field: usize) -> Vec<f64> {
-    let domain = hier.domain();
-    let mut out = Vec::with_capacity(domain.cells() as usize);
-    for p in domain.iter_cells() {
-        let v = finest_value_at(hier, p, field).map(|(_, v)| v).unwrap_or(0.0);
-        out.push(v);
-    }
-    out
-}
-
-/// Fraction of the level-0 domain covered by grids at `level` (projected
-/// down) — the "refined fraction" curve analyses plot.
-pub fn refined_fraction(hier: &GridHierarchy, level: usize) -> f64 {
-    if level == 0 {
-        let covered: i64 = hier.level_ids(0).iter().map(|&id| hier.patch(id).cells()).sum();
-        return covered as f64 / hier.domain().cells() as f64;
-    }
-    let r = hier.refine_factor();
-    let mut covered = 0i64;
-    for &id in hier.level_ids(level) {
-        let mut reg = hier.patch(id).region;
-        for _ in 0..level {
-            reg = reg.coarsen(r);
-        }
-        covered += reg.cells();
-    }
-    covered as f64 / hier.domain().cells() as f64
 }
 
 #[cfg(test)]
@@ -97,24 +64,5 @@ mod tests {
     fn outside_domain_is_none() {
         let h = two_level();
         assert!(finest_value_at(&h, ivec3(100, 0, 0), 0).is_none());
-    }
-
-    #[test]
-    fn composite_snapshot_mixes_levels() {
-        let h = two_level();
-        let snap = composite_level0(&h, 0);
-        assert_eq!(snap.len(), 512);
-        let fines = snap.iter().filter(|&&v| v == 2.0).count();
-        let coarses = snap.iter().filter(|&&v| v == 1.0).count();
-        assert_eq!(fines, 64); // the refined octant (4^3 level-0 cells)
-        assert_eq!(coarses, 512 - 64);
-    }
-
-    #[test]
-    fn refined_fraction_values() {
-        let h = two_level();
-        assert!((refined_fraction(&h, 0) - 1.0).abs() < 1e-12);
-        assert!((refined_fraction(&h, 1) - 64.0 / 512.0).abs() < 1e-12);
-        assert_eq!(refined_fraction(&h, 2), 0.0);
     }
 }

@@ -48,11 +48,6 @@ impl FlagField {
         self.flags.iter().filter(|&&f| f).count() as i64
     }
 
-    /// `true` if no cell is flagged.
-    pub fn is_clear(&self) -> bool {
-        self.count() == 0
-    }
-
     /// Tight bounding box of flagged cells (`Region::EMPTY` when clear).
     pub fn bounding_box(&self) -> Region {
         let mut lo = ivec3(i64::MAX, i64::MAX, i64::MAX);
@@ -99,14 +94,6 @@ impl FlagField {
                 }
             }
             self.flags = next;
-        }
-    }
-
-    /// OR another flag field (over the same region) into this one.
-    pub fn union_with(&mut self, other: &FlagField) {
-        assert_eq!(self.region, other.region, "flag regions differ");
-        for (a, b) in self.flags.iter_mut().zip(&other.flags) {
-            *a |= *b;
         }
     }
 }
@@ -231,7 +218,7 @@ mod tests {
     #[test]
     fn set_get_count() {
         let mut f = FlagField::new(Region::cube(4));
-        assert!(f.is_clear());
+        assert_eq!(f.count(), 0);
         f.set(ivec3(1, 1, 1), true);
         f.set(ivec3(2, 3, 0), true);
         assert_eq!(f.count(), 2);
@@ -353,15 +340,5 @@ mod tests {
         assert!(flags.get(ivec3(0, 0, 0)));
         assert!(flags.get(ivec3(2, 2, 2)));
         assert_eq!(flags.count(), 2);
-    }
-
-    #[test]
-    fn union_with_merges() {
-        let mut a = FlagField::new(Region::cube(2));
-        let mut b = FlagField::new(Region::cube(2));
-        a.set(ivec3(0, 0, 0), true);
-        b.set(ivec3(1, 1, 1), true);
-        a.union_with(&b);
-        assert_eq!(a.count(), 2);
     }
 }

@@ -9,6 +9,9 @@
 //! A [`FluxRegister`] accumulates `F_coarse − ⟨F_fine⟩` per interface face
 //! and [`FluxRegister::apply`] adds `± dt/dx · Δ` to the adjacent uncovered
 //! coarse cells (sign by face orientation).
+//!
+//! Tested, but not yet called by any driver path: the engine does not
+//! reflux (DESIGN.md §5, known deviation iii).
 
 use crate::field::Field3;
 use crate::index::IVec3;

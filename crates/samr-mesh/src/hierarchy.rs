@@ -6,7 +6,6 @@
 //! and the locations of the grids all change with each adaptation.
 
 use crate::field::Field3;
-use crate::index::IVec3;
 use crate::patch::{GridPatch, OwnerProc, PatchId};
 use crate::region::Region;
 use std::collections::BTreeMap;
@@ -729,16 +728,6 @@ impl GridHierarchy {
         }
     }
 
-    /// Total cells owned by `owner` at `level`.
-    pub fn owner_level_cells(&self, owner: OwnerProc, level: usize) -> i64 {
-        self.level_ids(level)
-            .iter()
-            .map(|id| self.patch(*id))
-            .filter(|p| p.owner == owner)
-            .map(|p| p.cells())
-            .sum()
-    }
-
     /// Per-owner cell totals at `level` for `nprocs` processors.
     pub fn level_load_by_owner(&self, level: usize, nprocs: usize) -> Vec<i64> {
         let mut v = vec![0i64; nprocs];
@@ -999,11 +988,6 @@ impl BoxIndex {
         index
     }
 
-    /// Cells along one bucket edge.
-    pub fn bucket_edge(&self) -> i64 {
-        1 << self.shift
-    }
-
     /// Linear ids of the buckets `b` touches.
     fn bucket_ids(&self, b: &Region) -> impl Iterator<Item = usize> {
         let (ny, nz) = (self.n[1], self.n[2]);
@@ -1080,16 +1064,6 @@ pub mod reference {
         topo.rounds = colour_rounds(&topo.first_overlap, &topo.overlap_slots);
         topo
     }
-}
-
-/// Convenience: map a cell position from level-`l` coordinates to the
-/// containing cell at level `l - k` (coarsening by `r^k`).
-pub fn coarsen_point(p: IVec3, r: i64, k: usize) -> IVec3 {
-    let mut q = p;
-    for _ in 0..k {
-        q = q.div_floor(r);
-    }
-    q
 }
 
 #[cfg(test)]
@@ -1229,7 +1203,7 @@ mod tests {
             let n = *cuts.last().unwrap();
             let mut h = level1_of(n, 1, holey_tiling(cuts, 0x9e37, 16));
             let index = h.level_index(1);
-            assert_eq!(index.bucket_edge(), edge, "cuts {cuts:?}");
+            assert_eq!(1 << index.shift, edge, "cuts {cuts:?}");
             let brute = reference::exchange_topology(&h, 1).overlaps;
             assert!(brute.len() > 100, "tiling {cuts:?} too sparse to exercise the index");
             assert_eq!(h.exchange_topology(1).overlaps, brute, "cuts {cuts:?}");
@@ -1240,7 +1214,7 @@ mod tests {
         let mut boxes = holey_tiling(&cuts, 0x51ed, 16);
         boxes.push(region(ivec3(30, 12, 0), ivec3(33, 15, 64)));
         let mut h = level1_of(64, 2, boxes);
-        assert_eq!(h.level_index(1).bucket_edge(), 4);
+        assert_eq!(1 << h.level_index(1).shift, 4);
         let brute = reference::exchange_topology(&h, 1).overlaps;
         let beam = *h.level_ids(1).last().unwrap();
         assert!(brute.iter().filter(|o| o.dst == beam).count() >= 8);
@@ -1415,14 +1389,6 @@ mod tests {
         h.insert_patch(1, region(ivec3(8, 8, 8), ivec3(12, 12, 12)), Some(root), 1);
         let loads = h.level_load_by_owner(1, 2);
         assert_eq!(loads, vec![0, 128]);
-        assert_eq!(h.owner_level_cells(0, 0), 512);
-    }
-
-    #[test]
-    fn coarsen_point_maps_down() {
-        assert_eq!(coarsen_point(ivec3(7, 6, 5), 2, 1), ivec3(3, 3, 2));
-        assert_eq!(coarsen_point(ivec3(7, 6, 5), 2, 2), ivec3(1, 1, 1));
-        assert_eq!(coarsen_point(ivec3(3, 3, 3), 2, 0), ivec3(3, 3, 3));
     }
 
     #[test]

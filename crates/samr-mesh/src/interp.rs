@@ -1,5 +1,5 @@
-//! Inter-level data transfer: prolongation (coarse → fine) and restriction
-//! (fine → coarse).
+//! Inter-level data transfer: piecewise-constant prolongation (coarse →
+//! fine) and conservative restriction (fine → coarse).
 
 use crate::field::Field3;
 use crate::index::{ivec3, IVec3};
@@ -87,48 +87,6 @@ pub fn prolong_constant_fields(
                 }
             }
         }
-    }
-}
-
-/// Trilinear prolongation: fill fine cells by linear interpolation between
-/// coarse cell centers. Falls back to the containing-cell value at coarse
-/// boundaries where a full stencil is unavailable.
-pub fn prolong_linear(coarse: &Field3, fine: &mut Field3, fine_window: &Region, r: i64) {
-    let w = fine_window.intersect(&fine.storage_region());
-    let cs = coarse.storage_region();
-    let rf = r as f64;
-    for p in w.iter_cells() {
-        // fine cell center in coarse index space
-        let cx = (p.x as f64 + 0.5) / rf - 0.5;
-        let cy = (p.y as f64 + 0.5) / rf - 0.5;
-        let cz = (p.z as f64 + 0.5) / rf - 0.5;
-        let ix = cx.floor() as i64;
-        let iy = cy.floor() as i64;
-        let iz = cz.floor() as i64;
-        let fx = cx - ix as f64;
-        let fy = cy - iy as f64;
-        let fz = cz - iz as f64;
-        let corner = ivec3(ix, iy, iz);
-        let ok = cs.contains(corner) && cs.contains(corner + IVec3::ONE);
-        let v = if ok {
-            let mut acc = 0.0;
-            for (dx, wx) in [(0i64, 1.0 - fx), (1, fx)] {
-                for (dy, wy) in [(0i64, 1.0 - fy), (1, fy)] {
-                    for (dz, wz) in [(0i64, 1.0 - fz), (1, fz)] {
-                        acc += wx * wy * wz * coarse.get(corner + ivec3(dx, dy, dz));
-                    }
-                }
-            }
-            acc
-        } else {
-            let cp = p.div_floor(r);
-            if cs.contains(cp) {
-                coarse.get(cp)
-            } else {
-                continue;
-            }
-        };
-        fine.set(p, v);
     }
 }
 
@@ -230,27 +188,6 @@ mod tests {
         prolong_constant(&coarse, &mut fine, &fine_region, 2);
         // each coarse value copied into 8 fine cells
         assert!((fine.interior_sum() - 8.0 * coarse.interior_sum()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn linear_prolong_reproduces_linear_fields() {
-        // u = x (in coarse index units) should be reproduced exactly away
-        // from boundaries
-        let mut coarse = Field3::zeros(Region::cube(6), 2);
-        for p in coarse.storage_region().iter_cells() {
-            coarse.set(p, p.x as f64);
-        }
-        let fine_region = region(ivec3(4, 4, 4), ivec3(8, 8, 8));
-        let mut fine = Field3::zeros(fine_region, 0);
-        prolong_linear(&coarse, &mut fine, &fine_region, 2);
-        for p in fine_region.iter_cells() {
-            let expect = (p.x as f64 + 0.5) / 2.0 - 0.5;
-            assert!(
-                (fine.get(p) - expect).abs() < 1e-12,
-                "at {p:?}: {} vs {expect}",
-                fine.get(p)
-            );
-        }
     }
 
     #[test]

@@ -24,7 +24,6 @@
 
 pub mod checkpoint;
 pub mod cluster;
-pub mod coalesce;
 pub mod composite;
 pub mod field;
 pub mod flag;
@@ -38,8 +37,7 @@ pub mod region;
 
 pub use checkpoint::{restore, snapshot, HierarchySnapshot};
 pub use cluster::{berger_rigoutsos, ClusterParams};
-pub use coalesce::coalesce;
-pub use composite::{composite_level0, finest_value_at, refined_fraction};
+pub use composite::finest_value_at;
 pub use field::Field3;
 pub use flag::{flag_cells, FlagField, RefineCriterion};
 pub use flux::FluxRegister;

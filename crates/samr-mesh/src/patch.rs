@@ -117,12 +117,6 @@ impl GridPatch {
             .map(|f| (f.storage_region().cells() as u64) * 8)
             .sum()
     }
-
-    /// Boundary-exchange volume in bytes for a sibling overlap of `cells`
-    /// cells: every field ships its ghost strip.
-    pub fn boundary_bytes(&self, cells: i64) -> u64 {
-        (cells.max(0) as u64) * 8 * self.fields.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +141,5 @@ mod tests {
         let p = GridPatch::new(PatchId(0), 0, Region::cube(4), None, 0, 2, 1);
         // storage is 6^3 per field, 8 bytes per cell, 2 fields
         assert_eq!(p.payload_bytes(), 2 * 6 * 6 * 6 * 8);
-        assert_eq!(p.boundary_bytes(10), 10 * 8 * 2);
-        assert_eq!(p.boundary_bytes(-5), 0);
     }
 }

@@ -243,17 +243,6 @@ impl Region {
             .filter(move |_| !empty)
     }
 
-    /// Number of cells on the surface of the box (cells with at least one
-    /// face on the boundary) — proxy for ghost-exchange volume.
-    pub fn surface_cells(&self) -> i64 {
-        if self.is_empty() {
-            return 0;
-        }
-        let s = self.size();
-        let interior = (s.x - 2).max(0) * (s.y - 2).max(0) * (s.z - 2).max(0);
-        self.cells() - interior
-    }
-
     /// Linear index of cell `p` within this region (z fastest), for field
     /// storage. `p` must be inside.
     pub fn linear_index(&self, p: IVec3) -> usize {
@@ -411,14 +400,6 @@ mod tests {
         assert_eq!(total_cells(&parts), uncovered);
         assert_eq!(a.subtract_all(&[]), vec![a]);
         assert!(a.subtract_all(&[a.grow(1)]).is_empty());
-    }
-
-    #[test]
-    fn surface_cells_counts_shell() {
-        assert_eq!(Region::cube(1).surface_cells(), 1);
-        assert_eq!(Region::cube(2).surface_cells(), 8);
-        assert_eq!(Region::cube(3).surface_cells(), 26);
-        assert_eq!(Region::cube(4).surface_cells(), 64 - 8);
     }
 
     #[test]

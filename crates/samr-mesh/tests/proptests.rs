@@ -152,14 +152,6 @@ fn linear_index_is_bijection() {
     });
 }
 
-#[test]
-fn surface_cells_at_most_total() {
-    prop::check(prop::CASES, arb_region, |a| {
-        assert!(a.surface_cells() <= a.cells());
-        assert!(a.surface_cells() >= 0);
-    });
-}
-
 /// Random flag sets over a 16³ box.
 fn arb_flags(g: &mut Gen) -> Vec<(i64, i64, i64)> {
     g.vec(0..200, |g| (g.i64(0..16), g.i64(0..16), g.i64(0..16)))

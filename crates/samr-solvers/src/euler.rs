@@ -8,8 +8,8 @@
 //!
 //! The per-cell arithmetic — primitives, the HLL flux, the flux-difference
 //! update, the floors — is written once over a lane type ([`Lanes`]). Its
-//! `f64` instantiation is the scalar API ([`hll_flux`], [`store`], the
-//! MUSCL solver, [`mod@reference`]); its `Pack` instantiations are [`sweep`],
+//! `f64` instantiation is the scalar API ([`hll_flux`], [`store`],
+//! [`mod@reference`]); its `Pack` instantiations are [`sweep`],
 //! which carries several independent sweep lines at once through
 //! `sweep_column`. Every lane performs the scalar's IEEE operations in
 //! the scalar's order, so all instantiations produce the same bits.
@@ -20,7 +20,6 @@
 use crate::checked_capacity;
 use samr_mesh::field::Field3;
 use samr_mesh::index::{ivec3, IVec3};
-use samr_mesh::region::Region;
 use std::ops::{Add, Div, Mul, Range, Sub};
 
 /// Number of conserved fields: ρ, mx, my, mz, E.
@@ -345,77 +344,6 @@ pub(crate) fn flux_difference_update<L: Lanes>(
         v[k] = v[k] - L::splat(dt_over_dx) * (f_hi[k] - f_lo[k]);
     }
     Cons::from_array(v)
-}
-
-/// Geometry of one sweep line: the run of cells along the sweep axis at
-/// fixed transverse coordinates, with precomputed start indices and strides
-/// into the (ghosted) source storage and the ghost-0 output region — all
-/// 3D→1D index math is done once per line, not once per cell.
-pub(crate) struct LinePlan {
-    pub src_start: usize,
-    pub out_start: usize,
-    pub src_stride: usize,
-    pub out_stride: usize,
-    pub n: usize,
-}
-
-/// Visit every sweep line of `interior` along `axis`. The transverse
-/// coordinates iterate z-fastest (storage order), so consecutive lines of
-/// the strided x/y sweeps touch adjacent memory and the cache lines loaded
-/// for one line are reused by the next seven — the cache-blocking that
-/// keeps the non-contiguous sweeps streaming. The z sweep's lines are
-/// stride-1 slices outright.
-pub(crate) fn for_each_line(
-    interior: Region,
-    storage: Region,
-    out: Region,
-    axis: usize,
-    mut f: impl FnMut(LinePlan),
-) {
-    let ssz = (storage.hi.z - storage.lo.z) as usize;
-    let osz = (out.hi.z - out.lo.z) as usize;
-    let (src_stride, out_stride) = match axis {
-        0 => (
-            (storage.hi.y - storage.lo.y) as usize * ssz,
-            (out.hi.y - out.lo.y) as usize * osz,
-        ),
-        1 => (ssz, osz),
-        _ => (1, 1),
-    };
-    let lo = interior.lo;
-    let hi = interior.hi;
-    let mut line = |start: IVec3, n: i64| {
-        f(LinePlan {
-            src_start: storage.linear_index(start),
-            out_start: out.linear_index(start),
-            src_stride,
-            out_stride,
-            n: n as usize,
-        })
-    };
-    match axis {
-        0 => {
-            for y in lo.y..hi.y {
-                for z in lo.z..hi.z {
-                    line(ivec3(lo.x, y, z), hi.x - lo.x);
-                }
-            }
-        }
-        1 => {
-            for x in lo.x..hi.x {
-                for z in lo.z..hi.z {
-                    line(ivec3(x, lo.y, z), hi.y - lo.y);
-                }
-            }
-        }
-        _ => {
-            for x in lo.x..hi.x {
-                for y in lo.y..hi.y {
-                    line(ivec3(x, y, lo.z), hi.z - lo.z);
-                }
-            }
-        }
-    }
 }
 
 /// Assert the shape invariant the line kernels index by: every conserved
@@ -758,6 +686,7 @@ pub fn set_ambient(fieldset: &mut [Field3], rho: f64, v: [f64; 3], p: f64, gamma
 #[cfg(test)]
 mod tests {
     use super::*;
+    use samr_mesh::region::Region;
 
     fn zeros(r: Region, ghost: i64) -> Vec<Field3> {
         (0..NFIELDS).map(|_| Field3::zeros(r, ghost)).collect()

@@ -9,13 +9,12 @@
 //! * [`advection`] — scalar linear advection (upwind/minmod), used by tests
 //!   and the quickstart.
 //! * [`poisson`] — red-black Gauss–Seidel relaxation for `∇²φ = ρ`, the
-//!   elliptic half of `AMR64`; [`multigrid`] accelerates it with V-cycles
-//!   built on the mesh crate's inter-level transfer operators.
+//!   elliptic half of `AMR64`.
 //! * [`particles`] — leapfrog particle trajectories with NGP deposition,
 //!   `AMR64`'s ODE component.
 //!
-//! [`par`] runs a solver over many patches on the worker pool; simulated timing is
-//! charged separately by the driver, so real parallelism only shortens
+//! The driver runs these kernels over a level's patches on the worker pool;
+//! simulated timing is charged separately, so real parallelism only shortens
 //! wall-clock time, never changes results.
 
 #![deny(unsafe_code)]
@@ -26,12 +25,8 @@
 
 pub mod advection;
 pub mod euler;
-pub mod multigrid;
-pub mod muscl;
-pub mod par;
 pub mod particles;
 pub mod poisson;
-pub mod riemann;
 
 pub use particles::{Particle, ParticleSet};
 

@@ -92,41 +92,6 @@ impl ParticleSet {
         }
     }
 
-    /// Deposit particle mass with cloud-in-cell (trilinear) weighting: each
-    /// particle's mass is shared among the 8 cells nearest its position.
-    /// Smoother than NGP (the operator production cosmology codes use);
-    /// shares outside the field's interior are dropped.
-    pub fn deposit_cic(&self, field: &mut Field3, scale: f64) {
-        let interior = field.interior();
-        for p in &self.particles {
-            // cell centers sit at i + 0.5
-            let xc = [p.pos[0] - 0.5, p.pos[1] - 0.5, p.pos[2] - 0.5];
-            let base = [
-                xc[0].floor() as i64,
-                xc[1].floor() as i64,
-                xc[2].floor() as i64,
-            ];
-            let frac = [
-                xc[0] - base[0] as f64,
-                xc[1] - base[1] as f64,
-                xc[2] - base[2] as f64,
-            ];
-            for dx in 0..2i64 {
-                for dy in 0..2i64 {
-                    for dz in 0..2i64 {
-                        let w = (if dx == 0 { 1.0 - frac[0] } else { frac[0] })
-                            * (if dy == 0 { 1.0 - frac[1] } else { frac[1] })
-                            * (if dz == 0 { 1.0 - frac[2] } else { frac[2] });
-                        let c = ivec3(base[0] + dx, base[1] + dy, base[2] + dz);
-                        if interior.contains(c) && w > 0.0 {
-                            *field.at_mut(c) += p.mass * scale * w;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Count particles whose containing cell lies inside `region`.
     pub fn count_in(&self, region: Region) -> usize {
         self.particles
@@ -139,16 +104,6 @@ impl ParticleSet {
                 ))
             })
             .count()
-    }
-
-    /// Total kinetic energy `Σ ½ m v²`.
-    pub fn kinetic_energy(&self) -> f64 {
-        self.particles
-            .iter()
-            .map(|p| {
-                0.5 * p.mass * (p.vel[0] * p.vel[0] + p.vel[1] * p.vel[1] + p.vel[2] * p.vel[2])
-            })
-            .sum()
     }
 }
 
@@ -225,44 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn cic_conserves_mass_in_interior() {
-        let s = ParticleSet::new(vec![
-            Particle { pos: [3.2, 4.7, 5.1], vel: [0.0; 3], mass: 2.0 },
-            Particle { pos: [2.5, 2.5, 2.5], vel: [0.0; 3], mass: 3.0 },
-        ]);
-        let mut f = Field3::zeros(Region::cube(8), 0);
-        s.deposit_cic(&mut f, 1.0);
-        assert!((f.interior_sum() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cic_centered_particle_is_ngp_like() {
-        // a particle at a cell center gives all its mass to that cell
-        let s = ParticleSet::new(vec![Particle {
-            pos: [3.5, 3.5, 3.5],
-            vel: [0.0; 3],
-            mass: 4.0,
-        }]);
-        let mut f = Field3::zeros(Region::cube(8), 0);
-        s.deposit_cic(&mut f, 1.0);
-        assert!((f.get(ivec3(3, 3, 3)) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cic_smoother_than_ngp() {
-        // a particle on a cell boundary splits mass between neighbours
-        let s = ParticleSet::new(vec![Particle {
-            pos: [4.0, 3.5, 3.5],
-            vel: [0.0; 3],
-            mass: 2.0,
-        }]);
-        let mut f = Field3::zeros(Region::cube(8), 0);
-        s.deposit_cic(&mut f, 1.0);
-        assert!((f.get(ivec3(3, 3, 3)) - 1.0).abs() < 1e-12);
-        assert!((f.get(ivec3(4, 3, 3)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn count_in_regions() {
         let s = ParticleSet::new(vec![
             Particle { pos: [1.5, 1.5, 1.5], vel: [0.0; 3], mass: 1.0 },
@@ -270,6 +187,5 @@ mod tests {
         ]);
         assert_eq!(s.count_in(Region::cube(4)), 1);
         assert_eq!(s.count_in(Region::cube(8)), 2);
-        assert_eq!(s.kinetic_energy(), 0.0);
     }
 }

@@ -4,7 +4,7 @@
 //! read straight out of the density field ([`rbgs_sweep_shifted`]).
 
 use samr_mesh::field::Field3;
-use samr_mesh::index::{ivec3, IVec3, FACE_NEIGHBORS};
+use samr_mesh::index::{ivec3, FACE_NEIGHBORS};
 
 /// One red-black Gauss–Seidel sweep (both colors) of `∇²φ = rhs` with unit
 /// cell spacing scaled by `h` (so the stencil divides by `h²`).
@@ -129,20 +129,10 @@ pub fn solve(
     (max_sweeps, r)
 }
 
-/// Central-difference gradient of φ at cell `p` (for particle acceleration:
-/// `a = −∇φ`).
-pub fn gradient(phi: &Field3, p: IVec3, h: f64) -> [f64; 3] {
-    let inv = 0.5 / h;
-    [
-        (phi.get(p + ivec3(1, 0, 0)) - phi.get(p - ivec3(1, 0, 0))) * inv,
-        (phi.get(p + ivec3(0, 1, 0)) - phi.get(p - ivec3(0, 1, 0))) * inv,
-        (phi.get(p + ivec3(0, 0, 1)) - phi.get(p - ivec3(0, 0, 1))) * inv,
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use samr_mesh::index::IVec3;
     use samr_mesh::region::Region;
 
     /// Set φ on the full storage from an analytic function of the cell index.
@@ -259,20 +249,6 @@ mod tests {
         let r2 = residual_l2(&phi, &rhs, 1.0);
         assert!(r1 < r0);
         assert!(r2 < r1 * 0.9);
-    }
-
-    #[test]
-    fn gradient_of_linear_field_exact() {
-        let r = Region::cube(4);
-        let mut phi = Field3::zeros(r, 1);
-        fill(&mut phi, |p| 2.0 * p.x as f64 - 3.0 * p.y as f64 + p.z as f64);
-        let g = gradient(&phi, ivec3(2, 2, 2), 1.0);
-        assert!((g[0] - 2.0).abs() < 1e-12);
-        assert!((g[1] + 3.0).abs() < 1e-12);
-        assert!((g[2] - 1.0).abs() < 1e-12);
-        // spacing scales it
-        let g = gradient(&phi, ivec3(2, 2, 2), 0.5);
-        assert!((g[0] - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use samr_mesh::pool::FieldPool;
 use samr_mesh::region::Region;
 use samr_mesh::{ivec3, region};
 use samr_solvers::euler::{self, NFIELDS};
-use samr_solvers::{advection, muscl, poisson};
+use samr_solvers::{advection, poisson};
 
 /// A patch interior with irregular extents: z-rows deliberately span 1–19
 /// cells so `chunks_exact(8)` sees empty, partial and multi-lane rows.
@@ -55,22 +55,6 @@ fn euler_line_kernel_matches_reference() {
             let mut b = a.clone();
             euler::sweep(&mut a, axis, 0.2, 1.4);
             euler::reference::sweep(&mut b, axis, 0.2, 1.4);
-            assert_eq!(bits(&a), bits(&b));
-        },
-    );
-}
-
-#[test]
-fn muscl_line_kernel_matches_reference() {
-    prop::check(
-        prop::CASES,
-        |g| (arb_region(g), g.usize(0..3), g.any_u64()),
-        |(r, axis, seed)| {
-            let pool = FieldPool::new();
-            let mut a = random_euler_fields(r, 2, seed);
-            let mut b = a.clone();
-            muscl::sweep_muscl(&mut a, axis, 0.15, 1.4, &pool);
-            muscl::reference::sweep_muscl(&mut b, axis, 0.15, 1.4);
             assert_eq!(bits(&a), bits(&b));
         },
     );

@@ -48,12 +48,6 @@ impl SimError {
             | SimError::PeerDead { at } => *at,
         }
     }
-
-    /// Is this the kind of failure that should count as a timeout strike
-    /// against the link (vs. a hard down)?
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, SimError::Timeout { .. })
-    }
 }
 
 impl std::fmt::Display for SimError {
@@ -100,8 +94,6 @@ mod tests {
             .at(),
             t
         );
-        assert!(SimError::Timeout { at: t, deadline: t }.is_timeout());
-        assert!(!SimError::LinkDown { at: t }.is_timeout());
     }
 
     #[test]

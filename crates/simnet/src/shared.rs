@@ -151,11 +151,6 @@ impl SimView {
         }
     }
 
-    /// Does this view share its simulator with other tenants?
-    pub fn is_shared(&self) -> bool {
-        matches!(self.inner, ViewInner::Shared { .. })
-    }
-
     /// Translate a view-local group id to the global one.
     fn gg(&self, g: GroupId) -> GroupId {
         match &self.inner {
@@ -585,7 +580,6 @@ mod tests {
         view.allreduce_all(64, Activity::LoadBalance).unwrap();
         assert_eq!(raw.finish(), view.finish());
         assert_eq!(raw.stats().msgs.remote_msgs, view.stats().msgs.remote_msgs);
-        assert!(!view.is_shared());
     }
 
     #[test]
@@ -593,7 +587,6 @@ mod tests {
         let handle = SimHandle::new(substrate(3, 2));
         // a view over the *last* two groups: local proc 0 is global proc 2
         let mut v = handle.view(&[GroupId(1), GroupId(2)]);
-        assert!(v.is_shared());
         assert_eq!(v.system().nprocs(), 4);
         assert_eq!(v.system().ngroups(), 2);
         v.compute(ProcId(0), 1.0);

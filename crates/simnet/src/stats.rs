@@ -87,25 +87,9 @@ impl SimStats {
         self.procs.iter().map(|p| p.compute).max().unwrap_or(SimTime::ZERO)
     }
 
-    /// Mean compute seconds over processors.
-    pub fn mean_compute_secs(&self) -> f64 {
-        if self.procs.is_empty() {
-            return 0.0;
-        }
-        self.procs.iter().map(|p| p.compute.as_secs_f64()).sum::<f64>() / self.procs.len() as f64
-    }
-
     /// Maximum communication time over processors (Fig. 3's comm bar).
     pub fn max_comm(&self) -> SimTime {
         self.procs.iter().map(|p| p.comm()).max().unwrap_or(SimTime::ZERO)
-    }
-
-    /// Mean communication seconds over processors.
-    pub fn mean_comm_secs(&self) -> f64 {
-        if self.procs.is_empty() {
-            return 0.0;
-        }
-        self.procs.iter().map(|p| p.comm().as_secs_f64()).sum::<f64>() / self.procs.len() as f64
     }
 
     /// Mean load-balance overhead seconds over processors.
@@ -146,7 +130,5 @@ mod tests {
         st.procs[1].charge(Activity::RemoteComm, SimTime::from_secs(4));
         assert_eq!(st.max_compute(), SimTime::from_secs(5));
         assert_eq!(st.max_comm(), SimTime::from_secs(4));
-        assert!((st.mean_compute_secs() - 4.0).abs() < 1e-12);
-        assert!((st.mean_comm_secs() - 2.0).abs() < 1e-12);
     }
 }

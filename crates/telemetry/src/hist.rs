@@ -68,16 +68,6 @@ impl LogHistogram {
         edges().partition_point(|e| *e <= v)
     }
 
-    /// Inclusive lower bound of bucket `i` (0.0 for the underflow bucket).
-    pub fn bucket_lower_bound(i: usize) -> f64 {
-        assert!(i < NUM_BUCKETS, "bucket {i} out of range");
-        if i == 0 {
-            0.0
-        } else {
-            edges()[i - 1]
-        }
-    }
-
     /// Exclusive upper bound of bucket `i` (`+inf` for the overflow bucket).
     pub fn bucket_upper_bound(i: usize) -> f64 {
         assert!(i < NUM_BUCKETS, "bucket {i} out of range");
@@ -232,7 +222,7 @@ mod tests {
         assert_eq!(LogHistogram::bucket_index(LOW_EDGE * 0.999), 0);
         // an interior edge, taken verbatim from the bound table
         let i = 17;
-        let edge = LogHistogram::bucket_lower_bound(i);
+        let edge = edges()[i - 1];
         assert_eq!(LogHistogram::bucket_index(edge), i);
         // nudged below the edge: previous bucket
         assert_eq!(LogHistogram::bucket_index(edge * (1.0 - 1e-12)), i - 1);
@@ -246,7 +236,7 @@ mod tests {
         let mut h = LogHistogram::new();
         // exactly the last edge, read from the bound table (the nominal 1e3
         // is off by a few ulps of powf rounding)
-        h.record(LogHistogram::bucket_lower_bound(NUM_BUCKETS - 1));
+        h.record(edges()[NUM_BUCKETS - 2]);
         h.record(1e9);
         h.record(f64::MAX);
         assert_eq!(h.counts()[NUM_BUCKETS - 1], 3);

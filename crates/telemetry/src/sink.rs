@@ -183,7 +183,6 @@ pub struct RecordingSink {
     counts: EventCounts,
     stat_blocks: BTreeMap<&'static str, Vec<(&'static str, u64)>>,
     metrics: BTreeMap<String, MetricSeries>,
-    metric_cap: usize,
     monitor: AnomalyMonitor,
 }
 
@@ -211,17 +210,8 @@ impl RecordingSink {
             counts: EventCounts::default(),
             stat_blocks: BTreeMap::new(),
             metrics: BTreeMap::new(),
-            metric_cap: DEFAULT_METRIC_CAP,
             monitor: AnomalyMonitor::new(),
         }
-    }
-
-    /// Change the retained-point capacity used for *subsequently created*
-    /// metric series (existing series keep theirs). Survives [`clear`].
-    ///
-    /// [`clear`]: TelemetrySink::clear
-    pub fn set_metric_capacity(&mut self, cap: usize) {
-        self.metric_cap = cap;
     }
 
     /// All retained events from both rings, merged oldest-first (by
@@ -316,7 +306,7 @@ impl RecordingSink {
         match self.metrics.get_mut(name) {
             Some(s) => s.push(t_sim_secs, value),
             None => {
-                let mut s = MetricSeries::new(self.metric_cap);
+                let mut s = MetricSeries::new(DEFAULT_METRIC_CAP);
                 s.push(t_sim_secs, value);
                 self.metrics.insert(name.to_string(), s);
             }
@@ -396,16 +386,6 @@ impl RecordingSink {
             d.beta_abs_err_sum += (p.beta_secs_per_byte - pb).abs();
         }
     }
-
-    /// A convenience constructor for tests/tools: emit one transfer into a
-    /// fresh sink and read it back. (Also documents the intended routing.)
-    pub fn routing_of(kind: &EventKind) -> &'static str {
-        if kind.is_decision() {
-            "decisions"
-        } else {
-            "flows"
-        }
-    }
 }
 
 impl TelemetrySink for RecordingSink {
@@ -445,14 +425,11 @@ impl TelemetrySink for RecordingSink {
     }
 
     fn clear(&mut self) {
-        let (dc, fc, sc, mc) = (
+        *self = RecordingSink::new(
             self.decisions.capacity(),
             self.flows.capacity(),
             self.span_cap,
-            self.metric_cap,
         );
-        *self = RecordingSink::new(dc, fc, sc);
-        self.metric_cap = mc;
     }
 
     fn record_stat_block(&mut self, name: &'static str, entries: &[(&'static str, u64)]) {
@@ -730,10 +707,6 @@ mod tests {
         assert_eq!(s.spans().len(), 1);
         assert_eq!(s.spans()[0].name, "solve");
         assert_eq!(s.transfer_latency_hist().count(), 1);
-        assert_eq!(
-            RecordingSink::routing_of(&gate(0, GateVerdict::Accept)),
-            "decisions"
-        );
     }
 
     #[test]
@@ -817,17 +790,5 @@ mod tests {
         let m = s.metric("gate_accept_rate").expect("derived series");
         assert_eq!(m.observed(), 2);
         assert_eq!(m.points(), &[(0.1, 1.0), (0.2, 0.5)]);
-    }
-
-    #[test]
-    fn clear_keeps_the_metric_capacity() {
-        let (tel, sink) = Telemetry::recording_shared();
-        sink.lock().unwrap().set_metric_capacity(16);
-        tel.metric(0.0, "x", 1.0);
-        tel.clear();
-        tel.metric(0.0, "x", 1.0);
-        let s = sink.lock().unwrap();
-        assert_eq!(s.metric("x").unwrap().capacity(), 16);
-        assert_eq!(s.metric("x").unwrap().observed(), 1);
     }
 }

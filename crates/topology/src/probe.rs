@@ -9,8 +9,9 @@
 //!
 //! Probing is fallible: a dead or blackholed link returns a typed
 //! [`ProbeError`] instead of a bogus sample, and [`LinkEstimator`] tracks
-//! probe failures and sample age so stale α/β from a dead link stop
-//! informing the γ-gate (see [`LinkEstimator::with_staleness`]).
+//! probe failures and sample age ([`LinkEstimator::with_staleness`],
+//! [`LinkEstimator::is_stale`]). No decision consults staleness yet: the
+//! γ-gate prices whatever α/β the estimator last held.
 
 use crate::faults::LinkHealth;
 use crate::link::Link;
@@ -184,10 +185,9 @@ impl LinkEstimator {
         self
     }
 
-    /// Enable staleness decay: [`estimate`](Self::estimate) returns `None`
+    /// Enable staleness decay: [`is_stale`](Self::is_stale) reports `true`
     /// once the last successful probe is older than `ttl_secs` or after
-    /// `max_failures` consecutive probe failures, so α/β from a dead link
-    /// stop informing redistribution decisions.
+    /// `max_failures` consecutive probe failures.
     pub fn with_staleness(mut self, ttl_secs: f64, max_failures: u32) -> Self {
         assert!(ttl_secs > 0.0 && max_failures > 0);
         self.staleness = Some((ttl_secs, max_failures));
@@ -299,43 +299,9 @@ impl LinkEstimator {
         self.series.beta.selector()
     }
 
-    /// `(α, β)` if a trustworthy estimate exists at `now` — `None` before
-    /// the first probe or once the estimate has gone stale.
-    pub fn estimate(&self, now: SimTime) -> Option<(f64, f64)> {
-        if self.is_stale(now) {
-            return None;
-        }
-        match (self.alpha(), self.beta()) {
-            (Some(a), Some(b)) => Some((a, b)),
-            _ => None,
-        }
-    }
-
-    /// `(α, β)` forecasts with error bars, staleness-gated like
-    /// [`estimate`](Self::estimate).
-    pub fn estimate_forecast(&self, now: SimTime) -> Option<(ForecastValue, ForecastValue)> {
-        if self.is_stale(now) {
-            return None;
-        }
-        match (self.alpha_forecast(), self.beta_forecast()) {
-            (Some(a), Some(b)) => Some((a, b)),
-            _ => None,
-        }
-    }
-
     /// Number of probes folded in.
     pub fn samples(&self) -> usize {
         self.samples
-    }
-
-    /// Predicted time to ship `bytes` across the estimated link:
-    /// `α + β·bytes` (the paper's Eq. 1 communication term). `None` before
-    /// the first probe.
-    pub fn predict(&self, bytes: u64) -> Option<f64> {
-        match (self.alpha(), self.beta()) {
-            (Some(a), Some(b)) => Some(a + b * bytes as f64),
-            _ => None,
-        }
     }
 }
 
@@ -443,7 +409,7 @@ mod tests {
     #[test]
     fn estimator_latest_sample_mode() {
         let mut est = LinkEstimator::paper_default();
-        assert!(est.predict(100).is_none());
+        assert!(est.alpha().is_none() && est.beta().is_none());
         let link = Link::shared(
             "t",
             SimTime::from_millis(1),
@@ -490,7 +456,8 @@ mod tests {
         let link = Link::dedicated("x", SimTime::from_millis(5), 2e7);
         let mut est = LinkEstimator::paper_default();
         est.refresh(&link, SimTime::ZERO).unwrap();
-        let predicted = est.predict(1 << 20).unwrap();
+        // the paper's Eq. 1 communication term, α + β·W
+        let predicted = est.alpha().unwrap() + est.beta().unwrap() * (1 << 20) as f64;
         let actual = link.transfer_time(SimTime::ZERO, 1 << 20).as_secs_f64();
         assert!((predicted - actual).abs() / actual < 1e-6);
     }
@@ -506,7 +473,7 @@ mod tests {
         );
         let mut est = LinkEstimator::paper_default();
         est.refresh(&link, SimTime::ZERO).unwrap();
-        let (a, b) = est.estimate(SimTime::from_secs(1)).unwrap();
+        let (a, b) = (est.alpha().unwrap(), est.beta().unwrap());
         assert!(est.refresh(&link, SimTime::from_secs(15)).is_err());
         assert_eq!(est.consecutive_failures(), 1);
         assert_eq!(est.alpha(), Some(a));
@@ -520,20 +487,17 @@ mod tests {
     fn staleness_expires_estimates() {
         let link = Link::dedicated("x", SimTime::from_millis(2), 1e7);
         let mut est = LinkEstimator::paper_default().with_staleness(30.0, 2);
-        assert!(est.estimate(SimTime::ZERO).is_none(), "no sample yet");
+        assert!(est.is_stale(SimTime::ZERO), "no sample yet");
         est.refresh(&link, SimTime::ZERO).unwrap();
-        assert!(est.estimate(SimTime::from_secs(10)).is_some());
-        assert!(
-            est.estimate(SimTime::from_secs(60)).is_none(),
-            "TTL exceeded"
-        );
+        assert!(!est.is_stale(SimTime::from_secs(10)));
+        assert!(est.is_stale(SimTime::from_secs(60)), "TTL exceeded");
         // failures also expire the estimate
         let mut est2 = LinkEstimator::paper_default().with_staleness(1e9, 2);
         est2.refresh(&link, SimTime::ZERO).unwrap();
         est2.record_failure(SimTime::from_secs(1));
-        assert!(est2.estimate(SimTime::from_secs(1)).is_some(), "one strike");
+        assert!(!est2.is_stale(SimTime::from_secs(1)), "one strike");
         est2.record_failure(SimTime::from_secs(2));
-        assert!(est2.estimate(SimTime::from_secs(2)).is_none(), "two strikes");
+        assert!(est2.is_stale(SimTime::from_secs(2)), "two strikes");
     }
 
     #[test]
@@ -569,7 +533,7 @@ mod tests {
         // scored out-of-sample pairs: one per probe after the first
         assert_eq!(est.forecast_samples(), 11);
         assert!(est.beta_mae() > 0.0, "regime change produced forecast error");
-        let (a, b) = est.estimate_forecast(SimTime::from_secs(120)).unwrap();
+        let (a, b) = (est.alpha_forecast().unwrap(), est.beta_forecast().unwrap());
         assert!(a.value >= 0.0 && a.error >= 0.0);
         assert!(b.upper() > b.value, "error bar widens the pessimistic bound");
         assert_eq!(est.model_name(), "adaptive");
@@ -606,6 +570,6 @@ mod tests {
         for i in 0..100 {
             est.record_failure(SimTime::from_secs(i));
         }
-        assert!(est.estimate(SimTime::from_secs(1_000_000)).is_some());
+        assert!(!est.is_stale(SimTime::from_secs(1_000_000)));
     }
 }

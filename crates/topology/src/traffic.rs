@@ -101,20 +101,6 @@ impl TrafficModel {
         };
         raw.clamp(0.0, 0.99)
     }
-
-    /// Mean utilization over `[t0, t1)` sampled at `n` points — used by
-    /// tests and by the probe's ground-truth comparisons.
-    pub fn mean_utilization(&self, t0: SimTime, t1: SimTime, n: usize) -> f64 {
-        assert!(n > 0 && t1 > t0);
-        let span = (t1 - t0).as_nanos();
-        (0..n)
-            .map(|i| {
-                let t = SimTime(t0.as_nanos() + span * i as u64 / n as u64);
-                self.utilization(t)
-            })
-            .sum::<f64>()
-            / n as f64
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +158,10 @@ mod tests {
             assert_eq!(u, m.utilization(t), "same query same answer");
         }
         // p_on controls long-run fraction approximately
-        let mean = m.mean_utilization(SimTime::ZERO, SimTime::from_secs(2000), 2000);
+        let mean = (0..2000)
+            .map(|i| m.utilization(SimTime::from_secs(i)))
+            .sum::<f64>()
+            / 2000.0;
         assert!((mean - 0.45).abs() < 0.1, "mean {mean}");
     }
 

@@ -146,7 +146,10 @@ fn group_powers_sum_to_total() {
 #[test]
 fn mean_utilization_within_extremes() {
     prop::check(prop::CASES, arb_traffic, |m| {
-        let mean = m.mean_utilization(SimTime::ZERO, SimTime::from_secs(1000), 200);
+        let mean = (0..200)
+            .map(|i| m.utilization(SimTime::from_secs(5 * i)))
+            .sum::<f64>()
+            / 200.0;
         assert!((0.0..=0.99).contains(&mean));
     });
 }

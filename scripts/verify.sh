@@ -58,13 +58,61 @@ if bad:
     sys.exit("verify: production code calls a reference implementation:\n"
              + "\n".join(bad))
 EOF
-cargo clippy --all-targets -- -D warnings
-cargo clippy -p forecast --all-targets -- -D warnings
-# no workspace crate may clone what a borrow would do: on a field, a
-# needless clone is a whole extra allocation and copy of its data
-cargo clippy -p base -p par -p samr-mesh -p samr-solvers -p dlb -p topology -p simnet \
-  -p samr-engine -p forecast -p metrics -p telemetry -p bench -p tenants --all-targets -- \
-  -D warnings -D clippy::redundant_clone
+# no dead public surface: outside crates/benchmark, a `pub fn` above its
+# file's first `#[cfg(test)]` (and outside a `pub mod reference`) must be
+# named in code somewhere else — in its own file's production part, or in
+# any other .rs file under crates/, src/, examples/ or tests/ (comments do
+# not count) — unless the allowlist below gives the reason it stays
+python3 - <<'EOF'
+import glob, re, sys
+from collections import Counter
+
+ALLOW = {
+    "touched_faces": "FluxRegister: wired into the driver or deleted by ROADMAP item 9",
+    "record_coarse": "FluxRegister: wired into the driver or deleted by ROADMAP item 9",
+    "record_fine": "FluxRegister: wired into the driver or deleted by ROADMAP item 9",
+    "fine_weight": "FluxRegister: wired into the driver or deleted by ROADMAP item 9",
+    "correction": "FluxRegister: wired into the driver or deleted by ROADMAP item 9",
+    "is_stale": "LinkEstimator staleness: dlb configures it, no decision reads it (ROADMAP item 4)",
+}
+word = re.compile(r"[A-Za-z_]\w*")
+decl = re.compile(r"\s*pub\s+(?:const\s+|unsafe\s+)*fn\s+(\w+)")
+files = sorted(set(glob.glob("src/**/*.rs", recursive=True)
+                   + glob.glob("crates/**/*.rs", recursive=True)
+                   + glob.glob("examples/**/*.rs", recursive=True)
+                   + glob.glob("tests/**/*.rs", recursive=True)))
+code = {p: [line.split("//")[0] for line in open(p)] for p in files}
+names = {p: Counter(w for line in lines for w in word.findall(line)) for p, lines in code.items()}
+everywhere = sum(names.values(), Counter())
+dead, used = [], set()
+for path, lines in code.items():
+    if path.startswith("crates/benchmark/") or not re.match(r"(crates/[^/]+/)?src/", path):
+        continue
+    end = next((i for i, l in enumerate(lines) if l.strip() == "#[cfg(test)]"), len(lines))
+    own = Counter(w for line in lines[:end] for w in word.findall(line))
+    in_reference = False
+    for n, line in enumerate(lines[:end], 1):
+        if line.startswith("pub mod reference"):
+            in_reference = True
+        elif in_reference and line.startswith("}"):
+            in_reference = False
+        m = decl.match(line)
+        if in_reference or not m:
+            continue
+        name = m.group(1)
+        if own[name] > 1 or everywhere[name] > names[path][name]:
+            used.add(name)
+        elif name not in ALLOW:
+            dead.append(f"{path}:{n}: {name}")
+problems = dead + [f"allowlisted `{n}` is named now: drop it from the allowlist"
+                   for n in sorted(set(ALLOW) & used)]
+if problems:
+    sys.exit("verify: `pub fn` nothing else names (delete it, or allowlist it with a reason):\n"
+             + "\n".join(problems))
+EOF
+# lint clean, and no workspace crate may clone what a borrow would do: on a
+# field, a needless clone is a whole extra allocation and copy of its data
+cargo clippy --workspace --exclude benchmark --all-targets -- -D warnings -D clippy::redundant_clone
 cargo build -p forecast && cargo test -q -p forecast
 cargo test -q
 cargo test -p samr-engine --test fault_recovery
