@@ -370,7 +370,6 @@ pub fn ablation_lambda(quick: bool) -> Table {
     ));
     let rows: Vec<ConfigRow> = par::map(&[0.25f64, 0.5, 1.0], |&lambda| {
         let cfg = dlb::DistributedDlbConfig {
-            estimator_lambda: lambda,
             predictor: Some(forecast::PredictorKind::Ewma { gain: lambda }),
             forecast_seed: TRAFFIC_SEED,
             ..Default::default()

@@ -59,21 +59,18 @@ pub fn evaluate_cost(
 /// Evaluate Eq. (1) from forecasted α/β with error bars.
 ///
 /// The point estimate uses the forecast values; the upper bound widens each
-/// parameter by `widen` times its error bar (the series MAE) before pricing
-/// the move, so `widen = 1` charges one mean-absolute-error of pessimism
-/// and `widen = 0` reproduces [`evaluate_cost`] on the forecast values.
+/// parameter by its error bar (the series MAE) before pricing the move —
+/// one mean-absolute-error of pessimism.
 pub fn evaluate_cost_forecast(
     alpha: ForecastValue,
     beta: ForecastValue,
     move_bytes: u64,
     history: &WorkloadHistory,
-    widen: f64,
 ) -> CostEstimate {
-    assert!(alpha.value >= 0.0 && beta.value >= 0.0 && widen >= 0.0);
+    assert!(alpha.value >= 0.0 && beta.value >= 0.0);
     let bytes = move_bytes as f64;
     let comm_secs = alpha.value + beta.value * bytes;
-    let comm_upper_secs =
-        (alpha.value + widen * alpha.error) + (beta.value + widen * beta.error) * bytes;
+    let comm_upper_secs = alpha.upper() + beta.upper() * bytes;
     CostEstimate {
         comm_secs,
         comm_upper_secs,
@@ -130,20 +127,16 @@ mod tests {
         h.record_redistribution_overhead(0.1);
         let alpha = ForecastValue { value: 0.01, error: 0.005 };
         let beta = ForecastValue { value: 1e-7, error: 5e-8 };
-        let c = evaluate_cost_forecast(alpha, beta, 10_000_000, &h, 1.0);
+        let c = evaluate_cost_forecast(alpha, beta, 10_000_000, &h);
         assert!((c.comm_secs - (0.01 + 1.0)).abs() < 1e-12);
         assert!((c.comm_upper_secs - (0.015 + 1.5)).abs() < 1e-12);
         assert!(c.upper_total_secs() > c.total_secs());
-        // widen = 0 collapses onto the point estimate
-        let c0 = evaluate_cost_forecast(alpha, beta, 10_000_000, &h, 0.0);
-        assert_eq!(c0.comm_upper_secs, c0.comm_secs);
         // exact forecasts (reactive) keep both gates equivalent
         let exact = evaluate_cost_forecast(
             ForecastValue::exact(0.01),
             ForecastValue::exact(1e-7),
             10_000_000,
             &h,
-            1.0,
         );
         assert_eq!(exact.comm_upper_secs, exact.comm_secs);
     }
@@ -153,7 +146,7 @@ mod tests {
         let h = WorkloadHistory::new(1);
         let alpha = ForecastValue::exact(0.0);
         let beta = ForecastValue { value: 1e-6, error: 1e-6 };
-        let c = evaluate_cost_forecast(alpha, beta, 1_000_000, &h, 1.0);
+        let c = evaluate_cost_forecast(alpha, beta, 1_000_000, &h);
         // point cost 1 s, upper 2 s: a gain of 3 s would pass a gate on
         // the point cost at γ = 2, but not the gate
         assert!(3.0 > 2.0 * c.total_secs());

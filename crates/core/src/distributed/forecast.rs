@@ -30,15 +30,12 @@ pub struct ForecastSummary {
 
 impl DistributedDlb {
     pub(super) fn estimator(&mut self, a: usize, b: usize) -> &mut LinkEstimator {
-        let lambda = self.cfg.estimator_lambda;
         let (small, large) = (self.cfg.probe_small_bytes, self.cfg.probe_large_bytes);
-        let fault = self.cfg.fault;
         let predictor = self.cfg.predictor;
         let seed = self.cfg.forecast_seed;
         let pair = (a.min(b), a.max(b));
         self.estimators.entry(pair).or_insert_with(|| {
-            let est = LinkEstimator::new(lambda, small, large)
-                .with_staleness(fault.estimator_ttl_secs, fault.quarantine_after.max(1));
+            let est = LinkEstimator::new(small, large);
             match predictor {
                 None => est,
                 Some(kind) => {

@@ -6,14 +6,14 @@
 
 use super::{DistributedDlb, GlobalDecision};
 use crate::cost::{evaluate_cost, evaluate_cost_forecast, should_redistribute, CostEstimate};
-use crate::fault::{FaultEvent, GroupHealth};
+use crate::fault::{FaultEvent, GroupHealth, PROBE_TIMEOUT_SECS, TRANSFER_DEADLINE_SLACK_SECS};
 use crate::gain::{gain_from_loads, history_group_loads, GainEstimate};
 use crate::parallel::LOAD_MSG_BYTES;
 use crate::partition::{global_redistribute_elastic, group_level0_cells, RedistributionReport};
 use crate::scheme::LbContext;
 use forecast::ForecastValue;
 use samr_mesh::hierarchy::GridHierarchy;
-use simnet::{Activity, SimError, SimResult, SimView};
+use simnet::{Activity, RetryPolicy, SimError, SimResult, SimView};
 use std::time::Instant;
 use telemetry::GateVerdict::{self, Accept, Deferred, Reject};
 use telemetry::{
@@ -73,15 +73,12 @@ impl DistributedDlb {
     }
 
     /// Attempt re-admission of quarantined groups via a single probation
-    /// probe toward the lowest-indexed healthy group.
+    /// probe toward the lowest-indexed healthy group, at every global check
+    /// after the level-0 step that quarantined them.
     fn probation(&mut self, ctx: &mut LbContext<'_>, sys: &DistributedSystem, step: u64) {
-        let fault = self.cfg.fault;
         for g in self.roster.quarantined_groups() {
             let due = match self.roster.health(g) {
-                GroupHealth::Quarantined { since_step, .. } => {
-                    step > since_step
-                        && (step - since_step).is_multiple_of(fault.probation_interval.max(1))
-                }
+                GroupHealth::Quarantined { since_step, .. } => step > since_step,
                 GroupHealth::Healthy => false,
             };
             if !due {
@@ -92,7 +89,7 @@ impl DistributedDlb {
             let pa = sys.procs_in(GroupId(h0))[0];
             let pb = sys.procs_in(GroupId(g))[0];
             let t0 = ctx.sim.now(pa).max(ctx.sim.now(pb));
-            let dl = t0 + SimTime::from_secs_f64(fault.probe_timeout_secs);
+            let dl = t0 + SimTime::from_secs_f64(PROBE_TIMEOUT_SECS);
             self.decision_msgs += 2;
             let est = self.estimator(h0, g);
             if ctx
@@ -166,8 +163,9 @@ impl DistributedDlb {
     }
 
     /// One inter-group exchange — collective, probe or leader message —
-    /// under the fault policy: `op` is attempted up to `retry.max_attempts`
-    /// times, `waiters` idling through the exponential backoff in between.
+    /// under the default [`RetryPolicy`]: `op` is attempted up to
+    /// `max_attempts` times, `waiters` idling through the exponential
+    /// backoff in between.
     /// Every attempt charges `msgs_per_attempt` decision messages (each is
     /// real traffic on the actual link); a success after retries is
     /// recorded, a failure returns the last error.
@@ -179,7 +177,7 @@ impl DistributedDlb {
         msgs_per_attempt: u64,
         mut op: impl FnMut(&mut Self, &mut LbContext<'_>) -> SimResult<T>,
     ) -> SimResult<T> {
-        let retry = self.cfg.fault.retry;
+        let retry = RetryPolicy::default();
         let mut attempt = 0u32;
         loop {
             self.decision_msgs += msgs_per_attempt;
@@ -222,7 +220,7 @@ impl DistributedDlb {
     ) {
         self.roster.stats.comm_failures += 1;
         if let Some((a, b)) = pair {
-            let after = self.cfg.fault.quarantine_after;
+            let after = self.cfg.quarantine_after;
             self.roster
                 .record_pair_failure(a, b, inp.step, e.at(), after);
         }
@@ -399,18 +397,16 @@ impl DistributedDlb {
         }
         // Reactive mode prices the move from the freshest probe samples (no
         // error bar, the paper's behaviour); predictive mode prices it from
-        // the forecasts, widened by `horizon · widening · MAE`, and the gate
-        // must clear the upper bound.
+        // the forecasts, widened by one MAE, and the gate must clear the
+        // upper bound.
         let cost = if self.cfg.predictor.is_none() {
             evaluate_cost(pricing.alpha, pricing.beta, pricing.move_bytes, ctx.history)
         } else {
-            let widen = self.cfg.confidence_widening * f64::from(self.cfg.forecast_horizon.max(1));
             evaluate_cost_forecast(
                 pricing.alpha_fv,
                 pricing.beta_fv,
                 pricing.move_bytes,
                 ctx.history,
-                widen,
             )
         };
         pricing.cost = Some(cost);
@@ -437,7 +433,6 @@ impl DistributedDlb {
         reps: &[usize],
         pricing: &mut Pricing,
     ) -> bool {
-        let fault = self.cfg.fault;
         let step = inp.step;
         for (i, &a) in reps.iter().enumerate() {
             for &b in &reps[i + 1..] {
@@ -446,7 +441,7 @@ impl DistributedDlb {
                 let pb = inp.sys.procs_in(GroupId(b))[0];
                 let probed = self.retried(ctx, &[pa, pb], step, 2, |this, ctx| {
                     let t0 = ctx.sim.now(pa).max(ctx.sim.now(pb));
-                    let dl = t0 + SimTime::from_secs_f64(fault.probe_timeout_secs);
+                    let dl = t0 + SimTime::from_secs_f64(PROBE_TIMEOUT_SECS);
                     let est = this.estimator(a, b);
                     ctx.sim.probe_inter(GroupId(a), GroupId(b), est, Some(dl))
                 });
@@ -471,8 +466,13 @@ impl DistributedDlb {
                             group_a: a,
                             group_b: b,
                         });
-                        self.roster
-                            .record_pair_failure(a, b, step, e.at(), fault.quarantine_after);
+                        self.roster.record_pair_failure(
+                            a,
+                            b,
+                            step,
+                            e.at(),
+                            self.cfg.quarantine_after,
+                        );
                         return false;
                     }
                 }
@@ -562,7 +562,6 @@ impl DistributedDlb {
     ) {
         let t0 = Instant::now();
         let (sys, step) = (inp.sys, inp.step);
-        let fault = self.cfg.fault;
         let tel = ctx.sim.telemetry().clone();
         let charge = |sim: &mut SimView, secs: f64| {
             for g in (0..sys.ngroups()).filter(|&g| eligible[g]) {
@@ -589,9 +588,7 @@ impl DistributedDlb {
                 );
             }
         };
-        let deadline = fault
-            .transfer_deadline_slack
-            .map(|slack| ctx.sim.elapsed() + SimTime::from_secs_f64(slack));
+        let deadline = ctx.sim.elapsed() + SimTime::from_secs_f64(TRANSFER_DEADLINE_SLACK_SECS);
         let alive = self.alive_mask(sys.nprocs());
         let mut aborted = false;
         let mut abort_delta_secs = 0.0;
@@ -602,7 +599,7 @@ impl DistributedDlb {
             eligible,
             &self.cfg.balance,
             self.cfg.selection,
-            deadline,
+            Some(deadline),
             inp.powers,
             &alive,
         ) {
@@ -615,8 +612,8 @@ impl DistributedDlb {
                 let mut delta = 0.0;
                 if rep.moves > 0 {
                     let level0: i64 = ctx.hier.level_cells(0);
-                    delta = level0 as f64 * self.cfg.repartition_secs_per_cell
-                        + rep.moved_cells as f64 * self.cfg.rebuild_secs_per_moved_cell;
+                    delta = level0 as f64 * REPARTITION_SECS_PER_CELL
+                        + rep.moved_cells as f64 * REBUILD_SECS_PER_MOVED_CELL;
                     charge(ctx.sim, delta);
                     ctx.history.record_redistribution_overhead(delta);
                 }
@@ -629,8 +626,8 @@ impl DistributedDlb {
                 // partially-moved cells twice (out and back). The driver
                 // records this as the next δ.
                 let level0: i64 = ctx.hier.level_cells(0);
-                abort_delta_secs = level0 as f64 * self.cfg.repartition_secs_per_cell
-                    + 2.0 * ab.partial.moved_cells as f64 * self.cfg.rebuild_secs_per_moved_cell;
+                abort_delta_secs = level0 as f64 * REPARTITION_SECS_PER_CELL
+                    + 2.0 * ab.partial.moved_cells as f64 * REBUILD_SECS_PER_MOVED_CELL;
                 charge(ctx.sim, abort_delta_secs);
                 self.roster.stats.aborts += 1;
                 self.roster.events.push(FaultEvent::RedistributionAborted {
@@ -642,7 +639,7 @@ impl DistributedDlb {
                     ab.dst_group,
                     step,
                     ab.error.at(),
-                    fault.quarantine_after,
+                    self.cfg.quarantine_after,
                 );
                 // the redistribute record first, then its rollback — the
                 // causality the audit tests check
@@ -674,6 +671,14 @@ impl DistributedDlb {
         self.wall.migrate += t0.elapsed().as_secs_f64();
     }
 }
+
+/// Modeled repartition scan cost per level-0 cell, seconds: with the
+/// rebuild cost below, the computational overhead δ a redistribution
+/// charges and records (§4.2).
+const REPARTITION_SECS_PER_CELL: f64 = 10e-9;
+
+/// Modeled rebuild / boundary-update cost per *moved* cell, seconds.
+const REBUILD_SECS_PER_MOVED_CELL: f64 = 150e-9;
 
 /// Fan-out of the reduction tree the global phase runs over. Matches
 /// `topology::presets::FEDERATION_FANOUT`, so one tree tier maps to one site
@@ -1230,7 +1235,6 @@ mod congestion_tests {
 mod fault_tests {
     use super::super::DistributedDlbConfig;
     use super::*;
-    use crate::fault::FaultTolerancePolicy;
     use crate::history::WorkloadHistory;
     use crate::scheme::LoadBalancer;
     use samr_mesh::{ivec3, region};
@@ -1323,10 +1327,7 @@ mod fault_tests {
         let mut sim = SimView::new(faulty_wan_sys(sched));
         let mut hier = hier_split(6);
         let cfg = DistributedDlbConfig {
-            fault: FaultTolerancePolicy {
-                quarantine_after: 2,
-                ..Default::default()
-            },
+            quarantine_after: 2,
             ..Default::default()
         };
         let mut dlb = DistributedDlb::new(cfg);

@@ -23,20 +23,22 @@
 //! With a [`PredictorKind`] configured, the scheme goes from *reactive* to
 //! *predictive* (NWS-style, via the `forecast` crate): the γ-gate prices the
 //! move with forecasted α/β and must clear the cost's **upper bound**
-//! (point forecast widened by the per-series forecast error), and per-group
+//! (point forecast widened by one per-series forecast MAE), and per-group
 //! load series can trigger a **proactive** global check after a fine-level
 //! step when the predicted inter-group imbalance crosses
 //! [`DistributedDlbConfig::proactive_threshold`] — instead of waiting for
 //! the next level-0 step to notice what refinement did to the balance.
 //!
 //! On top of the paper's protocol sits a **degradation policy**
-//! ([`FaultTolerancePolicy`]): probes retry with exponential backoff, a
-//! group whose inter-link keeps failing is *quarantined* out of the global
-//! phase (its local phase continues — children stay with parents), a
-//! redistribution whose migration traffic dies mid-flight is rolled back
-//! through the hierarchy's undo log and the wasted work recorded as abort
-//! overhead, and quarantined groups are re-admitted once a probation probe
-//! succeeds.
+//! ([`crate::fault`]): probes retry with exponential backoff, a group whose
+//! inter-link fails [`DistributedDlbConfig::quarantine_after`] times in a
+//! row is *quarantined* out of the global phase (its local phase continues
+//! — children stay with parents), a redistribution whose migration traffic
+//! dies mid-flight is rolled back through the hierarchy's undo log and the
+//! wasted work recorded as abort overhead, and quarantined groups are
+//! re-admitted once a probation probe succeeds. Only the strike count is
+//! configurable; the retry policy, probe timeout, migration deadline and
+//! probation cadence are constants.
 
 mod forecast;
 mod global;
@@ -46,7 +48,7 @@ pub use global::TREE_ARITY;
 
 use crate::balance::{balance_bucketed, bucket_level_by_owner, place_batch, BalanceParams};
 use crate::cost::CostEstimate;
-use crate::fault::{FaultEvent, FaultStats, FaultTolerancePolicy, QuarantineRoster};
+use crate::fault::{FaultEvent, FaultStats, QuarantineRoster};
 use crate::gain::GainEstimate;
 use crate::parallel::LOAD_MSG_BYTES;
 use crate::partition::{RedistributionReport, SelectionPolicy};
@@ -68,14 +70,6 @@ pub struct DistributedDlbConfig {
     pub imbalance_tolerance: f64,
     /// Within-set balancing knobs (local phase and redistribution).
     pub balance: BalanceParams,
-    /// Modeled repartition scan cost per level-0 cell (seconds) — part of
-    /// the computational overhead charged by a global redistribution.
-    pub repartition_secs_per_cell: f64,
-    /// Modeled rebuild/boundary-update cost per *moved* cell (seconds).
-    pub rebuild_secs_per_moved_cell: f64,
-    /// EWMA factor of the link estimator (1.0 = trust latest probe, like the
-    /// paper's two-message scheme).
-    pub estimator_lambda: f64,
     /// Sizes of the two probe messages (paper: 1 KiB / 64 KiB). Smaller
     /// probes squeeze through links that drop bulk traffic, which is what
     /// lets probation distinguish "degraded" from "dead".
@@ -84,8 +78,10 @@ pub struct DistributedDlbConfig {
     pub probe_large_bytes: u64,
     /// How donor level-0 grids are selected for global redistribution.
     pub selection: SelectionPolicy,
-    /// Retry / timeout / quarantine behaviour.
-    pub fault: FaultTolerancePolicy,
+    /// Consecutive inter-link failures after which the remote group is
+    /// quarantined (retries, deadlines and probation are the constants of
+    /// [`crate::fault`]).
+    pub quarantine_after: u32,
     /// Predictor for the per-link α/β series and per-group load series.
     /// `None` keeps the paper's reactive behaviour exactly: the cost is
     /// priced from the freshest probe sample and carries no error bar.
@@ -93,14 +89,6 @@ pub struct DistributedDlbConfig {
     /// Seed for the adaptive selector's deterministic tie-breaking and for
     /// deriving decorrelated per-series seeds.
     pub forecast_seed: u64,
-    /// Forecast lookahead in global-check periods. The flat one-step models
-    /// forecast the same value at any horizon, so the horizon enters as an
-    /// error-growth factor: the cost's upper bound widens by
-    /// `horizon · confidence_widening · MAE`.
-    pub forecast_horizon: u32,
-    /// Multiplier on the forecast error bars when widening the cost upper
-    /// bound for the confident γ-gate (0 disables widening).
-    pub confidence_widening: f64,
     /// Predicted power-normalized inter-group imbalance ratio above which a
     /// fine-level step triggers a proactive global check. `None` restricts
     /// global checks to level-0 steps (the paper's protocol).
@@ -119,17 +107,12 @@ impl Default for DistributedDlbConfig {
             gamma: 2.0,
             imbalance_tolerance: 1.10,
             balance: BalanceParams::default(),
-            repartition_secs_per_cell: 10e-9,
-            rebuild_secs_per_moved_cell: 150e-9,
-            estimator_lambda: 1.0,
             probe_small_bytes: 1 << 10,
             probe_large_bytes: 1 << 16,
             selection: SelectionPolicy::default(),
-            fault: FaultTolerancePolicy::default(),
+            quarantine_after: 2,
             predictor: None,
             forecast_seed: 0,
-            forecast_horizon: 1,
-            confidence_widening: 1.0,
             proactive_threshold: None,
             flat_reference: false,
         }

@@ -1,57 +1,37 @@
-//! Fault-tolerance policy for the distributed DLB: retries, probe
-//! deadlines, and the group **quarantine** protocol.
+//! Fault tolerance of the distributed DLB: retries, probe deadlines, and
+//! the group **quarantine** protocol.
 //!
 //! The paper assumes the WAN between groups stays up; real distributed
 //! systems do not. The degradation policy implemented here keeps the
 //! scheme's structure intact while making every inter-group interaction
 //! abortable:
 //!
-//! * control traffic (probes, decision collectives) is retried with
-//!   exponential backoff under a [`RetryPolicy`];
-//! * a group whose inter-link keeps failing is **quarantined** — excluded
-//!   from the global phase's collective, gain evaluation, and
-//!   redistribution, while its *local* intra-group DLB continues (children
-//!   stay with parents, so a partitioned group remains self-sufficient);
-//! * a quarantined group is re-admitted after a **probation probe**
+//! * control traffic (probes, decision collectives, tree summaries) is
+//!   retried with exponential backoff under simnet's default
+//!   [`simnet::RetryPolicy`]: 3 attempts, 50 ms before the first retry,
+//!   doubling;
+//! * one α/β probe attempt must finish within [`PROBE_TIMEOUT_SECS`], and
+//!   the migration traffic of a redistribution within
+//!   [`TRANSFER_DEADLINE_SLACK_SECS`] of its start;
+//! * a group whose inter-link fails `quarantine_after` times in a row (the
+//!   one configurable number, [`crate::DistributedDlbConfig`]) is
+//!   **quarantined** — excluded from the global phase's collective, gain
+//!   evaluation, and redistribution, while its *local* intra-group DLB
+//!   continues (children stay with parents, so a partitioned group remains
+//!   self-sufficient);
+//! * a quarantined group gets a **probation probe** at every global check
+//!   after the level-0 step that quarantined it, is re-admitted once one
 //!   succeeds, and the time it spent excluded is recorded as recovery time.
 
-use simnet::{RetryPolicy, SimError};
+use simnet::SimError;
 use topology::SimTime;
 
-/// Tuning of the fault-tolerance behaviour of [`DistributedDlb`]
-/// (crate::DistributedDlb).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultTolerancePolicy {
-    /// Retry/backoff applied to inter-group probes.
-    pub retry: RetryPolicy,
-    /// Deadline for one α/β probe attempt, seconds.
-    pub probe_timeout_secs: f64,
-    /// Deadline for the whole migration traffic of one global
-    /// redistribution, seconds past its start (`None` = unbounded).
-    pub transfer_deadline_slack: Option<f64>,
-    /// Consecutive inter-link failures after which the remote group is
-    /// quarantined.
-    pub quarantine_after: u32,
-    /// Probation probes are attempted every this many level-0 steps.
-    pub probation_interval: u64,
-    /// Staleness TTL handed to the link estimators: an α/β estimate older
-    /// than this (in simulated seconds) reads as stale. No decision consults
-    /// staleness yet, so this does not change a run.
-    pub estimator_ttl_secs: f64,
-}
+/// Deadline for one α/β probe attempt, simulated seconds.
+pub const PROBE_TIMEOUT_SECS: f64 = 2.0;
 
-impl Default for FaultTolerancePolicy {
-    fn default() -> Self {
-        FaultTolerancePolicy {
-            retry: RetryPolicy::default(),
-            probe_timeout_secs: 2.0,
-            transfer_deadline_slack: Some(4.0),
-            quarantine_after: 2,
-            probation_interval: 1,
-            estimator_ttl_secs: 300.0,
-        }
-    }
-}
+/// Deadline for the whole migration traffic of one global redistribution,
+/// simulated seconds past its start.
+pub const TRANSFER_DEADLINE_SLACK_SECS: f64 = 4.0;
 
 /// Participation state of a group in the global phase.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -368,13 +348,5 @@ mod tests {
         let tr = h.observe(&[true, true, true, false]);
         assert_eq!(tr.rejoined, vec![1]);
         assert!(tr.crashed.is_empty());
-    }
-
-    #[test]
-    fn policy_default_is_sane() {
-        let p = FaultTolerancePolicy::default();
-        assert!(p.probe_timeout_secs > 0.0);
-        assert!(p.quarantine_after >= 1);
-        assert!(p.estimator_ttl_secs > 0.0);
     }
 }

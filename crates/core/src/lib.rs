@@ -37,8 +37,7 @@ pub use distributed::{
     DistributedDlb, DistributedDlbConfig, DlbWall, ForecastSummary, GlobalDecision,
 };
 pub use fault::{
-    FaultEvent, FaultStats, FaultTolerancePolicy, GroupHealth, ProcHealth, ProcTransitions,
-    QuarantineRoster,
+    FaultEvent, FaultStats, GroupHealth, ProcHealth, ProcTransitions, QuarantineRoster,
 };
 pub use forecast::{ForecastValue, PredictorKind};
 pub use gain::{

@@ -3,7 +3,6 @@
 //! machinery absorbs leave the final grid placement exactly as a fault-free
 //! run would — deterministically under a fixed seed.
 
-use dlb::fault::FaultTolerancePolicy;
 use dlb::{DistributedDlb, DistributedDlbConfig, LbContext, LoadBalancer, WorkloadHistory};
 use samr_mesh::hierarchy::GridHierarchy;
 use samr_mesh::{ivec3, region};
@@ -49,10 +48,7 @@ fn run(sched: FaultSchedule, steps: usize) -> (GridHierarchy, DistributedDlb) {
     let mut hier = imbalanced_hier();
     let mut history = WorkloadHistory::new(NPROCS);
     let cfg = DistributedDlbConfig {
-        fault: FaultTolerancePolicy {
-            quarantine_after: 1,
-            ..Default::default()
-        },
+        quarantine_after: 1,
         ..Default::default()
     };
     let mut dlb = DistributedDlb::new(cfg);

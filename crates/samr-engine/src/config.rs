@@ -4,7 +4,6 @@ use crate::app::AppKind;
 use crate::scheme::Scheme;
 use base::json::{Json, ToJson};
 use metrics::{FaultCounters, ForecastStats, PhaseWall, RecoveryStats, RunBreakdown};
-use simnet::RetryPolicy;
 use topology::ProcFaultSchedule;
 
 /// Parameters of one simulated SAMR run.
@@ -16,8 +15,6 @@ pub struct RunConfig {
     pub n0: i64,
     /// Maximum refinement levels (root included). The paper's Fig. 1 shows 4.
     pub max_levels: usize,
-    /// Refinement factor between levels (paper uses 2).
-    pub refine_factor: i64,
     /// Number of level-0 timesteps to run.
     pub steps: usize,
     /// The DLB scheme driving the run.
@@ -25,22 +22,10 @@ pub struct RunConfig {
     /// RNG seed for initial conditions (and, via the topology presets, for
     /// background traffic).
     pub seed: u64,
-    /// Regrid a level every this many of its steps.
-    pub regrid_interval: usize,
     /// Flag-buffer width in cells.
     pub flag_buffer: usize,
     /// Largest allowed cells per created subgrid (keeps grids movable).
     pub max_box_cells: i64,
-    /// Override of the application's per-cell-update compute cost (seconds
-    /// on a weight-1.0 processor). `None` uses the app default. This is the
-    /// calibration knob for the compute/communication ratio of the modeled
-    /// testbed.
-    pub cost_per_cell: Option<f64>,
-    /// Retry policy for the driver's bulk boundary/regrid transfers. A
-    /// transfer that still fails after these retries is tolerated (the
-    /// receiver advances with stale ghost data) and counted in
-    /// [`RunResult::faults`].
-    pub comm_retry: RetryPolicy,
     /// Seeded crash/rejoin windows per processor. A proc inside a crash
     /// window is dead: its sends fail fast, its group runs the global phase
     /// at reduced capacity, and the driver evacuates its patches at the
@@ -58,22 +43,20 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Sensible defaults for `app` at domain size `n0`: 4 levels, r = 2,
-    /// regrid every step, one-cell flag buffer.
+    /// Sensible defaults for `app` at domain size `n0`: 4 levels and a
+    /// one-cell flag buffer. The driver fixes the rest: r = 2, a regrid on
+    /// every step, the app's own per-cell cost and the default retry policy
+    /// for bulk transfers.
     pub fn new(app: AppKind, n0: i64, steps: usize, scheme: Scheme) -> Self {
         RunConfig {
             app,
             n0,
             max_levels: 4,
-            refine_factor: 2,
             steps,
             scheme,
             seed: 42,
-            regrid_interval: 1,
             flag_buffer: 1,
             max_box_cells: (n0 * n0 * n0 / 8).max(512),
-            cost_per_cell: None,
-            comm_retry: RetryPolicy::default(),
             proc_faults: ProcFaultSchedule::default(),
             telemetry: telemetry::Telemetry::null(),
         }

@@ -22,8 +22,11 @@ use samr_mesh::hierarchy::{BoxIndex, FillSource, GridHierarchy};
 use samr_mesh::interp::{prolong_constant_fields, restrict_average};
 use samr_mesh::patch::PatchId;
 use samr_mesh::region::Region;
-use simnet::{send_with_retry, Activity, SimView};
+use simnet::{send_with_retry, Activity, RetryPolicy, SimView};
 use topology::{DistributedSystem, ProcId, SimTime};
+
+/// Refinement factor r between levels (the paper uses 2).
+const REFINE_FACTOR: i64 = 2;
 
 /// Snapshot of a retired patch's data, used to seed re-created fine grids.
 #[derive(Clone, Debug)]
@@ -41,7 +44,7 @@ pub struct Driver {
     hier: GridHierarchy,
     history: WorkloadHistory,
     scheme: SchemeInstance,
-    /// Steps completed per level (drives regrid cadence).
+    /// Steps completed per level.
     step_count: Vec<u64>,
     /// Stashed data of cleared fine levels, by level; each is freed once
     /// the regrid that rebuilds its level has read it.
@@ -99,7 +102,7 @@ impl Driver {
         let domain = Region::cube(cfg.n0);
         let mut hier = GridHierarchy::new(
             domain,
-            cfg.refine_factor,
+            REFINE_FACTOR,
             cfg.max_levels,
             app.nfields(),
             app.ghost(),
@@ -282,9 +285,10 @@ impl Driver {
         // trace record
         let nlevels = self.hier.num_levels();
         let sys = self.sim.system();
+        let r = self.hier.refine_factor() as f64;
         let mut group_workload = vec![0f64; sys.ngroups()];
         for p in self.hier.iter() {
-            let w = (self.cfg.refine_factor as f64).powi(p.level as i32);
+            let w = r.powi(p.level as i32);
             group_workload[sys.group_of(ProcId(p.owner)).0] += p.cells() as f64 * w;
         }
         let redists_after = self
@@ -369,7 +373,7 @@ impl Driver {
             return;
         }
         let step = self.step_count[0];
-        let cost = self.cost_per_cell();
+        let cost = self.app.cost_per_cell();
         for &p in &trans.crashed {
             let group = self.sim.system().group_of(ProcId(p)).0;
             self.sim.telemetry().event(
@@ -389,7 +393,7 @@ impl Driver {
             let mut recompute_secs = 0.0f64;
             for m in &report.moves {
                 self.restore_from_recovery_snapshot(m.patch);
-                let iters = (self.cfg.refine_factor as f64).powi(m.level as i32);
+                let iters = (self.hier.refine_factor() as f64).powi(m.level as i32);
                 let secs = m.cells as f64 * iters * cost / self.proc_weights[m.to];
                 self.sim.compute(ProcId(m.to), secs);
                 recompute_cells += m.cells;
@@ -642,15 +646,14 @@ impl Driver {
             self.app.post_level0_step(dt0, self.hier.domain());
         }
 
-        // regrid: rebuild level+1 from this level's flags
-        let may_refine = level + 1 < self.cfg.max_levels;
-        if may_refine && self.step_count[level].is_multiple_of(self.cfg.regrid_interval as u64) {
+        // regrid: rebuild level+1 from this level's flags, every step
+        if level + 1 < self.cfg.max_levels {
             self.regrid(level);
         }
 
         // sub-cycle the finer level
         if !self.hier.level_ids(level + 1).is_empty() {
-            for _ in 0..self.cfg.refine_factor {
+            for _ in 0..self.hier.refine_factor() {
                 self.advance_level(level + 1);
             }
             self.restrict_level(level + 1);
@@ -680,7 +683,7 @@ impl Driver {
     }
 
     /// Ship one aggregated boundary/regrid payload between owners, retrying
-    /// per the run's comm policy. A transfer that still fails is tolerated —
+    /// under the default policy. A transfer that still fails is tolerated —
     /// the receiver advances with stale ghost data — and counted.
     fn send_batch(&mut self, src: usize, dst: usize, bytes: u64) {
         let (s, d) = (ProcId(src), ProcId(dst));
@@ -689,18 +692,20 @@ impl Driver {
         } else {
             Activity::RemoteComm
         };
-        let (retries, res) =
-            send_with_retry(&mut self.sim, s, d, bytes, act, None, self.cfg.comm_retry);
+        let (retries, res) = send_with_retry(
+            &mut self.sim,
+            s,
+            d,
+            bytes,
+            act,
+            None,
+            RetryPolicy::default(),
+        );
         if res.is_ok() {
             self.transfer_retries += retries as u64;
         } else {
             self.failed_transfers += 1;
         }
-    }
-
-    /// Effective per-cell compute cost (config override or app default).
-    fn cost_per_cell(&self) -> f64 {
-        self.cfg.cost_per_cell.unwrap_or_else(|| self.app.cost_per_cell())
     }
 
     /// Record `w_proc^i(t)` and `N_iter^i(t)` for the gain heuristic.
@@ -710,9 +715,8 @@ impl Driver {
         let loads: Vec<Vec<i64>> = (0..nlevels)
             .map(|l| self.hier.level_load_by_owner(l, nprocs))
             .collect();
-        let n_iter: Vec<u32> = (0..nlevels)
-            .map(|l| (self.cfg.refine_factor as u32).pow(l as u32))
-            .collect();
+        let r = self.hier.refine_factor() as u32;
+        let n_iter: Vec<u32> = (0..nlevels).map(|l| r.pow(l as u32)).collect();
         self.history.record_snapshot(loads, n_iter);
     }
 
@@ -739,7 +743,7 @@ impl Driver {
             self.hier.patch_mut(id).fields = fields;
         }
         // charge simulated solver time per owner
-        let cost = self.cost_per_cell();
+        let cost = self.app.cost_per_cell();
         for &id in &ids {
             let p = self.hier.patch(id);
             let weight = self.proc_weights[p.owner];
@@ -964,7 +968,7 @@ impl Driver {
         let mut parent_ids: Vec<PatchId> = Vec::new();
         let mut regions: Vec<Region> = Vec::new();
         // charge flag/cluster work to the owners (part of adaptation)
-        let cost = self.cost_per_cell() * 0.15;
+        let cost = self.app.cost_per_cell() * 0.15;
         for (&id, boxes) in ids.iter().zip(&clustered) {
             let p = self.hier.patch(id);
             for coarse_box in boxes {

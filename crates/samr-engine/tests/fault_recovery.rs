@@ -32,11 +32,7 @@ fn cfg() -> RunConfig {
         // below, so the protocol can tell "bulk traffic dies" from "dead".
         probe_small_bytes: 256,
         probe_large_bytes: 4096,
-        fault: dlb::FaultTolerancePolicy {
-            quarantine_after: 1,
-            probation_interval: 1,
-            ..Default::default()
-        },
+        quarantine_after: 1,
         ..Default::default()
     });
     let mut c = RunConfig::new(AppKind::ShockPool3D, 16, STEPS, scheme);

@@ -31,11 +31,7 @@ fn cfg() -> RunConfig {
         imbalance_tolerance: 1.02,
         probe_small_bytes: 256,
         probe_large_bytes: 4096,
-        fault: dlb::FaultTolerancePolicy {
-            quarantine_after: 1,
-            probation_interval: 1,
-            ..Default::default()
-        },
+        quarantine_after: 1,
         ..Default::default()
     });
     let mut c = RunConfig::new(AppKind::ShockPool3D, 16, STEPS, scheme);

@@ -313,23 +313,6 @@ impl SimView {
         }
     }
 
-    /// The blackhole-detection timeout of the underlying simulator.
-    pub fn default_timeout(&self) -> SimTime {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.default_timeout(),
-            ViewInner::Shared { handle, .. } => handle.with(|s| s.default_timeout()),
-        }
-    }
-
-    /// Override the default timeout. Exclusive views only (the timeout is a
-    /// substrate property).
-    pub fn set_default_timeout(&mut self, t: SimTime) {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.set_default_timeout(t),
-            ViewInner::Shared { .. } => panic!("timeout override on a shared view"),
-        }
-    }
-
     /// Utilization rows of the underlying simulator's inter links (global
     /// group ids when shared — the substrate's links are shared property).
     pub fn inter_link_utilization(&self) -> Vec<(usize, usize, f64)> {

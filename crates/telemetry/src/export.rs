@@ -556,7 +556,7 @@ mod tests {
     use super::*;
     use crate::event::*;
     use crate::json::{self, Json};
-    use crate::sink::{Telemetry, TelemetrySink};
+    use crate::sink::Telemetry;
 
     fn populated_sink() -> RecordingSink {
         let mut s = RecordingSink::default();
@@ -647,7 +647,7 @@ mod tests {
     #[test]
     fn every_jsonl_line_parses() {
         let s = populated_sink();
-        let jsonl = s.to_jsonl().unwrap();
+        let jsonl = s.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         // meta + 2 phase aggregates + 1 derived metric (gate_accept_rate)
         // + 6 events
@@ -693,7 +693,7 @@ mod tests {
     fn stat_block_jsonl_lines_parse_and_follow_meta() {
         let mut s = populated_sink();
         s.record_stat_block("field_pool", &[("hits", 42), ("steady_misses", 0)]);
-        let jsonl = s.to_jsonl().unwrap();
+        let jsonl = s.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         // meta + stat block + 2 phase aggregates + 1 derived metric + 6 events
         assert_eq!(lines.len(), 11);
@@ -702,7 +702,7 @@ mod tests {
         assert_eq!(block.get("name").and_then(Json::as_str), Some("field_pool"));
         assert_eq!(block.get("hits").and_then(Json::as_f64), Some(42.0));
         assert_eq!(block.get("steady_misses").and_then(Json::as_f64), Some(0.0));
-        let text = s.summary().unwrap();
+        let text = s.summary();
         assert!(text.contains("counter blocks"), "{text}");
         assert!(text.contains("field_pool"), "{text}");
     }
@@ -710,7 +710,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_well_formed_and_monotone_per_track() {
         let s = populated_sink();
-        let doc = json::parse(&s.to_chrome_trace().unwrap()).expect("trace parses");
+        let doc = json::parse(&s.to_chrome_trace()).expect("trace parses");
         let events = doc
             .get("traceEvents")
             .and_then(Json::as_arr)
@@ -748,7 +748,7 @@ mod tests {
     #[test]
     fn summary_mentions_the_load_bearing_sections() {
         let s = populated_sink();
-        let text = s.summary().unwrap();
+        let text = s.summary();
         assert!(text.contains("phases by total host time"));
         assert!(text.contains("gamma gate verdicts per level"));
         assert!(text.contains("per-link probe drift"));
@@ -794,7 +794,7 @@ mod tests {
         // all three are decision events: the flow ring must stay empty
         assert!(s.events().iter().all(|e| e.kind.is_decision()));
 
-        let jsonl = s.to_jsonl().unwrap();
+        let jsonl = s.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4); // meta + 3 events
         let meta = json::parse(lines[0]).unwrap();
@@ -808,8 +808,8 @@ mod tests {
         assert_eq!(evac.get("cells").and_then(Json::as_f64), Some(4096.0));
         assert_eq!(evac.get("intra").and_then(Json::as_f64), Some(3.0));
 
-        assert!(json::parse(&s.to_chrome_trace().unwrap()).is_ok());
-        let text = s.summary().unwrap();
+        assert!(json::parse(&s.to_chrome_trace()).is_ok());
+        let text = s.summary();
         assert!(text.contains("crash-stop recovery"), "{text}");
     }
 
@@ -819,7 +819,7 @@ mod tests {
         for i in 0..5 {
             s.record_metric(i as f64 * 0.5, "imbalance", 1.0 + i as f64 * 0.01);
         }
-        let jsonl = s.to_jsonl().unwrap();
+        let jsonl = s.to_jsonl();
         let metric = jsonl
             .lines()
             .map(|l| json::parse(l).unwrap())
@@ -834,7 +834,7 @@ mod tests {
         assert_eq!(p3[0].as_f64(), Some(1.5));
         assert_eq!(p3[1].as_f64(), Some(1.03));
         // the same series shows up as ph "C" counter rows in the trace
-        let trace = json::parse(&s.to_chrome_trace().unwrap()).unwrap();
+        let trace = json::parse(&s.to_chrome_trace()).unwrap();
         let counters: Vec<&Json> = trace
             .get("traceEvents")
             .and_then(Json::as_arr)
@@ -844,7 +844,7 @@ mod tests {
             .collect();
         assert_eq!(counters.len(), 5);
         assert_eq!(counters[0].get("name").and_then(Json::as_str), Some("imbalance"));
-        let text = s.summary().unwrap();
+        let text = s.summary();
         assert!(text.contains("metric series"), "{text}");
         assert!(text.contains("imbalance"), "{text}");
     }
@@ -857,7 +857,7 @@ mod tests {
             s.record_metric(i as f64, "imbalance", IMBALANCE_STUCK_THRESHOLD * 2.0);
         }
         assert_eq!(s.counts().anomalies, 1);
-        let jsonl = s.to_jsonl().unwrap();
+        let jsonl = s.to_jsonl();
         let meta = json::parse(jsonl.lines().next().unwrap()).unwrap();
         assert_eq!(meta.get("anomalies").and_then(Json::as_f64), Some(1.0));
         let anom = jsonl
@@ -875,7 +875,7 @@ mod tests {
             Some(IMBALANCE_STUCK_STREAK as f64)
         );
         // the trace puts anomalies on sim lane 9
-        let trace = json::parse(&s.to_chrome_trace().unwrap()).unwrap();
+        let trace = json::parse(&s.to_chrome_trace()).unwrap();
         let lane9 = trace
             .get("traceEvents")
             .and_then(Json::as_arr)
@@ -886,7 +886,7 @@ mod tests {
                     && e.get("tid").and_then(Json::as_f64) == Some(9.0)
             });
         assert!(lane9, "anomaly instant missing from lane 9");
-        let text = s.summary().unwrap();
+        let text = s.summary();
         assert!(text.contains("anomalies: 1"), "{text}");
         assert!(text.contains("imbalance_stuck"), "{text}");
     }

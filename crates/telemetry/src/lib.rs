@@ -1,8 +1,8 @@
 //! # telemetry — structured observability for the DLB pipeline
 //!
 //! Std only (plus the workspace's `base::json`) and deterministic: recording
-//! telemetry never touches simulated state, so a run with a
-//! [`RecordingSink`] is bit-identical to one with the default [`NullSink`]
+//! telemetry never touches simulated state, so a run recording into a
+//! [`RecordingSink`] is bit-identical to one with the default null handle
 //! (the determinism tests enforce this).
 //!
 //! Three layers:
@@ -24,7 +24,8 @@
 //!
 //! The [`Telemetry`] handle is cheap to clone and a no-op when disabled:
 //! [`Telemetry::null`] performs no allocation, no locking, and no clock
-//! reads. Sinks are pluggable through the [`TelemetrySink`] trait.
+//! reads. An enabled handle records into one [`RecordingSink`], the only
+//! sink there is.
 
 #![forbid(unsafe_code)]
 
@@ -47,13 +48,12 @@ pub use event::{
 };
 pub use hist::{percentile_exact, LogHistogram};
 pub use metrics::{AnomalyMonitor, MetricSeries};
-pub use sink::{NullSink, RecordingSink, SpanGuard, SpanRecord, Telemetry, TelemetrySink};
+pub use sink::{RecordingSink, SpanGuard, SpanRecord, Telemetry};
 
 /// Open a host-wall-clock span: `span!(tel, "ghost_exchange", level)` (or
 /// without a level: `span!(tel, "setup")`). The returned RAII guard records
 /// its elapsed time into the sink's per-(phase, level) histogram when
-/// dropped; against a [`NullSink`]/disabled handle it is fully inert (no
-/// clock read).
+/// dropped; against a disabled handle it is fully inert (no clock read).
 #[macro_export]
 macro_rules! span {
     ($tel:expr, $name:expr) => {

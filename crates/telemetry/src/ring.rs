@@ -48,11 +48,6 @@ impl EventRing {
         self.buf.is_empty()
     }
 
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Records evicted so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -94,6 +89,5 @@ mod tests {
         r.clear();
         assert!(r.is_empty());
         assert_eq!(r.dropped(), 0);
-        assert_eq!(r.capacity(), 3);
     }
 }

@@ -1,10 +1,11 @@
-//! Sinks and the cloneable [`Telemetry`] handle the pipeline records into.
+//! The recording sink and the cloneable [`Telemetry`] handle the pipeline
+//! records into.
 //!
 //! The handle is the zero-overhead switch: [`Telemetry::null`] carries no
 //! allocation at all — event construction sites guard on
 //! [`Telemetry::is_enabled`], span guards are inert (no clock read), and
-//! nothing locks. With a recording sink attached, records pass through a
-//! mutex into the sink; recording never touches simulated state, so
+//! nothing locks. A recording handle passes records through a mutex into
+//! its [`RecordingSink`]; recording never touches simulated state, so
 //! enabling telemetry cannot change a run's results.
 
 use crate::event::{AnomalyEvent, EventKind, EventRecord, GateVerdict, ProbeEvent};
@@ -28,60 +29,6 @@ pub struct SpanRecord {
     pub start_host_secs: f64,
     /// Duration, host seconds.
     pub dur_secs: f64,
-}
-
-/// Destination of telemetry records. Implementations must be `Send` (the
-/// handle is shared across driver-owned structures that cross thread
-/// boundaries at spawn time).
-pub trait TelemetrySink: Send {
-    /// Record one decision/flow event observed at simulated time
-    /// `t_sim_secs`. The sink assigns the sequence number.
-    fn record_event(&mut self, t_sim_secs: f64, kind: EventKind);
-
-    /// Record one closed span.
-    fn record_span(&mut self, span: SpanRecord);
-
-    /// Forget everything recorded so far (the driver calls this when it
-    /// resets simulated clocks, so setup work is excluded).
-    fn clear(&mut self);
-
-    /// Record (or replace) a named block of whole-run counters — e.g. the
-    /// driver's field-pool statistics. Ignored by non-recording sinks.
-    fn record_stat_block(&mut self, _name: &'static str, _entries: &[(&'static str, u64)]) {}
-
-    /// Record one gauge sample at simulated time `t_sim_secs` into the
-    /// named bounded series (see [`crate::metrics`]). Ignored by
-    /// non-recording sinks.
-    fn record_metric(&mut self, _t_sim_secs: f64, _name: &str, _value: f64) {}
-
-    /// Human-readable report; `None` for non-recording sinks.
-    fn summary(&self) -> Option<String> {
-        None
-    }
-
-    /// JSONL export (one event per line, meta line first); `None` for
-    /// non-recording sinks.
-    fn to_jsonl(&self) -> Option<String> {
-        None
-    }
-
-    /// Chrome trace-event JSON (`chrome://tracing` / Perfetto); `None` for
-    /// non-recording sinks.
-    fn to_chrome_trace(&self) -> Option<String> {
-        None
-    }
-}
-
-/// The do-nothing sink. [`Telemetry::null`] is the cheaper way to get this
-/// behaviour (no allocation, no locking); `NullSink` exists for call sites
-/// that want to pass an explicit sink object.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn record_event(&mut self, _t_sim_secs: f64, _kind: EventKind) {}
-    fn record_span(&mut self, _span: SpanRecord) {}
-    fn clear(&mut self) {}
 }
 
 /// Accept/reject/defer tally of γ-gate verdicts.
@@ -157,12 +104,12 @@ pub struct EventCounts {
     pub anomalies: u64,
 }
 
-/// Default capacity of the decision ring (gate/redistribute/fault/switch).
-pub const DEFAULT_DECISION_CAP: usize = 16 * 1024;
-/// Default capacity of the flow ring (probe/transfer).
-pub const DEFAULT_FLOW_CAP: usize = 64 * 1024;
-/// Default cap on retained span records.
-pub const DEFAULT_SPAN_CAP: usize = 64 * 1024;
+/// Capacity of the decision ring (gate/redistribute/fault/switch).
+pub const DECISION_CAP: usize = 16 * 1024;
+/// Capacity of the flow ring (probe/transfer).
+pub const FLOW_CAP: usize = 64 * 1024;
+/// Cap on retained span records.
+pub const SPAN_CAP: usize = 64 * 1024;
 
 /// The recording sink: bounded rings for events, a span log, and running
 /// aggregations (per-phase histograms, gate tallies per level, per-link
@@ -173,7 +120,6 @@ pub struct RecordingSink {
     decisions: EventRing,
     flows: EventRing,
     spans: Vec<SpanRecord>,
-    span_cap: usize,
     spans_dropped: u64,
     phase_hist: BTreeMap<(&'static str, Option<usize>), LogHistogram>,
     transfer_queue: LogHistogram,
@@ -188,19 +134,11 @@ pub struct RecordingSink {
 
 impl Default for RecordingSink {
     fn default() -> Self {
-        Self::new(DEFAULT_DECISION_CAP, DEFAULT_FLOW_CAP, DEFAULT_SPAN_CAP)
-    }
-}
-
-impl RecordingSink {
-    /// A sink with explicit ring/span capacities.
-    pub fn new(decision_cap: usize, flow_cap: usize, span_cap: usize) -> Self {
         RecordingSink {
             seq: 0,
-            decisions: EventRing::new(decision_cap),
-            flows: EventRing::new(flow_cap),
+            decisions: EventRing::new(DECISION_CAP),
+            flows: EventRing::new(FLOW_CAP),
             spans: Vec::new(),
-            span_cap: span_cap.max(1),
             spans_dropped: 0,
             phase_hist: BTreeMap::new(),
             transfer_queue: LogHistogram::new(),
@@ -212,6 +150,83 @@ impl RecordingSink {
             metrics: BTreeMap::new(),
             monitor: AnomalyMonitor::new(),
         }
+    }
+}
+
+impl RecordingSink {
+    /// Record one decision/flow event observed at simulated time
+    /// `t_sim_secs`. The sink assigns the sequence number.
+    pub fn record_event(&mut self, t_sim_secs: f64, kind: EventKind) {
+        let mut fired = Vec::new();
+        self.absorb(t_sim_secs, &kind, &mut fired);
+        // detectors never see their own output (absorb only counts it)
+        if !matches!(kind, EventKind::Anomaly(_)) {
+            self.monitor.on_event(&kind, &mut fired);
+        }
+        let rec = EventRecord {
+            seq: self.seq,
+            t_sim_secs,
+            kind,
+        };
+        self.seq += 1;
+        if rec.kind.is_decision() {
+            self.decisions.push(rec);
+        } else {
+            self.flows.push(rec);
+        }
+        for a in fired {
+            self.emit_anomaly(t_sim_secs, a);
+        }
+    }
+
+    /// Record one closed span.
+    pub fn record_span(&mut self, span: SpanRecord) {
+        self.phase_hist
+            .entry((span.name, span.level))
+            .or_default()
+            .record(span.dur_secs);
+        if self.spans.len() < SPAN_CAP {
+            self.spans.push(span);
+        } else {
+            self.spans_dropped += 1;
+        }
+    }
+
+    /// Forget everything recorded so far (the driver calls this when it
+    /// resets simulated clocks, so setup work is excluded).
+    pub fn clear(&mut self) {
+        *self = RecordingSink::default();
+    }
+
+    /// Record (or replace) a named block of whole-run counters — e.g. the
+    /// driver's field-pool statistics.
+    pub fn record_stat_block(&mut self, name: &'static str, entries: &[(&'static str, u64)]) {
+        self.stat_blocks.insert(name, entries.to_vec());
+    }
+
+    /// Record one gauge sample at simulated time `t_sim_secs` into the
+    /// named bounded series (see [`crate::metrics`]).
+    pub fn record_metric(&mut self, t_sim_secs: f64, name: &str, value: f64) {
+        let mut fired = Vec::new();
+        self.sample_metric(t_sim_secs, name, value, &mut fired);
+        for a in fired {
+            self.emit_anomaly(t_sim_secs, a);
+        }
+    }
+
+    /// Human-readable report.
+    pub fn summary(&self) -> String {
+        export::summary_text(self)
+    }
+
+    /// JSONL export (one event per line, meta line first).
+    pub fn to_jsonl(&self) -> String {
+        export::to_jsonl(self)
+    }
+
+    /// Chrome trace-event JSON (`chrome://tracing` / Perfetto).
+    pub fn to_chrome_trace(&self) -> String {
+        export::to_chrome_trace(self)
     }
 
     /// All retained events from both rings, merged oldest-first (by
@@ -388,81 +403,12 @@ impl RecordingSink {
     }
 }
 
-impl TelemetrySink for RecordingSink {
-    fn record_event(&mut self, t_sim_secs: f64, kind: EventKind) {
-        let mut fired = Vec::new();
-        self.absorb(t_sim_secs, &kind, &mut fired);
-        // detectors never see their own output (absorb only counts it)
-        if !matches!(kind, EventKind::Anomaly(_)) {
-            self.monitor.on_event(&kind, &mut fired);
-        }
-        let rec = EventRecord {
-            seq: self.seq,
-            t_sim_secs,
-            kind,
-        };
-        self.seq += 1;
-        if rec.kind.is_decision() {
-            self.decisions.push(rec);
-        } else {
-            self.flows.push(rec);
-        }
-        for a in fired {
-            self.emit_anomaly(t_sim_secs, a);
-        }
-    }
-
-    fn record_span(&mut self, span: SpanRecord) {
-        self.phase_hist
-            .entry((span.name, span.level))
-            .or_default()
-            .record(span.dur_secs);
-        if self.spans.len() < self.span_cap {
-            self.spans.push(span);
-        } else {
-            self.spans_dropped += 1;
-        }
-    }
-
-    fn clear(&mut self) {
-        *self = RecordingSink::new(
-            self.decisions.capacity(),
-            self.flows.capacity(),
-            self.span_cap,
-        );
-    }
-
-    fn record_stat_block(&mut self, name: &'static str, entries: &[(&'static str, u64)]) {
-        self.stat_blocks.insert(name, entries.to_vec());
-    }
-
-    fn record_metric(&mut self, t_sim_secs: f64, name: &str, value: f64) {
-        let mut fired = Vec::new();
-        self.sample_metric(t_sim_secs, name, value, &mut fired);
-        for a in fired {
-            self.emit_anomaly(t_sim_secs, a);
-        }
-    }
-
-    fn summary(&self) -> Option<String> {
-        Some(export::summary_text(self))
-    }
-
-    fn to_jsonl(&self) -> Option<String> {
-        Some(export::to_jsonl(self))
-    }
-
-    fn to_chrome_trace(&self) -> Option<String> {
-        Some(export::to_chrome_trace(self))
-    }
-}
-
 /// Shared state behind an enabled handle.
 #[derive(Clone)]
 struct Shared {
     /// Host-clock epoch all span timestamps are relative to.
     epoch: Instant,
-    sink: Arc<Mutex<dyn TelemetrySink>>,
+    sink: Arc<Mutex<RecordingSink>>,
 }
 
 /// Cheap-to-clone handle the pipeline records through. Disabled by default
@@ -483,9 +429,7 @@ impl fmt::Debug for Telemetry {
     }
 }
 
-fn lock<'a>(
-    sink: &'a Arc<Mutex<dyn TelemetrySink + 'static>>,
-) -> MutexGuard<'a, dyn TelemetrySink + 'static> {
+fn lock(sink: &Mutex<RecordingSink>) -> MutexGuard<'_, RecordingSink> {
     // a panic mid-record leaves only a partially-updated *observation*;
     // keep reporting rather than poisoning the whole run
     sink.lock().unwrap_or_else(|e| e.into_inner())
@@ -508,17 +452,13 @@ impl Telemetry {
     /// want to inspect events/spans directly after the run.
     pub fn recording_shared() -> (Self, Arc<Mutex<RecordingSink>>) {
         let sink = Arc::new(Mutex::new(RecordingSink::default()));
-        (Self::with_sink(sink.clone()), sink)
-    }
-
-    /// A handle recording into any custom sink.
-    pub fn with_sink(sink: Arc<Mutex<impl TelemetrySink + 'static>>) -> Self {
-        Telemetry {
+        let tel = Telemetry {
             shared: Some(Shared {
                 epoch: Instant::now(),
-                sink,
+                sink: sink.clone(),
             }),
-        }
+        };
+        (tel, sink)
     }
 
     /// Whether records go anywhere. Event construction sites should guard
@@ -573,21 +513,21 @@ impl Telemetry {
         }
     }
 
-    /// Text report from the sink; `None` when disabled or non-recording.
+    /// Text report from the sink; `None` when disabled.
     pub fn summary(&self) -> Option<String> {
-        self.shared.as_ref().and_then(|s| lock(&s.sink).summary())
+        self.shared.as_ref().map(|s| lock(&s.sink).summary())
     }
 
-    /// JSONL export; `None` when disabled or non-recording.
+    /// JSONL export; `None` when disabled.
     pub fn to_jsonl(&self) -> Option<String> {
-        self.shared.as_ref().and_then(|s| lock(&s.sink).to_jsonl())
+        self.shared.as_ref().map(|s| lock(&s.sink).to_jsonl())
     }
 
-    /// Chrome trace-event export; `None` when disabled or non-recording.
+    /// Chrome trace-event export; `None` when disabled.
     pub fn to_chrome_trace(&self) -> Option<String> {
         self.shared
             .as_ref()
-            .and_then(|s| lock(&s.sink).to_chrome_trace())
+            .map(|s| lock(&s.sink).to_chrome_trace())
     }
 }
 
@@ -727,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_but_keeps_capacities() {
+    fn clear_resets_to_an_empty_sink() {
         let (tel, sink) = Telemetry::recording_shared();
         tel.event(
             0.0,

@@ -9,10 +9,10 @@
 //! * **interleaved stepping** — always advance the tenant whose view clock
 //!   is furthest behind (ties to the lowest tenant id), which is both fair
 //!   and a pure function of simulated state, hence deterministic;
-//! * **inter-tenant re-balancing** — every `rebalance_interval` completed
-//!   steps a tenant may migrate one group of its span off the most
-//!   crowded substrate group, gated by the same `Gain > γ·Cost` rule the
-//!   intra-tenant DLB uses, with α/β probed on the live (possibly
+//! * **inter-tenant re-balancing** — every `REBALANCE_INTERVAL` (2)
+//!   completed steps a tenant may migrate one group of its span off the
+//!   most crowded substrate group, gated by the same `Gain > γ·Cost` rule
+//!   (γ = 2) the intra-tenant DLB uses, with α/β probed on the live (possibly
 //!   congested) link and the payload charged leader-to-leader;
 //! * **service accounting** — per-tenant step latencies, migrations, and
 //!   a tenant telemetry lane (admit/migrate/step events).
@@ -28,16 +28,18 @@ use telemetry::{
 };
 use topology::{DistributedSystem, GroupId, LinkEstimator, ProcId};
 
+/// γ of the inter-tenant migration gate (the paper's default).
+const GAMMA: f64 = 2.0;
+
+/// A tenant is considered for migration every this many of its own
+/// completed steps.
+const REBALANCE_INTERVAL: u64 = 2;
+
 /// Service-level knobs.
 #[derive(Clone, Debug)]
 pub struct TenantServiceConfig {
     /// Seed for the admission draw and the per-tenant run seeds.
     pub seed: u64,
-    /// γ threshold of the inter-tenant migration gate (paper default 2).
-    pub gamma: f64,
-    /// A tenant is considered for migration every this many of its own
-    /// completed steps (0 disables inter-tenant re-balancing).
-    pub rebalance_interval: u64,
     /// Priority/load-aware admission (`true`) or the naive static baseline.
     pub tenant_aware: bool,
     /// Telemetry lane shared by the substrate and the service events.
@@ -48,8 +50,6 @@ impl Default for TenantServiceConfig {
     fn default() -> Self {
         TenantServiceConfig {
             seed: 42,
-            gamma: 2.0,
-            rebalance_interval: 2,
             tenant_aware: true,
             telemetry: Telemetry::null(),
         }
@@ -224,9 +224,7 @@ impl TenantService {
                     secs,
                 }),
             );
-            let interval = self.cfg.rebalance_interval;
-            if interval > 0
-                && self.steps_done[t].is_multiple_of(interval)
+            if self.steps_done[t].is_multiple_of(REBALANCE_INTERVAL)
                 && self.steps_done[t] < self.specs[t].steps as u64
             {
                 self.maybe_migrate(t);
@@ -341,7 +339,7 @@ impl TenantService {
         }
         let (alpha, beta) = (est.alpha().unwrap_or(0.0), est.beta().unwrap_or(0.0));
         let cost = evaluate_cost(alpha, beta, payload, self.drivers[t].history());
-        if !should_redistribute(gain_secs, &cost, self.cfg.gamma) {
+        if !should_redistribute(gain_secs, &cost, GAMMA) {
             return;
         }
 
@@ -506,20 +504,6 @@ mod tests {
         .run();
         // different admission seed reshuffles placement and run seeds
         assert_ne!(quiet.fingerprint(), other_seed.fingerprint());
-    }
-
-    #[test]
-    fn migration_gate_honours_disabled_interval() {
-        let res = TenantService::new(
-            quad_site(3),
-            small_specs(),
-            TenantServiceConfig {
-                rebalance_interval: 0,
-                ..TenantServiceConfig::default()
-            },
-        )
-        .run();
-        assert_eq!(res.migrations, 0);
     }
 
     #[test]

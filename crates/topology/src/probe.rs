@@ -5,13 +5,12 @@
 //! exactly that two-message probe; smoothing and forecasting of the sampled
 //! α/β streams live in the `forecast` crate (the Network Weather Service
 //! direction the authors cite as future work), which [`LinkEstimator`]
-//! delegates to — by default with the same latest-sample EWMA as before.
+//! delegates to — by default with a latest-sample model, the paper's.
 //!
 //! Probing is fallible: a dead or blackholed link returns a typed
-//! [`ProbeError`] instead of a bogus sample, and [`LinkEstimator`] tracks
-//! probe failures and sample age ([`LinkEstimator::with_staleness`],
-//! [`LinkEstimator::is_stale`]). No decision consults staleness yet: the
-//! γ-gate prices whatever α/β the estimator last held.
+//! [`ProbeError`] instead of a bogus sample, and a failed refresh leaves
+//! the estimate as it was. Counting failures is the caller's business: the
+//! distributed DLB charges them to its quarantine roster.
 
 use crate::faults::LinkHealth;
 use crate::link::Link;
@@ -128,11 +127,10 @@ fn check_reachable(link: &Link, t: SimTime) -> Result<(), ProbeError> {
     Ok(())
 }
 
-/// Forecasting smoother over probe samples, NWS-style, with staleness
-/// tracking. The α/β/bandwidth streams are folded through a
-/// [`forecast::LinkForecast`]; the default model is a fixed-gain EWMA with
-/// gain λ, which reproduces the pre-forecast estimator bit for bit
-/// (λ = 1 ⇒ the paper's latest-sample mode).
+/// Forecasting smoother over probe samples, NWS-style. The α/β/bandwidth
+/// streams are folded through a [`forecast::LinkForecast`]; the default
+/// model is an EWMA with gain 1 — the paper's latest-sample mode, bit for
+/// bit — and [`LinkEstimator::with_predictor`] swaps in any other.
 #[derive(Clone, Debug)]
 pub struct LinkEstimator {
     /// Per-series predictors for α, β, and effective bandwidth.
@@ -140,14 +138,6 @@ pub struct LinkEstimator {
     /// Probe message sizes.
     pub small: u64,
     pub large: u64,
-    samples: usize,
-    /// Time of the last successful probe.
-    last_success: Option<SimTime>,
-    /// Consecutive probe failures since the last success.
-    failures: u32,
-    /// Staleness policy: `(ttl_secs, max_failures)`. `None` disables
-    /// staleness (estimates never expire — the pre-fault behaviour).
-    staleness: Option<(f64, u32)>,
 }
 
 /// Seed for the default (non-adaptive) estimator models. Fixed models
@@ -155,62 +145,37 @@ pub struct LinkEstimator {
 const DEFAULT_FORECAST_SEED: u64 = 0;
 
 impl LinkEstimator {
-    /// A fresh estimator. `lambda = 1.0` means "trust only the latest probe"
-    /// (what the paper's two-message scheme does); smaller values smooth.
-    pub fn new(lambda: f64, small: u64, large: u64) -> Self {
-        assert!(lambda > 0.0 && lambda <= 1.0);
+    /// A fresh latest-sample estimator probing with `small` / `large`-byte
+    /// messages — what the paper's two-message scheme does.
+    pub fn new(small: u64, large: u64) -> Self {
         assert!(large > small);
         LinkEstimator {
-            series: LinkForecast::new(PredictorKind::Ewma { gain: lambda }, DEFAULT_FORECAST_SEED),
+            series: LinkForecast::new(PredictorKind::Ewma { gain: 1.0 }, DEFAULT_FORECAST_SEED),
             small,
             large,
-            samples: 0,
-            last_success: None,
-            failures: 0,
-            staleness: None,
         }
     }
 
-    /// Defaults matching the paper's decision cadence: latest-sample
-    /// weighting, 1 KiB / 64 KiB probe messages.
+    /// The paper's 1 KiB / 64 KiB probe messages.
     pub fn paper_default() -> Self {
-        LinkEstimator::new(1.0, 1 << 10, 1 << 16)
+        LinkEstimator::new(1 << 10, 1 << 16)
     }
 
-    /// Replace the default EWMA(λ) with another predictor family — e.g.
-    /// [`PredictorKind::Adaptive`] for the MAE-tracked selector. Discards
-    /// any samples already folded, so call it at construction time.
+    /// Replace the latest-sample model with another predictor family — e.g.
+    /// [`PredictorKind::Adaptive`] for the MAE-tracked selector, or a
+    /// smoothing [`PredictorKind::Ewma`]. Discards any samples already
+    /// folded, so call it at construction time.
     pub fn with_predictor(mut self, kind: PredictorKind, seed: u64) -> Self {
         self.series = LinkForecast::new(kind, seed);
         self
     }
 
-    /// Enable staleness decay: [`is_stale`](Self::is_stale) reports `true`
-    /// once the last successful probe is older than `ttl_secs` or after
-    /// `max_failures` consecutive probe failures.
-    pub fn with_staleness(mut self, ttl_secs: f64, max_failures: u32) -> Self {
-        assert!(ttl_secs > 0.0 && max_failures > 0);
-        self.staleness = Some((ttl_secs, max_failures));
-        self
-    }
-
-    /// Probe `link` at `t` and fold the sample in. On failure the
-    /// estimator records a strike (for staleness decay) and keeps its
-    /// previous α/β untouched.
+    /// Probe `link` at `t` and fold the sample in. On failure the previous
+    /// α/β stay untouched.
     pub fn refresh(&mut self, link: &Link, t: SimTime) -> Result<ProbeSample, ProbeError> {
-        match probe_link(link, t, self.small, self.large) {
-            Ok(s) => {
-                self.fold(t, s.alpha, s.beta);
-                self.samples += 1;
-                self.last_success = Some(t + s.elapsed);
-                self.failures = 0;
-                Ok(s)
-            }
-            Err(e) => {
-                self.record_failure(t);
-                Err(e)
-            }
-        }
+        let s = probe_link(link, t, self.small, self.large)?;
+        self.fold(t, s.alpha, s.beta);
+        Ok(s)
     }
 
     /// Fold one sample into the per-series predictors, clamped against
@@ -225,31 +190,6 @@ impl LinkEstimator {
             self.series.alpha.observe(secs, alpha.max(0.0));
         } else if beta.is_finite() {
             self.series.beta.observe(secs, beta.max(0.0));
-        }
-    }
-
-    /// Record a probe failure observed at `t` without touching α/β.
-    pub fn record_failure(&mut self, _t: SimTime) {
-        self.failures = self.failures.saturating_add(1);
-    }
-
-    /// Consecutive failures since the last successful probe.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.failures
-    }
-
-    /// Is the estimate too old or too failure-ridden to trust at `now`?
-    /// Always `false` while staleness is disabled.
-    pub fn is_stale(&self, now: SimTime) -> bool {
-        let Some((ttl, max_failures)) = self.staleness else {
-            return false;
-        };
-        if self.failures >= max_failures {
-            return true;
-        }
-        match self.last_success {
-            None => self.samples == 0,
-            Some(t) => now.saturating_sub(t).as_secs_f64() > ttl,
         }
     }
 
@@ -297,11 +237,6 @@ impl LinkEstimator {
     /// exposes the per-member MAE scoreboard and the current best member.
     pub fn beta_selector(&self) -> Option<&forecast::AdaptiveSelector> {
         self.series.beta.selector()
-    }
-
-    /// Number of probes folded in.
-    pub fn samples(&self) -> usize {
-        self.samples
     }
 }
 
@@ -427,12 +362,12 @@ mod tests {
             (busy_beta / quiet_beta - 10.0).abs() < 1e-6,
             "λ=1 tracks the newest sample exactly"
         );
-        assert_eq!(est.samples(), 2);
     }
 
     #[test]
     fn estimator_smoothing() {
-        let mut est = LinkEstimator::new(0.5, 1 << 10, 1 << 16);
+        let mut est = LinkEstimator::paper_default()
+            .with_predictor(forecast::PredictorKind::Ewma { gain: 0.5 }, 0);
         let link = Link::shared(
             "t",
             SimTime::ZERO,
@@ -463,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_refresh_keeps_old_estimate_and_counts_strikes() {
+    fn failed_refresh_keeps_old_estimate() {
         let link = Link::dedicated("x", SimTime::from_millis(2), 1e7).with_faults(
             FaultSchedule::none().with_window(
                 SimTime::from_secs(10),
@@ -475,29 +410,8 @@ mod tests {
         est.refresh(&link, SimTime::ZERO).unwrap();
         let (a, b) = (est.alpha().unwrap(), est.beta().unwrap());
         assert!(est.refresh(&link, SimTime::from_secs(15)).is_err());
-        assert_eq!(est.consecutive_failures(), 1);
         assert_eq!(est.alpha(), Some(a));
         assert_eq!(est.beta(), Some(b));
-        // a success resets the strike counter
-        est.refresh(&link, SimTime::from_secs(25)).unwrap();
-        assert_eq!(est.consecutive_failures(), 0);
-    }
-
-    #[test]
-    fn staleness_expires_estimates() {
-        let link = Link::dedicated("x", SimTime::from_millis(2), 1e7);
-        let mut est = LinkEstimator::paper_default().with_staleness(30.0, 2);
-        assert!(est.is_stale(SimTime::ZERO), "no sample yet");
-        est.refresh(&link, SimTime::ZERO).unwrap();
-        assert!(!est.is_stale(SimTime::from_secs(10)));
-        assert!(est.is_stale(SimTime::from_secs(60)), "TTL exceeded");
-        // failures also expire the estimate
-        let mut est2 = LinkEstimator::paper_default().with_staleness(1e9, 2);
-        est2.refresh(&link, SimTime::ZERO).unwrap();
-        est2.record_failure(SimTime::from_secs(1));
-        assert!(!est2.is_stale(SimTime::from_secs(1)), "one strike");
-        est2.record_failure(SimTime::from_secs(2));
-        assert!(est2.is_stale(SimTime::from_secs(2)), "two strikes");
     }
 
     #[test]
@@ -553,23 +467,13 @@ mod tests {
             },
         );
         let lambda = 0.5;
-        let mut est = LinkEstimator::new(lambda, 1 << 10, 1 << 16);
+        let mut est = LinkEstimator::paper_default()
+            .with_predictor(forecast::PredictorKind::Ewma { gain: lambda }, 0);
         let s0 = est.refresh(&link, SimTime::ZERO).unwrap();
         let s1 = est.refresh(&link, SimTime::from_secs(10)).unwrap();
         let expect_beta = lambda * s1.beta + (1.0 - lambda) * s0.beta;
         assert_eq!(est.beta(), Some(expect_beta));
         let expect_alpha = lambda * s1.alpha + (1.0 - lambda) * s0.alpha;
         assert_eq!(est.alpha(), Some(expect_alpha));
-    }
-
-    #[test]
-    fn staleness_disabled_by_default() {
-        let link = Link::dedicated("x", SimTime::from_millis(2), 1e7);
-        let mut est = LinkEstimator::paper_default();
-        est.refresh(&link, SimTime::ZERO).unwrap();
-        for i in 0..100 {
-            est.record_failure(SimTime::from_secs(i));
-        }
-        assert!(!est.is_stale(SimTime::from_secs(1_000_000)));
     }
 }

@@ -15,7 +15,6 @@
 //! ```
 
 use samr_dlb::prelude::*;
-use samr_dlb::telemetry::TelemetrySink as _;
 use samr_engine::Scheme;
 
 fn main() {
@@ -43,9 +42,9 @@ fn main() {
 
     let sink = sink.lock().unwrap();
     let _ = std::fs::create_dir_all("results");
-    let trace = sink.to_chrome_trace().expect("recording sink exports a trace");
+    let trace = sink.to_chrome_trace();
     std::fs::write("results/trace_anatomy.trace.json", trace).expect("write trace");
-    let jsonl = sink.to_jsonl().expect("recording sink exports JSONL");
+    let jsonl = sink.to_jsonl();
     std::fs::write("results/trace_anatomy.jsonl", jsonl).expect("write jsonl");
     println!("wrote results/trace_anatomy.trace.json (chrome://tracing / ui.perfetto.dev)");
     println!("wrote results/trace_anatomy.jsonl\n");

@@ -62,7 +62,9 @@ EOF
 # file's first `#[cfg(test)]` (and outside a `pub mod reference`) must be
 # named in code somewhere else — in its own file's production part, or in
 # any other .rs file under crates/, src/, examples/ or tests/ (comments do
-# not count) — unless the allowlist below gives the reason it stays
+# not count) — unless the allowlist below gives the reason it stays; an
+# allowlisted name that gains a use, or that no production `pub fn`
+# declares any more, fails too
 python3 - <<'EOF'
 import glob, re, sys
 from collections import Counter
@@ -73,7 +75,6 @@ ALLOW = {
     "record_fine": "FluxRegister: wired into the driver or deleted by ROADMAP item 9",
     "fine_weight": "FluxRegister: wired into the driver or deleted by ROADMAP item 9",
     "correction": "FluxRegister: wired into the driver or deleted by ROADMAP item 9",
-    "is_stale": "LinkEstimator staleness: dlb configures it, no decision reads it (ROADMAP item 4)",
 }
 word = re.compile(r"[A-Za-z_]\w*")
 decl = re.compile(r"\s*pub\s+(?:const\s+|unsafe\s+)*fn\s+(\w+)")
@@ -84,7 +85,7 @@ files = sorted(set(glob.glob("src/**/*.rs", recursive=True)
 code = {p: [line.split("//")[0] for line in open(p)] for p in files}
 names = {p: Counter(w for line in lines for w in word.findall(line)) for p, lines in code.items()}
 everywhere = sum(names.values(), Counter())
-dead, used = [], set()
+dead, used, declared = [], set(), set()
 for path, lines in code.items():
     if path.startswith("crates/benchmark/") or not re.match(r"(crates/[^/]+/)?src/", path):
         continue
@@ -100,12 +101,15 @@ for path, lines in code.items():
         if in_reference or not m:
             continue
         name = m.group(1)
+        declared.add(name)
         if own[name] > 1 or everywhere[name] > names[path][name]:
             used.add(name)
         elif name not in ALLOW:
             dead.append(f"{path}:{n}: {name}")
 problems = dead + [f"allowlisted `{n}` is named now: drop it from the allowlist"
-                   for n in sorted(set(ALLOW) & used)]
+                   for n in sorted(set(ALLOW) & used)] + [
+    f"allowlisted `{n}` is declared by no production `pub fn`: drop it from the allowlist"
+    for n in sorted(set(ALLOW) - declared)]
 if problems:
     sys.exit("verify: `pub fn` nothing else names (delete it, or allowlist it with a reason):\n"
              + "\n".join(problems))

@@ -64,7 +64,15 @@ fn parse() -> Result<Args, String> {
             "--n0" => a.n0 = val()?.parse().map_err(|e| format!("{e}"))?,
             "--steps" => a.steps = val()?.parse().map_err(|e| format!("{e}"))?,
             "--levels" => a.levels = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--gamma" => a.gamma = val()?.parse().map_err(|e| format!("{e}"))?,
+            "--gamma" => {
+                let v = val()?;
+                a.gamma = v.parse().map_err(|e| format!("--gamma {v}: {e}"))?;
+                // a negative γ admits any positive gain and NaN admits
+                // none; `inf` (never redistribute) is a legitimate setting
+                if a.gamma.is_nan() || a.gamma < 0.0 {
+                    return Err(format!("--gamma must be >= 0 or inf, got {v}"));
+                }
+            }
             "--seed" => a.seed = val()?.parse().map_err(|e| format!("{e}"))?,
             "--json" => a.json = true,
             "--help" | "-h" => {

@@ -1,0 +1,37 @@
+//! The `samr-dlb-run` binary's argument checks, run as a user would run it.
+
+use std::process::Command;
+
+fn run(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_samr-dlb-run"))
+        .args(args)
+        .output()
+        .expect("run samr-dlb-run")
+}
+
+/// A γ that makes the gate meaningless is a usage error (exit 2) naming
+/// the flag: a negative one admits every imbalance with positive gain, NaN
+/// admits none.
+#[test]
+fn gamma_below_zero_or_nan_is_a_usage_error() {
+    for bad in ["-1", "nan"] {
+        let out = run(&["--gamma", bad]);
+        assert_eq!(out.status.code(), Some(2), "--gamma {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--gamma"), "--gamma {bad}: {stderr}");
+    }
+}
+
+/// `inf` is Ablation A's "never redistribute" and stays accepted.
+#[test]
+fn gamma_inf_runs() {
+    let out = run(&[
+        "--gamma", "inf", "--n0", "8", "--steps", "1", "--levels", "2", "--procs", "2",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
