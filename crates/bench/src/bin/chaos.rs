@@ -25,8 +25,8 @@
 //! exports it (telemetry JSONL when PATH ends in `.jsonl`, Chrome trace
 //! JSON otherwise — the JSONL feeds `report run`).
 
-use base::json::num;
-use bench::{Scale, TRAFFIC_SEED};
+use base::json::{Json, ToJson};
+use bench::{obj, write_output, write_report, Scale, TRAFFIC_SEED};
 use samr_engine::{AppKind, Driver, RunConfig, Scheme};
 use telemetry::{EventKind, Telemetry};
 use topology::faults::{FaultSchedule, ProcFaultSchedule};
@@ -292,48 +292,28 @@ fn main() {
          {total_rejoins} rejoins, {total_violations} violations (mttr bound {mttr_bound:.3}s)"
     );
 
-    let mut entries = Vec::new();
-    for o in &outcomes {
-        let viol = o
-            .violations
-            .iter()
-            .map(|v| format!("\"{}\"", v.replace('"', "'")))
-            .collect::<Vec<_>>()
-            .join(", ");
-        entries.push(format!(
-            "    {{\n      \"seed\": {},\n      \"crashes\": {},\n      \"rejoins\": {},\n      \
-             \"evacuations\": {},\n      \"evacuated_cells\": {},\n      \
-             \"mttr_max_secs\": {},\n      \"recompute_secs\": {},\n      \
-             \"total_secs\": {},\n      \"mass_rel_err\": {},\n      \
-             \"violations\": [{viol}]\n    }}",
-            o.seed,
-            o.crashes,
-            o.rejoins,
-            o.evacuations,
-            o.evacuated_cells,
-            num(o.mttr_max_secs),
-            num(o.recompute_secs),
-            num(o.total_secs),
-            num(o.mass_rel_err),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"chaos\",\n  \"quick\": {quick},\n  \"seeds\": {nseeds},\n  \
-         \"n0\": {}, \"max_levels\": {}, \"steps\": {}, \"procs_per_site\": {n},\n  \
-         \"baseline_secs\": {},\n  \"mttr_bound_secs\": {},\n  \
-         \"total_crashes\": {total_crashes},\n  \"total_evacuations\": {total_evacs},\n  \
-         \"total_rejoins\": {total_rejoins},\n  \"violations\": {total_violations},\n  \
-         \"vacuous\": {vacuous},\n  \"seeds_detail\": [\n{}\n  ]\n}}\n",
-        scale.n0,
-        scale.max_levels,
-        scale.steps,
-        num(b),
-        num(mttr_bound),
-        entries.join(",\n"),
-    );
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write(&out, json).expect("write benchmark output");
-    println!("wrote {out}");
+    let seeds_detail = outcomes.iter().map(|o| {
+        base::json_fields!(o; seed, crashes, rejoins, evacuations, evacuated_cells,
+            mttr_max_secs, recompute_secs, total_secs, mass_rel_err, violations)
+    });
+    let json = obj([
+        ("bench", Json::Str("chaos".into())),
+        ("quick", quick.to_json()),
+        ("seeds", nseeds.to_json()),
+        ("n0", scale.n0.to_json()),
+        ("max_levels", scale.max_levels.to_json()),
+        ("steps", scale.steps.to_json()),
+        ("procs_per_site", n.to_json()),
+        ("baseline_secs", b.to_json()),
+        ("mttr_bound_secs", mttr_bound.to_json()),
+        ("total_crashes", total_crashes.to_json()),
+        ("total_evacuations", total_evacs.to_json()),
+        ("total_rejoins", total_rejoins.to_json()),
+        ("violations", total_violations.to_json()),
+        ("vacuous", vacuous.to_json()),
+        ("seeds_detail", Json::Arr(seeds_detail.collect())),
+    ]);
+    write_report(&out, &json);
 
     if let Some(path) = arg_after("--trace-out") {
         // a dedicated recorded replay of seed 1 (the sweep's own sinks are
@@ -350,11 +330,7 @@ fn main() {
         } else {
             sink.to_chrome_trace()
         };
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(&path, doc).expect("write trace output");
-        println!("wrote {path}");
+        write_output(&path, &doc);
     }
 
     if total_violations > 0 {

@@ -20,7 +20,7 @@
 //! so the repeats still agree).
 
 use base::json::{Json, ToJson};
-use bench::{lan_system, wan_system, Scale};
+use bench::{lan_system, obj, wan_system, write_output, write_report, Scale};
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use std::time::Instant;
 use topology::DistributedSystem;
@@ -71,10 +71,6 @@ fn vm_hwm_mb() -> Option<f64> {
         .parse()
         .ok()?;
     Some(kb / 1024.0)
-}
-
-fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
-    Json::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
 }
 
 fn main() {
@@ -190,15 +186,8 @@ fn main() {
         ),
         ("presets", Json::Arr(entries)),
     ]);
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write(&out, json.to_pretty() + "\n").expect("write benchmark output");
-    println!("wrote {out}");
+    write_report(&out, &json);
     if let (Some(path), Some(sink)) = (&trace_out, &last_sink) {
-        let trace = sink.lock().unwrap().to_chrome_trace();
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(path, trace).expect("write Chrome trace");
-        println!("wrote {path}");
+        write_output(path, &sink.lock().unwrap().to_chrome_trace());
     }
 }

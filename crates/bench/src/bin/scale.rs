@@ -20,11 +20,10 @@
 //!
 //! Flags: `--quick` (G ≤ 64, smaller domain — the CI tier), `--out PATH`.
 
-use base::json::num;
-use bench::TRAFFIC_SEED;
+use base::json::{Json, ToJson};
+use bench::{obj, write_report, TRAFFIC_SEED};
 use dlb::DistributedDlbConfig;
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
-use std::fmt::Write as _;
 use std::time::Instant;
 use topology::presets;
 
@@ -65,62 +64,38 @@ fn run_one(groups: usize, procs_per_group: usize, quick: bool, flat: bool) -> En
     }
 }
 
-fn entry_json(e: &Entry) -> String {
+fn entry_json(e: &Entry) -> Json {
     let steps = e.steps.max(1) as f64;
-    let mut s = String::new();
-    let _ = writeln!(s, "    {{");
-    let _ = writeln!(
-        s,
-        "      \"groups\": {}, \"procs_per_group\": {}, \"procs\": {},",
-        e.groups,
-        e.procs_per_group,
-        e.groups * e.procs_per_group
-    );
-    let _ = writeln!(s, "      \"mode\": \"{}\",", e.mode);
-    let _ = writeln!(
-        s,
-        "      \"decision_secs_per_step\": {},",
-        num(e.res.wall.decision / steps)
-    );
-    // where the decision wall went: balancing inside the groups, deciding
-    // (loads, upsweep, probes, gate), migrating what the gate accepted
-    for (key, secs) in [
-        ("local_dlb", e.res.dlb_wall.local_dlb),
-        ("decide", e.res.dlb_wall.decide),
-        ("migrate", e.res.dlb_wall.migrate),
-    ] {
-        let _ = writeln!(s, "      \"{key}_secs_per_step\": {},", num(secs / steps));
-    }
-    // and the ghost-exchange wall by part: plan fetch or rebuild, parent /
-    // boundary fill, sibling copy, messages
-    let (g, ghost) = (e.res.ghost_wall, e.res.wall.ghost);
-    for (key, secs) in [
-        ("ghost", ghost),
-        ("ghost_plan", g.plan),
-        ("ghost_coarse_fill", g.coarse_fill),
-        ("ghost_sibling", g.sibling),
-        ("ghost_messages", g.messages),
-    ] {
-        let _ = writeln!(s, "      \"{key}_secs_per_step\": {},", num(secs / steps));
-    }
-    let _ = writeln!(
-        s,
-        "      \"msgs_per_decision\": {},",
-        num(e.res.decision_msgs as f64 / steps)
-    );
-    let _ = writeln!(s, "      \"decision_msgs\": {},", e.res.decision_msgs);
-    let _ = writeln!(s, "      \"estimator_pairs\": {},", e.res.estimator_pairs);
-    let _ = writeln!(s, "      \"final_imbalance\": {},", num(e.res.final_imbalance));
-    let _ = writeln!(s, "      \"global_checks\": {},", e.res.global_checks);
-    let _ = writeln!(
-        s,
-        "      \"redistributions\": {},",
-        e.res.global_redistributions
-    );
-    let _ = writeln!(s, "      \"total_secs\": {},", num(e.res.total_secs));
-    let _ = writeln!(s, "      \"wall_secs\": {}", num(e.wall_secs));
-    let _ = write!(s, "    }}");
-    s
+    let per_step = |x: f64| (x / steps).to_json();
+    let (r, w, g) = (&e.res, e.res.dlb_wall, e.res.ghost_wall);
+    obj([
+        ("groups", e.groups.to_json()),
+        ("procs_per_group", e.procs_per_group.to_json()),
+        ("procs", (e.groups * e.procs_per_group).to_json()),
+        ("mode", Json::Str(e.mode.into())),
+        ("decision_secs_per_step", per_step(r.wall.decision)),
+        // where the decision wall went: balancing inside the groups,
+        // deciding (loads, upsweep, probes, gate), migrating what the gate
+        // accepted
+        ("local_dlb_secs_per_step", per_step(w.local_dlb)),
+        ("decide_secs_per_step", per_step(w.decide)),
+        ("migrate_secs_per_step", per_step(w.migrate)),
+        // and the ghost-exchange wall by part: plan fetch or rebuild,
+        // parent / boundary fill, sibling copy, messages
+        ("ghost_secs_per_step", per_step(r.wall.ghost)),
+        ("ghost_plan_secs_per_step", per_step(g.plan)),
+        ("ghost_coarse_fill_secs_per_step", per_step(g.coarse_fill)),
+        ("ghost_sibling_secs_per_step", per_step(g.sibling)),
+        ("ghost_messages_secs_per_step", per_step(g.messages)),
+        ("msgs_per_decision", per_step(r.decision_msgs as f64)),
+        ("decision_msgs", r.decision_msgs.to_json()),
+        ("estimator_pairs", r.estimator_pairs.to_json()),
+        ("final_imbalance", r.final_imbalance.to_json()),
+        ("global_checks", r.global_checks.to_json()),
+        ("redistributions", r.global_redistributions.to_json()),
+        ("total_secs", r.total_secs.to_json()),
+        ("wall_secs", e.wall_secs.to_json()),
+    ])
 }
 
 fn main() {
@@ -197,14 +172,13 @@ fn main() {
         }
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"quick\": {quick},\n  \"total_procs\": {total_procs},\n  \
-         \"sweep\": [\n{}\n  ]\n}}\n",
-        entries.iter().map(entry_json).collect::<Vec<_>>().join(",\n")
-    );
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write(&out, json).expect("write benchmark output");
-    println!("wrote {out}");
+    let json = obj([
+        ("bench", Json::Str("scale".into())),
+        ("quick", quick.to_json()),
+        ("total_procs", total_procs.to_json()),
+        ("sweep", Json::Arr(entries.iter().map(entry_json).collect())),
+    ]);
+    write_report(&out, &json);
     if !ok {
         std::process::exit(1);
     }

@@ -15,8 +15,8 @@
 //! recording run's Chrome trace JSON (load in chrome://tracing or
 //! https://ui.perfetto.dev).
 
-use base::json::{self, num, Json};
-use bench::{lan_system, quartiles, Scale};
+use base::json::{self, Json, ToJson};
+use bench::{lan_system, obj, quartiles, write_output, write_report, Scale};
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use std::time::Instant;
 use telemetry::Telemetry;
@@ -137,41 +137,37 @@ fn main() {
     );
 
     if let Some(path) = &trace_out {
-        let trace = sink.to_chrome_trace();
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(path, trace).expect("write Chrome trace");
-        println!("wrote {path}");
+        write_output(path, &sink.to_chrome_trace());
     }
 
-    let json_out = format!(
-        "{{\n  \"bench\": \"telemetry\",\n  \"quick\": {quick},\n  \"preset\": \"amr64\",\n  \
-         \"n0\": {}, \"max_levels\": {}, \"steps\": {}, \"procs_per_site\": {n},\n  \
-         \"wall_null_secs\": {},\n  \"wall_recording_secs\": {},\n  \"overhead_pct\": {},\n  \
-         \"overhead_iqr_pct\": {}, \"pairs\": {PAIRS},\n  \
-         \"bit_identical\": {identical},\n  \"jsonl_lines\": {parsed_lines},\n  \
-         \"gates\": {},\n  \"gate_accepts\": {},\n  \"global_checks\": {},\n  \
-         \"global_redistributions\": {},\n  \"dropped_decisions\": {dropped_decisions},\n  \
-         \"metric_series\": {},\n  \"anomalies\": {},\n  \
-         \"counts_match\": {counts_match}\n}}\n",
-        scale.n0,
-        scale.max_levels,
-        scale.steps,
-        num(wall_null),
-        num(wall_rec),
-        num(overhead_pct),
-        num(overhead_iqr_pct),
-        counts.gates,
-        counts.gate_accepts,
-        res_rec.global_checks,
-        res_rec.global_redistributions,
-        sink.metrics().len(),
-        counts.anomalies,
-    );
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write(&out, json_out).expect("write benchmark output");
-    println!("wrote {out}");
+    let json_out = obj([
+        ("bench", Json::Str("telemetry".into())),
+        ("quick", quick.to_json()),
+        ("preset", Json::Str("amr64".into())),
+        ("n0", scale.n0.to_json()),
+        ("max_levels", scale.max_levels.to_json()),
+        ("steps", scale.steps.to_json()),
+        ("procs_per_site", n.to_json()),
+        ("wall_null_secs", wall_null.to_json()),
+        ("wall_recording_secs", wall_rec.to_json()),
+        ("overhead_pct", overhead_pct.to_json()),
+        ("overhead_iqr_pct", overhead_iqr_pct.to_json()),
+        ("pairs", PAIRS.to_json()),
+        ("bit_identical", identical.to_json()),
+        ("jsonl_lines", parsed_lines.to_json()),
+        ("gates", counts.gates.to_json()),
+        ("gate_accepts", counts.gate_accepts.to_json()),
+        ("global_checks", res_rec.global_checks.to_json()),
+        (
+            "global_redistributions",
+            res_rec.global_redistributions.to_json(),
+        ),
+        ("dropped_decisions", dropped_decisions.to_json()),
+        ("metric_series", sink.metrics().len().to_json()),
+        ("anomalies", counts.anomalies.to_json()),
+        ("counts_match", counts_match.to_json()),
+    ]);
+    write_report(&out, &json_out);
 
     if !identical {
         eprintln!("FAIL: recording telemetry perturbed the simulation");

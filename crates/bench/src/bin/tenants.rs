@@ -27,8 +27,8 @@
 //! (telemetry JSONL when PATH ends in `.jsonl`, Chrome trace JSON
 //! otherwise — the JSONL feeds `report run`).
 
-use base::json::num;
-use bench::TRAFFIC_SEED;
+use base::json::{Json, ToJson};
+use bench::{obj, write_output, write_report, TRAFFIC_SEED};
 use samr_engine::AppKind;
 use telemetry::Telemetry;
 use tenants::{ServiceResult, TenantService, TenantServiceConfig, TenantSpec};
@@ -114,42 +114,22 @@ fn run_cell(
     TenantService::new(substrate(procs, congested, TRAFFIC_SEED), tenant_mix(quick), cfg).run()
 }
 
-fn mode_json(mode: &str, r: &ServiceResult) -> String {
-    let tenants = r
-        .tenants
-        .iter()
-        .map(|t| {
-            let groups = t
-                .groups
-                .iter()
-                .map(|g| g.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "        {{\"tenant\": {}, \"priority\": {}, \"groups\": [{groups}], \
-                 \"steps\": {}, \"cell_updates\": {}, \"total_secs\": {}, \
-                 \"p50_step_secs\": {}, \"p99_step_secs\": {}, \"migrations\": {}}}",
-                t.tenant,
-                num(t.priority),
-                t.steps,
-                t.cell_updates,
-                num(t.total_secs),
-                num(t.p50_step_secs),
-                num(t.p99_step_secs),
-                t.migrations,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "      {{\n        \"mode\": \"{mode}\",\n        \"total_secs\": {},\n        \
-         \"aggregate_cell_updates_per_sec\": {},\n        \"migrations\": {},\n        \
-         \"worst_p99_step_secs\": {},\n        \"tenants\": [\n{tenants}\n        ]\n      }}",
-        num(r.total_secs),
-        num(r.aggregate_cell_updates_per_sec()),
-        r.migrations,
-        num(r.worst_p99_step_secs()),
-    )
+fn mode_json(mode: &str, r: &ServiceResult) -> Json {
+    let tenants = r.tenants.iter().map(|t| {
+        base::json_fields!(t; tenant, priority, groups, steps, cell_updates, total_secs,
+            p50_step_secs, p99_step_secs, migrations)
+    });
+    obj([
+        ("mode", Json::Str(mode.into())),
+        ("total_secs", r.total_secs.to_json()),
+        (
+            "aggregate_cell_updates_per_sec",
+            r.aggregate_cell_updates_per_sec().to_json(),
+        ),
+        ("migrations", r.migrations.to_json()),
+        ("worst_p99_step_secs", r.worst_p99_step_secs().to_json()),
+        ("tenants", Json::Arr(tenants.collect())),
+    ])
 }
 
 fn main() {
@@ -190,11 +170,7 @@ fn main() {
                 } else {
                     sink.to_chrome_trace()
                 };
-                if let Some(dir) = std::path::Path::new(path).parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                std::fs::write(path, doc).expect("write trace output");
-                println!("wrote {path}");
+                write_output(path, &doc);
             }
         }
         println!(
@@ -203,11 +179,16 @@ fn main() {
             aware.migrations,
             naive.worst_p99_step_secs(),
         );
-        scenario_blocks.push(format!(
-            "    {{\n      \"scenario\": \"{name}\",\n      \"modes\": [\n{},\n{}\n      ]\n    }}",
-            mode_json("aware", &aware),
-            mode_json("static", &naive),
-        ));
+        scenario_blocks.push(obj([
+            ("scenario", Json::Str(name.into())),
+            (
+                "modes",
+                Json::Arr(vec![
+                    mode_json("aware", &aware),
+                    mode_json("static", &naive),
+                ]),
+            ),
+        ]));
     }
 
     println!(
@@ -220,17 +201,18 @@ fn main() {
         },
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"tenants\",\n  \"quick\": {quick},\n  \"seed\": {seed},\n  \
-         \"ngroups\": {NGROUPS},\n  \"procs_per_group\": {procs},\n  \"tenants\": 8,\n  \
-         \"bit_identical\": {bit_identical},\n  \
-         \"congested_p99_gap_secs\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        num(congested_gap),
-        scenario_blocks.join(",\n"),
-    );
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write(&out, json).expect("write benchmark output");
-    println!("wrote {out}");
+    let json = obj([
+        ("bench", Json::Str("tenants".into())),
+        ("quick", quick.to_json()),
+        ("seed", seed.to_json()),
+        ("ngroups", NGROUPS.to_json()),
+        ("procs_per_group", procs.to_json()),
+        ("tenants", 8usize.to_json()),
+        ("bit_identical", bit_identical.to_json()),
+        ("congested_p99_gap_secs", congested_gap.to_json()),
+        ("scenarios", Json::Arr(scenario_blocks)),
+    ]);
+    write_report(&out, &json);
 
     if !bit_identical {
         eprintln!("FAIL: recording telemetry perturbed the shared-clock run");

@@ -9,6 +9,7 @@
 
 #![forbid(unsafe_code)]
 
+use base::json::Json;
 use metrics::{efficiency, improvement_percent, ConfigRow, Table};
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use topology::{presets, DistributedSystem};
@@ -601,6 +602,25 @@ pub fn emit(table: &Table, name: &str) -> String {
     let _ = std::fs::create_dir_all("results");
     let _ = std::fs::write(format!("results/{name}.json"), table.to_json());
     table.render()
+}
+
+/// A JSON object of `members`, in order.
+pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// Write `text` to `path`, creating its directory first, and say so.
+pub fn write_output(path: &str, text: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// Write a benchmark report to `path` through the one JSON writer.
+pub fn write_report(path: &str, doc: &Json) {
+    write_output(path, &(doc.to_pretty() + "\n"));
 }
 
 /// `cargo bench` without a framework: time `f` and print one line,

@@ -8,8 +8,8 @@ use simnet::{SimResult, SimView};
 use topology::DistributedSystem;
 
 /// Mutable state handed to a balancer after a level step. The simulator is
-/// a [`SimView`] so the same scheme code runs both exclusively (one run,
-/// one simulator) and as a tenant of a shared substrate.
+/// a [`SimView`] so the same scheme code runs both standalone (a view that
+/// owns its substrate) and as a tenant of a shared substrate.
 pub struct LbContext<'a> {
     pub hier: &'a mut GridHierarchy,
     pub sim: &'a mut SimView,

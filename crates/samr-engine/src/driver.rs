@@ -6,8 +6,8 @@
 //! *timing* is charged to the simulator according to grid ownership: solver
 //! work to the owning processor, boundary windows and migrations as messages
 //! over the links between owners. The driver holds a [`SimView`] rather than
-//! owning a simulator, so it runs identically standalone (exclusive view)
-//! and as one tenant of a shared substrate clock.
+//! owning a simulator, so it runs identically standalone (a view that owns
+//! its substrate) and as one tenant of a shared substrate clock.
 
 use crate::app::AppState;
 use crate::config::{RunConfig, RunResult};
@@ -92,11 +92,12 @@ impl Driver {
         Driver::new_on(SimView::new(sys), cfg)
     }
 
-    /// Build a driver over an existing simulator view: exclusive
-    /// ([`SimView::new`]) for a standalone run, or a tenant view carved from
-    /// a shared [`simnet::SimHandle`] so several drivers advance one clock.
-    /// Proc-fault schedules require an exclusive view — a shared substrate
-    /// has one global fault timeline, not per-tenant ones.
+    /// Build a driver over an existing simulator view: one that owns its
+    /// substrate ([`SimView::new`]) for a standalone run, or a tenant view
+    /// carved from a shared [`simnet::SimHandle`] so several drivers advance
+    /// one clock. Proc-fault schedules require a view that owns its
+    /// substrate — a shared substrate has one global fault timeline, not
+    /// per-tenant ones.
     pub fn new_on(sim: SimView, cfg: RunConfig) -> Driver {
         let app = AppState::new(cfg.app, cfg.n0, cfg.seed);
         let domain = Region::cube(cfg.n0);

@@ -223,34 +223,6 @@ impl Field3 {
         acc
     }
 
-    /// Maximum absolute interior value.
-    pub fn interior_max_abs(&self) -> f64 {
-        let int = self.interior;
-        let mut m = 0.0f64;
-        for x in int.lo.x..int.hi.x {
-            for y in int.lo.y..int.hi.y {
-                for &v in &self.data[self.storage.row_range(x, y, int.lo.z, int.hi.z)] {
-                    m = f64::max(m, v.abs());
-                }
-            }
-        }
-        m
-    }
-
-    /// L2 norm of interior values.
-    pub fn interior_l2(&self) -> f64 {
-        let int = self.interior;
-        let mut acc = 0.0;
-        for x in int.lo.x..int.hi.x {
-            for y in int.lo.y..int.hi.y {
-                for &v in &self.data[self.storage.row_range(x, y, int.lo.z, int.hi.z)] {
-                    acc += v * v;
-                }
-            }
-        }
-        acc.sqrt()
-    }
-
     /// Apply `f` to every interior cell.
     pub fn map_interior(&mut self, mut f: impl FnMut(IVec3, f64) -> f64) {
         let int = self.interior;
@@ -343,26 +315,6 @@ pub mod reference {
     /// Reference for [`Field3::interior_sum`].
     pub fn interior_sum(f: &Field3) -> f64 {
         f.interior.iter_cells().map(|p| f.get(p)).sum()
-    }
-
-    /// Reference for [`Field3::interior_max_abs`].
-    pub fn interior_max_abs(f: &Field3) -> f64 {
-        f.interior
-            .iter_cells()
-            .map(|p| f.get(p).abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// Reference for [`Field3::interior_l2`].
-    pub fn interior_l2(f: &Field3) -> f64 {
-        f.interior
-            .iter_cells()
-            .map(|p| {
-                let v = f.get(p);
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Reference for [`Field3::map_interior`].
@@ -482,13 +434,12 @@ mod tests {
     }
 
     #[test]
-    fn interior_reductions() {
+    fn interior_sum_skips_ghosts() {
         let mut f = Field3::constant(Region::cube(2), 1, 1.0);
         assert_eq!(f.interior_sum(), 8.0);
         f.set(ivec3(0, 0, 0), -5.0);
-        assert_eq!(f.interior_max_abs(), 5.0);
-        let l2 = f.interior_l2();
-        assert!((l2 - (25.0f64 + 7.0).sqrt()).abs() < 1e-12);
+        f.set(ivec3(-1, 0, 0), 100.0);
+        assert_eq!(f.interior_sum(), 2.0);
     }
 
     #[test]
@@ -597,14 +548,6 @@ mod tests {
             assert_eq!(
                 f.interior_sum().to_bits(),
                 reference::interior_sum(&f).to_bits()
-            );
-            assert_eq!(
-                f.interior_max_abs().to_bits(),
-                reference::interior_max_abs(&f).to_bits()
-            );
-            assert_eq!(
-                f.interior_l2().to_bits(),
-                reference::interior_l2(&f).to_bits()
             );
             let g = |p: IVec3, v: f64| v * 1.7 + (p.x - p.y + 2 * p.z) as f64;
             let mut a = f.clone();

@@ -1,29 +1,25 @@
-//! Shared-substrate views: many tenants, one simulator clock.
+//! Simulator views: one run's window onto a substrate clock.
 //!
-//! [`NetSim`] owns one [`DistributedSystem`] and its clocks outright — the
-//! right shape for a single run, but a multi-tenant service needs N
-//! independent drivers charging time to *one* network on *one* clock.
-//! [`SimHandle`] wraps a `NetSim` for shared ownership, and [`SimView`]
-//! gives each tenant a scoped window onto it: the tenant sees a small
-//! `DistributedSystem` made of just its groups, while every charge lands on
-//! the global simulator, so tenants contend for the same WAN links and
+//! [`NetSim`] owns one [`DistributedSystem`] and its clocks outright, but a
+//! multi-tenant service needs N independent drivers charging time to *one*
+//! network on *one* clock. [`SimHandle`] wraps a `NetSim` for shared
+//! ownership, and [`SimView`] gives each run a window onto it: the run sees
+//! a `DistributedSystem` made of just its groups, while every charge lands
+//! on the substrate, so tenants contend for the same WAN links and
 //! time-multiplex the same processors.
 //!
-//! `SimView` is an enum under the hood:
+//! A standalone run is a view over every group of a substrate nothing else
+//! holds: [`SimView::new`] builds a private [`SimHandle`] and identity id
+//! maps. Every method has one body — translate view-local `ProcId`s and
+//! `GroupId`s to the substrate's, then lock the handle once — so identity
+//! maps issue the same `NetSim` calls in the same order a bare simulator
+//! would.
 //!
-//! - **Exclusive** wraps a plain `NetSim` and delegates directly — zero
-//!   locking, zero translation. Single-run code (every benchmark, every
-//!   test that predates the tenants layer) goes through this arm and stays
-//!   bit-identical to the pre-view simulator.
-//! - **Shared** holds a [`SimHandle`] plus local↔global id maps. Each call
-//!   locks the handle once, translates the view-local `ProcId`/`GroupId`s
-//!   to global ones, and charges the global simulator.
-//!
-//! Shared views are deliberately narrower than the raw simulator: they
-//! cannot `reset` the global clock, carry proc-fault schedules (crash-stop
-//! chaos stays a single-tenant concern), or override the global timeout.
-//! Those methods panic on a shared view so a misuse fails loudly in tests
-//! rather than silently perturbing co-tenants.
+//! Only a view that owns its substrate may change it for everyone: `reset`
+//! and `set_proc_faults` panic on a shared view, so a misuse fails loudly in
+//! tests rather than rewinding co-tenants' clocks or tearing their procs out
+//! from under them. An owning view also hands its telemetry handle to the
+//! substrate, so the run's sink sees its transfer and probe events.
 
 use crate::error::SimResult;
 use crate::sim::NetSim;
@@ -102,262 +98,184 @@ impl SimHandle {
             (b.build(), proc_map)
         });
         SimView {
-            inner: ViewInner::Shared {
-                handle: self.clone(),
-                sys,
-                proc_map,
-                group_map: groups.to_vec(),
-                faults: ProcFaultSchedule::default(),
-                tel: Telemetry::null(),
-            },
+            handle: self.clone(),
+            sys,
+            proc_map,
+            group_map: groups.to_vec(),
+            faults: ProcFaultSchedule::default(),
+            tel: Telemetry::null(),
+            owns_substrate: false,
         }
     }
 }
 
-/// A simulator as seen by one run: either the whole thing (exclusive) or a
-/// tenant's window onto a shared substrate. Mirrors the [`NetSim`] API the
-/// schemes and the engine driver use, so run code is agnostic to which it
-/// got.
-#[derive(Clone, Debug)]
+/// A simulator as seen by one run: a window onto a substrate, private
+/// ([`SimView::new`]) or shared with co-tenants ([`SimHandle::view`]).
+/// Mirrors the [`NetSim`] API the schemes and the engine driver use, so run
+/// code is agnostic to which it got. Not `Clone`: a copy would alias the
+/// substrate, not copy it.
+#[derive(Debug)]
 pub struct SimView {
-    inner: ViewInner,
-}
-
-#[derive(Clone, Debug)]
-enum ViewInner {
-    /// Sole owner of the simulator: direct delegation, no lock, no id
-    /// translation — the pre-tenants fast path.
-    Exclusive(NetSim),
-    /// A window onto a shared simulator: `proc_map[local] = global` and
-    /// `group_map[local] = global`; `sys` is the local re-binding of the
-    /// selected groups; `faults` is always quiet (shared views cannot carry
-    /// crash schedules); `tel` is the view's own telemetry lane.
-    Shared {
-        handle: SimHandle,
-        sys: DistributedSystem,
-        proc_map: Vec<ProcId>,
-        group_map: Vec<GroupId>,
-        faults: ProcFaultSchedule,
-        tel: Telemetry,
-    },
+    handle: SimHandle,
+    /// The caller's system for an owning view; the local re-binding of the
+    /// selected groups for a shared one.
+    sys: DistributedSystem,
+    /// `proc_map[local] = global`.
+    proc_map: Vec<ProcId>,
+    /// `group_map[local] = global`.
+    group_map: Vec<GroupId>,
+    /// Crash-stop schedule in view ids; always quiet on a shared view.
+    faults: ProcFaultSchedule,
+    /// The view's own telemetry lane.
+    tel: Telemetry,
+    /// Nothing but this view holds the substrate.
+    owns_substrate: bool,
 }
 
 impl SimView {
-    /// An exclusive view over a fresh simulator — the drop-in replacement
-    /// for `NetSim::new` in single-run code.
+    /// A view over every group of a fresh private substrate — the drop-in
+    /// replacement for `NetSim::new` in single-run code. `sys` is kept as
+    /// given, tiers included.
     pub fn new(sys: DistributedSystem) -> Self {
         SimView {
-            inner: ViewInner::Exclusive(NetSim::new(sys)),
+            handle: SimHandle::new(sys.clone()),
+            proc_map: (0..sys.nprocs()).map(ProcId).collect(),
+            group_map: (0..sys.ngroups()).map(GroupId).collect(),
+            sys,
+            faults: ProcFaultSchedule::default(),
+            tel: Telemetry::null(),
+            owns_substrate: true,
         }
     }
 
-    /// Translate a view-local group id to the global one.
-    fn gg(&self, g: GroupId) -> GroupId {
-        match &self.inner {
-            ViewInner::Exclusive(_) => g,
-            ViewInner::Shared { group_map, .. } => group_map[g.0],
-        }
-    }
-
-    /// The system this view runs over (the local re-binding when shared).
+    /// The system this view runs over.
     pub fn system(&self) -> &DistributedSystem {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.system(),
-            ViewInner::Shared { sys, .. } => sys,
-        }
+        &self.sys
     }
 
     /// Local clock of view processor `p`.
     pub fn now(&self, p: ProcId) -> SimTime {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.now(p),
-            ViewInner::Shared {
-                handle, proc_map, ..
-            } => {
-                let g = proc_map[p.0];
-                handle.with(|s| s.now(g))
-            }
-        }
+        let g = self.proc_map[p.0];
+        self.handle.with(|s| s.now(g))
     }
 
     /// Wall-clock of *this view*: the maximum clock over the view's procs
     /// (not over co-tenants' procs).
     pub fn elapsed(&self) -> SimTime {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.elapsed(),
-            ViewInner::Shared {
-                handle, proc_map, ..
-            } => handle.with(|s| {
-                proc_map
-                    .iter()
-                    .map(|&p| s.now(p))
-                    .max()
-                    .expect("view has procs")
-            }),
-        }
+        self.handle.with(|s| {
+            self.proc_map
+                .iter()
+                .map(|&p| s.now(p))
+                .max()
+                .expect("view has procs")
+        })
     }
 
     /// Accumulated statistics, projected onto the view's procs. Message
-    /// totals are global when shared (messages are a property of the
+    /// totals are the substrate's (messages are a property of the
     /// substrate, not the tenant).
     pub fn stats(&self) -> SimStats {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.stats().clone(),
-            ViewInner::Shared {
-                handle, proc_map, ..
-            } => handle.with(|s| {
-                let global = s.stats();
-                SimStats {
-                    procs: proc_map.iter().map(|&p| global.procs[p.0]).collect(),
-                    msgs: global.msgs,
-                }
-            }),
-        }
+        self.handle.with(|s| {
+            let global = s.stats();
+            SimStats {
+                procs: self.proc_map.iter().map(|&p| global.procs[p.0]).collect(),
+                msgs: global.msgs,
+            }
+        })
     }
 
-    /// Zero clocks and statistics. Exclusive views only: a shared view must
+    /// Zero clocks and statistics. Owning views only: a shared view must
     /// not rewind co-tenants (use [`SimHandle::reset`] on the substrate
     /// before any tenant starts stepping).
     pub fn reset(&mut self) {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.reset(),
-            ViewInner::Shared { .. } => panic!("reset on a shared view"),
-        }
+        assert!(self.owns_substrate, "reset on a shared view");
+        self.handle.reset();
     }
 
-    /// Attach a crash-stop schedule. Exclusive views only — crash windows
-    /// on a shared substrate would tear co-tenants' procs out from under
-    /// them without their drivers seeing it.
+    /// Attach a crash-stop schedule. Owning views only — crash windows on a
+    /// shared substrate would tear co-tenants' procs out from under them
+    /// without their drivers seeing it. The substrate gets the schedule
+    /// too, so a send touching a dead proc fails fast.
     pub fn set_proc_faults(&mut self, sched: ProcFaultSchedule) {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.set_proc_faults(sched),
-            ViewInner::Shared { .. } => panic!("proc faults on a shared view"),
-        }
+        assert!(self.owns_substrate, "proc faults on a shared view");
+        self.handle.with(|s| s.set_proc_faults(sched.clone()));
+        self.faults = sched;
     }
 
     /// Is any proc-crash window scheduled? Always `false` on shared views.
     pub fn has_proc_faults(&self) -> bool {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.has_proc_faults(),
-            ViewInner::Shared { faults, .. } => !faults.is_quiet(),
-        }
+        !self.faults.is_quiet()
     }
 
     /// The proc-fault schedule (quiet on shared views).
     pub fn proc_faults(&self) -> &ProcFaultSchedule {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.proc_faults(),
-            ViewInner::Shared { faults, .. } => faults,
-        }
+        &self.faults
     }
 
     /// Is view proc `p` alive at `t`?
     pub fn alive_at(&self, p: ProcId, t: SimTime) -> bool {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.alive_at(p, t),
-            ViewInner::Shared { faults, .. } => faults.alive_at(p.0, t),
-        }
-    }
-
-    /// Is view proc `p` alive at the view's current wall-clock?
-    pub fn alive_now(&self, p: ProcId) -> bool {
-        self.alive_at(p, self.elapsed())
+        self.faults.alive_at(p.0, t)
     }
 
     /// The procs of view group `g` that are alive now (view-local ids).
     pub fn alive_procs_in(&self, g: GroupId) -> Vec<ProcId> {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.alive_procs_in(g),
-            ViewInner::Shared { sys, faults, .. } => {
-                let t = self.elapsed();
-                sys.procs_in(g)
-                    .iter()
-                    .copied()
-                    .filter(|p| faults.alive_at(p.0, t))
-                    .collect()
-            }
-        }
+        let t = self.elapsed();
+        self.sys
+            .procs_in(g)
+            .iter()
+            .copied()
+            .filter(|&p| self.alive_at(p, t))
+            .collect()
     }
 
     /// Sum of performance weights of view group `g`'s alive procs.
     pub fn alive_group_power(&self, g: GroupId) -> f64 {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.alive_group_power(g),
-            ViewInner::Shared { sys, faults, .. } => {
-                let t = self.elapsed();
-                sys.procs_in(g)
-                    .iter()
-                    .filter(|p| faults.alive_at(p.0, t))
-                    .map(|&p| sys.proc(p).weight)
-                    .sum()
-            }
-        }
+        let t = self.elapsed();
+        self.sys
+            .procs_in(g)
+            .iter()
+            .filter(|&&p| self.alive_at(p, t))
+            .map(|&p| self.sys.proc(p).weight)
+            .sum()
     }
 
-    /// Attach a telemetry handle. On a shared view this sets the *view's*
-    /// lane (read back by [`telemetry`](Self::telemetry) and the scheme
-    /// layer); the substrate's transfer-level telemetry stays whatever was
-    /// set on the underlying `NetSim`.
+    /// Attach a telemetry handle: the view's lane, read back by
+    /// [`telemetry`](Self::telemetry) and the scheme layer. An owning view
+    /// also attaches it to the substrate, which records transfers and
+    /// probes; a shared substrate keeps whatever its owner set on it.
     pub fn set_telemetry(&mut self, t: Telemetry) {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.set_telemetry(t),
-            ViewInner::Shared { tel, .. } => *tel = t,
+        if self.owns_substrate {
+            self.handle.with(|s| s.set_telemetry(t.clone()));
         }
+        self.tel = t;
     }
 
     /// The view's telemetry handle.
     pub fn telemetry(&self) -> &Telemetry {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.telemetry(),
-            ViewInner::Shared { tel, .. } => tel,
-        }
-    }
-
-    /// Utilization rows of the underlying simulator's inter links (global
-    /// group ids when shared — the substrate's links are shared property).
-    pub fn inter_link_utilization(&self) -> Vec<(usize, usize, f64)> {
-        match &self.inner {
-            ViewInner::Exclusive(s) => s.inter_link_utilization(),
-            ViewInner::Shared { handle, .. } => handle.with(|s| s.inter_link_utilization()),
-        }
+        &self.tel
     }
 
     /// View proc `p` computes for `secs` simulated seconds.
     pub fn compute(&mut self, p: ProcId, secs: f64) {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.compute(p, secs),
-            ViewInner::Shared {
-                handle, proc_map, ..
-            } => {
-                let g = proc_map[p.0];
-                handle.with(|s| s.compute(g, secs));
-            }
-        }
+        let g = self.proc_map[p.0];
+        self.handle.with(|s| s.compute(g, secs));
     }
 
     /// View proc `p` is busy for `secs` seconds attributed to `act`.
     pub fn busy(&mut self, p: ProcId, secs: f64, act: Activity) {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.busy(p, secs, act),
-            ViewInner::Shared {
-                handle, proc_map, ..
-            } => {
-                let g = proc_map[p.0];
-                handle.with(|s| s.busy(g, secs, act));
-            }
-        }
+        let g = self.proc_map[p.0];
+        self.handle.with(|s| s.busy(g, secs, act));
     }
 
-    /// Is the `src → dst` path remote? Decided on the view's local system
-    /// (group structure is identical to the global one for the view's
-    /// procs).
+    /// Is the `src → dst` path remote? Decided on the view's system (group
+    /// structure is identical to the substrate's for the view's procs).
     pub fn is_remote(&self, src: ProcId, dst: ProcId) -> bool {
-        !self.system().same_group(src, dst)
+        !self.sys.same_group(src, dst)
     }
 
-    /// Send `bytes` between view procs (see [`NetSim::send`]). On a shared
-    /// substrate the transfer serializes on the *global* link, so
-    /// co-tenants' traffic queues behind it.
+    /// Send `bytes` between view procs (see [`NetSim::send`]). The transfer
+    /// serializes on the substrate's link, so co-tenants' traffic queues
+    /// behind it.
     pub fn send(
         &mut self,
         src: ProcId,
@@ -377,59 +295,19 @@ impl SimView {
         act: Activity,
         deadline: Option<SimTime>,
     ) -> SimResult<SimTime> {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.send_with_deadline(src, dst, bytes, act, deadline),
-            ViewInner::Shared {
-                handle, proc_map, ..
-            } => {
-                let (gs, gd) = (proc_map[src.0], proc_map[dst.0]);
-                handle.with(|s| s.send_with_deadline(gs, gd, bytes, act, deadline))
-            }
-        }
-    }
-
-    /// Send classifying the time automatically as local or remote.
-    pub fn send_auto(&mut self, src: ProcId, dst: ProcId, bytes: u64) -> SimResult<SimTime> {
-        let act = if self.is_remote(src, dst) {
-            Activity::RemoteComm
-        } else {
-            Activity::LocalComm
-        };
-        self.send(src, dst, bytes, act)
-    }
-
-    /// Synchronize a set of view procs; slack charged as `act`.
-    pub fn sync(&mut self, procs: &[ProcId], act: Activity) -> SimTime {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.sync(procs, act),
-            ViewInner::Shared {
-                handle, proc_map, ..
-            } => {
-                let global: Vec<ProcId> = procs.iter().map(|p| proc_map[p.0]).collect();
-                handle.with(|s| s.sync(&global, act))
-            }
-        }
+        let (gs, gd) = (self.proc_map[src.0], self.proc_map[dst.0]);
+        self.handle
+            .with(|s| s.send_with_deadline(gs, gd, bytes, act, deadline))
     }
 
     /// Barrier over every proc of *this view* (co-tenants keep running).
     pub fn barrier_all(&mut self) -> SimTime {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.barrier_all(),
-            ViewInner::Shared {
-                handle, proc_map, ..
-            } => handle.with(|s| s.sync(proc_map, Activity::Wait)),
-        }
-    }
-
-    /// Barrier within one view group.
-    pub fn barrier_group(&mut self, g: GroupId) -> SimTime {
-        let procs = self.system().procs_in(g).to_vec();
-        self.sync(&procs, Activity::Wait)
+        self.handle.with(|s| s.sync(&self.proc_map, Activity::Wait))
     }
 
     /// Allreduce over every proc of this view.
     pub fn allreduce_all(&mut self, bytes: u64, act: Activity) -> SimResult<SimTime> {
-        let groups: Vec<GroupId> = (0..self.system().ngroups()).map(GroupId).collect();
+        let groups: Vec<GroupId> = (0..self.sys.ngroups()).map(GroupId).collect();
         self.allreduce_groups(&groups, bytes, act)
     }
 
@@ -440,15 +318,9 @@ impl SimView {
         bytes: u64,
         act: Activity,
     ) -> SimResult<SimTime> {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.allreduce_groups(groups, bytes, act),
-            ViewInner::Shared {
-                handle, group_map, ..
-            } => {
-                let global: Vec<GroupId> = groups.iter().map(|g| group_map[g.0]).collect();
-                handle.with(|s| s.allreduce_groups(&global, bytes, act))
-            }
-        }
+        let global: Vec<GroupId> = groups.iter().map(|g| self.group_map[g.0]).collect();
+        self.handle
+            .with(|s| s.allreduce_groups(&global, bytes, act))
     }
 
     /// Allreduce within one view group.
@@ -457,8 +329,8 @@ impl SimView {
     }
 
     /// Probe the inter link between two view groups (see
-    /// [`NetSim::probe_inter`]). The probe prices the *global* link — on a
-    /// congested shared substrate a tenant's α/β estimates see co-tenant
+    /// [`NetSim::probe_inter`]). The probe prices the substrate's link — on
+    /// a congested shared substrate a tenant's α/β estimates see co-tenant
     /// weather.
     pub fn probe_inter(
         &mut self,
@@ -467,66 +339,43 @@ impl SimView {
         est: &mut LinkEstimator,
         deadline: Option<SimTime>,
     ) -> SimResult<ProbeSample> {
-        let (ga, gb) = (self.gg(a), self.gg(b));
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.probe_inter(ga, gb, est, deadline),
-            ViewInner::Shared { handle, .. } => {
-                handle.with(|s| s.probe_inter(ga, gb, est, deadline))
-            }
-        }
+        let (ga, gb) = (self.group_map[a.0], self.group_map[b.0]);
+        self.handle.with(|s| s.probe_inter(ga, gb, est, deadline))
     }
 
     /// Advance this view's procs to their common maximum and return it.
     pub fn finish(&mut self) -> SimTime {
-        match &mut self.inner {
-            ViewInner::Exclusive(s) => s.finish(),
-            ViewInner::Shared {
-                handle, proc_map, ..
-            } => handle.with(|s| s.sync(proc_map, Activity::Wait)),
-        }
+        self.barrier_all()
     }
 
     /// Re-point view group `local` at global group `new_global` — the
     /// substrate half of a whole-tenant migration. The destination must
     /// have the same proc count as the view group (the tenant's partition
-    /// maps procs by position). Shared views only.
+    /// maps procs by position).
     ///
-    /// Note the local system is *not* rebuilt: the view keeps its original
+    /// Note the view's system is *not* rebuilt: the view keeps its original
     /// group name, weights, and link parameters for cost modeling, while
     /// the charges land on the new global procs/links. The tenants service
     /// keeps this honest by migrating only between homogeneous groups.
     pub fn remap_group(&mut self, local: GroupId, new_global: GroupId) {
-        match &mut self.inner {
-            ViewInner::Exclusive(_) => panic!("remap_group on an exclusive view"),
-            ViewInner::Shared {
-                handle,
-                sys,
-                proc_map,
-                group_map,
-                ..
-            } => {
-                let new_procs = handle.with(|s| s.system().procs_in(new_global).to_vec());
-                let local_procs = sys.procs_in(local);
-                assert_eq!(
-                    local_procs.len(),
-                    new_procs.len(),
-                    "remap_group: proc count mismatch"
-                );
-                for (lp, gp) in local_procs.iter().zip(new_procs) {
-                    proc_map[lp.0] = gp;
-                }
-                group_map[local.0] = new_global;
-            }
+        let new_procs = self
+            .handle
+            .with(|s| s.system().procs_in(new_global).to_vec());
+        let local_procs = self.sys.procs_in(local);
+        assert_eq!(
+            local_procs.len(),
+            new_procs.len(),
+            "remap_group: proc count mismatch"
+        );
+        for (lp, gp) in local_procs.iter().zip(new_procs) {
+            self.proc_map[lp.0] = gp;
         }
+        self.group_map[local.0] = new_global;
     }
 
-    /// The view's local→global group mapping (identity-length list for
-    /// exclusive views).
+    /// The view's local→global group mapping.
     pub fn group_mapping(&self) -> Vec<GroupId> {
-        match &self.inner {
-            ViewInner::Exclusive(s) => (0..s.system().ngroups()).map(GroupId).collect(),
-            ViewInner::Shared { group_map, .. } => group_map.clone(),
-        }
+        self.group_map.clone()
     }
 }
 
@@ -550,19 +399,92 @@ mod tests {
         b.build()
     }
 
+    /// The raw-`NetSim` reference: a view over its own substrate charges
+    /// exactly what a bare simulator does.
     #[test]
-    fn exclusive_view_matches_raw_netsim() {
+    fn owning_view_matches_raw_netsim() {
         let sys = substrate(2, 2);
         let mut raw = NetSim::new(sys.clone());
         let mut view = SimView::new(sys);
         raw.compute(ProcId(0), 0.5);
         view.compute(ProcId(0), 0.5);
         raw.send_auto(ProcId(0), ProcId(2), 123_456).unwrap();
-        view.send_auto(ProcId(0), ProcId(2), 123_456).unwrap();
+        view.send(ProcId(0), ProcId(2), 123_456, Activity::RemoteComm)
+            .unwrap();
         raw.allreduce_all(64, Activity::LoadBalance).unwrap();
         view.allreduce_all(64, Activity::LoadBalance).unwrap();
+        raw.compute(ProcId(3), 0.25);
+        view.compute(ProcId(3), 0.25);
         assert_eq!(raw.finish(), view.finish());
-        assert_eq!(raw.stats().msgs.remote_msgs, view.stats().msgs.remote_msgs);
+        for p in 0..4 {
+            assert_eq!(raw.now(ProcId(p)), view.now(ProcId(p)));
+            assert_eq!(raw.stats().procs[p], view.stats().procs[p]);
+        }
+        assert_eq!(raw.stats().msgs, view.stats().msgs);
+    }
+
+    #[test]
+    fn owning_view_keeps_the_system_as_given() {
+        let sys = topology::presets::federation(16, 2, 7);
+        let v = SimView::new(sys.clone());
+        assert!(sys.tiers().is_some());
+        assert_eq!(
+            format!("{:?}", v.system().tiers()),
+            format!("{:?}", sys.tiers())
+        );
+        assert_eq!(v.system().describe(), sys.describe());
+    }
+
+    #[test]
+    fn owning_view_hands_its_telemetry_to_the_substrate() {
+        let (tel, sink) = Telemetry::recording_shared();
+        let mut v = SimView::new(substrate(2, 2));
+        v.set_telemetry(tel);
+        v.send(ProcId(0), ProcId(2), 1_000, Activity::RemoteComm)
+            .unwrap();
+        let events = sink.lock().unwrap().events();
+        assert!(
+            events.iter().any(|e| matches!(
+                &e.kind,
+                telemetry::EventKind::Transfer(t) if t.src == 0 && t.dst == 2 && !t.failed
+            )),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn shared_view_telemetry_leaves_the_substrate_alone() {
+        let handle = SimHandle::new(substrate(2, 2));
+        let mut v = handle.view(&[GroupId(0), GroupId(1)]);
+        v.set_telemetry(Telemetry::recording());
+        assert!(v.telemetry().is_enabled());
+        assert!(!handle.with(|s| s.telemetry().is_enabled()));
+    }
+
+    #[test]
+    fn owning_view_send_to_a_crashed_proc_fails_fast() {
+        let mut v = SimView::new(substrate(2, 2));
+        // proc 1 is down for the first 10 s
+        v.set_proc_faults(ProcFaultSchedule::none(4).with_crash(
+            1,
+            SimTime::ZERO,
+            SimTime::from_secs(10),
+        ));
+        assert!(v.has_proc_faults());
+        assert!(!v.alive_at(ProcId(1), v.elapsed()));
+        assert_eq!(v.alive_procs_in(GroupId(0)), vec![ProcId(0)]);
+        let err = v
+            .send(ProcId(0), ProcId(1), 1_000_000, Activity::LocalComm)
+            .unwrap_err();
+        assert!(matches!(err, crate::SimError::PeerDead { .. }), "{err:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "proc faults on a shared view")]
+    fn shared_view_cannot_carry_proc_faults() {
+        let handle = SimHandle::new(substrate(2, 2));
+        let mut v = handle.view(&[GroupId(0)]);
+        v.set_proc_faults(ProcFaultSchedule::none(2));
     }
 
     #[test]
@@ -589,8 +511,10 @@ mod tests {
         // two tenants, both spanning the same two groups
         let mut a = handle.view(&[GroupId(0), GroupId(1)]);
         let mut b = handle.view(&[GroupId(0), GroupId(1)]);
-        a.send_auto(ProcId(0), ProcId(2), 1_000_000).unwrap();
-        b.send_auto(ProcId(1), ProcId(3), 1_000_000).unwrap();
+        a.send(ProcId(0), ProcId(2), 1_000_000, Activity::RemoteComm)
+            .unwrap();
+        b.send(ProcId(1), ProcId(3), 1_000_000, Activity::RemoteComm)
+            .unwrap();
         // second transfer had to queue behind the first on the global wan
         let t = b.now(ProcId(3)).as_secs_f64();
         assert!((t - 0.22).abs() < 1e-6, "{t}");
@@ -601,8 +525,10 @@ mod tests {
         let handle = SimHandle::new(substrate(4, 2));
         let mut a = handle.view(&[GroupId(0), GroupId(1)]);
         let mut b = handle.view(&[GroupId(2), GroupId(3)]);
-        a.send_auto(ProcId(0), ProcId(2), 1_000_000).unwrap();
-        b.send_auto(ProcId(0), ProcId(2), 1_000_000).unwrap();
+        a.send(ProcId(0), ProcId(2), 1_000_000, Activity::RemoteComm)
+            .unwrap();
+        b.send(ProcId(0), ProcId(2), 1_000_000, Activity::RemoteComm)
+            .unwrap();
         assert_eq!(a.now(ProcId(2)), b.now(ProcId(2)));
     }
 

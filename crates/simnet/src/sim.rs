@@ -92,11 +92,6 @@ impl NetSim {
         self.proc_faults.alive_at(p.0, t)
     }
 
-    /// Is `p` alive right now (at the wall-clock [`elapsed`](Self::elapsed))?
-    pub fn alive_now(&self, p: ProcId) -> bool {
-        self.alive_at(p, self.elapsed())
-    }
-
     /// The procs of group `g` that are alive at the current wall-clock.
     pub fn alive_procs_in(&self, g: GroupId) -> Vec<ProcId> {
         let t = self.elapsed();
@@ -426,12 +421,6 @@ impl NetSim {
     pub fn barrier_all(&mut self) -> SimTime {
         let all: Vec<ProcId> = (0..self.sys.nprocs()).map(ProcId).collect();
         self.sync(&all, Activity::Wait)
-    }
-
-    /// Barrier within one group.
-    pub fn barrier_group(&mut self, g: GroupId) -> SimTime {
-        let procs = self.sys.procs_in(g).to_vec();
-        self.sync(&procs, Activity::Wait)
     }
 
     /// A collective failed because the link between `a` and `b` is
@@ -821,10 +810,10 @@ mod tests {
     }
 
     #[test]
-    fn barrier_group_leaves_other_group_alone() {
+    fn group_sync_leaves_other_group_alone() {
         let mut sim = NetSim::new(sys2x2());
         sim.compute(ProcId(0), 3.0);
-        sim.barrier_group(GroupId(0));
+        sim.sync(&[ProcId(0), ProcId(1)], Activity::Wait);
         assert_eq!(sim.now(ProcId(1)), SimTime::from_secs(3));
         assert_eq!(sim.now(ProcId(2)), SimTime::ZERO);
     }
@@ -1067,8 +1056,8 @@ mod tests {
         );
         sim.set_proc_faults(sched);
         assert!(sim.has_proc_faults());
-        assert!(sim.alive_now(ProcId(0)));
-        assert!(!sim.alive_now(ProcId(1)));
+        assert!(sim.alive_at(ProcId(0), sim.elapsed()));
+        assert!(!sim.alive_at(ProcId(1), sim.elapsed()));
 
         let err = sim.send_auto(ProcId(0), ProcId(1), 1_000_000).unwrap_err();
         assert!(matches!(err, SimError::PeerDead { .. }));

@@ -62,9 +62,11 @@ EOF
 # file's first `#[cfg(test)]` (and outside a `pub mod reference`) must be
 # named in code somewhere else — in its own file's production part, or in
 # any other .rs file under crates/, src/, examples/ or tests/ (comments do
-# not count) — unless the allowlist below gives the reason it stays; an
-# allowlisted name that gains a use, or that no production `pub fn`
-# declares any more, fails too
+# not count; nor does a `fn` declaring the name, so two same-named `pub fn`s,
+# say a method and its `reference` twin, do not keep each other alive) —
+# unless the allowlist below gives the reason it stays; an allowlisted name
+# that gains a use, or that no production `pub fn` declares any more, fails
+# too
 python3 - <<'EOF'
 import glob, re, sys
 from collections import Counter
@@ -82,15 +84,18 @@ files = sorted(set(glob.glob("src/**/*.rs", recursive=True)
                    + glob.glob("crates/**/*.rs", recursive=True)
                    + glob.glob("examples/**/*.rs", recursive=True)
                    + glob.glob("tests/**/*.rs", recursive=True)))
+fn_name = re.compile(r"\bfn\s+\w+")
 code = {p: [line.split("//")[0] for line in open(p)] for p in files}
-names = {p: Counter(w for line in lines for w in word.findall(line)) for p, lines in code.items()}
+# a declaration names nothing: blank the declared name before counting words
+uses = {p: [fn_name.sub("fn", line) for line in lines] for p, lines in code.items()}
+names = {p: Counter(w for line in lines for w in word.findall(line)) for p, lines in uses.items()}
 everywhere = sum(names.values(), Counter())
 dead, used, declared = [], set(), set()
 for path, lines in code.items():
     if path.startswith("crates/benchmark/") or not re.match(r"(crates/[^/]+/)?src/", path):
         continue
     end = next((i for i, l in enumerate(lines) if l.strip() == "#[cfg(test)]"), len(lines))
-    own = Counter(w for line in lines[:end] for w in word.findall(line))
+    own = Counter(w for line in uses[path][:end] for w in word.findall(line))
     in_reference = False
     for n, line in enumerate(lines[:end], 1):
         if line.startswith("pub mod reference"):
@@ -102,7 +107,7 @@ for path, lines in code.items():
             continue
         name = m.group(1)
         declared.add(name)
-        if own[name] > 1 or everywhere[name] > names[path][name]:
+        if own[name] > 0 or everywhere[name] > names[path][name]:
             used.add(name)
         elif name not in ALLOW:
             dead.append(f"{path}:{n}: {name}")

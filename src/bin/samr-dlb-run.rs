@@ -61,9 +61,22 @@ fn parse() -> Result<Args, String> {
             "--scheme" => a.scheme = val()?.to_string(),
             "--testbed" => a.testbed = val()?.to_string(),
             "--procs" => a.procs = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--n0" => a.n0 = val()?.parse().map_err(|e| format!("{e}"))?,
+            // an empty domain or an empty hierarchy has nothing to run
+            "--n0" => {
+                let v = val()?;
+                a.n0 = v.parse().map_err(|e| format!("--n0 {v}: {e}"))?;
+                if a.n0 < 1 {
+                    return Err(format!("--n0 must be >= 1, got {v}"));
+                }
+            }
             "--steps" => a.steps = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--levels" => a.levels = val()?.parse().map_err(|e| format!("{e}"))?,
+            "--levels" => {
+                let v = val()?;
+                a.levels = v.parse().map_err(|e| format!("--levels {v}: {e}"))?;
+                if a.levels < 1 {
+                    return Err(format!("--levels must be >= 1, got {v}"));
+                }
+            }
             "--gamma" => {
                 let v = val()?;
                 a.gamma = v.parse().map_err(|e| format!("--gamma {v}: {e}"))?;

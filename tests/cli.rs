@@ -22,6 +22,18 @@ fn gamma_below_zero_or_nan_is_a_usage_error() {
     }
 }
 
+/// An empty domain (`--n0` below 1) or an empty hierarchy (`--levels 0`)
+/// is a usage error naming the flag, not a panic in `Driver::new`.
+#[test]
+fn empty_domain_or_hierarchy_is_a_usage_error() {
+    for (flag, bad) in [("--levels", "0"), ("--n0", "0"), ("--n0", "-4")] {
+        let out = run(&[flag, bad]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{flag} {bad}: {stderr}");
+    }
+}
+
 /// `inf` is Ablation A's "never redistribute" and stays accepted.
 #[test]
 fn gamma_inf_runs() {
