@@ -166,59 +166,89 @@ impl AppState {
         self.particles = ParticleSet::new(particles);
     }
 
-    /// Initialize a freshly created level-0 patch.
-    pub fn init_patch(&self, patch: &mut GridPatch) {
+    /// Write the initial condition into the field set of a freshly created
+    /// level-0 patch, every storage cell (ghosts included), one z-row at a
+    /// time. Takes `&self` and nothing but the fields, so the driver fills
+    /// all level-0 patches concurrently on the worker pool.
+    ///
+    /// Amr64's density is 1 plus one Gaussian term 2.5·exp(−r²/2σ²) per
+    /// well, and a term is skipped where r² exceeds `2σ² · ln(2.5 · 2⁶⁰)`:
+    /// there it is below 2⁻⁶⁰ (a 2⁷ margin over any `exp` error), while ρ
+    /// never drops below 1, where half an ulp is 2⁻⁵³ — adding the term
+    /// would round back to the same ρ, so skipping it changes no bit. A
+    /// row is dropped for a well whose `dx² + dy²` alone exceeds the bound
+    /// (adding `dz² ≥ 0` never rounds below it).
+    pub fn init_fields(&self, fields: &mut [Field3]) {
+        let gamma = self.gamma;
+        let n0 = self.n0 as f64;
         match self.kind {
             AppKind::ShockPool3D => {
-                let gamma = self.gamma;
-                euler::set_ambient(&mut patch.fields, 1.0, [0.0; 3], 1.0, gamma);
+                euler::set_ambient(fields, 1.0, [0.0; 3], 1.0, gamma);
                 // High-pressure driver region behind a plane slightly tilted
                 // with respect to the domain edges: n̂ ∝ (1, 0.25, 0.1).
-                let n0 = self.n0 as f64;
-                for p in patch.fields[0].storage_region().iter_cells() {
-                    let s = p.x as f64 + 0.25 * p.y as f64 + 0.1 * p.z as f64;
-                    if s < 0.18 * n0 {
-                        let rho = 4.0;
-                        let pr = 12.0;
-                        let vx = 1.2;
-                        let e = pr / (gamma - 1.0) + 0.5 * rho * vx * vx;
-                        patch.fields[F::RHO].set(p, rho);
-                        patch.fields[F::MX].set(p, rho * vx);
-                        patch.fields[F::E].set(p, e);
-                    }
+                let (rho, pr, vx) = (4.0, 12.0, 1.2);
+                let e = pr / (gamma - 1.0) + 0.5 * rho * vx * vx;
+                for (k, v) in [(F::RHO, rho), (F::MX, rho * vx), (F::E, e)] {
+                    for_each_row(&mut fields[k], |x, y, z0, row| {
+                        for (dz, cell) in row.iter_mut().enumerate() {
+                            let z = z0 + dz as i64;
+                            let s = x as f64 + 0.25 * y as f64 + 0.1 * z as f64;
+                            if s < 0.18 * n0 {
+                                *cell = v;
+                            }
+                        }
+                    });
                 }
             }
             AppKind::Amr64 => {
-                let gamma = self.gamma;
-                euler::set_ambient(&mut patch.fields, 1.0, [0.0; 3], 0.6, gamma);
+                euler::set_ambient(fields, 1.0, [0.0; 3], 0.6, gamma);
                 // Gaussian overdensities at the wells
-                let n0 = self.n0 as f64;
                 let sigma = 0.05 * n0;
-                for p in patch.fields[0].storage_region().iter_cells() {
-                    let mut rho = 1.0f64;
+                let two_s2 = (2.0 * sigma) * sigma;
+                let skip_r2 = well_reach_r2(two_s2);
+                // per row: dx² + dy² and z of each well within reach
+                let mut near: Vec<(f64, f64)> = Vec::with_capacity(self.wells.len());
+                for_each_row(&mut fields[F::RHO], |x, y, z0, row| {
+                    near.clear();
                     for w in &self.wells {
-                        let dx = p.x as f64 + 0.5 - w[0];
-                        let dy = p.y as f64 + 0.5 - w[1];
-                        let dz = p.z as f64 + 0.5 - w[2];
-                        let r2 = dx * dx + dy * dy + dz * dz;
-                        rho += 2.5 * (-r2 / (2.0 * sigma * sigma)).exp();
+                        let dx = x as f64 + 0.5 - w[0];
+                        let dy = y as f64 + 0.5 - w[1];
+                        let dxy = dx * dx + dy * dy;
+                        if dxy <= skip_r2 {
+                            near.push((dxy, w[2]));
+                        }
                     }
-                    let pr = 0.6 * rho; // near-isothermal start
-                    patch.fields[F::RHO].set(p, rho);
-                    patch.fields[F::E].set(p, pr / (gamma - 1.0));
+                    for (dz, cell) in row.iter_mut().enumerate() {
+                        let z = (z0 + dz as i64) as f64 + 0.5;
+                        let mut rho = 1.0f64;
+                        for &(dxy, wz) in &near {
+                            let dz = z - wz;
+                            let r2 = dxy + dz * dz;
+                            if r2 <= skip_r2 {
+                                rho += 2.5 * (-r2 / two_s2).exp();
+                            }
+                        }
+                        *cell = rho;
+                    }
+                });
+                // near-isothermal start: p = 0.6 ρ
+                let (head, tail) = fields.split_at_mut(F::E);
+                for (e, &rho) in tail[0].data_mut().iter_mut().zip(head[F::RHO].data()) {
+                    *e = 0.6 * rho / (gamma - 1.0);
                 }
             }
             AppKind::AdvectBlob => {
-                let n0 = self.n0 as f64;
                 let c = [0.3 * n0, 0.5 * n0, 0.5 * n0];
                 let sigma = 0.08 * n0;
-                for p in patch.fields[0].storage_region().iter_cells() {
-                    let dx = p.x as f64 + 0.5 - c[0];
-                    let dy = p.y as f64 + 0.5 - c[1];
-                    let dz = p.z as f64 + 0.5 - c[2];
-                    let r2 = dx * dx + dy * dy + dz * dz;
-                    patch.fields[0].set(p, (-r2 / (2.0 * sigma * sigma)).exp());
-                }
+                for_each_row(&mut fields[0], |x, y, z0, row| {
+                    let dx = x as f64 + 0.5 - c[0];
+                    let dy = y as f64 + 0.5 - c[1];
+                    for (dz, cell) in row.iter_mut().enumerate() {
+                        let dz = (z0 + dz as i64) as f64 + 0.5 - c[2];
+                        let r2 = dx * dx + dy * dy + dz * dz;
+                        *cell = (-r2 / (2.0 * sigma * sigma)).exp();
+                    }
+                });
             }
         }
     }
@@ -291,12 +321,86 @@ impl AppState {
     }
 }
 
+/// The squared distance beyond which an Amr64 well's density term
+/// `2.5 · exp(−r² / two_s2)` is below 2⁻⁶⁰ (see [`AppState::init_fields`]).
+fn well_reach_r2(two_s2: f64) -> f64 {
+    two_s2 * (2.5 * 2f64.powi(60)).ln()
+}
+
+/// Run `visit(x, y, z0, row)` over every z-row of `f`'s storage, ghosts
+/// included, in layout order.
+fn for_each_row(f: &mut Field3, mut visit: impl FnMut(i64, i64, i64, &mut [f64])) {
+    let s = f.storage_region();
+    let size = s.size();
+    for (i, row) in f.data_mut().chunks_exact_mut(size.z as usize).enumerate() {
+        let i = i as i64;
+        visit(s.lo.x + i / size.y, s.lo.y + i % size.y, s.lo.z, row);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use samr_mesh::patch::PatchId;
 
     impl AppState {
+        /// The per-cell initial condition [`AppState::init_fields`]
+        /// replaced, kept verbatim: every well's term at every cell, no
+        /// bound, one `set` per cell. The oracle `init_fields` is compared
+        /// against.
+        fn init_fields_reference(&self, fields: &mut [Field3]) {
+            match self.kind {
+                AppKind::ShockPool3D => {
+                    let gamma = self.gamma;
+                    euler::set_ambient(fields, 1.0, [0.0; 3], 1.0, gamma);
+                    let n0 = self.n0 as f64;
+                    for p in fields[0].storage_region().iter_cells() {
+                        let s = p.x as f64 + 0.25 * p.y as f64 + 0.1 * p.z as f64;
+                        if s < 0.18 * n0 {
+                            let rho = 4.0;
+                            let pr = 12.0;
+                            let vx = 1.2;
+                            let e = pr / (gamma - 1.0) + 0.5 * rho * vx * vx;
+                            fields[F::RHO].set(p, rho);
+                            fields[F::MX].set(p, rho * vx);
+                            fields[F::E].set(p, e);
+                        }
+                    }
+                }
+                AppKind::Amr64 => {
+                    let gamma = self.gamma;
+                    euler::set_ambient(fields, 1.0, [0.0; 3], 0.6, gamma);
+                    let n0 = self.n0 as f64;
+                    let sigma = 0.05 * n0;
+                    for p in fields[0].storage_region().iter_cells() {
+                        let mut rho = 1.0f64;
+                        for w in &self.wells {
+                            let dx = p.x as f64 + 0.5 - w[0];
+                            let dy = p.y as f64 + 0.5 - w[1];
+                            let dz = p.z as f64 + 0.5 - w[2];
+                            let r2 = dx * dx + dy * dy + dz * dz;
+                            rho += 2.5 * (-r2 / (2.0 * sigma * sigma)).exp();
+                        }
+                        let pr = 0.6 * rho;
+                        fields[F::RHO].set(p, rho);
+                        fields[F::E].set(p, pr / (gamma - 1.0));
+                    }
+                }
+                AppKind::AdvectBlob => {
+                    let n0 = self.n0 as f64;
+                    let c = [0.3 * n0, 0.5 * n0, 0.5 * n0];
+                    let sigma = 0.08 * n0;
+                    for p in fields[0].storage_region().iter_cells() {
+                        let dx = p.x as f64 + 0.5 - c[0];
+                        let dy = p.y as f64 + 0.5 - c[1];
+                        let dz = p.z as f64 + 0.5 - c[2];
+                        let r2 = dx * dx + dy * dy + dz * dz;
+                        fields[0].set(p, (-r2 / (2.0 * sigma * sigma)).exp());
+                    }
+                }
+            }
+        }
+
         /// [`AppState::step_patch`] through the retained per-cell
         /// `reference` solver modules (update-list sweeps, two Riemann
         /// solves per cell, a materialised ρ − ρ̄ right-hand side): the
@@ -378,6 +482,76 @@ mod tests {
         }
     }
 
+    fn bits(fs: &[Field3]) -> Vec<Vec<u64>> {
+        fs.iter()
+            .map(|f| f.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// `init_fields` writes the reference's bits into every storage cell,
+    /// ghosts included, of a 64³ domain cut unevenly into 12 patches (11
+    /// with non-zero origins), for every app. The Amr64 skip radius there
+    /// is ~29.5 cells, so most (cell, well) pairs take the skip.
+    #[test]
+    fn init_fields_matches_the_reference_for_every_app() {
+        use samr_mesh::{ivec3, region};
+        let n0 = 64;
+        let cuts: [&[i64]; 3] = [&[0, 21, 43, 64], &[0, 30, 64], &[0, 17, 64]];
+        let mut boxes = Vec::new();
+        for x in cuts[0].windows(2) {
+            for y in cuts[1].windows(2) {
+                for z in cuts[2].windows(2) {
+                    boxes.push(region(ivec3(x[0], y[0], z[0]), ivec3(x[1], y[1], z[1])));
+                }
+            }
+        }
+        assert_eq!(boxes.len(), 12);
+        for kind in [AppKind::ShockPool3D, AppKind::Amr64, AppKind::AdvectBlob] {
+            let app = AppState::new(kind, n0, 7);
+            for &interior in &boxes {
+                // poisoned, so a cell either side leaves unwritten shows
+                let mut fields: Vec<Field3> = (0..app.nfields())
+                    .map(|_| Field3::constant(interior, app.ghost(), f64::NAN))
+                    .collect();
+                let mut oracle = fields.clone();
+                app.init_fields(&mut fields);
+                app.init_fields_reference(&mut oracle);
+                assert_eq!(bits(&fields), bits(&oracle), "{kind:?} {interior:?}");
+            }
+        }
+        // the Amr64 case exercised the skip on most (cell, well) pairs
+        let app = AppState::new(AppKind::Amr64, n0, 7);
+        let sigma = 0.05 * n0 as f64;
+        let reach = well_reach_r2((2.0 * sigma) * sigma);
+        let (mut skipped, mut pairs) = (0u64, 0u64);
+        for p in Region::cube(n0).iter_cells() {
+            for w in &app.wells {
+                let d = [0, 1, 2].map(|k| p[k] as f64 + 0.5 - w[k]);
+                pairs += 1;
+                skipped += u64::from(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] > reach);
+            }
+        }
+        assert!(2 * skipped > pairs, "{skipped} of {pairs} pairs skipped");
+    }
+
+    /// The premise of the Amr64 skip: the largest term it drops is below
+    /// 2⁻⁵³, half an ulp of any ρ ≥ 1, so adding it leaves ρ's bits as
+    /// they were.
+    #[test]
+    fn a_skipped_well_term_cannot_change_rho() {
+        for n0 in [16, 32, 64, 128] {
+            let sigma = 0.05 * n0 as f64;
+            let two_s2 = (2.0 * sigma) * sigma;
+            let far = well_reach_r2(two_s2);
+            let t = 2.5 * (-far / two_s2).exp();
+            assert!(t < 2f64.powi(-53), "n0 {n0}: {t:e}");
+            let ulp = 2f64.powi(-52);
+            for rho in [1.0, 1.0 + ulp, 1.5, 2.0 - ulp, 2.0, 7.25] {
+                assert_eq!((rho + t).to_bits(), rho.to_bits(), "n0 {n0}, rho {rho}");
+            }
+        }
+    }
+
     /// The initial conditions are a function of the seed through
     /// `base::rng::ChaCha8`; the hashes are those of the `rand` /
     /// `rand_chacha` stand-ins every committed result was produced with.
@@ -416,7 +590,7 @@ mod tests {
         let pool = FieldPool::new();
         let app = AppState::new(AppKind::ShockPool3D, 16, 1);
         let mut p = patch_for(&app);
-        app.init_patch(&mut p);
+        app.init_fields(&mut p.fields);
         // driver region dense, ambient 1.0
         assert!(p.fields[F::RHO].get(samr_mesh::ivec3(0, 0, 0)) > 3.0);
         assert!((p.fields[F::RHO].get(samr_mesh::ivec3(12, 12, 12)) - 1.0).abs() < 1e-12);
@@ -435,7 +609,7 @@ mod tests {
         assert_eq!(app.wells.len(), 6);
         assert_eq!(app.particles.len(), 1200);
         let mut p = patch_for(&app);
-        app.init_patch(&mut p);
+        app.init_fields(&mut p.fields);
         let flags = app.flag_patch(&p, &pool);
         assert!(flags.count() > 0, "overdense blobs must be flagged");
         // determinism: same seed, same wells
@@ -450,7 +624,7 @@ mod tests {
         let pool = FieldPool::new();
         let app = AppState::new(AppKind::AdvectBlob, 16, 0);
         let mut p = patch_for(&app);
-        app.init_patch(&mut p);
+        app.init_fields(&mut p.fields);
         let bb0 = app.flag_patch(&p, &pool).bounding_box();
         for _ in 0..6 {
             for f in p.fields.iter_mut() {
@@ -468,7 +642,7 @@ mod tests {
         let pool = FieldPool::new();
         let app = AppState::new(AppKind::ShockPool3D, 16, 1);
         let mut p = patch_for(&app);
-        app.init_patch(&mut p);
+        app.init_fields(&mut p.fields);
         let probe = samr_mesh::ivec3(8, 2, 2);
         let before = p.fields[F::RHO].get(probe);
         for _ in 0..12 {
@@ -486,7 +660,7 @@ mod tests {
         let pool = FieldPool::new();
         let app = AppState::new(AppKind::Amr64, 8, 7);
         let mut p = patch_for(&app);
-        app.init_patch(&mut p);
+        app.init_fields(&mut p.fields);
         let before = pool.stats();
         app.step_patch(&mut p.fields, app.dt_over_dx0(), &pool);
         assert_eq!(pool.stats(), before, "the Amr64 step takes no scratch field");
@@ -519,7 +693,7 @@ mod tests {
         // flags must light up there
         let mut app = AppState::new(AppKind::Amr64, 16, 3);
         let mut p = patch_for(&app);
-        app.init_patch(&mut p);
+        app.init_fields(&mut p.fields);
         // strip the gas blobs so only particles can flag
         samr_solvers::euler::set_ambient(&mut p.fields, 1.0, [0.0; 3], 0.6, app.gamma);
         let corner = samr_mesh::ivec3(1, 1, 1);

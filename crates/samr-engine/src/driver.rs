@@ -111,8 +111,18 @@ impl Driver {
         // initial decomposition: one slab per processor, weighted
         let shares: Vec<f64> = sim.system().procs().iter().map(|p| p.weight).collect();
         for (region, proc_ix) in decompose_domain(domain, &shares) {
-            let id = hier.insert_patch(0, region, None, proc_ix);
-            app.init_patch(hier.patch_mut(id));
+            hier.insert_patch(0, region, None, proc_ix);
+        }
+        // allocated above on this thread, initialised on the pool: take the
+        // field sets out, fill them in parallel, put them back
+        let ids = hier.level_ids(0).to_vec();
+        let mut sets: Vec<Vec<Field3>> = ids
+            .iter()
+            .map(|&id| std::mem::take(&mut hier.patch_mut(id).fields))
+            .collect();
+        for_each_task_parallel(&mut sets, |_, fields| app.init_fields(fields));
+        for (id, fields) in ids.into_iter().zip(sets) {
+            hier.patch_mut(id).fields = fields;
         }
         let history = WorkloadHistory::new(sim.system().nprocs());
         let mut d = Driver::from_parts(sim, cfg, app, hier, history, Vec::new(), 0);

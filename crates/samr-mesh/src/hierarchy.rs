@@ -26,8 +26,13 @@ pub struct GridHierarchy {
     domain: Region,
     /// Arena of live patches.
     patches: BTreeMap<PatchId, GridPatch>,
-    /// Patch ids per level, creation-ordered.
+    /// Patch ids per level, creation-ordered (so ascending: ids are handed
+    /// out in increasing order and a rollback reinserts where it removed).
     levels: Vec<Vec<PatchId>>,
+    /// The parent link of every `levels[l]` entry, index for index, so a
+    /// patch's children come from one contiguous scan of the level below
+    /// instead of an arena lookup per patch there.
+    parents: Vec<Vec<Option<PatchId>>>,
     /// Next fresh id.
     next_id: u64,
     /// Structural generation per level: bumped whenever that level's patch
@@ -83,6 +88,7 @@ impl GridHierarchy {
             domain,
             patches: BTreeMap::new(),
             levels: vec![Vec::new()],
+            parents: vec![Vec::new()],
             next_id: 0,
             topo_gen: Vec::new(),
             topo_cache: Vec::new(),
@@ -186,14 +192,29 @@ impl GridHierarchy {
             .sum()
     }
 
-    /// Children ids of `id` (patches at `level+1` whose parent is `id`).
-    pub fn children_of(&self, id: PatchId) -> Vec<PatchId> {
-        let level = self.patch(id).level;
+    /// Children of `id`, a patch at `level`, in level order: one scan of
+    /// the parent links of `level + 1`.
+    fn children(&self, id: PatchId, level: usize) -> Vec<PatchId> {
         self.level_ids(level + 1)
             .iter()
-            .copied()
-            .filter(|c| self.patch(*c).parent == Some(id))
+            .zip(self.parents.get(level + 1).into_iter().flatten())
+            .filter_map(|(&c, &p)| (p == Some(id)).then_some(c))
             .collect()
+    }
+
+    /// Position of `id` in `levels[level]` (ascending, so a binary search).
+    fn slot(&self, level: usize, id: PatchId) -> usize {
+        self.levels[level]
+            .binary_search(&id)
+            .expect("patch missing from its level list")
+    }
+
+    /// Make sure `levels[level]` and `parents[level]` exist.
+    fn ensure_level(&mut self, level: usize) {
+        while self.levels.len() <= level {
+            self.levels.push(Vec::new());
+            self.parents.push(Vec::new());
+        }
     }
 
     /// Allocate a fresh patch id.
@@ -311,10 +332,13 @@ impl GridHierarchy {
 
     fn insert_prepared(&mut self, level: usize, patch: GridPatch) {
         let id = patch.id;
-        while self.levels.len() <= level {
-            self.levels.push(Vec::new());
-        }
+        self.ensure_level(level);
+        debug_assert!(
+            self.levels[level].last().is_none_or(|&last| last < id),
+            "{id:?} would break level {level}'s ascending id order"
+        );
         self.levels[level].push(id);
+        self.parents[level].push(patch.parent);
         self.patches.insert(id, patch);
         self.bump_topology(level);
         if let Some(log) = &mut self.undo {
@@ -327,12 +351,9 @@ impl GridHierarchy {
     /// transaction is open.
     pub fn remove_patch(&mut self, id: PatchId) {
         let p = self.patches.remove(&id).expect("removing unknown patch");
-        let lvl = &mut self.levels[p.level];
-        let index = lvl
-            .iter()
-            .position(|x| *x == id)
-            .expect("patch missing from its level list");
-        lvl.remove(index);
+        let index = self.slot(p.level, id);
+        self.levels[p.level].remove(index);
+        self.parents[p.level].remove(index);
         self.bump_topology(p.level);
         if let Some(log) = &mut self.undo {
             log.records.push(Undo::Removed { patch: p, index });
@@ -354,6 +375,7 @@ impl GridHierarchy {
             for id in std::mem::take(&mut self.levels[l]) {
                 self.patches.remove(&id);
             }
+            self.parents[l].clear();
             self.bump_topology(l);
         }
         self.trim_levels();
@@ -362,6 +384,7 @@ impl GridHierarchy {
     fn trim_levels(&mut self) {
         while self.levels.len() > 1 && self.levels.last().is_some_and(|v| v.is_empty()) {
             self.levels.pop();
+            self.parents.pop();
         }
     }
 
@@ -379,6 +402,8 @@ impl GridHierarchy {
         let p = self.patch_mut(id);
         let level = p.level;
         let old = std::mem::replace(&mut p.parent, parent);
+        let slot = self.slot(level, id);
+        self.parents[level][slot] = parent;
         self.bump_topology(level);
         if let Some(log) = &mut self.undo {
             log.records.push(Undo::Parent { id, old });
@@ -432,10 +457,9 @@ impl GridHierarchy {
                 }
                 Undo::Removed { patch, index } => {
                     let level = patch.level;
-                    while self.levels.len() <= level {
-                        self.levels.push(Vec::new());
-                    }
+                    self.ensure_level(level);
                     self.levels[level].insert(index, patch.id);
+                    self.parents[level].insert(index, patch.parent);
                     self.patches.insert(patch.id, patch);
                     self.bump_topology(level);
                 }
@@ -521,7 +545,7 @@ impl GridHierarchy {
             !ra.is_empty() && !rb.is_empty(),
             "cut {cut} does not bisect {region:?} on axis {axis}"
         );
-        let children = self.children_of(id);
+        let children = self.children(id, level);
 
         let a = self.insert_patch(level, ra, parent, owner);
         let b = self.insert_patch(level, rb, parent, owner);
@@ -741,14 +765,26 @@ impl GridHierarchy {
     /// Check structural invariants; returns a description of the first
     /// violation, if any. Used by tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.parents.len() != self.levels.len() {
+            return Err("parent links and levels disagree on the level count".into());
+        }
         for (l, ids) in self.levels.iter().enumerate() {
-            for id in ids {
+            if ids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("level {l} ids not ascending"));
+            }
+            if self.parents[l].len() != ids.len() {
+                return Err(format!("level {l}: parent links and ids disagree on the count"));
+            }
+            for (id, link) in ids.iter().zip(&self.parents[l]) {
                 let p = self
                     .patches
                     .get(id)
                     .ok_or_else(|| format!("{id:?} listed at level {l} but not in arena"))?;
                 if p.level != l {
                     return Err(format!("{id:?} stored at level {l} but claims {}", p.level));
+                }
+                if p.parent != *link {
+                    return Err(format!("{id:?}: level {l} links it to {link:?}"));
                 }
                 if p.region.is_empty() {
                     return Err(format!("{id:?} has empty region"));
@@ -1071,6 +1107,70 @@ mod tests {
     use super::*;
     use crate::index::ivec3;
     use crate::region::region;
+
+    impl GridHierarchy {
+        /// Children ids of `id` (patches at `level+1` whose parent is `id`)
+        /// found through the arena, one lookup per patch of the level
+        /// below: the oracle the parent links are compared against.
+        fn children_of(&self, id: PatchId) -> Vec<PatchId> {
+            let level = self.patch(id).level;
+            self.level_ids(level + 1)
+                .iter()
+                .copied()
+                .filter(|c| self.patch(*c).parent == Some(id))
+                .collect()
+        }
+
+        /// Every patch's children from the parent links equal the arena
+        /// scan's, in the same order.
+        fn assert_children_match_the_arena(&self) {
+            for p in self.iter() {
+                let (links, arena) = (self.children(p.id, p.level), self.children_of(p.id));
+                assert_eq!(links, arena, "{:?}", p.id);
+            }
+        }
+    }
+
+    /// Over random sequences of transactions — splits at random planes of
+    /// random patches, then commit or rollback, then now and then a clear
+    /// of the finest level — the parent links stay those of the arena
+    /// (`check_invariants`) and every patch's children come out in the
+    /// arena scan's order.
+    #[test]
+    fn parent_links_follow_splits_commits_rollbacks_and_clears() {
+        let split = |g: &mut base::prop::Gen| (g.usize(0..64), g.usize(0..3), g.f64(0.0..1.0));
+        base::prop::check(
+            64,
+            |g| g.vec(1..6, |g| (g.vec(1..5, split), g.bool(), g.bool())),
+            |transactions| {
+                let (mut h, _) = nested_for_split();
+                for (splits, keep, clear) in transactions {
+                    h.begin_transaction();
+                    for (pick, axis, frac) in splits {
+                        let ids: Vec<PatchId> = h.iter().map(|p| p.id).collect();
+                        let id = ids[pick % ids.len()];
+                        let (lo, hi) = (h.patch(id).region.lo[axis], h.patch(id).region.hi[axis]);
+                        if hi - lo >= 2 {
+                            let cut = lo + 1 + ((hi - lo - 1) as f64 * frac) as i64;
+                            h.split_patch_at(id, axis, cut);
+                            assert_eq!(h.check_invariants(), Ok(()));
+                            h.assert_children_match_the_arena();
+                        }
+                    }
+                    if keep {
+                        h.commit();
+                    } else {
+                        h.rollback();
+                    }
+                    if clear && h.num_levels() > 2 {
+                        h.clear_levels_from(h.num_levels() - 1);
+                    }
+                    assert_eq!(h.check_invariants(), Ok(()));
+                    h.assert_children_match_the_arena();
+                }
+            },
+        );
+    }
 
     fn basic() -> GridHierarchy {
         // 8^3 root domain, r=2, up to 4 levels, 1 field, ghost 1

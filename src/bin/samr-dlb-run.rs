@@ -26,6 +26,14 @@ struct Args {
     json: bool,
 }
 
+/// Parse `flag`'s value `v`; the error names both.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("{flag} {v}: {e}"))
+}
+
 fn parse() -> Result<Args, String> {
     let mut a = Args {
         app: AppKind::ShockPool3D,
@@ -60,33 +68,40 @@ fn parse() -> Result<Args, String> {
             }
             "--scheme" => a.scheme = val()?.to_string(),
             "--testbed" => a.testbed = val()?.to_string(),
-            "--procs" => a.procs = val()?.parse().map_err(|e| format!("{e}"))?,
-            // an empty domain or an empty hierarchy has nothing to run
+            // no processors, an empty domain or an empty hierarchy has
+            // nothing to run
+            "--procs" => {
+                let v = val()?;
+                a.procs = number(flag, v)?;
+                if a.procs < 1 {
+                    return Err(format!("--procs must be >= 1, got {v}"));
+                }
+            }
             "--n0" => {
                 let v = val()?;
-                a.n0 = v.parse().map_err(|e| format!("--n0 {v}: {e}"))?;
+                a.n0 = number(flag, v)?;
                 if a.n0 < 1 {
                     return Err(format!("--n0 must be >= 1, got {v}"));
                 }
             }
-            "--steps" => a.steps = val()?.parse().map_err(|e| format!("{e}"))?,
+            "--steps" => a.steps = number(flag, val()?)?,
             "--levels" => {
                 let v = val()?;
-                a.levels = v.parse().map_err(|e| format!("--levels {v}: {e}"))?;
+                a.levels = number(flag, v)?;
                 if a.levels < 1 {
                     return Err(format!("--levels must be >= 1, got {v}"));
                 }
             }
             "--gamma" => {
                 let v = val()?;
-                a.gamma = v.parse().map_err(|e| format!("--gamma {v}: {e}"))?;
+                a.gamma = number(flag, v)?;
                 // a negative γ admits any positive gain and NaN admits
                 // none; `inf` (never redistribute) is a legitimate setting
                 if a.gamma.is_nan() || a.gamma < 0.0 {
                     return Err(format!("--gamma must be >= 0 or inf, got {v}"));
                 }
             }
-            "--seed" => a.seed = val()?.parse().map_err(|e| format!("{e}"))?,
+            "--seed" => a.seed = number(flag, val()?)?,
             "--json" => a.json = true,
             "--help" | "-h" => {
                 println!(
@@ -112,11 +127,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let per_site = a.procs.div_ceil(2).max(1);
+    let per_site = a.procs.div_ceil(2);
     let sys = match a.testbed.as_str() {
         "wan" => presets::anl_ncsa_wan(per_site, per_site, a.seed),
         "lan" => presets::anl_lan_pair(per_site, per_site, a.seed),
-        "smp" => presets::single_origin2000(a.procs.max(1)),
+        "smp" => presets::single_origin2000(a.procs),
         "three-site" => {
             let per = (a.procs / 3).max(1);
             presets::three_site_wan(per, per, per, a.seed)

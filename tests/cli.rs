@@ -34,6 +34,38 @@ fn empty_domain_or_hierarchy_is_a_usage_error() {
     }
 }
 
+/// `--procs 0` is a usage error naming the flag, not a silent run of a
+/// one-processor-per-site system.
+#[test]
+fn zero_procs_is_a_usage_error() {
+    let out = run(&["--procs", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--procs"), "{stderr}");
+}
+
+/// A value that does not parse as a number is a usage error whose message
+/// names its flag and the value.
+#[test]
+fn unparsable_numbers_name_their_flag() {
+    for (flag, bad) in [
+        ("--seed", "-1"),
+        ("--steps", "x"),
+        ("--procs", "two"),
+        ("--n0", "1.5"),
+        ("--levels", "-"),
+        ("--gamma", "fast"),
+    ] {
+        let out = run(&[flag, bad]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && stderr.contains(bad),
+            "{flag} {bad}: {stderr}"
+        );
+    }
+}
+
 /// `inf` is Ablation A's "never redistribute" and stays accepted.
 #[test]
 fn gamma_inf_runs() {

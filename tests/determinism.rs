@@ -103,6 +103,38 @@ fn optimized_datapath_is_bit_identical_to_reference() {
     }
 }
 
+/// Level 0 as `Driver::new` leaves it when it is cut into many patches, so
+/// the initial fill runs as many pool tasks: FNV-1a of every level-0 field
+/// bit, in id order, for Amr64 over 32 procs (n0 = 32, where the Gaussian
+/// wells' skip radius is ~14.7 cells). Recorded before level 0 was filled
+/// on the pool; the same under 1 and 2 threads.
+#[test]
+fn level0_setup_is_pinned_across_thread_counts() {
+    const PINNED: u64 = 0x89f9e7fa7303fda2;
+    let level0 = || {
+        let mut cfg = RunConfig::new(AppKind::Amr64, 32, 1, Scheme::distributed_default());
+        cfg.max_levels = 2;
+        cfg.max_box_cells = 512;
+        let d = Driver::new(presets::federation(16, 2, 7), cfg);
+        let h = d.hierarchy();
+        assert_eq!(h.level_ids(0).len(), 32, "one level-0 patch per proc");
+        h.level_ids(0)
+            .iter()
+            .flat_map(|&id| &h.patch(id).fields)
+            .flat_map(|f| f.data())
+            .fold(FNV_OFFSET, |hash, v| {
+                fnv1a(hash, &v.to_bits().to_le_bytes())
+            })
+    };
+    for threads in [1, 2] {
+        let hash = par::with_threads(threads, level0);
+        assert_eq!(
+            hash, PINNED,
+            "threads={threads}: level 0 moved ({hash:#018x})"
+        );
+    }
+}
+
 #[test]
 fn recording_telemetry_is_bit_identical_to_null() {
     let mk = |tel: Telemetry| {
