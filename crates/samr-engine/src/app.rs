@@ -309,9 +309,10 @@ impl AppState {
     /// seen by the criterion is gas density *plus* the particle overdensity
     /// (deposited NGP onto a scratch copy — particles dominate structure
     /// formation, so refinement must follow them as they fall in), matching
-    /// how cosmology codes flag on total matter density.
+    /// how cosmology codes flag on total matter density. A patch no particle
+    /// lies in flags on its gas density as it is, without the copy.
     pub fn flag_patch(&self, patch: &GridPatch, pool: &FieldPool) -> FlagField {
-        if self.kind == AppKind::Amr64 && patch.level == 0 && !self.particles.is_empty() {
+        if self.kind == AppKind::Amr64 && patch.level == 0 && self.particles.any_in(patch.region) {
             let mut rho = patch.fields[F::RHO].clone_in(pool);
             self.particles.deposit_ngp(&mut rho, 0.05);
             flag_cells(std::slice::from_ref(&rho), &self.criteria)
@@ -565,7 +566,7 @@ mod tests {
             assert_eq!(app.particles.len(), 1200);
             let hash = app
                 .particles
-                .particles
+                .as_slice()
                 .iter()
                 .flat_map(|p| p.pos.into_iter().chain(p.vel))
                 .fold(0, |h, x| base::rng::splitmix64(h ^ x.to_bits()));
@@ -678,11 +679,19 @@ mod tests {
             .sqrt()
         };
         // mean distance of the first well's 200 particles must shrink
-        let d0: f64 = app.particles.particles[..200].iter().map(dist).sum::<f64>() / 200.0;
+        let d0: f64 = app.particles.as_slice()[..200]
+            .iter()
+            .map(dist)
+            .sum::<f64>()
+            / 200.0;
         for _ in 0..10 {
             app.post_level0_step(0.3, domain);
         }
-        let d1: f64 = app.particles.particles[..200].iter().map(dist).sum::<f64>() / 200.0;
+        let d1: f64 = app.particles.as_slice()[..200]
+            .iter()
+            .map(dist)
+            .sum::<f64>()
+            / 200.0;
         assert!(d1 < d0, "infall: {d0} -> {d1}");
     }
 
@@ -697,13 +706,15 @@ mod tests {
         // strip the gas blobs so only particles can flag
         samr_solvers::euler::set_ambient(&mut p.fields, 1.0, [0.0; 3], 0.6, app.gamma);
         let corner = samr_mesh::ivec3(1, 1, 1);
-        for (i, part) in app.particles.particles.iter_mut().enumerate() {
+        let mut moved = app.particles.as_slice().to_vec();
+        for (i, part) in moved.iter_mut().enumerate() {
             if i < 400 {
                 part.pos = [1.2, 1.4, 1.1];
             } else {
                 part.pos = [100.0, 100.0, 100.0]; // outside, ignored
             }
         }
+        app.particles = ParticleSet::new(moved);
         let flags = app.flag_patch(&p, &pool);
         assert!(flags.get(corner), "particle clump must be flagged");
         // without particles the same gas field is quiet

@@ -82,6 +82,15 @@ impl Driver {
             "checkpoint references processor {max_owner} but the system has {}",
             sys.nprocs()
         );
+        // a particle outside the domain would never wrap back into it
+        let n0 = cfg.n0 as f64;
+        for (i, p) in ckpt.particles.as_slice().iter().enumerate() {
+            assert!(
+                p.pos.iter().all(|x| (0.0..n0).contains(x)),
+                "checkpoint particle {i} at {:?} lies outside the domain [0, {n0})³",
+                p.pos
+            );
+        }
         let mut app = AppState::new(cfg.app, cfg.n0, cfg.seed);
         app.particles = ckpt.particles.clone();
         let hier = samr_mesh::checkpoint::restore(&ckpt.hierarchy);

@@ -28,6 +28,13 @@ use topology::{DistributedSystem, ProcId, SimTime};
 /// Refinement factor r between levels (the paper uses 2).
 const REFINE_FACTOR: i64 = 2;
 
+/// Consecutive waves a regrid fills its new grids in. Each retired grid is
+/// dropped after the wave holding its last reader, so the regrid's peak holds
+/// about one wave's worth of both generations instead of two whole levels
+/// (`shock_wan`'s peak resident set by wave count, one run each: 1 → 159.1,
+/// 2 → 129.4, 4 → 114.1, 8 → 110.9, 16 → 109.6, 32 → 112.3 MiB; DESIGN §12).
+const FILL_WAVES: usize = 8;
+
 /// Snapshot of a retired patch's data, used to seed re-created fine grids.
 #[derive(Clone, Debug)]
 struct OldPatch {
@@ -46,8 +53,9 @@ pub struct Driver {
     scheme: SchemeInstance,
     /// Steps completed per level.
     step_count: Vec<u64>,
-    /// Stashed data of cleared fine levels, by level; each is freed once
-    /// the regrid that rebuilds its level has read it.
+    /// Stashed data of cleared fine levels, by level; each grid's data is
+    /// freed once the regrid that rebuilds its level has filled its last
+    /// reader.
     old_data: Vec<Vec<OldPatch>>,
     /// Total cell updates executed (the workload measure).
     cell_updates: u64,
@@ -82,6 +90,9 @@ pub struct Driver {
     mttrs: Vec<f64>,
     /// Evacuations that actually moved patches.
     evacuations: u64,
+    /// One record per regrid fill wave, for the schedule tests.
+    #[cfg(test)]
+    fill_census: Vec<tests::WaveCensus>,
 }
 
 impl Driver {
@@ -233,6 +244,8 @@ impl Driver {
             recovery_pending: StepRecovery::default(),
             mttrs: Vec::new(),
             evacuations: 0,
+            #[cfg(test)]
+            fill_census: Vec::new(),
         };
         // the sim owns the run's telemetry handle: the scheme reaches it via
         // LbContext, and sim.reset() clears setup-time records
@@ -994,8 +1007,9 @@ impl Driver {
         // stash the data of every level being cleared; the patches are about
         // to be dropped, so take their fields instead of cloning. A stash
         // has one reader, the regrid that rebuilds its level: this one for
-        // level + 1, the next `regrid(l - 1)` for a deeper level l; it is
-        // freed as soon as that regrid has filled the new grids from it.
+        // level + 1, the next `regrid(l - 1)` for a deeper level l; each of
+        // its grids is freed as soon as that regrid has filled the last new
+        // grid that reads it.
         for l in (level + 1)..self.hier.num_levels() {
             let lvl_ids: Vec<PatchId> = self.hier.level_ids(l).to_vec();
             let mut stash = Vec::new();
@@ -1024,17 +1038,19 @@ impl Driver {
             self.scheme
                 .place_new_patches(&self.hier, self.sim.system(), level + 1, &parents, &sizes);
 
-        // plan: each new patch's final sources — the retired fine grids it
-        // overlaps (everything else comes from its parent) — and the
-        // messages that moving those costs
+        // plan: each new patch's final sources — windows of the retired fine
+        // grids it overlaps, by stash index (everything else comes from its
+        // parent) — each retired grid's last reader, and the messages that
+        // moving those costs
         let nf = self.hier.nfields();
         let ghost = self.hier.ghost();
         let old = &self.old_data[level + 1];
         let old_index = BoxIndex::new(old.iter().map(|op| op.region));
         let mut hits = Vec::new();
         let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
-        let mut sources: Vec<Vec<FillSource<'_>>> = Vec::with_capacity(regions.len());
-        for (region, &owner) in regions.iter().zip(&owners) {
+        let mut sources: Vec<Vec<(usize, Region)>> = Vec::with_capacity(regions.len());
+        let mut last_reader: Vec<Option<usize>> = vec![None; old.len()];
+        for (i, (region, &owner)) in regions.iter().zip(&owners).enumerate() {
             let mut from_old = Vec::new();
             old_index.overlapping(region, &mut hits);
             for &oi in &hits {
@@ -1044,30 +1060,65 @@ impl Driver {
                     *batch.entry((op.owner, owner)).or_default() +=
                         (window.cells() as u64) * 8 * nf as u64;
                 }
-                from_old.push(FillSource {
-                    fields: &op.fields,
-                    window,
-                });
+                from_old.push((oi as usize, window));
+                last_reader[oi as usize] = Some(i);
             }
             sources.push(from_old);
         }
 
-        // the data moves in parallel across new patches, and they are
-        // inserted in clustering order so ids match a serial regrid's
+        // fill in waves, in clustering order: a wave's fields are allocated
+        // here and filled on the pool, and every retired grid no later wave
+        // reads is dropped before the next one is allocated (§12) — the ones
+        // no new grid reads before the first
+        let free_served = |old: &mut Vec<OldPatch>, end: usize| {
+            for (op, last) in old.iter_mut().zip(&last_reader) {
+                if last.is_none_or(|l| l < end) {
+                    op.fields = Vec::new();
+                }
+            }
+        };
+        free_served(&mut self.old_data[level + 1], 0);
         let hier = &self.hier;
-        let mut built: Vec<Vec<Field3>> = regions
-            .iter()
-            .map(|&region| {
-                (0..nf)
-                    .map(|_| Field3::new_in(hier.pool(), region, ghost))
-                    .collect()
-            })
-            .collect();
-        for_each_task_parallel(&mut built, |i, fields| {
-            hier.fill_refined_fields(fields, parent_ids[i], &sources[i]);
-        });
-        // the stash has served its one reader
-        drop(sources);
+        let wave_len = regions.len().div_ceil(FILL_WAVES);
+        let mut built: Vec<Vec<Field3>> = Vec::with_capacity(regions.len());
+        for first in (0..regions.len()).step_by(wave_len) {
+            let wave = first..(first + wave_len).min(regions.len());
+            let mut fill: Vec<Vec<Field3>> = regions[wave.clone()]
+                .iter()
+                .map(|&region| {
+                    (0..nf)
+                        .map(|_| Field3::new_in(hier.pool(), region, ghost))
+                        .collect()
+                })
+                .collect();
+            #[cfg(test)]
+            let live_bytes =
+                tests::live_field_bytes(hier, &self.old_data, built.iter().chain(&fill));
+            let old = &self.old_data[level + 1];
+            for_each_task_parallel(&mut fill, |k, fields| {
+                let i = first + k;
+                let from_old: Vec<FillSource<'_>> = sources[i]
+                    .iter()
+                    .map(|&(oi, window)| FillSource {
+                        fields: &old[oi].fields,
+                        window,
+                    })
+                    .collect();
+                hier.fill_refined_fields(fields, parent_ids[i], &from_old);
+            });
+            built.append(&mut fill);
+            free_served(&mut self.old_data[level + 1], wave.end);
+            #[cfg(test)]
+            self.fill_census.push(tests::WaveCensus {
+                retired_alive: self.old_data[level + 1]
+                    .iter()
+                    .map(|op| !op.fields.is_empty())
+                    .collect(),
+                wave,
+                live_bytes,
+            });
+        }
+        // every retired grid has been read and dropped
         self.old_data[level + 1] = Vec::new();
         for ((((region, parent_id), &owner), &parent_owner), fields) in regions
             .into_iter()
@@ -1273,6 +1324,196 @@ mod tests {
                 self.send_batch(src, dst, bytes);
             }
         }
+
+        /// The one-shot regrid fill: every new grid allocated, then all
+        /// filled, then the whole stash freed — the data path before the
+        /// wave loop, verbatim. The oracle [`Driver::regrid_inner`] is
+        /// compared against.
+        fn regrid_reference(&mut self, level: usize) {
+            let r = self.hier.refine_factor();
+            let ids: Vec<PatchId> = self.hier.level_ids(level).to_vec();
+
+            // flag + buffer + cluster, parallel across parent grids; the boxes
+            // are then read off in level-id order
+            let cluster = ClusterParams {
+                min_efficiency: 0.7,
+                min_box_cells: 4,
+                max_depth: 64,
+                max_box_cells: self.cfg.max_box_cells,
+            };
+            let mut clustered: Vec<Vec<Region>> = vec![Vec::new(); ids.len()];
+            let (hier, app, flag_buffer) = (&self.hier, &self.app, self.cfg.flag_buffer);
+            for_each_task_parallel(&mut clustered, |i, boxes| {
+                let mut flags = app.flag_patch(hier.patch(ids[i]), hier.pool());
+                flags.buffer(flag_buffer);
+                *boxes = berger_rigoutsos(&flags, &cluster);
+            });
+            let mut parents: Vec<usize> = Vec::new();
+            let mut parent_ids: Vec<PatchId> = Vec::new();
+            let mut regions: Vec<Region> = Vec::new();
+            // charge flag/cluster work to the owners (part of adaptation)
+            let cost = self.app.cost_per_cell() * 0.15;
+            for (&id, boxes) in ids.iter().zip(&clustered) {
+                let p = self.hier.patch(id);
+                for coarse_box in boxes {
+                    parents.push(p.owner);
+                    parent_ids.push(id);
+                    regions.push(coarse_box.refine(r));
+                }
+                let secs = p.cells() as f64 * cost / self.proc_weights[p.owner];
+                self.sim.compute(ProcId(p.owner), secs);
+            }
+
+            // stash the data of every level being cleared; the patches are about
+            // to be dropped, so take their fields instead of cloning. A stash
+            // has one reader, the regrid that rebuilds its level: this one for
+            // level + 1, the next `regrid(l - 1)` for a deeper level l; it is
+            // freed as soon as that regrid has filled the new grids from it.
+            for l in (level + 1)..self.hier.num_levels() {
+                let lvl_ids: Vec<PatchId> = self.hier.level_ids(l).to_vec();
+                let mut stash = Vec::new();
+                for id in lvl_ids {
+                    let p = self.hier.patch_mut(id);
+                    stash.push(OldPatch {
+                        region: p.region,
+                        owner: p.owner,
+                        fields: std::mem::take(&mut p.fields),
+                    });
+                }
+                self.old_data[l] = stash;
+            }
+            if self.hier.num_levels() > level + 1 {
+                self.hier.clear_levels_from(level + 1);
+            }
+            if regions.is_empty() {
+                // level + 1 stays empty, so no regrid reads these stashes
+                self.old_data[level + 1..].fill_with(Vec::new);
+                return;
+            }
+
+            // placement decided by the DLB scheme
+            let sizes: Vec<i64> = regions.iter().map(|r| r.cells()).collect();
+            let owners =
+                self.scheme
+                    .place_new_patches(&self.hier, self.sim.system(), level + 1, &parents, &sizes);
+
+            // plan: each new patch's final sources — the retired fine grids it
+            // overlaps (everything else comes from its parent) — and the
+            // messages that moving those costs
+            let nf = self.hier.nfields();
+            let ghost = self.hier.ghost();
+            let old = &self.old_data[level + 1];
+            let old_index = BoxIndex::new(old.iter().map(|op| op.region));
+            let mut hits = Vec::new();
+            let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
+            let mut sources: Vec<Vec<FillSource<'_>>> = Vec::with_capacity(regions.len());
+            for (region, &owner) in regions.iter().zip(&owners) {
+                let mut from_old = Vec::new();
+                old_index.overlapping(region, &mut hits);
+                for &oi in &hits {
+                    let op = &old[oi as usize];
+                    let window = op.region.intersect(region);
+                    if op.owner != owner {
+                        *batch.entry((op.owner, owner)).or_default() +=
+                            (window.cells() as u64) * 8 * nf as u64;
+                    }
+                    from_old.push(FillSource {
+                        fields: &op.fields,
+                        window,
+                    });
+                }
+                sources.push(from_old);
+            }
+
+            // the data moves in parallel across new patches, and they are
+            // inserted in clustering order so ids match a serial regrid's
+            let hier = &self.hier;
+            let mut built: Vec<Vec<Field3>> = regions
+                .iter()
+                .map(|&region| {
+                    (0..nf)
+                        .map(|_| Field3::new_in(hier.pool(), region, ghost))
+                        .collect()
+                })
+                .collect();
+            for_each_task_parallel(&mut built, |i, fields| {
+                hier.fill_refined_fields(fields, parent_ids[i], &sources[i]);
+            });
+            // the stash has served its one reader
+            drop(sources);
+            self.old_data[level + 1] = Vec::new();
+            for ((((region, parent_id), &owner), &parent_owner), fields) in regions
+                .into_iter()
+                .zip(parent_ids)
+                .zip(&owners)
+                .zip(&parents)
+                .zip(built)
+            {
+                let id =
+                    self.hier
+                        .insert_patch_with_fields(level + 1, region, parent_id, owner, fields);
+                if parent_owner != owner {
+                    *batch.entry((parent_owner, owner)).or_default() +=
+                        self.hier.patch(id).payload_bytes();
+                }
+            }
+            for ((src, dst), bytes) in batch {
+                self.send_batch(src, dst, bytes);
+            }
+            debug_assert!(self.hier.check_invariants().is_ok());
+        }
+    }
+
+    /// One wave of a regrid fill: the new grids it filled (indices in
+    /// clustering order), the field bytes alive right after its fields were
+    /// allocated — hierarchy, every stash, every new grid so far — and which
+    /// retired grids of the rebuilt level still held data once it was done.
+    pub(super) struct WaveCensus {
+        pub(super) wave: std::ops::Range<usize>,
+        pub(super) live_bytes: u64,
+        pub(super) retired_alive: Vec<bool>,
+    }
+
+    fn bytes_of(fields: &[Field3]) -> u64 {
+        fields.iter().map(|f| 8 * f.data().len() as u64).sum()
+    }
+
+    /// Field bytes held by `hier`, the stashes and the new grids `fresh`.
+    pub(super) fn live_field_bytes<'a>(
+        hier: &GridHierarchy,
+        old_data: &[Vec<OldPatch>],
+        fresh: impl Iterator<Item = &'a Vec<Field3>>,
+    ) -> u64 {
+        let held: u64 = (0..hier.num_levels())
+            .flat_map(|l| hier.level_ids(l))
+            .map(|&id| bytes_of(&hier.patch(id).fields))
+            .sum();
+        let stashed: u64 = old_data
+            .iter()
+            .flatten()
+            .map(|op| bytes_of(&op.fields))
+            .sum();
+        held + stashed + fresh.map(|f| bytes_of(f)).sum::<u64>()
+    }
+
+    fn level_regions(d: &Driver, level: usize) -> Vec<Region> {
+        if level >= d.hier.num_levels() {
+            return Vec::new();
+        }
+        let ids = d.hier.level_ids(level);
+        ids.iter().map(|&id| d.hier.patch(id).region).collect()
+    }
+
+    /// For each retired grid, the new grids that read it, ascending.
+    fn readers(retired: &[Region], fresh: &[Region]) -> Vec<Vec<usize>> {
+        retired
+            .iter()
+            .map(|old| {
+                let hit =
+                    |(i, new): (usize, &Region)| (!old.intersect(new).is_empty()).then_some(i);
+                fresh.iter().enumerate().filter_map(hit).collect()
+            })
+            .collect()
     }
 
     /// A 3-level ShockPool3D run one step in: refined grids touch the
@@ -1434,6 +1675,110 @@ mod tests {
                     held.iter().all(|&n| n == 0),
                     "after step {step}: stashed patches per level {held:?}"
                 );
+            }
+        }
+    }
+
+    /// The wave fill builds what the one-shot fill built: the same ids,
+    /// regions, owners, parent links, field bits (ghosts included) and
+    /// charged messages, on every level of both fixtures — including a level
+    /// with more new grids than waves and retired grids read by two waves.
+    #[test]
+    fn wave_fill_matches_the_one_shot_reference_on_every_level() {
+        let (mut crowded, mut straddled) = (false, false);
+        for fixture in [driver as fn() -> Driver, many_small_patches] {
+            let levels = fixture().hier.num_levels();
+            assert!(levels >= 2, "fixture has no fine level");
+            for level in 0..levels - 1 {
+                let (mut waves, mut reference) = (fixture(), fixture());
+                let retired = level_regions(&waves, level + 1);
+                waves.fill_census.clear();
+                waves.regrid_inner(level);
+                reference.regrid_reference(level);
+                let fresh = level_regions(&waves, level + 1);
+                assert!(!fresh.is_empty(), "level {level}: nothing refined");
+                let census = &waves.fill_census;
+                crowded |= census.iter().any(|w| w.wave.len() >= 2);
+                let wave_of = |i: usize| census.iter().position(|w| w.wave.contains(&i));
+                straddled |= readers(&retired, &fresh)
+                    .iter()
+                    .any(|r| r.first().map(|&i| wave_of(i)) != r.last().map(|&i| wave_of(i)));
+                assert_eq!(waves.hier.num_levels(), reference.hier.num_levels());
+                for l in 0..waves.hier.num_levels() {
+                    let (a, b) = (&waves.hier, &reference.hier);
+                    assert_eq!(a.level_ids(l), b.level_ids(l), "level {l}: ids");
+                    for &id in a.level_ids(l) {
+                        let (p, q) = (a.patch(id), b.patch(id));
+                        assert_eq!(
+                            (p.region, p.owner, p.parent),
+                            (q.region, q.owner, q.parent),
+                            "{id:?}"
+                        );
+                    }
+                    assert_eq!(
+                        level_bits(&waves, l),
+                        level_bits(&reference, l),
+                        "level {l}"
+                    );
+                }
+                assert_eq!(waves.sim.stats().msgs, reference.sim.stats().msgs);
+                let held: Vec<usize> = waves.old_data.iter().map(Vec::len).collect();
+                let held_ref: Vec<usize> = reference.old_data.iter().map(Vec::len).collect();
+                assert_eq!(held, held_ref, "level {level}: stashes");
+            }
+        }
+        assert!(crowded, "no level has more new grids than waves");
+        assert!(straddled, "no retired grid is read by two waves");
+    }
+
+    /// The fill frees each retired grid after the wave holding its last
+    /// reader, and no later: after every wave exactly the retired grids read
+    /// again in a later wave hold data. Before the first wave the unread
+    /// ones are gone. So the finest regrid of `driver()` peaks well below
+    /// what the one-shot fill held — the old level and the whole new one.
+    #[test]
+    fn no_retired_grid_outlives_the_wave_of_its_last_reader() {
+        for level in 0..2 {
+            let mut d = driver();
+            let retired = level_regions(&d, level + 1);
+            let before = live_field_bytes(&d.hier, &d.old_data, std::iter::empty());
+            d.fill_census.clear();
+            d.regrid_inner(level);
+            let fresh = level_regions(&d, level + 1);
+            let last_reader: Vec<Option<usize>> = readers(&retired, &fresh)
+                .iter()
+                .map(|r| r.last().copied())
+                .collect();
+            let census = &d.fill_census;
+            assert_eq!(census.len(), FILL_WAVES.min(fresh.len()), "level {level}");
+            assert_eq!(census.last().map(|w| w.wave.end), Some(fresh.len()));
+            for w in census {
+                let expected: Vec<bool> = last_reader
+                    .iter()
+                    .map(|l| l.is_some_and(|l| l >= w.wave.end))
+                    .collect();
+                assert_eq!(
+                    w.retired_alive, expected,
+                    "level {level}, wave {:?}",
+                    w.wave
+                );
+            }
+            assert!(
+                d.old_data[level + 1].is_empty(),
+                "level {level}: stash kept"
+            );
+            if level == 1 {
+                let new_level: u64 = d
+                    .hier
+                    .level_ids(2)
+                    .iter()
+                    .map(|&id| bytes_of(&d.hier.patch(id).fields))
+                    .sum();
+                let double_buffer = before + new_level;
+                let high_water = census.iter().map(|w| w.live_bytes).max().unwrap_or(0);
+                assert_eq!(double_buffer, 5_825_600);
+                assert_eq!(high_water, 4_443_200);
+                assert!(high_water < double_buffer);
             }
         }
     }

@@ -206,3 +206,18 @@ fn resume_onto_too_small_system_rejected() {
     // grids owned by proc 1 cannot live on a 1-proc system
     let _ = Driver::resume(presets::single_origin2000(1), cfg(1), &ckpt);
 }
+
+/// A particle outside `[0, n0)³` is refused by `resume`, naming the
+/// particle: drifting it would never wrap it back into the domain.
+#[test]
+#[should_panic(expected = "checkpoint particle 0 at [1e300, ")]
+fn particle_outside_the_domain_rejected() {
+    let sys = presets::anl_lan_pair(1, 1, 3);
+    let mut c = RunConfig::new(AppKind::Amr64, 16, 1, Scheme::distributed_default());
+    c.max_levels = 2;
+    let d = Driver::new(sys.clone(), c.clone());
+    let mut doc = base::json::parse(&d.checkpoint().to_json().unwrap()).unwrap();
+    *at(&mut doc, &["particles", "particles", "0", "pos", "0"]) = Json::Num(1e300);
+    let ckpt = <Checkpoint as FromJson>::from_json(&doc).unwrap();
+    let _ = Driver::resume(sys, c, &ckpt);
+}

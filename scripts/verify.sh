@@ -141,7 +141,9 @@ cargo test -q -p bench --test harness forecast_ablation_adaptive_regrets_no_more
 # Memory: the five repeats of a preset run in one process, so the peak
 # resident set (VmHWM) after the last repeat must be within 10 % of the one
 # after the first — field memory is given back, not kept from run to run —
-# and within 25 % of the committed baseline's.
+# and within 10 % of the committed baseline's (quick-scale VmHWM spreads
+# about 2 % run to run; a regrid holding two generations of its finest level
+# again reads 15–16 % over on shockpool3d).
 # Quick-scale phases last milliseconds, so the binary reports the best of
 # five repeats per phase. Those spread ±10% from run to
 # run on a steady host, and up to 1.95x (solve) on the 2-vCPU box the
@@ -170,14 +172,14 @@ for p in cur["presets"]:
     first, last = p["vm_hwm_mb"]["first"], p["vm_hwm_mb"]["last"]
     if last > 1.10 * first:
         sys.exit(
-            f"hotpath: {p['name']} VmHWM grew from {first:.1} MiB after the first "
-            f"repeat to {last:.1} MiB after the last (> 10 %): memory is kept "
+            f"hotpath: {p['name']} VmHWM grew from {first:.2f} MiB after the first "
+            f"repeat to {last:.2f} MiB after the last (> 10 %): memory is kept "
             "from run to run"
         )
-    if last > 1.25 * b["vm_hwm_mb"]["last"]:
+    if last > 1.10 * b["vm_hwm_mb"]["last"]:
         sys.exit(
-            f"hotpath: {p['name']} VmHWM {last:.1} MiB is > 25 % above the "
-            f"committed baseline's {b['vm_hwm_mb']['last']:.1} MiB"
+            f"hotpath: {p['name']} VmHWM {last:.2f} MiB is > 10 % above the "
+            f"committed baseline's {b['vm_hwm_mb']['last']:.2f} MiB"
         )
     floor = 0.7 * b["cell_updates_per_sec"]
     if p["cell_updates_per_sec"] < floor:

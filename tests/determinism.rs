@@ -78,8 +78,16 @@ fn optimized_datapath_is_bit_identical_to_reference() {
         };
         let mut cfg = RunConfig::new(app, 16, 3, Scheme::distributed_default());
         cfg.max_levels = 3;
-        // driven step by step so the trace and the final field data survive
-        let mut d = Driver::new(sys, cfg);
+        let mut cfg = RunConfig::new(app, 16, 3, Scheme::distributed_default());
+        cfg.max_levels = 3;
+        pin.check(&format!("{app:?}"), Driver::new(sys, cfg));
+    }
+}
+
+impl Pin {
+    /// Drive `d` three steps — step by step, so the trace and the final
+    /// field data survive — and compare what it left with the pin.
+    fn check(&self, what: &str, mut d: Driver) {
         for _ in 0..3 {
             d.step_once();
         }
@@ -93,13 +101,41 @@ fn optimized_datapath_is_bit_identical_to_reference() {
                 fnv1a(hash, &v.to_bits().to_le_bytes())
             });
         let res = d.finish();
-        assert_eq!(trace, pin.trace, "{app:?}: trace moved ({trace:#018x})");
+        assert_eq!(trace, self.trace, "{what}: trace moved ({trace:#018x})");
         assert_eq!(
-            fields, pin.fields,
-            "{app:?}: field data moved ({fields:#018x})"
+            fields, self.fields,
+            "{what}: field data moved ({fields:#018x})"
         );
-        assert_eq!(fingerprint(&res), pin.fingerprint, "{app:?}: result moved");
-        assert_eq!(res.peak_patches, pin.peak_patches, "{app:?}");
+        assert_eq!(
+            fingerprint(&res),
+            self.fingerprint,
+            "{what}: result moved ({:?}, peak {})",
+            fingerprint(&res),
+            res.peak_patches
+        );
+        assert_eq!(res.peak_patches, self.peak_patches, "{what}");
+    }
+}
+
+/// A whole Amr64 run on many patches: level 0 cut over 32 procs, its
+/// particles flagged patch by patch, and regrids whose new levels fill in
+/// many waves. Recorded before either changed; equal under 1 and 2 threads.
+#[test]
+fn many_patch_amr64_run_is_pinned_across_thread_counts() {
+    let pin = Pin {
+        trace: 0xc33507154e71cf01,
+        fields: 0xe2cba2d4af5bf61c,
+        fingerprint: (4607776079375758512, 408608, 13050736, 257, 2),
+        peak_patches: 257,
+    };
+    for threads in [1, 2] {
+        par::with_threads(threads, || {
+            let mut cfg = RunConfig::new(AppKind::Amr64, 32, 3, Scheme::distributed_default());
+            cfg.max_levels = 3;
+            cfg.max_box_cells = 512;
+            let d = Driver::new(presets::federation(16, 2, 7), cfg);
+            pin.check(&format!("threads={threads}"), d);
+        });
     }
 }
 
