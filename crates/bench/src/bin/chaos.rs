@@ -26,7 +26,7 @@
 //! JSON otherwise — the JSONL feeds `report run`).
 
 use base::json::{Json, ToJson};
-use bench::{obj, write_output, write_report, Scale, TRAFFIC_SEED};
+use bench::{arg_after, obj, write_report, write_trace, Scale, TRAFFIC_SEED};
 use samr_engine::{AppKind, Driver, RunConfig, Scheme};
 use telemetry::{EventKind, Telemetry};
 use topology::faults::{FaultSchedule, ProcFaultSchedule};
@@ -229,11 +229,6 @@ fn events_crashes(events: &[telemetry::EventRecord]) -> u64 {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_chaos.json".to_string());
     let nseeds: u64 = arg_after("--seeds")
         .map(|s| s.parse().expect("--seeds takes a number"))
@@ -324,13 +319,7 @@ fn main() {
         let procs = ProcFaultSchedule::generate_for(&sys, 1, horizon, mean_up, mean_down);
         let (tel, sink) = Telemetry::recording_shared();
         let _ = observe(sys, cfg(scale, procs, tel));
-        let sink = sink.lock().unwrap();
-        let doc = if path.ends_with(".jsonl") {
-            sink.to_jsonl()
-        } else {
-            sink.to_chrome_trace()
-        };
-        write_output(&path, &doc);
+        write_trace(&path, &sink.lock().unwrap());
     }
 
     if total_violations > 0 {

@@ -15,12 +15,13 @@
 //! `results/BENCH_hotpath_full.json` baseline); `--out PATH` overrides the
 //! output file (the verify gate uses this to avoid clobbering the committed
 //! baselines); `--trace-out PATH` records telemetry during the first run of
-//! each preset and writes the last preset's Chrome trace JSON (load in
-//! chrome://tracing or https://ui.perfetto.dev — recording is bit-identical,
+//! each preset and exports the last preset's recording (telemetry JSONL when
+//! PATH ends in `.jsonl`, Chrome trace JSON otherwise — load that in
+//! chrome://tracing or https://ui.perfetto.dev; recording is bit-identical,
 //! so the repeats still agree).
 
 use base::json::{Json, ToJson};
-use bench::{lan_system, obj, wan_system, write_output, write_report, Scale};
+use bench::{arg_after, lan_system, obj, wan_system, write_report, write_trace, Scale};
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use std::time::Instant;
 use topology::DistributedSystem;
@@ -76,11 +77,6 @@ fn vm_hwm_mb() -> Option<f64> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     let full = args.iter().any(|a| a == "--full");
     assert!(
         !(quick && full),
@@ -188,6 +184,6 @@ fn main() {
     ]);
     write_report(&out, &json);
     if let (Some(path), Some(sink)) = (&trace_out, &last_sink) {
-        write_output(path, &sink.lock().unwrap().to_chrome_trace());
+        write_trace(path, &sink.lock().unwrap());
     }
 }

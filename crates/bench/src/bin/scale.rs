@@ -21,7 +21,7 @@
 //! Flags: `--quick` (G ≤ 64, smaller domain — the CI tier), `--out PATH`.
 
 use base::json::{Json, ToJson};
-use bench::{obj, write_report, TRAFFIC_SEED};
+use bench::{arg_after, obj, write_report, TRAFFIC_SEED};
 use dlb::DistributedDlbConfig;
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use std::time::Instant;
@@ -101,11 +101,6 @@ fn entry_json(e: &Entry) -> Json {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_scale.json".to_string());
 
     // Fixed total processor count: only the grouping (and with it the

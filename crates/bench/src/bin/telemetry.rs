@@ -11,12 +11,13 @@
 //! than any flat bound).
 //!
 //! Flags: `--quick` shrinks the scale for smoke/CI runs; `--out PATH`
-//! overrides the output file; `--trace-out PATH` additionally writes the
-//! recording run's Chrome trace JSON (load in chrome://tracing or
+//! overrides the output file; `--trace-out PATH` additionally exports the
+//! recording run (telemetry JSONL when PATH ends in `.jsonl`, Chrome trace
+//! JSON otherwise — load that in chrome://tracing or
 //! https://ui.perfetto.dev).
 
 use base::json::{self, Json, ToJson};
-use bench::{lan_system, obj, quartiles, write_output, write_report, Scale};
+use bench::{arg_after, lan_system, obj, quartiles, write_report, write_trace, Scale};
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use std::time::Instant;
 use telemetry::Telemetry;
@@ -45,11 +46,6 @@ fn fingerprint(r: &RunResult) -> (u64, u64, u64, usize, usize, usize) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_telemetry.json".to_string());
     let trace_out = arg_after("--trace-out");
     let scale = Scale::pick(quick);
@@ -137,7 +133,7 @@ fn main() {
     );
 
     if let Some(path) = &trace_out {
-        write_output(path, &sink.to_chrome_trace());
+        write_trace(path, &sink);
     }
 
     let json_out = obj([

@@ -28,7 +28,7 @@
 //! otherwise — the JSONL feeds `report run`).
 
 use base::json::{Json, ToJson};
-use bench::{obj, write_output, write_report, TRAFFIC_SEED};
+use bench::{arg_after, obj, write_report, write_trace, TRAFFIC_SEED};
 use samr_engine::AppKind;
 use telemetry::Telemetry;
 use tenants::{ServiceResult, TenantService, TenantServiceConfig, TenantSpec};
@@ -135,11 +135,6 @@ fn mode_json(mode: &str, r: &ServiceResult) -> Json {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_tenants.json".to_string());
     let trace_out = arg_after("--trace-out");
     let seed: u64 = arg_after("--seed")
@@ -164,13 +159,7 @@ fn main() {
             }
             congested_gap = naive.worst_p99_step_secs() - aware.worst_p99_step_secs();
             if let Some(path) = &trace_out {
-                let sink = sink.lock().unwrap();
-                let doc = if path.ends_with(".jsonl") {
-                    sink.to_jsonl()
-                } else {
-                    sink.to_chrome_trace()
-                };
-                write_output(path, &doc);
+                write_trace(path, &sink.lock().unwrap());
             }
         }
         println!(

@@ -12,6 +12,7 @@
 use base::json::Json;
 use metrics::{efficiency, improvement_percent, ConfigRow, Table};
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
+use telemetry::RecordingSink;
 use topology::{presets, DistributedSystem};
 
 /// Results of both schemes on one `n+n` configuration.
@@ -621,6 +622,23 @@ pub fn write_output(path: &str, text: &str) {
 /// Write a benchmark report to `path` through the one JSON writer.
 pub fn write_report(path: &str, doc: &Json) {
     write_output(path, &(doc.to_pretty() + "\n"));
+}
+
+/// The command-line argument after the first `flag` (`--out PATH` → PATH).
+pub fn arg_after(flag: &str) -> Option<String> {
+    std::env::args().skip_while(|a| a != flag).nth(1)
+}
+
+/// Export a recorded run to `path` — the one `--trace-out` rule: telemetry
+/// JSONL (what `report run` digests) when the path ends in `.jsonl`, Chrome
+/// trace JSON (chrome://tracing, https://ui.perfetto.dev) otherwise.
+pub fn write_trace(path: &str, sink: &RecordingSink) {
+    let doc = if path.ends_with(".jsonl") {
+        sink.to_jsonl()
+    } else {
+        sink.to_chrome_trace()
+    };
+    write_output(path, &doc);
 }
 
 /// `cargo bench` without a framework: time `f` and print one line,

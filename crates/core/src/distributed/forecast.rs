@@ -6,27 +6,10 @@ use super::DistributedDlb;
 use crate::gain::gain_from_loads;
 use crate::scheme::{proc_total_cells, LbContext};
 use forecast::{derive_seed, PredictorKind, SeriesForecaster};
+use metrics::ForecastStats;
 use samr_mesh::hierarchy::GridHierarchy;
 use telemetry::{EventKind as TelEventKind, PredictorSwitchEvent};
 use topology::{DistributedSystem, LinkEstimator, ProcId};
-
-/// Aggregate forecast-quality counters of a run (zeroes while no predictor
-/// is configured or before any series has scored a forecast).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ForecastSummary {
-    /// Mean α forecast MAE over the link estimators that scored (seconds).
-    pub alpha_mae: f64,
-    /// Mean β forecast MAE over the link estimators that scored (s/byte).
-    pub beta_mae: f64,
-    /// Mean load forecast MAE over the group series that scored (cells).
-    pub load_mae: f64,
-    /// Total out-of-sample (forecast, probe) pairs scored on link series.
-    pub scored_probes: u64,
-    /// Global checks triggered proactively by the load forecast.
-    pub proactive_checks: u64,
-    /// Proactive checks that went on to invoke a redistribution.
-    pub proactive_invocations: u64,
-}
 
 impl DistributedDlb {
     pub(super) fn estimator(&mut self, a: usize, b: usize) -> &mut LinkEstimator {
@@ -47,8 +30,8 @@ impl DistributedDlb {
 
     /// Aggregate forecast-quality counters (MAE averaged over the series
     /// that have scored at least one out-of-sample forecast).
-    pub fn forecast_summary(&self) -> ForecastSummary {
-        let mut s = ForecastSummary::default();
+    pub fn forecast_summary(&self) -> ForecastStats {
+        let mut s = ForecastStats::default();
         let mut links = 0u64;
         for est in self.estimators.values() {
             if est.forecast_samples() > 0 {

@@ -13,7 +13,8 @@ use crate::partition::{global_redistribute_elastic, group_level0_cells, Redistri
 use crate::scheme::LbContext;
 use forecast::ForecastValue;
 use samr_mesh::hierarchy::GridHierarchy;
-use simnet::{Activity, RetryPolicy, SimError, SimResult, SimView};
+use simnet::retry::{backoff_secs, MAX_ATTEMPTS};
+use simnet::{Activity, SimError, SimResult, SimView};
 use std::time::Instant;
 use telemetry::GateVerdict::{self, Accept, Deferred, Reject};
 use telemetry::{
@@ -163,8 +164,8 @@ impl DistributedDlb {
     }
 
     /// One inter-group exchange — collective, probe or leader message —
-    /// under the default [`RetryPolicy`]: `op` is attempted up to
-    /// `max_attempts` times, `waiters` idling through the exponential
+    /// under simnet's one retry schedule: `op` is attempted up to
+    /// [`MAX_ATTEMPTS`] times, `waiters` idling through the exponential
     /// backoff in between.
     /// Every attempt charges `msgs_per_attempt` decision messages (each is
     /// real traffic on the actual link); a success after retries is
@@ -177,7 +178,6 @@ impl DistributedDlb {
         msgs_per_attempt: u64,
         mut op: impl FnMut(&mut Self, &mut LbContext<'_>) -> SimResult<T>,
     ) -> SimResult<T> {
-        let retry = RetryPolicy::default();
         let mut attempt = 0u32;
         loop {
             self.decision_msgs += msgs_per_attempt;
@@ -194,10 +194,10 @@ impl DistributedDlb {
                 }
                 Err(e) => {
                     attempt += 1;
-                    if attempt >= retry.max_attempts.max(1) {
+                    if attempt >= MAX_ATTEMPTS {
                         return Err(e);
                     }
-                    let backoff = retry.backoff_secs(attempt - 1);
+                    let backoff = backoff_secs(attempt - 1);
                     for &p in waiters {
                         ctx.sim.busy(p, backoff, Activity::Wait);
                     }
@@ -812,7 +812,7 @@ mod tests {
         assert_eq!(loads[0] + loads[1] + loads[2] + loads[3], 4096);
         assert!(loads.iter().all(|&l| l > 0), "loads {loads:?}");
         // nothing fault-related happened
-        assert_eq!(dlb.fault_stats(), crate::fault::FaultStats::default());
+        assert_eq!(dlb.fault_stats(), metrics::FaultCounters::default());
     }
 
     #[test]
@@ -901,7 +901,7 @@ mod shape_tests {
 
     use super::super::DistributedDlbConfig;
     use super::*;
-    use crate::fault::FaultStats;
+    use metrics::FaultCounters;
     use crate::history::WorkloadHistory;
     use crate::scheme::LoadBalancer;
     use samr_mesh::{ivec3, region};
@@ -955,7 +955,7 @@ mod shape_tests {
     fn one_check_at_g16(flat_reference: bool) -> DistributedDlb {
         let sys = quiet_groups(16, &[], &FaultSchedule::none());
         let (dlb, _) = one_check_over(sys, flat_reference);
-        assert_eq!(dlb.fault_stats(), FaultStats::default());
+        assert_eq!(dlb.fault_stats(), FaultCounters::default());
         dlb
     }
 

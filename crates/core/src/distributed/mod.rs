@@ -43,17 +43,17 @@
 mod forecast;
 mod global;
 
-pub use self::forecast::ForecastSummary;
 pub use global::TREE_ARITY;
 
 use crate::balance::{balance_bucketed, bucket_level_by_owner, place_batch, BalanceParams};
 use crate::cost::CostEstimate;
-use crate::fault::{FaultEvent, FaultStats, QuarantineRoster};
+use crate::fault::{FaultEvent, QuarantineRoster};
 use crate::gain::GainEstimate;
 use crate::parallel::LOAD_MSG_BYTES;
 use crate::partition::{RedistributionReport, SelectionPolicy};
 use crate::scheme::{proc_total_cells, LbContext, LoadBalancer};
 use ::forecast::{PredictorKind, SeriesForecaster};
+use metrics::FaultCounters;
 use samr_mesh::hierarchy::GridHierarchy;
 use simnet::{Activity, SimResult};
 use telemetry::{EventKind as TelEventKind, FaultEvent as TelFaultEvent, FaultKind as TelFaultKind};
@@ -250,7 +250,7 @@ impl DistributedDlb {
     }
 
     /// Aggregate fault counters.
-    pub fn fault_stats(&self) -> FaultStats {
+    pub fn fault_stats(&self) -> FaultCounters {
         self.roster.stats
     }
 

@@ -7,8 +7,8 @@
 //! abortable:
 //!
 //! * control traffic (probes, decision collectives, tree summaries) is
-//!   retried with exponential backoff under simnet's default
-//!   [`simnet::RetryPolicy`]: 3 attempts, 50 ms before the first retry,
+//!   retried with exponential backoff on simnet's one schedule
+//!   ([`simnet::retry`]): 3 attempts, 50 ms before the first retry,
 //!   doubling;
 //! * one α/β probe attempt must finish within [`PROBE_TIMEOUT_SECS`], and
 //!   the migration traffic of a redistribution within
@@ -23,6 +23,7 @@
 //!   after the level-0 step that quarantined it, is re-admitted once one
 //!   succeeds, and the time it spent excluded is recorded as recovery time.
 
+use metrics::FaultCounters;
 use simnet::SimError;
 use topology::SimTime;
 
@@ -73,26 +74,6 @@ pub enum FaultEvent {
     RedistributionAborted { step: u64, error: SimError },
 }
 
-/// Aggregate fault counters (mirrored into the run-level report by the
-/// driver).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FaultStats {
-    /// Inter-group probes that failed even after retries.
-    pub probe_failures: u64,
-    /// Re-attempts consumed by eventually-successful retried operations.
-    pub retries: u64,
-    /// Global redistributions aborted and rolled back.
-    pub aborts: u64,
-    /// Groups placed in quarantine.
-    pub quarantines: u64,
-    /// Groups re-admitted after probation.
-    pub readmissions: u64,
-    /// Collectives that failed outright (before any retry).
-    pub comm_failures: u64,
-    /// Total simulated seconds groups spent quarantined before re-admission.
-    pub recovery_secs: f64,
-}
-
 /// Tracks which groups are quarantined, their failure strikes, and the
 /// fault-event log.
 #[derive(Clone, Debug, Default)]
@@ -102,8 +83,9 @@ pub struct QuarantineRoster {
     strikes: Vec<u32>,
     /// Chronological fault log.
     pub events: Vec<FaultEvent>,
-    /// Aggregate counters.
-    pub stats: FaultStats,
+    /// Aggregate counters of the protocol (the driver adds its own bulk
+    /// transfers to them for the run report).
+    pub stats: FaultCounters,
 }
 
 impl QuarantineRoster {
@@ -112,7 +94,7 @@ impl QuarantineRoster {
             health: vec![GroupHealth::Healthy; ngroups],
             strikes: vec![0; ngroups],
             events: Vec::new(),
-            stats: FaultStats::default(),
+            stats: FaultCounters::default(),
         }
     }
 

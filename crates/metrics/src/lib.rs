@@ -10,7 +10,7 @@ pub mod report;
 pub mod stats;
 
 pub use efficiency::{efficiency, improvement_percent, speedup};
-pub use stats::{geometric_mean, percentile_exact, slope, summarize, Summary};
+pub use stats::{percentile_exact, summarize, Summary};
 pub use report::{
     ConfigRow, FaultCounters, ForecastStats, GhostWall, PhaseWall, RecoveryStats, RunBreakdown,
     Table, TenantStats,

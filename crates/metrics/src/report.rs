@@ -77,13 +77,17 @@ pub struct GhostWall {
     pub messages: f64,
 }
 
-/// Fault-protocol counters of one run: how often the degradation policy
-/// (retry, quarantine, rollback) had to act, and how long recoveries took.
+/// Fault-protocol counters: how often the degradation policy (retry,
+/// quarantine, rollback) had to act, and how long recoveries took. The
+/// balancer keeps them for its own protocol, the driver adds its bulk
+/// transfers, and a step-trace record holds the difference of two such
+/// readings ([`FaultCounters::since`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultCounters {
     /// Inter-group probes that failed after exhausting retries.
     pub probe_failures: u64,
-    /// Successful retries of probes and decision collectives.
+    /// Re-attempts consumed by eventually-successful retried operations:
+    /// probes, decision collectives and bulk transfers.
     pub retries: u64,
     /// Global redistributions aborted and rolled back.
     pub aborts: u64,
@@ -100,6 +104,22 @@ pub struct FaultCounters {
 json_struct!(FaultCounters:
     probe_failures, retries, aborts, quarantines, readmissions, comm_failures, recovery_secs,
 );
+
+impl FaultCounters {
+    /// What happened between two cumulative readings of one run: `self`
+    /// minus the `earlier` one, counter by counter.
+    pub fn since(&self, earlier: &FaultCounters) -> FaultCounters {
+        FaultCounters {
+            probe_failures: self.probe_failures - earlier.probe_failures,
+            retries: self.retries - earlier.retries,
+            aborts: self.aborts - earlier.aborts,
+            quarantines: self.quarantines - earlier.quarantines,
+            readmissions: self.readmissions - earlier.readmissions,
+            comm_failures: self.comm_failures - earlier.comm_failures,
+            recovery_secs: self.recovery_secs - earlier.recovery_secs,
+        }
+    }
+}
 
 /// Crash-stop recovery counters of one run: crashes detected, patches
 /// evacuated, and how quickly the system absorbed each failure.
@@ -128,7 +148,9 @@ json_struct!(RecoveryStats:
 
 /// Forecast-quality counters of one run: how well the network-weather
 /// predictors tracked reality, and how often the load forecast triggered a
-/// proactive global check.
+/// proactive global check. Zeroes while no predictor is configured or
+/// before any series has scored a forecast; the MAEs are running means, so
+/// a step-trace record holds the reading as of its step, not a delta.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ForecastStats {
     /// Mean α forecast MAE over the scored link series (seconds).

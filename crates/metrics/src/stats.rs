@@ -37,27 +37,6 @@ pub fn summarize(xs: &[f64]) -> Summary {
     }
 }
 
-/// Geometric mean (all inputs must be positive) — the right average for
-/// ratios such as speedups.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty());
-    assert!(xs.iter().all(|&x| x > 0.0), "geometric mean needs positives");
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Linear-regression slope of `ys` against `xs` (least squares).
-pub fn slope(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    assert!(xs.len() >= 2);
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let cov: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let var: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    assert!(var > 0.0, "degenerate x values");
-    cov / var
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,23 +70,5 @@ mod tests {
     #[should_panic]
     fn empty_panics() {
         let _ = summarize(&[]);
-    }
-
-    #[test]
-    fn geometric_mean_of_ratios() {
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geometric_mean(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        // gm <= am
-        assert!(geometric_mean(&[1.0, 9.0]) < 5.0);
-    }
-
-    #[test]
-    fn slope_of_line() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [3.0, 5.0, 7.0, 9.0];
-        assert!((slope(&xs, &ys) - 2.0).abs() < 1e-12);
-        // noisy flat data has ~zero slope
-        let ys = [5.0, 5.1, 4.9, 5.0];
-        assert!(slope(&xs, &ys).abs() < 0.1);
     }
 }

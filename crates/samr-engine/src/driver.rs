@@ -12,7 +12,7 @@
 use crate::app::AppState;
 use crate::config::{RunConfig, RunResult};
 use crate::scheme::SchemeInstance;
-use crate::trace::{RunTrace, StepFaults, StepForecast, StepRecord, StepRecovery};
+use crate::trace::{RunTrace, StepRecord, StepRecovery};
 use dlb::{decompose_domain, LbContext, ProcHealth, WorkloadHistory};
 use par::for_each_task_parallel;
 use samr_mesh::checkpoint::HierarchySnapshot;
@@ -22,7 +22,7 @@ use samr_mesh::hierarchy::{BoxIndex, FillSource, GridHierarchy};
 use samr_mesh::interp::{prolong_constant_fields, restrict_average};
 use samr_mesh::patch::PatchId;
 use samr_mesh::region::Region;
-use simnet::{send_with_retry, Activity, RetryPolicy, SimView};
+use simnet::{send_with_retry, Activity, SimView};
 use topology::{DistributedSystem, ProcId, SimTime};
 
 /// Refinement factor r between levels (the paper uses 2).
@@ -67,7 +67,7 @@ pub struct Driver {
     /// Successful retries of bulk transfers.
     transfer_retries: u64,
     /// Cumulative fault counters already attributed to step records.
-    faults_seen: StepFaults,
+    faults_seen: metrics::FaultCounters,
     /// Static per-processor weight table (weights are fixed for a run's
     /// lifetime), so hot loops price work without cloning the system.
     proc_weights: Vec<f64>,
@@ -233,7 +233,7 @@ impl Driver {
             trace: RunTrace::default(),
             failed_transfers: 0,
             transfer_retries: 0,
-            faults_seen: StepFaults::default(),
+            faults_seen: metrics::FaultCounters::default(),
             proc_weights,
             wall: metrics::PhaseWall::default(),
             ghost_wall: metrics::GhostWall::default(),
@@ -322,17 +322,9 @@ impl Driver {
             .filter(|d| d.invoked)
             .count();
         let cum = self.cumulative_faults();
-        let prev = self.faults_seen;
-        let faults = StepFaults {
-            retries: cum.retries - prev.retries,
-            aborts: cum.aborts - prev.aborts,
-            quarantines: cum.quarantines - prev.quarantines,
-            readmissions: cum.readmissions - prev.readmissions,
-            comm_failures: cum.comm_failures - prev.comm_failures,
-            recovery_secs: cum.recovery_secs - prev.recovery_secs,
-        };
+        let faults = cum.since(&self.faults_seen);
         self.faults_seen = cum;
-        let fsum = self.scheme.forecast_summary();
+        let forecast = self.forecast_stats();
 
         // continuous metrics: one sample per series per level-0 step, on
         // simulated time. Pure observation of already-computed state, so
@@ -358,9 +350,9 @@ impl Driver {
                 1.0
             };
             tel.metric(t, "imbalance", imb);
-            tel.metric(t, "forecast_alpha_mae", fsum.alpha_mae);
-            tel.metric(t, "forecast_beta_mae", fsum.beta_mae);
-            tel.metric(t, "forecast_load_mae", fsum.load_mae);
+            tel.metric(t, "forecast_alpha_mae", forecast.alpha_mae);
+            tel.metric(t, "forecast_beta_mae", forecast.beta_mae);
+            tel.metric(t, "forecast_load_mae", forecast.load_mae);
             tel.metric(t, "procs_down", self.crashed_at.len() as f64);
         }
 
@@ -372,11 +364,7 @@ impl Driver {
             cells_per_level: (0..nlevels).map(|l| self.hier.level_cells(l)).collect(),
             group_workload,
             redistributed: redists_after > redists_before,
-            forecast: StepForecast {
-                alpha_mae: fsum.alpha_mae,
-                beta_mae: fsum.beta_mae,
-                load_mae: fsum.load_mae,
-            },
+            forecast,
             faults,
             recovery: std::mem::take(&mut self.recovery_pending),
         });
@@ -504,17 +492,19 @@ impl Driver {
     }
 
     /// Fault counters since the start of the run: the scheme's protocol
-    /// counters plus the driver's own bulk-transfer bookkeeping.
-    fn cumulative_faults(&self) -> StepFaults {
-        let s = self.scheme.fault_stats();
-        StepFaults {
-            retries: s.retries + self.transfer_retries,
-            aborts: s.aborts,
-            quarantines: s.quarantines,
-            readmissions: s.readmissions,
-            comm_failures: s.comm_failures + self.failed_transfers,
-            recovery_secs: s.recovery_secs,
-        }
+    /// counters (zeroes for schemes without one) plus the driver's own
+    /// bulk-transfer bookkeeping — the one place the two are added up.
+    fn cumulative_faults(&self) -> metrics::FaultCounters {
+        let mut c = self.scheme.distributed().map(|d| d.fault_stats()).unwrap_or_default();
+        c.retries += self.transfer_retries;
+        c.comm_failures += self.failed_transfers;
+        c
+    }
+
+    /// Forecast-quality counters of the scheme's series so far (zeroes for
+    /// schemes without a forecasting layer).
+    fn forecast_stats(&self) -> metrics::ForecastStats {
+        self.scheme.distributed().map(|d| d.forecast_summary()).unwrap_or_default()
     }
 
     /// Synchronize trailing work and produce the run report.
@@ -546,25 +536,6 @@ impl Driver {
             remote_msgs: stats.msgs.remote_msgs,
             remote_bytes: stats.msgs.remote_bytes,
         };
-        let scheme_stats = self.scheme.fault_stats();
-        let faults = metrics::FaultCounters {
-            probe_failures: scheme_stats.probe_failures,
-            retries: scheme_stats.retries + self.transfer_retries,
-            aborts: scheme_stats.aborts,
-            quarantines: scheme_stats.quarantines,
-            readmissions: scheme_stats.readmissions,
-            comm_failures: scheme_stats.comm_failures + self.failed_transfers,
-            recovery_secs: scheme_stats.recovery_secs,
-        };
-        let fsum = self.scheme.forecast_summary();
-        let forecast = metrics::ForecastStats {
-            alpha_mae: fsum.alpha_mae,
-            beta_mae: fsum.beta_mae,
-            load_mae: fsum.load_mae,
-            scored_probes: fsum.scored_probes,
-            proactive_checks: fsum.proactive_checks,
-            proactive_invocations: fsum.proactive_invocations,
-        };
         let rt = self.trace.recovery_totals();
         let (mttr_mean, mttr_max) = if self.mttrs.is_empty() {
             (0.0, 0.0)
@@ -587,7 +558,9 @@ impl Driver {
         self.sim
             .telemetry()
             .stat_block("field_pool", &[("allocations", pool.misses)]);
-        let (estimator_pairs, decision_msgs) = self.scheme.decision_net();
+        let dist = self.scheme.distributed();
+        let (estimator_pairs, decision_msgs) =
+            dist.map_or((0, 0), |d| (d.estimator_pairs() as u64, d.decision_msgs()));
         self.sim.telemetry().stat_block(
             "decision_phase",
             &[
@@ -631,12 +604,12 @@ impl Driver {
             peak_patches: self.peak_patches.max(self.hier.num_patches()),
             wall: self.wall,
             ghost_wall: self.ghost_wall,
-            dlb_wall: self.scheme.dlb_wall(),
+            dlb_wall: dist.map(|d| d.wall()).unwrap_or_default(),
             cell_updates: self.cell_updates,
             global_checks: decisions.len(),
             global_redistributions: decisions.iter().filter(|d| d.invoked).count(),
-            faults,
-            forecast,
+            faults: self.cumulative_faults(),
+            forecast: self.forecast_stats(),
             recovery,
             pool,
             final_imbalance,
@@ -707,8 +680,8 @@ impl Driver {
     }
 
     /// Ship one aggregated boundary/regrid payload between owners, retrying
-    /// under the default policy. A transfer that still fails is tolerated —
-    /// the receiver advances with stale ghost data — and counted.
+    /// on simnet's retry schedule. A transfer that still fails is tolerated
+    /// — the receiver advances with stale ghost data — and counted.
     fn send_batch(&mut self, src: usize, dst: usize, bytes: u64) {
         let (s, d) = (ProcId(src), ProcId(dst));
         let act = if self.sim.system().group_of(s) == self.sim.system().group_of(d) {
@@ -716,15 +689,7 @@ impl Driver {
         } else {
             Activity::RemoteComm
         };
-        let (retries, res) = send_with_retry(
-            &mut self.sim,
-            s,
-            d,
-            bytes,
-            act,
-            None,
-            RetryPolicy::default(),
-        );
+        let (retries, res) = send_with_retry(&mut self.sim, s, d, bytes, act);
         if res.is_ok() {
             self.transfer_retries += retries as u64;
         } else {

@@ -14,13 +14,11 @@ pub mod checkpoint;
 pub mod config;
 pub mod driver;
 pub mod scheme;
-pub mod stats;
 pub mod trace;
 
 pub use app::{AppKind, AppState};
 pub use config::{RunConfig, RunResult};
 pub use checkpoint::Checkpoint;
 pub use driver::Driver;
-pub use stats::{hierarchy_stats, ownership_spread, HierarchyStats};
-pub use trace::{RunTrace, StepFaults, StepForecast, StepRecord, StepRecovery};
+pub use trace::{RunTrace, StepRecord, StepRecovery};
 pub use scheme::Scheme;

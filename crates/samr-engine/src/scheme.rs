@@ -97,50 +97,12 @@ impl SchemeInstance {
         }
     }
 
-    /// Aggregate fault counters of the scheme's degradation protocol
-    /// (zeroes for schemes without one).
-    pub fn fault_stats(&self) -> dlb::FaultStats {
+    /// The distributed balancer, for the counters only it keeps (fault
+    /// and forecast records, decision-phase traffic, host-time split).
+    pub fn distributed(&self) -> Option<&DistributedDlb> {
         match self {
-            SchemeInstance::Distributed(d) => d.fault_stats(),
-            _ => dlb::FaultStats::default(),
-        }
-    }
-
-    /// Forecast-quality summary of the scheme's network-weather series
-    /// (zeroes for schemes without a forecasting layer).
-    pub fn forecast_summary(&self) -> dlb::ForecastSummary {
-        match self {
-            SchemeInstance::Distributed(d) => d.forecast_summary(),
-            _ => dlb::ForecastSummary::default(),
-        }
-    }
-
-    /// Decision-phase network bookkeeping: `(estimator_pairs,
-    /// decision_msgs)` — link-estimator pairs ever allocated and
-    /// inter-group messages charged by global checks. Zeroes for schemes
-    /// without a global decision phase.
-    pub fn decision_net(&self) -> (u64, u64) {
-        match self {
-            SchemeInstance::Distributed(d) => (d.estimator_pairs() as u64, d.decision_msgs()),
-            _ => (0, 0),
-        }
-    }
-
-    /// Host seconds the scheme's `after_level_step` spent balancing
-    /// locally, deciding and migrating (zeroes for schemes that do not
-    /// keep the split).
-    pub fn dlb_wall(&self) -> dlb::DlbWall {
-        match self {
-            SchemeInstance::Distributed(d) => d.wall(),
-            _ => dlb::DlbWall::default(),
-        }
-    }
-
-    /// Chronological fault-event log (empty for schemes without one).
-    pub fn fault_events(&self) -> &[dlb::FaultEvent] {
-        match self {
-            SchemeInstance::Distributed(d) => d.fault_events(),
-            _ => &[],
+            SchemeInstance::Distributed(d) => Some(d),
+            _ => None,
         }
     }
 }

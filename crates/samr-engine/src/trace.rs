@@ -1,33 +1,7 @@
 //! Per-step trace records: what the run looked like after every level-0
 //! step, for analysis, plotting, and regression baselines.
 
-/// Fault-protocol activity during one level-0 step (deltas, not totals).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StepFaults {
-    /// Retries (probe or collective) that eventually succeeded.
-    pub retries: u64,
-    /// Global redistributions aborted and rolled back.
-    pub aborts: u64,
-    /// Groups newly quarantined.
-    pub quarantines: u64,
-    /// Groups re-admitted from quarantine.
-    pub readmissions: u64,
-    /// Failed collectives plus tolerated failed bulk transfers.
-    pub comm_failures: u64,
-    /// Simulated seconds of quarantine ended by this step's re-admissions.
-    pub recovery_secs: f64,
-}
-
-impl StepFaults {
-    /// Whether anything fault-related happened this step.
-    pub fn any(&self) -> bool {
-        self.retries != 0
-            || self.aborts != 0
-            || self.quarantines != 0
-            || self.readmissions != 0
-            || self.comm_failures != 0
-    }
-}
+use metrics::{FaultCounters, ForecastStats};
 
 /// Crash-stop recovery activity during one level-0 step (deltas, not
 /// totals).
@@ -54,19 +28,6 @@ impl StepRecovery {
     }
 }
 
-/// Forecast quality as of the end of one level-0 step (cumulative MAE of
-/// the scheme's network-weather series — MAE is a running mean, so per-step
-/// deltas would not be meaningful).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StepForecast {
-    /// Mean α forecast MAE across scored link series (seconds).
-    pub alpha_mae: f64,
-    /// Mean β forecast MAE across scored link series (s/byte).
-    pub beta_mae: f64,
-    /// Mean group-load forecast MAE across scored series (cells).
-    pub load_mae: f64,
-}
-
 /// Snapshot taken after each level-0 step.
 #[derive(Clone, Debug)]
 pub struct StepRecord {
@@ -84,10 +45,13 @@ pub struct StepRecord {
     pub group_workload: Vec<f64>,
     /// Whether the global phase redistributed this step (distributed DLB).
     pub redistributed: bool,
-    /// Forecast MAE of the scheme's series after the step.
-    pub forecast: StepForecast,
-    /// Fault-protocol activity during the step.
-    pub faults: StepFaults,
+    /// Forecast quality of the scheme's series as of the end of the step
+    /// (a running reading, not a delta; the CSV prints its three MAEs).
+    pub forecast: ForecastStats,
+    /// Fault-protocol activity during the step: the run's cumulative
+    /// counters after it, [`FaultCounters::since`] those before it (the
+    /// CSV prints all but `probe_failures`).
+    pub faults: FaultCounters,
     /// Crash-stop recovery activity during the step.
     pub recovery: StepRecovery,
 }
@@ -112,9 +76,10 @@ impl RunTrace {
     }
 
     /// Sum of the per-step fault activity over the whole trace.
-    pub fn fault_totals(&self) -> StepFaults {
-        let mut t = StepFaults::default();
+    pub fn fault_totals(&self) -> FaultCounters {
+        let mut t = FaultCounters::default();
         for r in &self.records {
+            t.probe_failures += r.faults.probe_failures;
             t.retries += r.faults.retries;
             t.aborts += r.faults.aborts;
             t.quarantines += r.faults.quarantines;
@@ -258,8 +223,8 @@ mod tests {
             cells_per_level: vec![100, 200],
             group_workload: vec![300.0, 200.0],
             redistributed: step == 1,
-            forecast: StepForecast::default(),
-            faults: StepFaults::default(),
+            forecast: ForecastStats::default(),
+            faults: FaultCounters::default(),
             recovery: StepRecovery::default(),
         }
     }
@@ -302,13 +267,12 @@ mod tests {
         let mut t = RunTrace::default();
         t.push(rec(0));
         let mut r = rec(1);
-        r.faults = StepFaults {
+        r.faults = FaultCounters {
             retries: 2,
             aborts: 1,
             quarantines: 1,
-            readmissions: 0,
             comm_failures: 3,
-            recovery_secs: 0.0,
+            ..FaultCounters::default()
         };
         t.push(r);
         let csv = t.to_csv();
@@ -321,8 +285,8 @@ mod tests {
         let totals = t.fault_totals();
         assert_eq!(totals.retries, 2);
         assert_eq!(totals.aborts, 1);
-        assert!(totals.any());
-        assert!(!rec(0).faults.any());
+        assert_ne!(totals, FaultCounters::default());
+        assert_eq!(rec(0).faults, FaultCounters::default());
     }
 
     #[test]
@@ -352,10 +316,11 @@ mod tests {
     fn forecast_columns_sit_before_the_fault_block() {
         let mut t = RunTrace::default();
         let mut r = rec(0);
-        r.forecast = StepForecast {
+        r.forecast = ForecastStats {
             alpha_mae: 0.002,
             beta_mae: 3.5e-8,
             load_mae: 120.0,
+            ..ForecastStats::default()
         };
         t.push(r);
         let csv = t.to_csv();

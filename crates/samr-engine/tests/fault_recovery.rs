@@ -4,6 +4,7 @@
 //! probation probe re-admits it, and the run still finishes with a valid
 //! hierarchy.
 
+use base::json::ToJson;
 use samr_engine::{AppKind, Driver, RunConfig, Scheme};
 use topology::faults::{FaultKind, FaultSchedule};
 use topology::link::Link;
@@ -140,3 +141,40 @@ fn outage_quarantines_group_and_probation_readmits_it() {
     assert_eq!(res.faults.comm_failures, totals.comm_failures);
     assert_eq!(res.steps, STEPS);
 }
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The outage run above with the adaptive predictor on every series, so
+/// both the fault and the forecast counters are non-zero: the run report's
+/// two records and the step trace's CSV are pinned byte for byte.
+#[test]
+fn outage_run_records_and_trace_are_pinned() {
+    let window_end = SimTime::from_secs_f64(0.5 * baseline_secs());
+    let sched = FaultSchedule::none().with_window(SimTime::ZERO, window_end, FaultKind::Outage);
+    let mut c = cfg();
+    if let Scheme::Distributed(dc) = &mut c.scheme {
+        dc.predictor = Some(dlb::PredictorKind::Adaptive);
+    }
+    let mut d = Driver::new(wan_pair(sched), c);
+    for _ in 0..STEPS {
+        d.step_once();
+    }
+    let csv = fnv1a(d.trace().to_csv().as_bytes());
+    let res = d.finish();
+    let faults = res.faults.to_json().to_compact();
+    let forecast = res.forecast.to_json().to_compact();
+    assert!(res.faults.retries > 0 && res.faults.quarantines > 0, "{faults}");
+    assert!(res.forecast.scored_probes > 0, "{forecast}");
+    assert_eq!(faults, FAULTS_PIN);
+    assert_eq!(forecast, FORECAST_PIN);
+    assert_eq!(csv, TRACE_CSV_PIN);
+}
+
+const FAULTS_PIN: &str = r#"{"probe_failures":0,"retries":1,"aborts":0,"quarantines":1,"readmissions":1,"comm_failures":11,"recovery_secs":15.219987856}"#;
+const FORECAST_PIN: &str = r#"{"alpha_mae":0.00000000000000000014456028966473392,"beta_mae":0.0000000000000000000000011029074834040368,"load_mae":1072.768115942029,"scored_probes":6,"proactive_checks":0,"proactive_invocations":0}"#;
+const TRACE_CSV_PIN: u64 = 0x9ab5_3b5d_3a24_0acf;

@@ -22,7 +22,7 @@ pub mod sim;
 pub mod stats;
 
 pub use error::{SimError, SimResult};
-pub use retry::{send_with_retry, RetryPolicy};
+pub use retry::send_with_retry;
 pub use shared::{SimHandle, SimView};
 pub use sim::NetSim;
 pub use stats::{Activity, MsgStats, ProcStats, SimStats};

@@ -1,80 +1,55 @@
 //! Retry-with-exponential-backoff over fallible simulator sends.
 //!
 //! The DLB's control traffic must survive transient link faults; this
-//! module provides the shared retry policy (attempt count, base backoff,
-//! multiplier) and a helper that re-issues a point-to-point transfer,
-//! charging the backoff sleeps to [`Activity::Wait`] on both endpoints so
-//! the accounting invariant (every clock advance is attributed) holds.
+//! module fixes the one retry schedule every caller uses (attempt count,
+//! base backoff, multiplier) and provides a helper that re-issues a
+//! point-to-point transfer, charging the backoff sleeps to
+//! [`Activity::Wait`] on both endpoints so the accounting invariant (every
+//! clock advance is attributed) holds.
 
 use crate::error::{SimError, SimResult};
 use crate::shared::SimView;
 use crate::stats::Activity;
 use topology::{ProcId, SimTime};
 
-/// Exponential-backoff retry policy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included). 1 means "no retries".
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in seconds.
-    pub base_backoff_secs: f64,
-    /// Multiplier applied to the backoff after each failed attempt.
-    pub backoff_multiplier: f64,
+/// Total attempts of one retried operation, the first try included.
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// Backoff before the first retry, simulated seconds.
+pub const BASE_BACKOFF_SECS: f64 = 0.05;
+
+/// Multiplier applied to the backoff after each failed attempt.
+pub const BACKOFF_MULTIPLIER: f64 = 2.0;
+
+/// Backoff to sleep after failed attempt number `attempt` (0-based):
+/// `BASE_BACKOFF_SECS · BACKOFF_MULTIPLIER^attempt`.
+pub fn backoff_secs(attempt: u32) -> f64 {
+    BASE_BACKOFF_SECS * BACKOFF_MULTIPLIER.powi(attempt as i32)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_secs: 0.05,
-            backoff_multiplier: 2.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Policy that never retries.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff_secs: 0.0,
-            backoff_multiplier: 1.0,
-        }
-    }
-
-    /// Backoff to sleep after failed attempt number `attempt` (0-based):
-    /// `base · multiplier^attempt`.
-    pub fn backoff_secs(&self, attempt: u32) -> f64 {
-        self.base_backoff_secs * self.backoff_multiplier.powi(attempt as i32)
-    }
-}
-
-/// Send with retries under `policy`; an optional absolute `deadline`
-/// applies to each attempt. Returns how many retries were consumed along
-/// with the outcome (the error of the last attempt, if all failed).
+/// Send with up to [`MAX_ATTEMPTS`] attempts. Returns how many retries
+/// were consumed along with the outcome (the error of the last attempt, if
+/// all failed).
 pub fn send_with_retry(
     sim: &mut SimView,
     src: ProcId,
     dst: ProcId,
     bytes: u64,
     act: Activity,
-    deadline: Option<SimTime>,
-    policy: RetryPolicy,
 ) -> (u32, SimResult<SimTime>) {
-    let attempts = policy.max_attempts.max(1);
     let mut last: SimError = SimError::LinkDown { at: sim.now(src) };
-    for attempt in 0..attempts {
+    for attempt in 0..MAX_ATTEMPTS {
         if attempt > 0 {
-            let backoff = policy.backoff_secs(attempt - 1);
+            let backoff = backoff_secs(attempt - 1);
             sim.busy(src, backoff, Activity::Wait);
             sim.busy(dst, backoff, Activity::Wait);
         }
-        match sim.send_with_deadline(src, dst, bytes, act, deadline) {
+        match sim.send(src, dst, bytes, act) {
             Ok(t) => return (attempt, Ok(t)),
             Err(e) => last = e,
         }
     }
-    (attempts - 1, Err(last))
+    (MAX_ATTEMPTS - 1, Err(last))
 }
 
 #[cfg(test)]
@@ -98,11 +73,9 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially() {
-        let p = RetryPolicy::default();
-        assert!((p.backoff_secs(0) - 0.05).abs() < 1e-12);
-        assert!((p.backoff_secs(1) - 0.10).abs() < 1e-12);
-        assert!((p.backoff_secs(2) - 0.20).abs() < 1e-12);
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
+        assert!((backoff_secs(0) - 0.05).abs() < 1e-12);
+        assert!((backoff_secs(1) - 0.10).abs() < 1e-12);
+        assert!((backoff_secs(2) - 0.20).abs() < 1e-12);
     }
 
     #[test]
@@ -115,15 +88,8 @@ mod tests {
             FaultKind::Outage,
         );
         let mut sim = faulty_pair(sched);
-        let (retries, res) = send_with_retry(
-            &mut sim,
-            ProcId(0),
-            ProcId(1),
-            1_000,
-            Activity::LoadBalance,
-            None,
-            RetryPolicy::default(),
-        );
+        let (retries, res) =
+            send_with_retry(&mut sim, ProcId(0), ProcId(1), 1_000, Activity::LoadBalance);
         assert!(res.is_ok(), "{res:?}");
         assert!(retries >= 1);
         assert!(sim.stats().procs[0].wait > SimTime::ZERO, "backoff charged");
@@ -137,16 +103,9 @@ mod tests {
             FaultKind::Outage,
         );
         let mut sim = faulty_pair(sched);
-        let (retries, res) = send_with_retry(
-            &mut sim,
-            ProcId(0),
-            ProcId(1),
-            1_000,
-            Activity::LoadBalance,
-            None,
-            RetryPolicy::default(),
-        );
-        assert_eq!(retries, 2, "default policy = 3 attempts");
+        let (retries, res) =
+            send_with_retry(&mut sim, ProcId(0), ProcId(1), 1_000, Activity::LoadBalance);
+        assert_eq!(retries, MAX_ATTEMPTS - 1);
         assert!(matches!(res, Err(SimError::LinkDown { .. })), "{res:?}");
     }
 }

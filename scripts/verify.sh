@@ -31,45 +31,72 @@ unsafe_uses=$(grep -rcw unsafe --include='*.rs' src crates/*/src | grep -v ':0$'
 if [ "$unsafe_uses" != "crates/par/src/lib.rs:6 crates/samr-solvers/src/euler.rs:1 " ]; then
   echo "verify: \`unsafe\` outside its allowlist (file:count): $unsafe_uses"; exit 1
 fi
+# Two source gates, outside crates/benchmark. A file's production part
+# ends at its first `#[cfg(test)]` whose item is a `mod` (one on a field or
+# a `fn` does not end it); a `pub mod reference` is not production code.
+#
 # one datapath: the retained `reference` implementations are oracles that
-# tests compare against, never a path production code can take — outside
-# crates/benchmark, a line that calls one (`reference::`, `_reference(`)
-# sits below its file's first `#[cfg(test)]` or inside a `pub mod reference`
-python3 - <<'EOF'
-import glob, re, sys
-
-bad = []
-for path in sorted(glob.glob("src/**/*.rs", recursive=True)
-                   + glob.glob("crates/*/src/**/*.rs", recursive=True)):
-    if path.startswith("crates/benchmark/"):
-        continue
-    in_reference = False
-    for n, line in enumerate(open(path), 1):
-        code = line.split("//")[0]
-        if code.strip() == "#[cfg(test)]":
-            break
-        if code.startswith("pub mod reference"):
-            in_reference = True
-        elif in_reference and code.startswith("}"):
-            in_reference = False
-        elif not in_reference and re.search(r"reference::|_reference\(", code):
-            bad.append(f"{path}:{n}: {line.strip()}")
-if bad:
-    sys.exit("verify: production code calls a reference implementation:\n"
-             + "\n".join(bad))
-EOF
-# no dead public surface: outside crates/benchmark, a `pub fn` above its
-# file's first `#[cfg(test)]` (and outside a `pub mod reference`) must be
-# named in code somewhere else — in its own file's production part, or in
-# any other .rs file under crates/, src/, examples/ or tests/ (comments do
-# not count; nor does a `fn` declaring the name, so two same-named `pub fn`s,
-# say a method and its `reference` twin, do not keep each other alive) —
-# unless the allowlist below gives the reason it stays; an allowlisted name
-# that gains a use, or that no production `pub fn` declares any more, fails
-# too
+# tests compare against, never a path production code can take — no
+# production line calls one (`reference::`, `_reference(`).
+#
+# no dead public surface: a production `pub fn` must be named in code
+# somewhere else — in its own file's production part, or in any other .rs
+# file under crates/, src/, examples/ or tests/ (comments do not count; nor
+# does a `fn` declaring the name, so two same-named `pub fn`s, say a method
+# and its `reference` twin, do not keep each other alive; nor does a
+# `pub use` statement, since a re-export only passes the name on) — unless
+# the allowlist below gives the reason it stays; an allowlisted name that
+# gains a use, or that no production `pub fn` declares any more, fails too
 python3 - <<'EOF'
 import glob, re, sys
 from collections import Counter
+
+def test_start(lines):
+    """Index of the `#[cfg(test)]` opening a file's test module."""
+    for i, line in enumerate(lines):
+        if line.strip() == "#[cfg(test)]":
+            item = next((l for l in lines[i + 1:]
+                         if l.strip() and not l.lstrip().startswith("#[")), "")
+            if re.match(r"\s*(pub(\([^)]*\))?\s+)?mod\s", item):
+                return i
+    return len(lines)
+
+def outside_reference(lines):
+    """(line number, line) of `lines` outside a `pub mod reference`."""
+    in_reference = False
+    for n, line in enumerate(lines, 1):
+        if line.startswith("pub mod reference"):
+            in_reference = True
+        elif in_reference and line.startswith("}"):
+            in_reference = False
+        elif not in_reference:
+            yield n, line
+
+def blank_pub_use(lines):
+    """`lines` with every (possibly multi-line) `pub use` statement blanked."""
+    out, inside = [], False
+    for line in lines:
+        inside = inside or re.match(r"\s*pub\s+use\b", line) is not None
+        out.append("" if inside else line)
+        inside = inside and ";" not in line
+    return out
+
+files = sorted(set(glob.glob("src/**/*.rs", recursive=True)
+                   + glob.glob("crates/**/*.rs", recursive=True)
+                   + glob.glob("examples/**/*.rs", recursive=True)
+                   + glob.glob("tests/**/*.rs", recursive=True)))
+code = {p: [line.split("//")[0] for line in open(p)] for p in files}
+production = {p: test_start(lines) for p, lines in code.items()
+              if not p.startswith("crates/benchmark/")
+              and re.match(r"(crates/[^/]+/)?src/", p)}
+
+bad = [f"{path}:{n}: {line.strip()}"
+       for path, end in production.items()
+       for n, line in outside_reference(code[path][:end])
+       if re.search(r"reference::|_reference\(", line)]
+if bad:
+    sys.exit("verify: production code calls a reference implementation:\n"
+             + "\n".join(bad))
 
 ALLOW = {
     "touched_faces": "FluxRegister: wired into the driver or deleted by ROADMAP item 9",
@@ -80,30 +107,18 @@ ALLOW = {
 }
 word = re.compile(r"[A-Za-z_]\w*")
 decl = re.compile(r"\s*pub\s+(?:const\s+|unsafe\s+)*fn\s+(\w+)")
-files = sorted(set(glob.glob("src/**/*.rs", recursive=True)
-                   + glob.glob("crates/**/*.rs", recursive=True)
-                   + glob.glob("examples/**/*.rs", recursive=True)
-                   + glob.glob("tests/**/*.rs", recursive=True)))
 fn_name = re.compile(r"\bfn\s+\w+")
-code = {p: [line.split("//")[0] for line in open(p)] for p in files}
 # a declaration names nothing: blank the declared name before counting words
-uses = {p: [fn_name.sub("fn", line) for line in lines] for p, lines in code.items()}
+uses = {p: [fn_name.sub("fn", line) for line in blank_pub_use(lines)]
+        for p, lines in code.items()}
 names = {p: Counter(w for line in lines for w in word.findall(line)) for p, lines in uses.items()}
 everywhere = sum(names.values(), Counter())
 dead, used, declared = [], set(), set()
-for path, lines in code.items():
-    if path.startswith("crates/benchmark/") or not re.match(r"(crates/[^/]+/)?src/", path):
-        continue
-    end = next((i for i, l in enumerate(lines) if l.strip() == "#[cfg(test)]"), len(lines))
+for path, end in production.items():
     own = Counter(w for line in uses[path][:end] for w in word.findall(line))
-    in_reference = False
-    for n, line in enumerate(lines[:end], 1):
-        if line.startswith("pub mod reference"):
-            in_reference = True
-        elif in_reference and line.startswith("}"):
-            in_reference = False
+    for n, line in outside_reference(code[path][:end]):
         m = decl.match(line)
-        if in_reference or not m:
+        if not m:
             continue
         name = m.group(1)
         declared.add(name)
