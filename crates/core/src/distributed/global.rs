@@ -6,20 +6,20 @@
 
 use super::{DistributedDlb, GlobalDecision};
 use crate::cost::{evaluate_cost, evaluate_cost_forecast, should_redistribute, CostEstimate};
-use crate::fault::{FaultEvent, GroupHealth, PROBE_TIMEOUT_SECS, TRANSFER_DEADLINE_SLACK_SECS};
+use crate::fault::{GroupHealth, PROBE_TIMEOUT_SECS, TRANSFER_DEADLINE_SLACK_SECS};
 use crate::gain::{gain_from_loads, history_group_loads, GainEstimate};
 use crate::parallel::LOAD_MSG_BYTES;
 use crate::partition::{global_redistribute_elastic, group_level0_cells, RedistributionReport};
 use crate::scheme::LbContext;
 use forecast::ForecastValue;
 use samr_mesh::hierarchy::GridHierarchy;
-use simnet::retry::{backoff_secs, MAX_ATTEMPTS};
+use simnet::retry::retry;
 use simnet::{Activity, SimError, SimResult, SimView};
 use std::time::Instant;
 use telemetry::GateVerdict::{self, Accept, Deferred, Reject};
 use telemetry::{
-    EventKind as TelEventKind, FaultEvent as TelFaultEvent, FaultKind as TelFaultKind,
-    GammaGateEvent, RedistributeEvent as TelRedistributeEvent,
+    EventKind as TelEventKind, FaultEvent, FaultKind, GammaGateEvent,
+    RedistributeEvent as TelRedistributeEvent,
 };
 use topology::{DistributedSystem, GroupId, ProcId, SimTime};
 
@@ -163,47 +163,27 @@ impl DistributedDlb {
         }
     }
 
-    /// One inter-group exchange — collective, probe or leader message —
-    /// under simnet's one retry schedule: `op` is attempted up to
-    /// [`MAX_ATTEMPTS`] times, `waiters` idling through the exponential
-    /// backoff in between.
-    /// Every attempt charges `msgs_per_attempt` decision messages (each is
-    /// real traffic on the actual link); a success after retries is
-    /// recorded, a failure returns the last error.
-    fn retried<T>(
+    /// The scheme's bookkeeping of one inter-group exchange — collective,
+    /// probe or leader message — that ran through simnet's one retry loop
+    /// ([`retry`]) and came back as `(retries, outcome)`: every attempt
+    /// charged `msgs_per_attempt` decision messages (each is real traffic
+    /// on the actual link), and a success after retries is counted and
+    /// logged. Returns the outcome.
+    fn tally_retries<T>(
         &mut self,
-        ctx: &mut LbContext<'_>,
-        waiters: &[ProcId],
         step: u64,
         msgs_per_attempt: u64,
-        mut op: impl FnMut(&mut Self, &mut LbContext<'_>) -> SimResult<T>,
+        (retries, outcome): (u32, SimResult<T>),
     ) -> SimResult<T> {
-        let mut attempt = 0u32;
-        loop {
-            self.decision_msgs += msgs_per_attempt;
-            match op(self, ctx) {
-                Ok(v) => {
-                    if attempt > 0 {
-                        self.roster.stats.retries += u64::from(attempt);
-                        self.roster.events.push(FaultEvent::RetrySucceeded {
-                            step,
-                            retries: attempt,
-                        });
-                    }
-                    return Ok(v);
-                }
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= MAX_ATTEMPTS {
-                        return Err(e);
-                    }
-                    let backoff = backoff_secs(attempt - 1);
-                    for &p in waiters {
-                        ctx.sim.busy(p, backoff, Activity::Wait);
-                    }
-                }
-            }
+        self.decision_msgs += msgs_per_attempt * u64::from(retries + 1);
+        if outcome.is_ok() && retries > 0 {
+            self.roster.stats.retries += u64::from(retries);
+            self.roster.events.push(FaultEvent {
+                step,
+                kind: FaultKind::Retry { retries },
+            });
         }
+        outcome
     }
 
     /// An exchange that stayed failed through its retries: one
@@ -255,11 +235,12 @@ impl DistributedDlb {
     ) -> Result<(), ExchangeError> {
         let pa = Self::leader(ctx, inp.sys, from);
         let pb = Self::leader(ctx, inp.sys, to);
-        self.retried(ctx, &[pa, pb], inp.step, 1, |_, ctx| {
-            ctx.sim.send(pa, pb, LOAD_MSG_BYTES, Activity::LoadBalance)
-        })
-        .map(drop)
-        .map_err(|e| (Some((from, to)), e))
+        let sent = retry(ctx.sim, &[pa, pb], |sim| {
+            sim.send(pa, pb, LOAD_MSG_BYTES, Activity::LoadBalance)
+        });
+        self.tally_retries(inp.step, 1, sent)
+            .map(drop)
+            .map_err(|e| (Some((from, to)), e))
     }
 
     /// Bring every node's child (load, capacity) summaries to its
@@ -282,17 +263,17 @@ impl DistributedDlb {
             .iter()
             .flat_map(|&g| inp.sys.procs_in(g).iter().copied())
             .collect();
+        let reduced = retry(ctx.sim, &waiters, |sim| {
+            sim.allreduce_groups(&gids, LOAD_MSG_BYTES, Activity::LoadBalance)
+        });
         // the legs count once the exchange completes, not per attempt
-        self.retried(ctx, &waiters, inp.step, 0, |_, ctx| {
-            ctx.sim
-                .allreduce_groups(&gids, LOAD_MSG_BYTES, Activity::LoadBalance)
-        })
-        .map_err(|e| match e {
-            SimError::CollectiveFailed {
-                group_a, group_b, ..
-            } => (Some((group_a, group_b)), e),
-            _ => (None, e),
-        })?;
+        self.tally_retries(inp.step, 0, reduced)
+            .map_err(|e| match e {
+                SimError::CollectiveFailed {
+                    group_a, group_b, ..
+                } => (Some((group_a, group_b)), e),
+                _ => (None, e),
+            })?;
         self.decision_msgs += (gids.len() * (gids.len() - 1)) as u64;
         Ok(())
     }
@@ -439,13 +420,12 @@ impl DistributedDlb {
                 // backoff is idle waiting on both leaders
                 let pa = inp.sys.procs_in(GroupId(a))[0];
                 let pb = inp.sys.procs_in(GroupId(b))[0];
-                let probed = self.retried(ctx, &[pa, pb], step, 2, |this, ctx| {
-                    let t0 = ctx.sim.now(pa).max(ctx.sim.now(pb));
+                let probed = retry(ctx.sim, &[pa, pb], |sim| {
+                    let t0 = sim.now(pa).max(sim.now(pb));
                     let dl = t0 + SimTime::from_secs_f64(PROBE_TIMEOUT_SECS);
-                    let est = this.estimator(a, b);
-                    ctx.sim.probe_inter(GroupId(a), GroupId(b), est, Some(dl))
+                    sim.probe_inter(GroupId(a), GroupId(b), self.estimator(a, b), Some(dl))
                 });
-                match probed {
+                match self.tally_retries(step, 2, probed) {
                     Ok(s) => {
                         self.roster.record_pair_success(a, b);
                         pricing.alpha = pricing.alpha.max(s.alpha);
@@ -461,10 +441,12 @@ impl DistributedDlb {
                     }
                     Err(e) => {
                         self.roster.stats.probe_failures += 1;
-                        self.roster.events.push(FaultEvent::ProbeFailure {
+                        self.roster.events.push(FaultEvent {
                             step,
-                            group_a: a,
-                            group_b: b,
+                            kind: FaultKind::ProbeFailure {
+                                group_a: a,
+                                group_b: b,
+                            },
                         });
                         self.roster.record_pair_failure(
                             a,
@@ -630,10 +612,13 @@ impl DistributedDlb {
                     + 2.0 * ab.partial.moved_cells as f64 * REBUILD_SECS_PER_MOVED_CELL;
                 charge(ctx.sim, abort_delta_secs);
                 self.roster.stats.aborts += 1;
-                self.roster.events.push(FaultEvent::RedistributionAborted {
+                let rollback = FaultEvent {
                     step,
-                    error: ab.error,
-                });
+                    kind: FaultKind::Rollback {
+                        wasted_secs: abort_delta_secs,
+                    },
+                };
+                self.roster.events.push(rollback);
                 self.roster.record_pair_failure(
                     ab.src_group,
                     ab.dst_group,
@@ -647,12 +632,7 @@ impl DistributedDlb {
                 if tel.is_enabled() {
                     tel.event(
                         ctx.sim.elapsed().as_secs_f64(),
-                        TelEventKind::Fault(TelFaultEvent {
-                            step,
-                            kind: TelFaultKind::Rollback {
-                                wasted_secs: abort_delta_secs,
-                            },
-                        }),
+                        TelEventKind::Fault(rollback),
                     );
                 }
                 ab.partial
@@ -1313,7 +1293,7 @@ mod fault_tests {
         assert!(dlb
             .fault_events()
             .iter()
-            .any(|e| matches!(e, FaultEvent::RetrySucceeded { .. })));
+            .any(|e| matches!(e.kind, telemetry::FaultKind::Retry { .. })));
     }
 
     #[test]
@@ -1413,7 +1393,7 @@ mod fault_tests {
         assert!(dlb
             .fault_events()
             .iter()
-            .any(|e| matches!(e, FaultEvent::RedistributionAborted { .. })));
+            .any(|e| matches!(e.kind, telemetry::FaultKind::Rollback { .. })));
     }
 
     /// `federation(16, 4, seed)` — two 8-group sites on one metro link —
@@ -1529,7 +1509,7 @@ mod fault_tests {
         assert!(
             matches!(
                 &events[at + 1].kind,
-                TelEventKind::Fault(f) if matches!(f.kind, TelFaultKind::Rollback { .. })
+                TelEventKind::Fault(f) if matches!(f.kind, telemetry::FaultKind::Rollback { .. })
             ),
             "{:?}",
             events[at + 1]

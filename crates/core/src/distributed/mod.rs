@@ -47,7 +47,7 @@ pub use global::TREE_ARITY;
 
 use crate::balance::{balance_bucketed, bucket_level_by_owner, place_batch, BalanceParams};
 use crate::cost::CostEstimate;
-use crate::fault::{FaultEvent, QuarantineRoster};
+use crate::fault::QuarantineRoster;
 use crate::gain::GainEstimate;
 use crate::parallel::LOAD_MSG_BYTES;
 use crate::partition::{RedistributionReport, SelectionPolicy};
@@ -56,7 +56,7 @@ use ::forecast::{PredictorKind, SeriesForecaster};
 use metrics::FaultCounters;
 use samr_mesh::hierarchy::GridHierarchy;
 use simnet::{Activity, SimResult};
-use telemetry::{EventKind as TelEventKind, FaultEvent as TelFaultEvent, FaultKind as TelFaultKind};
+use telemetry::{EventKind, FaultEvent, FaultKind};
 use topology::{DistributedSystem, LinkEstimator, ProcId};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -255,45 +255,17 @@ impl DistributedDlb {
     }
 
     /// Mirror newly-appended roster fault events into the telemetry sink.
-    /// `RedistributionAborted` entries are skipped: the abort site already
-    /// emitted an inline `Rollback` right after its redistribute record,
-    /// preserving causal order in the audit log.
-    fn forward_fault_events(&mut self, ctx: &mut LbContext<'_>) {
-        let tel = ctx.sim.telemetry().clone();
-        if !tel.is_enabled() {
-            self.fault_events_forwarded = self.roster.events.len();
-            return;
-        }
-        let t_sim = ctx.sim.elapsed().as_secs_f64();
-        for ev in &self.roster.events[self.fault_events_forwarded..] {
-            let mapped = match *ev {
-                FaultEvent::RetrySucceeded { step, retries } => Some((
-                    step,
-                    TelFaultKind::Retry { retries },
-                )),
-                FaultEvent::ProbeFailure {
-                    step,
-                    group_a,
-                    group_b,
-                } => Some((step, TelFaultKind::ProbeFailure { group_a, group_b })),
-                FaultEvent::Quarantined { step, group } => {
-                    Some((step, TelFaultKind::Quarantine { group }))
+    /// `Rollback` entries are skipped: the abort site already emitted each
+    /// one inline, right after its redistribute record, preserving causal
+    /// order in the audit log.
+    fn forward_fault_events(&mut self, ctx: &LbContext<'_>) {
+        let tel = ctx.sim.telemetry();
+        if tel.is_enabled() {
+            let t_sim = ctx.sim.elapsed().as_secs_f64();
+            for ev in &self.roster.events[self.fault_events_forwarded..] {
+                if !matches!(ev.kind, FaultKind::Rollback { .. }) {
+                    tel.event(t_sim, EventKind::Fault(*ev));
                 }
-                FaultEvent::Readmitted {
-                    step,
-                    group,
-                    recovery_secs,
-                } => Some((
-                    step,
-                    TelFaultKind::Readmit {
-                        group,
-                        recovery_secs,
-                    },
-                )),
-                FaultEvent::RedistributionAborted { .. } => None,
-            };
-            if let Some((step, kind)) = mapped {
-                tel.event(t_sim, TelEventKind::Fault(TelFaultEvent { step, kind }));
             }
         }
         self.fault_events_forwarded = self.roster.events.len();
@@ -367,7 +339,7 @@ impl LoadBalancer for DistributedDlb {
             self.local_phase(&mut ctx, level);
             self.maybe_proactive_check(&mut ctx, level);
         }
-        self.forward_fault_events(&mut ctx);
+        self.forward_fault_events(&ctx);
         // whatever was neither balancing locally nor migrating was deciding
         let elsewhere = self.wall.local_dlb + self.wall.migrate - other;
         self.wall.decide += t0.elapsed().as_secs_f64() - elsewhere;

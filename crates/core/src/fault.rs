@@ -7,7 +7,7 @@
 //! abortable:
 //!
 //! * control traffic (probes, decision collectives, tree summaries) is
-//!   retried with exponential backoff on simnet's one schedule
+//!   retried with exponential backoff by simnet's one retry loop
 //!   ([`simnet::retry`]): 3 attempts, 50 ms before the first retry,
 //!   doubling;
 //! * one α/β probe attempt must finish within [`PROBE_TIMEOUT_SECS`], and
@@ -24,7 +24,7 @@
 //!   succeeds, and the time it spent excluded is recorded as recovery time.
 
 use metrics::FaultCounters;
-use simnet::SimError;
+use telemetry::{FaultEvent, FaultKind};
 use topology::SimTime;
 
 /// Deadline for one α/β probe attempt, simulated seconds.
@@ -50,30 +50,6 @@ impl GroupHealth {
     }
 }
 
-/// One entry of the fault log kept by the scheme.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FaultEvent {
-    /// An inter-group probe (or its retries) ultimately failed.
-    ProbeFailure {
-        step: u64,
-        group_a: usize,
-        group_b: usize,
-    },
-    /// A retried operation eventually succeeded after `retries` re-attempts.
-    RetrySucceeded { step: u64, retries: u32 },
-    /// `group` was quarantined.
-    Quarantined { step: u64, group: usize },
-    /// `group` passed its probation probe and rejoined the global phase;
-    /// it had been excluded for `recovery_secs` of simulated time.
-    Readmitted {
-        step: u64,
-        group: usize,
-        recovery_secs: f64,
-    },
-    /// A global redistribution was aborted mid-flight and rolled back.
-    RedistributionAborted { step: u64, error: SimError },
-}
-
 /// Tracks which groups are quarantined, their failure strikes, and the
 /// fault-event log.
 #[derive(Clone, Debug, Default)]
@@ -81,7 +57,8 @@ pub struct QuarantineRoster {
     health: Vec<GroupHealth>,
     /// Consecutive inter-link failures charged against each group.
     strikes: Vec<u32>,
-    /// Chronological fault log.
+    /// Chronological fault log, in the telemetry's own record type (the
+    /// scheme forwards it to the sink).
     pub events: Vec<FaultEvent>,
     /// Aggregate counters of the protocol (the driver adds its own bulk
     /// transfers to them for the run report).
@@ -151,9 +128,9 @@ impl QuarantineRoster {
                 since_step: step,
                 since: now,
             };
-            self.events.push(FaultEvent::Quarantined {
+            self.events.push(FaultEvent {
                 step,
-                group: blamed,
+                kind: FaultKind::Quarantine { group: blamed },
             });
             self.stats.quarantines += 1;
             return Some(blamed);
@@ -175,10 +152,12 @@ impl QuarantineRoster {
             let recovery_secs = now.saturating_sub(since).as_secs_f64();
             self.health[g] = GroupHealth::Healthy;
             self.strikes[g] = 0;
-            self.events.push(FaultEvent::Readmitted {
+            self.events.push(FaultEvent {
                 step,
-                group: g,
-                recovery_secs,
+                kind: FaultKind::Readmit {
+                    group: g,
+                    recovery_secs,
+                },
             });
             self.stats.readmissions += 1;
             self.stats.recovery_secs += recovery_secs;
@@ -188,60 +167,6 @@ impl QuarantineRoster {
     /// Current strike count of `g`.
     pub fn strikes(&self, g: usize) -> u32 {
         self.strikes[g]
-    }
-}
-
-/// Liveness transitions observed between two snapshots of the alive mask.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProcTransitions {
-    /// Procs that were alive last observation and are dead now.
-    pub crashed: Vec<usize>,
-    /// Procs that were dead last observation and are alive now.
-    pub rejoined: Vec<usize>,
-}
-
-impl ProcTransitions {
-    pub fn is_empty(&self) -> bool {
-        self.crashed.is_empty() && self.rejoined.is_empty()
-    }
-}
-
-/// Edge detector over the per-proc alive mask: the simulator answers
-/// "who is alive *now*" as a pure function of time, and this turns
-/// consecutive answers into crash/rejoin *events* the driver can act on
-/// (evacuate patches, refill a returning proc).
-#[derive(Clone, Debug)]
-pub struct ProcHealth {
-    alive: Vec<bool>,
-}
-
-impl ProcHealth {
-    /// All procs presumed alive initially.
-    pub fn new(nprocs: usize) -> Self {
-        ProcHealth {
-            alive: vec![true; nprocs],
-        }
-    }
-
-    /// The full alive mask as of the last observation.
-    pub fn alive_mask(&self) -> &[bool] {
-        &self.alive
-    }
-
-    /// Fold in a fresh observation of the alive mask and return the
-    /// transitions since the previous one.
-    pub fn observe(&mut self, now_alive: &[bool]) -> ProcTransitions {
-        assert_eq!(now_alive.len(), self.alive.len(), "proc count is fixed");
-        let mut tr = ProcTransitions::default();
-        for (p, (&was, &is)) in self.alive.iter().zip(now_alive).enumerate() {
-            match (was, is) {
-                (true, false) => tr.crashed.push(p),
-                (false, true) => tr.rejoined.push(p),
-                _ => {}
-            }
-        }
-        self.alive.copy_from_slice(now_alive);
-        tr
     }
 }
 
@@ -300,8 +225,8 @@ mod tests {
         assert_eq!(r.stats.readmissions, 1);
         assert!((r.stats.recovery_secs - 15.0).abs() < 1e-9);
         assert!(matches!(
-            r.events.last(),
-            Some(FaultEvent::Readmitted { group: 1, .. })
+            r.events.last().map(|e| e.kind),
+            Some(FaultKind::Readmit { group: 1, .. })
         ));
         // re-admitting a healthy group is a no-op
         r.readmit(1, 9, SimTime::from_secs(30));
@@ -315,20 +240,5 @@ mod tests {
         assert_eq!(r.stats.quarantines, 1);
         assert!(r.record_pair_failure(0, 1, 2, SimTime::ZERO, 1).is_none());
         assert_eq!(r.stats.quarantines, 1, "no double quarantine");
-    }
-
-    #[test]
-    fn proc_health_detects_edges_once() {
-        let mut h = ProcHealth::new(4);
-        assert_eq!(h.alive_mask(), &[true; 4]);
-        let tr = h.observe(&[true, false, true, false]);
-        assert_eq!(tr.crashed, vec![1, 3]);
-        assert!(tr.rejoined.is_empty());
-        // same mask again: no new events
-        assert!(h.observe(&[true, false, true, false]).is_empty());
-        assert_eq!(h.alive_mask(), &[true, false, true, false]);
-        let tr = h.observe(&[true, true, true, false]);
-        assert_eq!(tr.rejoined, vec![1]);
-        assert!(tr.crashed.is_empty());
     }
 }

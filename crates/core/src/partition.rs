@@ -277,7 +277,7 @@ fn redistribute_moves(
                         let move_half = if plan.move_low { a } else { b };
                         let wm = match policy {
                             SelectionPolicy::SubtreeWorkload => {
-                                subtree_load_of(hier, move_half, &iter_w)
+                                subtree_loads(hier, &iter_w)[&move_half]
                                     + hier.patch(move_half).cells() as f64
                             }
                             SelectionPolicy::Cells => hier.patch(move_half).cells() as f64,
@@ -589,24 +589,6 @@ pub fn subtree_loads(
         }
     }
     acc
-}
-
-/// Subtree workload (descendants only) of one level-0 grid.
-pub fn subtree_load_of(hier: &GridHierarchy, root: PatchId, iter_weights: &[f64]) -> f64 {
-    let mut total = 0.0;
-    for l in 1..hier.num_levels() {
-        for &id in hier.level_ids(l) {
-            let mut cur = id;
-            while let Some(par) = hier.patch(cur).parent {
-                cur = par;
-            }
-            if cur == root {
-                let w = iter_weights.get(l).copied().unwrap_or(1.0);
-                total += hier.patch(id).cells() as f64 * w;
-            }
-        }
-    }
-    total
 }
 
 fn donor_level0_patches(

@@ -39,7 +39,7 @@ impl ForecastValue {
         self.value + self.error
     }
 
-    /// Optimistic bound, floored at zero (α, β, bandwidth and load are all
+    /// Optimistic bound, floored at zero (α, β and load are all
     /// non-negative quantities).
     pub fn lower(&self) -> f64 {
         (self.value - self.error).max(0.0)

@@ -1,4 +1,4 @@
-//! Forecast state for one scalar series, and the α/β/bandwidth bundle a
+//! Forecast state for one scalar series, and the α/β pair a
 //! link estimator keeps per WAN link.
 
 use crate::kind::PredictorKind;
@@ -66,13 +66,12 @@ impl SeriesForecaster {
     }
 }
 
-/// The three per-link series of the §4.2 probe: latency α (s), inverse
-/// bandwidth β (s/byte), and the derived effective bandwidth 1/β (byte/s).
+/// The two per-link series of the §4.2 probe: latency α (s) and inverse
+/// bandwidth β (s/byte).
 #[derive(Clone, Debug)]
 pub struct LinkForecast {
     pub alpha: SeriesForecaster,
     pub beta: SeriesForecaster,
-    pub bandwidth: SeriesForecaster,
 }
 
 impl LinkForecast {
@@ -80,18 +79,13 @@ impl LinkForecast {
         LinkForecast {
             alpha: SeriesForecaster::new(kind, derive_seed(seed, 1)),
             beta: SeriesForecaster::new(kind, derive_seed(seed, 2)),
-            bandwidth: SeriesForecaster::new(kind, derive_seed(seed, 3)),
         }
     }
 
-    /// Fold one probe result. `beta` must already be floored above zero by
-    /// the prober; the bandwidth series observes `1/β`.
+    /// Fold one probe result.
     pub fn observe_probe(&mut self, t: f64, alpha: f64, beta: f64) {
         self.alpha.observe(t, alpha);
         self.beta.observe(t, beta);
-        if beta > 0.0 {
-            self.bandwidth.observe(t, 1.0 / beta);
-        }
     }
 }
 
@@ -111,15 +105,6 @@ mod tests {
         let f = s.forecast_value().unwrap();
         assert_eq!(f.value, 14.0);
         assert!((f.error - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn link_forecast_derives_bandwidth() {
-        let mut lf = LinkForecast::new(PredictorKind::LastValue, 3);
-        lf.observe_probe(0.0, 0.006, 1.0 / 19.375e6);
-        let bw = lf.bandwidth.forecast().unwrap();
-        assert!((bw - 19.375e6).abs() / 19.375e6 < 1e-9);
-        assert_eq!(lf.alpha.forecast(), Some(0.006));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::app::AppState;
 use crate::config::{RunConfig, RunResult};
 use crate::scheme::SchemeInstance;
 use crate::trace::{RunTrace, StepRecord, StepRecovery};
-use dlb::{decompose_domain, LbContext, ProcHealth, WorkloadHistory};
+use dlb::{decompose_domain, LbContext, WorkloadHistory};
 use par::for_each_task_parallel;
 use samr_mesh::checkpoint::HierarchySnapshot;
 use samr_mesh::cluster::{berger_rigoutsos, ClusterParams};
@@ -22,7 +22,8 @@ use samr_mesh::hierarchy::{BoxIndex, FillSource, GridHierarchy};
 use samr_mesh::interp::{prolong_constant_fields, restrict_average};
 use samr_mesh::patch::PatchId;
 use samr_mesh::region::Region;
-use simnet::{send_with_retry, Activity, SimView};
+use simnet::retry::retry;
+use simnet::{Activity, SimView};
 use topology::{DistributedSystem, ProcId, SimTime};
 
 /// Refinement factor r between levels (the paper uses 2).
@@ -77,9 +78,8 @@ pub struct Driver {
     ghost_wall: metrics::GhostWall,
     /// Most grids alive at any point of the run.
     peak_patches: usize,
-    /// Liveness edge detector for crash-stop proc faults.
-    proc_health: ProcHealth,
-    /// Simulated time each currently-dead proc's crash was detected at.
+    /// Simulated time each currently-dead proc's crash was detected at —
+    /// the one record of who is down.
     crashed_at: std::collections::BTreeMap<usize, SimTime>,
     /// Per-step checkpoint crash recovery restores patch data from
     /// (only maintained while the run has proc faults).
@@ -219,7 +219,6 @@ impl Driver {
         cell_updates: u64,
     ) -> Driver {
         let proc_weights: Vec<f64> = sim.system().procs().iter().map(|p| p.weight).collect();
-        let nprocs = sim.system().nprocs();
         let mut d = Driver {
             scheme: cfg.scheme.instantiate(),
             cfg,
@@ -238,7 +237,6 @@ impl Driver {
             wall: metrics::PhaseWall::default(),
             ghost_wall: metrics::GhostWall::default(),
             peak_patches: 0,
-            proc_health: ProcHealth::new(nprocs),
             crashed_at: Default::default(),
             recovery_snapshot: None,
             recovery_pending: StepRecovery::default(),
@@ -380,13 +378,17 @@ impl Driver {
         let alive: Vec<bool> = (0..nprocs)
             .map(|p| self.sim.alive_at(ProcId(p), t0))
             .collect();
-        let trans = self.proc_health.observe(&alive);
-        if trans.is_empty() {
+        // a crash is a proc dead now that is not on record as down, a
+        // rejoin one alive now that is
+        let (crashed, rejoined): (Vec<usize>, Vec<usize>) = (0..nprocs)
+            .filter(|p| alive[*p] == self.crashed_at.contains_key(p))
+            .partition(|&p| !alive[p]);
+        if crashed.is_empty() && rejoined.is_empty() {
             return;
         }
         let step = self.step_count[0];
         let cost = self.app.cost_per_cell();
-        for &p in &trans.crashed {
+        for p in crashed {
             let group = self.sim.system().group_of(ProcId(p)).0;
             self.sim.telemetry().event(
                 t0.as_secs_f64(),
@@ -436,7 +438,7 @@ impl Driver {
             self.recovery_pending.mttr_secs += mttr;
             self.recovery_pending.recompute_secs += recompute_secs;
         }
-        for &p in &trans.rejoined {
+        for p in rejoined {
             let group = self.sim.system().group_of(ProcId(p)).0;
             let downtime = self
                 .crashed_at
@@ -689,7 +691,7 @@ impl Driver {
         } else {
             Activity::RemoteComm
         };
-        let (retries, res) = send_with_retry(&mut self.sim, s, d, bytes, act);
+        let (retries, res) = retry(&mut self.sim, &[s, d], |sim| sim.send(s, d, bytes, act));
         if res.is_ok() {
             self.transfer_retries += retries as u64;
         } else {

@@ -6,7 +6,8 @@
 
 use base::json::ToJson;
 use samr_engine::{AppKind, Driver, RunConfig, Scheme};
-use topology::faults::{FaultKind, FaultSchedule};
+use telemetry::{EventKind, FaultKind as TelFaultKind, Telemetry};
+use topology::faults::{FaultKind, FaultSchedule, ProcFaultSchedule};
 use topology::link::Link;
 use topology::{presets, DistributedSystem, SimTime};
 use topology::SystemBuilder;
@@ -178,3 +179,76 @@ fn outage_run_records_and_trace_are_pinned() {
 const FAULTS_PIN: &str = r#"{"probe_failures":0,"retries":1,"aborts":0,"quarantines":1,"readmissions":1,"comm_failures":11,"recovery_secs":15.219987856}"#;
 const FORECAST_PIN: &str = r#"{"alpha_mae":0.00000000000000000014456028966473392,"beta_mae":0.0000000000000000000000011029074834040368,"load_mae":1072.768115942029,"scored_probes":6,"proactive_checks":0,"proactive_invocations":0}"#;
 const TRACE_CSV_PIN: u64 = 0x9ab5_3b5d_3a24_0acf;
+
+/// FNV-1a of a run's telemetry JSONL without its `"phase"` lines, which
+/// carry host seconds; every other line is simulated state.
+fn jsonl_hash(jsonl: &str) -> u64 {
+    let kept: String = jsonl
+        .lines()
+        .filter(|l| !l.starts_with(r#"{"type": "phase""#))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    fnv1a(kept.as_bytes())
+}
+
+/// One recording run through every fault path at once: seeded link flaps
+/// (outages, blackholes, slowdowns, lossy windows) over the WAN and seeded
+/// crash-stop windows on the two non-head procs. The 4 MiB probe times out
+/// on a slowed link, so probes fail too. Its telemetry, fault counters and
+/// recovery counters are pinned byte for byte.
+#[test]
+fn every_fault_path_run_telemetry_is_pinned() {
+    let seed = 11;
+    let horizon = SimTime::from_secs(3600);
+    let link = FaultSchedule::generate(
+        seed,
+        horizon,
+        SimTime::from_secs(1),
+        SimTime::from_millis(600),
+    );
+    let procs = ProcFaultSchedule::generate(
+        seed,
+        4,
+        &[0, 2], // group heads never crash
+        horizon,
+        SimTime::from_secs(4),
+        SimTime::from_secs(2),
+    );
+    let (tel, sink) = Telemetry::recording_shared();
+    let mut c = cfg();
+    if let Scheme::Distributed(dc) = &mut c.scheme {
+        dc.probe_small_bytes = 1 << 10;
+        dc.probe_large_bytes = 4 << 20;
+        dc.predictor = Some(dlb::PredictorKind::Adaptive);
+    }
+    c.proc_faults = procs;
+    c.telemetry = tel;
+    let mut d = Driver::new(wan_pair(link), c);
+    for _ in 0..STEPS {
+        d.step_once();
+    }
+    let res = d.finish();
+    let sink = sink.lock().unwrap();
+    let is_retry = |k: &EventKind| matches!(k, EventKind::Fault(f) if matches!(f.kind, TelFaultKind::Retry { .. }));
+    let dlb_retries = sink.events().iter().filter(|e| is_retry(&e.kind)).count();
+    let (f, r) = (&res.faults, &res.recovery);
+    let faults = f.to_json().to_compact();
+    let recovery = r.to_json().to_compact();
+    assert!(dlb_retries > 0, "no balancer retry succeeded");
+    assert!(
+        f.probe_failures > 0 && f.quarantines > 0 && f.readmissions > 0,
+        "{faults}"
+    );
+    assert!(f.aborts > 0, "no rollback: {faults}");
+    assert!(
+        r.crashes > 0 && r.evacuations > 0 && r.rejoins > 0,
+        "{recovery}"
+    );
+    assert_eq!(faults, CHAOS_FAULTS_PIN);
+    assert_eq!(recovery, CHAOS_RECOVERY_PIN);
+    assert_eq!(jsonl_hash(&sink.to_jsonl()), CHAOS_JSONL_PIN);
+}
+
+const CHAOS_FAULTS_PIN: &str = r#"{"probe_failures":1,"retries":21,"aborts":3,"quarantines":4,"readmissions":4,"comm_failures":77,"recovery_secs":33.305425276}"#;
+const CHAOS_RECOVERY_PIN: &str = r#"{"crashes":4,"rejoins":4,"evacuations":4,"evacuated_cells":71088,"mttr_mean_secs":2.2664803132499998,"mttr_max_secs":3.107740739,"recompute_secs":7.47312}"#;
+const CHAOS_JSONL_PIN: u64 = 0xe9f0_a54e_4204_6481;

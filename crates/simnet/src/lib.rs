@@ -11,7 +11,8 @@
 //! Faults are first-class: links may carry a [`topology::FaultSchedule`],
 //! and every comms call returns a [`SimResult`] whose [`SimError`] carries
 //! the simulated detection time. [`retry`] layers exponential backoff on
-//! top for the DLB's control traffic.
+//! top: one loop for the DLB's control traffic and the driver's bulk
+//! transfers.
 
 #![forbid(unsafe_code)]
 
@@ -22,7 +23,6 @@ pub mod sim;
 pub mod stats;
 
 pub use error::{SimError, SimResult};
-pub use retry::send_with_retry;
 pub use shared::{SimHandle, SimView};
 pub use sim::NetSim;
 pub use stats::{Activity, MsgStats, ProcStats, SimStats};

@@ -1,16 +1,16 @@
-//! Retry-with-exponential-backoff over fallible simulator sends.
+//! Retry-with-exponential-backoff over fallible simulator operations.
 //!
-//! The DLB's control traffic must survive transient link faults; this
-//! module fixes the one retry schedule every caller uses (attempt count,
-//! base backoff, multiplier) and provides a helper that re-issues a
-//! point-to-point transfer, charging the backoff sleeps to
-//! [`Activity::Wait`] on both endpoints so the accounting invariant (every
-//! clock advance is attributed) holds.
+//! The DLB's control traffic and the driver's bulk transfers must survive
+//! transient link faults; this module fixes the one retry schedule every
+//! caller uses (attempt count, base backoff, multiplier) and the one loop
+//! that runs it, [`retry`]. The loop charges the backoff sleeps to
+//! [`Activity::Wait`] on the waiting procs so the accounting invariant
+//! (every clock advance is attributed) holds.
 
-use crate::error::{SimError, SimResult};
+use crate::error::SimResult;
 use crate::shared::SimView;
 use crate::stats::Activity;
-use topology::{ProcId, SimTime};
+use topology::ProcId;
 
 /// Total attempts of one retried operation, the first try included.
 pub const MAX_ATTEMPTS: u32 = 3;
@@ -27,37 +27,37 @@ pub fn backoff_secs(attempt: u32) -> f64 {
     BASE_BACKOFF_SECS * BACKOFF_MULTIPLIER.powi(attempt as i32)
 }
 
-/// Send with up to [`MAX_ATTEMPTS`] attempts. Returns how many retries
-/// were consumed along with the outcome (the error of the last attempt, if
-/// all failed).
-pub fn send_with_retry(
+/// Run `op` up to [`MAX_ATTEMPTS`] times until it succeeds, idling every
+/// proc of `waiters` (in order) through [`backoff_secs`] between attempts.
+/// Returns how many retries were consumed along with the outcome (the
+/// error of the last attempt, if all failed).
+pub fn retry<T>(
     sim: &mut SimView,
-    src: ProcId,
-    dst: ProcId,
-    bytes: u64,
-    act: Activity,
-) -> (u32, SimResult<SimTime>) {
-    let mut last: SimError = SimError::LinkDown { at: sim.now(src) };
-    for attempt in 0..MAX_ATTEMPTS {
-        if attempt > 0 {
-            let backoff = backoff_secs(attempt - 1);
-            sim.busy(src, backoff, Activity::Wait);
-            sim.busy(dst, backoff, Activity::Wait);
-        }
-        match sim.send(src, dst, bytes, act) {
-            Ok(t) => return (attempt, Ok(t)),
-            Err(e) => last = e,
+    waiters: &[ProcId],
+    mut op: impl FnMut(&mut SimView) -> SimResult<T>,
+) -> (u32, SimResult<T>) {
+    let mut attempt = 0;
+    loop {
+        match op(sim) {
+            Err(_) if attempt + 1 < MAX_ATTEMPTS => {
+                let backoff = backoff_secs(attempt);
+                for &p in waiters {
+                    sim.busy(p, backoff, Activity::Wait);
+                }
+                attempt += 1;
+            }
+            res => return (attempt, res),
         }
     }
-    (MAX_ATTEMPTS - 1, Err(last))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
     use topology::faults::{FaultKind, FaultSchedule};
     use topology::link::Link;
-    use topology::SystemBuilder;
+    use topology::{SimTime, SystemBuilder};
 
     fn faulty_pair(windows: FaultSchedule) -> SimView {
         let intra = Link::dedicated("intra", SimTime::from_micros(10), 1e9);
@@ -88,8 +88,9 @@ mod tests {
             FaultKind::Outage,
         );
         let mut sim = faulty_pair(sched);
-        let (retries, res) =
-            send_with_retry(&mut sim, ProcId(0), ProcId(1), 1_000, Activity::LoadBalance);
+        let (retries, res) = retry(&mut sim, &[ProcId(0), ProcId(1)], |sim| {
+            sim.send(ProcId(0), ProcId(1), 1_000, Activity::LoadBalance)
+        });
         assert!(res.is_ok(), "{res:?}");
         assert!(retries >= 1);
         assert!(sim.stats().procs[0].wait > SimTime::ZERO, "backoff charged");
@@ -103,8 +104,9 @@ mod tests {
             FaultKind::Outage,
         );
         let mut sim = faulty_pair(sched);
-        let (retries, res) =
-            send_with_retry(&mut sim, ProcId(0), ProcId(1), 1_000, Activity::LoadBalance);
+        let (retries, res) = retry(&mut sim, &[ProcId(0), ProcId(1)], |sim| {
+            sim.send(ProcId(0), ProcId(1), 1_000, Activity::LoadBalance)
+        });
         assert_eq!(retries, MAX_ATTEMPTS - 1);
         assert!(matches!(res, Err(SimError::LinkDown { .. })), "{res:?}");
     }

@@ -408,7 +408,8 @@ mod tests {
         let mut view = SimView::new(sys);
         raw.compute(ProcId(0), 0.5);
         view.compute(ProcId(0), 0.5);
-        raw.send_auto(ProcId(0), ProcId(2), 123_456).unwrap();
+        raw.send(ProcId(0), ProcId(2), 123_456, Activity::RemoteComm)
+            .unwrap();
         view.send(ProcId(0), ProcId(2), 123_456, Activity::RemoteComm)
             .unwrap();
         raw.allreduce_all(64, Activity::LoadBalance).unwrap();

@@ -37,7 +37,6 @@ pub struct NetSim {
     sys: DistributedSystem,
     clocks: Vec<SimTime>,
     link_free: std::collections::BTreeMap<LinkKey, SimTime>,
-    link_busy: std::collections::BTreeMap<LinkKey, SimTime>,
     stats: SimStats,
     /// How long a sender waits on a blackholed link (or a transfer with no
     /// explicit deadline) before declaring a timeout: 5 s, shortened only
@@ -63,7 +62,6 @@ impl NetSim {
             sys,
             clocks: vec![SimTime::ZERO; n],
             link_free: std::collections::BTreeMap::new(),
-            link_busy: std::collections::BTreeMap::new(),
             stats: SimStats::new(n),
             default_timeout: SimTime::from_secs(5),
             telemetry: Telemetry::null(),
@@ -150,26 +148,9 @@ impl NetSim {
     pub fn reset(&mut self) {
         self.clocks.fill(SimTime::ZERO);
         self.link_free.clear();
-        self.link_busy.clear();
         self.stats = SimStats::new(self.sys.nprocs());
         // exclude pre-reset setup work from the recorded trace too
         self.telemetry.clear();
-    }
-
-    /// Fraction of elapsed time each inter-group link spent carrying the
-    /// application's own transfers — `(group_a, group_b, utilization)` rows.
-    pub fn inter_link_utilization(&self) -> Vec<(usize, usize, f64)> {
-        let total = self.elapsed().as_secs_f64();
-        if total <= 0.0 {
-            return Vec::new();
-        }
-        self.link_busy
-            .iter()
-            .filter_map(|(k, busy)| match k {
-                LinkKey::Inter(a, b) => Some((*a, *b, busy.as_secs_f64() / total)),
-                LinkKey::Intra(_) => None,
-            })
-            .collect()
     }
 
     fn advance(&mut self, p: ProcId, to: SimTime, act: Activity) {
@@ -263,7 +244,6 @@ impl NetSim {
             return Err(self.fail_transfer(src, dst, key, &link, bytes, start, finish, tf, kind, deadline, act));
         }
         self.link_free.insert(key, finish);
-        *self.link_busy.entry(key).or_default() += finish - start;
         // receiver waits for the data; sender blocks in rendezvous
         self.advance(src, finish, act);
         self.advance(dst, finish, act);
@@ -311,7 +291,6 @@ impl NetSim {
         let ready = self.clocks[src.0].max(self.clocks[dst.0]);
         if at > start {
             self.link_free.insert(key, at);
-            *self.link_busy.entry(key).or_default() += at - start;
         }
         self.advance(src, at, act);
         self.advance(dst, at, act);
@@ -390,17 +369,6 @@ impl NetSim {
                 unreachable!("slowdowns are priced into bandwidth, never disruptive")
             }
         }
-    }
-
-    /// Convenience: send classifying the time automatically as local or
-    /// remote communication.
-    pub fn send_auto(&mut self, src: ProcId, dst: ProcId, bytes: u64) -> SimResult<SimTime> {
-        let act = if self.is_remote(src, dst) {
-            Activity::RemoteComm
-        } else {
-            Activity::LocalComm
-        };
-        self.send(src, dst, bytes, act)
     }
 
     /// Synchronize a set of processors: all clocks jump to the set's max;
@@ -512,82 +480,6 @@ impl NetSim {
         self.allreduce_groups(&[g], bytes, act)
     }
 
-    /// One-to-all broadcast of `bytes` from `root`, charged to `act`: a
-    /// binomial tree within `root`'s group, one inter-group message to each
-    /// other group's leader, then intra-group trees there.
-    pub fn broadcast(&mut self, root: ProcId, bytes: u64, act: Activity) -> SimResult<SimTime> {
-        let all: Vec<ProcId> = (0..self.sys.nprocs()).map(ProcId).collect();
-        let t0 = self.sync(&all, Activity::Wait);
-        let rg = self.sys.group_of(root);
-        for g in 0..self.sys.ngroups() {
-            let gid = GroupId(g);
-            if gid == rg {
-                continue;
-            }
-            let l = self.sys.inter_link(rg, gid).clone();
-            if !l.health_at(t0).passes_probes() {
-                return Err(self.fail_collective(&all, &l, t0, rg, gid, act));
-            }
-        }
-        let mut finish = t0;
-        // intra tree at the root group
-        {
-            let g = self.sys.group(rg);
-            let rounds = (g.nprocs() as f64).log2().ceil() as u64;
-            let per = g.intra.transfer_time(t0, bytes);
-            finish = finish.max(t0 + SimTime(per.as_nanos() * rounds));
-        }
-        // fan out to other groups, then their intra trees
-        for g in self.sys.groups() {
-            if g.id == rg {
-                continue;
-            }
-            let inter = self.sys.inter_link(rg, g.id).transfer_time(t0, bytes);
-            let rounds = (g.nprocs() as f64).log2().ceil() as u64;
-            let per = g.intra.transfer_time(t0 + inter, bytes);
-            finish = finish.max(t0 + inter + SimTime(per.as_nanos() * rounds));
-            self.stats.msgs.remote_msgs += 1;
-            self.stats.msgs.remote_bytes += bytes;
-        }
-        for &p in &all {
-            self.advance(p, finish, act);
-        }
-        Ok(finish)
-    }
-
-    /// All-to-one gather of `bytes` per processor to `root`, charged to
-    /// `act`: intra-group trees concentrate each group's data at its leader,
-    /// leaders forward the group's aggregate over the inter links (which
-    /// serialize on the shared medium).
-    pub fn gather(&mut self, root: ProcId, bytes: u64, act: Activity) -> SimResult<SimTime> {
-        let all: Vec<ProcId> = (0..self.sys.nprocs()).map(ProcId).collect();
-        let t0 = self.sync(&all, Activity::Wait);
-        let rg = self.sys.group_of(root);
-        let mut finish = t0;
-        for g in self.sys.groups().to_vec() {
-            let rounds = (g.nprocs() as f64).log2().ceil() as u64;
-            let per = g.intra.transfer_time(t0, bytes);
-            let intra_done = t0 + SimTime(per.as_nanos() * rounds);
-            if g.id == rg {
-                finish = finish.max(intra_done);
-            } else {
-                let l = self.sys.inter_link(g.id, rg).clone();
-                if !l.health_at(intra_done).passes_probes() {
-                    return Err(self.fail_collective(&all, &l, intra_done, g.id, rg, act));
-                }
-                let agg = bytes * g.nprocs() as u64;
-                let inter = l.transfer_time(intra_done, agg);
-                finish = finish.max(intra_done + inter);
-                self.stats.msgs.remote_msgs += 1;
-                self.stats.msgs.remote_bytes += agg;
-            }
-        }
-        for &p in &all {
-            self.advance(p, finish, act);
-        }
-        Ok(finish)
-    }
-
     /// Probe the inter-group link between `a` and `b` with the two-message
     /// scheme of §4.2, performed by each group's first processor; the probe's
     /// simulated duration is charged to both as load-balance overhead. On
@@ -616,8 +508,7 @@ impl NetSim {
         let pa = lead(self, a);
         let pb = lead(self, b);
         let t0 = self.clocks[pa.0].max(self.clocks[pb.0]);
-        let link = self.sys.inter_link(a, b).clone();
-        match topology::probe_link(&link, t0, est.small, est.large) {
+        match topology::probe_link(self.sys.inter_link(a, b), t0, est.small, est.large) {
             Ok(sample) => {
                 let t1 = t0 + sample.elapsed;
                 if let Some(dl) = deadline {
@@ -637,10 +528,7 @@ impl NetSim {
                 } else {
                     (None, None, None)
                 };
-                // deterministic: refresh re-probes the same pure function
-                let sample = est
-                    .refresh(&link, t0)
-                    .expect("probe succeeded a moment ago");
+                est.observe(t0, &sample);
                 self.advance(pa, t1, Activity::LoadBalance);
                 self.advance(pb, t1, Activity::LoadBalance);
                 if tel_on {
@@ -699,7 +587,10 @@ impl NetSim {
                         deadline.unwrap_or(t0 + self.default_timeout).max(t0)
                     }
                     // down or degenerate: a round trip of silence
-                    _ => t0 + link.alpha() + link.alpha(),
+                    _ => {
+                        let alpha = self.sys.inter_link(a, b).alpha();
+                        t0 + alpha + alpha
+                    }
                 };
                 self.advance(pa, at, Activity::LoadBalance);
                 self.advance(pb, at, Activity::LoadBalance);
@@ -756,7 +647,8 @@ mod tests {
     #[test]
     fn send_blocks_both_ends() {
         let mut sim = NetSim::new(sys2x2());
-        sim.send_auto(ProcId(0), ProcId(1), 1_000_000).unwrap(); // local: 10us + 1ms
+        sim.send(ProcId(0), ProcId(1), 1_000_000, Activity::LocalComm)
+            .unwrap(); // local: 10us + 1ms
         let t = sim.now(ProcId(0));
         assert_eq!(t, sim.now(ProcId(1)));
         assert!((t.as_secs_f64() - 0.00101).abs() < 1e-9);
@@ -767,7 +659,8 @@ mod tests {
     #[test]
     fn remote_send_classified_and_slow() {
         let mut sim = NetSim::new(sys2x2());
-        sim.send_auto(ProcId(0), ProcId(2), 1_000_000).unwrap(); // wan: 10ms + 100ms
+        sim.send(ProcId(0), ProcId(2), 1_000_000, Activity::RemoteComm)
+            .unwrap(); // wan: 10ms + 100ms
         let t = sim.now(ProcId(2)).as_secs_f64();
         assert!((t - 0.11).abs() < 1e-9, "{t}");
         assert_eq!(sim.stats().msgs.remote_msgs, 1);
@@ -778,7 +671,8 @@ mod tests {
     #[test]
     fn self_send_free() {
         let mut sim = NetSim::new(sys2x2());
-        sim.send_auto(ProcId(1), ProcId(1), 1 << 30).unwrap();
+        sim.send(ProcId(1), ProcId(1), 1 << 30, Activity::LocalComm)
+            .unwrap();
         assert_eq!(sim.elapsed(), SimTime::ZERO);
         assert_eq!(sim.stats().msgs.local_msgs, 0);
     }
@@ -787,15 +681,19 @@ mod tests {
     fn link_contention_serializes() {
         let mut sim = NetSim::new(sys2x2());
         // two disjoint proc pairs share the single wan link
-        sim.send_auto(ProcId(0), ProcId(2), 1_000_000).unwrap();
-        sim.send_auto(ProcId(1), ProcId(3), 1_000_000).unwrap();
+        sim.send(ProcId(0), ProcId(2), 1_000_000, Activity::RemoteComm)
+            .unwrap();
+        sim.send(ProcId(1), ProcId(3), 1_000_000, Activity::RemoteComm)
+            .unwrap();
         // second transfer had to wait for the first: ~0.11 + 0.11
         let t = sim.now(ProcId(3)).as_secs_f64();
         assert!((t - 0.22).abs() < 1e-6, "{t}");
         // but intra transfers in different groups don't contend
         let mut sim2 = NetSim::new(sys2x2());
-        sim2.send_auto(ProcId(0), ProcId(1), 1_000_000).unwrap();
-        sim2.send_auto(ProcId(2), ProcId(3), 1_000_000).unwrap();
+        sim2.send(ProcId(0), ProcId(1), 1_000_000, Activity::LocalComm)
+            .unwrap();
+        sim2.send(ProcId(2), ProcId(3), 1_000_000, Activity::LocalComm)
+            .unwrap();
         assert_eq!(sim2.now(ProcId(1)), sim2.now(ProcId(3)));
     }
 
@@ -864,7 +762,8 @@ mod tests {
         let run = || {
             let mut sim = NetSim::new(sys2x2());
             sim.compute(ProcId(0), 0.5);
-            sim.send_auto(ProcId(0), ProcId(2), 123_456).unwrap();
+            sim.send(ProcId(0), ProcId(2), 123_456, Activity::RemoteComm)
+                .unwrap();
             sim.allreduce_all(64, Activity::LoadBalance).unwrap();
             sim.compute(ProcId(3), 0.25);
             sim.finish()
@@ -880,7 +779,9 @@ mod tests {
             FaultKind::Outage,
         );
         let mut sim = NetSim::new(sys2x2_faulty(sched));
-        let err = sim.send_auto(ProcId(0), ProcId(2), 1_000_000).unwrap_err();
+        let err = sim
+            .send(ProcId(0), ProcId(2), 1_000_000, Activity::RemoteComm)
+            .unwrap_err();
         assert!(matches!(err, SimError::LinkDown { .. }), "{err:?}");
         // both ends paid the 2·α detection time (20 ms wan RTT)
         assert_eq!(sim.now(ProcId(0)), SimTime::from_millis(20));
@@ -888,7 +789,9 @@ mod tests {
         assert_eq!(sim.stats().msgs.failed_msgs, 1);
         assert_eq!(sim.stats().msgs.remote_msgs, 0);
         // intra traffic is unaffected
-        assert!(sim.send_auto(ProcId(0), ProcId(1), 1_000).is_ok());
+        assert!(sim
+            .send(ProcId(0), ProcId(1), 1_000, Activity::LocalComm)
+            .is_ok());
     }
 
     #[test]
@@ -900,7 +803,9 @@ mod tests {
         );
         let mut sim = NetSim::new(sys2x2_faulty(sched));
         sim.default_timeout = SimTime::from_secs(2);
-        let err = sim.send_auto(ProcId(0), ProcId(2), 1_000_000).unwrap_err();
+        let err = sim
+            .send(ProcId(0), ProcId(2), 1_000_000, Activity::RemoteComm)
+            .unwrap_err();
         assert!(matches!(err, SimError::Timeout { .. }), "{err:?}");
         assert_eq!(sim.now(ProcId(0)), SimTime::from_secs(2));
     }
@@ -948,7 +853,9 @@ mod tests {
             FaultKind::Outage,
         );
         let mut sim = NetSim::new(sys2x2_faulty(sched));
-        let err = sim.send_auto(ProcId(0), ProcId(2), 1_000_000).unwrap_err();
+        let err = sim
+            .send(ProcId(0), ProcId(2), 1_000_000, Activity::RemoteComm)
+            .unwrap_err();
         match err {
             SimError::PartialTransfer { at, sent, total } => {
                 assert_eq!(at, SimTime::from_millis(60));
@@ -971,9 +878,13 @@ mod tests {
         );
         let mut sim = NetSim::new(sys2x2_faulty(sched));
         // a probe-sized message crosses fine
-        assert!(sim.send_auto(ProcId(0), ProcId(2), 1 << 10).is_ok());
+        assert!(sim
+            .send(ProcId(0), ProcId(2), 1 << 10, Activity::RemoteComm)
+            .is_ok());
         // a bulk migration does not
-        let err = sim.send_auto(ProcId(0), ProcId(2), 1 << 20).unwrap_err();
+        let err = sim
+            .send(ProcId(0), ProcId(2), 1 << 20, Activity::RemoteComm)
+            .unwrap_err();
         assert!(matches!(err, SimError::PartialTransfer { .. }), "{err:?}");
     }
 
@@ -1031,9 +942,9 @@ mod tests {
             );
         let mut sim = NetSim::new(sys2x2_faulty(sched));
         sim.default_timeout = SimTime::from_millis(200);
-        let _ = sim.send_auto(ProcId(0), ProcId(2), 1_000_000);
+        let _ = sim.send(ProcId(0), ProcId(2), 1_000_000, Activity::RemoteComm);
         sim.compute(ProcId(0), 1.0);
-        let _ = sim.send_auto(ProcId(0), ProcId(2), 1_000_000);
+        let _ = sim.send(ProcId(0), ProcId(2), 1_000_000, Activity::RemoteComm);
         let _ = sim.allreduce_all(64, Activity::LoadBalance);
         sim.finish();
         for p in 0..4 {
@@ -1059,7 +970,9 @@ mod tests {
         assert!(sim.alive_at(ProcId(0), sim.elapsed()));
         assert!(!sim.alive_at(ProcId(1), sim.elapsed()));
 
-        let err = sim.send_auto(ProcId(0), ProcId(1), 1_000_000).unwrap_err();
+        let err = sim
+            .send(ProcId(0), ProcId(1), 1_000_000, Activity::LocalComm)
+            .unwrap_err();
         assert!(matches!(err, SimError::PeerDead { .. }));
         // detection costs a round trip of intra latency (2 × 10µs), far
         // less than the ~1ms the payload would have taken
@@ -1076,7 +989,8 @@ mod tests {
 
         // after the rejoin window the same send succeeds
         sim.compute(ProcId(0), 11.0);
-        sim.send_auto(ProcId(0), ProcId(1), 1_000_000).unwrap();
+        sim.send(ProcId(0), ProcId(1), 1_000_000, Activity::LocalComm)
+            .unwrap();
     }
 
     #[test]

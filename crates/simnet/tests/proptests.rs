@@ -50,9 +50,14 @@ fn apply(sim: &mut NetSim, op: &Op) {
     match *op {
         Op::Compute(p, ms) => sim.compute(ProcId(p as usize), ms as f64 * 1e-3),
         Op::Send(a, b, n) => {
+            let (src, dst) = (ProcId(a as usize), ProcId(b as usize));
+            let act = if sim.is_remote(src, dst) {
+                Activity::RemoteComm
+            } else {
+                Activity::LocalComm
+            };
             // fault-free system: sends cannot fail
-            sim.send_auto(ProcId(a as usize), ProcId(b as usize), n as u64)
-                .unwrap();
+            sim.send(src, dst, n as u64, act).unwrap();
         }
         Op::Barrier => {
             sim.barrier_all();
@@ -154,7 +159,7 @@ fn send_pays_at_least_latency_and_size() {
             } else {
                 (ProcId(3), ProcId(1))
             };
-            sim.send_auto(src, dst, bytes).unwrap();
+            sim.send(src, dst, bytes, Activity::RemoteComm).unwrap();
             let t = sim.now(dst);
             // latency 5ms; best-case bandwidth 2e7 B/s
             let floor = 0.005 + bytes as f64 / 2e7;

@@ -127,13 +127,13 @@ fn check_reachable(link: &Link, t: SimTime) -> Result<(), ProbeError> {
     Ok(())
 }
 
-/// Forecasting smoother over probe samples, NWS-style. The α/β/bandwidth
+/// Forecasting smoother over probe samples, NWS-style. The α and β
 /// streams are folded through a [`forecast::LinkForecast`]; the default
 /// model is an EWMA with gain 1 — the paper's latest-sample mode, bit for
 /// bit — and [`LinkEstimator::with_predictor`] swaps in any other.
 #[derive(Clone, Debug)]
 pub struct LinkEstimator {
-    /// Per-series predictors for α, β, and effective bandwidth.
+    /// Per-series predictors for α and β.
     series: LinkForecast,
     /// Probe message sizes.
     pub small: u64,
@@ -174,15 +174,16 @@ impl LinkEstimator {
     /// α/β stay untouched.
     pub fn refresh(&mut self, link: &Link, t: SimTime) -> Result<ProbeSample, ProbeError> {
         let s = probe_link(link, t, self.small, self.large)?;
-        self.fold(t, s.alpha, s.beta);
+        self.observe(t, &s);
         Ok(s)
     }
 
-    /// Fold one sample into the per-series predictors, clamped against
-    /// NaN/negative samples: non-finite contributions are discarded (the
-    /// old estimate survives) and finite ones are floored at zero before
-    /// smoothing — the same semantics the in-place EWMA had.
-    fn fold(&mut self, t: SimTime, alpha: f64, beta: f64) {
+    /// Fold a sample probed at `t` into the per-series predictors, clamped
+    /// against NaN/negative samples: non-finite contributions are discarded
+    /// (the old estimate survives) and finite ones are floored at zero
+    /// before smoothing — the same semantics the in-place EWMA had.
+    pub fn observe(&mut self, t: SimTime, sample: &ProbeSample) {
+        let (alpha, beta) = (sample.alpha, sample.beta);
         let secs = t.as_secs_f64();
         if alpha.is_finite() && beta.is_finite() {
             self.series.observe_probe(secs, alpha.max(0.0), beta.max(0.0));

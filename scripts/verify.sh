@@ -47,6 +47,10 @@ fi
 # `pub use` statement, since a re-export only passes the name on) — unless
 # the allowlist below gives the reason it stays; an allowlisted name that
 # gains a use, or that no production `pub fn` declares any more, fails too
+#
+# Both gates passed, the heredoc prints the production-line count under the
+# same cut: every line of src/ and crates/*/src outside crates/benchmark
+# above each file's test module.
 python3 - <<'EOF'
 import glob, re, sys
 from collections import Counter
@@ -133,6 +137,7 @@ problems = dead + [f"allowlisted `{n}` is named now: drop it from the allowlist"
 if problems:
     sys.exit("verify: `pub fn` nothing else names (delete it, or allowlist it with a reason):\n"
              + "\n".join(problems))
+print(f"verify: {sum(production.values())} production lines")
 EOF
 # lint clean, and no workspace crate may clone what a borrow would do: on a
 # field, a needless clone is a whole extra allocation and copy of its data
