@@ -1,17 +1,18 @@
 //! Hot-path throughput baseline: runs the AMR64 (LAN) and ShockPool3D (WAN)
 //! presets and writes `results/BENCH_hotpath.json` with cell-updates/sec,
-//! host wall-clock seconds per phase (solve / ghost / regrid / restrict /
-//! decision), the ghost phase by part (plan / coarse_fill / sibling /
-//! messages), the peak patch count, and the process's peak resident memory
-//! (`VmHWM`) after the first and after the last repeat of each preset — the
-//! presets run one after the other in one process, so a last repeat above
-//! the first means memory grows from run to run.
+//! host wall-clock seconds of the setup (`Driver::new`: level-0 build and
+//! initial regrid cascade, timed apart from `run()`) and per phase (solve /
+//! ghost / regrid / restrict / decision), the ghost phase by part (plan /
+//! coarse_fill / sibling / messages), the peak patch count, and the
+//! process's peak resident memory (`VmHWM`) after the first and after the
+//! last repeat of each preset — the presets run one after the other in one
+//! process, so a last repeat above the first means memory grows from run to
+//! run.
 //!
 //! Flags: `--quick` shrinks the scale for smoke/CI runs and reports the best
-//! wall and the best of each phase over five repeats, whose fingerprints
-//! must agree (`repeats` in the output; a single quick sample is mostly
-//! noise); `--full`
-//! raises it to the large-domain scale (n0 = 32, 10 steps — the committed
+//! wall, the best setup and the best of each phase over five repeats, whose
+//! fingerprints must agree (`repeats` in the output; a single quick sample
+//! is mostly noise); `--full` raises it to the large-domain scale (n0 = 32, 10 steps — the committed
 //! `results/BENCH_hotpath_full.json` baseline); `--out PATH` overrides the
 //! output file (the verify gate uses this to avoid clobbering the committed
 //! baselines); `--trace-out PATH` records telemetry during the first run of
@@ -33,18 +34,22 @@ fn system_for(app: AppKind, n: usize) -> DistributedSystem {
     }
 }
 
+/// One run: its result, the host seconds of `Driver::new` (setup), and of
+/// setup and `run()` together (wall).
 fn timed_run(
     sys: DistributedSystem,
     app: AppKind,
     scale: Scale,
     tel: telemetry::Telemetry,
-) -> (RunResult, f64) {
+) -> (RunResult, f64, f64) {
     let mut cfg = RunConfig::new(app, scale.n0, scale.steps, Scheme::distributed_default());
     cfg.max_levels = scale.max_levels;
     cfg.telemetry = tel;
     let t0 = Instant::now();
-    let res = Driver::new(sys, cfg).run();
-    (res, t0.elapsed().as_secs_f64())
+    let driver = Driver::new(sys, cfg);
+    let setup = t0.elapsed().as_secs_f64();
+    let res = driver.run();
+    (res, setup, t0.elapsed().as_secs_f64())
 }
 
 /// Everything that must agree bitwise between repeats.
@@ -107,14 +112,14 @@ fn main() {
         } else {
             telemetry::Telemetry::null()
         };
-        let (mut res, mut wall) = timed_run(system_for(app, n), app, scale, tel);
+        let (mut res, mut setup, mut wall) = timed_run(system_for(app, n), app, scale, tel);
         let hwm_first = vm_hwm_mb();
         // a quick-scale run lasts tens of milliseconds and one sample
         // spreads 2-3x on a busy host: keep the best wall and the best of
         // each phase over a few repeats, so the verify gate can compare
         // phase by phase against the committed baseline
         for _ in 1..repeats {
-            let (again, again_wall) =
+            let (again, again_setup, again_wall) =
                 timed_run(system_for(app, n), app, scale, telemetry::Telemetry::null());
             assert_eq!(
                 fingerprint(&again),
@@ -122,6 +127,7 @@ fn main() {
                 "{name}: repeat diverged"
             );
             wall = wall.min(again_wall);
+            setup = setup.min(again_setup);
             // the ghost split comes whole from the repeat with the best
             // ghost phase, so that its parts still sum to it
             if again.wall.ghost < res.wall.ghost {
@@ -138,7 +144,8 @@ fn main() {
         let hwm_last = vm_hwm_mb();
         let cups = res.cell_updates as f64 / wall;
         println!(
-            "{name:>12}: {cups:.3e} cell-updates/sec  wall {wall:.3}s  peak patches {}",
+            "{name:>12}: {cups:.3e} cell-updates/sec  wall {wall:.3}s  setup {:.2}ms  peak patches {}",
+            setup * 1e3,
             res.peak_patches,
         );
         println!(
@@ -158,6 +165,7 @@ fn main() {
             ("peak_patches", res.peak_patches.to_json()),
             ("final_patches", res.final_patches.to_json()),
             ("wall_secs", wall.to_json()),
+            ("setup_secs", setup.to_json()),
             ("cell_updates_per_sec", cups.to_json()),
             ("phases", res.wall.to_json()),
             (

@@ -44,6 +44,41 @@ struct OldPatch {
     fields: Vec<Field3>,
 }
 
+/// A new grid's field buffers on their way through a pool task: reserved on
+/// the calling thread, so every one comes from that thread's heap arena, and
+/// zero-filled by the task that then writes them (DESIGN §12).
+struct NewGrid {
+    region: Region,
+    ghost: i64,
+    buffers: Vec<Vec<f64>>,
+    fields: Vec<Field3>,
+}
+
+impl NewGrid {
+    /// Reserve (not zero) the buffers of one grid of `hier` over `region`.
+    fn reserve(hier: &GridHierarchy, region: Region) -> NewGrid {
+        let (nf, ghost) = (hier.nfields(), hier.ghost());
+        let len = region.grow(ghost).cells() as usize;
+        NewGrid {
+            region,
+            ghost,
+            buffers: (0..nf).map(|_| hier.pool().reserve(len)).collect(),
+            fields: Vec::with_capacity(nf),
+        }
+    }
+
+    /// Zero-fill the reserved buffers into the grid's fields, in place.
+    fn zeroed(&mut self) -> &mut [Field3] {
+        let (region, ghost) = (self.region, self.ghost);
+        self.fields.extend(
+            self.buffers
+                .drain(..)
+                .map(|buf| Field3::zeros_in(buf, region, ghost)),
+        );
+        &mut self.fields
+    }
+}
+
 /// The SAMR execution driver.
 pub struct Driver {
     cfg: RunConfig,
@@ -109,6 +144,10 @@ impl Driver {
     /// one clock. Proc-fault schedules require a view that owns its
     /// substrate — a shared substrate has one global fault timeline, not
     /// per-tenant ones.
+    ///
+    /// Level 0's field buffers are reserved on the calling thread and
+    /// zero-filled and initialised on the worker pool, one task per patch;
+    /// the patches are inserted with their fields afterwards, in slab order.
     pub fn new_on(sim: SimView, cfg: RunConfig) -> Driver {
         let app = AppState::new(cfg.app, cfg.n0, cfg.seed);
         let domain = Region::cube(cfg.n0);
@@ -119,24 +158,25 @@ impl Driver {
             app.nfields(),
             app.ghost(),
         );
-        // initial decomposition: one slab per processor, weighted
+        // initial decomposition: one slab per processor, weighted; its field
+        // buffers are reserved on this thread and zero-filled and initialised
+        // on the pool, then the patches are inserted in slab order
         let shares: Vec<f64> = sim.system().procs().iter().map(|p| p.weight).collect();
-        for (region, proc_ix) in decompose_domain(domain, &shares) {
-            hier.insert_patch(0, region, None, proc_ix);
-        }
-        // allocated above on this thread, initialised on the pool: take the
-        // field sets out, fill them in parallel, put them back
-        let ids = hier.level_ids(0).to_vec();
-        let mut sets: Vec<Vec<Field3>> = ids
+        let slabs = decompose_domain(domain, &shares);
+        let mut grids: Vec<NewGrid> = slabs
             .iter()
-            .map(|&id| std::mem::take(&mut hier.patch_mut(id).fields))
+            .map(|&(region, _)| NewGrid::reserve(&hier, region))
             .collect();
-        for_each_task_parallel(&mut sets, |_, fields| app.init_fields(fields));
-        for (id, fields) in ids.into_iter().zip(sets) {
-            hier.patch_mut(id).fields = fields;
+        #[cfg(test)]
+        let census = tests::WaveCensus::reserved(0, 0..grids.len(), &hier, &[], &[], &grids);
+        for_each_task_parallel(&mut grids, |_, grid| app.init_fields(grid.zeroed()));
+        for ((region, proc_ix), grid) in slabs.into_iter().zip(grids) {
+            hier.insert_patch_with_fields(0, region, None, proc_ix, grid.fields);
         }
         let history = WorkloadHistory::new(sim.system().nprocs());
         let mut d = Driver::from_parts(sim, cfg, app, hier, history, Vec::new(), 0);
+        #[cfg(test)]
+        d.fill_census.push(census);
         // build the initial hierarchy: regrid cascade, no timing charged
         // (setup happens before the measured run on all schemes equally)
         for l in 0..d.cfg.max_levels - 1 {
@@ -926,8 +966,11 @@ impl Driver {
     /// cluster (Berger–Rigoutsos), place via the DLB scheme, then fill each
     /// new grid's interior from its final sources — surviving data of the
     /// retired fine grids where they overlapped, parent prolongation
-    /// elsewhere. Ghost shells are left to the next `exchange_ghosts(level +
-    /// 1)`, which runs before anything reads the new level.
+    /// elsewhere. The fill runs in waves: the calling thread reserves a
+    /// wave's field buffers, the pool task that fills a grid zero-fills its
+    /// buffers first. Ghost shells are left at those zeros until the next
+    /// `exchange_ghosts(level + 1)`, which runs before anything reads the
+    /// new level.
     fn regrid(&mut self, level: usize) {
         let t0 = std::time::Instant::now();
         let _span = telemetry::span!(self.cfg.telemetry, "regrid", level);
@@ -1010,7 +1053,6 @@ impl Driver {
         // parent) — each retired grid's last reader, and the messages that
         // moving those costs
         let nf = self.hier.nfields();
-        let ghost = self.hier.ghost();
         let old = &self.old_data[level + 1];
         let old_index = BoxIndex::new(old.iter().map(|op| op.region));
         let mut hits = Vec::new();
@@ -1033,10 +1075,10 @@ impl Driver {
             sources.push(from_old);
         }
 
-        // fill in waves, in clustering order: a wave's fields are allocated
-        // here and filled on the pool, and every retired grid no later wave
-        // reads is dropped before the next one is allocated (§12) — the ones
-        // no new grid reads before the first
+        // fill in waves, in clustering order: a wave's field buffers are
+        // reserved here and zero-filled and filled on the pool, and every
+        // retired grid no later wave reads is dropped before the next one is
+        // reserved (§12) — the ones no new grid reads before the first
         let free_served = |old: &mut Vec<OldPatch>, end: usize| {
             for (op, last) in old.iter_mut().zip(&last_reader) {
                 if last.is_none_or(|l| l < end) {
@@ -1050,19 +1092,21 @@ impl Driver {
         let mut built: Vec<Vec<Field3>> = Vec::with_capacity(regions.len());
         for first in (0..regions.len()).step_by(wave_len) {
             let wave = first..(first + wave_len).min(regions.len());
-            let mut fill: Vec<Vec<Field3>> = regions[wave.clone()]
+            let mut fill: Vec<NewGrid> = regions[wave.clone()]
                 .iter()
-                .map(|&region| {
-                    (0..nf)
-                        .map(|_| Field3::new_in(hier.pool(), region, ghost))
-                        .collect()
-                })
+                .map(|&region| NewGrid::reserve(hier, region))
                 .collect();
             #[cfg(test)]
-            let live_bytes =
-                tests::live_field_bytes(hier, &self.old_data, built.iter().chain(&fill));
+            let mut census = tests::WaveCensus::reserved(
+                level + 1,
+                wave.clone(),
+                hier,
+                &self.old_data,
+                &built,
+                &fill,
+            );
             let old = &self.old_data[level + 1];
-            for_each_task_parallel(&mut fill, |k, fields| {
+            for_each_task_parallel(&mut fill, |k, grid| {
                 let i = first + k;
                 let from_old: Vec<FillSource<'_>> = sources[i]
                     .iter()
@@ -1071,19 +1115,18 @@ impl Driver {
                         window,
                     })
                     .collect();
-                hier.fill_refined_fields(fields, parent_ids[i], &from_old);
+                hier.fill_refined_fields(grid.zeroed(), parent_ids[i], &from_old);
             });
-            built.append(&mut fill);
+            built.extend(fill.into_iter().map(|grid| grid.fields));
             free_served(&mut self.old_data[level + 1], wave.end);
             #[cfg(test)]
-            self.fill_census.push(tests::WaveCensus {
-                retired_alive: self.old_data[level + 1]
+            {
+                census.retired_alive = self.old_data[level + 1]
                     .iter()
                     .map(|op| !op.fields.is_empty())
-                    .collect(),
-                wave,
-                live_bytes,
-            });
+                    .collect();
+                self.fill_census.push(census);
+            }
         }
         // every retired grid has been read and dropped
         self.old_data[level + 1] = Vec::new();
@@ -1094,9 +1137,13 @@ impl Driver {
             .zip(&parents)
             .zip(built)
         {
-            let id =
-                self.hier
-                    .insert_patch_with_fields(level + 1, region, parent_id, owner, fields);
+            let id = self.hier.insert_patch_with_fields(
+                level + 1,
+                region,
+                Some(parent_id),
+                owner,
+                fields,
+            );
             if parent_owner != owner {
                 *batch.entry((parent_owner, owner)).or_default() +=
                     self.hier.patch(id).payload_bytes();
@@ -1416,9 +1463,13 @@ mod tests {
                 .zip(&parents)
                 .zip(built)
             {
-                let id =
-                    self.hier
-                        .insert_patch_with_fields(level + 1, region, parent_id, owner, fields);
+                let id = self.hier.insert_patch_with_fields(
+                    level + 1,
+                    region,
+                    Some(parent_id),
+                    owner,
+                    fields,
+                );
                 if parent_owner != owner {
                     *batch.entry((parent_owner, owner)).or_default() +=
                         self.hier.patch(id).payload_bytes();
@@ -1431,25 +1482,58 @@ mod tests {
         }
     }
 
-    /// One wave of a regrid fill: the new grids it filled (indices in
-    /// clustering order), the field bytes alive right after its fields were
-    /// allocated — hierarchy, every stash, every new grid so far — and which
-    /// retired grids of the rebuilt level still held data once it was done.
+    /// One wave of a regrid fill (or the level-0 build, as one wave): the
+    /// level it built, the new grids it filled (indices in clustering order,
+    /// or slab order on level 0), the field bytes alive right after its
+    /// buffers were reserved — hierarchy, every stash, every new grid so
+    /// far, the wave's reserved capacity — the address of each of its
+    /// grids' reserved buffers, and which retired grids of the rebuilt level
+    /// still held data once it was done.
     pub(super) struct WaveCensus {
+        pub(super) level: usize,
         pub(super) wave: std::ops::Range<usize>,
         pub(super) live_bytes: u64,
+        pub(super) reserved: Vec<Vec<*const f64>>,
         pub(super) retired_alive: Vec<bool>,
+    }
+
+    impl WaveCensus {
+        /// The census of a wave whose buffers `fill` holds, taken before any
+        /// pool task touches them.
+        pub(super) fn reserved(
+            level: usize,
+            wave: std::ops::Range<usize>,
+            hier: &GridHierarchy,
+            old_data: &[Vec<OldPatch>],
+            built: &[Vec<Field3>],
+            fill: &[NewGrid],
+        ) -> WaveCensus {
+            let buffers = || fill.iter().flat_map(|g| &g.buffers);
+            let reserved_bytes = buffers().map(|b| 8 * b.capacity() as u64).sum::<u64>();
+            let built_bytes = built.iter().map(|f| bytes_of(f));
+            WaveCensus {
+                level,
+                wave,
+                live_bytes: live_field_bytes(hier, old_data, built_bytes.chain([reserved_bytes])),
+                reserved: fill
+                    .iter()
+                    .map(|g| g.buffers.iter().map(|b| b.as_ptr()).collect())
+                    .collect(),
+                retired_alive: Vec::new(),
+            }
+        }
     }
 
     fn bytes_of(fields: &[Field3]) -> u64 {
         fields.iter().map(|f| 8 * f.data().len() as u64).sum()
     }
 
-    /// Field bytes held by `hier`, the stashes and the new grids `fresh`.
-    pub(super) fn live_field_bytes<'a>(
+    /// Field bytes held by `hier`, the stashes and the new grids, whose
+    /// bytes `fresh` lists.
+    pub(super) fn live_field_bytes(
         hier: &GridHierarchy,
         old_data: &[Vec<OldPatch>],
-        fresh: impl Iterator<Item = &'a Vec<Field3>>,
+        fresh: impl Iterator<Item = u64>,
     ) -> u64 {
         let held: u64 = (0..hier.num_levels())
             .flat_map(|l| hier.level_ids(l))
@@ -1460,7 +1544,7 @@ mod tests {
             .flatten()
             .map(|op| bytes_of(&op.fields))
             .sum();
-        held + stashed + fresh.map(|f| bytes_of(f)).sum::<u64>()
+        held + stashed + fresh.sum::<u64>()
     }
 
     fn level_regions(d: &Driver, level: usize) -> Vec<Region> {
@@ -1746,6 +1830,49 @@ mod tests {
                 assert_eq!(double_buffer, 5_825_600);
                 assert_eq!(high_water, 4_443_200);
                 assert!(high_water < double_buffer);
+            }
+        }
+    }
+
+    /// Every field the level-0 build or a regrid wave inserts lives in the
+    /// buffer reserved for it on the calling thread: the pool task that
+    /// zero-filled and wrote it did not reallocate, so no field buffer comes
+    /// from a worker's heap arena. Checked on everything `Driver::new`
+    /// builds, and on a regrid of every level of both fixtures.
+    #[test]
+    fn inserted_fields_live_in_the_buffers_reserved_on_the_calling_thread() {
+        fn check(d: &Driver, levels: std::ops::Range<usize>) {
+            let built: Vec<usize> = d.fill_census.iter().map(|w| w.level).collect();
+            assert!(
+                levels.clone().all(|l| built.contains(&l)),
+                "levels {levels:?} not all built: {built:?}"
+            );
+            for w in &d.fill_census {
+                let ids = d.hier.level_ids(w.level);
+                assert_eq!(w.reserved.len(), w.wave.len(), "level {}", w.level);
+                for (i, reserved) in w.wave.clone().zip(&w.reserved) {
+                    let at: Vec<*const f64> = d
+                        .hier
+                        .patch(ids[i])
+                        .fields
+                        .iter()
+                        .map(|f| f.data().as_ptr())
+                        .collect();
+                    assert_eq!(&at, reserved, "level {}, grid {i}", w.level);
+                }
+            }
+        }
+        let mut cfg = RunConfig::new(AppKind::ShockPool3D, 16, 3, Scheme::distributed_default());
+        cfg.max_levels = 3;
+        let fresh = Driver::new(topology::presets::anl_ncsa_wan(2, 2, 11), cfg);
+        check(&fresh, 0..3);
+        for fixture in [driver as fn() -> Driver, many_small_patches] {
+            let levels = fixture().hier.num_levels();
+            for level in 0..levels - 1 {
+                let mut d = fixture();
+                d.fill_census.clear();
+                d.regrid_inner(level);
+                check(&d, level + 1..level + 2);
             }
         }
     }

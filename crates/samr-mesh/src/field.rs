@@ -101,11 +101,41 @@ impl Field3 {
         }
     }
 
+    /// A zero-filled field over `interior` with `ghost` ghost cells, built in
+    /// `buf` — an empty buffer reserved elsewhere, e.g. by
+    /// [`FieldPool::reserve`](crate::pool::FieldPool::reserve) on another
+    /// thread. The zeros are written into the reserved capacity, so the
+    /// field's data is `buf`'s allocation: nothing is reallocated.
+    /// Bit-identical to [`Field3::zeros`].
+    ///
+    /// Panics if `buf` is not empty or has room for fewer cells than the
+    /// storage box holds.
+    pub fn zeros_in(mut buf: Vec<f64>, interior: Region, ghost: i64) -> Self {
+        assert!(ghost >= 0);
+        assert!(!interior.is_empty(), "field over empty region");
+        let storage = interior.grow(ghost);
+        let len = storage.cells() as usize;
+        assert!(buf.is_empty(), "zeros_in needs an empty buffer");
+        assert!(
+            buf.capacity() >= len,
+            "zeros_in: room for {} cells, {storage:?} holds {len}",
+            buf.capacity()
+        );
+        buf.resize(len, 0.0);
+        Field3 {
+            interior,
+            ghost,
+            storage,
+            data: buf,
+        }
+    }
+
     /// Deep copy whose backing store is drawn from (and counted by) `pool`:
-    /// same shape and bitwise-identical contents.
+    /// same shape and bitwise-identical contents, copied into a reserved
+    /// buffer without zero-filling it first.
     pub fn clone_in(&self, pool: &crate::pool::FieldPool) -> Self {
-        let mut data = pool.acquire(self.data.len());
-        data.copy_from_slice(&self.data);
+        let mut data = pool.reserve(self.data.len());
+        data.extend_from_slice(&self.data);
         Field3 {
             interior: self.interior,
             ghost: self.ghost,
@@ -357,6 +387,57 @@ mod tests {
         assert_eq!(f.storage_region(), r.grow(2));
         assert_eq!(f.data().len(), 8 * 8 * 8);
         assert!(f.data().iter().all(|&v| v == 0.0));
+    }
+
+    /// A field built in a reserved buffer is all zero, as `zeros` builds
+    /// it, and keeps the reservation's allocation: same address, same
+    /// capacity, so no reallocation happened wherever it was built.
+    #[test]
+    fn zeros_in_fills_the_reserved_buffer_in_place() {
+        let pool = crate::pool::FieldPool::new();
+        let r = region(ivec3(2, 0, 0), ivec3(6, 4, 5));
+        let len = r.grow(2).cells() as usize;
+        for room in [len, len + 9] {
+            let buf = pool.reserve(room);
+            let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+            let f = Field3::zeros_in(buf, r, 2);
+            assert_eq!(f.data().as_ptr(), ptr);
+            assert_eq!(f.data.capacity(), cap);
+            assert_eq!(f, Field3::zeros(r, 2));
+            assert!(f.data().iter().all(|v| v.to_bits() == 0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty buffer")]
+    fn zeros_in_rejects_a_buffer_holding_data() {
+        let r = Region::cube(2);
+        let mut buf = Vec::with_capacity(r.cells() as usize);
+        buf.push(1.0);
+        Field3::zeros_in(buf, r, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "zeros_in: room for")]
+    fn zeros_in_rejects_a_buffer_too_small() {
+        Field3::zeros_in(Vec::with_capacity(7), Region::cube(2), 0);
+    }
+
+    /// A copy into a reserved buffer has the source's shape and bits, and
+    /// counts one buffer.
+    #[test]
+    fn clone_in_copies_bits_into_one_counted_buffer() {
+        let pool = crate::pool::FieldPool::new();
+        let mut f = Field3::zeros(Region::cube(3), 1);
+        for (i, v) in f.data_mut().iter_mut().enumerate() {
+            *v = if i % 7 == 0 { -0.0 } else { i as f64 * 0.5 };
+        }
+        let c = f.clone_in(&pool);
+        assert_eq!(c.data.capacity(), f.data().len());
+        assert_eq!((c.interior(), c.ghost()), (f.interior(), f.ghost()));
+        let bits = |x: &Field3| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&c), bits(&f));
+        assert_eq!(pool.stats().misses, 1);
     }
 
     /// A field document whose parts disagree is rejected where it enters,

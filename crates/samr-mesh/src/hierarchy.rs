@@ -290,13 +290,14 @@ impl GridHierarchy {
 
     /// Insert a new patch at `level` that adopts `fields` (built over
     /// `region` with this hierarchy's field count and ghost width, filled
-    /// e.g. by [`GridHierarchy::fill_refined_fields`]). Same validity rules
-    /// and id allocation as [`GridHierarchy::insert_patch`].
+    /// e.g. by [`GridHierarchy::fill_refined_fields`], or initialised by the
+    /// application for a level-0 patch). Same validity rules and id
+    /// allocation as [`GridHierarchy::insert_patch`].
     pub fn insert_patch_with_fields(
         &mut self,
         level: usize,
         region: Region,
-        parent: PatchId,
+        parent: Option<PatchId>,
         owner: OwnerProc,
         fields: Vec<Field3>,
     ) -> PatchId {
@@ -305,11 +306,14 @@ impl GridHierarchy {
             self.domain_at_level(level).contains_region(&region),
             "patch region {region:?} outside level-{level} domain"
         );
-        assert_eq!(
-            self.patch(parent).level + 1,
-            level,
-            "parent must be one level up"
-        );
+        assert_eq!(level == 0, parent.is_none(), "non-root patches need a parent");
+        if let Some(parent) = parent {
+            assert_eq!(
+                self.patch(parent).level + 1,
+                level,
+                "parent must be one level up"
+            );
+        }
         assert_eq!(fields.len(), self.nfields, "wrong field count");
         assert!(
             fields
@@ -322,7 +326,7 @@ impl GridHierarchy {
             id,
             level,
             region,
-            parent: Some(parent),
+            parent,
             owner,
             fields,
         };
@@ -1462,7 +1466,7 @@ mod tests {
                     );
                 }
             }
-            let id = h.insert_patch_with_fields(1, reg, root, 1, built);
+            let id = h.insert_patch_with_fields(1, reg, Some(root), 1, built);
             assert_eq!(h.patch(id).parent, Some(root));
         }
         assert!(

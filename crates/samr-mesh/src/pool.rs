@@ -11,7 +11,15 @@
 //!
 //! Acquired buffers are always zero-filled, matching
 //! [`Field3::zeros`](crate::field::Field3::zeros), so a field drawn here is
-//! bit-identical to a fresh one.
+//! bit-identical to a fresh one. A reserved buffer ([`FieldPool::reserve`])
+//! is the allocation without the zeroing: empty, with room for exactly
+//! `len` elements, for code that writes every element anyway. The regrid
+//! and the level-0 build reserve on the calling thread — so every buffer
+//! comes from that thread's heap arena, and the resident set does not grow
+//! with per-worker arenas — and zero-fill each buffer in the pool task that
+//! then writes it ([`Field3::zeros_in`](crate::field::Field3::zeros_in)),
+//! on cache-hot memory and on every worker at once instead of in one serial
+//! pass.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,6 +63,13 @@ impl FieldPool {
         // a statistic that publishes nothing else
         self.handed_out.fetch_add(1, Ordering::Relaxed);
         vec![0.0; len]
+    }
+
+    /// An empty buffer with room for exactly `len` elements, freshly
+    /// allocated and counted like [`FieldPool::acquire`]; nothing is written.
+    pub fn reserve(&self, len: usize) -> Vec<f64> {
+        self.handed_out.fetch_add(1, Ordering::Relaxed);
+        Vec::with_capacity(len)
     }
 
     /// Buffers handed out so far.
@@ -124,6 +139,22 @@ mod tests {
                 assert_eq!((s.hits, s.bytes_recycled, s.steady_misses), (0, 0, 0));
             },
         );
+    }
+
+    /// A reservation is empty, holds exactly `len` elements without
+    /// reallocating, and counts as one buffer handed out, like an
+    /// acquisition.
+    #[test]
+    fn reservations_are_empty_exact_and_counted() {
+        let pool = FieldPool::new();
+        for (k, len) in [0usize, 1, 7, 4096].into_iter().enumerate() {
+            let buf = pool.reserve(len);
+            assert!(buf.is_empty());
+            assert_eq!(buf.capacity(), len);
+            assert_eq!(pool.stats().misses, k as u64 + 1);
+        }
+        pool.acquire(3);
+        assert_eq!(pool.stats().misses, 5);
     }
 
     /// Worker handles taken on `par` workers count into the pool they came

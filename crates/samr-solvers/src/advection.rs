@@ -118,28 +118,26 @@ fn axis_pass(
 /// order in smooth regions via minmod-limited fluxes. Ghosts (width ≥ 2 on
 /// each active axis) must be filled beforehand.
 ///
-/// Double-buffered through `pool`: new values stream row-wise into one
-/// ghost-0 scratch field drawn from it, then its interior is copied back —
-/// no per-call update-list allocation. Each interior z-row is processed as
+/// Double-buffered through `pool`: new values are appended row by row to
+/// one interior-sized buffer reserved from it (written once, never
+/// zero-filled), then copied back row by row — no per-call update-list
+/// allocation. Each interior z-row is processed as
 /// a stride-1 pass per active axis ([`axis_pass`]), accumulating into a
 /// row of flux differences in the same per-cell order as the reference,
 /// so the result is bit-identical to [`reference::advect_step`].
 pub fn advect_step(f: &mut Field3, courant: [f64; 3], limited: bool, pool: &FieldPool) {
     let interior = f.interior();
     let sto = f.storage_region();
-    let mut scratch = Field3::new_in(pool, interior, 0);
+    let mut out = pool.reserve(interior.cells() as usize);
     let n = (interior.hi.z - interior.lo.z) as usize;
     let mut du = pool.acquire(n);
     {
         let d = f.data();
-        let out_region = scratch.storage_region();
-        let out = scratch.data_mut();
         let sz = (sto.hi.z - sto.lo.z) as usize;
         let strides = [(sto.hi.y - sto.lo.y) as usize * sz, sz, 1usize];
         for x in interior.lo.x..interior.hi.x {
             for y in interior.lo.y..interior.hi.y {
                 let i0 = sto.linear_index(ivec3(x, y, interior.lo.z));
-                let o0 = out_region.linear_index(ivec3(x, y, interior.lo.z));
                 du.fill(0.0);
                 for (axis, &c) in courant.iter().enumerate() {
                     if c == 0.0 {
@@ -158,14 +156,18 @@ pub fn advect_step(f: &mut Field3, courant: [f64; 3], limited: bool, pool: &Fiel
                     );
                 }
                 let u0 = &d[i0..i0 + n];
-                let orow = &mut out[o0..o0 + n];
-                for j in 0..n {
-                    orow[j] = u0[j] + du[j];
-                }
+                out.extend(u0.iter().zip(&du).map(|(u, du)| u + du));
             }
         }
     }
-    f.copy_from(&scratch, &interior);
+    let mut rows = out.chunks_exact(n);
+    let d = f.data_mut();
+    for x in interior.lo.x..interior.hi.x {
+        for y in interior.lo.y..interior.hi.y {
+            let i0 = sto.linear_index(ivec3(x, y, interior.lo.z));
+            d[i0..i0 + n].copy_from_slice(rows.next().expect("one row per (x, y)"));
+        }
+    }
 }
 
 /// Update-list form retained as a bit-identity oracle (see

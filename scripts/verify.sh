@@ -156,8 +156,10 @@ cargo test -q -p bench --test harness forecast_ablation_adaptive_regrets_no_more
 # throughput did not regress >30% against the committed quick-scale
 # baseline, and that no single phase (regrid, ghost, restrict, solve) got
 # slower than its own baseline — a phase that slows inside a faster total
-# is a regression too; the ghost phase must also be the sum of its four
-# parts (within 5 %), and its exchange-plan build obeys the phase rule.
+# is a regression too; the setup (`Driver::new`: level-0 build and initial
+# regrid cascade, outside every phase) obeys the same rule; the ghost phase
+# must also be the sum of its four parts (within 5 %), and its exchange-plan
+# build obeys the phase rule.
 # Memory: the five repeats of a preset run in one process, so the peak
 # resident set (VmHWM) after the last repeat must be within 10 % of the one
 # after the first — field memory is given back, not kept from run to run —
@@ -165,7 +167,7 @@ cargo test -q -p bench --test harness forecast_ablation_adaptive_regrets_no_more
 # about 2 % run to run; a regrid holding two generations of its finest level
 # again reads 15–16 % over on shockpool3d).
 # Quick-scale phases last milliseconds, so the binary reports the best of
-# five repeats per phase. Those spread ±10% from run to
+# five repeats per phase and of the setup. Those spread ±10% from run to
 # run on a steady host, and up to 1.95x (solve) on the 2-vCPU box the
 # baseline was taken on, whose second core disappears for minutes at a
 # time; so a phase fails beyond 2x its baseline plus 1 ms. Re-baseline (on
@@ -183,7 +185,7 @@ if sorted(names) != ["amr64", "shockpool3d"]:
     sys.exit(f"hotpath: unexpected presets {names}")
 for p in cur["presets"]:
     for key in ("cell_updates", "peak_patches", "cell_updates_per_sec",
-                "wall_secs", "phases", "ghost_phases", "vm_hwm_mb"):
+                "wall_secs", "setup_secs", "phases", "ghost_phases", "vm_hwm_mb"):
         if key not in p:
             sys.exit(f"hotpath: preset {p['name']} missing {key}")
     if p["cell_updates_per_sec"] <= 0:
@@ -216,6 +218,12 @@ for p in cur["presets"]:
                 f"(total throughput {p['cell_updates_per_sec']:.3e} vs "
                 f"{b['cell_updates_per_sec']:.3e})"
             )
+    cur_s, base_s = p["setup_secs"], b["setup_secs"]
+    if cur_s > 2.0 * base_s + 0.001:
+        sys.exit(
+            f"hotpath: {p['name']} setup {cur_s * 1e3:.2f} ms is slower than 2x "
+            f"its committed baseline {base_s * 1e3:.2f} ms + 1 ms"
+        )
     # the ghost phase is accounted for by its four parts (plan fetch or
     # rebuild, parent/boundary fill, sibling copy, messages), and the plan
     # build obeys the same rule as the phases
