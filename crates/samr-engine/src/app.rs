@@ -14,6 +14,7 @@
 use base::rng::ChaCha8;
 use samr_mesh::field::Field3;
 use samr_mesh::flag::{flag_cells, FlagField, RefineCriterion};
+use samr_mesh::index::{ivec3, IVec3};
 use samr_mesh::patch::GridPatch;
 use samr_mesh::pool::FieldPool;
 use samr_mesh::region::Region;
@@ -278,6 +279,31 @@ impl AppState {
                 let c = dt_over_dx;
                 advection::advect_step(&mut fields[0], [c, 0.6 * c, 0.0], true, pool);
             }
+        }
+    }
+
+    /// How many ghost layers of `field` across the faces normal to each axis
+    /// [`AppState::step_patch`] depends on — the part of the shell the
+    /// exchange before a solve must write. Every other ghost cell of the
+    /// field is rewritten by the step before anything reads it.
+    ///
+    /// - The Euler conserved fields: `(g, 0, 0)`. `euler::euler_step` reads
+    ///   exchanged ghosts only in its x sweep, and only across the x faces;
+    ///   the y sweep takes its line ends from the end rows, and the
+    ///   zero-gradient refill before the z sweep rewrites the whole shell.
+    /// - Amr64's φ: the whole shell. The Poisson stencil reads all six
+    ///   faces, and the step leaves the ghosts as exchanged, edges and
+    ///   corners included: they are part of the field's state, which the
+    ///   field pins hash cell by cell.
+    /// - AdvectBlob's field: the whole shell. The step does not refill its
+    ///   ghosts, and the flags of the regrid after it read them.
+    pub fn solve_ghost_reach(&self, field: usize) -> IVec3 {
+        let g = self.ghost();
+        let euler = matches!(self.kind, AppKind::ShockPool3D | AppKind::Amr64);
+        if euler && field < euler::NFIELDS {
+            ivec3(g, 0, 0)
+        } else {
+            IVec3::splat(g)
         }
     }
 

@@ -19,6 +19,7 @@ use samr_mesh::checkpoint::HierarchySnapshot;
 use samr_mesh::cluster::{berger_rigoutsos, ClusterParams};
 use samr_mesh::field::Field3;
 use samr_mesh::hierarchy::{BoxIndex, FillSource, GridHierarchy};
+use samr_mesh::index::IVec3;
 use samr_mesh::interp::{prolong_constant_fields, restrict_average};
 use samr_mesh::patch::PatchId;
 use samr_mesh::region::Region;
@@ -678,7 +679,10 @@ impl Driver {
     /// the next finer level, recurse `r` sub-steps into it, restrict, then
     /// hand control to the load balancer.
     fn advance_level(&mut self, level: usize) {
-        self.exchange_ghosts(level);
+        let reach: Vec<IVec3> = (0..self.app.nfields())
+            .map(|k| self.app.solve_ghost_reach(k))
+            .collect();
+        self.exchange_ghosts_within(level, &reach);
         self.solve_level(level);
         if level == 0 {
             let dt0 = self.app.dt_over_dx0(); // dx0 = 1
@@ -785,17 +789,32 @@ impl Driver {
         self.wall.solve += t0.elapsed().as_secs_f64();
     }
 
-    /// Fill ghost zones at `level`: physical boundaries by zero-gradient,
-    /// interior boundaries from siblings, the rest from the parent grids.
-    /// Data really moves, and each inter-owner window is charged as a
-    /// message.
+    /// Fill every ghost cell at `level`: physical boundaries by
+    /// zero-gradient, interior boundaries from siblings, the rest from the
+    /// parent grids. Data really moves, and each inter-owner window is
+    /// charged as a message. The set-up cascade runs it before each regrid
+    /// (flagging reads unsolved ghosts on every face), and tests and tools
+    /// can run one exchange by itself; a run's solve exchanges through
+    /// [`Driver::exchange_ghosts_within`] with the app's reach.
+    pub fn exchange_ghosts(&mut self, level: usize) {
+        let whole = vec![IVec3::splat(self.hier.ghost()); self.hier.nfields()];
+        self.exchange_ghosts_within(level, &whole);
+    }
+
+    /// Fill the ghost cells of `level` that lie within `reach[k]` layers of
+    /// the interior across the faces normal to each axis, field `k` by
+    /// field `k` — a solve's exchange writes only what
+    /// [`AppState::solve_ghost_reach`] says the step reads. Every field is
+    /// charged its whole shell all the same: the messages, and so every
+    /// simulated time, do not depend on `reach`.
     ///
     /// This is the direct zero-copy path, driven by the level's cached
     /// [`LevelTopology`](samr_mesh::LevelTopology) plan: per destination the
     /// sibling windows and the parent-filled `coarse_fill` boxes partition
-    /// the ghost shell, so every ghost cell is written exactly once and
-    /// nothing is staged. It is bit-identical to the test module's oracle
-    /// `exchange_ghosts_reference`, which writes the whole shell
+    /// the ghost shell, so every ghost cell is written at most once (the
+    /// part of a window or box within a field's reach) and nothing is
+    /// staged. Within the reach it is bit-identical to the test module's
+    /// oracle `exchange_ghosts_reference`, which writes the whole shell
     /// three times (zero-gradient, parent, siblings) and keeps the last:
     /// the last writer of a cell is its sibling window if one covers it,
     /// else the parent (whose storage covers the whole shell of a properly
@@ -803,10 +822,8 @@ impl Driver {
     /// read comes from data the exchange never writes: sibling windows lie
     /// inside source *interiors* and parent fields live on the untouched
     /// coarser level.
-    ///
-    /// Public so that tests and tools can run one exchange by itself; a run
-    /// calls it from `advance_level`.
-    pub fn exchange_ghosts(&mut self, level: usize) {
+    fn exchange_ghosts_within(&mut self, level: usize, reach: &[IVec3]) {
+        assert_eq!(reach.len(), self.hier.nfields(), "one reach per field");
         if self.hier.level_ids(level).is_empty() {
             return;
         }
@@ -817,10 +834,11 @@ impl Driver {
         let t_plan = std::time::Instant::now();
 
         // phase 1: per destination, the ghost cells no sibling fills — by
-        // prolongation straight from the parent's fields, or at level 0
-        // (where only cells outside the domain are left) by zero-gradient
-        // over the whole shell, which phase 2 then overwrites where siblings
-        // exist. Parallel across destinations: each writes only its own
+        // prolongation straight from the parent's fields within each
+        // field's reach, or at level 0 (where only cells outside the domain
+        // are left) by zero-gradient over the whole shell, which phase 2
+        // then overwrites where siblings exist. Parallel across
+        // destinations: each writes only its own
         // ghost cells, and the parents live on the coarser level, which
         // stays in the hierarchy (only `level`'s fields are taken out) and
         // is never written here.
@@ -839,9 +857,25 @@ impl Driver {
                     .iter_mut()
                     .for_each(Field3::fill_ghosts_zero_gradient),
                 Some(parent) => {
-                    let parent = hier.patch(parent);
+                    let parent = &hier.patch(parent).fields;
+                    let interior = fields[0].interior();
                     for b in &shell.coarse_fill {
-                        prolong_constant_fields(&parent.fields, fields, b, r);
+                        // one call per run of fields whose reach cuts the
+                        // same part out of `b` — one call for all of them
+                        // when `b` lies within every field's reach
+                        let part = |k: usize| b.intersect(&interior.grow_by(reach[k]));
+                        let mut k = 0;
+                        while k < fields.len() {
+                            let w = part(k);
+                            let end = (k + 1..fields.len())
+                                .find(|&e| part(e) != w)
+                                .unwrap_or(fields.len());
+                            if !w.is_empty() {
+                                let (from, to) = (&parent[k..end], &mut fields[k..end]);
+                                prolong_constant_fields(from, to, &w, r);
+                            }
+                            k = end;
+                        }
                     }
                 }
             }
@@ -854,8 +888,8 @@ impl Driver {
         // one task per block; a source is either in the task's own block
         // (a pair borrow inside it) or in no block of the round, so it
         // stayed in `work` and is read through the shared borrow. Every
-        // ghost cell has one writer, and every read is of an interior,
-        // which no phase writes: neither the order of the rounds nor the
+        // ghost cell has at most one writer, and every read is of an
+        // interior, which no phase writes: neither the order of the rounds nor the
         // order inside one can change a value, and the result is the
         // reference exchange's staged clones'. A round of a single block is not
         // worth waking the pool for and runs the same take / copy / put
@@ -888,8 +922,12 @@ impl Driver {
                         };
                         // a taken (empty) source would silently copy nothing
                         assert_eq!(src.len(), dst.len(), "source taken by another block");
-                        for (sf, df) in src.iter().zip(dst.iter_mut()) {
-                            df.copy_from(sf, &o.window);
+                        let interior = dst[0].interior();
+                        for ((sf, df), &reach) in src.iter().zip(dst.iter_mut()).zip(reach) {
+                            let w = o.window.intersect(&interior.grow_by(reach));
+                            if !w.is_empty() {
+                                df.copy_from(sf, &w);
+                            }
                         }
                     }
                 }
@@ -1904,12 +1942,91 @@ mod tests {
     /// A 2-level Amr64 run one step in on a 128-processor federation: both
     /// levels hold several blocks of destinations.
     fn many_small_patches() -> Driver {
-        let mut cfg = RunConfig::new(AppKind::Amr64, 32, 2, Scheme::distributed_default());
+        many_patches(AppKind::Amr64)
+    }
+
+    /// A 2-level run of `app` one step in on a 128-processor federation,
+    /// refined grids capped at 512 cells.
+    fn many_patches(app: AppKind) -> Driver {
+        let mut cfg = RunConfig::new(app, 32, 2, Scheme::distributed_default());
         cfg.max_levels = 2;
         cfg.max_box_cells = 512;
         let mut d = Driver::new(topology::presets::federation(8, 16, 7), cfg);
         d.step_once();
         d
+    }
+
+    /// The solve's exchange writes each field's declared reach and nothing
+    /// else, and the step reads nothing else: with every ghost cell of the
+    /// level poisoned, the exchange within the app's reach followed by the
+    /// solve lands on the whole-shell reference exchange followed by the
+    /// solve, every storage bit (ghosts included) — and the owners are
+    /// charged the reference's bytes, pair by pair. For every app, on the
+    /// level-0 slabs (each at the domain boundary) and on a level of many
+    /// small grids, some on other owners than their parents.
+    #[test]
+    fn solve_exchange_within_the_reach_matches_the_whole_shell_reference() {
+        for app in [AppKind::ShockPool3D, AppKind::Amr64, AppKind::AdvectBlob] {
+            for level in [0, 1] {
+                let (mut plan, mut reference) = (many_patches(app), many_patches(app));
+                for d in [&mut plan, &mut reference] {
+                    scatter_owners(d, 1);
+                }
+                let ids = plan.hier.level_ids(level);
+                assert!(
+                    ids.len() >= 16,
+                    "{app:?} level {level}: {} grids",
+                    ids.len()
+                );
+                let domain = plan.hier.domain_at_level(level);
+                let at_boundary = ids.iter().any(|&id| {
+                    let shell = plan.hier.patch(id).region.grow(plan.hier.ghost());
+                    !domain.contains_region(&shell)
+                });
+                assert!(
+                    level > 0 || at_boundary,
+                    "{app:?}: level 0 misses the boundary"
+                );
+                let reach: Vec<IVec3> = (0..plan.app.nfields())
+                    .map(|k| plan.app.solve_ghost_reach(k))
+                    .collect();
+                poison_ghosts(&mut plan, level);
+                poison_ghosts(&mut reference, level);
+                let topo = plan.hier.exchange_topology(level);
+                assert_eq!(
+                    plan.ghost_messages(&topo),
+                    Vec::from_iter(brute_force_messages(&reference, level)),
+                    "{app:?} level {level}: charged bytes per owner pair"
+                );
+                plan.exchange_ghosts_within(level, &reach);
+                reference.exchange_ghosts_reference(level);
+                // the Euler fields' y/z ghosts are left to the step
+                let unwritten = level_bits(&plan, level)
+                    .iter()
+                    .flatten()
+                    .flatten()
+                    .any(|&b| f64::from_bits(b).is_nan());
+                assert_eq!(
+                    unwritten,
+                    app != AppKind::AdvectBlob,
+                    "{app:?} level {level}"
+                );
+                plan.solve_level(level);
+                reference.solve_level(level);
+                let bits = level_bits(&plan, level);
+                assert!(
+                    bits.iter()
+                        .flatten()
+                        .flatten()
+                        .all(|&b| !f64::from_bits(b).is_nan()),
+                    "{app:?} level {level}: a poisoned ghost survived the step or was read"
+                );
+                assert_eq!(bits, level_bits(&reference, level), "{app:?} level {level}");
+                let (a, b) = (plan.sim.stats(), reference.sim.stats());
+                assert_eq!(a.msgs, b.msgs, "{app:?} level {level}");
+                assert_eq!(a.procs, b.procs, "{app:?} level {level}");
+            }
+        }
     }
 
     fn poisoned_exchange_matches_reference(

@@ -3,7 +3,7 @@
 
 use crate::field::Field3;
 use crate::index::{ivec3, IVec3};
-use crate::region::Region;
+use crate::region::{region, Region};
 
 /// Piecewise-constant prolongation: fill `fine`'s cells inside `fine_window`
 /// (fine-level coordinates) by injecting the containing coarse cell's value.
@@ -92,38 +92,45 @@ pub fn prolong_constant_fields(
 
 /// Conservative restriction: replace each coarse cell inside `coarse_window`
 /// (coarse-level coordinates) with the average of its `r^3` fine children.
+/// Coarse cells whose fine block does not lie wholly in `fine`'s storage
+/// are left untouched.
 ///
-/// Row-sliced: the fine block under each coarse cell is summed one
-/// z-contiguous row at a time, in the same cell order as the per-cell
-/// reference, so the floating-point result is bit-identical to
-/// [`reference::restrict_average`].
+/// The window is clipped once to the coarse cells whose block lies in fine
+/// storage, and each block is summed through a fixed list of `r^3` index
+/// offsets from its first fine cell, in the same (fx, fy, fz) cell order as
+/// the per-cell reference, so the floating-point result is bit-identical
+/// to [`reference::restrict_average`].
 pub fn restrict_average(fine: &Field3, coarse: &mut Field3, coarse_window: &Region, r: i64) {
-    let w = coarse_window.intersect(&coarse.storage_region());
+    let fs = fine.storage_region();
+    let cs = coarse.storage_region();
+    // c·r ≥ fs.lo and (c + 1)·r ≤ fs.hi on every axis
+    let whole_blocks = region(fs.lo.div_ceil(r), fs.hi.div_floor(r));
+    let w = coarse_window.intersect(&cs).intersect(&whole_blocks);
     if w.is_empty() {
         return;
     }
-    let fs = fine.storage_region();
-    let cs = coarse.storage_region();
     let inv = 1.0 / (r * r * r) as f64;
+    let run = r as usize;
+    let size = fs.size();
+    let (row, plane) = (size.z as usize, (size.y * size.z) as usize);
+    // a block's cells relative to its first, in (fx, fy, fz) order
+    let offsets: Vec<usize> = (0..run * run * run)
+        .map(|i| (i / (run * run)) * plane + (i / run % run) * row + i % run)
+        .collect();
+    let span = offsets[offsets.len() - 1] + 1;
+    let fd = fine.data();
     for cx in w.lo.x..w.hi.x {
         for cy in w.lo.y..w.hi.y {
             let crange = cs.row_range(cx, cy, w.lo.z, w.hi.z);
-            for (k, out) in coarse.data_mut()[crange].iter_mut().enumerate() {
-                let cz = w.lo.z + k as i64;
-                let fine_block = Region::at(ivec3(cx, cy, cz) * r, IVec3::splat(r));
-                if !fs.contains_region(&fine_block) {
-                    continue;
-                }
+            let mut first = fs.linear_index(ivec3(cx, cy, w.lo.z) * r);
+            for out in &mut coarse.data_mut()[crange] {
+                let block = &fd[first..first + span];
                 let mut sum = 0.0;
-                for fx in fine_block.lo.x..fine_block.hi.x {
-                    for fy in fine_block.lo.y..fine_block.hi.y {
-                        let frange = fs.row_range(fx, fy, fine_block.lo.z, fine_block.hi.z);
-                        for &v in &fine.data()[frange] {
-                            sum += v;
-                        }
-                    }
+                for &o in &offsets {
+                    sum += block[o];
                 }
                 *out = sum * inv;
+                first += run;
             }
         }
     }
@@ -164,7 +171,6 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::region::region;
 
     #[test]
     fn constant_prolong_injects_parent_value() {

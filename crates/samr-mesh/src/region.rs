@@ -111,7 +111,12 @@ impl Region {
 
     /// Grow by `g` cells on every face (shrink if negative).
     pub fn grow(&self, g: i64) -> Region {
-        region(self.lo - IVec3::splat(g), self.hi + IVec3::splat(g))
+        self.grow_by(IVec3::splat(g))
+    }
+
+    /// Grow by `g[k]` cells on both faces normal to axis `k`.
+    pub fn grow_by(&self, g: IVec3) -> Region {
+        region(self.lo - g, self.hi + g)
     }
 
     /// Translate by `d`.
