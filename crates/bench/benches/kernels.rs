@@ -1,6 +1,6 @@
 //! `cargo bench --bench kernels` — micro-benches of the hot kernels underneath the experiments:
-//! the Euler sweep, Berger–Rigoutsos clustering, the balancing primitive,
-//! link timing, the probe, and the gain evaluator.
+//! the Euler sweep, flag buffering and Berger–Rigoutsos clustering, the
+//! balancing primitive, link timing, the probe, and the gain evaluator.
 
 use bench::report_case;
 use dlb::{balance_level_within, evaluate_gain, BalanceParams, WorkloadHistory};
@@ -106,6 +106,44 @@ fn main() {
         let params = ClusterParams::default();
         report_case("berger_rigoutsos_tilted_plane_32", SAMPLES, || {
             black_box(berger_rigoutsos(&flags, &params))
+        });
+        // the regrid's buffering of the same mask, two layers deep (the
+        // clone of the 32³ mask is inside the timed closure)
+        report_case("flag_buffer_tilted_plane_32_b2", SAMPLES, || {
+            let mut f = flags.clone();
+            f.buffer(2);
+            black_box(f)
+        });
+    }
+
+    {
+        // many small masks: 64 parent grids of 8×8×16 cells, each flagging
+        // one off-centre ball, clustered one after the other — the shape of
+        // `fed_g64`'s level-0 regrid
+        let masks: Vec<FlagField> = (0..64)
+            .map(|i| {
+                let r = Region::at(ivec3(8 * i, 0, 0), ivec3(8, 8, 16));
+                let c = r.lo + ivec3(i % 8, (3 * i) % 8, (5 * i) % 16);
+                let r2 = 4 + i % 9;
+                let mut flags = FlagField::new(r);
+                for p in r.iter_cells() {
+                    let d = p - c;
+                    if d.x * d.x + d.y * d.y + d.z * d.z <= r2 {
+                        flags.set(p, true);
+                    }
+                }
+                flags.buffer(1);
+                flags
+            })
+            .collect();
+        let params = ClusterParams {
+            min_box_cells: 4,
+            ..ClusterParams::default()
+        };
+        report_case("berger_rigoutsos_64_masks_8x8x16", SAMPLES, || {
+            for flags in &masks {
+                black_box(berger_rigoutsos(flags, &params));
+            }
         });
     }
 

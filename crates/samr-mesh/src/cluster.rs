@@ -56,11 +56,9 @@ impl Default for ClusterParams {
 ///   `min_box_cells` or the depth cap was reached.
 pub fn berger_rigoutsos(flags: &FlagField, params: &ClusterParams) -> Vec<Region> {
     let mut out = Vec::new();
-    let bbox = flags.bounding_box();
-    if bbox.is_empty() {
-        return out;
-    }
-    cluster_rec(flags, bbox, params, 0, &mut out);
+    // the root window is the whole mask: its tight box is the flags'
+    // bounding box, and a clear mask yields no boxes
+    cluster_tight(flags, flags.region(), params, 0, &mut out);
     // Enforce the maximum box size by bisecting oversized accepted boxes.
     let mut sized = Vec::with_capacity(out.len());
     for r in out {
@@ -83,17 +81,17 @@ fn push_bounded(r: Region, max_cells: i64, out: &mut Vec<Region>) {
     }
 }
 
+/// One node of the recursion: `bbox` is the tight box of the flags in its
+/// window and `sig` their per-plane counts over `bbox`.
 fn cluster_rec(
     flags: &FlagField,
     bbox: Region,
+    sig: [&[i64]; 3],
     params: &ClusterParams,
     depth: usize,
     out: &mut Vec<Region>,
 ) {
-    let nflag = flags.count_in(&bbox);
-    if nflag == 0 {
-        return;
-    }
+    let nflag: i64 = sig[0].iter().sum();
     let eff = nflag as f64 / bbox.cells() as f64;
     if eff >= params.min_efficiency
         || bbox.cells() <= params.min_box_cells
@@ -102,9 +100,6 @@ fn cluster_rec(
         out.push(bbox);
         return;
     }
-
-    // Signatures: per-plane flag counts along each axis.
-    let sig = signatures(flags, &bbox);
 
     // 1) Prefer a cut at an interior zero-signature plane (a hole).
     if let Some((axis, cut)) = find_hole(&sig, &bbox) {
@@ -135,6 +130,12 @@ fn cluster_rec(
 }
 
 /// Recurse on the tight bounding box of the flags inside `window`.
+///
+/// One pass over the window's rows gives its signatures; the tight box is
+/// read off them (first and last non-zero plane per axis), the flag count
+/// is the sum of one of them, and the signatures over the tight box are
+/// slices of the window's: every flag of the window lies in the tight box,
+/// so a plane counts the same flags over either.
 fn cluster_tight(
     flags: &FlagField,
     window: Region,
@@ -142,54 +143,29 @@ fn cluster_tight(
     depth: usize,
     out: &mut Vec<Region>,
 ) {
-    let tight = tight_bbox(flags, &window);
-    if !tight.is_empty() {
-        cluster_rec(flags, tight, params, depth, out);
+    let sig = flags.signatures(&window);
+    let tight = sig.tight_box();
+    if tight.is_empty() {
+        return;
     }
-}
-
-fn tight_bbox(flags: &FlagField, window: &Region) -> Region {
-    use crate::index::{ivec3, IVec3};
-    let w = window.intersect(&flags.region());
-    let mut lo = ivec3(i64::MAX, i64::MAX, i64::MAX);
-    let mut hi = ivec3(i64::MIN, i64::MIN, i64::MIN);
-    let mut any = false;
-    for p in w.iter_cells() {
-        if flags.get(p) {
-            any = true;
-            lo = lo.min(p);
-            hi = hi.max(p + IVec3::ONE);
-        }
-    }
-    if any {
-        Region { lo, hi }
-    } else {
-        Region::EMPTY
-    }
-}
-
-/// Per-axis signatures: `sig[axis][i]` = number of flags in plane
-/// `lo[axis] + i`.
-fn signatures(flags: &FlagField, bbox: &Region) -> [Vec<i64>; 3] {
-    let s = bbox.size();
-    let mut sig = [
-        vec![0i64; s.x as usize],
-        vec![0i64; s.y as usize],
-        vec![0i64; s.z as usize],
-    ];
-    for p in bbox.iter_cells() {
-        if flags.get(p) {
-            sig[0][(p.x - bbox.lo.x) as usize] += 1;
-            sig[1][(p.y - bbox.lo.y) as usize] += 1;
-            sig[2][(p.z - bbox.lo.z) as usize] += 1;
-        }
-    }
-    sig
+    let plane = |axis: usize| {
+        let first = (tight.lo[axis] - sig.window.lo[axis]) as usize;
+        let last = (tight.hi[axis] - sig.window.lo[axis]) as usize;
+        &sig.planes[axis][first..last]
+    };
+    cluster_rec(
+        flags,
+        tight,
+        [plane(0), plane(1), plane(2)],
+        params,
+        depth,
+        out,
+    );
 }
 
 /// Find an interior plane with zero signature, preferring the cut closest to
 /// the box middle. Returns `(axis, level-local cut coordinate)`.
-fn find_hole(sig: &[Vec<i64>; 3], bbox: &Region) -> Option<(usize, i64)> {
+fn find_hole(sig: &[&[i64]; 3], bbox: &Region) -> Option<(usize, i64)> {
     let mut best: Option<(usize, i64, i64)> = None; // (axis, cut, dist-from-mid)
     for axis in 0..3 {
         let n = sig[axis].len() as i64;
@@ -210,10 +186,10 @@ fn find_hole(sig: &[Vec<i64>; 3], bbox: &Region) -> Option<(usize, i64)> {
 /// Find the cut at the largest magnitude sign change of the second difference
 /// Δ²σ, preferring cuts nearer the middle on ties. Cut index is between
 /// planes `i` and `i+1` where the sign change of Δ² is strongest.
-fn find_inflection(sig: &[Vec<i64>; 3], bbox: &Region) -> Option<(usize, i64)> {
+fn find_inflection(sig: &[&[i64]; 3], bbox: &Region) -> Option<(usize, i64)> {
     let mut best: Option<(usize, i64, i64, i64)> = None; // (axis, cut, strength, dist)
     for axis in 0..3 {
-        let s = &sig[axis];
+        let s = sig[axis];
         let n = s.len() as i64;
         if n < 4 {
             continue;
@@ -245,11 +221,132 @@ fn find_inflection(sig: &[Vec<i64>; 3], bbox: &Region) -> Option<(usize, i64)> {
     best.map(|(a, c, _, _)| (a, c))
 }
 
+/// The per-cell form of the clustering that the one-pass recursion above
+/// replaced, retained as the oracle it is tested against: each node reads
+/// its window cell by cell for the tight box, again for the flag count and
+/// again for the signatures.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::flag::reference::{bounding_box, count_in};
+    use crate::index::{ivec3, IVec3};
+
+    /// Reference for [`super::berger_rigoutsos`].
+    pub fn berger_rigoutsos(flags: &FlagField, params: &ClusterParams) -> Vec<Region> {
+        let mut out = Vec::new();
+        let bbox = bounding_box(flags);
+        if bbox.is_empty() {
+            return out;
+        }
+        cluster_rec(flags, bbox, params, 0, &mut out);
+        let mut sized = Vec::with_capacity(out.len());
+        for r in out {
+            push_bounded(r, params.max_box_cells, &mut sized);
+        }
+        sized
+    }
+
+    fn cluster_rec(
+        flags: &FlagField,
+        bbox: Region,
+        params: &ClusterParams,
+        depth: usize,
+        out: &mut Vec<Region>,
+    ) {
+        let nflag = count_in(flags, &bbox);
+        if nflag == 0 {
+            return;
+        }
+        let eff = nflag as f64 / bbox.cells() as f64;
+        if eff >= params.min_efficiency
+            || bbox.cells() <= params.min_box_cells
+            || depth >= params.max_depth
+        {
+            out.push(bbox);
+            return;
+        }
+        let sig = signatures(flags, &bbox);
+        let sig = [&sig[0][..], &sig[1][..], &sig[2][..]];
+        if let Some((axis, cut)) = find_hole(&sig, &bbox) {
+            let (a, b) = bbox.split_at(axis, cut);
+            cluster_tight(flags, a, params, depth + 1, out);
+            cluster_tight(flags, b, params, depth + 1, out);
+            return;
+        }
+        if let Some((axis, cut)) = find_inflection(&sig, &bbox) {
+            let (a, b) = bbox.split_at(axis, cut);
+            if !a.is_empty() && !b.is_empty() {
+                cluster_tight(flags, a, params, depth + 1, out);
+                cluster_tight(flags, b, params, depth + 1, out);
+                return;
+            }
+        }
+        let (a, b) = bbox.bisect();
+        if a.is_empty() || b.is_empty() {
+            out.push(bbox);
+            return;
+        }
+        cluster_tight(flags, a, params, depth + 1, out);
+        cluster_tight(flags, b, params, depth + 1, out);
+    }
+
+    fn cluster_tight(
+        flags: &FlagField,
+        window: Region,
+        params: &ClusterParams,
+        depth: usize,
+        out: &mut Vec<Region>,
+    ) {
+        let tight = tight_bbox(flags, &window);
+        if !tight.is_empty() {
+            cluster_rec(flags, tight, params, depth, out);
+        }
+    }
+
+    fn tight_bbox(flags: &FlagField, window: &Region) -> Region {
+        let w = window.intersect(&flags.region());
+        let mut lo = ivec3(i64::MAX, i64::MAX, i64::MAX);
+        let mut hi = ivec3(i64::MIN, i64::MIN, i64::MIN);
+        let mut any = false;
+        for p in w.iter_cells() {
+            if flags.get(p) {
+                any = true;
+                lo = lo.min(p);
+                hi = hi.max(p + IVec3::ONE);
+            }
+        }
+        if any {
+            Region { lo, hi }
+        } else {
+            Region::EMPTY
+        }
+    }
+
+    fn signatures(flags: &FlagField, bbox: &Region) -> [Vec<i64>; 3] {
+        let s = bbox.size();
+        let mut sig = [
+            vec![0i64; s.x as usize],
+            vec![0i64; s.y as usize],
+            vec![0i64; s.z as usize],
+        ];
+        for p in bbox.iter_cells() {
+            if flags.get(p) {
+                sig[0][(p.x - bbox.lo.x) as usize] += 1;
+                sig[1][(p.y - bbox.lo.y) as usize] += 1;
+                sig[2][(p.z - bbox.lo.z) as usize] += 1;
+            }
+        }
+        sig
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::ivec3;
+    use crate::index::{ivec3, IVec3};
     use crate::region::region;
+    use base::prop::{self, Gen};
+    use base::rng::splitmix64;
 
     fn params() -> ClusterParams {
         ClusterParams {
@@ -384,5 +481,116 @@ mod tests {
         flags.set(ivec3(5, 2, 7), true);
         let boxes = berger_rigoutsos(&flags, &params());
         assert_eq!(boxes, vec![region(ivec3(5, 2, 7), ivec3(6, 3, 8))]);
+    }
+
+    /// A flag mask, as a rule over cells.
+    #[derive(Clone, Debug)]
+    enum Mask {
+        /// Each cell flagged with probability `permille` / 1000.
+        Random { seed: u64, permille: u64 },
+        /// A tilted slab `|n·p - offset| <= width`: the ShockPool3D front.
+        Plane { n: IVec3, offset: i64, width: i64 },
+        /// A ball `|p - centre|² <= r2`.
+        Ball { centre: IVec3, r2: i64 },
+    }
+
+    impl Mask {
+        fn has(&self, p: IVec3) -> bool {
+            match *self {
+                Mask::Random { seed, permille } => {
+                    let h = [p.x, p.y, p.z]
+                        .iter()
+                        .fold(seed, |h, &c| splitmix64(h ^ c as u64));
+                    h % 1000 < permille
+                }
+                Mask::Plane { n, offset, width } => {
+                    (n.x * p.x + n.y * p.y + n.z * p.z - offset).abs() <= width
+                }
+                Mask::Ball { centre, r2 } => {
+                    let d = p - centre;
+                    d.x * d.x + d.y * d.y + d.z * d.z <= r2
+                }
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    struct RowCase {
+        region: Region,
+        mask: Mask,
+        buffer: usize,
+        window: Region,
+        params: ClusterParams,
+    }
+
+    fn arb_ivec(g: &mut Gen, range: std::ops::Range<i64>) -> IVec3 {
+        ivec3(g.i64(range.clone()), g.i64(range.clone()), g.i64(range))
+    }
+
+    fn arb_row_case(g: &mut Gen) -> RowCase {
+        let domain = Region::at(arb_ivec(g, -20..20), arb_ivec(g, 1..21));
+        let inside = |g: &mut Gen| {
+            let s = domain.size();
+            domain.lo + ivec3(g.i64(0..s.x), g.i64(0..s.y), g.i64(0..s.z))
+        };
+        let mask = match g.usize(0..3) {
+            0 => Mask::Random {
+                seed: g.any_u64(),
+                permille: g.u64(0..1001),
+            },
+            1 => Mask::Plane {
+                n: arb_ivec(g, -3..4),
+                offset: inside(g).x,
+                width: g.i64(0..3),
+            },
+            _ => Mask::Ball {
+                centre: inside(g),
+                r2: g.i64(0..80),
+            },
+        };
+        let (a, b) = (inside(g), inside(g));
+        let window = region(a.min(b), a.max(b) + IVec3::ONE);
+        RowCase {
+            region: domain,
+            mask,
+            buffer: g.usize(0..3),
+            window,
+            params: ClusterParams {
+                min_efficiency: g.f64(0.3..0.95),
+                min_box_cells: g.i64(1..9),
+                max_depth: g.pick(&[0, 1, 2, 3, 64]),
+                max_box_cells: g.pick(&[i64::MAX, 8, 27, 100, 500]),
+            },
+        }
+    }
+
+    /// The row forms of buffering, bounding box, windowed count and
+    /// clustering agree with their per-cell oracles on every mask.
+    #[test]
+    fn row_forms_match_the_per_cell_oracles() {
+        use crate::flag::reference as flag_ref;
+        prop::check(prop::CASES, arb_row_case, |c| {
+            let mut flags = FlagField::new(c.region);
+            for p in c.region.iter_cells() {
+                if c.mask.has(p) {
+                    flags.set(p, true);
+                }
+            }
+            let mut oracle = flags.clone();
+            flags.buffer(c.buffer);
+            flag_ref::buffer(&mut oracle, c.buffer);
+            for p in c.region.iter_cells() {
+                assert_eq!(flags.get(p), oracle.get(p), "buffered flag at {p:?}");
+            }
+            assert_eq!(flags.bounding_box(), flag_ref::bounding_box(&flags));
+            assert_eq!(
+                flags.count_in(&c.window),
+                flag_ref::count_in(&flags, &c.window)
+            );
+            assert_eq!(
+                berger_rigoutsos(&flags, &c.params),
+                reference::berger_rigoutsos(&flags, &c.params)
+            );
+        });
     }
 }

@@ -43,6 +43,14 @@ impl FlagField {
         self.flags[i] = v;
     }
 
+    /// The mask's z-rows in `(x, y)` order, each as long as the region's z
+    /// extent: the unit the flagging kernels write.
+    fn rows_mut(&mut self) -> impl Iterator<Item = ((i64, i64), &mut [bool])> {
+        let r = self.region;
+        let columns = (r.lo.x..r.hi.x).flat_map(move |x| (r.lo.y..r.hi.y).map(move |y| (x, y)));
+        columns.zip(self.flags.chunks_exact_mut((r.hi.z - r.lo.z) as usize))
+    }
+
     /// Number of flagged cells.
     pub fn count(&self) -> i64 {
         self.flags.iter().filter(|&&f| f).count() as i64
@@ -50,51 +58,107 @@ impl FlagField {
 
     /// Tight bounding box of flagged cells (`Region::EMPTY` when clear).
     pub fn bounding_box(&self) -> Region {
-        let mut lo = ivec3(i64::MAX, i64::MAX, i64::MAX);
-        let mut hi = ivec3(i64::MIN, i64::MIN, i64::MIN);
-        let mut any = false;
-        for p in self.region.iter_cells() {
-            if self.get(p) {
-                any = true;
-                lo = lo.min(p);
-                hi = hi.max(p + IVec3::ONE);
-            }
-        }
-        if any {
-            Region { lo, hi }
-        } else {
-            Region::EMPTY
-        }
+        self.signatures(&self.region).tight_box()
     }
 
     /// Count flagged cells within `window`.
     pub fn count_in(&self, window: &Region) -> i64 {
-        window
-            .intersect(&self.region)
-            .iter_cells()
-            .filter(|&p| self.get(p))
-            .count() as i64
+        self.signatures(window).planes[0].iter().sum()
+    }
+
+    /// Per-plane flag counts of `window` (clipped to the region), in one
+    /// pass over its z-rows: each row adds itself into the z signature and
+    /// its flag count into one x and one y plane.
+    pub(crate) fn signatures(&self, window: &Region) -> Signatures {
+        let w = window.intersect(&self.region);
+        let s = w.size().max(IVec3::ZERO);
+        let mut planes = [
+            vec![0i64; s.x as usize],
+            vec![0i64; s.y as usize],
+            vec![0i64; s.z as usize],
+        ];
+        let [px, py, pz] = &mut planes;
+        for (i, x) in (w.lo.x..w.hi.x).enumerate() {
+            for (j, y) in (w.lo.y..w.hi.y).enumerate() {
+                let mut n = 0;
+                let row = &self.flags[self.region.row_range(x, y, w.lo.z, w.hi.z)];
+                for (c, &f) in pz.iter_mut().zip(row) {
+                    *c += f as i64;
+                    n += f as i64;
+                }
+                px[i] += n;
+                py[j] += n;
+            }
+        }
+        Signatures { window: w, planes }
     }
 
     /// Expand every flag to its face neighbours, `buffer` times, clipped to
     /// the region. Buffering keeps features inside refined grids between
     /// regrids.
+    ///
+    /// Face-neighbour dilation is symmetric (`q` is a neighbour of `p` iff
+    /// `p` is one of `q`), so each cell *gathers* its own flag and its
+    /// neighbours' instead of every flag scattering to its neighbours. In
+    /// the z-fastest layout the gather is six shifted ORs of the mask: ±1
+    /// (z, then the two cells per row that took a flag across a row end are
+    /// recomputed), ±row within each x-slab (y), ±slab over the whole mask
+    /// (x) — each one slice long, none per cell.
     pub fn buffer(&mut self, buffer: usize) {
+        let s = self.region.size();
+        let (nz, nyz) = (s.z as usize, (s.y * s.z) as usize);
+        let n = self.flags.len();
+        let mut next = vec![false; n];
         for _ in 0..buffer {
-            let mut next = self.flags.clone();
-            for p in self.region.iter_cells() {
-                if !self.get(p) {
-                    continue;
-                }
-                for d in FACE_NEIGHBORS {
-                    let q = p + d;
-                    if self.region.contains(q) {
-                        next[self.region.linear_index(q)] = true;
-                    }
-                }
+            let cur = &self.flags;
+            next.copy_from_slice(cur);
+            or_into(&mut next[1..], &cur[..n - 1]);
+            or_into(&mut next[..n - 1], &cur[1..]);
+            for (dst, src) in next.chunks_exact_mut(nz).zip(cur.chunks_exact(nz)) {
+                dst[0] = src[0] || (nz > 1 && src[1]);
+                dst[nz - 1] = src[nz - 1] || (nz > 1 && src[nz - 2]);
             }
-            self.flags = next;
+            for (dst, src) in next.chunks_exact_mut(nyz).zip(cur.chunks_exact(nyz)) {
+                or_into(&mut dst[nz..], &src[..nyz - nz]);
+                or_into(&mut dst[..nyz - nz], &src[nz..]);
+            }
+            or_into(&mut next[nyz..], &cur[..n - nyz]);
+            or_into(&mut next[..n - nyz], &cur[nyz..]);
+            std::mem::swap(&mut self.flags, &mut next);
         }
+    }
+}
+
+/// `dst[i] |= src[i]` over two equal-length slices.
+#[inline]
+fn or_into(dst: &mut [bool], src: &[bool]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// Per-plane flag counts of a window: `planes[axis][i]` is the number of
+/// flags in plane `window.lo[axis] + i`.
+pub(crate) struct Signatures {
+    pub(crate) window: Region,
+    pub(crate) planes: [Vec<i64>; 3],
+}
+
+impl Signatures {
+    /// The tight box of the counted flags: the first and last non-zero
+    /// plane on each axis (`Region::EMPTY` when the window holds none).
+    pub(crate) fn tight_box(&self) -> Region {
+        let mut lo = self.window.lo;
+        let mut hi = self.window.lo;
+        for (axis, plane) in self.planes.iter().enumerate() {
+            let Some(first) = plane.iter().position(|&c| c != 0) else {
+                return Region::EMPTY;
+            };
+            let last = plane.iter().rposition(|&c| c != 0).unwrap_or(first);
+            lo[axis] += first as i64;
+            hi[axis] += last as i64 + 1;
+        }
+        Region { lo, hi }
     }
 }
 
@@ -114,9 +178,12 @@ pub enum RefineCriterion {
 /// Row-based evaluation of the face-difference criteria for fields with at
 /// least one ghost layer: every face neighbour of an interior cell is then
 /// inside storage, so the per-cell containment checks vanish and the 3D→1D
-/// index math reduces to six constant offsets applied along each z-row. The
-/// neighbour fold runs in `FACE_NEIGHBORS` order, exactly like the per-cell
-/// fallback in [`flag_cells`], so the produced flags are identical.
+/// index math reduces to six constant offsets applied along each z-row, and
+/// the row's flags are written through one slice of the mask — only where
+/// a cell is flagged, so a page of the fresh mask that holds no flag is
+/// never touched. The neighbour fold runs in `FACE_NEIGHBORS` order,
+/// exactly like the per-cell fallback in [`flag_cells`], so the produced
+/// flags are identical.
 fn flag_face_diff(f: &Field3, flags: &mut FlagField, mut pred: impl FnMut(f64, f64) -> bool) {
     let interior = f.interior();
     let sto = f.storage_region();
@@ -124,19 +191,17 @@ fn flag_face_diff(f: &Field3, flags: &mut FlagField, mut pred: impl FnMut(f64, f
     let sxy = (sto.hi.y - sto.lo.y) * sz;
     let offs: [i64; 6] = FACE_NEIGHBORS.map(|d| d.x * sxy + d.y * sz + d.z);
     let data = f.data();
-    for x in interior.lo.x..interior.hi.x {
-        for y in interior.lo.y..interior.hi.y {
-            let base = sto.linear_index(ivec3(x, y, interior.lo.z)) as i64;
-            for k in 0..interior.hi.z - interior.lo.z {
-                let i = base + k;
-                let u = data[i as usize];
-                let mut g: f64 = 0.0;
-                for off in offs {
-                    g = g.max((data[(i + off) as usize] - u).abs());
-                }
-                if pred(g, u) {
-                    flags.set(ivec3(x, y, interior.lo.z + k), true);
-                }
+    for ((x, y), out) in flags.rows_mut() {
+        let base = sto.linear_index(ivec3(x, y, interior.lo.z)) as i64;
+        for (k, flag) in out.iter_mut().enumerate() {
+            let i = base + k as i64;
+            let u = data[i as usize];
+            let mut g: f64 = 0.0;
+            for off in offs {
+                g = g.max((data[(i + off) as usize] - u).abs());
+            }
+            if pred(g, u) {
+                *flag = true;
             }
         }
     }
@@ -174,13 +239,11 @@ pub fn flag_cells(fields: &[Field3], criteria: &[RefineCriterion]) -> FlagField 
                 let f = &fields[field];
                 let sto = f.storage_region();
                 let data = f.data();
-                for x in interior.lo.x..interior.hi.x {
-                    for y in interior.lo.y..interior.hi.y {
-                        let row = sto.row_range(x, y, interior.lo.z, interior.hi.z);
-                        for (k, &v) in data[row].iter().enumerate() {
-                            if v > threshold {
-                                flags.set(ivec3(x, y, interior.lo.z + k as i64), true);
-                            }
+                for ((x, y), out) in flags.rows_mut() {
+                    let row = sto.row_range(x, y, interior.lo.z, interior.hi.z);
+                    for (flag, &v) in out.iter_mut().zip(&data[row]) {
+                        if v > threshold {
+                            *flag = true;
                         }
                     }
                 }
@@ -208,6 +271,61 @@ pub fn flag_cells(fields: &[Field3], criteria: &[RefineCriterion]) -> FlagField 
         }
     }
     flags
+}
+
+/// The per-cell forms the row kernels above replaced, retained as oracles
+/// for the tests: each cell is read through [`FlagField::get`].
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Reference for [`FlagField::bounding_box`].
+    pub fn bounding_box(f: &FlagField) -> Region {
+        let mut lo = ivec3(i64::MAX, i64::MAX, i64::MAX);
+        let mut hi = ivec3(i64::MIN, i64::MIN, i64::MIN);
+        let mut any = false;
+        for p in f.region.iter_cells() {
+            if f.get(p) {
+                any = true;
+                lo = lo.min(p);
+                hi = hi.max(p + IVec3::ONE);
+            }
+        }
+        if any {
+            Region { lo, hi }
+        } else {
+            Region::EMPTY
+        }
+    }
+
+    /// Reference for [`FlagField::count_in`].
+    pub fn count_in(f: &FlagField, window: &Region) -> i64 {
+        window
+            .intersect(&f.region)
+            .iter_cells()
+            .filter(|&p| f.get(p))
+            .count() as i64
+    }
+
+    /// Reference for [`FlagField::buffer`]: every flag scatters to its face
+    /// neighbours.
+    pub fn buffer(f: &mut FlagField, buffer: usize) {
+        for _ in 0..buffer {
+            let mut next = f.flags.clone();
+            for p in f.region.iter_cells() {
+                if !f.get(p) {
+                    continue;
+                }
+                for d in FACE_NEIGHBORS {
+                    let q = p + d;
+                    if f.region.contains(q) {
+                        next[f.region.linear_index(q)] = true;
+                    }
+                }
+            }
+            f.flags = next;
+        }
+    }
 }
 
 #[cfg(test)]

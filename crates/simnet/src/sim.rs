@@ -215,7 +215,10 @@ impl NetSim {
         if src == dst {
             return Ok(self.clocks[src.0]); // same address space: free
         }
-        let link = self.sys.link_between(src, dst).clone();
+        // a borrow: the link (name, fault windows, traffic trace) is too
+        // big to copy per message
+        let link = self.sys.link_between(src, dst);
+        let alpha = link.alpha();
         let key = self.link_key(src, dst);
         let ready = self.clocks[src.0].max(self.clocks[dst.0]);
         let free = self.link_free.get(&key).copied().unwrap_or(SimTime::ZERO);
@@ -223,7 +226,7 @@ impl NetSim {
         // crash-stop endpoint: the live side gets a round trip of silence,
         // then learns the peer is dead — fail fast, don't tie up the link
         if !self.alive_at(src, start) || !self.alive_at(dst, start) {
-            let at = start + link.alpha() + link.alpha();
+            let at = start + alpha + alpha;
             return Err(self.fail_transfer_at(src, dst, key, bytes, start, at, act, |at| {
                 SimError::PeerDead { at }
             }));
@@ -241,7 +244,7 @@ impl NetSim {
             }
         }
         if let Some((tf, kind)) = disruption {
-            return Err(self.fail_transfer(src, dst, key, &link, bytes, start, finish, tf, kind, deadline, act));
+            return Err(self.fail_transfer(src, dst, key, alpha, bytes, start, finish, tf, kind, deadline, act));
         }
         self.link_free.insert(key, finish);
         // receiver waits for the data; sender blocks in rendezvous
@@ -320,7 +323,7 @@ impl NetSim {
         src: ProcId,
         dst: ProcId,
         key: LinkKey,
-        link: &Link,
+        alpha: SimTime,
         bytes: u64,
         start: SimTime,
         finish: SimTime,
@@ -333,7 +336,7 @@ impl NetSim {
             // down before the first byte: the sender detects the dead peer
             // after a round trip of silence
             FaultKind::Outage if tf <= start => {
-                let at = start + link.alpha() + link.alpha();
+                let at = start + alpha + alpha;
                 self.fail_transfer_at(src, dst, key, bytes, start, at, act, |at| {
                     SimError::LinkDown { at }
                 })
@@ -349,7 +352,7 @@ impl NetSim {
             }
             // cut mid-flight: a fraction of the payload arrived
             FaultKind::Outage | FaultKind::DropLarge { .. } => {
-                let at = tf.max(start + link.alpha()).min(finish);
+                let at = tf.max(start + alpha).min(finish);
                 let span = (finish - start).as_nanos();
                 let frac = if span == 0 {
                     1.0
