@@ -12,10 +12,10 @@ use crate::parallel::LOAD_MSG_BYTES;
 use crate::partition::{global_redistribute_elastic, group_level0_cells, RedistributionReport};
 use crate::scheme::LbContext;
 use forecast::ForecastValue;
+use metrics::Phase;
 use samr_mesh::hierarchy::GridHierarchy;
 use simnet::retry::retry;
 use simnet::{Activity, SimError, SimResult, SimView};
-use std::time::Instant;
 use telemetry::GateVerdict::{self, Accept, Deferred, Reject};
 use telemetry::{
     EventKind as TelEventKind, FaultEvent, FaultKind, GammaGateEvent,
@@ -542,7 +542,7 @@ impl DistributedDlb {
         cost: CostEstimate,
         eligible: &[bool],
     ) {
-        let t0 = Instant::now();
+        let outer = self.clock.enter(Phase::Migrate, inp.level);
         let (sys, step) = (inp.sys, inp.step);
         let tel = ctx.sim.telemetry().clone();
         let charge = |sim: &mut SimView, secs: f64| {
@@ -648,7 +648,7 @@ impl DistributedDlb {
             report: Some(report),
             proactive: inp.proactive,
         });
-        self.wall.migrate += t0.elapsed().as_secs_f64();
+        self.clock.resume(outer);
     }
 }
 

@@ -53,13 +53,12 @@ use crate::parallel::LOAD_MSG_BYTES;
 use crate::partition::{RedistributionReport, SelectionPolicy};
 use crate::scheme::{proc_total_cells, LbContext, LoadBalancer};
 use ::forecast::{PredictorKind, SeriesForecaster};
-use metrics::FaultCounters;
+use metrics::{DlbWall, FaultCounters, Phase, PhaseClock};
 use samr_mesh::hierarchy::GridHierarchy;
 use simnet::{Activity, SimResult};
 use telemetry::{EventKind, FaultEvent, FaultKind};
 use topology::{DistributedSystem, LinkEstimator, ProcId};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Tuning of the distributed scheme.
 #[derive(Clone, Debug)]
@@ -157,21 +156,6 @@ pub struct GlobalDecision {
     pub proactive: bool,
 }
 
-/// Host wall-clock seconds the scheme's `after_level_step` spent, by what
-/// it was doing; the three sum to the time inside `after_level_step`.
-/// Real seconds on the machine running the simulation — scheduling noise
-/// and all — so never part of a fingerprint.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DlbWall {
-    /// The local phase: per-group load exchange and within-group balancing.
-    pub local_dlb: f64,
-    /// Deciding: load bookkeeping, upsweep, probes, pricing, the γ-gate.
-    pub decide: f64,
-    /// Accepted redistributions: repartition, migration, commit or
-    /// rollback, δ accounting.
-    pub migrate: f64,
-}
-
 /// The paper's two-phase distributed DLB.
 #[derive(Clone, Debug, Default)]
 pub struct DistributedDlb {
@@ -194,7 +178,8 @@ pub struct DistributedDlb {
     /// network: collective legs, probe messages, and the reduction tree's
     /// summary/delegation traffic.
     decision_msgs: u64,
-    wall: DlbWall,
+    /// Host time of `after_level_step` by activity.
+    clock: PhaseClock,
 }
 
 impl DistributedDlb {
@@ -241,7 +226,7 @@ impl DistributedDlb {
 
     /// Host seconds spent in `after_level_step` so far, by activity.
     pub fn wall(&self) -> DlbWall {
-        self.wall
+        self.clock.dlb_wall()
     }
 
     /// Chronological fault-event log.
@@ -275,7 +260,7 @@ impl DistributedDlb {
     /// every group — quarantined ones included: intra-group links are
     /// unaffected by an inter-link failure, and children stay with parents.
     fn local_phase(&mut self, ctx: &mut LbContext<'_>, level: usize) {
-        let t0 = Instant::now();
+        let outer = self.clock.enter(Phase::LocalDlb, level);
         let sys = ctx.sim.system().clone();
         let alive = self.alive_mask(sys.nprocs());
         // one scan of the level for all groups; each group's pass keeps
@@ -307,7 +292,7 @@ impl DistributedDlb {
                 &self.cfg.balance,
             );
         }
-        self.wall.local_dlb += t0.elapsed().as_secs_f64();
+        self.clock.resume(outer);
     }
 }
 
@@ -317,8 +302,7 @@ impl LoadBalancer for DistributedDlb {
     }
 
     fn after_level_step(&mut self, mut ctx: LbContext<'_>, level: usize) -> SimResult<()> {
-        let t0 = Instant::now();
-        let other = self.wall.local_dlb + self.wall.migrate;
+        self.clock.enter(Phase::Decide, level);
         // Keep the per-group load series current at every level: the
         // history snapshot only refreshes after level-0 steps, but the
         // proactive trigger wants to see what refinement just did.
@@ -340,9 +324,7 @@ impl LoadBalancer for DistributedDlb {
             self.maybe_proactive_check(&mut ctx, level);
         }
         self.forward_fault_events(&ctx);
-        // whatever was neither balancing locally nor migrating was deciding
-        let elsewhere = self.wall.local_dlb + self.wall.migrate - other;
-        self.wall.decide += t0.elapsed().as_secs_f64() - elsewhere;
+        self.clock.stop();
         Ok(())
     }
 

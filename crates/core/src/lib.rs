@@ -33,7 +33,7 @@ pub mod scheme;
 
 pub use balance::{balance_level_within, place_batch, BalanceOutcome, BalanceParams};
 pub use cost::{evaluate_cost, evaluate_cost_forecast, should_redistribute, CostEstimate};
-pub use distributed::{DistributedDlb, DistributedDlbConfig, DlbWall, GlobalDecision};
+pub use distributed::{DistributedDlb, DistributedDlbConfig, GlobalDecision};
 pub use fault::{GroupHealth, QuarantineRoster};
 pub use forecast::{ForecastValue, PredictorKind};
 pub use gain::{

@@ -5,13 +5,15 @@
 
 #![forbid(unsafe_code)]
 
+pub mod clock;
 pub mod efficiency;
 pub mod report;
 pub mod stats;
 
+pub use clock::{Phase, PhaseClock};
 pub use efficiency::{efficiency, improvement_percent, speedup};
 pub use stats::{percentile_exact, summarize, Summary};
 pub use report::{
-    ConfigRow, FaultCounters, ForecastStats, GhostWall, PhaseWall, RecoveryStats, RunBreakdown,
-    Table, TenantStats,
+    ConfigRow, DlbWall, FaultCounters, ForecastStats, GhostWall, PhaseWall, RecoveryStats,
+    RunBreakdown, Table, TenantStats,
 };

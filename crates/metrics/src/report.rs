@@ -53,16 +53,9 @@ pub struct PhaseWall {
 // `decision` joined later: documents written before it read as 0
 json_struct!(PhaseWall: solve, ghost, regrid, restrict, decision or 0.0);
 
-impl PhaseWall {
-    /// Sum over the phases.
-    pub fn total(&self) -> f64 {
-        self.solve + self.ghost + self.regrid + self.restrict + self.decision
-    }
-}
-
 /// Host wall-clock seconds of [`PhaseWall::ghost`] by part of the planned
-/// exchange; the four sum to it. Real seconds on the machine running the
-/// simulation, so never part of a fingerprint.
+/// exchange; the four are laps of one clock and sum to it. Real seconds on
+/// the machine running the simulation, so never part of a fingerprint.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GhostWall {
     /// Fetching the level's exchange plan: a cache hit, or the rebuild
@@ -75,6 +68,21 @@ pub struct GhostWall {
     pub sibling: f64,
     /// Per-owner-pair byte totals and their simulated sends.
     pub messages: f64,
+}
+
+/// Host wall-clock seconds the distributed scheme's `after_level_step`
+/// spent, by what it was doing (never part of a fingerprint). Its clock
+/// runs inside the driver's `decision` phase: the three sum to at most
+/// [`PhaseWall::decision`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct DlbWall {
+    /// The local phase: per-group load exchange and within-group balancing.
+    pub local_dlb: f64,
+    /// Deciding: load bookkeeping, upsweep, probes, pricing, the γ-gate.
+    pub decide: f64,
+    /// Accepted redistributions: repartition, migration, commit or
+    /// rollback, δ accounting.
+    pub migrate: f64,
 }
 
 /// Fault-protocol counters: how often the degradation policy (retry,

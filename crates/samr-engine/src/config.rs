@@ -86,15 +86,12 @@ pub struct RunResult {
     pub peak_patches: usize,
     /// Host wall-clock seconds per driver phase (real time, excludes setup).
     pub wall: PhaseWall,
-    /// Host seconds of `wall.ghost` by part of the planned exchange — plan
-    /// fetch or rebuild, parent/boundary fill, sibling copy, messages. Host
+    /// Host seconds of `wall.ghost` by part of the planned exchange. Host
     /// time, so outside the serialized contract and every fingerprint.
     pub ghost_wall: metrics::GhostWall,
     /// Host seconds of `wall.decision` by what the distributed scheme was
-    /// doing — local balancing, deciding, migrating; they sum to
-    /// `wall.decision` less the driver's span bookkeeping. Host time, so
-    /// outside the serialized contract and every fingerprint.
-    pub dlb_wall: dlb::DlbWall,
+    /// doing; they sum to at most `wall.decision`. Host time, like `ghost_wall`.
+    pub dlb_wall: metrics::DlbWall,
     /// Total cell updates executed (workload size; equal across schemes for
     /// the same app/seed when adaptation follows the same physics).
     pub cell_updates: u64,

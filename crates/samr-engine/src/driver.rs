@@ -14,6 +14,7 @@ use crate::config::{RunConfig, RunResult};
 use crate::scheme::SchemeInstance;
 use crate::trace::{RunTrace, StepRecord, StepRecovery};
 use dlb::{decompose_domain, LbContext, WorkloadHistory};
+use metrics::{Phase, PhaseClock};
 use par::for_each_task_parallel;
 use samr_mesh::checkpoint::HierarchySnapshot;
 use samr_mesh::cluster::{berger_rigoutsos, ClusterParams};
@@ -108,10 +109,8 @@ pub struct Driver {
     /// Static per-processor weight table (weights are fixed for a run's
     /// lifetime), so hot loops price work without cloning the system.
     proc_weights: Vec<f64>,
-    /// Host wall-clock seconds per phase (reset when `run` starts measuring).
-    wall: metrics::PhaseWall,
-    /// Host seconds of `wall.ghost` by part of the planned exchange.
-    ghost_wall: metrics::GhostWall,
+    /// Host time per phase (reset when `run` starts measuring).
+    clock: PhaseClock,
     /// Most grids alive at any point of the run.
     peak_patches: usize,
     /// Simulated time each currently-dead proc's crash was detected at —
@@ -244,7 +243,7 @@ impl Driver {
 
     /// Host wall-clock seconds per phase so far.
     pub fn phase_wall(&self) -> metrics::PhaseWall {
-        self.wall
+        self.clock.phase_wall()
     }
 
     /// Assemble a driver around a hierarchy taken as-is — a restored one
@@ -261,6 +260,7 @@ impl Driver {
     ) -> Driver {
         let proc_weights: Vec<f64> = sim.system().procs().iter().map(|p| p.weight).collect();
         let mut d = Driver {
+            clock: PhaseClock::new(cfg.telemetry.clone()),
             scheme: cfg.scheme.instantiate(),
             cfg,
             app,
@@ -275,8 +275,6 @@ impl Driver {
             transfer_retries: 0,
             faults_seen: metrics::FaultCounters::default(),
             proc_weights,
-            wall: metrics::PhaseWall::default(),
-            ghost_wall: metrics::GhostWall::default(),
             peak_patches: 0,
             crashed_at: Default::default(),
             recovery_snapshot: None,
@@ -303,9 +301,8 @@ impl Driver {
     /// measured time — identically for every scheme.
     pub fn run(mut self) -> RunResult {
         self.sim.reset();
-        // wall timers restart with simulated time: both exclude setup
-        self.wall = metrics::PhaseWall::default();
-        self.ghost_wall = metrics::GhostWall::default();
+        // the phase clock restarts with simulated time: both exclude setup
+        self.clock.reset();
         for _ in 0..self.cfg.steps {
             self.step_once();
         }
@@ -645,8 +642,8 @@ impl Driver {
             levels: self.hier.num_levels(),
             final_patches: self.hier.num_patches(),
             peak_patches: self.peak_patches.max(self.hier.num_patches()),
-            wall: self.wall,
-            ghost_wall: self.ghost_wall,
+            wall: self.clock.phase_wall(),
+            ghost_wall: self.clock.ghost_wall(),
             dlb_wall: dist.map(|d| d.wall()).unwrap_or_default(),
             cell_updates: self.cell_updates,
             global_checks: decisions.len(),
@@ -714,14 +711,11 @@ impl Driver {
         // A fault-tolerant scheme absorbs link failures itself; a baseline
         // scheme without a degraded mode skips this step's balancing when
         // its load exchange dies. Either way the run continues.
-        {
-            let t0 = std::time::Instant::now();
-            let _span = telemetry::span!(self.cfg.telemetry, "decision", level);
-            if self.scheme.after_level_step(ctx, level).is_err() {
-                self.failed_transfers += 1;
-            }
-            self.wall.decision += t0.elapsed().as_secs_f64();
+        self.clock.enter(Phase::Decision, level);
+        if self.scheme.after_level_step(ctx, level).is_err() {
+            self.failed_transfers += 1;
         }
+        self.clock.stop();
         self.step_count[level] += 1;
     }
 
@@ -762,8 +756,7 @@ impl Driver {
         if ids.is_empty() {
             return;
         }
-        let t0 = std::time::Instant::now();
-        let _span = telemetry::span!(self.cfg.telemetry, "solve", level);
+        self.clock.enter(Phase::Solve, level);
         let dt_over_dx = self.app.dt_over_dx0(); // constant Courant per level
         // take the field data out, step in parallel, put it back
         let mut work: Vec<(PatchId, Vec<Field3>)> = ids
@@ -786,7 +779,7 @@ impl Driver {
             self.sim.compute(ProcId(p.owner), secs);
             self.cell_updates += p.cells() as u64;
         }
-        self.wall.solve += t0.elapsed().as_secs_f64();
+        self.clock.stop();
     }
 
     /// Fill every ghost cell at `level`: physical boundaries by
@@ -827,11 +820,10 @@ impl Driver {
         if self.hier.level_ids(level).is_empty() {
             return;
         }
-        let t0 = std::time::Instant::now();
-        let _span = telemetry::span!(self.cfg.telemetry, "ghost_exchange", level);
+        self.clock.enter(Phase::GhostPlan, level);
         let r = self.hier.refine_factor();
         let topo = self.hier.exchange_topology(level);
-        let t_plan = std::time::Instant::now();
+        self.clock.enter(Phase::GhostCoarseFill, level);
 
         // phase 1: per destination, the ghost cells no sibling fills — by
         // prolongation straight from the parent's fields within each
@@ -880,7 +872,7 @@ impl Driver {
                 }
             }
         });
-        let t_coarse = std::time::Instant::now();
+        self.clock.enter(Phase::GhostSibling, level);
 
         // phase 2: sibling windows, source→destination directly, one round
         // of the plan at a time. The field sets of a round's blocks of
@@ -946,18 +938,12 @@ impl Driver {
         for (shell, fields) in topo.shells.iter().zip(work) {
             self.hier.patch_mut(shell.id).fields = fields;
         }
-        let t_sibling = std::time::Instant::now();
+        self.clock.enter(Phase::GhostMessages, level);
 
         for ((src, dst), bytes) in self.ghost_messages(&topo) {
             self.send_batch(src, dst, bytes);
         }
-        let t_end = std::time::Instant::now();
-        let secs = |a: std::time::Instant, b: std::time::Instant| (b - a).as_secs_f64();
-        self.ghost_wall.plan += secs(t0, t_plan);
-        self.ghost_wall.coarse_fill += secs(t_plan, t_coarse);
-        self.ghost_wall.sibling += secs(t_coarse, t_sibling);
-        self.ghost_wall.messages += secs(t_sibling, t_end);
-        self.wall.ghost += secs(t0, t_end);
+        self.clock.stop();
     }
 
     /// Bytes each owner pair exchanges in one ghost fill of the level `topo`
@@ -1010,10 +996,9 @@ impl Driver {
     /// `exchange_ghosts(level + 1)`, which runs before anything reads the
     /// new level.
     fn regrid(&mut self, level: usize) {
-        let t0 = std::time::Instant::now();
-        let _span = telemetry::span!(self.cfg.telemetry, "regrid", level);
+        self.clock.enter(Phase::Regrid, level);
         self.regrid_inner(level);
-        self.wall.regrid += t0.elapsed().as_secs_f64();
+        self.clock.stop();
         self.peak_patches = self.peak_patches.max(self.hier.num_patches());
     }
 
@@ -1203,8 +1188,7 @@ impl Driver {
     /// keep level-id order, so the result is bit-identical to the sequential
     /// reference.
     fn restrict_level(&mut self, fine_level: usize) {
-        let t0 = std::time::Instant::now();
-        let _span = telemetry::span!(self.cfg.telemetry, "restrict", fine_level);
+        self.clock.enter(Phase::Restrict, fine_level);
         let ids: Vec<PatchId> = self.hier.level_ids(fine_level).to_vec();
         let r = self.hier.refine_factor();
         let nf = self.hier.nfields();
@@ -1249,7 +1233,7 @@ impl Driver {
         for ((src, dst), bytes) in batch {
             self.send_batch(src, dst, bytes);
         }
-        self.wall.restrict += t0.elapsed().as_secs_f64();
+        self.clock.stop();
     }
 }
 

@@ -6,7 +6,7 @@
 
 use crate::event::{EventKind, EventRecord};
 use crate::hist::LogHistogram;
-use crate::sink::{RecordingSink, SpanRecord};
+use crate::sink::RecordingSink;
 use base::json::{escape, num};
 use std::fmt::Write as _;
 
@@ -212,10 +212,6 @@ pub fn to_jsonl(sink: &RecordingSink) -> String {
     }
     for ((name, level), h) in sink.phase_histograms() {
         let (p50, p95, p99, max) = h.quartet();
-        let level = match level {
-            Some(l) => l.to_string(),
-            None => "null".to_string(),
-        };
         let _ = writeln!(
             out,
             "{{\"type\": \"phase\", \"name\": \"{}\", \"level\": {level}, \"count\": {}, \
@@ -278,15 +274,6 @@ fn sim_tid(kind: &EventKind) -> (u64, &'static str) {
     }
 }
 
-/// Span `tid`: per-level rows under the host process (level L on row L+1,
-/// un-leveled spans on row 0).
-fn span_tid(s: &SpanRecord) -> u64 {
-    match s.level {
-        Some(l) => l as u64 + 1,
-        None => 0,
-    }
-}
-
 const HOST_PID: u64 = 0;
 const SIM_PID: u64 = 1;
 
@@ -320,12 +307,10 @@ pub fn to_chrome_trace(sink: &RecordingSink) -> String {
 
     let mut span_tids_seen = std::collections::BTreeSet::new();
     for s in sink.spans() {
-        let tid = span_tid(s);
+        // one row per level under the host process, level L on row L+1
+        let tid = s.level as u64 + 1;
         if span_tids_seen.insert(tid) {
-            let label = match s.level {
-                Some(l) => format!("level {l}"),
-                None => "(no level)".to_string(),
-            };
+            let label = format!("level {}", s.level);
             rows.push(meta(HOST_PID, Some(tid), "thread_name", &label));
         }
         let ts = s.start_host_secs * 1e6;
@@ -420,17 +405,13 @@ pub fn summary_text(sink: &RecordingSink) -> String {
     let mut out = String::from("telemetry summary\n");
 
     // phases ranked by total host time
-    let mut phases: Vec<(&(&'static str, Option<usize>), &LogHistogram)> =
+    let mut phases: Vec<(&(&'static str, usize), &LogHistogram)> =
         sink.phase_histograms().iter().collect();
     phases.sort_by(|a, b| b.1.sum().total_cmp(&a.1.sum()));
     if !phases.is_empty() {
         out.push_str("phases by total host time (top 8):\n");
         for ((name, level), h) in phases.into_iter().take(8) {
-            let label = match level {
-                Some(l) => format!("{name}[l{l}]"),
-                None => (*name).to_string(),
-            };
-            out.push_str(&hist_line(&label, h));
+            out.push_str(&hist_line(&format!("{name}[l{level}]"), h));
         }
     }
 
@@ -556,7 +537,7 @@ mod tests {
     use super::*;
     use crate::event::*;
     use crate::json::{self, Json};
-    use crate::sink::Telemetry;
+    use crate::sink::{SpanRecord, Telemetry};
 
     fn populated_sink() -> RecordingSink {
         let mut s = RecordingSink::default();
@@ -631,13 +612,13 @@ mod tests {
         );
         s.record_span(SpanRecord {
             name: "solve",
-            level: Some(1),
+            level: 1,
             start_host_secs: 0.001,
             dur_secs: 0.004,
         });
         s.record_span(SpanRecord {
             name: "ghost_exchange",
-            level: Some(1),
+            level: 1,
             start_host_secs: 0.006,
             dur_secs: 0.002,
         });

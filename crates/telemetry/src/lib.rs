@@ -7,9 +7,9 @@
 //!
 //! Three layers:
 //!
-//! * **Spans** — RAII guards created with [`span!`] measuring host
-//!   wall-clock time per phase/level, folded into fixed-bucket log-scale
-//!   [`LogHistogram`]s (p50/p95/p99/max).
+//! * **Spans** — host wall-clock time per phase/level, closed intervals of
+//!   `metrics::PhaseClock` ([`Telemetry::record_span`]), folded into
+//!   fixed-bucket log-scale [`LogHistogram`]s (p50/p95/p99/max).
 //! * **Decision events** — typed records ([`GammaGateEvent`],
 //!   [`RedistributeEvent`], [`FaultEvent`], [`PredictorSwitchEvent`],
 //!   [`ProbeEvent`], [`TransferEvent`]) keyed to *simulated* time, appended
@@ -48,18 +48,4 @@ pub use event::{
 };
 pub use hist::{percentile_exact, LogHistogram};
 pub use metrics::{AnomalyMonitor, MetricSeries};
-pub use sink::{RecordingSink, SpanGuard, SpanRecord, Telemetry};
-
-/// Open a host-wall-clock span: `span!(tel, "ghost_exchange", level)` (or
-/// without a level: `span!(tel, "setup")`). The returned RAII guard records
-/// its elapsed time into the sink's per-(phase, level) histogram when
-/// dropped; against a disabled handle it is fully inert (no clock read).
-#[macro_export]
-macro_rules! span {
-    ($tel:expr, $name:expr) => {
-        $tel.span($name, None)
-    };
-    ($tel:expr, $name:expr, $level:expr) => {
-        $tel.span($name, Some($level))
-    };
-}
+pub use sink::{RecordingSink, SpanRecord, Telemetry};

@@ -3,10 +3,10 @@
 //!
 //! The handle is the zero-overhead switch: [`Telemetry::null`] carries no
 //! allocation at all — event construction sites guard on
-//! [`Telemetry::is_enabled`], span guards are inert (no clock read), and
-//! nothing locks. A recording handle passes records through a mutex into
-//! its [`RecordingSink`]; recording never touches simulated state, so
-//! enabling telemetry cannot change a run's results.
+//! [`Telemetry::is_enabled`], spans are dropped unread, and nothing locks.
+//! A recording handle passes records through a mutex into its
+//! [`RecordingSink`]; recording never touches simulated state, so enabling
+//! telemetry cannot change a run's results.
 
 use crate::event::{AnomalyEvent, EventKind, EventRecord, GateVerdict, ProbeEvent};
 use crate::export;
@@ -23,8 +23,8 @@ use std::time::Instant;
 pub struct SpanRecord {
     /// Phase name (e.g. `"solve"`, `"ghost_exchange"`).
     pub name: &'static str,
-    /// Hierarchy level the phase ran on, if any.
-    pub level: Option<usize>,
+    /// Hierarchy level the phase ran on.
+    pub level: usize,
     /// Start offset from the recorder epoch, host seconds.
     pub start_host_secs: f64,
     /// Duration, host seconds.
@@ -121,7 +121,7 @@ pub struct RecordingSink {
     flows: EventRing,
     spans: Vec<SpanRecord>,
     spans_dropped: u64,
-    phase_hist: BTreeMap<(&'static str, Option<usize>), LogHistogram>,
+    phase_hist: BTreeMap<(&'static str, usize), LogHistogram>,
     transfer_queue: LogHistogram,
     transfer_latency: LogHistogram,
     gate_by_level: BTreeMap<usize, GateTally>,
@@ -273,7 +273,7 @@ impl RecordingSink {
     }
 
     /// Per-(phase, level) host-time histograms.
-    pub fn phase_histograms(&self) -> &BTreeMap<(&'static str, Option<usize>), LogHistogram> {
+    pub fn phase_histograms(&self) -> &BTreeMap<(&'static str, usize), LogHistogram> {
         &self.phase_hist
     }
 
@@ -474,16 +474,16 @@ impl Telemetry {
         }
     }
 
-    /// Open a span (prefer the [`crate::span!`] macro). Inert against a
-    /// disabled handle.
-    pub fn span(&self, name: &'static str, level: Option<usize>) -> SpanGuard {
-        SpanGuard {
-            inner: self.shared.as_ref().map(|s| SpanInner {
-                shared: s.clone(),
+    /// Record one closed span of host time from `start` to `end`. A no-op
+    /// when disabled.
+    pub fn record_span(&self, name: &'static str, level: usize, start: Instant, end: Instant) {
+        if let Some(s) = &self.shared {
+            lock(&s.sink).record_span(SpanRecord {
                 name,
                 level,
-                start: Instant::now(),
-            }),
+                start_host_secs: start.duration_since(s.epoch).as_secs_f64(),
+                dur_secs: (end - start).as_secs_f64(),
+            });
         }
     }
 
@@ -531,34 +531,6 @@ impl Telemetry {
     }
 }
 
-struct SpanInner {
-    shared: Shared,
-    name: &'static str,
-    level: Option<usize>,
-    start: Instant,
-}
-
-/// RAII guard of an open span; records on drop. Inert (no clock reads)
-/// when created from a disabled handle.
-pub struct SpanGuard {
-    inner: Option<SpanInner>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(i) = self.inner.take() {
-            let dur = i.start.elapsed().as_secs_f64();
-            let start = i.start.duration_since(i.shared.epoch).as_secs_f64();
-            lock(&i.shared.sink).record_span(SpanRecord {
-                name: i.name,
-                level: i.level,
-                start_host_secs: start,
-                dur_secs: dur,
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,9 +562,8 @@ mod tests {
         let tel = Telemetry::null();
         assert!(!tel.is_enabled());
         tel.event(0.0, gate(0, GateVerdict::Accept));
-        {
-            let _g = crate::span!(tel, "solve", 1);
-        }
+        let t = Instant::now();
+        tel.record_span("solve", 1, t, t);
         assert!(tel.summary().is_none());
         assert!(tel.to_jsonl().is_none());
         assert!(tel.to_chrome_trace().is_none());
@@ -628,9 +599,8 @@ mod tests {
                 failed: false,
             }),
         );
-        {
-            let _g = crate::span!(tel, "solve", 0);
-        }
+        let t = Instant::now();
+        tel.record_span("solve", 0, t, t);
         let s = sink.lock().unwrap();
         let c = s.counts();
         assert_eq!(c.gates, 3);
