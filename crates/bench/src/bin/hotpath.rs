@@ -1,13 +1,14 @@
 //! Hot-path throughput baseline: runs the AMR64 (LAN) and ShockPool3D (WAN)
 //! presets and writes `results/BENCH_hotpath.json` with cell-updates/sec,
 //! host wall-clock seconds of the setup (`Driver::new`: level-0 build and
-//! initial regrid cascade, timed apart from `run()`) and per phase (solve /
-//! ghost / regrid / restrict / decision), the ghost phase by part (plan /
-//! coarse_fill / sibling / messages), the peak patch count, and the
-//! process's peak resident memory (`VmHWM`) after the first and after the
-//! last repeat of each preset — the presets run one after the other in one
-//! process, so a last repeat above the first means memory grows from run to
-//! run.
+//! initial regrid cascade, timed apart from `run()`, and split into its
+//! ghost exchanges, its regrids and the rest — mainly the level-0 build)
+//! and per phase (solve / ghost / regrid / restrict / decision), the ghost
+//! phase by part (plan / coarse_fill / sibling / messages), the peak patch
+//! count, and the process's peak resident memory (`VmHWM`) after the first
+//! and after the last repeat of each preset — the presets run one after the
+//! other in one process, so a last repeat above the first means memory
+//! grows from run to run.
 //!
 //! Flags: `--quick` shrinks the scale for smoke/CI runs and reports the best
 //! wall, the best setup and the best of each phase over five repeats, whose
@@ -23,6 +24,7 @@
 
 use base::json::{Json, ToJson};
 use bench::{arg_after, lan_system, obj, wan_system, write_report, write_trace, Scale};
+use metrics::PhaseWall;
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use std::time::Instant;
 use topology::DistributedSystem;
@@ -34,22 +36,24 @@ fn system_for(app: AppKind, n: usize) -> DistributedSystem {
     }
 }
 
-/// One run: its result, the host seconds of `Driver::new` (setup), and of
-/// setup and `run()` together (wall).
+/// One run: its result, the host seconds of `Driver::new` (setup) and the
+/// phase clock right after it (its ghost exchanges and regrids; `run()`
+/// resets the clock), and the host seconds of setup and `run()` together
+/// (wall).
 fn timed_run(
     sys: DistributedSystem,
     app: AppKind,
     scale: Scale,
     tel: telemetry::Telemetry,
-) -> (RunResult, f64, f64) {
+) -> (RunResult, f64, PhaseWall, f64) {
     let mut cfg = RunConfig::new(app, scale.n0, scale.steps, Scheme::distributed_default());
     cfg.max_levels = scale.max_levels;
     cfg.telemetry = tel;
     let t0 = Instant::now();
     let driver = Driver::new(sys, cfg);
-    let setup = t0.elapsed().as_secs_f64();
+    let (setup, setup_wall) = (t0.elapsed().as_secs_f64(), driver.phase_wall());
     let res = driver.run();
-    (res, setup, t0.elapsed().as_secs_f64())
+    (res, setup, setup_wall, t0.elapsed().as_secs_f64())
 }
 
 /// Everything that must agree bitwise between repeats.
@@ -112,14 +116,15 @@ fn main() {
         } else {
             telemetry::Telemetry::null()
         };
-        let (mut res, mut setup, mut wall) = timed_run(system_for(app, n), app, scale, tel);
+        let (mut res, mut setup, mut setup_wall, mut wall) =
+            timed_run(system_for(app, n), app, scale, tel);
         let hwm_first = vm_hwm_mb();
         // a quick-scale run lasts tens of milliseconds and one sample
         // spreads 2-3x on a busy host: keep the best wall and the best of
         // each phase over a few repeats, so the verify gate can compare
         // phase by phase against the committed baseline
         for _ in 1..repeats {
-            let (again, again_setup, again_wall) =
+            let (again, again_setup, again_setup_wall, again_wall) =
                 timed_run(system_for(app, n), app, scale, telemetry::Telemetry::null());
             assert_eq!(
                 fingerprint(&again),
@@ -127,7 +132,9 @@ fn main() {
                 "{name}: repeat diverged"
             );
             wall = wall.min(again_wall);
-            setup = setup.min(again_setup);
+            if again_setup < setup {
+                (setup, setup_wall) = (again_setup, again_setup_wall);
+            }
             // the ghost split comes whole from the repeat with the best
             // ghost phase, so that its parts still sum to it
             if again.wall.ghost < res.wall.ghost {
@@ -166,6 +173,14 @@ fn main() {
             ("final_patches", res.final_patches.to_json()),
             ("wall_secs", wall.to_json()),
             ("setup_secs", setup.to_json()),
+            (
+                "setup_phases",
+                obj([
+                    ("ghost", setup_wall.ghost.to_json()),
+                    ("regrid", setup_wall.regrid.to_json()),
+                    ("rest", (setup - setup_wall.ghost - setup_wall.regrid).to_json()),
+                ]),
+            ),
             ("cell_updates_per_sec", cups.to_json()),
             ("phases", res.wall.to_json()),
             (

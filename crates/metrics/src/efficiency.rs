@@ -10,12 +10,6 @@ pub fn efficiency(sequential_secs: f64, parallel_secs: f64, total_power: f64) ->
     sequential_secs / (parallel_secs * total_power)
 }
 
-/// Plain speedup `E(1)/E`.
-pub fn speedup(sequential_secs: f64, parallel_secs: f64) -> f64 {
-    assert!(sequential_secs > 0.0 && parallel_secs > 0.0);
-    sequential_secs / parallel_secs
-}
-
 /// Relative improvement of `new` over `base`, in percent:
 /// `(base − new)/base · 100` — the quantity behind "the execution time can
 /// be reduced by 9%–46%".
@@ -61,8 +55,7 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_mean() {
-        assert_eq!(speedup(100.0, 25.0), 4.0);
+    fn mean_of_a_sample() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
     }
 }

@@ -11,8 +11,8 @@ pub mod report;
 pub mod stats;
 
 pub use clock::{Phase, PhaseClock};
-pub use efficiency::{efficiency, improvement_percent, speedup};
-pub use stats::{percentile_exact, summarize, Summary};
+pub use efficiency::{efficiency, improvement_percent};
+pub use stats::percentile_exact;
 pub use report::{
     ConfigRow, DlbWall, FaultCounters, ForecastStats, GhostWall, PhaseWall, RecoveryStats,
     RunBreakdown, Table, TenantStats,

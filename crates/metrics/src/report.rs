@@ -203,17 +203,6 @@ pub struct TenantStats {
     pub migrations: u64,
 }
 
-impl TenantStats {
-    /// Aggregate cell-update throughput over simulated time (updates/sec).
-    pub fn cell_updates_per_sec(&self) -> f64 {
-        if self.total_secs > 0.0 {
-            self.cell_updates as f64 / self.total_secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// One configuration row of a figure (e.g. "4 + 4").
 #[derive(Clone, Debug)]
 pub struct ConfigRow {

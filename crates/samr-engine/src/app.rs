@@ -307,6 +307,27 @@ impl AppState {
         }
     }
 
+    /// How many ghost layers of `field` across the faces normal to each axis
+    /// [`AppState::flag_patch`] reads — the part of the shell the set-up
+    /// cascade's exchange must write before each regrid. Read off
+    /// `criteria`: `Gradient` and `RelativeSlope` difference each interior
+    /// cell with its face neighbours, one layer deep; `Overdensity`, and
+    /// Amr64's particle deposit onto a copy of ρ, read the interior alone.
+    /// So the reach is ρ's whole shell for ShockPool3D, field 0's first
+    /// layer for AdvectBlob, and nothing for Amr64.
+    pub fn flag_ghost_reach(&self, field: usize) -> IVec3 {
+        let faces = self.criteria.iter().any(|c| match *c {
+            RefineCriterion::Gradient { field: f, .. }
+            | RefineCriterion::RelativeSlope { field: f, .. } => f == field,
+            RefineCriterion::Overdensity { .. } => false,
+        });
+        if faces {
+            IVec3::ONE
+        } else {
+            IVec3::ZERO
+        }
+    }
+
     /// Advance global (non-grid) state once per level-0 step: AMR64's
     /// particle trajectories.
     pub fn post_level0_step(&mut self, dt0: f64, domain: Region) {
@@ -747,6 +768,30 @@ mod tests {
         app.particles = samr_solvers::ParticleSet::default();
         let flags = app.flag_patch(&p, &pool);
         assert_eq!(flags.count(), 0);
+    }
+
+    /// The flagging reach is read off the criteria: one face layer of each
+    /// field a face-difference criterion reads, nothing elsewhere — also for
+    /// a criteria list no app ships.
+    #[test]
+    fn flag_ghost_reach_follows_the_criteria() {
+        let reach = |app: &AppState| -> Vec<IVec3> {
+            (0..app.nfields()).map(|k| app.flag_ghost_reach(k)).collect()
+        };
+        let only = |k: usize| {
+            let mut r = [IVec3::ZERO; 5];
+            r[k] = IVec3::ONE;
+            r
+        };
+        let mut shock = AppState::new(AppKind::ShockPool3D, 8, 0);
+        assert_eq!(reach(&shock), only(F::RHO));
+        assert_eq!(reach(&AppState::new(AppKind::Amr64, 8, 0)), [IVec3::ZERO; 6]);
+        assert_eq!(reach(&AppState::new(AppKind::AdvectBlob, 8, 0)), [IVec3::ONE]);
+        shock.criteria = vec![
+            RefineCriterion::Overdensity { field: F::RHO, threshold: 2.0 },
+            RefineCriterion::Gradient { field: F::E, threshold: 0.1 },
+        ];
+        assert_eq!(reach(&shock), only(F::E));
     }
 
     #[test]

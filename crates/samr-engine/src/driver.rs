@@ -145,10 +145,33 @@ impl Driver {
     /// substrate — a shared substrate has one global fault timeline, not
     /// per-tenant ones.
     ///
+    /// The initial hierarchy is built by the regrid cascade: each level's
+    /// exchange writes only the ghost cells its flagging reads
+    /// ([`AppState::flag_ghost_reach`]) before that level is regridded.
+    pub fn new_on(sim: SimView, cfg: RunConfig) -> Driver {
+        let mut d = Driver::level0_on(sim, cfg);
+        let reach: Vec<IVec3> = (0..d.app.nfields())
+            .map(|k| d.app.flag_ghost_reach(k))
+            .collect();
+        // build the initial hierarchy: regrid cascade, no timing charged
+        // (setup happens before the measured run on all schemes equally)
+        for l in 0..d.cfg.max_levels - 1 {
+            if d.hier.level_ids(l).is_empty() {
+                break;
+            }
+            d.exchange_ghosts_within(l, &reach);
+            d.regrid(l);
+        }
+        d.peak_patches = d.hier.num_patches();
+        d
+    }
+
+    /// A driver holding level 0 alone: the domain decomposed over the
+    /// processors and every slab's fields initialised, ghosts included.
     /// Level 0's field buffers are reserved on the calling thread and
     /// zero-filled and initialised on the worker pool, one task per patch;
     /// the patches are inserted with their fields afterwards, in slab order.
-    pub fn new_on(sim: SimView, cfg: RunConfig) -> Driver {
+    fn level0_on(sim: SimView, cfg: RunConfig) -> Driver {
         let app = AppState::new(cfg.app, cfg.n0, cfg.seed);
         let domain = Region::cube(cfg.n0);
         let mut hier = GridHierarchy::new(
@@ -158,9 +181,7 @@ impl Driver {
             app.nfields(),
             app.ghost(),
         );
-        // initial decomposition: one slab per processor, weighted; its field
-        // buffers are reserved on this thread and zero-filled and initialised
-        // on the pool, then the patches are inserted in slab order
+        // initial decomposition: one slab per processor, weighted
         let shares: Vec<f64> = sim.system().procs().iter().map(|p| p.weight).collect();
         let slabs = decompose_domain(domain, &shares);
         let mut grids: Vec<NewGrid> = slabs
@@ -174,19 +195,12 @@ impl Driver {
             hier.insert_patch_with_fields(0, region, None, proc_ix, grid.fields);
         }
         let history = WorkloadHistory::new(sim.system().nprocs());
-        let mut d = Driver::from_parts(sim, cfg, app, hier, history, Vec::new(), 0);
+        let d = Driver::from_parts(sim, cfg, app, hier, history, Vec::new(), 0);
         #[cfg(test)]
-        d.fill_census.push(census);
-        // build the initial hierarchy: regrid cascade, no timing charged
-        // (setup happens before the measured run on all schemes equally)
-        for l in 0..d.cfg.max_levels - 1 {
-            if d.hier.level_ids(l).is_empty() {
-                break;
-            }
-            d.exchange_ghosts(l);
-            d.regrid(l);
-        }
-        d.peak_patches = d.hier.num_patches();
+        let d = Driver {
+            fill_census: vec![census],
+            ..d
+        };
         d
     }
 
@@ -785,10 +799,10 @@ impl Driver {
     /// Fill every ghost cell at `level`: physical boundaries by
     /// zero-gradient, interior boundaries from siblings, the rest from the
     /// parent grids. Data really moves, and each inter-owner window is
-    /// charged as a message. The set-up cascade runs it before each regrid
-    /// (flagging reads unsolved ghosts on every face), and tests and tools
-    /// can run one exchange by itself; a run's solve exchanges through
-    /// [`Driver::exchange_ghosts_within`] with the app's reach.
+    /// charged as a message. Tests and tools run one whole-shell exchange
+    /// with it; a run exchanges through [`Driver::exchange_ghosts_within`],
+    /// the set-up cascade within the flagging reach and each solve within
+    /// the step's.
     pub fn exchange_ghosts(&mut self, level: usize) {
         let whole = vec![IVec3::splat(self.hier.ghost()); self.hier.nfields()];
         self.exchange_ghosts_within(level, &whole);
@@ -797,24 +811,26 @@ impl Driver {
     /// Fill the ghost cells of `level` that lie within `reach[k]` layers of
     /// the interior across the faces normal to each axis, field `k` by
     /// field `k` — a solve's exchange writes only what
-    /// [`AppState::solve_ghost_reach`] says the step reads. Every field is
-    /// charged its whole shell all the same: the messages, and so every
-    /// simulated time, do not depend on `reach`.
+    /// [`AppState::solve_ghost_reach`] says the step reads, the set-up's
+    /// only what [`AppState::flag_ghost_reach`] says flagging reads. At
+    /// level 0 the cells outside the domain are written whatever the reach.
+    /// Every field is charged its whole shell all the same: the messages,
+    /// and so every simulated time, do not depend on `reach`.
     ///
     /// This is the direct zero-copy path, driven by the level's cached
     /// [`LevelTopology`](samr_mesh::LevelTopology) plan: per destination the
     /// sibling windows and the parent-filled `coarse_fill` boxes partition
     /// the ghost shell, so every ghost cell is written at most once (the
-    /// part of a window or box within a field's reach) and nothing is
-    /// staged. Within the reach it is bit-identical to the test module's
-    /// oracle `exchange_ghosts_reference`, which writes the whole shell
-    /// three times (zero-gradient, parent, siblings) and keeps the last:
-    /// the last writer of a cell is its sibling window if one covers it,
-    /// else the parent (whose storage covers the whole shell of a properly
-    /// nested patch), else — only at level 0 — the zero-gradient fill. Every
-    /// read comes from data the exchange never writes: sibling windows lie
-    /// inside source *interiors* and parent fields live on the untouched
-    /// coarser level.
+    /// part of a window or box within a field's reach; at level 0 a box
+    /// whole) and nothing is staged. Within the reach it is bit-identical
+    /// to the test module's oracle `exchange_ghosts_reference`, which
+    /// writes the whole shell three times (zero-gradient, parent,
+    /// siblings) and keeps the last: the last writer of a cell is its
+    /// sibling window if one covers it, else the parent (whose storage
+    /// covers the whole shell of a properly nested patch), else — only at
+    /// level 0 — the zero-gradient fill. Every read comes from data the
+    /// exchange never writes: sibling windows lie inside source
+    /// *interiors* and parent fields live on the untouched coarser level.
     fn exchange_ghosts_within(&mut self, level: usize, reach: &[IVec3]) {
         assert_eq!(reach.len(), self.hier.nfields(), "one reach per field");
         if self.hier.level_ids(level).is_empty() {
@@ -827,10 +843,9 @@ impl Driver {
 
         // phase 1: per destination, the ghost cells no sibling fills — by
         // prolongation straight from the parent's fields within each
-        // field's reach, or at level 0 (where only cells outside the domain
-        // are left) by zero-gradient over the whole shell, which phase 2
-        // then overwrites where siblings exist. Parallel across
-        // destinations: each writes only its own
+        // field's reach, or at level 0, where those are exactly the cells
+        // outside the domain, by zero-gradient for every field. Parallel
+        // across destinations: each writes only its own
         // ghost cells, and the parents live on the coarser level, which
         // stays in the hierarchy (only `level`'s fields are taken out) and
         // is never written here.
@@ -844,10 +859,11 @@ impl Driver {
         for_each_task_parallel(&mut work, |i, fields| {
             let shell = &shells[i];
             match shell.parent {
-                None if shell.coarse_fill.is_empty() => {}
-                None => fields
-                    .iter_mut()
-                    .for_each(Field3::fill_ghosts_zero_gradient),
+                None => {
+                    for f in fields.iter_mut() {
+                        shell.coarse_fill.iter().for_each(|b| f.fill_clamped(b));
+                    }
+                }
                 Some(parent) => {
                     let parent = &hier.patch(parent).fields;
                     let interior = fields[0].interior();
@@ -993,8 +1009,10 @@ impl Driver {
     /// elsewhere. The fill runs in waves: the calling thread reserves a
     /// wave's field buffers, the pool task that fills a grid zero-fills its
     /// buffers first. Ghost shells are left at those zeros until the next
-    /// `exchange_ghosts(level + 1)`, which runs before anything reads the
-    /// new level.
+    /// exchange of `level + 1`, which runs before anything reads the new
+    /// level and writes what that reader reads: flagging's reach in the
+    /// set-up cascade, the step's in a run (whose refill rewrites the rest
+    /// before it is read).
     fn regrid(&mut self, level: usize) {
         self.clock.enter(Phase::Regrid, level);
         self.regrid_inner(level);
@@ -2009,6 +2027,158 @@ mod tests {
                 let (a, b) = (plan.sim.stats(), reference.sim.stats());
                 assert_eq!(a.msgs, b.msgs, "{app:?} level {level}");
                 assert_eq!(a.procs, b.procs, "{app:?} level {level}");
+            }
+        }
+    }
+
+    /// At level 0 the exchange writes the cells outside the domain, by
+    /// zero-gradient, for every field whatever its reach, and no other
+    /// ghost cell beyond the reach: with every ghost cell poisoned and no
+    /// reach at all, exactly the cells outside the domain come back, with
+    /// the whole-shell reference's bits.
+    #[test]
+    fn level0_exchange_writes_the_cells_outside_the_domain_whatever_the_reach() {
+        let (mut plan, mut reference) = (many_small_patches(), many_small_patches());
+        poison_ghosts(&mut plan, 0);
+        poison_ghosts(&mut reference, 0);
+        plan.exchange_ghosts_within(0, &vec![IVec3::ZERO; plan.hier.nfields()]);
+        reference.exchange_ghosts_reference(0);
+        let domain = plan.hier.domain_at_level(0);
+        let (mut outside, mut inside) = (0, 0);
+        for &id in plan.hier.level_ids(0) {
+            let (p, q) = (plan.hier.patch(id), reference.hier.patch(id));
+            for (f, g) in p.fields.iter().zip(&q.fields) {
+                let shell = f.storage_region().iter_cells();
+                for c in shell.filter(|&c| !f.interior().contains(c)) {
+                    if domain.contains(c) {
+                        inside += 1;
+                        assert!(f.get(c).is_nan(), "{id:?} {c:?} written");
+                    } else {
+                        outside += 1;
+                        assert_eq!(f.get(c).to_bits(), g.get(c).to_bits(), "{id:?} {c:?}");
+                    }
+                }
+            }
+        }
+        assert!(outside > 0 && inside > 0, "outside {outside}, inside {inside}");
+    }
+
+    /// Every ghost cell of `level` outside `reach[k]` of field `k` to NaN.
+    fn poison_outside(d: &mut Driver, level: usize, reach: &[IVec3]) {
+        for id in d.hier.level_ids(level).to_vec() {
+            for (f, &r) in d.hier.patch_mut(id).fields.iter_mut().zip(reach) {
+                let kept = f.interior().grow_by(r);
+                for c in f.storage_region().iter_cells().filter(|&c| !kept.contains(c)) {
+                    f.set(c, f64::NAN);
+                }
+            }
+        }
+    }
+
+    fn flag_reach(d: &Driver) -> Vec<IVec3> {
+        (0..d.app.nfields())
+            .map(|k| d.app.flag_ghost_reach(k))
+            .collect()
+    }
+
+    /// The set-up cascade of [`Driver::new_on`] with `exchange` run before
+    /// each regrid, and the flags of every grid each regrid read, level by
+    /// level in id order.
+    fn setup_cascade(
+        sys: DistributedSystem,
+        cfg: RunConfig,
+        exchange: fn(&mut Driver, usize),
+    ) -> (Driver, Vec<Vec<Vec<bool>>>) {
+        let mut d = Driver::level0_on(SimView::new(sys), cfg);
+        let mut flags = Vec::new();
+        for l in 0..d.cfg.max_levels - 1 {
+            if d.hier.level_ids(l).is_empty() {
+                break;
+            }
+            exchange(&mut d, l);
+            let level: Vec<Vec<bool>> = d
+                .hier
+                .level_ids(l)
+                .iter()
+                .map(|&id| {
+                    let p = d.hier.patch(id);
+                    let f = d.app.flag_patch(p, d.hier.pool());
+                    p.region.iter_cells().map(|c| f.get(c)).collect()
+                })
+                .collect();
+            flags.push(level);
+            d.regrid(l);
+        }
+        d.peak_patches = d.hier.num_patches();
+        (d, flags)
+    }
+
+    /// The set-up exchange within the flagging reach flags what the
+    /// whole-shell exchange it replaced flagged, with every ghost cell
+    /// outside the reach poisoned before flagging, so the regrids build the
+    /// same hierarchy: regions, owners and parents on every level, and — in
+    /// `Driver::new` itself — level 0's storage bits, ghosts included. One
+    /// step later every storage bit of every level agrees, poisoned build
+    /// included, so no ghost cell the cascade left unwritten is read. For
+    /// every app: ShockPool3D three levels deep (a level-1 set-up exchange
+    /// runs) with its shock across slab faces, Amr64 with particles in
+    /// level-0 grids, AdvectBlob with two ghost layers.
+    #[test]
+    fn setup_exchange_within_the_flag_reach_matches_the_whole_shell_cascade() {
+        let whole: fn(&mut Driver, usize) = |d, l| d.exchange_ghosts(l);
+        let poisoned: fn(&mut Driver, usize) = |d, l| {
+            let reach = flag_reach(d);
+            d.exchange_ghosts_within(l, &reach);
+            poison_outside(d, l, &reach);
+        };
+        let cases = [
+            (AppKind::ShockPool3D, 16, 3, topology::presets::anl_ncsa_wan(4, 4, 11)),
+            (AppKind::Amr64, 32, 2, topology::presets::federation(8, 16, 7)),
+            (AppKind::AdvectBlob, 16, 3, topology::presets::anl_ncsa_wan(2, 2, 11)),
+        ];
+        for (app, n0, levels, sys) in cases {
+            let mut cfg = RunConfig::new(app, n0, 1, Scheme::distributed_default());
+            cfg.max_levels = levels;
+            let mut new = Driver::new(sys.clone(), cfg.clone());
+            let (mut reach, flags) = setup_cascade(sys.clone(), cfg.clone(), poisoned);
+            let (mut oracle, oracle_flags) = setup_cascade(sys, cfg, whole);
+            assert_eq!(new.hier.num_levels(), levels, "{app:?}: levels");
+            let unread = flag_reach(&new).iter().all(|&r| r == IVec3::ZERO);
+            assert_eq!(unread, app == AppKind::Amr64, "{app:?}: {:?}", flag_reach(&new));
+            if app == AppKind::Amr64 {
+                let with_particles = new.hier.level_ids(0).iter().filter(|&&id| {
+                    new.app.particles.any_in(new.hier.patch(id).region)
+                });
+                assert!(with_particles.count() >= 2, "no particles in level-0 grids");
+            }
+            let flagged = flags.iter().flatten().flatten().filter(|&&f| f).count();
+            assert!(flagged > 0, "{app:?}: nothing flagged");
+            assert_eq!(flags, oracle_flags, "{app:?}: flags");
+            for d in [&new, &reach] {
+                for l in 0..levels {
+                    let shape = |d: &Driver| -> Vec<(Region, usize, Option<PatchId>)> {
+                        let ids = d.hier.level_ids(l);
+                        ids.iter()
+                            .map(|&id| d.hier.patch(id))
+                            .map(|p| (p.region, p.owner, p.parent))
+                            .collect()
+                    };
+                    assert_eq!(shape(d), shape(&oracle), "{app:?} level {l}");
+                }
+            }
+            assert_eq!(level_bits(&new, 0), level_bits(&oracle, 0), "{app:?}: level 0");
+            assert_eq!(new.sim.stats().msgs, oracle.sim.stats().msgs, "{app:?}");
+            for d in [&mut new, &mut reach, &mut oracle] {
+                d.step_once();
+            }
+            for l in 0..oracle.hier.num_levels() {
+                let bits = level_bits(&oracle, l);
+                assert!(
+                    bits.iter().flatten().flatten().all(|&b| !f64::from_bits(b).is_nan()),
+                    "{app:?} level {l}: NaN"
+                );
+                assert_eq!(level_bits(&new, l), bits, "{app:?} level {l} after a step");
+                assert_eq!(level_bits(&reach, l), bits, "{app:?} level {l}: poison read");
             }
         }
     }

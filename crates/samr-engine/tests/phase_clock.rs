@@ -63,3 +63,19 @@ fn spans_and_walls_read_one_clock() {
         w.decision
     );
 }
+
+/// `Driver::new`'s regrid cascade runs on the phase clock and `run` resets
+/// it: right after `new` the clock holds the cascade's ghost exchanges and
+/// regrids and nothing else (the point the `hotpath` bench reads its
+/// `setup_phases` at), and a run of no steps reports no host time at all.
+#[test]
+fn the_setup_cascade_is_on_the_clock_until_run_resets_it() {
+    let mut cfg = RunConfig::new(AppKind::ShockPool3D, 16, 0, Scheme::distributed_default());
+    cfg.max_levels = 3;
+    let d = Driver::new(presets::anl_ncsa_wan(2, 2, 11), cfg);
+    assert!(d.hierarchy().num_levels() >= 2, "the cascade refined nothing");
+    let w = d.phase_wall();
+    assert!(w.ghost > 0.0 && w.regrid > 0.0, "set-up off the clock: {w:?}");
+    assert_eq!((w.solve, w.restrict, w.decision), (0.0, 0.0, 0.0), "{w:?}");
+    assert_eq!(d.run().wall, metrics::PhaseWall::default());
+}

@@ -322,6 +322,42 @@ impl Field3 {
             self.data.copy_within(hi_src..hi_src + plane_len, dst);
         }
     }
+
+    /// Give every cell of `window` (clipped to storage) the value of its
+    /// per-axis clamp into the interior: the zero-gradient fill of one box
+    /// of the shell. Per z-row, the clamped interior row is copied across
+    /// the interior's z range and its end values repeat beyond it; an
+    /// interior cell is its own clamp and is left as it is. Only interior
+    /// cells are read, so on the box this is bit-identical to
+    /// [`reference::fill_ghosts_zero_gradient`].
+    pub fn fill_clamped(&mut self, window: &Region) {
+        let w = window.intersect(&self.storage);
+        if w.is_empty() {
+            return;
+        }
+        let (int, sto) = (self.interior, self.storage);
+        let top = int.hi - IVec3::ONE;
+        let below = w.lo.z..w.hi.z.min(int.lo.z);
+        let within = w.lo.z.max(int.lo.z)..w.hi.z.min(int.hi.z);
+        let above = w.lo.z.max(int.hi.z)..w.hi.z;
+        for x in w.lo.x..w.hi.x {
+            let cx = x.clamp(int.lo.x, top.x);
+            for y in w.lo.y..w.hi.y {
+                let cy = y.clamp(int.lo.y, top.y);
+                for (zs, from) in [(&below, int.lo.z), (&above, top.z)] {
+                    if !zs.is_empty() {
+                        let v = self.data[sto.linear_index(crate::index::ivec3(cx, cy, from))];
+                        self.data[sto.row_range(x, y, zs.start, zs.end)].fill(v);
+                    }
+                }
+                if !within.is_empty() && (cx, cy) != (x, y) {
+                    let src = sto.row_range(cx, cy, within.start, within.end);
+                    let dst = sto.linear_index(crate::index::ivec3(x, y, within.start));
+                    self.data.copy_within(src, dst);
+                }
+            }
+        }
+    }
 }
 
 /// Per-cell reference implementations of the row-sliced kernels above.
@@ -619,6 +655,25 @@ mod tests {
         let before = a.clone();
         a.fill_ghosts_zero_gradient();
         assert_eq!(a, before);
+    }
+
+    /// Filled box by box over a partition of its shell — faces, edges and
+    /// corners, as `Region::subtract` cuts it — a field ends up with the
+    /// whole-shell fill's bits, and the interior as it was.
+    #[test]
+    fn fill_clamped_over_the_shell_boxes_is_the_zero_gradient_fill() {
+        for (seed, ghost) in [(21u64, 1i64), (22, 2), (23, 3)] {
+            let r = region(ivec3(-2, 3, 1), ivec3(3, 10, 12));
+            let mut boxed = scrambled(r, ghost, seed);
+            let mut whole = boxed.clone();
+            whole.fill_ghosts_zero_gradient();
+            let shell = r.grow(ghost).subtract(&r);
+            assert!(shell.len() >= 6, "{shell:?}");
+            for b in &shell {
+                boxed.fill_clamped(b);
+            }
+            assert_eq!(boxed, whole, "ghost {ghost}");
+        }
     }
 
     #[test]

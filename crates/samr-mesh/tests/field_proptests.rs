@@ -1,7 +1,7 @@
 //! Property-based tests for fields and inter-level transfer operators.
 
 use base::prop::{self, Gen};
-use samr_mesh::field::Field3;
+use samr_mesh::field::{reference, Field3};
 use samr_mesh::interp::{prolong_constant, restrict_average};
 use samr_mesh::region::Region;
 use samr_mesh::{ivec3, IVec3};
@@ -50,6 +50,60 @@ fn zero_gradient_ghosts_only_touch_ghosts() {
                 }
                 let clamped = p.max(IVec3::ZERO).min(IVec3::splat(3));
                 assert_eq!(f.get(p), f.get(clamped));
+            }
+        },
+    );
+}
+
+/// One axis of a shell box: the low ghost slab, the interior range, the
+/// high ghost slab, or any sub-range of the storage, over an interior of
+/// `lo..lo + n` with `ghost` ghost layers.
+fn arb_span(g: &mut Gen, lo: i64, n: i64, ghost: i64) -> (i64, i64) {
+    match g.usize(0..4) {
+        0 => (lo - ghost, lo),
+        1 => (lo, lo + n),
+        2 => (lo + n, lo + n + ghost),
+        _ => {
+            let a = g.i64(lo - ghost..lo + n + ghost);
+            (a, g.i64(a + 1..lo + n + ghost + 1))
+        }
+    }
+}
+
+/// The zero-gradient fill of one box writes, on that box, what the per-cell
+/// reference writes on the whole shell, and leaves every other cell as it
+/// was: faces, edges, corners and arbitrary slices of the shell, ghost 1–3,
+/// odd extents, interiors off the origin.
+#[test]
+fn fill_clamped_is_the_reference_fill_on_its_box() {
+    prop::check(
+        prop::CASES,
+        |g| {
+            let ghost = g.i64(1..4);
+            let lo = ivec3(g.i64(-4..4), g.i64(-4..4), g.i64(-4..4));
+            let mut odd = || 2 * g.i64(0..4) + 1;
+            let n = ivec3(odd(), odd(), odd());
+            let spans: Vec<_> = (0..3).map(|k| arb_span(g, lo[k], n[k], ghost)).collect();
+            (ghost, lo, n, spans, g.any_u64())
+        },
+        |(ghost, lo, n, spans, seed)| {
+            let interior = Region { lo, hi: lo + n };
+            let window = Region {
+                lo: ivec3(spans[0].0, spans[1].0, spans[2].0),
+                hi: ivec3(spans[0].1, spans[1].1, spans[2].1),
+            };
+            let mut f = Field3::zeros(interior, ghost);
+            let mut rng = base::rng::SplitMix64::new(seed);
+            for v in f.data_mut() {
+                *v = rng.next_f64() - 0.5;
+            }
+            let mut whole = f.clone();
+            reference::fill_ghosts_zero_gradient(&mut whole);
+            let mut boxed = f.clone();
+            boxed.fill_clamped(&window);
+            for p in f.storage_region().iter_cells() {
+                let want = if window.contains(p) { whole.get(p) } else { f.get(p) };
+                assert_eq!(boxed.get(p).to_bits(), want.to_bits(), "{p:?} of {window:?}");
             }
         },
     );

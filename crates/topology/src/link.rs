@@ -98,12 +98,6 @@ impl Link {
         let secs = self.alpha().as_secs_f64() + bytes as f64 * self.beta(t);
         SimTime::from_secs_f64(secs)
     }
-
-    /// Per-message software overhead used for collectives over this link
-    /// (half the latency — a standard LogP-style approximation).
-    pub fn overhead(&self) -> SimTime {
-        SimTime(self.latency / 2)
-    }
 }
 
 #[cfg(test)]
@@ -171,11 +165,5 @@ mod tests {
             l.health_at(SimTime::from_secs(15)),
             LinkHealth::Slow { factor: 0.1 }
         );
-    }
-
-    #[test]
-    fn overhead_is_half_latency() {
-        let l = Link::dedicated("x", SimTime::from_micros(10), 1e9);
-        assert_eq!(l.overhead(), SimTime::from_micros(5));
     }
 }

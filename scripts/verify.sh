@@ -31,9 +31,11 @@ unsafe_uses=$(grep -rcw unsafe --include='*.rs' src crates/*/src | grep -v ':0$'
 if [ "$unsafe_uses" != "crates/par/src/lib.rs:6 crates/samr-solvers/src/euler.rs:1 " ]; then
   echo "verify: \`unsafe\` outside its allowlist (file:count): $unsafe_uses"; exit 1
 fi
-# Three source gates, outside crates/benchmark. A file's production part
-# ends at its first `#[cfg(test)]` whose item is a `mod` (one on a field or
-# a `fn` does not end it); a `pub mod reference` is not production code.
+# Three source gates, outside crates/benchmark. They read each file through
+# `code_only`: comments and the contents of string and char literals are
+# blanked, newlines kept. A file's production part ends at its first
+# `#[cfg(test)]` whose item is a `mod` (one on a field or a `fn` does not
+# end it); a `pub mod reference` is not production code.
 #
 # one clock: host time per phase is taken by `metrics::PhaseClock` alone —
 # no production line of the engine or the balancer names `Instant`, and no
@@ -45,12 +47,14 @@ fi
 #
 # no dead public surface: a production `pub fn` must be named in code
 # somewhere else — in its own file's production part, or in any other .rs
-# file under crates/, src/, examples/ or tests/ (comments do not count; nor
-# does a `fn` declaring the name, so two same-named `pub fn`s, say a method
-# and its `reference` twin, do not keep each other alive; nor does a
-# `pub use` statement, since a re-export only passes the name on) — unless
-# the allowlist below gives the reason it stays; an allowlisted name that
-# gains a use, or that no production `pub fn` declares any more, fails too
+# file under crates/, src/, examples/ or tests/ (comments and string
+# literals do not count, so a JSON key spelling the name keeps nothing
+# alive; nor does a `fn` declaring the name, so two same-named `pub fn`s,
+# say a method and its `reference` twin, do not keep each other alive; nor
+# does a `pub use` statement, since a re-export only passes the name on) —
+# unless the allowlist below gives the reason it stays; an allowlisted name
+# that gains a use, or that no production `pub fn` declares any more, fails
+# too
 #
 # All three passed, the heredoc prints the production-line count under the
 # same cut: every line of src/ and crates/*/src outside crates/benchmark
@@ -80,6 +84,47 @@ def outside_reference(lines):
         elif not in_reference:
             yield n, line
 
+RAW = re.compile(r'(?<!\w)b?r(#*)"')
+CHAR = re.compile(r"""'(?:\\(?:x[0-9a-fA-F]{2}|u\{[0-9a-fA-F]{1,6}\}|.)|[^\\'\n])'""")
+
+def code_only(text):
+    """`text` with its comments and the contents of its string and char
+    literals removed, every newline kept (so line numbers hold)."""
+    out, i, n = [], 0, len(text)
+    while i < n:
+        c = text[i]
+        raw = RAW.match(text, i) if c in "br" else None
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        if text.startswith("/*", i):
+            j, depth = i + 2, 1
+            while j < n and depth:
+                step = text[j:j + 2]
+                depth += (step == "/*") - (step == "*/")
+                j += 2 if step in ("/*", "*/") else 1
+        elif raw:
+            j = text.find('"' + raw.group(1), raw.end())
+            j = n if j < 0 else j + 1 + len(raw.group(1))
+            out.append('""')
+        elif c == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 2 if text[j] == "\\" else 1
+            j += 1
+            out.append('""')
+        elif c == "'" and (char := CHAR.match(text, i)):
+            j = char.end()
+            out.append("' '")
+        else:
+            out.append(c)
+            i += 1
+            continue
+        out.append("\n" * text.count("\n", i, j))
+        i = j
+    return "".join(out)
+
 def blank_pub_use(lines):
     """`lines` with every (possibly multi-line) `pub use` statement blanked."""
     out, inside = [], False
@@ -93,7 +138,8 @@ files = sorted(set(glob.glob("src/**/*.rs", recursive=True)
                    + glob.glob("crates/**/*.rs", recursive=True)
                    + glob.glob("examples/**/*.rs", recursive=True)
                    + glob.glob("tests/**/*.rs", recursive=True)))
-code = {p: [line.split("//")[0] for line in open(p)] for p in files}
+code = {p: code_only(open(p).read()).split("\n") for p in files}
+code = {p: lines[:-1] if lines[-1] == "" else lines for p, lines in code.items()}
 production = {p: test_start(lines) for p, lines in code.items()
               if not p.startswith("crates/benchmark/")
               and re.match(r"(crates/[^/]+/)?src/", p)}
