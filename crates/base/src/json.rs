@@ -1,10 +1,9 @@
 //! JSON, std only: a value ([`Json`]: object keys keep insertion order,
 //! numbers are `f64`), a recursive-descent parser ([`parse`]), one writer
-//! ([`Json::to_compact`], [`Json::to_pretty`]; the streaming emitters share
-//! its [`push_num`] / [`push_escaped`]) and the two traits the serialized
-//! types implement by hand or through [`json_struct!`](crate::json_struct):
-//! [`ToJson`] and [`FromJson`], whose errors name the path of the offending
-//! value.
+//! with three layouts ([`Json::to_compact`], [`Json::write_line`],
+//! [`Json::to_pretty`]) and the two traits the serialized types implement
+//! by hand or through [`json_struct!`](crate::json_struct): [`ToJson`] and
+//! [`FromJson`], whose errors name the path of the offending value.
 //!
 //! `f64` is written through `Display`, which prints the shortest digits that
 //! parse back to the same bits, so text → value → text is exact. Integers
@@ -313,118 +312,118 @@ impl<'a> Parser<'a> {
 /// Append `x` as a JSON number. JSON has no NaN or infinity: both are
 /// written as `0.0` (a writer that must not lose them calls
 /// [`Json::require_finite`] first).
-#[inline]
-pub fn push_num(out: &mut String, x: f64) {
-    if x.is_finite() {
+fn push_num(out: &mut String, x: f64) {
+    if x.fract() == 0.0 && x.abs() < EXACT_INTEGERS && (x != 0.0 || x.is_sign_positive()) {
+        // the digits `Display` prints, through the cheaper integer path
+        let _ = write!(out, "{}", x as i64);
+    } else if x.is_finite() {
         let _ = write!(out, "{x}");
     } else {
         out.push_str("0.0");
     }
 }
 
-/// [`push_num`] into a fresh string, for `format!` arguments.
-#[inline]
-pub fn num(x: f64) -> String {
-    let mut out = String::new();
-    push_num(&mut out, x);
-    out
-}
-
-/// Append `s` with JSON string escapes applied (no surrounding quotes).
-#[inline]
-pub fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Append `s` as a JSON string, quoted and escaped; the runs between
+/// escapes are copied whole.
+fn push_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| b < b' ' || b == b'"' || b == b'\\') {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => out.push_str(&format!("\\u{b:04x}")),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
+    out.push('"');
 }
 
-/// [`push_escaped`] into a fresh string, for `format!` arguments.
-#[inline]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_escaped(&mut out, s);
-    out
+/// How the writer lays a document out: `Compact` is `{"a":[1,2]}`, `Line`
+/// is `{"a": [1, 2]}`, `Pretty(depth)` puts each item on its own line,
+/// indented two spaces per level below `depth`.
+#[derive(Clone, Copy, PartialEq)]
+enum Layout {
+    Compact,
+    Line,
+    Pretty(usize),
 }
 
 fn newline(out: &mut String, depth: usize) {
     out.push('\n');
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
+    out.extend(std::iter::repeat_n("  ", depth));
 }
 
-/// The brackets, commas and line breaks around `len` items.
+/// The brackets, separators and line breaks around `len` items; `item`
+/// writes item `i` in the layout of the items.
 fn write_seq(
     out: &mut String,
-    indent: Option<usize>,
+    layout: Layout,
     (open, close): (char, char),
     len: usize,
-    mut item: impl FnMut(&mut String, usize, Option<usize>),
+    mut item: impl FnMut(&mut String, usize, Layout),
 ) {
     out.push(open);
-    let inner = indent.map(|depth| depth + 1);
+    let inner = match layout {
+        Layout::Pretty(depth) => Layout::Pretty(depth + 1),
+        flat => flat,
+    };
     for i in 0..len {
         if i > 0 {
-            out.push(',');
+            out.push_str(if layout == Layout::Line { ", " } else { "," });
         }
-        if let Some(depth) = inner {
+        if let Layout::Pretty(depth) = inner {
             newline(out, depth);
         }
         item(out, i, inner);
     }
-    if let (Some(depth), true) = (indent, len > 0) {
+    if let (Layout::Pretty(depth), true) = (layout, len > 0) {
         newline(out, depth);
     }
     out.push(close);
 }
 
 impl Json {
-    /// The document on one line.
+    /// The document with no whitespace.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None);
+        self.write(&mut out, Layout::Compact);
         out
+    }
+
+    /// Append the document on one line, with a space after each `,` and
+    /// `:`: the layout of a JSONL line, written where the line goes.
+    pub fn write_line(&self, out: &mut String) {
+        self.write(out, Layout::Line);
     }
 
     /// The document with one member or element per line, indented by two
     /// spaces per level.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(0));
+        self.write(&mut out, Layout::Pretty(0));
         out
     }
 
-    /// `indent` is the current depth of a pretty document, `None` for a
-    /// compact one.
-    fn write(&self, out: &mut String, indent: Option<usize>) {
+    fn write(&self, out: &mut String, layout: Layout) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => push_num(out, *x),
-            Json::Str(s) => {
-                out.push('"');
-                push_escaped(out, s);
-                out.push('"');
-            }
-            Json::Arr(items) => write_seq(out, indent, ('[', ']'), items.len(), |out, i, inner| {
+            Json::Str(s) => push_str(out, s),
+            Json::Arr(items) => write_seq(out, layout, ('[', ']'), items.len(), |out, i, inner| {
                 items[i].write(out, inner)
             }),
             Json::Obj(members) => {
-                write_seq(out, indent, ('{', '}'), members.len(), |out, i, inner| {
+                write_seq(out, layout, ('{', '}'), members.len(), |out, i, inner| {
                     let (key, value) = &members[i];
-                    out.push('"');
-                    push_escaped(out, key);
-                    out.push_str(if inner.is_some() { "\": " } else { "\":" });
+                    push_str(out, key);
+                    out.push_str(if inner == Layout::Compact { ":" } else { ": " });
                     value.write(out, inner);
                 })
             }
@@ -571,6 +570,12 @@ impl FromJson for f64 {
     }
 }
 
+impl ToJson for &str {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+}
+
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
@@ -691,6 +696,11 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
             None => Err(Error::new("array", v.kind())),
         }
     }
+}
+
+/// The object of `members`, in order.
+pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 /// The object `{"a": self.a, "b": self.b}` for `json_fields!(self; a, b)`.
@@ -830,11 +840,34 @@ mod tests {
     }
 
     #[test]
+    fn the_line_layout_is_one_line_with_spaced_separators() {
+        // appended to what the buffer already holds
+        let line = |v: &Json| {
+            let mut out = String::from("> ");
+            v.write_line(&mut out);
+            out
+        };
+        let v = outer().to_json();
+        let text = line(&v);
+        assert!(text.starts_with("> {") && !text.contains('\n'), "{text}");
+        assert_eq!(parse(&text[2..]).unwrap(), v);
+        let small = Json::Obj(vec![
+            ("a".into(), Json::Arr(vec![Json::Num(1.0), Json::Null])),
+            ("e".into(), Json::Arr(vec![])),
+            ("o".into(), Json::Obj(vec![("k\"".into(), "v".to_json())])),
+        ]);
+        assert_eq!(line(&small), r#"> {"a": [1, null], "e": [], "o": {"k\"": "v"}}"#);
+    }
+
+    #[test]
     fn f64_text_round_trips_to_the_same_bits() {
         let cases = [
             5e-324,                        // smallest subnormal
             f64::from_bits((1 << 52) - 1), // largest subnormal
             -0.0,
+            -4096.0,
+            1e15,
+            9_007_199_254_740_991.0, // 2^53 - 1, the largest integer written as one
             1e-7,
             0.1,
             1.0 / 3.0,
@@ -849,9 +882,9 @@ mod tests {
             assert_eq!(back.to_bits(), x.to_bits(), "{x:e} written as {text}");
             assert_eq!(Json::Num(back).to_compact(), text);
         }
-        assert_eq!(num(f64::NAN), "0.0");
-        assert_eq!(num(f64::NEG_INFINITY), "0.0");
-        assert_eq!(num(42.0), "42");
+        assert_eq!(Json::Num(f64::NAN).to_compact(), "0.0");
+        assert_eq!(Json::Num(f64::NEG_INFINITY).to_compact(), "0.0");
+        assert_eq!(Json::Num(42.0).to_compact(), "42");
     }
 
     #[test]

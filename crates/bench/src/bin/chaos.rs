@@ -25,8 +25,8 @@
 //! exports it (telemetry JSONL when PATH ends in `.jsonl`, Chrome trace
 //! JSON otherwise — the JSONL feeds `report run`).
 
-use base::json::{Json, ToJson};
-use bench::{arg_after, obj, write_report, write_trace, Scale, TRAFFIC_SEED};
+use base::json::{object, Json, ToJson};
+use bench::{arg_after, write_report, write_trace, Scale, TRAFFIC_SEED};
 use samr_engine::{AppKind, Driver, RunConfig, Scheme};
 use telemetry::{EventKind, Telemetry};
 use topology::faults::{FaultSchedule, ProcFaultSchedule};
@@ -291,7 +291,7 @@ fn main() {
         base::json_fields!(o; seed, crashes, rejoins, evacuations, evacuated_cells,
             mttr_max_secs, recompute_secs, total_secs, mass_rel_err, violations)
     });
-    let json = obj([
+    let json = object([
         ("bench", Json::Str("chaos".into())),
         ("quick", quick.to_json()),
         ("seeds", nseeds.to_json()),

@@ -22,8 +22,8 @@
 //! chrome://tracing or https://ui.perfetto.dev; recording is bit-identical,
 //! so the repeats still agree).
 
-use base::json::{Json, ToJson};
-use bench::{arg_after, lan_system, obj, wan_system, write_report, write_trace, Scale};
+use base::json::{object, Json, ToJson};
+use bench::{arg_after, fingerprint, lan_system, wan_system, write_report, write_trace, Scale};
 use metrics::PhaseWall;
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use std::time::Instant;
@@ -54,18 +54,6 @@ fn timed_run(
     let (setup, setup_wall) = (t0.elapsed().as_secs_f64(), driver.phase_wall());
     let res = driver.run();
     (res, setup, setup_wall, t0.elapsed().as_secs_f64())
-}
-
-/// Everything that must agree bitwise between repeats.
-fn fingerprint(r: &RunResult) -> (u64, u64, u64, usize, usize, usize) {
-    (
-        r.total_secs.to_bits(),
-        r.cell_updates,
-        r.breakdown.remote_bytes,
-        r.final_patches,
-        r.peak_patches,
-        r.global_redistributions,
-    )
 }
 
 /// Peak resident set of this process so far, MiB (`None` where
@@ -161,7 +149,7 @@ fn main() {
             hwm_first.unwrap_or(f64::NAN),
             hwm_last.unwrap_or(f64::NAN),
         );
-        entries.push(obj([
+        entries.push(object([
             ("name", Json::Str(name.into())),
             ("n0", scale.n0.to_json()),
             ("max_levels", scale.max_levels.to_json()),
@@ -175,7 +163,7 @@ fn main() {
             ("setup_secs", setup.to_json()),
             (
                 "setup_phases",
-                obj([
+                object([
                     ("ghost", setup_wall.ghost.to_json()),
                     ("regrid", setup_wall.regrid.to_json()),
                     ("rest", (setup - setup_wall.ghost - setup_wall.regrid).to_json()),
@@ -189,12 +177,12 @@ fn main() {
             ),
             (
                 "vm_hwm_mb",
-                obj([("first", hwm_first.to_json()), ("last", hwm_last.to_json())]),
+                object([("first", hwm_first.to_json()), ("last", hwm_last.to_json())]),
             ),
         ]));
     }
 
-    let json = obj([
+    let json = object([
         ("bench", Json::Str("hotpath".into())),
         ("quick", quick.to_json()),
         ("full", full.to_json()),

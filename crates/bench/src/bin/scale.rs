@@ -20,8 +20,8 @@
 //!
 //! Flags: `--quick` (G ≤ 64, smaller domain — the CI tier), `--out PATH`.
 
-use base::json::{Json, ToJson};
-use bench::{arg_after, obj, write_report, TRAFFIC_SEED};
+use base::json::{object, Json, ToJson};
+use bench::{arg_after, write_report, TRAFFIC_SEED};
 use dlb::DistributedDlbConfig;
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use std::time::Instant;
@@ -68,7 +68,7 @@ fn entry_json(e: &Entry) -> Json {
     let steps = e.steps.max(1) as f64;
     let per_step = |x: f64| (x / steps).to_json();
     let (r, w, g) = (&e.res, e.res.dlb_wall, e.res.ghost_wall);
-    obj([
+    object([
         ("groups", e.groups.to_json()),
         ("procs_per_group", e.procs_per_group.to_json()),
         ("procs", (e.groups * e.procs_per_group).to_json()),
@@ -167,7 +167,7 @@ fn main() {
         }
     }
 
-    let json = obj([
+    let json = object([
         ("bench", Json::Str("scale".into())),
         ("quick", quick.to_json()),
         ("total_procs", total_procs.to_json()),

@@ -8,7 +8,9 @@
 //! the median of the per-pair overhead percentages, their inter-quartile
 //! distance and the pair count (the verify gate enforces median <= max(2 %,
 //! IQR) — a quick run lasts ~10 ms, and on a shared box its spread is wider
-//! than any flat bound).
+//! than any flat bound), and the host seconds of one JSONL and one Chrome
+//! trace export of a recording run, the median over the pairs (no gate:
+//! `report diff` flags a slowdown through its `secs` rule).
 //!
 //! Flags: `--quick` shrinks the scale for smoke/CI runs; `--out PATH`
 //! overrides the output file; `--trace-out PATH` additionally exports the
@@ -16,11 +18,11 @@
 //! JSON otherwise — load that in chrome://tracing or
 //! https://ui.perfetto.dev).
 
-use base::json::{self, Json, ToJson};
-use bench::{arg_after, lan_system, obj, quartiles, write_report, write_trace, Scale};
+use base::json::{self, object, Json, ToJson};
+use bench::{arg_after, fingerprint, lan_system, quartiles, write_report, write_trace, Scale};
 use samr_engine::{AppKind, Driver, RunConfig, RunResult, Scheme};
 use std::time::Instant;
-use telemetry::Telemetry;
+use telemetry::{RecordingSink, Telemetry};
 
 fn timed_run(scale: Scale, n: usize, tel: Telemetry) -> (RunResult, f64) {
     let mut cfg = RunConfig::new(AppKind::Amr64, scale.n0, scale.steps, Scheme::distributed_default());
@@ -29,18 +31,6 @@ fn timed_run(scale: Scale, n: usize, tel: Telemetry) -> (RunResult, f64) {
     let t0 = Instant::now();
     let res = Driver::new(lan_system(n), cfg).run();
     (res, t0.elapsed().as_secs_f64())
-}
-
-/// Everything that must agree bitwise between the null and recording runs.
-fn fingerprint(r: &RunResult) -> (u64, u64, u64, usize, usize, usize) {
-    (
-        r.total_secs.to_bits(),
-        r.cell_updates,
-        r.breakdown.remote_bytes,
-        r.final_patches,
-        r.peak_patches,
-        r.global_redistributions,
-    )
 }
 
 fn main() {
@@ -59,6 +49,7 @@ fn main() {
     const PAIRS: usize = 21;
     timed_run(scale, n, Telemetry::null());
     let (mut walls_null, mut walls_rec, mut overheads) = (Vec::new(), Vec::new(), Vec::new());
+    let mut export_secs = [Vec::new(), Vec::new()];
     let mut last = None;
     for pair in 0..PAIRS {
         let run_null = || timed_run(scale, n, Telemetry::null());
@@ -76,6 +67,14 @@ fn main() {
         walls_null.push(w_null);
         walls_rec.push(w_rec);
         overheads.push((w_rec - w_null) / w_null * 100.0);
+        let rec = sink.lock().unwrap();
+        let exports = [RecordingSink::to_jsonl, RecordingSink::to_chrome_trace];
+        for (secs, export) in export_secs.iter_mut().zip(exports) {
+            let t0 = Instant::now();
+            std::hint::black_box(export(&rec));
+            secs.push(t0.elapsed().as_secs_f64());
+        }
+        drop(rec);
         last = Some((res_null, res_rec, sink));
     }
     let (res_null, res_rec, sink) = last.expect("at least one pair");
@@ -83,6 +82,7 @@ fn main() {
     let [_, wall_rec, _] = quartiles(&walls_rec);
     let [q1, overhead_pct, q3] = quartiles(&overheads);
     let overhead_iqr_pct = q3 - q1;
+    let [export_jsonl_secs, export_chrome_secs] = export_secs.map(|secs| quartiles(&secs)[1]);
 
     let identical = fingerprint(&res_null) == fingerprint(&res_rec);
 
@@ -136,7 +136,7 @@ fn main() {
         write_trace(path, &sink);
     }
 
-    let json_out = obj([
+    let json_out = object([
         ("bench", Json::Str("telemetry".into())),
         ("quick", quick.to_json()),
         ("preset", Json::Str("amr64".into())),
@@ -162,6 +162,8 @@ fn main() {
         ("metric_series", sink.metrics().len().to_json()),
         ("anomalies", counts.anomalies.to_json()),
         ("counts_match", counts_match.to_json()),
+        ("export_jsonl_secs", export_jsonl_secs.to_json()),
+        ("export_chrome_secs", export_chrome_secs.to_json()),
     ]);
     write_report(&out, &json_out);
 

@@ -27,8 +27,8 @@
 //! (telemetry JSONL when PATH ends in `.jsonl`, Chrome trace JSON
 //! otherwise — the JSONL feeds `report run`).
 
-use base::json::{Json, ToJson};
-use bench::{arg_after, obj, write_report, write_trace, TRAFFIC_SEED};
+use base::json::{object, Json, ToJson};
+use bench::{arg_after, write_report, write_trace, TRAFFIC_SEED};
 use samr_engine::AppKind;
 use telemetry::Telemetry;
 use tenants::{ServiceResult, TenantService, TenantServiceConfig, TenantSpec};
@@ -119,7 +119,7 @@ fn mode_json(mode: &str, r: &ServiceResult) -> Json {
         base::json_fields!(t; tenant, priority, groups, steps, cell_updates, total_secs,
             p50_step_secs, p99_step_secs, migrations)
     });
-    obj([
+    object([
         ("mode", Json::Str(mode.into())),
         ("total_secs", r.total_secs.to_json()),
         (
@@ -168,7 +168,7 @@ fn main() {
             aware.migrations,
             naive.worst_p99_step_secs(),
         );
-        scenario_blocks.push(obj([
+        scenario_blocks.push(object([
             ("scenario", Json::Str(name.into())),
             (
                 "modes",
@@ -190,7 +190,7 @@ fn main() {
         },
     );
 
-    let json = obj([
+    let json = object([
         ("bench", Json::Str("tenants".into())),
         ("quick", quick.to_json()),
         ("seed", seed.to_json()),

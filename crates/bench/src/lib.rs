@@ -605,9 +605,17 @@ pub fn emit(table: &Table, name: &str) -> String {
     table.render()
 }
 
-/// A JSON object of `members`, in order.
-pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+/// What a run's bits are checked by: everything that must agree bitwise
+/// between repeats of a run, or between its null and recording twins.
+pub fn fingerprint(r: &RunResult) -> (u64, u64, u64, usize, usize, usize) {
+    (
+        r.total_secs.to_bits(),
+        r.cell_updates,
+        r.breakdown.remote_bytes,
+        r.final_patches,
+        r.peak_patches,
+        r.global_redistributions,
+    )
 }
 
 /// Write `text` to `path`, creating its directory first, and say so.

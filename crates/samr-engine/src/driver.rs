@@ -382,24 +382,12 @@ impl Driver {
         let tel = self.sim.telemetry();
         if tel.is_enabled() {
             let t = t1.as_secs_f64();
-            // power-normalized inter-group imbalance (max/mean of load per
-            // unit of alive power), the ratio the γ-gate reasons about
-            let mut norm: Vec<f64> = Vec::with_capacity(group_workload.len());
-            for (g, &w) in group_workload.iter().enumerate() {
-                let p = self.sim.alive_group_power(topology::GroupId(g));
+            let powers = self.alive_group_powers();
+            for (g, (&w, &p)) in group_workload.iter().zip(&powers).enumerate() {
                 tel.metric(t, &format!("group_load:g{g}"), w);
                 tel.metric(t, &format!("alive_power:g{g}"), p);
-                if p > 0.0 {
-                    norm.push(w / p);
-                }
             }
-            let mean = norm.iter().sum::<f64>() / norm.len().max(1) as f64;
-            let imb = if mean > 0.0 {
-                norm.iter().cloned().fold(0.0f64, f64::max) / mean
-            } else {
-                1.0
-            };
-            tel.metric(t, "imbalance", imb);
+            tel.metric(t, "imbalance", power_normalized_imbalance(&group_workload, &powers));
             tel.metric(t, "forecast_alpha_mae", forecast.alpha_mae);
             tel.metric(t, "forecast_beta_mae", forecast.beta_mae);
             tel.metric(t, "forecast_load_mae", forecast.load_mae);
@@ -561,6 +549,13 @@ impl Driver {
         self.scheme.distributed().map(|d| d.forecast_summary()).unwrap_or_default()
     }
 
+    /// Each group's alive processing power now, by group id.
+    fn alive_group_powers(&self) -> Vec<f64> {
+        (0..self.sim.system().ngroups())
+            .map(|g| self.sim.alive_group_power(topology::GroupId(g)))
+            .collect()
+    }
+
     /// Synchronize trailing work and produce the run report.
     pub fn finish(mut self) -> RunResult {
         let total = self.sim.finish();
@@ -622,28 +617,14 @@ impl Driver {
                 ("decision_msgs", decision_msgs),
             ],
         );
-        // Final power-normalized imbalance, from the hierarchy's end state:
-        // (max_g W_g/P_g) / (mean_g W_g/P_g) over groups with surviving
-        // power. The mean-based ratio stays finite even when a group ends
-        // the run empty, so scale sweeps can compare it across runs.
+        // Final power-normalized imbalance, from the hierarchy's end state
         let final_imbalance = {
             let per_proc = dlb::proc_total_cells(&self.hier, sys.nprocs());
             let mut loads = vec![0.0f64; sys.ngroups()];
             for (p, &cells) in per_proc.iter().enumerate() {
                 loads[sys.group_of(ProcId(p)).0] += cells as f64;
             }
-            let norms: Vec<f64> = (0..sys.ngroups())
-                .filter_map(|g| {
-                    let p = self.sim.alive_group_power(topology::GroupId(g));
-                    (p > 0.0).then(|| loads[g] / p)
-                })
-                .collect();
-            let mean = norms.iter().sum::<f64>() / norms.len().max(1) as f64;
-            if norms.len() < 2 || mean <= 0.0 {
-                1.0
-            } else {
-                norms.iter().copied().fold(0.0, f64::max) / mean
-            }
+            power_normalized_imbalance(&loads, &self.alive_group_powers())
         };
         let decisions = self.scheme.decisions();
         RunResult {
@@ -989,17 +970,7 @@ impl Driver {
                 batch.push(((src_owner, dst_owner), o.cells as u64 * cell_bytes));
             }
         }
-        // one entry per owner pair, ascending: what a `BTreeMap` keyed by
-        // the pair would iterate, without a tree lookup per window
-        batch.sort_unstable_by_key(|&(pair, _)| pair);
-        batch.dedup_by(|later, first| {
-            let same = later.0 == first.0;
-            if same {
-                first.1 += later.1;
-            }
-            same
-        });
-        batch
+        by_owner_pair(batch)
     }
 
     /// Rebuild `level + 1` from the flags of `level`'s grids: flag, buffer,
@@ -1097,7 +1068,7 @@ impl Driver {
         let old = &self.old_data[level + 1];
         let old_index = BoxIndex::new(old.iter().map(|op| op.region));
         let mut hits = Vec::new();
-        let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
+        let mut batch: Vec<((usize, usize), u64)> = Vec::new();
         let mut sources: Vec<Vec<(usize, Region)>> = Vec::with_capacity(regions.len());
         let mut last_reader: Vec<Option<usize>> = vec![None; old.len()];
         for (i, (region, &owner)) in regions.iter().zip(&owners).enumerate() {
@@ -1107,8 +1078,7 @@ impl Driver {
                 let op = &old[oi as usize];
                 let window = op.region.intersect(region);
                 if op.owner != owner {
-                    *batch.entry((op.owner, owner)).or_default() +=
-                        (window.cells() as u64) * 8 * nf as u64;
+                    batch.push(((op.owner, owner), (window.cells() as u64) * 8 * nf as u64));
                 }
                 from_old.push((oi as usize, window));
                 last_reader[oi as usize] = Some(i);
@@ -1186,11 +1156,10 @@ impl Driver {
                 fields,
             );
             if parent_owner != owner {
-                *batch.entry((parent_owner, owner)).or_default() +=
-                    self.hier.patch(id).payload_bytes();
+                batch.push(((parent_owner, owner), self.hier.patch(id).payload_bytes()));
             }
         }
-        for ((src, dst), bytes) in batch {
+        for ((src, dst), bytes) in by_owner_pair(batch) {
             self.send_batch(src, dst, bytes);
         }
         debug_assert!(self.hier.check_invariants().is_ok());
@@ -1210,7 +1179,7 @@ impl Driver {
         let ids: Vec<PatchId> = self.hier.level_ids(fine_level).to_vec();
         let r = self.hier.refine_factor();
         let nf = self.hier.nfields();
-        let mut batch: std::collections::BTreeMap<(usize, usize), u64> = Default::default();
+        let mut batch: Vec<((usize, usize), u64)> = Vec::new();
         let mut group_of: std::collections::BTreeMap<PatchId, usize> = Default::default();
         let mut groups: Vec<(PatchId, Vec<(PatchId, Region)>)> = Vec::new();
         for &id in &ids {
@@ -1225,8 +1194,7 @@ impl Driver {
             groups[gi].1.push((id, coarse_window));
             let parent_owner = self.hier.patch(parent_id).owner;
             if parent_owner != owner {
-                *batch.entry((owner, parent_owner)).or_default() +=
-                    (coarse_window.cells() as u64) * 8 * nf as u64;
+                batch.push(((owner, parent_owner), coarse_window.cells() as u64 * 8 * nf as u64));
             }
         }
         // take each parent's fields out, restrict its children into them in
@@ -1248,11 +1216,35 @@ impl Driver {
         for (pid, fields) in work {
             self.hier.patch_mut(pid).fields = fields;
         }
-        for ((src, dst), bytes) in batch {
+        for ((src, dst), bytes) in by_owner_pair(batch) {
             self.send_batch(src, dst, bytes);
         }
         self.clock.stop();
     }
+}
+
+/// The power-normalized inter-group imbalance the γ-gate reasons about:
+/// `(max_g W_g/P_g) / (mean_g W_g/P_g)` over the groups with alive power,
+/// 1.0 for one such group or a mean of zero — finite even when a group
+/// holds no load, so runs and scale sweeps can compare it.
+fn power_normalized_imbalance(loads: &[f64], powers: &[f64]) -> f64 {
+    let norms: Vec<f64> =
+        loads.iter().zip(powers).filter(|&(_, &p)| p > 0.0).map(|(&w, &p)| w / p).collect();
+    let mean = norms.iter().sum::<f64>() / norms.len().max(1) as f64;
+    if mean > 0.0 {
+        norms.iter().copied().fold(0.0, f64::max) / mean
+    } else {
+        1.0
+    }
+}
+
+/// The messages of a batch of `((src, dst), bytes)` entries, as every
+/// batched send goes out: one per owner pair with its bytes summed, pairs
+/// ascending (a `BTreeMap`'s order, without a tree lookup per entry).
+fn by_owner_pair(mut batch: Vec<((usize, usize), u64)>) -> Vec<((usize, usize), u64)> {
+    batch.sort_unstable_by_key(|&(pair, _)| pair);
+    let runs = batch.chunk_by(|a, b| a.0 == b.0);
+    runs.map(|run| (run[0].0, run.iter().map(|&(_, bytes)| bytes).sum())).collect()
 }
 
 #[cfg(test)]

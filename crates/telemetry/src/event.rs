@@ -2,6 +2,10 @@
 //! observed at (`t_sim_secs`) and a monotone sequence number assigned by
 //! the sink, so causality ("this rollback follows that redistribute") is
 //! checkable from the log alone.
+//! A record's `ToJson` form is its JSONL line: `seq`, `t_sim`, `type`,
+//! then the payload's fields in order.
+
+use base::json::{object, Json, ToJson};
 
 /// Outcome of one γ-gate evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -15,14 +19,15 @@ pub enum GateVerdict {
     Deferred,
 }
 
-impl GateVerdict {
-    /// Stable lowercase name used in JSON exports.
-    pub fn as_str(self) -> &'static str {
+/// Its stable lowercase name.
+impl ToJson for GateVerdict {
+    fn to_json(&self) -> Json {
         match self {
             GateVerdict::Accept => "accept",
             GateVerdict::Reject => "reject",
             GateVerdict::Deferred => "deferred",
         }
+        .to_json()
     }
 }
 
@@ -355,20 +360,25 @@ pub enum EventKind {
 impl EventKind {
     /// Stable snake_case tag used as `"type"` in JSON exports.
     pub fn type_name(&self) -> &'static str {
+        self.tagged().0
+    }
+
+    /// The `"type"` tag and the payload.
+    fn tagged(&self) -> (&'static str, &dyn ToJson) {
         match self {
-            EventKind::GammaGate(_) => "gamma_gate",
-            EventKind::Redistribute(_) => "redistribute",
-            EventKind::Fault(_) => "fault",
-            EventKind::PredictorSwitch(_) => "predictor_switch",
-            EventKind::Probe(_) => "probe",
-            EventKind::Transfer(_) => "transfer",
-            EventKind::Crash(_) => "crash",
-            EventKind::Evacuate(_) => "evacuate",
-            EventKind::Rejoin(_) => "rejoin",
-            EventKind::TenantAdmit(_) => "tenant_admit",
-            EventKind::TenantMigrate(_) => "tenant_migrate",
-            EventKind::TenantStep(_) => "tenant_step",
-            EventKind::Anomaly(_) => "anomaly",
+            EventKind::GammaGate(e) => ("gamma_gate", e),
+            EventKind::Redistribute(e) => ("redistribute", e),
+            EventKind::Fault(e) => ("fault", e),
+            EventKind::PredictorSwitch(e) => ("predictor_switch", e),
+            EventKind::Probe(e) => ("probe", e),
+            EventKind::Transfer(e) => ("transfer", e),
+            EventKind::Crash(e) => ("crash", e),
+            EventKind::Evacuate(e) => ("evacuate", e),
+            EventKind::Rejoin(e) => ("rejoin", e),
+            EventKind::TenantAdmit(e) => ("tenant_admit", e),
+            EventKind::TenantMigrate(e) => ("tenant_migrate", e),
+            EventKind::TenantStep(e) => ("tenant_step", e),
+            EventKind::Anomaly(e) => ("anomaly", e),
         }
     }
 
@@ -394,4 +404,71 @@ pub struct EventRecord {
     pub t_sim_secs: f64,
     /// The payload.
     pub kind: EventKind,
+}
+
+impl ToJson for AnomalyKind {
+    fn to_json(&self) -> Json {
+        self.as_str().to_json()
+    }
+}
+
+/// `ToJson` for payloads: the object of the listed fields, in order.
+macro_rules! payload_json {
+    ($($ty:ty: $($field:ident),+;)+) => {$(
+        impl ToJson for $ty {
+            fn to_json(&self) -> Json {
+                base::json_fields!(self; $($field),+)
+            }
+        }
+    )+};
+}
+
+payload_json! {
+    GammaGateEvent: step, level, proactive, gain_secs, cost_alpha_beta_w_secs, delta_secs,
+        cost_upper_secs, alpha_secs, beta_secs_per_byte, move_bytes, gamma, mae_widening_secs,
+        verdict, reason;
+    RedistributeEvent: step, level, moved_cells, moves, aborted, delta_secs;
+    CrashEvent: step, proc, group;
+    EvacuateEvent: step, proc, patches, cells, bytes, intra, inter, recompute_cells;
+    RejoinEvent: step, proc, group, downtime_secs;
+    PredictorSwitchEvent: series, from, to;
+    ProbeEvent: group_a, group_b, alpha_secs, beta_secs_per_byte, predicted_alpha_secs,
+        predicted_beta_secs_per_byte, elapsed_secs;
+    TransferEvent: src, dst, bytes, queue_secs, transfer_secs, remote, failed;
+    TenantAdmitEvent: tenant, priority, groups;
+    TenantMigrateEvent: tenant, from_group, to_group, bytes, cost_secs, gain_secs;
+    TenantStepEvent: tenant, step, secs;
+    AnomalyEvent: kind, value, threshold, streak, detail;
+}
+
+/// `step`, the kind's name as `"kind"`, then the kind's members.
+impl ToJson for FaultEvent {
+    fn to_json(&self) -> Json {
+        use FaultKind::*;
+        let (kind, detail) = match self.kind {
+            Retry { retries } => ("retry", vec![("retries", retries.to_json())]),
+            ProbeFailure { group_a: a, group_b: b } => {
+                ("probe_failure", vec![("group_a", a.to_json()), ("group_b", b.to_json())])
+            }
+            Quarantine { group } => ("quarantine", vec![("group", group.to_json())]),
+            Readmit { group, recovery_secs: secs } => {
+                ("readmit", vec![("group", group.to_json()), ("recovery_secs", secs.to_json())])
+            }
+            Rollback { wasted_secs } => ("rollback", vec![("wasted_secs", wasted_secs.to_json())]),
+        };
+        object([("step", self.step.to_json()), ("kind", kind.to_json())].into_iter().chain(detail))
+    }
+}
+
+impl ToJson for EventRecord {
+    fn to_json(&self) -> Json {
+        let (ty, payload) = self.kind.tagged();
+        let Json::Obj(payload) = payload.to_json() else { unreachable!("a payload is an object") };
+        let mut line = Vec::with_capacity(3 + payload.len());
+        line.push(("seq".into(), self.seq.to_json()));
+        line.push(("t_sim".into(), self.t_sim_secs.to_json()));
+        line.push(("type".into(), ty.to_json()));
+        line.extend(payload);
+        Json::Obj(line)
+    }
 }

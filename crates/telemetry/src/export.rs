@@ -1,167 +1,21 @@
-//! Exporters: JSONL, Chrome trace-event JSON, and the text summary. All
-//! JSON is streamed into the output buffer with `base::json`'s number and
-//! escape formatting — no value tree per event; well-formedness is enforced
-//! by parsing the result back with [`crate::json`] in tests and in the
-//! verify gate.
+//! Exporters: JSONL, Chrome trace-event JSON, and the text summary. Every
+//! JSONL line and trace row is a `base::json` value written in the line
+//! layout ([`Json::write_line`]): events through their `ToJson` impls in
+//! [`crate::event`], the meta line through `EventCounts`', the aggregate
+//! lines and trace rows built here. A trace's instant row carries under
+//! `args.event` the value of the event's JSONL line. The tests below pin
+//! both exports byte for byte.
 
-use crate::event::{EventKind, EventRecord};
+use crate::event::EventKind;
 use crate::hist::LogHistogram;
 use crate::sink::RecordingSink;
-use base::json::{escape, num};
+use base::json::{object, Json, ToJson};
 use std::fmt::Write as _;
 
-fn opt_num(x: Option<f64>) -> String {
-    match x {
-        Some(v) => num(v),
-        None => "null".to_string(),
-    }
-}
-
-/// One event as a single-line JSON object (the JSONL row format).
-pub fn event_json(rec: &EventRecord) -> String {
-    let head = format!(
-        "{{\"seq\": {}, \"t_sim\": {}, \"type\": \"{}\"",
-        rec.seq,
-        num(rec.t_sim_secs),
-        rec.kind.type_name()
-    );
-    let body = match &rec.kind {
-        EventKind::GammaGate(g) => format!(
-            ", \"step\": {}, \"level\": {}, \"proactive\": {}, \"gain_secs\": {}, \
-             \"cost_alpha_beta_w_secs\": {}, \"delta_secs\": {}, \"cost_upper_secs\": {}, \
-             \"alpha_secs\": {}, \"beta_secs_per_byte\": {}, \"move_bytes\": {}, \
-             \"gamma\": {}, \"mae_widening_secs\": {}, \"verdict\": \"{}\", \"reason\": \"{}\"",
-            g.step,
-            g.level,
-            g.proactive,
-            num(g.gain_secs),
-            num(g.cost_alpha_beta_w_secs),
-            num(g.delta_secs),
-            num(g.cost_upper_secs),
-            num(g.alpha_secs),
-            num(g.beta_secs_per_byte),
-            g.move_bytes,
-            num(g.gamma),
-            num(g.mae_widening_secs),
-            g.verdict.as_str(),
-            escape(g.reason),
-        ),
-        EventKind::Redistribute(r) => format!(
-            ", \"step\": {}, \"level\": {}, \"moved_cells\": {}, \"moves\": {}, \
-             \"aborted\": {}, \"delta_secs\": {}",
-            r.step,
-            r.level,
-            r.moved_cells,
-            r.moves,
-            r.aborted,
-            num(r.delta_secs),
-        ),
-        EventKind::Fault(f) => {
-            use crate::event::FaultKind::*;
-            let (kind, detail) = match f.kind {
-                Retry { retries } => ("retry", format!("\"retries\": {retries}")),
-                ProbeFailure { group_a, group_b } => (
-                    "probe_failure",
-                    format!("\"group_a\": {group_a}, \"group_b\": {group_b}"),
-                ),
-                Quarantine { group } => ("quarantine", format!("\"group\": {group}")),
-                Readmit {
-                    group,
-                    recovery_secs,
-                } => (
-                    "readmit",
-                    format!(
-                        "\"group\": {group}, \"recovery_secs\": {}",
-                        num(recovery_secs)
-                    ),
-                ),
-                Rollback { wasted_secs } => {
-                    ("rollback", format!("\"wasted_secs\": {}", num(wasted_secs)))
-                }
-            };
-            format!(", \"step\": {}, \"kind\": \"{kind}\", {detail}", f.step)
-        }
-        EventKind::PredictorSwitch(p) => format!(
-            ", \"series\": \"{}\", \"from\": \"{}\", \"to\": \"{}\"",
-            escape(&p.series),
-            escape(&p.from),
-            escape(&p.to),
-        ),
-        EventKind::Probe(p) => format!(
-            ", \"group_a\": {}, \"group_b\": {}, \"alpha_secs\": {}, \
-             \"beta_secs_per_byte\": {}, \"predicted_alpha_secs\": {}, \
-             \"predicted_beta_secs_per_byte\": {}, \"elapsed_secs\": {}",
-            p.group_a,
-            p.group_b,
-            num(p.alpha_secs),
-            num(p.beta_secs_per_byte),
-            opt_num(p.predicted_alpha_secs),
-            opt_num(p.predicted_beta_secs_per_byte),
-            num(p.elapsed_secs),
-        ),
-        EventKind::Transfer(t) => format!(
-            ", \"src\": {}, \"dst\": {}, \"bytes\": {}, \"queue_secs\": {}, \
-             \"transfer_secs\": {}, \"remote\": {}, \"failed\": {}",
-            t.src,
-            t.dst,
-            t.bytes,
-            num(t.queue_secs),
-            num(t.transfer_secs),
-            t.remote,
-            t.failed,
-        ),
-        EventKind::Crash(c) => format!(
-            ", \"step\": {}, \"proc\": {}, \"group\": {}",
-            c.step, c.proc, c.group,
-        ),
-        EventKind::Evacuate(e) => format!(
-            ", \"step\": {}, \"proc\": {}, \"patches\": {}, \"cells\": {}, \"bytes\": {}, \
-             \"intra\": {}, \"inter\": {}, \"recompute_cells\": {}",
-            e.step, e.proc, e.patches, e.cells, e.bytes, e.intra, e.inter, e.recompute_cells,
-        ),
-        EventKind::Rejoin(r) => format!(
-            ", \"step\": {}, \"proc\": {}, \"group\": {}, \"downtime_secs\": {}",
-            r.step,
-            r.proc,
-            r.group,
-            num(r.downtime_secs),
-        ),
-        EventKind::TenantAdmit(t) => {
-            let groups: Vec<String> = t.groups.iter().map(|g| g.to_string()).collect();
-            format!(
-                ", \"tenant\": {}, \"priority\": {}, \"groups\": [{}]",
-                t.tenant,
-                num(t.priority),
-                groups.join(", "),
-            )
-        }
-        EventKind::TenantMigrate(t) => format!(
-            ", \"tenant\": {}, \"from_group\": {}, \"to_group\": {}, \"bytes\": {}, \
-             \"cost_secs\": {}, \"gain_secs\": {}",
-            t.tenant,
-            t.from_group,
-            t.to_group,
-            t.bytes,
-            num(t.cost_secs),
-            num(t.gain_secs),
-        ),
-        EventKind::TenantStep(t) => format!(
-            ", \"tenant\": {}, \"step\": {}, \"secs\": {}",
-            t.tenant,
-            t.step,
-            num(t.secs),
-        ),
-        EventKind::Anomaly(a) => format!(
-            ", \"kind\": \"{}\", \"value\": {}, \"threshold\": {}, \"streak\": {}, \
-             \"detail\": \"{}\"",
-            a.kind.as_str(),
-            num(a.value),
-            num(a.threshold),
-            a.streak,
-            escape(&a.detail),
-        ),
-    };
-    format!("{head}{body}}}")
+/// Append the aggregate JSONL line `{"type": ty, …members}`.
+fn push_line<'a>(out: &mut String, ty: &str, members: impl IntoIterator<Item = (&'a str, Json)>) {
+    object([("type", ty.to_json())].into_iter().chain(members)).write_line(out);
+    out.push('\n');
 }
 
 /// JSONL export: a `"meta"` line first (counters + drop accounting), then
@@ -170,88 +24,57 @@ pub fn event_json(rec: &EventRecord) -> String {
 /// not retained), then one `"metric"` line per series (retained points
 /// inline), then one line per retained event, oldest first.
 pub fn to_jsonl(sink: &RecordingSink) -> String {
-    let c = sink.counts();
+    let mut out = String::new();
+    let Json::Obj(counts) = sink.counts().to_json() else { unreachable!("counts are an object") };
     let (dropped_decisions, dropped_flows) = sink.dropped();
-    let mut out = format!(
-        "{{\"type\": \"meta\", \"gates\": {}, \"gate_accepts\": {}, \"redistributes\": {}, \
-         \"aborted_redistributes\": {}, \"faults\": {}, \"predictor_switches\": {}, \
-         \"probes\": {}, \"transfers\": {}, \"failed_transfers\": {}, \
-         \"crashes\": {}, \"evacuations\": {}, \"rejoins\": {}, \
-         \"tenant_admits\": {}, \"tenant_migrations\": {}, \"tenant_steps\": {}, \
-         \"anomalies\": {}, \
-         \"dropped_decisions\": {dropped_decisions}, \"dropped_flows\": {dropped_flows}, \
-         \"spans_dropped\": {}}}\n",
-        c.gates,
-        c.gate_accepts,
-        c.redistributes,
-        c.aborted_redistributes,
-        c.faults,
-        c.predictor_switches,
-        c.probes,
-        c.transfers,
-        c.failed_transfers,
-        c.crashes,
-        c.evacuations,
-        c.rejoins,
-        c.tenant_admits,
-        c.tenant_migrations,
-        c.tenant_steps,
-        c.anomalies,
-        sink.spans_dropped(),
-    );
+    let drops = [
+        ("dropped_decisions", dropped_decisions.to_json()),
+        ("dropped_flows", dropped_flows.to_json()),
+        ("spans_dropped", sink.spans_dropped().to_json()),
+    ];
+    let counts = counts.iter().map(|(key, n)| (key.as_str(), n.clone()));
+    push_line(&mut out, "meta", counts.chain(drops));
     for (name, entries) in sink.stat_blocks() {
-        let _ = write!(
-            out,
-            "{{\"type\": \"stat_block\", \"name\": \"{}\"",
-            escape(name)
-        );
-        for (k, v) in entries {
-            let _ = write!(out, ", \"{}\": {v}", escape(k));
-        }
-        out.push_str("}\n");
+        let counters = entries.iter().map(|&(key, n)| (key, n.to_json()));
+        push_line(&mut out, "stat_block", [("name", name.to_json())].into_iter().chain(counters));
     }
     for ((name, level), h) in sink.phase_histograms() {
         let (p50, p95, p99, max) = h.quartet();
-        let _ = writeln!(
-            out,
-            "{{\"type\": \"phase\", \"name\": \"{}\", \"level\": {level}, \"count\": {}, \
-             \"total_secs\": {}, \"p50_secs\": {}, \"p95_secs\": {}, \"p99_secs\": {}, \
-             \"max_secs\": {}}}",
-            escape(name),
-            h.count(),
-            num(h.sum()),
-            num(p50),
-            num(p95),
-            num(p99),
-            num(max),
+        push_line(
+            &mut out,
+            "phase",
+            [
+                ("name", name.to_json()),
+                ("level", level.to_json()),
+                ("count", h.count().to_json()),
+                ("total_secs", h.sum().to_json()),
+                ("p50_secs", p50.to_json()),
+                ("p95_secs", p95.to_json()),
+                ("p99_secs", p99.to_json()),
+                ("max_secs", max.to_json()),
+            ],
         );
     }
     for (name, m) in sink.metrics() {
-        let _ = write!(
-            out,
-            "{{\"type\": \"metric\", \"name\": \"{}\", \"samples\": {}, \"kept\": {}, \
-             \"downsamples\": {}, \"stride\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \
-             \"last\": {}, \"points\": [",
-            escape(name),
-            m.observed(),
-            m.points().len(),
-            m.downsamples(),
-            m.stride(),
-            num(m.min()),
-            num(m.max()),
-            num(m.mean()),
-            num(m.last().1),
+        push_line(
+            &mut out,
+            "metric",
+            [
+                ("name", name.to_json()),
+                ("samples", m.observed().to_json()),
+                ("kept", m.points().len().to_json()),
+                ("downsamples", m.downsamples().to_json()),
+                ("stride", m.stride().to_json()),
+                ("min", m.min().to_json()),
+                ("max", m.max().to_json()),
+                ("mean", m.mean().to_json()),
+                ("last", m.last().1.to_json()),
+                ("points", m.points().to_json()),
+            ],
         );
-        for (i, (t, v)) in m.points().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{}, {}]", num(*t), num(*v));
-        }
-        out.push_str("]}\n");
     }
     for ev in sink.events() {
-        out.push_str(&event_json(&ev));
+        ev.to_json().write_line(&mut out);
         out.push('\n');
     }
     out
@@ -283,24 +106,13 @@ const SIM_PID: u64 = 1;
 /// counter track (`ph: "C"`) per metric series. Events are sorted so `ts`
 /// is monotone within every `(pid, tid)` track.
 pub fn to_chrome_trace(sink: &RecordingSink) -> String {
-    // (pid, tid, ts_us, line)
-    let mut rows: Vec<(u64, u64, f64, String)> = Vec::new();
-
-    let meta = |pid: u64, tid: Option<u64>, what: &str, name: &str| -> (u64, u64, f64, String) {
-        let (field, tid_v) = match tid {
-            Some(t) => (format!(", \"tid\": {t}"), t),
-            None => (String::new(), 0),
-        };
-        (
-            pid,
-            tid_v,
-            -1.0, // metadata sorts before real events on its track
-            format!(
-                "{{\"name\": \"{what}\", \"ph\": \"M\", \"pid\": {pid}{field}, \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                escape(name)
-            ),
-        )
+    let mut rows = Vec::new();
+    let meta = |pid: u64, tid: Option<u64>, what: &str, name: &str| {
+        let head = [("name", what.to_json()), ("ph", "M".to_json()), ("pid", pid.to_json())];
+        let tail = [("args", object([("name", name.to_json())]))];
+        let members = head.into_iter().chain(tid.map(|t| ("tid", t.to_json()))).chain(tail);
+        // metadata sorts before real events on its track
+        row(pid, tid.unwrap_or(0), -1.0, members.collect())
     };
     rows.push(meta(HOST_PID, None, "process_name", "host (wall-clock spans)"));
     rows.push(meta(SIM_PID, None, "process_name", "sim (virtual-time events)"));
@@ -314,18 +126,19 @@ pub fn to_chrome_trace(sink: &RecordingSink) -> String {
             rows.push(meta(HOST_PID, Some(tid), "thread_name", &label));
         }
         let ts = s.start_host_secs * 1e6;
-        let dur = s.dur_secs * 1e6;
-        rows.push((
+        rows.push(row(
             HOST_PID,
             tid,
             ts,
-            format!(
-                "{{\"name\": \"{}\", \"cat\": \"phase\", \"ph\": \"X\", \"ts\": {}, \
-                 \"dur\": {}, \"pid\": {HOST_PID}, \"tid\": {tid}}}",
-                escape(s.name),
-                num(ts),
-                num(dur),
-            ),
+            vec![
+                ("name", s.name.to_json()),
+                ("cat", "phase".to_json()),
+                ("ph", "X".to_json()),
+                ("ts", ts.to_json()),
+                ("dur", (s.dur_secs * 1e6).to_json()),
+                ("pid", HOST_PID.to_json()),
+                ("tid", tid.to_json()),
+            ],
         ));
     }
 
@@ -336,18 +149,20 @@ pub fn to_chrome_trace(sink: &RecordingSink) -> String {
             rows.push(meta(SIM_PID, Some(tid), "thread_name", label));
         }
         let ts = ev.t_sim_secs * 1e6;
-        // the full payload rides in args: strip the JSONL object braces
-        let payload = event_json(&ev);
-        rows.push((
+        rows.push(row(
             SIM_PID,
             tid,
             ts,
-            format!(
-                "{{\"name\": \"{}\", \"cat\": \"decision\", \"ph\": \"i\", \"s\": \"t\", \
-                 \"ts\": {}, \"pid\": {SIM_PID}, \"tid\": {tid}, \"args\": {{\"event\": {payload}}}}}",
-                ev.kind.type_name(),
-                num(ts),
-            ),
+            vec![
+                ("name", ev.kind.type_name().to_json()),
+                ("cat", "decision".to_json()),
+                ("ph", "i".to_json()),
+                ("s", "t".to_json()),
+                ("ts", ts.to_json()),
+                ("pid", SIM_PID.to_json()),
+                ("tid", tid.to_json()),
+                ("args", object([("event", ev.to_json())])),
+            ],
         ));
     }
 
@@ -357,33 +172,48 @@ pub fn to_chrome_trace(sink: &RecordingSink) -> String {
     for (name, m) in sink.metrics() {
         for &(t, v) in m.points() {
             let ts = t * 1e6;
-            rows.push((
+            rows.push(row(
                 SIM_PID,
                 0,
                 ts,
-                format!(
-                    "{{\"name\": \"{}\", \"cat\": \"metric\", \"ph\": \"C\", \"ts\": {}, \
-                     \"pid\": {SIM_PID}, \"tid\": 0, \"args\": {{\"value\": {}}}}}",
-                    escape(name),
-                    num(ts),
-                    num(v),
-                ),
+                vec![
+                    ("name", name.to_json()),
+                    ("cat", "metric".to_json()),
+                    ("ph", "C".to_json()),
+                    ("ts", ts.to_json()),
+                    ("pid", SIM_PID.to_json()),
+                    ("tid", 0u64.to_json()),
+                    ("args", object([("value", v.to_json())])),
+                ],
             ));
         }
     }
 
     // monotone ts per (pid, tid) track; stable so equal timestamps keep
     // their recording order
-    rows.sort_by(|a, b| {
-        (a.0, a.1)
-            .cmp(&(b.0, b.1))
-            .then(a.2.total_cmp(&b.2))
-    });
-    let body: Vec<String> = rows.into_iter().map(|(_, _, _, line)| line).collect();
-    format!(
-        "{{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n{}\n]}}\n",
-        body.join(",\n")
-    )
+    rows.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
+    // the document with an empty event list, its rows one per line
+    // between the list's brackets
+    let mut out = String::new();
+    object([("displayTimeUnit", "ms".to_json()), ("traceEvents", Json::Arr(vec![]))])
+        .write_line(&mut out);
+    let close = out.split_off(out.len() - "]}".len());
+    for (i, (_, _, _, line)) in rows.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(line);
+    }
+    out.push('\n');
+    out.push_str(&close);
+    out.push('\n');
+    out
+}
+
+/// A trace row: its track `(pid, tid)`, the timestamp it sorts by on the
+/// track, and its line.
+fn row(pid: u64, tid: u64, ts: f64, members: Vec<(&str, Json)>) -> (u64, u64, f64, String) {
+    let mut line = String::new();
+    object(members).write_line(&mut line);
+    (pid, tid, ts, line)
 }
 
 fn hist_line(name: &str, h: &LogHistogram) -> String {
@@ -623,6 +453,261 @@ mod tests {
             dur_secs: 0.002,
         });
         s
+    }
+
+    /// One event of every kind (and every fault kind), a stat block, two
+    /// metric series and two fixed spans, with strings that need escaping
+    /// and non-finite numbers: the golden export pins below read this sink.
+    fn golden_sink() -> RecordingSink {
+        let mut s = RecordingSink::default();
+        s.record_event(
+            0.5,
+            EventKind::GammaGate(GammaGateEvent {
+                step: 3,
+                level: 1,
+                proactive: true,
+                gain_secs: 0.125,
+                cost_alpha_beta_w_secs: 0.0625,
+                delta_secs: 0.01,
+                cost_upper_secs: 0.0725,
+                alpha_secs: 0.02,
+                beta_secs_per_byte: 8e-8,
+                move_bytes: 1 << 20,
+                gamma: 1.5,
+                mae_widening_secs: 1e-3,
+                verdict: GateVerdict::Deferred,
+                reason: "probe_failed",
+            }),
+        );
+        s.record_event(
+            0.75,
+            EventKind::Redistribute(RedistributeEvent {
+                step: 3,
+                level: 0,
+                moved_cells: 0,
+                moves: 2,
+                aborted: true,
+                delta_secs: -0.0,
+            }),
+        );
+        let faults = [
+            FaultKind::Retry { retries: 2 },
+            FaultKind::ProbeFailure {
+                group_a: 0,
+                group_b: 3,
+            },
+            FaultKind::Quarantine { group: 3 },
+            FaultKind::Readmit {
+                group: 3,
+                recovery_secs: 2.5,
+            },
+            FaultKind::Rollback { wasted_secs: 0.2 },
+        ];
+        for (i, kind) in faults.into_iter().enumerate() {
+            s.record_event(1.0 + i as f64, EventKind::Fault(FaultEvent { step: 4, kind }));
+        }
+        s.record_event(
+            6.0,
+            EventKind::PredictorSwitch(PredictorSwitchEvent {
+                series: "load:\"g2\"\\x\n".into(),
+                from: "last".into(),
+                to: "mean(4)\t".into(),
+            }),
+        );
+        s.record_event(
+            6.25,
+            EventKind::Probe(ProbeEvent {
+                group_a: 0,
+                group_b: 1,
+                alpha_secs: 0.011,
+                beta_secs_per_byte: 9e-8,
+                predicted_alpha_secs: None,
+                predicted_beta_secs_per_byte: None,
+                elapsed_secs: 0.03,
+            }),
+        );
+        s.record_event(
+            6.5,
+            EventKind::Transfer(TransferEvent {
+                src: 1,
+                dst: 5,
+                bytes: 65536,
+                queue_secs: 0.0,
+                transfer_secs: 0.015,
+                remote: true,
+                failed: false,
+            }),
+        );
+        s.record_event(
+            7.0,
+            EventKind::Crash(CrashEvent {
+                step: 5,
+                proc: 2,
+                group: 1,
+            }),
+        );
+        s.record_event(
+            7.0,
+            EventKind::Evacuate(EvacuateEvent {
+                step: 5,
+                proc: 2,
+                patches: 4,
+                cells: 4096,
+                bytes: 1 << 16,
+                intra: 3,
+                inter: 1,
+                recompute_cells: 512,
+            }),
+        );
+        s.record_event(
+            9.0,
+            EventKind::Rejoin(RejoinEvent {
+                step: 8,
+                proc: 2,
+                group: 1,
+                downtime_secs: f64::INFINITY,
+            }),
+        );
+        s.record_event(
+            0.0,
+            EventKind::TenantAdmit(TenantAdmitEvent {
+                tenant: 1,
+                priority: 2.0,
+                groups: vec![0, 4],
+            }),
+        );
+        s.record_event(
+            0.0,
+            EventKind::TenantAdmit(TenantAdmitEvent {
+                tenant: 2,
+                priority: 0.5,
+                groups: vec![],
+            }),
+        );
+        s.record_event(
+            9.5,
+            EventKind::TenantMigrate(TenantMigrateEvent {
+                tenant: 1,
+                from_group: 0,
+                to_group: 4,
+                bytes: 123_456,
+                cost_secs: 0.3,
+                gain_secs: 1.7,
+            }),
+        );
+        s.record_event(
+            9.75,
+            EventKind::TenantStep(TenantStepEvent {
+                tenant: 1,
+                step: 12,
+                secs: f64::NAN,
+            }),
+        );
+        s.record_event(
+            10.0,
+            EventKind::Anomaly(AnomalyEvent {
+                kind: AnomalyKind::ProbeDrift,
+                value: -1.5e-9,
+                threshold: 1e22,
+                streak: 6,
+                detail: "g0-g1 \u{1}drift".into(),
+            }),
+        );
+        s.record_stat_block("field_pool", &[("allocations", 42), ("quote\"d", 0)]);
+        s.record_metric(0.5, "imbalance", 1.25);
+        s.record_metric(1.0, "imbalance", 1.0 / 3.0);
+        s.record_metric(0.75, "group_load:g\"0", 4096.0);
+        s.record_span(SpanRecord {
+            name: "solve",
+            level: 1,
+            start_host_secs: 0.001,
+            dur_secs: 0.004,
+        });
+        s.record_span(SpanRecord {
+            name: "ghost_exchange",
+            level: 0,
+            start_host_secs: 0.0005,
+            dur_secs: 2.5e-5,
+        });
+        s
+    }
+
+    const GOLDEN_JSONL: &str = r#"{"type": "meta", "gates": 1, "gate_accepts": 0, "redistributes": 1, "aborted_redistributes": 1, "faults": 5, "predictor_switches": 1, "probes": 1, "transfers": 1, "failed_transfers": 0, "crashes": 1, "evacuations": 1, "rejoins": 1, "tenant_admits": 2, "tenant_migrations": 1, "tenant_steps": 1, "anomalies": 1, "dropped_decisions": 0, "dropped_flows": 0, "spans_dropped": 0}
+{"type": "stat_block", "name": "field_pool", "allocations": 42, "quote\"d": 0}
+{"type": "phase", "name": "ghost_exchange", "level": 0, "count": 1, "total_secs": 0.000025, "p50_secs": 0.000025, "p95_secs": 0.000025, "p99_secs": 0.000025, "max_secs": 0.000025}
+{"type": "phase", "name": "solve", "level": 1, "count": 1, "total_secs": 0.004, "p50_secs": 0.004, "p95_secs": 0.004, "p99_secs": 0.004, "max_secs": 0.004}
+{"type": "metric", "name": "gate_accept_rate", "samples": 1, "kept": 1, "downsamples": 0, "stride": 1, "min": 0, "max": 0, "mean": 0, "last": 0, "points": [[0.5, 0]]}
+{"type": "metric", "name": "group_load:g\"0", "samples": 1, "kept": 1, "downsamples": 0, "stride": 1, "min": 4096, "max": 4096, "mean": 4096, "last": 4096, "points": [[0.75, 4096]]}
+{"type": "metric", "name": "imbalance", "samples": 2, "kept": 2, "downsamples": 0, "stride": 1, "min": 0.3333333333333333, "max": 1.25, "mean": 0.7916666666666666, "last": 0.3333333333333333, "points": [[0.5, 1.25], [1, 0.3333333333333333]]}
+{"seq": 0, "t_sim": 0.5, "type": "gamma_gate", "step": 3, "level": 1, "proactive": true, "gain_secs": 0.125, "cost_alpha_beta_w_secs": 0.0625, "delta_secs": 0.01, "cost_upper_secs": 0.0725, "alpha_secs": 0.02, "beta_secs_per_byte": 0.00000008, "move_bytes": 1048576, "gamma": 1.5, "mae_widening_secs": 0.001, "verdict": "deferred", "reason": "probe_failed"}
+{"seq": 1, "t_sim": 0.75, "type": "redistribute", "step": 3, "level": 0, "moved_cells": 0, "moves": 2, "aborted": true, "delta_secs": -0}
+{"seq": 2, "t_sim": 1, "type": "fault", "step": 4, "kind": "retry", "retries": 2}
+{"seq": 3, "t_sim": 2, "type": "fault", "step": 4, "kind": "probe_failure", "group_a": 0, "group_b": 3}
+{"seq": 4, "t_sim": 3, "type": "fault", "step": 4, "kind": "quarantine", "group": 3}
+{"seq": 5, "t_sim": 4, "type": "fault", "step": 4, "kind": "readmit", "group": 3, "recovery_secs": 2.5}
+{"seq": 6, "t_sim": 5, "type": "fault", "step": 4, "kind": "rollback", "wasted_secs": 0.2}
+{"seq": 7, "t_sim": 6, "type": "predictor_switch", "series": "load:\"g2\"\\x\n", "from": "last", "to": "mean(4)\t"}
+{"seq": 8, "t_sim": 6.25, "type": "probe", "group_a": 0, "group_b": 1, "alpha_secs": 0.011, "beta_secs_per_byte": 0.00000009, "predicted_alpha_secs": null, "predicted_beta_secs_per_byte": null, "elapsed_secs": 0.03}
+{"seq": 9, "t_sim": 6.5, "type": "transfer", "src": 1, "dst": 5, "bytes": 65536, "queue_secs": 0, "transfer_secs": 0.015, "remote": true, "failed": false}
+{"seq": 10, "t_sim": 7, "type": "crash", "step": 5, "proc": 2, "group": 1}
+{"seq": 11, "t_sim": 7, "type": "evacuate", "step": 5, "proc": 2, "patches": 4, "cells": 4096, "bytes": 65536, "intra": 3, "inter": 1, "recompute_cells": 512}
+{"seq": 12, "t_sim": 9, "type": "rejoin", "step": 8, "proc": 2, "group": 1, "downtime_secs": 0.0}
+{"seq": 13, "t_sim": 0, "type": "tenant_admit", "tenant": 1, "priority": 2, "groups": [0, 4]}
+{"seq": 14, "t_sim": 0, "type": "tenant_admit", "tenant": 2, "priority": 0.5, "groups": []}
+{"seq": 15, "t_sim": 9.5, "type": "tenant_migrate", "tenant": 1, "from_group": 0, "to_group": 4, "bytes": 123456, "cost_secs": 0.3, "gain_secs": 1.7}
+{"seq": 16, "t_sim": 9.75, "type": "tenant_step", "tenant": 1, "step": 12, "secs": 0.0}
+{"seq": 17, "t_sim": 10, "type": "anomaly", "kind": "probe_drift", "value": -0.0000000015, "threshold": 10000000000000000000000, "streak": 6, "detail": "g0-g1 \u0001drift"}
+"#;
+    const GOLDEN_TRACE: &str = r#"{"displayTimeUnit": "ms", "traceEvents": [
+{"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "host (wall-clock spans)"}},
+{"name": "thread_name", "ph": "M", "pid": 0, "tid": 1, "args": {"name": "level 0"}},
+{"name": "ghost_exchange", "cat": "phase", "ph": "X", "ts": 500, "dur": 25, "pid": 0, "tid": 1},
+{"name": "thread_name", "ph": "M", "pid": 0, "tid": 2, "args": {"name": "level 1"}},
+{"name": "solve", "cat": "phase", "ph": "X", "ts": 1000, "dur": 4000, "pid": 0, "tid": 2},
+{"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "sim (virtual-time events)"}},
+{"name": "gate_accept_rate", "cat": "metric", "ph": "C", "ts": 500000, "pid": 1, "tid": 0, "args": {"value": 0}},
+{"name": "imbalance", "cat": "metric", "ph": "C", "ts": 500000, "pid": 1, "tid": 0, "args": {"value": 1.25}},
+{"name": "group_load:g\"0", "cat": "metric", "ph": "C", "ts": 750000, "pid": 1, "tid": 0, "args": {"value": 4096}},
+{"name": "imbalance", "cat": "metric", "ph": "C", "ts": 1000000, "pid": 1, "tid": 0, "args": {"value": 0.3333333333333333}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 1, "args": {"name": "gamma gate"}},
+{"name": "gamma_gate", "cat": "decision", "ph": "i", "s": "t", "ts": 500000, "pid": 1, "tid": 1, "args": {"event": {"seq": 0, "t_sim": 0.5, "type": "gamma_gate", "step": 3, "level": 1, "proactive": true, "gain_secs": 0.125, "cost_alpha_beta_w_secs": 0.0625, "delta_secs": 0.01, "cost_upper_secs": 0.0725, "alpha_secs": 0.02, "beta_secs_per_byte": 0.00000008, "move_bytes": 1048576, "gamma": 1.5, "mae_widening_secs": 0.001, "verdict": "deferred", "reason": "probe_failed"}}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 2, "args": {"name": "redistribute"}},
+{"name": "redistribute", "cat": "decision", "ph": "i", "s": "t", "ts": 750000, "pid": 1, "tid": 2, "args": {"event": {"seq": 1, "t_sim": 0.75, "type": "redistribute", "step": 3, "level": 0, "moved_cells": 0, "moves": 2, "aborted": true, "delta_secs": -0}}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 3, "args": {"name": "faults"}},
+{"name": "fault", "cat": "decision", "ph": "i", "s": "t", "ts": 1000000, "pid": 1, "tid": 3, "args": {"event": {"seq": 2, "t_sim": 1, "type": "fault", "step": 4, "kind": "retry", "retries": 2}}},
+{"name": "fault", "cat": "decision", "ph": "i", "s": "t", "ts": 2000000, "pid": 1, "tid": 3, "args": {"event": {"seq": 3, "t_sim": 2, "type": "fault", "step": 4, "kind": "probe_failure", "group_a": 0, "group_b": 3}}},
+{"name": "fault", "cat": "decision", "ph": "i", "s": "t", "ts": 3000000, "pid": 1, "tid": 3, "args": {"event": {"seq": 4, "t_sim": 3, "type": "fault", "step": 4, "kind": "quarantine", "group": 3}}},
+{"name": "fault", "cat": "decision", "ph": "i", "s": "t", "ts": 4000000, "pid": 1, "tid": 3, "args": {"event": {"seq": 5, "t_sim": 4, "type": "fault", "step": 4, "kind": "readmit", "group": 3, "recovery_secs": 2.5}}},
+{"name": "fault", "cat": "decision", "ph": "i", "s": "t", "ts": 5000000, "pid": 1, "tid": 3, "args": {"event": {"seq": 6, "t_sim": 5, "type": "fault", "step": 4, "kind": "rollback", "wasted_secs": 0.2}}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 4, "args": {"name": "predictor"}},
+{"name": "predictor_switch", "cat": "decision", "ph": "i", "s": "t", "ts": 6000000, "pid": 1, "tid": 4, "args": {"event": {"seq": 7, "t_sim": 6, "type": "predictor_switch", "series": "load:\"g2\"\\x\n", "from": "last", "to": "mean(4)\t"}}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 5, "args": {"name": "probes"}},
+{"name": "probe", "cat": "decision", "ph": "i", "s": "t", "ts": 6250000, "pid": 1, "tid": 5, "args": {"event": {"seq": 8, "t_sim": 6.25, "type": "probe", "group_a": 0, "group_b": 1, "alpha_secs": 0.011, "beta_secs_per_byte": 0.00000009, "predicted_alpha_secs": null, "predicted_beta_secs_per_byte": null, "elapsed_secs": 0.03}}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 6, "args": {"name": "transfers"}},
+{"name": "transfer", "cat": "decision", "ph": "i", "s": "t", "ts": 6500000, "pid": 1, "tid": 6, "args": {"event": {"seq": 9, "t_sim": 6.5, "type": "transfer", "src": 1, "dst": 5, "bytes": 65536, "queue_secs": 0, "transfer_secs": 0.015, "remote": true, "failed": false}}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 7, "args": {"name": "recovery"}},
+{"name": "crash", "cat": "decision", "ph": "i", "s": "t", "ts": 7000000, "pid": 1, "tid": 7, "args": {"event": {"seq": 10, "t_sim": 7, "type": "crash", "step": 5, "proc": 2, "group": 1}}},
+{"name": "evacuate", "cat": "decision", "ph": "i", "s": "t", "ts": 7000000, "pid": 1, "tid": 7, "args": {"event": {"seq": 11, "t_sim": 7, "type": "evacuate", "step": 5, "proc": 2, "patches": 4, "cells": 4096, "bytes": 65536, "intra": 3, "inter": 1, "recompute_cells": 512}}},
+{"name": "rejoin", "cat": "decision", "ph": "i", "s": "t", "ts": 9000000, "pid": 1, "tid": 7, "args": {"event": {"seq": 12, "t_sim": 9, "type": "rejoin", "step": 8, "proc": 2, "group": 1, "downtime_secs": 0.0}}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 8, "args": {"name": "tenants"}},
+{"name": "tenant_admit", "cat": "decision", "ph": "i", "s": "t", "ts": 0, "pid": 1, "tid": 8, "args": {"event": {"seq": 13, "t_sim": 0, "type": "tenant_admit", "tenant": 1, "priority": 2, "groups": [0, 4]}}},
+{"name": "tenant_admit", "cat": "decision", "ph": "i", "s": "t", "ts": 0, "pid": 1, "tid": 8, "args": {"event": {"seq": 14, "t_sim": 0, "type": "tenant_admit", "tenant": 2, "priority": 0.5, "groups": []}}},
+{"name": "tenant_migrate", "cat": "decision", "ph": "i", "s": "t", "ts": 9500000, "pid": 1, "tid": 8, "args": {"event": {"seq": 15, "t_sim": 9.5, "type": "tenant_migrate", "tenant": 1, "from_group": 0, "to_group": 4, "bytes": 123456, "cost_secs": 0.3, "gain_secs": 1.7}}},
+{"name": "tenant_step", "cat": "decision", "ph": "i", "s": "t", "ts": 9750000, "pid": 1, "tid": 8, "args": {"event": {"seq": 16, "t_sim": 9.75, "type": "tenant_step", "tenant": 1, "step": 12, "secs": 0.0}}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 9, "args": {"name": "anomalies"}},
+{"name": "anomaly", "cat": "decision", "ph": "i", "s": "t", "ts": 10000000, "pid": 1, "tid": 9, "args": {"event": {"seq": 17, "t_sim": 10, "type": "anomaly", "kind": "probe_drift", "value": -0.0000000015, "threshold": 10000000000000000000000, "streak": 6, "detail": "g0-g1 \u0001drift"}}}
+]}
+"#;
+
+    #[test]
+    fn golden_exports_are_pinned_byte_for_byte() {
+        let s = golden_sink();
+        let (jsonl, trace) = (s.to_jsonl(), s.to_chrome_trace());
+        if std::env::var_os("PRINT_GOLDEN").is_some() {
+            println!("@@JSONL\n{jsonl}@@TRACE\n{trace}@@END");
+        }
+        assert_eq!(jsonl, GOLDEN_JSONL);
+        assert_eq!(trace, GOLDEN_TRACE);
     }
 
     #[test]

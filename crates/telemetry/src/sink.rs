@@ -104,6 +104,15 @@ pub struct EventCounts {
     pub anomalies: u64,
 }
 
+impl base::json::ToJson for EventCounts {
+    fn to_json(&self) -> base::json::Json {
+        base::json_fields!(self;
+            gates, gate_accepts, redistributes, aborted_redistributes, faults,
+            predictor_switches, probes, transfers, failed_transfers, crashes, evacuations,
+            rejoins, tenant_admits, tenant_migrations, tenant_steps, anomalies)
+    }
+}
+
 /// Capacity of the decision ring (gate/redistribute/fault/switch).
 pub const DECISION_CAP: usize = 16 * 1024;
 /// Capacity of the flow ring (probe/transfer).
