@@ -1,9 +1,11 @@
 //! `cargo bench --bench kernels` — micro-benches of the hot kernels underneath the experiments:
-//! the Euler sweep, flag buffering and Berger–Rigoutsos clustering, the
-//! balancing primitive, link timing, the probe, and the gain evaluator.
+//! the Euler sweep, the level-0 boundary fill and build, flag buffering and
+//! Berger–Rigoutsos clustering, the balancing primitive, link timing, the
+//! probe, and the gain evaluator.
 
 use bench::report_case;
 use dlb::{balance_level_within, evaluate_gain, BalanceParams, WorkloadHistory};
+use samr_engine::{AppKind, Driver, RunConfig, Scheme};
 use samr_mesh::cluster::{berger_rigoutsos, ClusterParams};
 use samr_mesh::field::Field3;
 use samr_mesh::flag::FlagField;
@@ -93,6 +95,67 @@ fn main() {
         f.map_interior(|p, _| (p.x * p.y + p.z) as f64);
         report_case("fill_ghosts_zero_gradient_16cubed_g2", SAMPLES, || {
             black_box(&mut f).fill_ghosts_zero_gradient();
+        });
+    }
+
+    // the level-0 boundary fill: each field of a slab filled box by box
+    // over its `coarse_fill` (the shell minus the sibling windows, as the
+    // exchange plan cuts it) — two 8×16×16 slabs side by side and the 8³
+    // corner slab of an octant cut, six fields each, ghost 1 — and the
+    // whole-shell fill of the same fields for scale
+    {
+        let slabs_of = |domain: Region, cuts: &[Region]| {
+            let mut h = GridHierarchy::new(domain, 2, 1, 6, 1);
+            for &r in cuts {
+                h.insert_patch(0, r, None, 0);
+            }
+            let topo = h.exchange_topology(0);
+            let slab = |s: &samr_mesh::PatchShell| {
+                let mut fields = h.patch(s.id).fields.clone();
+                for (k, f) in fields.iter_mut().enumerate() {
+                    f.map_interior(|p, _| (p.x * 5 + p.y * 3 + p.z + k as i64) as f64);
+                }
+                (s.coarse_fill.clone(), fields)
+            };
+            topo.shells.iter().map(slab).collect::<Vec<_>>()
+        };
+        let halves = [
+            region(ivec3(0, 0, 0), ivec3(8, 16, 16)),
+            region(ivec3(8, 0, 0), ivec3(16, 16, 16)),
+        ];
+        let octant = [region(ivec3(0, 0, 0), ivec3(8, 8, 8))]
+            .into_iter()
+            .chain((1..8).map(|i| {
+                let lo = ivec3(8 * (i & 1), 8 * ((i >> 1) & 1), 8 * (i >> 2));
+                Region::at(lo, IVec3::splat(8))
+            }))
+            .collect::<Vec<_>>();
+        let mut cases = slabs_of(Region::cube(16), &halves);
+        cases.extend(slabs_of(Region::cube(16), &octant).into_iter().take(1));
+        report_case("fill_clamped_boundary_slabs", SAMPLES, || {
+            for (boxes, fields) in cases.iter_mut() {
+                for f in fields.iter_mut() {
+                    boxes.iter().for_each(|b| f.fill_clamped(b));
+                }
+            }
+            black_box(&cases);
+        });
+        report_case("fill_ghosts_zero_gradient_boundary_slabs", SAMPLES, || {
+            for (_, fields) in cases.iter_mut() {
+                fields.iter_mut().for_each(Field3::fill_ghosts_zero_gradient);
+            }
+            black_box(&cases);
+        });
+    }
+
+    // the level-0 build of `fed_g64`: `Driver::new` on the 64-group,
+    // 2 048-processor federation with one level, so no regrid cascade runs
+    {
+        let sys = presets::federation(64, 32, 7);
+        report_case("level0_build_amr64_n128_g64x32", 5, || {
+            let mut cfg = RunConfig::new(AppKind::Amr64, 128, 1, Scheme::distributed_default());
+            cfg.max_levels = 1;
+            black_box(Driver::new(sys.clone(), cfg))
         });
     }
 

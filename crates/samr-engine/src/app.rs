@@ -12,6 +12,7 @@
 //! along the moving shock wave plane."*
 
 use base::rng::ChaCha8;
+use par::for_each_task_parallel;
 use samr_mesh::field::Field3;
 use samr_mesh::flag::{flag_cells, FlagField, RefineCriterion};
 use samr_mesh::index::{ivec3, IVec3};
@@ -167,10 +168,21 @@ impl AppState {
         self.particles = ParticleSet::new(particles);
     }
 
-    /// Write the initial condition into the field set of a freshly created
-    /// level-0 patch, every storage cell (ghosts included), one z-row at a
-    /// time. Takes `&self` and nothing but the fields, so the driver fills
-    /// all level-0 patches concurrently on the worker pool.
+    /// The position-dependent part of the initial condition — Amr64's
+    /// density, AdvectBlob's blob, ShockPool3D's density jump — at every
+    /// cell of `region`, as one field without ghosts per x-plane: the
+    /// level-0 footprint, `domain.grow(ghost)`, which every level-0 grid's
+    /// storage lies in. Each cell is evaluated once, on the worker pool,
+    /// one task per plane; [`AppState::initial_fields_in`] then builds
+    /// every level-0 grid's fields from it. Every value is a function of
+    /// the cell's global position alone, so a ghost cell gets the bits of
+    /// the interior cell a sibling holds there.
+    ///
+    /// The planes are buffers the size of a few grids' fields (135 KB at
+    /// n0 = 128). One buffer of the whole footprint (17.6 MB), once freed,
+    /// made the allocator serve every later buffer up to that size from
+    /// its heap, which it keeps: `fed_g64`'s resident set grew by ~12 MB
+    /// from the second run in a process on.
     ///
     /// Amr64's density is 1 plus one Gaussian term 2.5·exp(−r²/2σ²) per
     /// well, and a term is skipped where r² exceeds `2σ² · ln(2.5 · 2⁶⁰)`:
@@ -179,79 +191,121 @@ impl AppState {
     /// would round back to the same ρ, so skipping it changes no bit. A
     /// row is dropped for a well whose `dx² + dy²` alone exceeds the bound
     /// (adding `dz² ≥ 0` never rounds below it).
-    pub fn init_fields(&self, fields: &mut [Field3]) {
-        let gamma = self.gamma;
-        let n0 = self.n0 as f64;
-        match self.kind {
-            AppKind::ShockPool3D => {
-                euler::set_ambient(fields, 1.0, [0.0; 3], 1.0, gamma);
-                // High-pressure driver region behind a plane slightly tilted
-                // with respect to the domain edges: n̂ ∝ (1, 0.25, 0.1).
-                let (rho, pr, vx) = (4.0, 12.0, 1.2);
-                let e = pr / (gamma - 1.0) + 0.5 * rho * vx * vx;
-                for (k, v) in [(F::RHO, rho), (F::MX, rho * vx), (F::E, e)] {
-                    for_each_row(&mut fields[k], |x, y, z0, row| {
+    pub fn initial_footprint(&self, region: Region) -> Vec<Field3> {
+        let mut planes: Vec<Field3> = (region.lo.x..region.hi.x)
+            .map(|x| {
+                let lo = ivec3(x, region.lo.y, region.lo.z);
+                let hi = ivec3(x + 1, region.hi.y, region.hi.z);
+                Field3::zeros(Region { lo, hi }, 0)
+            })
+            .collect();
+        for_each_task_parallel(&mut planes, |_, plane| {
+            let (x, z0) = (plane.interior().lo.x, region.lo.z);
+            let nz = region.size().z as usize;
+            let rows = (region.lo.y..).zip(plane.data_mut().chunks_exact_mut(nz));
+            let n0 = self.n0 as f64;
+            match self.kind {
+                AppKind::ShockPool3D => {
+                    // high-pressure driver region behind a plane slightly tilted
+                    // with respect to the domain edges: n̂ ∝ (1, 0.25, 0.1)
+                    for (y, row) in rows {
                         for (dz, cell) in row.iter_mut().enumerate() {
                             let z = z0 + dz as i64;
                             let s = x as f64 + 0.25 * y as f64 + 0.1 * z as f64;
-                            if s < 0.18 * n0 {
-                                *cell = v;
+                            *cell = if s < 0.18 * n0 { SHOCK_DRIVER.0 } else { 1.0 };
+                        }
+                    }
+                }
+                AppKind::Amr64 => {
+                    // Gaussian overdensities at the wells
+                    let sigma = 0.05 * n0;
+                    let two_s2 = (2.0 * sigma) * sigma;
+                    let skip_r2 = well_reach_r2(two_s2);
+                    // per row: dx² + dy² and z of each well within reach
+                    let mut near: Vec<(f64, f64)> = Vec::with_capacity(self.wells.len());
+                    for (y, row) in rows {
+                        near.clear();
+                        for w in &self.wells {
+                            let dx = x as f64 + 0.5 - w[0];
+                            let dy = y as f64 + 0.5 - w[1];
+                            let dxy = dx * dx + dy * dy;
+                            if dxy <= skip_r2 {
+                                near.push((dxy, w[2]));
                             }
                         }
-                    });
+                        for (dz, cell) in row.iter_mut().enumerate() {
+                            let z = (z0 + dz as i64) as f64 + 0.5;
+                            let mut rho = 1.0f64;
+                            for &(dxy, wz) in &near {
+                                let dz = z - wz;
+                                let r2 = dxy + dz * dz;
+                                if r2 <= skip_r2 {
+                                    rho += 2.5 * (-r2 / two_s2).exp();
+                                }
+                            }
+                            *cell = rho;
+                        }
+                    }
+                }
+                AppKind::AdvectBlob => {
+                    let c = [0.3 * n0, 0.5 * n0, 0.5 * n0];
+                    let sigma = 0.08 * n0;
+                    for (y, row) in rows {
+                        let dx = x as f64 + 0.5 - c[0];
+                        let dy = y as f64 + 0.5 - c[1];
+                        for (dz, cell) in row.iter_mut().enumerate() {
+                            let dz = (z0 + dz as i64) as f64 + 0.5 - c[2];
+                            let r2 = dx * dx + dy * dy + dz * dz;
+                            *cell = (-r2 / (2.0 * sigma * sigma)).exp();
+                        }
+                    }
                 }
             }
-            AppKind::Amr64 => {
-                euler::set_ambient(fields, 1.0, [0.0; 3], 0.6, gamma);
-                // Gaussian overdensities at the wells
-                let sigma = 0.05 * n0;
-                let two_s2 = (2.0 * sigma) * sigma;
-                let skip_r2 = well_reach_r2(two_s2);
-                // per row: dx² + dy² and z of each well within reach
-                let mut near: Vec<(f64, f64)> = Vec::with_capacity(self.wells.len());
-                for_each_row(&mut fields[F::RHO], |x, y, z0, row| {
-                    near.clear();
-                    for w in &self.wells {
-                        let dx = x as f64 + 0.5 - w[0];
-                        let dy = y as f64 + 0.5 - w[1];
-                        let dxy = dx * dx + dy * dy;
-                        if dxy <= skip_r2 {
-                            near.push((dxy, w[2]));
-                        }
-                    }
-                    for (dz, cell) in row.iter_mut().enumerate() {
-                        let z = (z0 + dz as i64) as f64 + 0.5;
-                        let mut rho = 1.0f64;
-                        for &(dxy, wz) in &near {
-                            let dz = z - wz;
-                            let r2 = dxy + dz * dz;
-                            if r2 <= skip_r2 {
-                                rho += 2.5 * (-r2 / two_s2).exp();
-                            }
-                        }
-                        *cell = rho;
-                    }
-                });
+        });
+        planes
+    }
+
+    /// The initial fields of the level-0 grid over `region`, built in
+    /// `buffers` — one empty, reserved buffer per field — with every
+    /// storage cell written once: ρ (AdvectBlob's field) copied row by row
+    /// from `footprint` ([`AppState::initial_footprint`], whose planes
+    /// must cover the grid's storage), the energy (and ShockPool3D's x
+    /// momentum) derived from the same rows, the other momenta and Amr64's
+    /// φ zero. The fields come out in order, to be collected where the
+    /// caller reserved room for them, so a pool task running this
+    /// allocates nothing. Takes `&self` and nothing it writes but the
+    /// buffers, so the driver builds all level-0 grids concurrently on the
+    /// worker pool.
+    pub fn initial_fields_in<'a>(
+        &'a self,
+        footprint: &'a [Field3],
+        region: Region,
+        buffers: Vec<Vec<f64>>,
+    ) -> impl Iterator<Item = Field3> + 'a {
+        assert_eq!(buffers.len(), self.nfields(), "one buffer per field");
+        let (ghost, gamma) = (self.ghost(), self.gamma);
+        let grid = (footprint, region, ghost);
+        // ShockPool3D's ambient gas is at rest with ρ = 1, p = 1; its
+        // driver region, the footprint's other density, moves at vx with
+        // the energy of pressure pr
+        let (rho, pr, vx) = SHOCK_DRIVER;
+        let (mx, e) = (rho * vx, pr / (gamma - 1.0) + 0.5 * rho * vx * vx);
+        let ambient_e = 1.0 / (gamma - 1.0);
+        buffers
+            .into_iter()
+            .enumerate()
+            .map(move |(k, buf)| match (self.kind, k) {
+                (_, F::RHO) => from_footprint(grid, buf, |r| r),
                 // near-isothermal start: p = 0.6 ρ
-                let (head, tail) = fields.split_at_mut(F::E);
-                for (e, &rho) in tail[0].data_mut().iter_mut().zip(head[F::RHO].data()) {
-                    *e = 0.6 * rho / (gamma - 1.0);
+                (AppKind::Amr64, F::E) => from_footprint(grid, buf, |r| 0.6 * r / (gamma - 1.0)),
+                (AppKind::ShockPool3D, F::MX) => {
+                    from_footprint(grid, buf, |r| if r == rho { mx } else { 0.0 })
                 }
-            }
-            AppKind::AdvectBlob => {
-                let c = [0.3 * n0, 0.5 * n0, 0.5 * n0];
-                let sigma = 0.08 * n0;
-                for_each_row(&mut fields[0], |x, y, z0, row| {
-                    let dx = x as f64 + 0.5 - c[0];
-                    let dy = y as f64 + 0.5 - c[1];
-                    for (dz, cell) in row.iter_mut().enumerate() {
-                        let dz = (z0 + dz as i64) as f64 + 0.5 - c[2];
-                        let r2 = dx * dx + dy * dy + dz * dz;
-                        *cell = (-r2 / (2.0 * sigma * sigma)).exp();
-                    }
-                });
-            }
-        }
+                (AppKind::ShockPool3D, F::E) => {
+                    from_footprint(grid, buf, |r| if r == rho { e } else { ambient_e })
+                }
+                _ => Field3::zeros_in(buf, region, ghost),
+            })
     }
 
     /// One solver step on a patch at `level` with Courant ratio
@@ -369,21 +423,30 @@ impl AppState {
     }
 }
 
+/// ShockPool3D's driver region: density, pressure and x velocity.
+const SHOCK_DRIVER: (f64, f64, f64) = (4.0, 12.0, 1.2);
+
 /// The squared distance beyond which an Amr64 well's density term
-/// `2.5 · exp(−r² / two_s2)` is below 2⁻⁶⁰ (see [`AppState::init_fields`]).
+/// `2.5 · exp(−r² / two_s2)` is below 2⁻⁶⁰ (see
+/// [`AppState::initial_footprint`]).
 fn well_reach_r2(two_s2: f64) -> f64 {
     two_s2 * (2.5 * 2f64.powi(60)).ln()
 }
 
-/// Run `visit(x, y, z0, row)` over every z-row of `f`'s storage, ghosts
-/// included, in layout order.
-fn for_each_row(f: &mut Field3, mut visit: impl FnMut(i64, i64, i64, &mut [f64])) {
-    let s = f.storage_region();
-    let size = s.size();
-    for (i, row) in f.data_mut().chunks_exact_mut(size.z as usize).enumerate() {
-        let i = i as i64;
-        visit(s.lo.x + i / size.y, s.lo.y + i % size.y, s.lo.z, row);
-    }
+/// The field over `region` with `ghost` ghost cells built in `buf`, row by
+/// row, each storage cell `value` of the footprint's value there.
+fn from_footprint(
+    (footprint, region, ghost): (&[Field3], Region, i64),
+    buf: Vec<f64>,
+    value: impl Fn(f64) -> f64,
+) -> Field3 {
+    let (x0, zs) = (footprint[0].interior().lo.x, region.grow(ghost));
+    Field3::from_rows_in(buf, region, ghost, |x, y| {
+        let plane = &footprint[(x - x0) as usize];
+        plane.data()[plane.storage_region().row_range(x, y, zs.lo.z, zs.hi.z)]
+            .iter()
+            .map(|&r| value(r))
+    })
 }
 
 #[cfg(test)]
@@ -392,11 +455,28 @@ mod tests {
     use samr_mesh::patch::PatchId;
 
     impl AppState {
-        /// The per-cell initial condition [`AppState::init_fields`]
-        /// replaced, kept verbatim: every well's term at every cell, no
-        /// bound, one `set` per cell. The oracle `init_fields` is compared
-        /// against.
-        fn init_fields_reference(&self, fields: &mut [Field3]) {
+        /// The initial condition of one grid, written into `fields` through
+        /// the level-0 path: the footprint of the grid's storage and the
+        /// grid's fields built from it in fresh buffers. Like the per-grid
+        /// form this replaced, it writes the Euler fields and leaves Amr64's
+        /// φ as it was (the level-0 build writes it zero).
+        fn init_fields(&self, fields: &mut [Field3]) {
+            let (region, storage) = (fields[0].interior(), fields[0].storage_region());
+            let footprint = self.initial_footprint(storage);
+            let buffers = fields
+                .iter()
+                .map(|f| Vec::with_capacity(f.data().len()))
+                .collect();
+            let built = self.initial_fields_in(&footprint, region, buffers);
+            for (f, b) in fields.iter_mut().zip(built).take(euler::NFIELDS) {
+                *f = b;
+            }
+        }
+
+        /// The per-cell initial condition the row-wise one replaced, kept
+        /// verbatim: every well's term at every cell, no bound, one `set`
+        /// per cell. The oracle `init_fields` is compared against.
+        pub(crate) fn init_fields_reference(&self, fields: &mut [Field3]) {
             match self.kind {
                 AppKind::ShockPool3D => {
                     let gamma = self.gamma;

@@ -48,7 +48,8 @@ struct OldPatch {
 
 /// A new grid's field buffers on their way through a pool task: reserved on
 /// the calling thread, so every one comes from that thread's heap arena, and
-/// zero-filled by the task that then writes them (DESIGN §12).
+/// written by the task — a regrid's zero-filled first, level 0's once from
+/// the initial footprint (DESIGN §12).
 struct NewGrid {
     region: Region,
     ghost: i64,
@@ -168,9 +169,13 @@ impl Driver {
 
     /// A driver holding level 0 alone: the domain decomposed over the
     /// processors and every slab's fields initialised, ghosts included.
-    /// Level 0's field buffers are reserved on the calling thread and
-    /// zero-filled and initialised on the worker pool, one task per patch;
-    /// the patches are inserted with their fields afterwards, in slab order.
+    /// The initial condition is evaluated once per cell of the level-0
+    /// footprint — the domain and its ghost layers — into one scratch field
+    /// ([`AppState::initial_footprint`]). Level 0's field buffers are
+    /// reserved on the calling thread, and each slab's pool task writes
+    /// every storage cell of its fields once, from the footprint
+    /// ([`AppState::initial_fields_in`]); the footprint is freed before
+    /// the patches are inserted with their fields, in slab order.
     fn level0_on(sim: SimView, cfg: RunConfig) -> Driver {
         let app = AppState::new(cfg.app, cfg.n0, cfg.seed);
         let domain = Region::cube(cfg.n0);
@@ -190,7 +195,13 @@ impl Driver {
             .collect();
         #[cfg(test)]
         let census = tests::WaveCensus::reserved(0, 0..grids.len(), &hier, &[], &[], &grids);
-        for_each_task_parallel(&mut grids, |_, grid| app.init_fields(grid.zeroed()));
+        let footprint = app.initial_footprint(domain.grow(app.ghost()));
+        for_each_task_parallel(&mut grids, |_, grid| {
+            let buffers = std::mem::take(&mut grid.buffers);
+            let fields = app.initial_fields_in(&footprint, grid.region, buffers);
+            grid.fields.extend(fields);
+        });
+        drop(footprint);
         for ((region, proc_ix), grid) in slabs.into_iter().zip(grids) {
             hier.insert_patch_with_fields(0, region, None, proc_ix, grid.fields);
         }
@@ -882,9 +893,17 @@ impl Driver {
         // order inside one can change a value, and the result is the
         // reference exchange's staged clones'. A round of a single block is not
         // worth waking the pool for and runs the same take / copy / put
-        // back on this thread.
+        // back on this thread. With no reach at all there is nothing to
+        // copy — a window lies outside its destination's interior, so none
+        // of it is within zero layers of it — and no round runs (Amr64's
+        // set-up cascade, whose flagging reads interiors alone).
+        let rounds = if reach.iter().all(|&r| r == IVec3::ZERO) {
+            &[][..]
+        } else {
+            &topo.rounds[..]
+        };
         let mut taken: Vec<(usize, Vec<Vec<Field3>>)> = Vec::new();
-        for round in &topo.rounds {
+        for round in rounds {
             taken.extend(round.iter().map(|&b| {
                 let slots = topo.block_slots(b);
                 let fields = work[slots.clone()].iter_mut().map(std::mem::take).collect();
@@ -2053,6 +2072,120 @@ mod tests {
             }
         }
         assert!(outside > 0 && inside > 0, "outside {outside}, inside {inside}");
+    }
+
+    /// `Driver::new` with one level runs no cascade, so level 0 is the
+    /// level-0 build as it left it: every slab's fields, ghosts included,
+    /// are bit for bit its per-cell reference initial condition over zeros
+    /// (`init_fields_reference`; φ stays zero). After the level-0 exchange
+    /// the set-up cascade opens with (no reach, as Amr64's), the cells
+    /// outside the domain are that reference zero-gradient-filled from the
+    /// slab, and every other cell is as built. All three apps, AdvectBlob
+    /// with two ghost layers, on a weighted 12-processor decomposition
+    /// whose slabs are off the origin and of different shapes, under 1 and
+    /// 2 threads. A footprint row copied one row off in y fails it.
+    #[test]
+    fn level0_build_is_the_per_slab_reference_initial_condition() {
+        let bits = |f: &Field3| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 2] {
+            par::with_threads(threads, || {
+                for app in [AppKind::ShockPool3D, AppKind::Amr64, AppKind::AdvectBlob] {
+                    let mut cfg = RunConfig::new(app, 20, 1, Scheme::distributed_default());
+                    cfg.max_levels = 1;
+                    let mut d = Driver::new(topology::presets::federation(4, 3, 7), cfg);
+                    assert_eq!(d.hier.num_levels(), 1);
+                    let ids = d.hier.level_ids(0).to_vec();
+                    let regions: Vec<Region> =
+                        ids.iter().map(|&id| d.hier.patch(id).region).collect();
+                    let shapes: std::collections::BTreeSet<_> = regions
+                        .iter()
+                        .map(|r| (r.size().x, r.size().y, r.size().z))
+                        .collect();
+                    assert_eq!(regions.len(), 12);
+                    assert!(shapes.len() > 1, "{app:?}: one slab shape");
+                    assert!(regions.iter().filter(|r| r.lo != IVec3::ZERO).count() >= 11);
+                    let (nf, ghost) = (d.app.nfields(), d.app.ghost());
+                    let oracle: Vec<Vec<Field3>> = regions
+                        .iter()
+                        .map(|&r| {
+                            let mut fields: Vec<Field3> =
+                                (0..nf).map(|_| Field3::zeros(r, ghost)).collect();
+                            d.app.init_fields_reference(&mut fields);
+                            fields
+                        })
+                        .collect();
+                    for (&id, want) in ids.iter().zip(&oracle) {
+                        for (k, (f, w)) in d.hier.patch(id).fields.iter().zip(want).enumerate() {
+                            let at = format!("{app:?}, {threads} threads, {id:?} field {k}");
+                            assert_eq!(bits(f), bits(w), "{at}");
+                        }
+                    }
+                    d.exchange_ghosts_within(0, &vec![IVec3::ZERO; nf]);
+                    let domain = d.hier.domain_at_level(0);
+                    for (&id, want) in ids.iter().zip(&oracle) {
+                        for (k, (f, w)) in d.hier.patch(id).fields.iter().zip(want).enumerate() {
+                            let mut clamped = w.clone();
+                            samr_mesh::field::reference::fill_ghosts_zero_gradient(&mut clamped);
+                            for c in f.storage_region().iter_cells() {
+                                let v = if domain.contains(c) { w.get(c) } else { clamped.get(c) };
+                                assert_eq!(
+                                    f.get(c).to_bits(),
+                                    v.to_bits(),
+                                    "{app:?}, {threads} threads, {id:?} field {k} at {c:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    /// An exchange with no reach at all copies no sibling window: on every
+    /// level of a federation of many small grids, with every ghost cell
+    /// poisoned by a NaN of its own payload, each ghost cell a sibling
+    /// covers keeps its bits — and the owners are charged what a
+    /// whole-shell exchange charges them, message for message.
+    #[test]
+    fn zero_reach_exchange_leaves_every_sibling_covered_ghost_cell() {
+        let levels = many_small_patches().hier.num_levels();
+        assert!(levels >= 2);
+        for level in 0..levels {
+            let (mut none, mut whole) = (many_small_patches(), many_small_patches());
+            let nf = none.hier.nfields();
+            let mut payload = 0u64;
+            for id in none.hier.level_ids(level).to_vec() {
+                for f in none.hier.patch_mut(id).fields.iter_mut() {
+                    let interior = f.interior();
+                    for c in f.storage_region().iter_cells().filter(|&c| !interior.contains(c)) {
+                        payload += 1;
+                        f.set(c, f64::from_bits(0x7ff8_0000_0000_0000 | payload));
+                    }
+                }
+            }
+            let before: Vec<Vec<Field3>> = none
+                .hier
+                .level_ids(level)
+                .iter()
+                .map(|&id| none.hier.patch(id).fields.clone())
+                .collect();
+            none.exchange_ghosts_within(level, &vec![IVec3::ZERO; nf]);
+            whole.exchange_ghosts(level);
+            let topo = none.hier.exchange_topology(level);
+            assert!(!topo.overlaps.is_empty(), "level {level}: no sibling windows");
+            for (o, &(_, di)) in topo.overlaps.iter().zip(&topo.overlap_slots) {
+                let (after, was) = (&none.hier.patch(o.dst).fields, &before[di as usize]);
+                for (f, g) in after.iter().zip(was) {
+                    for c in o.window.iter_cells() {
+                        let (now, was) = (f.get(c).to_bits(), g.get(c).to_bits());
+                        assert_eq!(now, was, "level {level}, {:?} at {c:?}", o.dst);
+                    }
+                }
+            }
+            let (a, b) = (none.sim.stats(), whole.sim.stats());
+            assert_eq!(a.msgs, b.msgs, "level {level}");
+            assert_eq!(a.procs, b.procs, "level {level}");
+        }
     }
 
     /// Every ghost cell of `level` outside `reach[k]` of field `k` to NaN.

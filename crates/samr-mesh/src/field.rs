@@ -130,6 +130,46 @@ impl Field3 {
         }
     }
 
+    /// A field over `interior` with `ghost` ghost cells, written once into
+    /// `buf` — an empty buffer reserved elsewhere, as for
+    /// [`Field3::zeros_in`] — one z-row at a time: `row(x, y)` yields the
+    /// values of storage row `(x, y)`, whole z extent, and rows are taken in
+    /// layout order. Nothing is zero-filled first and nothing reallocates.
+    ///
+    /// Panics if `buf` is not empty, has room for fewer cells than the
+    /// storage box holds, or a row yields the wrong number of values.
+    pub fn from_rows_in<I: IntoIterator<Item = f64>>(
+        mut buf: Vec<f64>,
+        interior: Region,
+        ghost: i64,
+        mut row: impl FnMut(i64, i64) -> I,
+    ) -> Self {
+        assert!(ghost >= 0);
+        assert!(!interior.is_empty(), "field over empty region");
+        let storage = interior.grow(ghost);
+        let len = storage.cells() as usize;
+        assert!(buf.is_empty(), "from_rows_in needs an empty buffer");
+        assert!(
+            buf.capacity() >= len,
+            "from_rows_in: room for {} cells, {storage:?} holds {len}",
+            buf.capacity()
+        );
+        let nz = (storage.hi.z - storage.lo.z) as usize;
+        for x in storage.lo.x..storage.hi.x {
+            for y in storage.lo.y..storage.hi.y {
+                let end = buf.len() + nz;
+                buf.extend(row(x, y));
+                assert_eq!(buf.len(), end, "row ({x}, {y}) is not {nz} cells long");
+            }
+        }
+        Field3 {
+            interior,
+            ghost,
+            storage,
+            data: buf,
+        }
+    }
+
     /// Deep copy whose backing store is drawn from (and counted by) `pool`:
     /// same shape and bitwise-identical contents, copied into a reserved
     /// buffer without zero-filling it first.
@@ -442,6 +482,42 @@ mod tests {
             assert_eq!(f, Field3::zeros(r, 2));
             assert!(f.data().iter().all(|v| v.to_bits() == 0));
         }
+    }
+
+    /// A field written row by row into a reserved buffer keeps the
+    /// reservation's allocation and holds what the rows say, ghosts
+    /// included.
+    #[test]
+    fn from_rows_in_writes_the_reserved_buffer_once() {
+        let r = region(ivec3(2, -1, 3), ivec3(5, 4, 7));
+        let len = r.grow(1).cells() as usize;
+        let buf = Vec::with_capacity(len + 3);
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        let value = |x: i64, y: i64, z: i64| (100 * x + 10 * y + z) as f64;
+        let sto = r.grow(1);
+        let f = Field3::from_rows_in(buf, r, 1, |x, y| {
+            (sto.lo.z..sto.hi.z).map(move |z| value(x, y, z))
+        });
+        assert_eq!((f.data().as_ptr(), f.data.capacity()), (ptr, cap));
+        assert_eq!((f.interior(), f.ghost(), f.data().len()), (r, 1, len));
+        for p in sto.iter_cells() {
+            assert_eq!(f.get(p), value(p.x, p.y, p.z), "{p:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not 4 cells long")]
+    fn from_rows_in_rejects_a_short_row() {
+        let r = Region::cube(2);
+        Field3::from_rows_in(Vec::with_capacity(64), r, 1, |x, y| {
+            std::iter::repeat_n(0.0, if (x, y) == (0, 1) { 3 } else { 4 })
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "from_rows_in: room for")]
+    fn from_rows_in_rejects_a_buffer_too_small() {
+        Field3::from_rows_in(Vec::with_capacity(7), Region::cube(2), 0, |_, _| [0.0; 2]);
     }
 
     #[test]

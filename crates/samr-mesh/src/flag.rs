@@ -182,9 +182,9 @@ pub enum RefineCriterion {
 /// the row's flags are written through one slice of the mask — only where
 /// a cell is flagged, so a page of the fresh mask that holds no flag is
 /// never touched. The neighbour fold runs in `FACE_NEIGHBORS` order,
-/// exactly like the per-cell fallback in [`flag_cells`], so the produced
+/// exactly like the per-cell form in [`flag_face_diff`], so the produced
 /// flags are identical.
-fn flag_face_diff(f: &Field3, flags: &mut FlagField, mut pred: impl FnMut(f64, f64) -> bool) {
+fn flag_face_diff_rows(f: &Field3, flags: &mut FlagField, pred: impl Fn(f64, f64) -> bool) {
     let interior = f.interior();
     let sto = f.storage_region();
     let sz = sto.hi.z - sto.lo.z;
@@ -198,7 +198,7 @@ fn flag_face_diff(f: &Field3, flags: &mut FlagField, mut pred: impl FnMut(f64, f
             let u = data[i as usize];
             let mut g: f64 = 0.0;
             for off in offs {
-                g = g.max((data[(i + off) as usize] - u).abs());
+                g = max_keeping_nan(g, (data[(i + off) as usize] - u).abs());
             }
             if pred(g, u) {
                 *flag = true;
@@ -207,8 +207,55 @@ fn flag_face_diff(f: &Field3, flags: &mut FlagField, mut pred: impl FnMut(f64, f
     }
 }
 
+/// Flag the cells of `f`'s interior where `pred(g, u)` holds, `u` the
+/// cell's value and `g` the largest absolute difference to a face
+/// neighbour in storage — NaN when the cell or a neighbour is. Row-based
+/// ([`flag_face_diff_rows`]) when every face neighbour is in storage,
+/// cell by cell otherwise.
+fn flag_face_diff(f: &Field3, flags: &mut FlagField, pred: impl Fn(f64, f64) -> bool) {
+    if f.ghost() >= 1 {
+        return flag_face_diff_rows(f, flags, pred);
+    }
+    for p in f.interior().iter_cells() {
+        let u = f.get(p);
+        // a NaN cell with no neighbour in storage has no difference to
+        // carry its NaN into the fold
+        let mut g: f64 = if u.is_nan() { u } else { 0.0 };
+        for d in FACE_NEIGHBORS {
+            let q = p + d;
+            if f.storage_region().contains(q) {
+                g = max_keeping_nan(g, (f.get(q) - u).abs());
+            }
+        }
+        if pred(g, u) {
+            flags.set(p, true);
+        }
+    }
+}
+
+/// The larger of `g` and `d`, or NaN when either is: `f64::max` returns the
+/// other operand of a NaN, so a NaN cell or neighbour would vanish from the
+/// fold and never flag.
+#[inline]
+fn max_keeping_nan(g: f64, d: f64) -> f64 {
+    if d > g || d.is_nan() {
+        d
+    } else {
+        g
+    }
+}
+
+/// Does a criterion's `measure` flag its cell: above `threshold`, or NaN.
+#[inline]
+fn exceeds(measure: f64, threshold: f64) -> bool {
+    measure > threshold || measure.is_nan()
+}
+
 /// Evaluate `criteria` on `fields` (all over the same interior region) and
-/// return the union of the produced flags.
+/// return the union of the produced flags. A criterion flags a cell whose
+/// measure is NaN — a NaN value, or for the face-difference criteria a NaN
+/// face neighbour ([`exceeds`]): a field gone NaN refines where it went bad
+/// instead of going unnoticed.
 pub fn flag_cells(fields: &[Field3], criteria: &[RefineCriterion]) -> FlagField {
     assert!(!fields.is_empty());
     let interior = fields[0].interior();
@@ -216,24 +263,7 @@ pub fn flag_cells(fields: &[Field3], criteria: &[RefineCriterion]) -> FlagField 
     for c in criteria {
         match *c {
             RefineCriterion::Gradient { field, threshold } => {
-                let f = &fields[field];
-                if f.ghost() >= 1 {
-                    flag_face_diff(f, &mut flags, |g, _| g > threshold);
-                    continue;
-                }
-                for p in interior.iter_cells() {
-                    let u = f.get(p);
-                    let mut g: f64 = 0.0;
-                    for d in FACE_NEIGHBORS {
-                        let q = p + d;
-                        if f.storage_region().contains(q) {
-                            g = g.max((f.get(q) - u).abs());
-                        }
-                    }
-                    if g > threshold {
-                        flags.set(p, true);
-                    }
-                }
+                flag_face_diff(&fields[field], &mut flags, |g, _| exceeds(g, threshold));
             }
             RefineCriterion::Overdensity { field, threshold } => {
                 let f = &fields[field];
@@ -242,31 +272,16 @@ pub fn flag_cells(fields: &[Field3], criteria: &[RefineCriterion]) -> FlagField 
                 for ((x, y), out) in flags.rows_mut() {
                     let row = sto.row_range(x, y, interior.lo.z, interior.hi.z);
                     for (flag, &v) in out.iter_mut().zip(&data[row]) {
-                        if v > threshold {
+                        if exceeds(v, threshold) {
                             *flag = true;
                         }
                     }
                 }
             }
             RefineCriterion::RelativeSlope { field, threshold, eps } => {
-                let f = &fields[field];
-                if f.ghost() >= 1 {
-                    flag_face_diff(f, &mut flags, |g, u| g / (u.abs() + eps) > threshold);
-                    continue;
-                }
-                for p in interior.iter_cells() {
-                    let u = f.get(p);
-                    let mut g: f64 = 0.0;
-                    for d in FACE_NEIGHBORS {
-                        let q = p + d;
-                        if f.storage_region().contains(q) {
-                            g = g.max((f.get(q) - u).abs());
-                        }
-                    }
-                    if g / (u.abs() + eps) > threshold {
-                        flags.set(p, true);
-                    }
-                }
+                flag_face_diff(&fields[field], &mut flags, |g, u| {
+                    exceeds(g / (u.abs() + eps), threshold)
+                });
             }
         }
     }
@@ -305,6 +320,50 @@ pub(crate) mod reference {
             .iter_cells()
             .filter(|&p| f.get(p))
             .count() as i64
+    }
+
+    /// Reference for [`flag_cells`]: each criterion's measure cell by cell,
+    /// a face neighbour read where storage holds it, and a cell flagged
+    /// when its measure exceeds the threshold or is NaN — tracked apart
+    /// from the difference fold, not through it.
+    pub fn flag_cells(fields: &[Field3], criteria: &[RefineCriterion]) -> FlagField {
+        let interior = fields[0].interior();
+        let mut flags = FlagField::new(interior);
+        // (largest face difference, whether the cell or a difference is
+        // NaN, the cell's value)
+        let face_diff = |f: &Field3, p: IVec3| {
+            let u = f.get(p);
+            let (mut g, mut nan) = (0.0f64, u.is_nan());
+            for q in FACE_NEIGHBORS.map(|d| p + d) {
+                if f.storage_region().contains(q) {
+                    let diff = (f.get(q) - u).abs();
+                    nan |= diff.is_nan();
+                    g = g.max(diff);
+                }
+            }
+            (g, nan, u)
+        };
+        for p in interior.iter_cells() {
+            let flagged = criteria.iter().any(|c| match *c {
+                RefineCriterion::Gradient { field, threshold } => {
+                    let (g, nan, _) = face_diff(&fields[field], p);
+                    nan || g > threshold
+                }
+                RefineCriterion::Overdensity { field, threshold } => {
+                    let v = fields[field].get(p);
+                    v.is_nan() || v > threshold
+                }
+                RefineCriterion::RelativeSlope { field, threshold, eps } => {
+                    let (g, nan, u) = face_diff(&fields[field], p);
+                    let slope = g / (u.abs() + eps);
+                    nan || slope.is_nan() || slope > threshold
+                }
+            });
+            if flagged {
+                flags.set(p, true);
+            }
+        }
+        flags
     }
 
     /// Reference for [`FlagField::buffer`]: every flag scatters to its face
@@ -390,6 +449,130 @@ mod tests {
             assert_eq!(fast.get(p), slow.get(p), "at {p:?}");
         }
         assert!(fast.count() > 0, "scrambled field must flag something");
+    }
+
+    /// A uniform field over `r` with `ghost` layers, NaN at each of `nans`.
+    fn with_nans(r: Region, ghost: i64, nans: &[IVec3]) -> Field3 {
+        let mut f = Field3::constant(r, ghost, 1.0);
+        for &p in nans {
+            f.set(p, f64::NAN);
+        }
+        f
+    }
+
+    fn flagged(fields: &[Field3], c: RefineCriterion) -> Vec<IVec3> {
+        let flags = flag_cells(fields, &[c]);
+        let cells: Vec<IVec3> = flags.region.iter_cells().filter(|&p| flags.get(p)).collect();
+        let oracle = reference::flag_cells(fields, &[c]);
+        assert!(cells.iter().all(|&p| oracle.get(p)) && oracle.count() == cells.len() as i64);
+        cells
+    }
+
+    /// A NaN cell flags itself and its face neighbours under `Gradient`,
+    /// whether the row kernel (ghost 1) or the per-cell form (ghost 0)
+    /// runs, and a NaN ghost cell flags the interior cell beside it; the
+    /// fold through `f64::max` dropped all of them.
+    #[test]
+    fn gradient_flags_nan_cells_and_their_face_neighbours() {
+        let r = Region::cube(5);
+        let c = ivec3(2, 2, 2);
+        let mut expected: Vec<IVec3> = std::iter::once(c)
+            .chain(FACE_NEIGHBORS.map(|d| c + d))
+            .collect();
+        expected.sort_by_key(|p| (p.x, p.y, p.z));
+        let gradient = RefineCriterion::Gradient { field: 0, threshold: 0.5 };
+        for ghost in [0, 1] {
+            let f = with_nans(r, ghost, &[c]);
+            assert_eq!(flagged(std::slice::from_ref(&f), gradient), expected, "ghost {ghost}");
+        }
+        let f = with_nans(r, 1, &[ivec3(-1, 3, 1)]);
+        assert_eq!(flagged(std::slice::from_ref(&f), gradient), vec![ivec3(0, 3, 1)]);
+        // a lone NaN cell with no neighbour in storage
+        let f = with_nans(Region::cube(1), 0, &[IVec3::ZERO]);
+        assert_eq!(flagged(std::slice::from_ref(&f), gradient), vec![IVec3::ZERO]);
+    }
+
+    /// The same under `RelativeSlope`, where a NaN neighbour's slope is NaN.
+    #[test]
+    fn relative_slope_flags_nan_cells_and_their_face_neighbours() {
+        let r = Region::cube(5);
+        let c = ivec3(4, 0, 3);
+        let mut expected: Vec<IVec3> = std::iter::once(c)
+            .chain(FACE_NEIGHBORS.map(|d| c + d))
+            .filter(|&p| r.contains(p))
+            .collect();
+        expected.sort_by_key(|p| (p.x, p.y, p.z));
+        let slope = RefineCriterion::RelativeSlope { field: 0, threshold: 0.5, eps: 1e-8 };
+        for ghost in [0, 2] {
+            let f = with_nans(r, ghost, &[c]);
+            assert_eq!(flagged(std::slice::from_ref(&f), slope), expected, "ghost {ghost}");
+        }
+        let f = with_nans(r, 1, &[ivec3(2, 5, 2)]);
+        assert_eq!(flagged(std::slice::from_ref(&f), slope), vec![ivec3(2, 4, 2)]);
+    }
+
+    /// `Overdensity` flags a NaN cell, and only it: the criterion reads no
+    /// neighbour.
+    #[test]
+    fn overdensity_flags_a_nan_cell() {
+        let r = region(ivec3(-3, 1, 2), ivec3(2, 4, 9));
+        let nans = [ivec3(-3, 1, 2), ivec3(0, 2, 8)];
+        let over = RefineCriterion::Overdensity { field: 0, threshold: 2.0 };
+        for ghost in [0, 1] {
+            let f = with_nans(r, ghost, &nans);
+            assert_eq!(flagged(std::slice::from_ref(&f), over), nans.to_vec(), "ghost {ghost}");
+        }
+    }
+
+    /// `flag_cells` flags what the per-cell reference flags, criterion by
+    /// criterion and for their union, on scrambled off-origin fields with
+    /// NaN and infinite cells scattered over interior and ghosts, for ghost
+    /// widths 0 to 2.
+    #[test]
+    fn flag_cells_matches_the_per_cell_reference_with_nans() {
+        let criteria = [
+            RefineCriterion::Gradient { field: 0, threshold: 0.7 },
+            RefineCriterion::RelativeSlope { field: 1, threshold: 0.6, eps: 1e-8 },
+            RefineCriterion::Overdensity { field: 0, threshold: 1.9 },
+        ];
+        let mut s = 17u64;
+        let mut next = || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for (ghost, r) in [
+            (0, region(ivec3(-2, 1, 0), ivec3(5, 7, 6))),
+            (1, region(ivec3(3, -4, 2), ivec3(9, 1, 11))),
+            (2, region(ivec3(0, 0, -5), ivec3(4, 6, 1))),
+        ] {
+            let fields: Vec<Field3> = (0..2)
+                .map(|_| {
+                    let mut f = Field3::zeros(r, ghost);
+                    for v in f.data_mut() {
+                        let u = next();
+                        *v = match u {
+                            u if u < 0.02 => f64::NAN,
+                            u if u < 0.025 => f64::INFINITY,
+                            u => 1.0 + u,
+                        };
+                    }
+                    f
+                })
+                .collect();
+            for c in criteria {
+                let fast = flag_cells(&fields, &[c]);
+                let slow = reference::flag_cells(&fields, &[c]);
+                for p in r.iter_cells() {
+                    assert_eq!(fast.get(p), slow.get(p), "{c:?} ghost {ghost} at {p:?}");
+                }
+            }
+            let fast = flag_cells(&fields, &criteria);
+            let slow = reference::flag_cells(&fields, &criteria);
+            for p in r.iter_cells() {
+                assert_eq!(fast.get(p), slow.get(p), "union, ghost {ghost} at {p:?}");
+            }
+            assert!(fast.count() > 0 && fast.count() < r.cells(), "ghost {ghost}");
+        }
     }
 
     #[test]
