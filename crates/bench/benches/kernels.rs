@@ -1,7 +1,7 @@
 //! `cargo bench --bench kernels` — micro-benches of the hot kernels underneath the experiments:
-//! the Euler sweep, the level-0 boundary fill and build, flag buffering and
-//! Berger–Rigoutsos clustering, the balancing primitive, link timing, the
-//! probe, and the gain evaluator.
+//! the Euler sweep, the level-0 boundary fill and build, a grid split and a
+//! checkpoint restore, flag buffering and Berger–Rigoutsos clustering, the
+//! balancing primitive, link timing, the probe, and the gain evaluator.
 
 use bench::report_case;
 use dlb::{balance_level_within, evaluate_gain, BalanceParams, WorkloadHistory};
@@ -156,6 +156,46 @@ fn main() {
             let mut cfg = RunConfig::new(AppKind::Amr64, 128, 1, Scheme::distributed_default());
             cfg.max_levels = 1;
             black_box(Driver::new(sys.clone(), cfg))
+        });
+    }
+
+    // the split the global redistribution and the local phase make of a
+    // grid too large to move: a `fed_g64`-sized level-0 grid (16×8×8 cells,
+    // Amr64's six fields, ghost 1) with four refined children, two of them
+    // across the cut, so the split recurses; a transaction rolled back
+    // after each split puts the grid back without copying it
+    {
+        let mut h = GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(16, 8, 8)), 2, 2, 6, 1);
+        let root = h.insert_patch(0, region(ivec3(0, 0, 0), ivec3(16, 8, 8)), None, 0);
+        for (lo, hi) in [(0, 10), (10, 20), (20, 26), (26, 32)] {
+            h.insert_patch(1, region(ivec3(lo, 0, 0), ivec3(hi, 16, 16)), Some(root), 0);
+        }
+        let ids: Vec<_> = h.iter().map(|p| p.id).collect();
+        for id in ids {
+            for (k, f) in h.patch_mut(id).fields.iter_mut().enumerate() {
+                f.map_interior(|p, _| (p.x * 5 + p.y * 3 + p.z + k as i64) as f64);
+            }
+        }
+        report_case("split_patch_at_16x8x8_4_children", SAMPLES, || {
+            h.begin_transaction();
+            black_box(h.split_patch_at(root, 0, 6));
+            h.rollback();
+        });
+    }
+
+    // the restore of a `shock_wan`-sized snapshot: ShockPool3D at n0 = 32,
+    // four levels, after three steps on the ANL+NCSA pair
+    {
+        let mut cfg = RunConfig::new(AppKind::ShockPool3D, 32, 3, Scheme::distributed_default());
+        cfg.max_levels = 4;
+        let mut d = Driver::new(presets::anl_ncsa_wan(2, 2, 7), cfg);
+        for _ in 0..3 {
+            d.step_once();
+        }
+        let snap = samr_mesh::checkpoint::snapshot(d.hierarchy());
+        drop(d);
+        report_case("restore_shockpool3d_n32_l4_snapshot", SAMPLES, || {
+            black_box(samr_mesh::checkpoint::restore(&snap))
         });
     }
 

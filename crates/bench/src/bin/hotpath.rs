@@ -4,11 +4,13 @@
 //! initial regrid cascade, timed apart from `run()`, and split into its
 //! ghost exchanges, its regrids and the rest — mainly the level-0 build)
 //! and per phase (solve / ghost / regrid / restrict / decision), the ghost
-//! phase by part (plan / coarse_fill / sibling / messages), the peak patch
-//! count, and the process's peak resident memory (`VmHWM`) after the first
-//! and after the last repeat of each preset — the presets run one after the
-//! other in one process, so a last repeat above the first means memory
-//! grows from run to run.
+//! phase by part (plan / coarse_fill / sibling / messages), the balancer's
+//! host time by layer (`dlb_phases`: local_dlb, where grids are split,
+//! decide and migrate, from the repeat with the best decision phase), the
+//! peak patch count, and the process's peak resident memory (`VmHWM`) after
+//! the first and after the last repeat of each preset — the presets run one
+//! after the other in one process, so a last repeat above the first means
+//! memory grows from run to run.
 //!
 //! Flags: `--quick` shrinks the scale for smoke/CI runs and reports the best
 //! wall, the best setup and the best of each phase over five repeats, whose
@@ -128,6 +130,11 @@ fn main() {
             if again.wall.ghost < res.wall.ghost {
                 res.ghost_wall = again.ghost_wall;
             }
+            // and the balancer's split from the one with the best decision
+            // phase, which holds it
+            if again.wall.decision < res.wall.decision {
+                res.dlb_wall = again.dlb_wall;
+            }
             res.wall = metrics::PhaseWall {
                 solve: res.wall.solve.min(again.wall.solve),
                 ghost: res.wall.ghost.min(again.wall.ghost),
@@ -174,6 +181,10 @@ fn main() {
             (
                 "ghost_phases",
                 base::json_fields!(res.ghost_wall; plan, coarse_fill, sibling, messages),
+            ),
+            (
+                "dlb_phases",
+                base::json_fields!(res.dlb_wall; local_dlb, decide, migrate),
             ),
             (
                 "vm_hwm_mb",

@@ -11,9 +11,9 @@
 //! * `report diff A B [--tol F]` — compare two artifacts (telemetry JSONL
 //!   or `BENCH_*.json` benchmark outputs, auto-detected) after flattening
 //!   both to `name -> number` maps. Keys with a known "worse" direction
-//!   (seconds, misses, drops, anomalies up; throughput, speedups,
-//!   bit-identity down) that moved the wrong way by more than the
-//!   tolerance (default 20%) are printed as `REGRESSION` lines with the
+//!   (seconds and hotpath's `dlb_phases`, misses, drops, anomalies up;
+//!   throughput, speedups, bit-identity down) that moved the wrong way by
+//!   more than the tolerance (default 20%) are printed as `REGRESSION` lines with the
 //!   values attributed, and the exit code is 2. Identical inputs produce
 //!   no output and exit 0, so the diff can sit in CI pipelines silently.
 //!
@@ -32,6 +32,8 @@ const DEFAULT_TOL: f64 = 0.20;
 const WORSE_UP: &[&str] = &[
     "secs", "misses", "dropped", "failed", "faults", "aborted", "anomalies", "crashes", "mae",
     "overhead", "wasted", "evacuations", "quarantines", "msgs_per_decision",
+    // hotpath's balancer split (local_dlb / decide / migrate), in seconds
+    "dlb_phases",
 ];
 
 /// Key substrings where a *decrease* is a regression. Checked first:
@@ -412,6 +414,9 @@ mod tests {
         assert!(regression("msgs_per_decision", 400.0, 100.0).is_none());
         // decision wall rides the generic "secs" rule
         assert!(regression("decision_secs_per_step", 0.01, 0.05).is_some());
+        // the balancer's layers are seconds, under names of their own
+        assert!(regression("presets.amr64.dlb_phases.local_dlb", 0.01, 0.03).is_some());
+        assert!(regression("presets.amr64.dlb_phases.migrate", 0.03, 0.01).is_none());
         // undirected keys never flag
         assert!(regression("peak_patches", 1.0, 100.0).is_none());
         // growth from zero is an infinite relative change

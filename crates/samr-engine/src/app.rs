@@ -702,15 +702,17 @@ mod tests {
     }
 
     fn patch_for(app: &AppState) -> GridPatch {
-        GridPatch::new(
-            PatchId(0),
-            0,
-            Region::cube(app.n0),
-            None,
-            0,
-            app.nfields(),
-            app.ghost(),
-        )
+        let region = Region::cube(app.n0);
+        GridPatch {
+            id: PatchId(0),
+            level: 0,
+            region,
+            parent: None,
+            owner: 0,
+            fields: (0..app.nfields())
+                .map(|_| Field3::zeros(region, app.ghost()))
+                .collect(),
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::app::AppState;
 use crate::config::RunConfig;
-use crate::driver::Driver;
+use crate::driver::{Driver, REFINE_FACTOR};
 use base::json::{self, ToJson};
 use dlb::WorkloadHistory;
 use samr_mesh::checkpoint::HierarchySnapshot;
@@ -62,40 +62,43 @@ impl Driver {
     }
 
     /// Rebuild a driver from a checkpoint, continuing the physics where it
-    /// left off on (possibly) a different system or scheme. The checkpoint's
-    /// `app`/`n0`/`max_levels` must match `cfg`.
-    pub fn resume(sys: topology::DistributedSystem, cfg: RunConfig, ckpt: &Checkpoint) -> Driver {
-        assert_eq!(
-            ckpt.hierarchy.domain,
-            samr_mesh::Region::cube(cfg.n0),
-            "checkpoint domain mismatch"
-        );
-        let max_owner = ckpt
-            .hierarchy
-            .patches
-            .iter()
-            .map(|p| p.owner)
-            .max()
-            .unwrap_or(0);
-        assert!(
-            max_owner < sys.nprocs(),
-            "checkpoint references processor {max_owner} but the system has {}",
-            sys.nprocs()
-        );
+    /// left off on (possibly) a different system or scheme. The checkpoint
+    /// comes from outside the program: one whose domain, levels, fields or
+    /// particles do not match `cfg`, that names a processor `sys` lacks, or
+    /// whose hierarchy is inconsistent (see
+    /// [`samr_mesh::checkpoint::try_restore`]) is an error naming the fault.
+    pub fn resume(
+        sys: topology::DistributedSystem,
+        cfg: RunConfig,
+        ckpt: &Checkpoint,
+    ) -> Result<Driver, String> {
+        let (snap, n0) = (&ckpt.hierarchy, cfg.n0 as f64);
+        if snap.domain != samr_mesh::Region::cube(cfg.n0) {
+            return Err(format!("checkpoint domain {:?} is not the configured {n0}³", snap.domain));
+        }
+        if let Some(p) = snap.patches.iter().find(|p| p.owner >= sys.nprocs()) {
+            let (id, owner, n) = (p.id, p.owner, sys.nprocs());
+            return Err(format!("checkpoint grid {id:?} is on processor {owner} of {n} procs"));
+        }
         // a particle outside the domain would never wrap back into it
-        let n0 = cfg.n0 as f64;
-        for (i, p) in ckpt.particles.as_slice().iter().enumerate() {
-            assert!(
-                p.pos.iter().all(|x| (0.0..n0).contains(x)),
-                "checkpoint particle {i} at {:?} lies outside the domain [0, {n0})³",
-                p.pos
-            );
+        let outside = |p: &samr_solvers::Particle| !p.pos.iter().all(|x| (0.0..n0).contains(x));
+        if let Some(i) = ckpt.particles.as_slice().iter().position(outside) {
+            let at = ckpt.particles.as_slice()[i].pos;
+            return Err(format!("checkpoint particle {i} at {at:?} lies outside [0, {n0})³"));
         }
         let mut app = AppState::new(cfg.app, cfg.n0, cfg.seed);
+        let want = (REFINE_FACTOR, cfg.max_levels, app.nfields(), app.ghost());
+        let have = (snap.refine_factor, snap.max_levels, snap.nfields, snap.ghost);
+        if have != want {
+            return Err(format!(
+                "checkpoint (refinement, levels, fields, ghost) {have:?}, the {:?} run {want:?}",
+                cfg.app
+            ));
+        }
         app.particles = ckpt.particles.clone();
-        let hier = samr_mesh::checkpoint::restore(&ckpt.hierarchy);
-        assert_eq!(hier.nfields(), app.nfields(), "checkpoint app mismatch");
-        Driver::from_parts(
+        let hier = samr_mesh::checkpoint::try_restore(snap)
+            .map_err(|e| format!("checkpoint hierarchy: {e}"))?;
+        Ok(Driver::from_parts(
             simnet::SimView::new(sys),
             cfg,
             app,
@@ -103,6 +106,6 @@ impl Driver {
             ckpt.history.clone(),
             ckpt.step_count.clone(),
             ckpt.cell_updates,
-        )
+        ))
     }
 }

@@ -29,7 +29,7 @@ use simnet::{Activity, SimView};
 use topology::{DistributedSystem, ProcId, SimTime};
 
 /// Refinement factor r between levels (the paper uses 2).
-const REFINE_FACTOR: i64 = 2;
+pub(crate) const REFINE_FACTOR: i64 = 2;
 
 /// Consecutive waves a regrid fills its new grids in. Each retired grid is
 /// dropped after the wave holding its last reader, so the regrid's peak holds
@@ -1496,8 +1496,9 @@ mod tests {
             let mut built: Vec<Vec<Field3>> = regions
                 .iter()
                 .map(|&region| {
+                    let len = region.grow(ghost).cells() as usize;
                     (0..nf)
-                        .map(|_| Field3::new_in(hier.pool(), region, ghost))
+                        .map(|_| Field3::zeros_in(hier.pool().reserve(len), region, ghost))
                         .collect()
                 })
                 .collect();

@@ -42,7 +42,7 @@ fn resume_continues_exactly() {
     let ckpt = first.checkpoint();
     let json = ckpt.to_json().unwrap();
     let restored = Checkpoint::from_json(&json).unwrap();
-    let mut second = Driver::resume(sys, cfg(4), &restored);
+    let mut second = Driver::resume(sys, cfg(4), &restored).unwrap();
     second.step_once();
     second.step_once();
 
@@ -67,7 +67,7 @@ fn resume_onto_a_different_system() {
     let ckpt = first.checkpoint();
 
     let wan = presets::anl_ncsa_wan(2, 2, 7);
-    let mut resumed = Driver::resume(wan, cfg(4), &ckpt);
+    let mut resumed = Driver::resume(wan, cfg(4), &ckpt).unwrap();
     // hierarchy intact and stepping works
     assert!(resumed.hierarchy().check_invariants().is_ok());
     let before = resumed.hierarchy().level_cells(0);
@@ -185,32 +185,40 @@ fn damaged_checkpoint_documents_are_errors_with_a_path() {
     );
 }
 
+/// The fault `resume` reports for `ckpt` on `sys` under `cfg`.
+fn refusal(sys: topology::DistributedSystem, cfg: RunConfig, ckpt: &Checkpoint) -> String {
+    match Driver::resume(sys, cfg, ckpt) {
+        Ok(_) => panic!("resume accepted a checkpoint it should refuse"),
+        Err(e) => e,
+    }
+}
+
 #[test]
-#[should_panic]
 fn mismatched_domain_rejected() {
     let sys = presets::single_origin2000(1);
     let d = Driver::new(sys.clone(), cfg(1));
     let ckpt = d.checkpoint();
     let mut wrong = cfg(1);
     wrong.n0 = 24;
-    let _ = Driver::resume(sys, wrong, &ckpt);
+    let e = refusal(sys, wrong, &ckpt);
+    assert!(e.starts_with("checkpoint domain "), "{e}");
+    assert!(e.contains("is not the configured"), "{e}");
 }
 
 #[test]
-#[should_panic]
 fn resume_onto_too_small_system_rejected() {
     let sys = presets::single_origin2000(2);
     let mut d = Driver::new(sys, cfg(1));
     d.step_once();
     let ckpt = d.checkpoint();
     // grids owned by proc 1 cannot live on a 1-proc system
-    let _ = Driver::resume(presets::single_origin2000(1), cfg(1), &ckpt);
+    let e = refusal(presets::single_origin2000(1), cfg(1), &ckpt);
+    assert!(e.ends_with("is on processor 1 of 1 procs"), "{e}");
 }
 
 /// A particle outside `[0, n0)³` is refused by `resume`, naming the
 /// particle: drifting it would never wrap it back into the domain.
 #[test]
-#[should_panic(expected = "checkpoint particle 0 at [1e300, ")]
 fn particle_outside_the_domain_rejected() {
     let sys = presets::anl_lan_pair(1, 1, 3);
     let mut c = RunConfig::new(AppKind::Amr64, 16, 1, Scheme::distributed_default());
@@ -219,5 +227,48 @@ fn particle_outside_the_domain_rejected() {
     let mut doc = base::json::parse(&d.checkpoint().to_json().unwrap()).unwrap();
     *at(&mut doc, &["particles", "particles", "0", "pos", "0"]) = Json::Num(1e300);
     let ckpt = <Checkpoint as FromJson>::from_json(&doc).unwrap();
-    let _ = Driver::resume(sys, c, &ckpt);
+    let e = refusal(sys, c, &ckpt);
+    assert!(e.starts_with("checkpoint particle 0 at [1e300, "), "{e}");
+    assert!(e.ends_with("lies outside [0, 16)³"), "{e}");
+}
+
+/// A well-formed document whose hierarchy cannot be: each fault is refused
+/// by `resume` with the patch it names, and a checkpoint of another app
+/// (another field count) or another depth likewise.
+#[test]
+fn inconsistent_checkpoint_hierarchies_are_errors() {
+    let sys = presets::single_origin2000(2);
+    let mut d = Driver::new(sys.clone(), cfg(2));
+    d.step_once();
+    let ckpt = d.checkpoint();
+    let patches = &ckpt.hierarchy.patches;
+    let fine = patches.iter().position(|p| p.level == 1).expect("a refined grid");
+    let refused = |tamper: &dyn Fn(&mut Checkpoint)| {
+        let mut bad = ckpt.clone();
+        tamper(&mut bad);
+        refusal(sys.clone(), cfg(2), &bad)
+    };
+
+    let e = refused(&|c| c.hierarchy.patches[fine].id = c.hierarchy.patches[0].id);
+    let dup = format!("checkpoint hierarchy: {:?} already in use", patches[0].id);
+    assert_eq!(e, dup);
+    let e = refused(&|c| c.hierarchy.patches[fine].region.lo.x = -1);
+    assert!(e.starts_with("checkpoint hierarchy: "), "{e}");
+    assert!(e.ends_with("outside the level-1 domain"), "{e}");
+    let e = refused(&|c| c.hierarchy.nfields += 1);
+    let shape = "checkpoint (refinement, levels, fields, ghost) (2, 3, 6, 1), \
+                 the ShockPool3D run (2, 3, 5, 1)";
+    assert_eq!(e, shape);
+
+    let mut amr = RunConfig::new(AppKind::Amr64, 16, 1, Scheme::Static);
+    amr.max_levels = 3;
+    let e = refusal(sys.clone(), amr, &ckpt);
+    assert!(e.ends_with("(2, 3, 5, 1), the Amr64 run (2, 3, 6, 1)"), "{e}");
+    // a hierarchy one level deeper than the run could hold
+    let e = refusal(sys, cfg(2), &{
+        let mut deeper = ckpt.clone();
+        deeper.hierarchy.max_levels = 4;
+        deeper
+    });
+    assert!(e.ends_with("(2, 4, 5, 1), the ShockPool3D run (2, 3, 5, 1)"), "{e}");
 }

@@ -21,14 +21,7 @@ base::json_struct!(HierarchySnapshot: refine_factor, max_levels, ghost, nfields,
 
 /// Capture the full state of `hier`.
 pub fn snapshot(hier: &GridHierarchy) -> HierarchySnapshot {
-    HierarchySnapshot {
-        refine_factor: hier.refine_factor(),
-        max_levels: hier.max_levels(),
-        ghost: hier.ghost(),
-        nfields: hier.nfields(),
-        domain: hier.domain(),
-        patches: hier.iter().cloned().collect(),
-    }
+    snapshot_in(hier, &crate::pool::FieldPool::new())
 }
 
 /// Like [`snapshot`], but every cloned field's backing store is drawn from
@@ -43,12 +36,8 @@ pub fn snapshot_in(hier: &GridHierarchy, pool: &crate::pool::FieldPool) -> Hiera
         patches: hier
             .iter()
             .map(|p| GridPatch {
-                id: p.id,
-                level: p.level,
-                region: p.region,
-                parent: p.parent,
-                owner: p.owner,
                 fields: p.fields.iter().map(|f| f.clone_in(pool)).collect(),
+                ..*p
             })
             .collect(),
     }
@@ -61,34 +50,50 @@ impl HierarchySnapshot {
 }
 
 /// Rebuild a hierarchy from a snapshot. Structure, ids, owners, parents and
-/// field data are restored exactly; the result satisfies
-/// [`GridHierarchy::check_invariants`] iff the snapshot did.
+/// field data are restored exactly. Panics where [`try_restore`] errs: for
+/// snapshots the program took itself.
 pub fn restore(snap: &HierarchySnapshot) -> GridHierarchy {
-    let mut hier = GridHierarchy::new(
+    try_restore(snap).expect("a snapshot of a consistent hierarchy")
+}
+
+/// Rebuild a hierarchy from a snapshot that may come from outside the
+/// program. Each patch adopts copies of its recorded fields under its
+/// recorded id, through the insert check every grid passes (a duplicate id,
+/// a level at or past `max_levels`, a region outside its level's domain or
+/// its parent, a field of the wrong shape are errors); then the whole
+/// hierarchy must pass [`GridHierarchy::check_invariants`] (overlapping
+/// siblings) and its level 0 must tile the domain.
+pub fn try_restore(snap: &HierarchySnapshot) -> Result<GridHierarchy, String> {
+    let mut hier = GridHierarchy::try_new(
         snap.domain,
         snap.refine_factor,
         snap.max_levels,
         snap.nfields,
         snap.ghost,
-    );
+    )?;
+    let pool = hier.pool().clone();
     // insert in (level, id) order so parents exist before children
     let mut by_level: Vec<&GridPatch> = snap.patches.iter().collect();
     by_level.sort_by_key(|p| (p.level, p.id));
     for p in by_level {
-        hier.insert_patch_with_id(p.id, p.level, p.region, p.parent, p.owner);
-        // copy the snapshot data into the zero fields the insert created
-        let dst = hier.patch_mut(p.id);
-        for (d, s) in dst.fields.iter_mut().zip(&p.fields) {
-            debug_assert_eq!(d.storage_region(), s.storage_region());
-            d.copy_from(s, &s.storage_region());
-        }
+        hier.try_adopt(GridPatch {
+            fields: p.fields.iter().map(|f| f.clone_in(&pool)).collect(),
+            ..*p
+        })?;
     }
-    hier
+    hier.check_invariants()?;
+    let (covered, cells) = (hier.level_cells(0), snap.domain.cells());
+    if covered != cells {
+        return Err(format!("level 0 covers {covered} of the domain's {cells} cells"));
+    }
+    Ok(hier)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::Field3;
+    use crate::patch::PatchId;
     use crate::{ivec3, region};
 
     fn sample() -> GridHierarchy {
@@ -147,6 +152,76 @@ mod tests {
         // every cloned field was drawn through the hierarchy's pool
         assert_eq!(pool.stats().misses - before, 2 * 2);
         pooled.recycle(&pool);
+    }
+
+    /// Two level-0 grids side by side, each with one child.
+    fn two_roots() -> GridHierarchy {
+        let mut h = GridHierarchy::new(region(ivec3(0, 0, 0), ivec3(16, 8, 8)), 2, 3, 2, 1);
+        let a = h.insert_patch(0, region(ivec3(0, 0, 0), ivec3(8, 8, 8)), None, 0);
+        let b = h.insert_patch(0, region(ivec3(8, 0, 0), ivec3(16, 8, 8)), None, 1);
+        h.insert_patch(1, region(ivec3(2, 2, 2), ivec3(8, 8, 8)), Some(a), 0);
+        h.insert_patch(1, region(ivec3(20, 0, 0), ivec3(28, 8, 8)), Some(b), 1);
+        h.patch_mut(b).fields[1].map_interior(|p, _| p.z as f64);
+        h
+    }
+
+    /// What `try_restore` reports for `snap` after `tamper`.
+    fn tampered(tamper: impl FnOnce(&mut HierarchySnapshot)) -> String {
+        let mut snap = snapshot(&two_roots());
+        tamper(&mut snap);
+        match try_restore(&snap) {
+            Ok(_) => panic!("a tampered snapshot was restored"),
+            Err(e) => e,
+        }
+    }
+
+    /// A snapshot from outside the program that no hierarchy can be is an
+    /// error naming the patch at fault, never a panic: through the insert
+    /// check (duplicate id, level past `max_levels`, child outside its
+    /// parent, wrong field count or shape), then the whole-hierarchy
+    /// invariants (overlapping siblings) and level 0's tiling.
+    #[test]
+    fn tampered_snapshots_are_errors() {
+        let good = snapshot(&two_roots());
+        let back = try_restore(&good).expect("an untampered snapshot restores");
+        assert_eq!(back.num_patches(), 4);
+        assert_eq!(tampered(|s| s.patches[3].id = PatchId(0)), "g0 already in use");
+        assert_eq!(
+            tampered(|s| s.patches[2].level = 3),
+            "g2: level 3 exceeds max_levels 3"
+        );
+        // inside the domain, but under the other root
+        let e = tampered(|s| s.patches[2].region = region(ivec3(16, 0, 0), ivec3(20, 4, 4)));
+        assert!(e.starts_with("g2: region ") && e.contains("not inside parent g0"), "{e}");
+        let e = tampered(|s| s.patches[3].fields[1] = Field3::zeros(Region::cube(4), 1));
+        assert!(e.starts_with("g3: a field over "), "{e}");
+        let e = tampered(|s| s.patches[3].fields.truncate(1));
+        assert_eq!(e, "g3: 1 fields, the hierarchy holds 2");
+        let e = tampered(|s| s.patches[1].region.hi.x = 17);
+        assert!(e.ends_with("outside the level-0 domain"), "{e}");
+        // a sibling over g3: each insert is fine, the level is not
+        let e = tampered(|s| {
+            let mut twin = s.patches[3].clone();
+            twin.id = PatchId(9);
+            twin.region = region(ivec3(24, 4, 4), ivec3(30, 8, 8));
+            twin.fields = (0..2).map(|_| Field3::zeros(twin.region, 1)).collect();
+            s.patches.push(twin);
+        });
+        assert_eq!(e, "g3 and g9 overlap at level 1");
+        let e = tampered(|s| {
+            s.patches.retain(|p| p.id != PatchId(1) && p.id != PatchId(3));
+        });
+        assert_eq!(e, "level 0 covers 512 of the domain's 1024 cells");
+        let e = tampered(|s| s.refine_factor = 1);
+        assert!(e.starts_with("no hierarchy has refinement factor 1, 3 levels"), "{e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "a snapshot of a consistent hierarchy: \"g0 already in use\"")]
+    fn restore_panics_where_try_restore_errs() {
+        let mut snap = snapshot(&two_roots());
+        snap.patches[3].id = PatchId(0);
+        restore(&snap);
     }
 
     #[test]

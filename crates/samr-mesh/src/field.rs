@@ -86,21 +86,6 @@ impl Field3 {
         f
     }
 
-    /// Like [`Field3::zeros`], but the backing store is drawn from (and
-    /// counted by) `pool`. Bit-identical to a fresh `zeros` field.
-    pub fn new_in(pool: &crate::pool::FieldPool, interior: Region, ghost: i64) -> Self {
-        assert!(ghost >= 0);
-        assert!(!interior.is_empty(), "field over empty region");
-        let storage = interior.grow(ghost);
-        let data = pool.acquire(storage.cells() as usize);
-        Field3 {
-            interior,
-            ghost,
-            storage,
-            data,
-        }
-    }
-
     /// A zero-filled field over `interior` with `ghost` ghost cells, built in
     /// `buf` — an empty buffer reserved elsewhere, e.g. by
     /// [`FieldPool::reserve`](crate::pool::FieldPool::reserve) on another

@@ -77,10 +77,26 @@ enum Undo {
 impl GridHierarchy {
     /// Create a hierarchy whose level-0 domain is `domain`, with no patches.
     pub fn new(domain: Region, refine_factor: i64, max_levels: usize, nfields: usize, ghost: i64) -> Self {
-        assert!(refine_factor >= 2, "refinement factor must be >= 2");
-        assert!(max_levels >= 1);
-        assert!(!domain.is_empty());
-        GridHierarchy {
+        Self::try_new(domain, refine_factor, max_levels, nfields, ghost)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`GridHierarchy::new`], with a shape it cannot hold reported instead
+    /// of panicking (a snapshot read from outside the program).
+    pub(crate) fn try_new(
+        domain: Region,
+        refine_factor: i64,
+        max_levels: usize,
+        nfields: usize,
+        ghost: i64,
+    ) -> Result<Self, String> {
+        if refine_factor < 2 || max_levels < 1 || domain.is_empty() || ghost < 0 {
+            return Err(format!(
+                "no hierarchy has refinement factor {refine_factor}, {max_levels} levels, \
+                 domain {domain:?} and ghost width {ghost}"
+            ));
+        }
+        Ok(GridHierarchy {
             refine_factor,
             max_levels,
             ghost,
@@ -94,7 +110,7 @@ impl GridHierarchy {
             topo_cache: Vec::new(),
             pool: crate::pool::FieldPool::new(),
             undo: None,
-        }
+        })
     }
 
     /// The hierarchy's field-buffer pool: callers that allocate fields for
@@ -217,18 +233,10 @@ impl GridHierarchy {
         }
     }
 
-    /// Allocate a fresh patch id.
-    fn fresh_id(&mut self) -> PatchId {
-        let id = PatchId(self.next_id);
-        self.next_id += 1;
-        id
-    }
-
-    /// Insert a new patch at `level` covering `region` (level-`level`
-    /// coordinates), owned by `owner`. Returns its id.
-    ///
-    /// The caller is responsible for region validity (inside the level
-    /// domain, non-empty). Parent must be given for `level > 0`.
+    /// Insert a new patch of zero fields at `level` covering `region`
+    /// (level-`level` coordinates), owned by `owner`: shorthand for
+    /// [`GridHierarchy::insert_patch_with_fields`] with pool-counted zero
+    /// fields. Returns its id.
     pub fn insert_patch(
         &mut self,
         level: usize,
@@ -236,18 +244,13 @@ impl GridHierarchy {
         parent: Option<PatchId>,
         owner: OwnerProc,
     ) -> PatchId {
-        assert!(!region.is_empty(), "inserting empty patch region");
-        assert!(level < self.max_levels, "level {level} exceeds max_levels");
-        assert!(
-            self.domain_at_level(level).contains_region(&region),
-            "patch region {region:?} outside level-{level} domain"
-        );
-        assert_eq!(level == 0, parent.is_none(), "non-root patches need a parent");
-        let id = self.fresh_id();
-        let patch =
-            GridPatch::new_in(&self.pool, id, level, region, parent, owner, self.nfields, self.ghost);
-        self.insert_prepared(level, patch);
-        id
+        let len = region.grow(self.ghost).cells() as usize;
+        // an empty region has no field to build: the insert check refuses it
+        let nfields = if region.is_empty() { 0 } else { self.nfields };
+        let fields = (0..nfields)
+            .map(|_| Field3::zeros_in(self.pool.reserve(len), region, self.ghost))
+            .collect();
+        self.insert_patch_with_fields(level, region, parent, owner, fields)
     }
 
     /// Fill the interiors of `fields` — the fields of a patch about to be
@@ -290,9 +293,10 @@ impl GridHierarchy {
 
     /// Insert a new patch at `level` that adopts `fields` (built over
     /// `region` with this hierarchy's field count and ghost width, filled
-    /// e.g. by [`GridHierarchy::fill_refined_fields`], or initialised by the
-    /// application for a level-0 patch). Same validity rules and id
-    /// allocation as [`GridHierarchy::insert_patch`].
+    /// e.g. by [`GridHierarchy::fill_refined_fields`], initialised by the
+    /// application for a level-0 patch, or cut from a split patch). The one
+    /// way a grid enters the hierarchy, through one check: panics on a
+    /// patch the hierarchy cannot hold. Returns the patch's fresh id.
     pub fn insert_patch_with_fields(
         &mut self,
         level: usize,
@@ -301,27 +305,7 @@ impl GridHierarchy {
         owner: OwnerProc,
         fields: Vec<Field3>,
     ) -> PatchId {
-        assert!(level < self.max_levels, "level {level} exceeds max_levels");
-        assert!(
-            self.domain_at_level(level).contains_region(&region),
-            "patch region {region:?} outside level-{level} domain"
-        );
-        assert_eq!(level == 0, parent.is_none(), "non-root patches need a parent");
-        if let Some(parent) = parent {
-            assert_eq!(
-                self.patch(parent).level + 1,
-                level,
-                "parent must be one level up"
-            );
-        }
-        assert_eq!(fields.len(), self.nfields, "wrong field count");
-        assert!(
-            fields
-                .iter()
-                .all(|f| f.interior() == region && f.ghost() == self.ghost),
-            "fields not shaped for {region:?}"
-        );
-        let id = self.fresh_id();
+        let id = PatchId(self.next_id);
         let patch = GridPatch {
             id,
             level,
@@ -330,12 +314,16 @@ impl GridHierarchy {
             owner,
             fields,
         };
-        self.insert_prepared(level, patch);
+        self.try_adopt(patch).unwrap_or_else(|e| panic!("{e}"));
         id
     }
 
-    fn insert_prepared(&mut self, level: usize, patch: GridPatch) {
-        let id = patch.id;
+    /// Insert `patch` under its own id, after [`GridHierarchy::check_insert`];
+    /// the fresh-id counter moves past the id, so later inserts never
+    /// collide with it. Checkpoint restore adopts recorded ids through here.
+    pub(crate) fn try_adopt(&mut self, patch: GridPatch) -> Result<(), String> {
+        self.check_insert(&patch)?;
+        let (id, level) = (patch.id, patch.level);
         self.ensure_level(level);
         debug_assert!(
             self.levels[level].last().is_none_or(|&last| last < id),
@@ -344,9 +332,68 @@ impl GridHierarchy {
         self.levels[level].push(id);
         self.parents[level].push(patch.parent);
         self.patches.insert(id, patch);
+        self.next_id = self.next_id.max(id.0 + 1);
         self.bump_topology(level);
         if let Some(log) = &mut self.undo {
             log.records.push(Undo::Inserted { id });
+        }
+        Ok(())
+    }
+
+    /// What a patch must be to enter the hierarchy: a new id, a place
+    /// ([`GridHierarchy::check_invariants`] holds every patch to the same),
+    /// and this hierarchy's field count, each field shaped for the region
+    /// and ghost width.
+    fn check_insert(&self, p: &GridPatch) -> Result<(), String> {
+        if self.patches.contains_key(&p.id) {
+            return Err(format!("{:?} already in use", p.id));
+        }
+        self.check_place(p)?;
+        if p.fields.len() != self.nfields {
+            let n = p.fields.len();
+            return Err(format!("{:?}: {n} fields, the hierarchy holds {}", p.id, self.nfields));
+        }
+        match p.fields.iter().find(|f| f.interior() != p.region || f.ghost() != self.ghost) {
+            Some(f) => Err(format!(
+                "{:?}: a field over {:?} with ghost width {}, not {:?} with {}",
+                p.id,
+                f.interior(),
+                f.ghost(),
+                p.region,
+                self.ghost
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// A patch's place: a level below `max_levels`, a non-empty region
+    /// inside that level's domain, and a parent exactly when the level is
+    /// above 0 — one level up and containing the coarsened region.
+    fn check_place(&self, p: &GridPatch) -> Result<(), String> {
+        let (id, level, region) = (p.id, p.level, p.region);
+        if level >= self.max_levels {
+            return Err(format!("{id:?}: level {level} exceeds max_levels {}", self.max_levels));
+        }
+        if region.is_empty() || !self.domain_at_level(level).contains_region(&region) {
+            let what = format!("{id:?}: region {region:?}");
+            return Err(format!("{what} empty or outside the level-{level} domain"));
+        }
+        match (level, p.parent) {
+            (0, None) => Ok(()),
+            (0, Some(par)) => Err(format!("{id:?} at level 0 has parent {par:?}")),
+            (_, None) => Err(format!("{id:?} at level {level} has no parent")),
+            (_, Some(par)) => {
+                let pp = (self.patches.get(&par))
+                    .ok_or_else(|| format!("{id:?}: parent {par:?} is not in the hierarchy"))?;
+                if pp.level + 1 != level {
+                    Err(format!("{id:?}: parent {par:?} is not one level up"))
+                } else if !pp.region.contains_region(&region.coarsen(self.refine_factor)) {
+                    let preg = pp.region;
+                    Err(format!("{id:?}: region {region:?} not inside parent {par:?} ({preg:?})"))
+                } else {
+                    Ok(())
+                }
+            }
         }
     }
 
@@ -472,32 +519,6 @@ impl GridHierarchy {
         self.next_id = log.next_id;
     }
 
-    /// Insert a patch under a caller-chosen id (checkpoint restore support).
-    /// The id must be unused; the fresh-id counter is bumped past it so
-    /// future insertions never collide. Same validity rules as
-    /// [`GridHierarchy::insert_patch`].
-    pub fn insert_patch_with_id(
-        &mut self,
-        id: PatchId,
-        level: usize,
-        region: Region,
-        parent: Option<PatchId>,
-        owner: OwnerProc,
-    ) {
-        assert!(!self.patches.contains_key(&id), "{id:?} already in use");
-        assert!(!region.is_empty(), "inserting empty patch region");
-        assert!(level < self.max_levels, "level {level} exceeds max_levels");
-        assert!(
-            self.domain_at_level(level).contains_region(&region),
-            "patch region {region:?} outside level-{level} domain"
-        );
-        assert_eq!(level == 0, parent.is_none(), "non-root patches need a parent");
-        let patch =
-            GridPatch::new_in(&self.pool, id, level, region, parent, owner, self.nfields, self.ghost);
-        self.insert_prepared(level, patch);
-        self.next_id = self.next_id.max(id.0 + 1);
-    }
-
     /// Run `f` with two *distinct* patches borrowed at once, `dst` mutably —
     /// the split-borrow accessor the zero-clone data paths are built on
     /// (prolong from a parent into a child, copy a sibling window) without
@@ -534,11 +555,12 @@ impl GridHierarchy {
     }
 
     /// Split patch `id` at plane `cut` (its own level's coordinates) normal
-    /// to `axis`. Field data is copied into the two new patches. Children
-    /// fully inside one half reattach to it; children straddling the cut are
-    /// recursively split at the same plane so the parent-containment
-    /// invariant always holds. Returns the two new ids `(low, high)`;
-    /// patch `id` is removed.
+    /// to `axis`. Each new patch's fields are built from the removed
+    /// patch's: interior copied, ghost cells zero (the level's next ghost
+    /// exchange writes them). Children fully inside one half reattach to
+    /// it; children straddling the cut are recursively split at the same
+    /// plane so the parent-containment invariant always holds. Returns the
+    /// two new ids `(low, high)`; patch `id` is removed.
     pub fn split_patch_at(&mut self, id: PatchId, axis: usize, cut: i64) -> (PatchId, PatchId) {
         let (level, region, parent, owner) = {
             let p = self.patch(id);
@@ -551,17 +573,20 @@ impl GridHierarchy {
         );
         let children = self.children(id, level);
 
-        let a = self.insert_patch(level, ra, parent, owner);
-        let b = self.insert_patch(level, rb, parent, owner);
-        // copy solution data straight out of the doomed patch — the
-        // split-borrow accessor avoids snapshotting its whole field set
-        for (dst, half) in [(a, ra), (b, rb)] {
-            self.with_patch_pair(id, dst, |src, d| {
-                for (k, of) in src.fields.iter().enumerate() {
-                    d.fields[k].copy_from(of, &half);
-                }
-            });
-        }
+        // each half's fields: pool buffers, zero, with the doomed patch's
+        // interior copied in (a one-pass build of each row is slower)
+        let [fa, fb] = [ra, rb].map(|half| {
+            let len = half.grow(self.ghost).cells() as usize;
+            let doomed = &self.patches[&id].fields;
+            let half_of = |f: &Field3| {
+                let mut h = Field3::zeros_in(self.pool.reserve(len), half, self.ghost);
+                h.copy_from(f, &half);
+                h
+            };
+            doomed.iter().map(half_of).collect::<Vec<_>>()
+        });
+        let a = self.insert_patch_with_fields(level, ra, parent, owner, fa);
+        let b = self.insert_patch_with_fields(level, rb, parent, owner, fb);
         // reattach (splitting straddlers at the refined cut plane)
         let fine_cut = cut * self.refine_factor;
         for c in children {
@@ -790,34 +815,7 @@ impl GridHierarchy {
                 if p.parent != *link {
                     return Err(format!("{id:?}: level {l} links it to {link:?}"));
                 }
-                if p.region.is_empty() {
-                    return Err(format!("{id:?} has empty region"));
-                }
-                if !self.domain_at_level(l).contains_region(&p.region) {
-                    return Err(format!("{id:?} region {:?} outside domain", p.region));
-                }
-                match (l, p.parent) {
-                    (0, Some(_)) => return Err(format!("{id:?} at level 0 has a parent")),
-                    (0, None) => {}
-                    (_, None) => return Err(format!("{id:?} at level {l} has no parent")),
-                    (_, Some(par)) => {
-                        let pp = self
-                            .patches
-                            .get(&par)
-                            .ok_or_else(|| format!("{id:?} parent {par:?} missing"))?;
-                        if pp.level + 1 != l {
-                            return Err(format!("{id:?} parent {par:?} not one level up"));
-                        }
-                        // child must lie within its parent (outer-coarsened)
-                        let creg = p.region.coarsen(self.refine_factor);
-                        if !pp.region.contains_region(&creg) {
-                            return Err(format!(
-                                "{id:?} ({:?}) not inside parent {par:?} ({:?})",
-                                p.region, pp.region
-                            ));
-                        }
-                    }
-                }
+                self.check_place(p)?;
             }
             // siblings must be pairwise disjoint
             for (i, a) in ids.iter().enumerate() {
@@ -1123,6 +1121,51 @@ mod tests {
                 .copied()
                 .filter(|c| self.patch(*c).parent == Some(id))
                 .collect()
+        }
+
+        /// The split before each half was cut out of the doomed patch: a
+        /// zero-filled insert per half, then `copy_from` of its interior
+        /// through [`GridHierarchy::with_patch_pair`] — verbatim, the oracle
+        /// [`GridHierarchy::split_patch_at`] is compared against.
+        fn split_patch_at_reference(&mut self, id: PatchId, axis: usize, cut: i64) -> (PatchId, PatchId) {
+            let (level, region, parent, owner) = {
+                let p = self.patch(id);
+                (p.level, p.region, p.parent, p.owner)
+            };
+            let (ra, rb) = region.split_at(axis, cut);
+            assert!(
+                !ra.is_empty() && !rb.is_empty(),
+                "cut {cut} does not bisect {region:?} on axis {axis}"
+            );
+            let children = self.children(id, level);
+
+            let a = self.insert_patch(level, ra, parent, owner);
+            let b = self.insert_patch(level, rb, parent, owner);
+            // copy solution data straight out of the doomed patch — the
+            // split-borrow accessor avoids snapshotting its whole field set
+            for (dst, half) in [(a, ra), (b, rb)] {
+                self.with_patch_pair(id, dst, |src, d| {
+                    for (k, of) in src.fields.iter().enumerate() {
+                        d.fields[k].copy_from(of, &half);
+                    }
+                });
+            }
+            // reattach (splitting straddlers at the refined cut plane)
+            let fine_cut = cut * self.refine_factor;
+            for c in children {
+                let creg = self.patch(c).region;
+                if creg.hi[axis] <= fine_cut {
+                    self.set_parent(c, Some(a));
+                } else if creg.lo[axis] >= fine_cut {
+                    self.set_parent(c, Some(b));
+                } else {
+                    let (ca, cb) = self.split_patch_at_reference(c, axis, fine_cut);
+                    self.set_parent(ca, Some(a));
+                    self.set_parent(cb, Some(b));
+                }
+            }
+            self.remove_patch(id);
+            (a, b)
         }
 
         /// Every patch's children from the parent links equal the arena
@@ -1836,6 +1879,155 @@ mod tests {
         let mut h = basic();
         h.begin_transaction();
         h.begin_transaction();
+    }
+
+    /// A random nested hierarchy: one or two level-0 grids tiling the
+    /// domain, then up to three tries per grid of a child box inside it
+    /// (kept when it meets no sibling), two levels down; and one split of
+    /// it — the grid picked, the axis and the cut as fractions — run bare,
+    /// or in a transaction that is committed or rolled back.
+    #[derive(Clone, Debug)]
+    struct SplitCase {
+        domain: Region,
+        ghost: i64,
+        nfields: usize,
+        /// (level, region, index of the parent grid, owner), parents first
+        grids: Vec<(usize, Region, Option<usize>, usize)>,
+        pick: usize,
+        axis: usize,
+        frac: f64,
+        /// 0 bare, 1 committed, 2 rolled back
+        mode: u8,
+    }
+
+    fn arb_split_case(g: &mut base::prop::Gen) -> SplitCase {
+        let size = ivec3(g.i64(2..9), g.i64(1..6), g.i64(1..6));
+        let domain = region(ivec3(0, 0, 0), size);
+        let mut grids = Vec::new();
+        let x_cut = if g.bool() { g.i64(1..size.x) } else { size.x };
+        let (lo, hi) = domain.split_at(0, x_cut);
+        for root in [lo, hi].into_iter().filter(|r| !r.is_empty()) {
+            grids.push((0, root, None, g.usize(0..4)));
+        }
+        for level in 1..3 {
+            let mut placed: Vec<Region> = Vec::new();
+            for pi in 0..grids.len() {
+                let (plevel, preg, _, _) = grids[pi];
+                if plevel + 1 != level {
+                    continue;
+                }
+                let fine = preg.refine(2);
+                for _ in 0..g.usize(0..4) {
+                    let mut b = fine;
+                    for k in 0..3 {
+                        let lo = g.i64(fine.lo[k]..fine.hi[k]);
+                        b.lo[k] = lo;
+                        b.hi[k] = g.i64(lo + 1..fine.hi[k] + 1);
+                    }
+                    if placed.iter().all(|o| !o.overlaps(&b)) {
+                        placed.push(b);
+                        grids.push((level, b, Some(pi), g.usize(0..4)));
+                    }
+                }
+            }
+        }
+        SplitCase {
+            domain,
+            ghost: g.i64(0..3),
+            nfields: g.usize(1..3),
+            grids,
+            pick: g.usize(0..64),
+            axis: g.usize(0..3),
+            frac: g.f64(0.0..1.0),
+            mode: g.u32(0..3) as u8,
+        }
+    }
+
+    impl SplitCase {
+        /// The case's hierarchy, every storage cell (ghosts included)
+        /// scrambled.
+        fn build(&self) -> GridHierarchy {
+            let mut h = GridHierarchy::new(self.domain, 2, 3, self.nfields, self.ghost);
+            let mut ids = Vec::new();
+            for &(level, reg, parent, owner) in &self.grids {
+                let id = h.insert_patch(level, reg, parent.map(|i| ids[i]), owner);
+                for k in 0..self.nfields {
+                    scramble(&mut h.patch_mut(id).fields[k], id.0 * 3 + k as u64);
+                }
+                ids.push(id);
+            }
+            assert_eq!(h.check_invariants(), Ok(()));
+            h
+        }
+
+        /// The (grid, axis, plane) the case splits at: the first grid from
+        /// `pick` on, and from `axis` on its first axis at least two cells
+        /// across; `None` when no grid is.
+        fn cut(&self, h: &GridHierarchy) -> Option<(PatchId, usize, i64)> {
+            let ids: Vec<PatchId> = h.iter().map(|p| p.id).collect();
+            (0..ids.len() * 3).find_map(|k| {
+                let id = ids[(self.pick + k / 3) % ids.len()];
+                let axis = (self.axis + k) % 3;
+                let (lo, hi) = (h.patch(id).region.lo[axis], h.patch(id).region.hi[axis]);
+                let cut = lo + 1 + ((hi - lo - 1) as f64 * self.frac) as i64;
+                (hi - lo >= 2).then_some((id, axis, cut))
+            })
+        }
+
+        /// Split `h` with `split` in the case's mode; the pool-count delta.
+        fn run(
+            &self,
+            h: &mut GridHierarchy,
+            split: impl FnOnce(&mut GridHierarchy, PatchId, usize, i64) -> (PatchId, PatchId),
+        ) -> u64 {
+            let before = h.pool().stats().misses;
+            if let Some((id, axis, cut)) = self.cut(h) {
+                if self.mode > 0 {
+                    h.begin_transaction();
+                }
+                split(h, id, axis, cut);
+                match self.mode {
+                    1 => h.commit(),
+                    2 => h.rollback(),
+                    _ => {}
+                }
+            }
+            h.pool().stats().misses - before
+        }
+    }
+
+    /// A split builds each half's fields from the doomed patch and inserts
+    /// them with their data; the result must equal the zero-insert-then-copy
+    /// split it replaced — ids, parents, owners, level order, the fresh-id counter,
+    /// every storage bit (ghosts included) and the fields drawn from the
+    /// pool — on random nested hierarchies whose children lie in one half,
+    /// straddle the cut and split recursively, bare and inside a
+    /// transaction that is committed or rolled back.
+    #[test]
+    fn split_matches_the_zero_insert_then_copy_reference() {
+        // cases whose cut crosses a child, so the split recurses
+        let straddled = std::cell::Cell::new(0u32);
+        base::prop::check(base::prop::CASES, arb_split_case, |case| {
+            let (mut h, mut want) = (case.build(), case.build());
+            if let Some((id, axis, cut)) = case.cut(&h) {
+                let level = h.patch(id).level;
+                let crosses = |c: &PatchId| {
+                    let r = h.patch(*c).region;
+                    r.lo[axis] < cut * 2 && cut * 2 < r.hi[axis]
+                };
+                straddled.set(straddled.get() + h.children(id, level).iter().any(crosses) as u32);
+            }
+            let drawn = case.run(&mut h, |h, id, axis, cut| h.split_patch_at(id, axis, cut));
+            let drawn_want =
+                case.run(&mut want, |h, id, axis, cut| h.split_patch_at_reference(id, axis, cut));
+            assert_matches_snapshot(&h, &crate::checkpoint::snapshot(&want), &want.levels);
+            assert_eq!(h.parents, want.parents);
+            assert_eq!(h.next_id, want.next_id);
+            assert_eq!(drawn, drawn_want, "fields drawn from the pool");
+            assert_eq!(h.check_invariants(), Ok(()));
+            h.assert_children_match_the_arena();
+        });
+        assert!(straddled.get() >= base::prop::CASES / 8, "{} straddling cases", straddled.get());
     }
 
     #[test]

@@ -56,54 +56,6 @@ pub struct GridPatch {
 base::json_struct!(GridPatch: id, level, region, parent, owner, fields);
 
 impl GridPatch {
-    /// Create a patch with `nfields` zero-initialized fields of ghost width
-    /// `ghost`.
-    pub fn new(
-        id: PatchId,
-        level: usize,
-        region: Region,
-        parent: Option<PatchId>,
-        owner: OwnerProc,
-        nfields: usize,
-        ghost: i64,
-    ) -> Self {
-        let fields = (0..nfields).map(|_| Field3::zeros(region, ghost)).collect();
-        GridPatch {
-            id,
-            level,
-            region,
-            parent,
-            owner,
-            fields,
-        }
-    }
-
-    /// Like [`GridPatch::new`], but every field's backing store is drawn
-    /// from (and counted by) `pool` — bit-identical to fresh zeroed fields.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_in(
-        pool: &crate::pool::FieldPool,
-        id: PatchId,
-        level: usize,
-        region: Region,
-        parent: Option<PatchId>,
-        owner: OwnerProc,
-        nfields: usize,
-        ghost: i64,
-    ) -> Self {
-        let fields = (0..nfields)
-            .map(|_| Field3::new_in(pool, region, ghost))
-            .collect();
-        GridPatch {
-            id,
-            level,
-            region,
-            parent,
-            owner,
-            fields,
-        }
-    }
-
     /// Cell count — the unit of workload throughout the DLB schemes.
     pub fn cells(&self) -> i64 {
         self.region.cells()
@@ -124,21 +76,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_patch_shapes_fields() {
-        let p = GridPatch::new(PatchId(3), 1, Region::cube(4), Some(PatchId(0)), 2, 5, 2);
-        assert_eq!(p.fields.len(), 5);
-        assert_eq!(p.cells(), 64);
-        for f in &p.fields {
-            assert_eq!(f.interior(), Region::cube(4));
-            assert_eq!(f.ghost(), 2);
-        }
-        assert_eq!(p.owner, 2);
-        assert_eq!(p.parent, Some(PatchId(0)));
-    }
-
-    #[test]
     fn payload_counts_ghosts() {
-        let p = GridPatch::new(PatchId(0), 0, Region::cube(4), None, 0, 2, 1);
+        let p = GridPatch {
+            id: PatchId(0),
+            level: 0,
+            region: Region::cube(4),
+            parent: None,
+            owner: 0,
+            fields: (0..2).map(|_| Field3::zeros(Region::cube(4), 1)).collect(),
+        };
         // storage is 6^3 per field, 8 bytes per cell, 2 fields
         assert_eq!(p.payload_bytes(), 2 * 6 * 6 * 6 * 8);
     }

@@ -42,7 +42,7 @@ fn main() {
     let loaded = Checkpoint::from_json(&text).expect("parse checkpoint");
     let sys2 = presets::three_site_wan(2, 2, 2, 7);
     println!("\nphase 2 on {}", sys2.describe());
-    let mut resumed = Driver::resume(sys2, cfg(), &loaded);
+    let mut resumed = Driver::resume(sys2, cfg(), &loaded).expect("resume from the checkpoint");
     resumed.step_once();
     resumed.step_once();
     let result = resumed.finish();
